@@ -512,8 +512,17 @@ def write_dataset_csv(
         )
 
 
+_FLAG_TEXT = frozenset({"0", "1"})
+_OUTCOME_TEXT = frozenset({"0", "1", ""})
+
+
 def read_dataset_csv(stream: Iterable[str] | TextIO) -> tuple[list[StopRecord], list[EthnicGroup]]:
-    """Load a canonical dataset CSV; group ids follow sorted label order."""
+    """Load a canonical dataset CSV; group ids follow sorted label order.
+
+    Raises:
+        DataError: if a column is missing, or a row's ``stopped`` is not
+            ``0``/``1`` or its ``outcome`` not ``0``/``1``/empty.
+    """
     reader = csv.DictReader(stream)
     required = {"group", "stopped", "outcome", "force"}
     if reader.fieldnames is None or not required.issubset(reader.fieldnames):
@@ -522,12 +531,18 @@ def read_dataset_csv(stream: Iterable[str] | TextIO) -> tuple[list[StopRecord], 
     labels = sorted({row["group"] for row in rows})
     label_to_id = {label: i for i, label in enumerate(labels)}
     records = []
-    for row in rows:
-        outcome_text = row["outcome"]
+    # line numbers count one line per row, as write_dataset_csv writes them
+    for line, row in enumerate(rows, start=2):
+        stopped_text, outcome_text = row["stopped"], row["outcome"]
+        if stopped_text not in _FLAG_TEXT or outcome_text not in _OUTCOME_TEXT:
+            raise DataError(
+                f"line {line}: stopped must be 0 or 1 and outcome 0, 1 or empty, "
+                f"got stopped={stopped_text!r} outcome={outcome_text!r}"
+            )
         records.append(
             StopRecord(
                 group=label_to_id[row["group"]],
-                stopped=row["stopped"] == "1",
+                stopped=stopped_text == "1",
                 outcome=None if outcome_text == "" else outcome_text == "1",
                 force=row["force"],
             )

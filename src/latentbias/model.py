@@ -93,6 +93,11 @@ class StopRecord:
             raise DomainError("outcome must be absent when stopped is False")
 
 
+def _positive_finite(x: float) -> bool:
+    # NaN fails every comparison, so test the positive case
+    return x > 0 and math.isfinite(x)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Gibbs run configuration.
@@ -116,16 +121,19 @@ class ModelConfig:
     divergence_variance_limit: float = 1e12
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.gamma <= 0:
-            raise DomainError(f"alpha and gamma must be positive, got {self.alpha}, {self.gamma}")
+        if not all(_positive_finite(v) for v in (self.alpha, self.gamma)):
+            raise DomainError(
+                f"alpha and gamma must be positive and finite, got {self.alpha}, {self.gamma}"
+            )
         if self.sweeps < 1:
             raise DomainError(f"sweeps must be >= 1, got {self.sweeps}")
         if self.burn_in < 0 or self.sweeps <= self.burn_in:
             raise DomainError(
                 f"need sweeps > burn_in >= 0, got sweeps={self.sweeps} burn_in={self.burn_in}"
             )
-        if self.divergence_mean_limit <= 0 or self.divergence_variance_limit <= 0:
-            raise DomainError("divergence limits must be positive")
+        limits = (self.divergence_mean_limit, self.divergence_variance_limit)
+        if not all(_positive_finite(v) for v in limits):
+            raise DomainError(f"divergence limits must be positive and finite, got {limits}")
 
     @property
     def anchoring_enabled(self) -> bool:

@@ -133,6 +133,23 @@ def test_fit_invalid_config_exit_2(canonical_csv, tmp_path):
     ]) == 2
 
 
+@pytest.mark.parametrize("flag", ["--alpha", "--gamma"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_fit_non_finite_noise_exit_2(canonical_csv, tmp_path, capsys, flag, value):
+    assert main([
+        "fit", "--input", str(canonical_csv), flag, value,
+        "--seed", "1", "--out-dir", str(tmp_path / "x"),
+    ]) == 2
+    assert "positive and finite" in capsys.readouterr().err
+
+
+def test_fit_bad_outcome_flag_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("group,stopped,outcome,force\na,1,1,f\na,1,yes,f\n", encoding="utf-8")
+    assert main(["fit", "--input", str(bad), "--seed", "1", "--out-dir", str(tmp_path / "x")]) == 2
+    assert "line 3" in capsys.readouterr().err
+
+
 def test_rank_outputs(canonical_csv, tmp_path, capsys):
     out = tmp_path / "r"
     assert main(["rank", "--input", str(canonical_csv), "--iterations", "100",

@@ -336,6 +336,21 @@ def test_dataset_csv_roundtrip():
         assert (a.group, a.stopped, a.outcome, a.force) == (b.group, b.stopped, b.outcome, b.force)
 
 
+@pytest.mark.parametrize(
+    "bad_row",
+    ["a,yes,1,f", "a,2,1,f", "a,true,0,f", "a,1,yes,f", "a,1,2,f", "a,1,true,f", "a,1"],
+)
+def test_dataset_csv_rejects_bad_flags_with_line_number(bad_row):
+    text = "group,stopped,outcome,force\na,1,1,f\nb,1,0,f\n" + bad_row + "\n"
+    with pytest.raises(DataError, match="^line 4: "):
+        read_dataset_csv(io.StringIO(text))
+
+
+def test_dataset_csv_accepts_empty_outcome_for_non_stop():
+    records, _groups = read_dataset_csv(io.StringIO("group,stopped,outcome,force\na,0,,f\n"))
+    assert (records[0].stopped, records[0].outcome) == (False, None)
+
+
 def test_dataset_csv_rejects_wrong_schema():
     with pytest.raises(DataError):
         read_dataset_csv(io.StringIO("a,b\n1,2\n"))

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
+from scipy.special import erfcx, log_ndtr
 
 from latentbias import (
     DivergenceError,
@@ -10,6 +12,7 @@ from latentbias import (
     GibbsTrace,
     ModelConfig,
     NaturalAccumulator,
+    NumericalError,
     PosteriorSummary,
     PriorKind,
     StopRecord,
@@ -27,6 +30,8 @@ from latentbias import (
     synthesize,
     write_trace_csv,
 )
+
+from latentbias import inference
 
 from conftest import mills_lambda_oracle
 
@@ -286,6 +291,113 @@ def test_sweep_batch_matches_scalar_accumulation():
         vec.precision[2, g] += len(idx) / cfg.alpha
     assert np.allclose(scalar.precision, vec.precision, atol=1e-12)
     assert np.allclose(scalar.precision_mean, vec.precision_mean, atol=1e-12)
+
+
+# --- bias-conditional sampler ---------------------------------------------------------
+
+def _unbinned_log_target(grid, cs, m0, v0, sqrt_alpha):
+    # the conditional before binning, evaluated record by record
+    out = -((grid - m0) ** 2) / (2.0 * v0)
+    for c in cs:
+        out = out + log_ndtr((c + grid) / sqrt_alpha)
+    return out
+
+
+def _quadrature_cdf(cs, m0, v0, sqrt_alpha, draws, points=4001):
+    pad = 5.0 * draws.std()
+    grid = np.linspace(draws.min() - pad, draws.max() + pad, points)
+    logp = _unbinned_log_target(grid, cs, m0, v0, sqrt_alpha)
+    dens = np.exp(logp - logp.max())
+    cdf = np.concatenate(([0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))))
+    return lambda x: np.interp(x, grid, cdf / cdf[-1])
+
+
+def _bias_chain(cs, m0, v0, sqrt_alpha, seed, draws, thin=5, burn=50):
+    rng = np.random.default_rng(seed)
+    current, mode = m0, None
+    kept, moves = [], 0
+    for i in range(burn + draws * thin):
+        new, mode = inference._sample_bias_conditional(cs, m0, v0, sqrt_alpha, current, rng, mode)
+        moves += new != current
+        current = new
+        if i >= burn and (i - burn) % thin == 0:
+            kept.append(current)
+    return np.asarray(kept), moves / (burn + draws * thin), mode
+
+
+def _mills(z):
+    # phi(z) / Phi(z) through the scaled complementary error function
+    return math.sqrt(2.0 / math.pi) / erfcx(-np.asarray(z) / math.sqrt(2.0))
+
+
+@pytest.mark.parametrize("n, seed", [(5, 31), (9374, 32)])
+def test_bias_conditional_matches_unbinned_quadrature(n, seed):
+    cs = np.random.default_rng(seed).normal(-1.0, 1.0, size=n)
+    draws, accept, _mode = _bias_chain(cs, 0.0, 1.0, 1.0, seed, draws=2000)
+    assert accept > 0.5
+    cdf = _quadrature_cdf(cs, 0.0, 1.0, 1.0, draws)
+    assert stats.kstest(draws, cdf).pvalue > 0.01
+
+
+def test_bias_conditional_single_bin():
+    cs = np.full(50, 0.3)
+    centers, weights = inference._bin_criminalities(cs)
+    assert centers.tolist() == [0.3] and weights.tolist() == [50.0]
+    draws, _accept, mode = _bias_chain(cs, 0.5, 2.0, 1.5, 33, draws=1000)
+    z = (0.3 + mode) / 1.5
+    assert -(mode - 0.5) / 2.0 + 50.0 * float(_mills(z)) / 1.5 == pytest.approx(0.0, abs=1e-8)
+    cdf = _quadrature_cdf(cs, 0.5, 2.0, 1.5, draws)
+    assert stats.kstest(draws, cdf).pvalue > 0.01
+
+
+def test_bias_conditional_far_tail_mode():
+    # the prior pins beta near 0, so every record sits at z < -40, where
+    # Phi underflows and a pdf / cdf Mills ratio reads 0 instead of |z|
+    cs = np.array([-50.0, -49.5, -49.0])
+    m0, v0 = 0.0, 1e-4
+    rng = np.random.default_rng(34)
+    value, mode = inference._sample_bias_conditional(cs, m0, v0, 1.0, m0, rng, None)
+    centers, weights = inference._bin_criminalities(cs)
+    z = centers + mode
+    assert np.all(z < -40)
+    assert math.isfinite(value) and math.isfinite(mode)
+    pull = float(weights @ _mills(z))
+    assert pull == pytest.approx(148.5, rel=1e-3)  # ~ sum |z|
+    assert -(mode - m0) / v0 + pull == pytest.approx(0.0, abs=1e-6 * pull)
+    assert abs(value - mode) < 10 * math.sqrt(v0)
+
+
+def test_bias_conditional_same_seed_same_draws():
+    cs = np.random.default_rng(35).normal(0.5, 1.0, size=300)
+
+    def run(seed):
+        rng = np.random.default_rng(seed)
+        current, mode, out = 0.0, None, []
+        for _ in range(20):
+            current, mode = inference._sample_bias_conditional(
+                cs, 0.0, 1.0, 1.0, current, rng, mode
+            )
+            out.append((current, mode))
+        return out
+
+    assert run(7) == run(7)
+    assert run(7) != run(8)
+
+
+def test_bias_binning_matches_histogram():
+    cs = np.random.default_rng(36).normal(size=5000)
+    centers, weights = inference._bin_criminalities(cs)
+    counts, edges = np.histogram(cs, bins=128)
+    keep = counts > 0
+    assert np.array_equal(weights, counts[keep].astype(float))
+    assert np.allclose(centers, 0.5 * (edges[:-1] + edges[1:])[keep], rtol=0, atol=1e-12)
+
+
+def test_bias_mode_solve_raises_when_capped(monkeypatch):
+    monkeypatch.setattr(inference, "_BIAS_NEWTON_STEPS", 1)
+    cs = np.random.default_rng(37).normal(-1.0, 1.0, size=200)
+    with pytest.raises(NumericalError):
+        inference._sample_bias_conditional(cs, 0.0, 1.0, 1.0, 0.0, np.random.default_rng(0), None)
 
 
 # --- full runs -----------------------------------------------------------------------

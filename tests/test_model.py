@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,15 @@ def test_config_validation():
         ModelConfig(seed=1, gamma=-2.0)
     with pytest.raises(DomainError):
         ModelConfig(seed=1, sweeps=0, burn_in=0)
+
+
+@pytest.mark.parametrize(
+    "field", ["alpha", "gamma", "divergence_mean_limit", "divergence_variance_limit"]
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite(field, value):
+    with pytest.raises(DomainError):
+        ModelConfig(seed=1, **{field: value})
 
 
 def test_config_anchoring_defaults():
