@@ -1,19 +1,11 @@
-"""Tour of the Gaussian toolkit: truncated sampling and natural parameters.
+"""Tour of the Gaussian toolkit: one-sided truncated-normal sampling.
 
 Run:  python demos/01_gaussian_toolkit.py
 """
 
 import numpy as np
 
-from latentbias import (
-    MultivariateGaussian,
-    from_natural,
-    mvn_marginal,
-    mvn_sample,
-    sample_truncated_normal,
-    to_natural,
-    truncated_moments,
-)
+from latentbias import sample_truncated_normal, truncated_moments
 
 rng = np.random.default_rng(2024)
 
@@ -30,19 +22,3 @@ print("\nEven at mean = -8 (kept mass ~6e-16) the sampler stays in support:")
 far = sample_truncated_normal(np.full(10_000, -8.0), 1.0, np.ones(10_000), rng)
 print(f"  min draw {far.min():.3g}, mean {far.mean():.4f}, "
       f"closed form {truncated_moments(-8.0, 1.0, 1.0)[0]:.4f}")
-
-print("\nMoment and natural parameterizations")
-print("------------------------------------")
-joint = MultivariateGaussian(
-    mean=[0.2, -0.4, 0.0],
-    covariance=[[1.0, 0.3, 0.1], [0.3, 2.0, -0.2], [0.1, -0.2, 1.5]],
-)
-nat = to_natural(joint)
-back = from_natural(nat)
-print("precision diagonal:", np.round(np.diag(nat.precision), 4))
-print("round-trip mean error:", float(np.abs(back.mean - joint.mean).max()))
-
-marg = mvn_marginal(joint, (0, 2))
-draws = mvn_sample(marg, rng, size=100_000)
-print("marginal (0,2) covariance:\n", np.round(marg.covariance, 3))
-print("empirical covariance of 1e5 draws:\n", np.round(np.cov(draws.T), 3))

@@ -16,16 +16,16 @@ TRUE_BETA = (0.0, 0.5, 1.0, 1.5)
 
 rng = np.random.default_rng(7)
 params = TrueParams(beta=TRUE_BETA, population=(1500,) * 4)
-records, report = synthesize(params, rng)
+dataset, report = synthesize(params, rng)
 
-print(f"generated {len(records)} stop records from populations of 1500 per group")
+print(f"generated {len(dataset)} stop records from populations of 1500 per group")
 print(f"{'group':>6} {'true bias':>10} {'stop rate':>10} {'positive %':>11}")
 for k, beta in enumerate(TRUE_BETA):
     pos = report.positive[k] / report.stopped[k]
     print(f"{k:>6} {beta:>10.1f} {report.stop_rate(k):>10.3f} {100 * pos:>10.1f}%")
 
 config = ModelConfig(seed=11, prior=PriorKind.DEPENDENT, sweeps=500, burn_in=100)
-summary, trace = run_gibbs(records, config)
+summary, trace = run_gibbs(dataset, config)
 
 print("\nposterior bias summary (anchored: criminality mean pinned at 0):")
 print(f"{'rank':>4} {'group':>6} {'bias mean':>10} {'bias var':>9}")

@@ -24,18 +24,18 @@ from latentbias import (
 
 rng = np.random.default_rng(3)
 params = TrueParams(beta=(0.0, 0.5, 1.0, 1.5), population=(1400,) * 4)
-records, _report = synthesize(params, rng)
-counts = [sum(1 for r in records if r.group == g) for g in range(4)]
-print(f"dataset: {len(records)} records, per-group counts {counts}\n")
+dataset, _report = synthesize(params, rng)
+counts = dataset.counts()
+print(f"dataset: {len(dataset)} records, per-group counts {counts.tolist()}\n")
 
 results = {}
 for kind in (PriorKind.INDEPENDENT, PriorKind.DEPENDENT):
     config = ModelConfig(seed=5, prior=kind, sweeps=300, burn_in=60)
-    summary, _trace = run_gibbs(records, config)
+    summary, _trace = run_gibbs(dataset, config)
     results[kind] = summary
     print(f"{kind.value:>12}: bias variances {np.round(summary.bias_variance, 3)}")
 
-n = np.array(counts, dtype=float)
+n = counts.astype(float)
 print(f"{'(1+N)/(1+n_k)':>12}: {np.round((1 + n.sum()) / (1 + n), 3)}  <- independent prediction")
 
 shrunk = np.all(
@@ -46,7 +46,7 @@ print(f"\ndependent variances <= independent everywhere: {bool(shrunk)}")
 print("\nFREE regime (no drift correction):")
 config = ModelConfig(seed=5, prior=PriorKind.FREE, sweeps=1000, burn_in=100)
 try:
-    run_gibbs(records, config)
+    run_gibbs(dataset, config)
     print("  ...unexpectedly stable")
 except DivergenceError as exc:
     print(f"  diverged at sweep {exc.sweep} as documented; "
@@ -56,7 +56,7 @@ except DivergenceError as exc:
 
 print("\nSame FREE structure with the drift correction forced on:")
 config = ModelConfig(seed=5, prior=PriorKind.FREE, sweeps=300, burn_in=60, anchoring=True)
-summary, trace = run_gibbs(records, config)
+summary, trace = run_gibbs(dataset, config)
 print(f"  stable; criminality mean row is identically "
       f"{set(trace.means[:, 4].tolist())}")
 print(f"  bias means {np.round(summary.bias_mean, 3)}")

@@ -10,7 +10,7 @@ Run:  python demos/04_ranking_baseline.py
 
 import numpy as np
 
-from latentbias import EthnicGroup, StopRecord, matches_from_dataset, rank, trueskill_gibbs
+from latentbias import Dataset, matches_from_dataset, rank, trueskill_gibbs
 
 TABLE = (
     ("White", 9374, 4208),
@@ -20,25 +20,29 @@ TABLE = (
 )
 
 rng = np.random.default_rng(1)
-records = []
-for gid, (label, total, positive) in enumerate(TABLE):
-    outcomes = np.zeros(total, dtype=bool)
-    outcomes[:positive] = True
-    rng.shuffle(outcomes)
-    records.extend(StopRecord(group=gid, outcome=bool(o)) for o in outcomes)
+outcomes = []
+for label, total, positive in TABLE:
+    group_outcomes = np.zeros(total, dtype=bool)
+    group_outcomes[:positive] = True
+    rng.shuffle(group_outcomes)
+    outcomes.append(group_outcomes)
+dataset = Dataset(
+    np.repeat(np.arange(len(TABLE)), [total for _label, total, _pos in TABLE]),
+    np.concatenate(outcomes),
+    [label for label, *_rest in TABLE],
+)
 
-groups = [EthnicGroup(i, label) for i, (label, *_rest) in enumerate(TABLE)]
-players, matches = matches_from_dataset(records, groups)
-print(f"{len(matches)} matches, {len(players)} players\n")
+players, winners, losers = matches_from_dataset(dataset)
+print(f"{winners.size} matches, {len(players)} players\n")
 
-skills = trueskill_gibbs(matches, players, iterations=500, seed=0)
+skills = trueskill_gibbs(winners, losers, players, iterations=500, seed=0)
 print("raw skills (shared comparative level left in):")
 print(f"{'rank':>4} {'player':>13} {'mean':>9} {'variance':>9}")
 for position, player in enumerate(rank(skills), start=1):
     print(f"{position:>4} {player.label:>13} {skills.mean(player.id):>9.4f} "
           f"{skills.variance(player.id):>9.4f}")
 
-anchored = trueskill_gibbs(matches, players, iterations=500, seed=0, anchor_common=True)
+anchored = trueskill_gibbs(winners, losers, players, iterations=500, seed=0, anchor_common=True)
 print("\nanchored on the common player (exposes per-player information):")
 print(f"{'player':>13} {'mean':>9} {'variance':>9}")
 for player in anchored.players:

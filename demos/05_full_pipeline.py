@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from latentbias import EthnicGroup, TrueParams, split, synthesize, write_dataset_csv
+from latentbias import TrueParams, split, synthesize, write_dataset_csv
 from latentbias.cli import main
 
 OUT = Path("demo_out")
@@ -20,13 +20,12 @@ OUT.mkdir(exist_ok=True)
 # synthesize a canonical dataset and hold out 10% for scoring
 rng = np.random.default_rng(99)
 params = TrueParams(beta=(0.0, 0.6, 1.2), population=(1200,) * 3)
-records, _report = synthesize(params, rng)
-groups = [EthnicGroup(i, f"group{i}") for i in range(3)]
-train, test = split(records, 0.1, np.random.default_rng(100))
+dataset, _report = synthesize(params, rng)
+train, test = split(dataset, 0.1, np.random.default_rng(100))
 with open(OUT / "train.csv", "w", encoding="utf-8") as fh:
-    write_dataset_csv(train, groups, fh)
+    write_dataset_csv(train, fh)
 with open(OUT / "test.csv", "w", encoding="utf-8") as fh:
-    write_dataset_csv(test, groups, fh)
+    write_dataset_csv(test, fh)
 print(f"train {len(train)} records, test {len(test)} records")
 
 steps = [

@@ -2,19 +2,20 @@
 
 A numpy/scipy library with a thin CLI. The pieces:
 
-* :mod:`latentbias.gaussians`  - truncated-normal sampling, natural/moment
-  Gaussian conversions, marginals.
+* :mod:`latentbias.gaussians`  - truncated-normal sampling and the dense
+  Gaussian the prior is held in.
 * :mod:`latentbias.model`      - domain types and the three prior regimes.
 * :mod:`latentbias.inference`  - the Gibbs sampler, anchoring, traces.
 * :mod:`latentbias.likelihood` - closed-form record likelihood, its
   quadrature oracle, held-out scoring.
 * :mod:`latentbias.ranking`    - the skill-ranking baseline.
-* :mod:`latentbias.data`       - CSV ingestion, dataset operations, the
-  synthetic generator.
+* :mod:`latentbias.data`       - the columnar :class:`Dataset`, CSV
+  ingestion, dataset operations, the synthetic generator.
 """
 
 from .data import (
     ColumnSpec,
+    Dataset,
     EthnicityMapping,
     IngestReport,
     OutcomeScheme,
@@ -42,30 +43,17 @@ from .errors import (
 from .gaussians import (
     Gaussian1D,
     MultivariateGaussian,
-    NaturalGaussian,
-    from_natural,
-    mvn_marginal,
-    mvn_sample,
     sample_truncated_normal,
     std_normal_cdf,
     std_normal_pdf,
-    to_natural,
     truncated_moments,
 )
 from .inference import (
     GibbsTrace,
-    LatentPair,
-    NaturalAccumulator,
     PosteriorSummary,
-    accumulate_stats,
-    anchor,
     drift_slope,
-    gibbs_sweep,
-    posterior_from_stats,
     read_trace_csv,
-    refresh_criminality,
     run_gibbs,
-    sample_latents,
     write_trace_csv,
 )
 from .likelihood import (
@@ -75,18 +63,15 @@ from .likelihood import (
     stop_search_likelihood,
 )
 from .model import (
-    EthnicGroup,
     ModelConfig,
     PosteriorState,
     PriorKind,
-    StopRecord,
     build_prior,
     guilt_probability,
     stop_probability,
 )
 from .ranking import (
     COMMON_LABEL,
-    Match,
     Player,
     SkillState,
     matches_from_dataset,

@@ -16,9 +16,12 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .data import (
     ColumnSpec,
+    Dataset,
     EthnicityMapping,
     SchemeKind,
     balance,
@@ -37,10 +40,10 @@ from .inference import (
 )
 from .likelihood import predictive_score
 from .manifest import build_manifest, write_manifest
-from .model import ModelConfig, PriorKind, StopRecord
+from .model import ModelConfig, PriorKind, require_positive_finite
 from .plotting import render_trace_svg
 from .ranking import matches_from_dataset, trueskill_gibbs, write_ranking_csv
-from .seeds import DOMAIN_BALANCE, DOMAIN_FIT, DOMAIN_RANK, derive_rng, seed_sequence
+from .seeds import DOMAIN_BALANCE, DOMAIN_FIT, DOMAIN_RANK, derive_rng, derive_seed
 
 LONDON_MET_FORCE = "Metropolitan Police"
 PRESETS = ("national", "augmented", "charges", "london-met")
@@ -52,45 +55,63 @@ def _load_mapping(path: str | None) -> EthnicityMapping:
     return EthnicityMapping.from_json(Path(path).read_text(encoding="utf-8"))
 
 
-def _chain_seed(root_seed: int, chain: int) -> int:
-    return int(seed_sequence(root_seed, DOMAIN_FIT, chain).generate_state(1)[0])
+class _RunDir:
+    """A command's output directory, created on entry, and its wall clock.
+
+    :meth:`finish` writes the one ``manifest.json`` every command leaves.
+    """
+
+    def __init__(self, args):
+        self.command = args.command
+        self.path = Path(args.out_dir)
+        self.path.mkdir(parents=True, exist_ok=True)
+        self._t0 = time.perf_counter()
+
+    def finish(self, config: dict, inputs: dict, outputs: dict, extra: dict | None = None) -> None:
+        doc = build_manifest(
+            command=self.command,
+            config=config,
+            inputs=inputs,
+            outputs=outputs,
+            wall_time_s=time.perf_counter() - self._t0,
+            extra=extra,
+        )
+        write_manifest(doc, self.path / "manifest.json")
 
 
 def cmd_ingest(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
+    run = _RunDir(args)
     mapping = _load_mapping(args.mapping)
     scheme = mapping.scheme(SchemeKind.from_string(args.scheme))
     with open(args.input, newline="", encoding="utf-8") as fh:
-        records, report = parse_records(fh, mapping, scheme, ColumnSpec())
-    dataset_path = out_dir / "dataset.csv"
+        dataset, report = parse_records(fh, mapping, scheme, ColumnSpec())
+    dataset_path = run.path / "dataset.csv"
     with open(dataset_path, "w", encoding="utf-8") as fh:
-        write_dataset_csv(records, mapping.groups(), fh)
-    report_path = out_dir / "report.txt"
+        write_dataset_csv(dataset, fh)
+    report_path = run.path / "report.txt"
     report_path.write_text(report.to_text(), encoding="utf-8")
     inputs = {"raw": args.input}
     if args.mapping:
         inputs["mapping"] = args.mapping
-    doc = build_manifest(
-        command="ingest",
+    run.finish(
         config={"scheme": args.scheme, "mapping": args.mapping or "default"},
         inputs=inputs,
         outputs={"dataset": dataset_path, "report": report_path},
-        wall_time_s=time.perf_counter() - t0,
         extra={"rows_kept": report.rows_kept, "rows_dropped": report.rows_dropped},
     )
-    write_manifest(doc, out_dir / "manifest.json")
     sys.stdout.write(report.to_text())
     return 0
 
 
-def _load_fit_dataset(args):
-    """Dataset and groups for ``fit``/``rank``, honouring ``--preset``."""
+def _read_dataset(path: str) -> Dataset:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return read_dataset_csv(fh)
+
+
+def _load_fit_dataset(args) -> Dataset:
+    """Dataset for ``fit``, honouring ``--preset``."""
     if args.preset is None:
-        with open(args.input, newline="", encoding="utf-8") as fh:
-            records, groups = read_dataset_csv(fh)
-        return records, groups
+        return _read_dataset(args.input)
     if args.preset not in PRESETS:
         raise DomainError(f"unknown preset {args.preset!r} (choose from {', '.join(PRESETS)})")
     mapping = _load_mapping(args.mapping)
@@ -98,21 +119,19 @@ def _load_fit_dataset(args):
         SchemeKind.LENIENT_SEVERE if args.preset == "charges" else SchemeKind.GUILTY_NOT_GUILTY
     )
     with open(args.input, newline="", encoding="utf-8") as fh:
-        records, _report = parse_records(fh, mapping, mapping.scheme(scheme_kind), ColumnSpec())
+        dataset, _report = parse_records(fh, mapping, mapping.scheme(scheme_kind), ColumnSpec())
     if args.preset == "augmented":
-        records = balance(records, 1000, derive_rng(args.seed, DOMAIN_BALANCE))
+        dataset = balance(dataset, 1000, derive_rng(args.seed, DOMAIN_BALANCE))
     elif args.preset == "london-met":
-        records = filter_force(records, LONDON_MET_FORCE)
-    return records, mapping.groups()
+        dataset = filter_force(dataset, LONDON_MET_FORCE)
+    return dataset
 
 
 def cmd_fit(args) -> int:
     if args.chains < 1:
         raise DomainError(f"--chains must be >= 1, got {args.chains}")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
-    records, groups = _load_fit_dataset(args)
+    run = _RunDir(args)
+    dataset = _load_fit_dataset(args)
     prior = PriorKind.from_string(args.prior)
     anchoring = None if args.anchoring is None else args.anchoring == "on"
     outputs = {}
@@ -121,7 +140,7 @@ def cmd_fit(args) -> int:
     trace_names = []
     for chain in range(args.chains):
         config = ModelConfig(
-            seed=_chain_seed(args.seed, chain),
+            seed=derive_seed(args.seed, DOMAIN_FIT, chain),
             alpha=args.alpha,
             gamma=args.gamma,
             prior=prior,
@@ -130,10 +149,10 @@ def cmd_fit(args) -> int:
             anchoring=anchoring,
         )
         name = "trace.csv" if args.chains == 1 else f"trace_chain{chain}.csv"
-        trace_path = out_dir / name
+        trace_path = run.path / name
         trace_names.append(name)
         try:
-            chain_summary, trace = run_gibbs(records, config, groups=groups)
+            chain_summary, trace = run_gibbs(dataset, config)
         except DivergenceError as exc:
             if exc.trace is not None and exc.trace.sweeps > 0:
                 with open(trace_path, "w", encoding="utf-8") as fh:
@@ -148,12 +167,12 @@ def cmd_fit(args) -> int:
         if chain == 0:
             summary = chain_summary
     if summary is not None and divergence is None:
-        summary_csv = out_dir / "summary.csv"
+        summary_csv = run.path / "summary.csv"
         with open(summary_csv, "w", encoding="utf-8") as fh:
             summary.to_csv(fh)
-        (out_dir / "summary.json").write_text(summary.to_json() + "\n", encoding="utf-8")
+        (run.path / "summary.json").write_text(summary.to_json() + "\n", encoding="utf-8")
         outputs["summary_csv"] = summary_csv
-        outputs["summary_json"] = out_dir / "summary.json"
+        outputs["summary_json"] = run.path / "summary.json"
     config_snapshot = {
         "prior": args.prior,
         "sweeps": args.sweeps,
@@ -169,15 +188,12 @@ def cmd_fit(args) -> int:
     inputs = {"dataset": args.input}
     if args.preset is not None and args.mapping:
         inputs["mapping"] = args.mapping
-    doc = build_manifest(
-        command="fit",
+    run.finish(
         config=config_snapshot,
         inputs=inputs,
         outputs=outputs,
-        wall_time_s=time.perf_counter() - t0,
         extra={"divergence": divergence} if divergence else None,
     )
-    write_manifest(doc, out_dir / "manifest.json")
     if divergence is not None:
         return 3
     for idx in summary.ranked_indices():
@@ -189,26 +205,23 @@ def cmd_fit(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
-    with open(args.input, newline="", encoding="utf-8") as fh:
-        records, groups = read_dataset_csv(fh)
-    if not records:
+    run = _RunDir(args)
+    dataset = _read_dataset(args.input)
+    if len(dataset) == 0:
         raise DomainError("dataset is empty")
-    players, matches = matches_from_dataset(records, groups)
+    players, winners, losers = matches_from_dataset(dataset)
     skills = trueskill_gibbs(
-        matches,
+        winners,
+        losers,
         players,
         iterations=args.iterations,
-        seed=int(seed_sequence(args.seed, DOMAIN_RANK, 0).generate_state(1)[0]),
+        seed=derive_seed(args.seed, DOMAIN_RANK, 0),
         anchor_common=args.anchor_common,
     )
-    ranking_path = out_dir / "ranking.csv"
+    ranking_path = run.path / "ranking.csv"
     with open(ranking_path, "w", encoding="utf-8") as fh:
         write_ranking_csv(skills, fh)
-    doc = build_manifest(
-        command="rank",
+    run.finish(
         config={
             "iterations": args.iterations,
             "seed": args.seed,
@@ -216,67 +229,46 @@ def cmd_rank(args) -> int:
         },
         inputs={"dataset": args.input},
         outputs={"ranking": ranking_path},
-        wall_time_s=time.perf_counter() - t0,
     )
-    write_manifest(doc, out_dir / "manifest.json")
     sys.stdout.write(ranking_path.read_text(encoding="utf-8"))
     return 0
 
 
 def cmd_score(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
+    run = _RunDir(args)
+    require_positive_finite(alpha=args.alpha, gamma=args.gamma)
     summary = PosteriorSummary.from_json(Path(args.summary).read_text(encoding="utf-8"))
-    with open(args.test, newline="", encoding="utf-8") as fh:
-        records, groups = read_dataset_csv(fh)
-    # align the test file's group ids with the summary's label order
-    remap = {}
-    for g in groups:
-        if g.label not in summary.labels:
-            raise DomainError(
-                f"test dataset group {g.label!r} is unknown to the summary "
-                f"(labels: {summary.labels})"
-            )
-        remap[g.id] = summary.labels.index(g.label)
-    records = [
-        StopRecord(group=remap[rec.group], stopped=rec.stopped,
-                   outcome=rec.outcome, force=rec.force)
-        for rec in records
-    ]
-    score = predictive_score(summary, records, args.alpha, args.gamma, method=args.method)
+    test = _read_dataset(args.test)
+    # point the test file's group codes at the summary's label order
+    unknown = [label for label in test.labels if label not in summary.labels]
+    if unknown:
+        raise DomainError(
+            f"test dataset group {unknown[0]!r} is unknown to the summary "
+            f"(labels: {summary.labels})"
+        )
+    remap = np.array([summary.labels.index(label) for label in test.labels], dtype=np.intp)
+    test = Dataset(remap[test.group], test.outcome, summary.labels, test.force, test.forces)
+    score = predictive_score(summary, test, args.alpha, args.gamma, method=args.method)
     line = f"{100.0 * score:.1f}\n"
-    (out_dir / "score.txt").write_text(line, encoding="utf-8")
-    doc = build_manifest(
-        command="score",
+    (run.path / "score.txt").write_text(line, encoding="utf-8")
+    run.finish(
         config={"alpha": args.alpha, "gamma": args.gamma, "method": args.method},
         inputs={"summary": args.summary, "test": args.test},
-        outputs={"score": out_dir / "score.txt"},
-        wall_time_s=time.perf_counter() - t0,
+        outputs={"score": run.path / "score.txt"},
         extra={"score_percent": round(100.0 * score, 4)},
     )
-    write_manifest(doc, out_dir / "manifest.json")
     sys.stdout.write(line)
     return 0
 
 
 def cmd_plot(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
+    run = _RunDir(args)
     with open(args.trace, encoding="utf-8") as fh:
         trace = read_trace_csv(fh)
     svg = render_trace_svg(trace)
-    plot_path = out_dir / "plot.svg"
+    plot_path = run.path / "plot.svg"
     plot_path.write_text(svg, encoding="utf-8")
-    doc = build_manifest(
-        command="plot",
-        config={},
-        inputs={"trace": args.trace},
-        outputs={"plot": plot_path},
-        wall_time_s=time.perf_counter() - t0,
-    )
-    write_manifest(doc, out_dir / "manifest.json")
+    run.finish(config={}, inputs={"trace": args.trace}, outputs={"plot": plot_path})
     return 0
 
 

@@ -14,6 +14,9 @@ is NOT in the lenient set.
 
 The ethnicity mapping, the lenient set, and the guilty set travel in one
 JSON configuration file so an ingest run is fully specified by its inputs.
+
+Every layer holds its stops as one columnar :class:`Dataset`: group codes,
+outcomes and force codes in numpy arrays, plus the label tables.
 """
 
 from __future__ import annotations
@@ -28,9 +31,10 @@ from typing import Iterable, Sequence, TextIO
 import numpy as np
 
 from .errors import DataError, DomainError
-from .model import EthnicGroup, StopRecord, validate_groups
+from .model import require_positive_finite
 
 __all__ = [
+    "Dataset",
     "SchemeKind",
     "OutcomeScheme",
     "EthnicityMapping",
@@ -115,6 +119,72 @@ _DEFAULT_ETHNICITY_MAP = {
 }
 
 
+def _codes(values, table_size: int, name: str) -> np.ndarray:
+    arr = np.asarray(values)
+    if arr.size == 0:
+        return arr.astype(np.intp).reshape(0)
+    if arr.ndim != 1 or arr.dtype.kind not in "iu":
+        raise DomainError(f"{name} must be a 1-D integer code column")
+    if arr.min() < 0 or arr.max() >= table_size:
+        raise DomainError(f"{name} codes must lie in 0..{table_size - 1}")
+    return arr.astype(np.intp, copy=False)
+
+
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """Stop-and-search events as columns, one row per stop.
+
+    ``group`` holds codes into ``labels`` and ``force`` codes into
+    ``forces`` (all zero, into ``("",)``, when omitted); ``outcome`` is the
+    coarsened binary outcome. Every row is a stop: the model never observes
+    anyone who was not stopped. The constructor checks equal column
+    lengths, code ranges and unique table entries once, so every layer can
+    trust them.
+    """
+
+    group: np.ndarray
+    outcome: np.ndarray
+    labels: tuple
+    force: np.ndarray | None = None
+    forces: tuple = ("",)
+
+    def __post_init__(self):
+        labels, forces = tuple(self.labels), tuple(self.forces)
+        for name, table in (("labels", labels), ("forces", forces)):
+            if len(set(table)) != len(table):
+                raise DomainError(f"{name} must be unique, got {list(table)}")
+        group = _codes(self.group, len(labels), "group")
+        outcome = np.asarray(self.outcome)
+        if outcome.size == 0:
+            outcome = outcome.astype(bool).reshape(0)
+        if outcome.ndim != 1 or outcome.dtype != bool:
+            raise DomainError("outcome must be a 1-D bool column")
+        if self.force is None:
+            force = np.zeros(group.size, dtype=np.intp)
+        else:
+            force = _codes(self.force, len(forces), "force")
+        if not group.size == outcome.size == force.size:
+            raise DomainError(
+                f"columns must have equal lengths, got group {group.size}, "
+                f"outcome {outcome.size}, force {force.size}"
+            )
+        for name, value in (("group", group), ("outcome", outcome), ("labels", labels),
+                            ("force", force), ("forces", forces)):
+            object.__setattr__(self, name, value)
+
+    def __len__(self) -> int:
+        return self.group.size
+
+    def counts(self) -> np.ndarray:
+        """Rows per group, indexed by group code."""
+        return np.bincount(self.group, minlength=len(self.labels))
+
+    def take(self, index) -> "Dataset":
+        """The rows at ``index`` (integer positions or a bool mask), tables kept."""
+        return Dataset(self.group[index], self.outcome[index], self.labels,
+                       self.force[index], self.forces)
+
+
 class SchemeKind(enum.Enum):
     GUILTY_NOT_GUILTY = "guilty"
     LENIENT_SEVERE = "charges"
@@ -171,11 +241,6 @@ class EthnicityMapping:
     @property
     def fallback_group(self) -> str:
         return self.group_labels[-1]
-
-    def groups(self) -> list[EthnicGroup]:
-        out = [EthnicGroup(i, label) for i, label in enumerate(self.group_labels)]
-        validate_groups(out)
-        return out
 
     def scheme(self, kind: SchemeKind) -> OutcomeScheme:
         return OutcomeScheme(kind=kind, lenient_set=self.lenient_set, guilty_set=self.guilty_set)
@@ -292,8 +357,8 @@ def parse_records(
     mapping: EthnicityMapping,
     scheme: OutcomeScheme,
     columns: ColumnSpec = ColumnSpec(),
-) -> tuple[list[StopRecord], IngestReport]:
-    """Parse raw CSV rows into stop records.
+) -> tuple[Dataset, IngestReport]:
+    """Parse raw CSV rows into a dataset labelled by the mapping's groups.
 
     Hard errors (missing required column) raise
     :class:`~latentbias.errors.DataError`; malformed or incomplete rows
@@ -314,7 +379,10 @@ def parse_records(
     )
     report = IngestReport(group_counts={label: 0 for label in mapping.group_labels},
                           group_positive={label: 0 for label in mapping.group_labels})
-    records: list[StopRecord] = []
+    groups: list[int] = []
+    outcomes: list[bool] = []
+    forces: list[int] = []
+    force_ids: dict[str, int] = {}
     for row in reader:
         report.rows_total += 1
         try:
@@ -347,76 +415,67 @@ def parse_records(
             elif outcome_text not in scheme.guilty_set and outcome_text not in mapping.negative_set:
                 report.unknown_outcomes += 1
             outcome = coarsen_outcome(outcome_text, scheme)
-            records.append(
-                StopRecord(
-                    group=label_to_id[label],
-                    stopped=True,
-                    outcome=outcome,
-                    force=(row[columns.force] or "").strip(),
-                    raw_outcome=outcome_text,
-                )
-            )
+            force = (row[columns.force] or "").strip()
+            groups.append(label_to_id[label])
+            outcomes.append(outcome)
+            forces.append(force_ids.setdefault(force, len(force_ids)))
             report.rows_kept += 1
             report.group_counts[label] += 1
             if outcome:
                 report.group_positive[label] += 1
         except csv.Error:
             report.drop("malformed row")
-    return records, report
+    dataset = Dataset(np.array(groups, dtype=np.intp), np.array(outcomes, dtype=bool),
+                      mapping.group_labels, np.array(forces, dtype=np.intp), tuple(force_ids))
+    return dataset, report
 
 
-def balance(
-    dataset: Sequence[StopRecord], n_per_group: int, rng: np.random.Generator
-) -> list[StopRecord]:
+def _rows_by_group(dataset: Dataset):
+    """``(group code, row positions)`` for each group present, in code order."""
+    for g in np.unique(dataset.group):
+        yield int(g), np.flatnonzero(dataset.group == g)
+
+
+def balance(dataset: Dataset, n_per_group: int, rng: np.random.Generator) -> Dataset:
     """Uniform without-replacement subsample to exactly n per group."""
     if n_per_group < 1:
         raise DomainError("n_per_group must be >= 1")
-    by_group: dict[int, list[int]] = {}
-    for i, rec in enumerate(dataset):
-        by_group.setdefault(rec.group, []).append(i)
-    chosen: list[int] = []
-    for group in sorted(by_group):
-        idx = by_group[group]
+    chosen = []
+    for group, idx in _rows_by_group(dataset):
         if len(idx) < n_per_group:
             raise DomainError(
                 f"group {group} has {len(idx)} records, need {n_per_group}"
             )
-        pick = rng.choice(len(idx), size=n_per_group, replace=False)
-        chosen.extend(idx[j] for j in pick)
-    chosen.sort()
-    return [dataset[i] for i in chosen]
+        chosen.append(idx[rng.choice(len(idx), size=n_per_group, replace=False)])
+    return dataset.take(np.sort(np.concatenate(chosen)) if chosen else [])
 
 
-def filter_force(dataset: Sequence[StopRecord], force: str) -> list[StopRecord]:
-    """Records whose force field equals ``force`` exactly."""
-    return [rec for rec in dataset if rec.force == force]
+def filter_force(dataset: Dataset, force: str) -> Dataset:
+    """Rows whose force equals ``force`` exactly."""
+    if force not in dataset.forces:
+        return dataset.take([])
+    return dataset.take(dataset.force == dataset.forces.index(force))
 
 
 def split(
-    dataset: Sequence[StopRecord], test_fraction: float, rng: np.random.Generator
-) -> tuple[list[StopRecord], list[StopRecord]]:
+    dataset: Dataset, test_fraction: float, rng: np.random.Generator
+) -> tuple[Dataset, Dataset]:
     """Disjoint, exhaustive train/test split, stratified by group.
 
     Each group contributes ``round(fraction * n)`` records to the test
     side, so every group's test share is within one record of the target.
-    Deterministic given the generator state.
+    Both sides keep the original row order. Deterministic given the
+    generator state.
     """
     if not (0.0 < test_fraction < 1.0):
         raise DomainError(f"test_fraction must be in (0,1), got {test_fraction}")
     if len(dataset) < 2:
         raise DomainError("dataset must have at least 2 records")
-    by_group: dict[int, list[int]] = {}
-    for i, rec in enumerate(dataset):
-        by_group.setdefault(rec.group, []).append(i)
-    test_idx: set[int] = set()
-    for group in sorted(by_group):
-        idx = by_group[group]
+    is_test = np.zeros(len(dataset), dtype=bool)
+    for _group, idx in _rows_by_group(dataset):
         n_test = int(math.floor(test_fraction * len(idx) + 0.5))
-        perm = rng.permutation(len(idx))
-        test_idx.update(idx[j] for j in perm[:n_test])
-    train = [rec for i, rec in enumerate(dataset) if i not in test_idx]
-    test = [rec for i, rec in enumerate(dataset) if i in test_idx]
-    return train, test
+        is_test[idx[rng.permutation(len(idx))[:n_test]]] = True
+    return dataset.take(~is_test), dataset.take(is_test)
 
 
 @dataclass(frozen=True)
@@ -429,8 +488,7 @@ class TrueParams:
     population: tuple = ()
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.gamma <= 0:
-            raise DomainError("alpha and gamma must be positive")
+        require_positive_finite(alpha=self.alpha, gamma=self.gamma)
         pop = self.population if self.population else tuple([10_000] * len(self.beta))
         if len(pop) != len(self.beta):
             raise DomainError("population must have one entry per group")
@@ -454,19 +512,22 @@ class SynthReport:
 
 def synthesize(
     params: TrueParams, rng: np.random.Generator, labels: Sequence[str] | None = None
-) -> tuple[list[StopRecord], SynthReport]:
-    """Draw records from the generative process.
+) -> tuple[Dataset, SynthReport]:
+    """Draw a dataset from the generative process.
 
     Per individual: criminality ``C ~ N(0,1)``; stopped when
     ``C + beta_k + N(0, alpha) > 0``; a record is emitted only for stopped
     individuals, with a positive outcome when ``C + N(0, gamma) > 0``.
-    Records come out in group blocks; expected stop rate per group is
-    ``Phi(beta_k / sqrt(1 + alpha))``.
+    Records come out in group blocks, labelled ``labels`` (default
+    ``group0``, ``group1``, ...) with force ``synthetic``; expected stop
+    rate per group is ``Phi(beta_k / sqrt(1 + alpha))``.
     """
     k = len(params.beta)
-    if labels is not None and len(labels) != k:
+    if labels is None:
+        labels = [f"group{g}" for g in range(k)]
+    elif len(labels) != k:
         raise DomainError("labels must have one entry per group")
-    records: list[StopRecord] = []
+    outcomes = []
     stopped = []
     positive = []
     sqrt_a = math.sqrt(params.alpha)
@@ -479,73 +540,66 @@ def synthesize(
         outcome = crim_stopped + sqrt_g * rng.standard_normal(crim_stopped.size) > 0
         stopped.append(int(is_stopped.sum()))
         positive.append(int(outcome.sum()))
-        for pos in outcome:
-            records.append(
-                StopRecord(
-                    group=g,
-                    stopped=True,
-                    outcome=bool(pos),
-                    force="synthetic",
-                    raw_outcome="positive" if pos else "negative",
-                )
-            )
-    return records, SynthReport(
+        outcomes.append(outcome)
+    dataset = Dataset(
+        np.repeat(np.arange(k), stopped), np.concatenate(outcomes), labels,
+        forces=("synthetic",),
+    )
+    return dataset, SynthReport(
         population=params.population, stopped=tuple(stopped), positive=tuple(positive)
     )
 
 
-def write_dataset_csv(
-    records: Sequence[StopRecord], groups: Sequence[EthnicGroup], stream: TextIO
-) -> None:
-    """Canonical dataset CSV: ``group,stopped,outcome,force``."""
-    labels = {g.id: g.label for g in groups}
-    stream.write("group,stopped,outcome,force\n")
+_CANONICAL_COLUMNS = ("group", "stopped", "outcome", "force")
+_OUTCOME_TEXT = frozenset({"0", "1"})
+
+
+def write_dataset_csv(dataset: Dataset, stream: TextIO) -> None:
+    """Canonical dataset CSV: ``group,stopped,outcome,force``, one row per
+    stop, so ``stopped`` is always ``1`` and ``outcome`` is ``0`` or ``1``."""
+    stream.write(",".join(_CANONICAL_COLUMNS) + "\n")
     writer = csv.writer(stream, lineterminator="\n")
-    for rec in records:
-        writer.writerow(
-            [
-                labels[rec.group],
-                "1" if rec.stopped else "0",
-                "" if rec.outcome is None else ("1" if rec.outcome else "0"),
-                rec.force,
-            ]
-        )
+    labels, forces = dataset.labels, dataset.forces
+    for g, positive, f in zip(dataset.group.tolist(), dataset.outcome.tolist(),
+                              dataset.force.tolist()):
+        writer.writerow([labels[g], "1", "1" if positive else "0", forces[f]])
 
 
-_FLAG_TEXT = frozenset({"0", "1"})
-_OUTCOME_TEXT = frozenset({"0", "1", ""})
-
-
-def read_dataset_csv(stream: Iterable[str] | TextIO) -> tuple[list[StopRecord], list[EthnicGroup]]:
-    """Load a canonical dataset CSV; group ids follow sorted label order.
+def read_dataset_csv(stream: Iterable[str] | TextIO) -> Dataset:
+    """Load a canonical dataset CSV; group codes follow sorted label order.
 
     Raises:
-        DataError: if a column is missing, or a row's ``stopped`` is not
-            ``0``/``1`` or its ``outcome`` not ``0``/``1``/empty.
+        DataError: if a column is missing, or a row is not a stop
+            (``stopped`` other than ``1``) with a ``0``/``1`` outcome; the
+            message names the row's line.
     """
-    reader = csv.DictReader(stream)
-    required = {"group", "stopped", "outcome", "force"}
-    if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+    reader = csv.reader(stream)
+    header = next(reader, None)
+    if header is None or not set(_CANONICAL_COLUMNS).issubset(header):
         raise DataError("canonical dataset CSV needs columns group,stopped,outcome,force")
-    rows = list(reader)
-    labels = sorted({row["group"] for row in rows})
-    label_to_id = {label: i for i, label in enumerate(labels)}
-    records = []
+    cols = [header.index(c) for c in _CANONICAL_COLUMNS]
+    width = max(cols) + 1
+    groups, outcomes, forces = [], [], []
     # line numbers count one line per row, as write_dataset_csv writes them
-    for line, row in enumerate(rows, start=2):
-        stopped_text, outcome_text = row["stopped"], row["outcome"]
-        if stopped_text not in _FLAG_TEXT or outcome_text not in _OUTCOME_TEXT:
-            raise DataError(
-                f"line {line}: stopped must be 0 or 1 and outcome 0, 1 or empty, "
-                f"got stopped={stopped_text!r} outcome={outcome_text!r}"
-            )
-        records.append(
-            StopRecord(
-                group=label_to_id[row["group"]],
-                stopped=stopped_text == "1",
-                outcome=None if outcome_text == "" else outcome_text == "1",
-                force=row["force"],
-            )
+    for line, row in enumerate(filter(None, reader), start=2):
+        group, stopped, outcome, force = (
+            [row[c] for c in cols] if len(row) >= width else [None] * 4
         )
-    groups = [EthnicGroup(i, label) for i, label in enumerate(labels)]
-    return records, groups
+        if stopped != "1" or outcome not in _OUTCOME_TEXT:
+            raise DataError(
+                f"line {line}: every row must be a stop (stopped 1) with outcome 0 or 1, "
+                f"got stopped={stopped!r} outcome={outcome!r}"
+            )
+        groups.append(group)
+        outcomes.append(outcome == "1")
+        forces.append(force)
+    labels = sorted(set(groups))
+    label_to_id = {label: i for i, label in enumerate(labels)}
+    force_ids: dict[str, int] = {}
+    return Dataset(
+        np.array([label_to_id[g] for g in groups], dtype=np.intp),
+        np.array(outcomes, dtype=bool),
+        labels,
+        np.array([force_ids.setdefault(f, len(force_ids)) for f in forces], dtype=np.intp),
+        tuple(force_ids),
+    )

@@ -1,10 +1,9 @@
 """Scalar and small-matrix Gaussian primitives.
 
-Standard-normal CDF/PDF, one-sided truncated-normal sampling, and dense
-multivariate Gaussians in both moment (mean, covariance) and natural
-(precision, precision-mean) parameterizations, with marginalization and
-sampling. Dimensions stay small (a handful of coordinates), so everything
-is dense and Cholesky-backed; ill-conditioned inputs raise
+Standard-normal CDF/PDF, one-sided truncated-normal sampling, and a dense
+moment-form multivariate Gaussian (mean, covariance). Dimensions stay
+small (a handful of coordinates), so the covariance is dense and checked by
+Cholesky; ill-conditioned inputs raise
 :class:`~latentbias.errors.ConditioningError` rather than being jittered
 silently.
 
@@ -15,7 +14,7 @@ generator state the outputs are bit-for-bit reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -25,15 +24,10 @@ from .errors import ConditioningError, DomainError, NumericalError
 __all__ = [
     "Gaussian1D",
     "MultivariateGaussian",
-    "NaturalGaussian",
     "std_normal_cdf",
     "std_normal_pdf",
     "sample_truncated_normal",
     "truncated_moments",
-    "to_natural",
-    "from_natural",
-    "mvn_marginal",
-    "mvn_sample",
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -232,7 +226,6 @@ class MultivariateGaussian:
 
     mean: np.ndarray
     covariance: np.ndarray
-    _chol: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float).reshape(-1)
@@ -245,69 +238,7 @@ class MultivariateGaussian:
             )
         object.__setattr__(self, "mean", _freeze(mean))
         object.__setattr__(self, "covariance", _freeze(cov))
-        object.__setattr__(self, "_chol", _freeze(np.linalg.cholesky(cov)))
 
     @property
     def dim(self) -> int:
         return self.mean.size
-
-
-@dataclass(frozen=True)
-class NaturalGaussian:
-    """Natural-form Gaussian: SPD precision and precision-mean vector."""
-
-    precision: np.ndarray
-    precision_mean: np.ndarray
-
-    def __post_init__(self):
-        prec = _validate_spd(self.precision, "precision")
-        pm = np.asarray(self.precision_mean, dtype=float).reshape(-1)
-        if pm.size != prec.shape[0]:
-            raise DomainError("precision_mean dimension does not match precision")
-        object.__setattr__(self, "precision", _freeze(prec))
-        object.__setattr__(self, "precision_mean", _freeze(pm))
-
-    @property
-    def dim(self) -> int:
-        return self.precision_mean.size
-
-
-def _spd_inverse(matrix: np.ndarray, what: str) -> np.ndarray:
-    chol = _cholesky_or_raise(matrix, what)
-    inv_chol = np.linalg.inv(chol)
-    inv = inv_chol.T @ inv_chol
-    return 0.5 * (inv + inv.T)
-
-
-def to_natural(mvn: MultivariateGaussian) -> NaturalGaussian:
-    """Moment form to natural form (precision = covariance inverse)."""
-    prec = _spd_inverse(mvn.covariance, "covariance")
-    return NaturalGaussian(precision=prec, precision_mean=prec @ mvn.mean)
-
-
-def from_natural(nat: NaturalGaussian) -> MultivariateGaussian:
-    """Natural form back to moment form."""
-    cov = _spd_inverse(nat.precision, "precision")
-    return MultivariateGaussian(mean=cov @ nat.precision_mean, covariance=cov)
-
-
-def mvn_marginal(mvn: MultivariateGaussian, indices) -> MultivariateGaussian:
-    """Marginal over a subset of coordinates (projection of the moments)."""
-    idx = np.asarray(indices, dtype=int).reshape(-1)
-    if idx.size == 0:
-        raise DomainError("at least one index is required")
-    if len(set(idx.tolist())) != idx.size:
-        raise DomainError(f"indices must be distinct, got {list(idx)}")
-    if np.any(idx < 0) or np.any(idx >= mvn.dim):
-        raise DomainError(f"indices out of range for dimension {mvn.dim}: {list(idx)}")
-    return MultivariateGaussian(
-        mean=mvn.mean[idx], covariance=mvn.covariance[np.ix_(idx, idx)]
-    )
-
-
-def mvn_sample(mvn: MultivariateGaussian, rng: np.random.Generator, size: int | None = None):
-    """Draw from the Gaussian; a vector for ``size=None``, else ``(size, D)``."""
-    n = 1 if size is None else int(size)
-    z = rng.standard_normal((n, mvn.dim))
-    draws = mvn.mean + z @ mvn._chol.T
-    return draws[0] if size is None else draws

@@ -3,9 +3,9 @@
 Every stopped record contributes two latent variables: a stopping
 susceptibility ``S`` (sign fixed to the stop indicator) and a true
 criminality ``T`` (sign fixed to the outcome). A sweep redraws the latents
-record by record, refreshes each record's criminality, accumulates the
-resulting Gaussian pseudo-observations in natural-parameter form, and
-combines them with the prior.
+of each group's records as one array, refreshes each record's
+criminality, accumulates the resulting Gaussian pseudo-observations in
+natural-parameter form, and combines them with the prior.
 
 Three structural rules distinguish the prior regimes:
 
@@ -40,38 +40,19 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence, TextIO
+from typing import TextIO
 
 import numpy as np
 from scipy.special import log_ndtr
 
+from .data import Dataset
 from .errors import ConditioningError, DivergenceError, DomainError, NumericalError
-from .gaussians import (
-    MultivariateGaussian,
-    mvn_marginal,
-    mvn_sample,
-    sample_truncated_normal,
-)
-from .model import (
-    EthnicGroup,
-    ModelConfig,
-    PosteriorState,
-    PriorKind,
-    StopRecord,
-    build_prior,
-)
+from .gaussians import sample_truncated_normal
+from .model import ModelConfig, PosteriorState, PriorKind, build_prior
 
 __all__ = [
-    "LatentPair",
-    "NaturalAccumulator",
     "GibbsTrace",
     "PosteriorSummary",
-    "sample_latents",
-    "refresh_criminality",
-    "accumulate_stats",
-    "posterior_from_stats",
-    "gibbs_sweep",
-    "anchor",
     "run_gibbs",
     "drift_slope",
     "write_trace_csv",
@@ -85,223 +66,6 @@ _BIAS_MODE_TOL = 1e-10
 _BIAS_T_DOF = 4.0
 _BIAS_MH_STEPS = 3
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class LatentPair:
-    """Latent draws for one record: susceptibility ``s`` and, when the
-    record is a stop, true criminality ``t``."""
-
-    s: float
-    t: Optional[float] = None
-
-
-class NaturalAccumulator:
-    """Mutable natural-parameter accumulator for pseudo-observations.
-
-    Starts at zero (it is not a distribution on its own) and is added to a
-    prior's natural parameters by :func:`posterior_from_stats`.
-    """
-
-    def __init__(self, dim: int):
-        if dim < 2:
-            raise DomainError("accumulator needs at least one bias and one criminality slot")
-        self.precision = np.zeros((dim, dim))
-        self.precision_mean = np.zeros(dim)
-
-    @property
-    def dim(self) -> int:
-        return self.precision_mean.size
-
-
-def sample_latents(
-    record: StopRecord, c: float, b: float, config: ModelConfig, rng: np.random.Generator
-) -> LatentPair:
-    """Draw the record's latents given its criminality and bias values.
-
-    ``s`` comes from N(c + b, alpha) truncated to the stop indicator's
-    half-line; for stopped records ``t`` comes from N(c, gamma) truncated
-    to the outcome's half-line. Ingested data only ever contains stops;
-    the negative branch exists for synthetic records.
-    """
-    sign_s = 1.0 if record.stopped else -1.0
-    s = sample_truncated_normal(c + b, config.alpha, sign_s, rng)
-    t = None
-    if record.stopped:
-        if record.outcome is None:
-            raise DomainError("stopped record has no outcome")
-        sign_t = 1.0 if record.outcome else -1.0
-        t = sample_truncated_normal(c, config.gamma, sign_t, rng)
-    return LatentPair(s=s, t=t)
-
-
-def refresh_criminality(
-    record: StopRecord,
-    latents: LatentPair,
-    b: float,
-    config: ModelConfig,
-    rng: np.random.Generator,
-) -> float:
-    """Gibbs update of the record's criminality given its latents.
-
-    The conditional combines the N(0,1) population prior with ``s - b``
-    (precision ``1/alpha``) and, when present, ``t`` (precision
-    ``1/gamma``). Returning a sample rather than the conditional mean
-    keeps the chain a proper Gibbs sampler.
-    """
-    prec = 1.0 + 1.0 / config.alpha
-    num = (latents.s - b) / config.alpha
-    if latents.t is not None:
-        prec += 1.0 / config.gamma
-        num += latents.t / config.gamma
-    return num / prec + math.sqrt(1.0 / prec) * rng.standard_normal()
-
-
-def accumulate_stats(
-    record: StopRecord,
-    latents: LatentPair,
-    current: tuple[float, float],
-    config: ModelConfig,
-    stats: NaturalAccumulator,
-) -> None:
-    """Add one record's Gaussian pseudo-observations to ``stats``.
-
-    ``current`` is the record's ``(c, b)`` pair, with ``c`` the refreshed
-    criminality the susceptibility evidence is conditioned on. The
-    susceptibility equation contributes precision ``1/alpha`` and
-    precision-mean ``(s - c)/alpha`` to the record's bias coordinate; the
-    outcome equation contributes precision ``1/gamma`` and precision-mean
-    ``t/gamma`` to the criminality coordinate. DEPENDENT and FREE priors
-    additionally couple the two coordinates with ``1/alpha`` cross
-    precision; INDEPENDENT leaves every off-diagonal entry untouched.
-    """
-    c, _b = current
-    k = record.group
-    ci = stats.dim - 1
-    if k >= ci:
-        raise DomainError(f"record group {k} out of range for {ci} groups")
-    inv_a = 1.0 / config.alpha
-    stats.precision[k, k] += inv_a
-    stats.precision_mean[k] += (latents.s - c) * inv_a
-    if latents.t is not None:
-        inv_g = 1.0 / config.gamma
-        stats.precision[ci, ci] += inv_g
-        stats.precision_mean[ci] += latents.t * inv_g
-    if record.stopped and config.prior is not PriorKind.INDEPENDENT:
-        stats.precision[k, ci] += inv_a
-        stats.precision[ci, k] += inv_a
-
-
-def _combined_natural(
-    prior: PosteriorState, stats: NaturalAccumulator
-) -> tuple[np.ndarray, np.ndarray]:
-    if stats.dim != prior.joint.dim:
-        raise DomainError(
-            f"accumulator dimension {stats.dim} != state dimension {prior.joint.dim}"
-        )
-    cov0 = prior.joint.covariance
-    chol = np.linalg.cholesky(cov0)
-    inv_chol = np.linalg.inv(chol)
-    prec0 = inv_chol.T @ inv_chol
-    lam = prec0 + stats.precision
-    eta = prec0 @ prior.joint.mean + stats.precision_mean
-    return lam, eta
-
-
-def posterior_from_stats(prior: PosteriorState, stats: NaturalAccumulator) -> PosteriorState:
-    """Conjugate combination of a prior state with accumulated evidence.
-
-    The covariance is always the inverse of the summed precision, so the
-    prior regime's cross structure shows up in the reported uncertainty.
-    The mean solve differs: INDEPENDENT and DEPENDENT combine
-    coordinate-wise (the stabilised decomposition; exact whenever the
-    cross terms are zero), while FREE applies the fully coupled solve
-    literally - the uncorrected update whose mismatch amplification is
-    the source of the documented divergence.
-    """
-    lam, eta = _combined_natural(prior, stats)
-    try:
-        chol = np.linalg.cholesky(lam)
-    except np.linalg.LinAlgError:
-        raise ConditioningError("combined precision is not positive definite") from None
-    inv_chol = np.linalg.inv(chol)
-    cov = inv_chol.T @ inv_chol
-    cov = 0.5 * (cov + cov.T)
-    if prior.prior_kind is PriorKind.FREE:
-        mean = cov @ eta
-    else:
-        mean = eta / np.diag(lam)
-    return PosteriorState(
-        joint=MultivariateGaussian(mean=mean, covariance=cov),
-        prior_kind=prior.prior_kind,
-        group_count=prior.group_count,
-    )
-
-
-def anchor(state: PosteriorState) -> PosteriorState:
-    """Drift correction: re-centre on the criminality coordinate.
-
-    Subtracts the criminality mean from every coordinate (anchored
-    criminality mean is exactly 0) and divides the covariance elementwise
-    by the criminality variance (anchored criminality variance is exactly
-    1). Differences between bias means are unchanged, so rankings are
-    anchoring-invariant.
-    """
-    ci = state.group_count
-    scc = state.joint.covariance[ci, ci]
-    if not (scc > 0):
-        raise ConditioningError(f"criminality variance must be positive, got {scc}", pivot=ci)
-    mean = state.joint.mean - state.joint.mean[ci]
-    cov = state.joint.covariance / scc
-    return PosteriorState(
-        joint=MultivariateGaussian(mean=mean, covariance=cov),
-        prior_kind=state.prior_kind,
-        group_count=state.group_count,
-    )
-
-
-def gibbs_sweep(
-    state: PosteriorState,
-    dataset: Sequence[StopRecord],
-    config: ModelConfig,
-    rng: np.random.Generator,
-    prior: PosteriorState | None = None,
-) -> PosteriorState:
-    """One reference sweep over the dataset.
-
-    For each record a ``(bias, criminality)`` pair is drawn from the
-    current state's marginal over that record's group coordinate and the
-    criminality coordinate (or once per sweep from the full joint when
-    ``config.per_record_draws`` is off), the latents are sampled, the
-    record's criminality is refreshed, and the pseudo-observations are
-    accumulated. The return value combines ``prior`` (default: ``state``,
-    so an empty dataset returns the state unchanged) with the accumulated
-    evidence.
-
-    When iterating sweeps, pass the run's original prior explicitly:
-    feeding each output back in as the next prior compounds the data's
-    precision once per sweep. This is the record-at-a-time reference
-    implementation; :func:`run_gibbs` runs the vectorised equivalent with
-    persistent per-record criminalities.
-    """
-    base = state if prior is None else prior
-    stats = NaturalAccumulator(state.joint.dim)
-    ci = state.group_count
-    shared = None
-    if not config.per_record_draws:
-        shared = mvn_sample(state.joint, rng)
-    for record in dataset:
-        if record.group >= ci:
-            raise DomainError(f"record group {record.group} out of range")
-        if shared is None:
-            draw = mvn_sample(mvn_marginal(state.joint, (record.group, ci)), rng)
-            b, c = float(draw[0]), float(draw[1])
-        else:
-            b, c = float(shared[record.group]), float(shared[ci])
-        latents = sample_latents(record, c, b, config, rng)
-        c_new = refresh_criminality(record, latents, b, config, rng)
-        accumulate_stats(record, latents, (c_new, b), config, stats)
-    return posterior_from_stats(base, stats)
 
 
 @dataclass
@@ -444,26 +208,6 @@ def _ranks_desc(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-class _GroupedData:
-    """Dataset reorganised into per-group outcome-sign arrays."""
-
-    def __init__(self, dataset: Sequence[StopRecord], group_count: int):
-        if len(dataset) == 0:
-            raise DomainError("dataset must be nonempty")
-        taus: list[list[float]] = [[] for _ in range(group_count)]
-        for rec in dataset:
-            if not rec.stopped:
-                raise DomainError("run_gibbs requires every record to be a stop")
-            if rec.outcome is None:
-                raise DomainError("stopped record has no outcome")
-            if rec.group >= group_count:
-                raise DomainError(f"record group {rec.group} out of range")
-            taus[rec.group].append(1.0 if rec.outcome else -1.0)
-        self.taus = [np.asarray(t) for t in taus]
-        self.counts = np.array([t.size for t in self.taus])
-        self.total = int(self.counts.sum())
-
-
 def _bin_criminalities(cs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bin centres and counts of ``cs`` over ``_BIAS_BINS`` equal-width bins
     spanning ``[min, max]``; empty bins are dropped."""
@@ -551,26 +295,28 @@ def _sample_bias_conditional(
 
 
 def _assemble_report_precision(
-    prior: PosteriorState, grouped: _GroupedData, config: ModelConfig
+    prior: PosteriorState, counts: np.ndarray, config: ModelConfig
 ) -> np.ndarray:
+    """Prior precision plus the data's: ``1/alpha`` per record on its bias
+    diagonal (and, except under INDEPENDENT, on its bias/criminality cross
+    entries) and ``1/gamma`` per record on the criminality diagonal."""
     k = prior.group_count
     cov0 = prior.joint.covariance
     chol = np.linalg.cholesky(cov0)
     inv_chol = np.linalg.inv(chol)
     lam = inv_chol.T @ inv_chol
     for g in range(k):
-        lam[g, g] += grouped.counts[g] / config.alpha
+        lam[g, g] += counts[g] / config.alpha
         if config.prior is not PriorKind.INDEPENDENT:
-            lam[g, k] += grouped.counts[g] / config.alpha
-            lam[k, g] += grouped.counts[g] / config.alpha
-    lam[k, k] += grouped.total / config.gamma
+            lam[g, k] += counts[g] / config.alpha
+            lam[k, g] += counts[g] / config.alpha
+    lam[k, k] += int(counts.sum()) / config.gamma
     return lam
 
 
 def run_gibbs(
-    dataset: Sequence[StopRecord],
+    dataset: Dataset,
     config: ModelConfig,
-    groups: Sequence[EthnicGroup] | None = None,
     prior_state: PosteriorState | None = None,
 ) -> tuple[PosteriorSummary, GibbsTrace]:
     """Run the full chain and summarise the post-burn-in sweeps.
@@ -585,7 +331,8 @@ def run_gibbs(
     literal coupled combination is applied and recorded raw.
 
     Entirely deterministic given ``config.seed``: two runs with equal
-    inputs produce bit-identical traces.
+    inputs produce bit-identical traces. The summary carries
+    ``dataset.labels``; every label needs at least one record.
 
     Raises:
         DivergenceError: when any recorded mean magnitude exceeds
@@ -595,16 +342,14 @@ def run_gibbs(
     """
     if len(dataset) == 0:
         raise DomainError("dataset must be nonempty")
-    if groups is not None:
-        k = len(groups)
-        labels = [g.label for g in sorted(groups, key=lambda g: g.id)]
-    else:
-        k = max(rec.group for rec in dataset) + 1
-        labels = [f"group{i}" for i in range(k)]
-    grouped = _GroupedData(dataset, k)
-    if np.any(grouped.counts == 0):
-        empty = [labels[i] for i in np.nonzero(grouped.counts == 0)[0]]
+    k = len(dataset.labels)
+    labels = list(dataset.labels)
+    counts = dataset.counts()
+    if np.any(counts == 0):
+        empty = [labels[i] for i in np.nonzero(counts == 0)[0]]
         raise DomainError(f"groups with no records: {empty}")
+    # outcome signs of each group's records, in row order
+    taus = [np.where(dataset.outcome[dataset.group == g], 1.0, -1.0) for g in range(k)]
     prior = prior_state if prior_state is not None else build_prior(config.prior, k)
     if prior.group_count != k:
         raise DomainError("prior group count does not match dataset")
@@ -617,7 +362,7 @@ def run_gibbs(
     sqrt_a, sqrt_g = math.sqrt(alpha), math.sqrt(gamma)
     stabilised = config.anchoring_enabled
 
-    lam_rep = _assemble_report_precision(prior, grouped, config)
+    lam_rep = _assemble_report_precision(prior, counts, config)
     cov_rep = np.linalg.inv(lam_rep)
     cov_rep = 0.5 * (cov_rep + cov_rep.T)
     prec0 = np.linalg.inv(prior.joint.covariance)
@@ -629,7 +374,7 @@ def run_gibbs(
     ]
 
     # persistent per-record criminalities, initialised from their prior
-    crims = [rng.standard_normal(int(n)) for n in grouped.counts]
+    crims = [rng.standard_normal(int(n)) for n in counts]
     bias_sample = prior.joint.mean[:k].astype(float).copy()
     modes: list[float | None] = [None] * k
     mean = prior.joint.mean.copy()
@@ -646,29 +391,20 @@ def run_gibbs(
     rec_cov = cov_rep / cov_rep[k, k] if stabilised else cov_rep
     rec_var_row = np.diag(rec_cov).copy()
     rec_cross_row = rec_cov[k, :k].copy()
-    cov_rep_chol = np.linalg.cholesky(cov_rep) if not config.per_record_draws else None
 
     for sweep in range(sweeps):
         t0 = time.perf_counter()
         eta = eta0.copy()
-        shared = None
-        if not config.per_record_draws:
-            centre = mean.copy()
-            if stabilised:
-                centre[:k] = bias_sample
-            shared = centre + cov_rep_chol @ rng.standard_normal(k + 1)
         for g in range(k):
-            n = int(grouped.counts[g])
+            n = int(counts[g])
             c = crims[g]
-            if shared is not None:
-                b = np.full(n, shared[g])
-            elif stabilised:
+            if stabilised:
                 b = bias_sample[g] + draw_sd[g] * rng.standard_normal(n)
             else:
                 z2 = rng.standard_normal((n, 2))
                 b = mean[g] + (z2 @ cov2_chol[g].T)[:, 0]
             s_lat = sample_truncated_normal(c + b, alpha, np.ones(n), rng)
-            t_lat = sample_truncated_normal(c, gamma, grouped.taus[g], rng)
+            t_lat = sample_truncated_normal(c, gamma, taus[g], rng)
             c = v_stop * ((s_lat - b) / alpha + t_lat / gamma) + sd_stop * rng.standard_normal(n)
             crims[g] = c
             eta[g] += float(np.sum(s_lat - c)) / alpha

@@ -17,15 +17,15 @@ code with the closed form.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 from scipy import integrate
 from scipy.special import ndtr
 
+from .data import Dataset
 from .errors import DomainError, NumericalError
 from .inference import PosteriorSummary
-from .model import StopRecord, guilt_probability
+from .model import guilt_probability, require_positive_finite
 
 __all__ = [
     "stop_search_likelihood",
@@ -85,8 +85,7 @@ def outcome_probability_given_stop(
     individuals upward, so this conditional stays above one half whenever
     the criminality mean is non-negative.
     """
-    if alpha <= 0 or gamma <= 0:
-        raise DomainError("alpha and gamma must be positive")
+    require_positive_finite(alpha=alpha, gamma=gamma)
     c = _GH_NODES + criminality_mean
     stop = ndtr((c + bias_mean) / math.sqrt(alpha))
     pos = ndtr(c / math.sqrt(gamma))
@@ -98,12 +97,14 @@ def outcome_probability_given_stop(
 
 def predictive_score(
     posterior: PosteriorSummary,
-    test: Sequence[StopRecord],
+    test: Dataset,
     alpha: float,
     gamma: float,
     method: str = "accuracy",
 ) -> float:
-    """Score held-out records against the fitted posterior.
+    """Score held-out stops against the fitted posterior.
+
+    ``test``'s group codes index ``posterior.labels``.
 
     ``method="accuracy"`` (the default) predicts a positive outcome for
     every record iff ``guilt_probability(criminality mean, gamma) >= 0.5``
@@ -117,27 +118,22 @@ def predictive_score(
     """
     if len(test) == 0:
         raise DomainError("test set must be nonempty")
-    for rec in test:
-        if not rec.stopped or rec.outcome is None:
-            raise DomainError("test records must be stops with outcomes")
     if method == "accuracy":
         p = guilt_probability(posterior.criminality_mean, gamma)
-        predicted = p >= 0.5
-        hits = sum(1 for rec in test if rec.outcome == predicted)
+        hits = int(np.count_nonzero(test.outcome == (p >= 0.5)))
         return hits / len(test)
     if method == "likelihood":
         k = len(posterior.labels)
-        per_group = [
+        if test.group.max() >= k:
+            raise DomainError(f"test group code {test.group.max()} unknown to the posterior")
+        per_group = np.array([
             outcome_probability_given_stop(
                 float(posterior.bias_mean[g]), posterior.criminality_mean, alpha, gamma
             )
             for g in range(k)
-        ]
-        total = 0.0
-        for rec in test:
-            if rec.group >= k:
-                raise DomainError(f"test record group {rec.group} unknown to the posterior")
-            p = per_group[rec.group]
-            total += p if rec.outcome else 1.0 - p
+        ])
+        p = per_group[test.group]
+        # summed in row order, one addition at a time
+        total = float(np.cumsum(np.where(test.outcome, p, 1.0 - p))[-1])
         return total / len(test)
     raise DomainError(f"unknown scoring method {method!r}")

@@ -30,13 +30,12 @@ from .gaussians import MultivariateGaussian, std_normal_cdf
 
 __all__ = [
     "PriorKind",
-    "EthnicGroup",
-    "StopRecord",
     "ModelConfig",
     "PosteriorState",
     "build_prior",
     "stop_probability",
     "guilt_probability",
+    "require_positive_finite",
 ]
 
 
@@ -54,48 +53,13 @@ class PriorKind(enum.Enum):
             raise DomainError(f"unknown prior kind {name!r} (choose from {options})") from None
 
 
-@dataclass(frozen=True)
-class EthnicGroup:
-    """A group label with its dense integer id."""
-
-    id: int
-    label: str
-
-
-def validate_groups(groups: Sequence[EthnicGroup]) -> None:
-    """Ids must be dense 0..K-1 and labels unique."""
-    ids = sorted(g.id for g in groups)
-    if ids != list(range(len(groups))):
-        raise DomainError(f"group ids must be dense 0..K-1, got {ids}")
-    labels = [g.label for g in groups]
-    if len(set(labels)) != len(labels):
-        raise DomainError(f"group labels must be unique, got {labels}")
-
-
-@dataclass(frozen=True)
-class StopRecord:
-    """One stop-and-search event.
-
-    ``outcome`` is only defined for stopped individuals; the model can
-    never observe the criminality of someone who was not stopped.
-    """
-
-    group: int
-    stopped: bool = True
-    outcome: Optional[bool] = None
-    force: str = ""
-    raw_outcome: str = ""
-
-    def __post_init__(self):
-        if self.group < 0:
-            raise DomainError(f"group id must be >= 0, got {self.group}")
-        if not self.stopped and self.outcome is not None:
-            raise DomainError("outcome must be absent when stopped is False")
-
-
-def _positive_finite(x: float) -> bool:
+def require_positive_finite(**values: float) -> None:
+    """Raise :class:`DomainError` unless every named value is positive and finite."""
     # NaN fails every comparison, so test the positive case
-    return x > 0 and math.isfinite(x)
+    bad = [name for name, v in values.items() if not (v > 0 and math.isfinite(v))]
+    if bad:
+        got = ", ".join(f"{name}={values[name]}" for name in values)
+        raise DomainError(f"{' and '.join(bad)} must be positive and finite, got {got}")
 
 
 @dataclass(frozen=True)
@@ -116,24 +80,21 @@ class ModelConfig:
     sweeps: int = 500
     burn_in: int = 100
     anchoring: Optional[bool] = None
-    per_record_draws: bool = True
     divergence_mean_limit: float = 1e6
     divergence_variance_limit: float = 1e12
 
     def __post_init__(self):
-        if not all(_positive_finite(v) for v in (self.alpha, self.gamma)):
-            raise DomainError(
-                f"alpha and gamma must be positive and finite, got {self.alpha}, {self.gamma}"
-            )
+        require_positive_finite(alpha=self.alpha, gamma=self.gamma)
         if self.sweeps < 1:
             raise DomainError(f"sweeps must be >= 1, got {self.sweeps}")
         if self.burn_in < 0 or self.sweeps <= self.burn_in:
             raise DomainError(
                 f"need sweeps > burn_in >= 0, got sweeps={self.sweeps} burn_in={self.burn_in}"
             )
-        limits = (self.divergence_mean_limit, self.divergence_variance_limit)
-        if not all(_positive_finite(v) for v in limits):
-            raise DomainError(f"divergence limits must be positive and finite, got {limits}")
+        require_positive_finite(
+            divergence_mean_limit=self.divergence_mean_limit,
+            divergence_variance_limit=self.divergence_variance_limit,
+        )
 
     @property
     def anchoring_enabled(self) -> bool:
@@ -207,13 +168,11 @@ def build_prior(
 
 def stop_probability(c: float, beta: float, alpha: float) -> float:
     """P(stopped) = Phi((c + beta) / sqrt(alpha))."""
-    if alpha <= 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
+    require_positive_finite(alpha=alpha)
     return std_normal_cdf((c + beta) / math.sqrt(alpha))
 
 
 def guilt_probability(c: float, gamma: float) -> float:
     """P(positive outcome once stopped) = Phi(c / sqrt(gamma))."""
-    if gamma <= 0:
-        raise DomainError(f"gamma must be positive, got {gamma}")
+    require_positive_finite(gamma=gamma)
     return std_normal_cdf(c / math.sqrt(gamma))

@@ -1,6 +1,7 @@
 """Skill-ranking baseline: each group plays a common "Criminality" player.
 
-Every stop-and-search record becomes one decisive match. A positive
+Every stop-and-search record becomes one decisive match, held as one
+entry of a winner array and a loser array of player ids. A positive
 outcome means the common player beat the group's player; a negative
 outcome means the group's player won. Skills get N(0,1) priors and unit
 performance noise, and a Gibbs chain alternates between the winner-side
@@ -21,14 +22,13 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
+from .data import Dataset
 from .errors import DivergenceError, DomainError
 from .gaussians import Gaussian1D, sample_truncated_normal
-from .model import EthnicGroup, StopRecord
 
 __all__ = [
     "COMMON_LABEL",
     "Player",
-    "Match",
     "SkillState",
     "matches_from_dataset",
     "trueskill_gibbs",
@@ -45,16 +45,6 @@ class Player:
     label: str
 
 
-@dataclass(frozen=True)
-class Match:
-    winner: int
-    loser: int
-
-    def __post_init__(self):
-        if self.winner == self.loser:
-            raise DomainError("a match needs two distinct players")
-
-
 @dataclass
 class SkillState:
     """Per-player skill beliefs, ordered by player id."""
@@ -69,36 +59,25 @@ class SkillState:
         return self.skills[player_id].variance
 
 
-def matches_from_dataset(
-    dataset: Sequence[StopRecord], groups: Sequence[EthnicGroup] | None = None
-) -> tuple[list[Player], list[Match]]:
-    """One match per record, order preserved.
+def matches_from_dataset(dataset: Dataset) -> tuple[list[Player], np.ndarray, np.ndarray]:
+    """Players plus one match per record, as ``(players, winners, losers)``.
 
     Player 0 is the common player; group ``k`` plays as id ``k + 1``.
     A positive outcome is a win for the common player, a negative outcome
-    a win for the group's player.
+    a win for the group's player. Matches keep the row order.
     """
-    if groups is not None:
-        k = len(groups)
-        labels = [g.label for g in sorted(groups, key=lambda g: g.id)]
-    else:
-        k = max((rec.group for rec in dataset), default=-1) + 1
-        labels = [f"group{i}" for i in range(k)]
-    players = [Player(0, COMMON_LABEL)] + [Player(i + 1, labels[i]) for i in range(k)]
-    matches = []
-    for rec in dataset:
-        if not rec.stopped or rec.outcome is None:
-            raise DomainError("ranking needs stopped records with outcomes")
-        pid = rec.group + 1
-        if rec.outcome:
-            matches.append(Match(winner=0, loser=pid))
-        else:
-            matches.append(Match(winner=pid, loser=0))
-    return players, matches
+    players = [Player(0, COMMON_LABEL)] + [
+        Player(i + 1, label) for i, label in enumerate(dataset.labels)
+    ]
+    group_player = dataset.group + 1
+    winners = np.where(dataset.outcome, 0, group_player)
+    losers = np.where(dataset.outcome, group_player, 0)
+    return players, winners, losers
 
 
 def trueskill_gibbs(
-    matches: Sequence[Match],
+    winners: np.ndarray,
+    losers: np.ndarray,
     players: Sequence[Player] | int,
     iterations: int = 500,
     seed: int = 0,
@@ -109,13 +88,20 @@ def trueskill_gibbs(
 ) -> SkillState:
     """Batch Gibbs over match margins and player skills.
 
+    Match ``m`` is won by player ``winners[m]`` against ``losers[m]``.
     Per iteration: margins ``d_m ~ N(w_win - w_lose, v)`` truncated
     positive, then the whole skill vector jointly from its Gaussian
     conditional. Returns the empirical post-burn-in mean and variance per
     player. Deterministic given ``seed``.
     """
-    if len(matches) == 0:
+    winners = np.asarray(winners, dtype=np.intp)
+    losers = np.asarray(losers, dtype=np.intp)
+    if winners.ndim != 1 or winners.shape != losers.shape:
+        raise DomainError("winners and losers must be 1-D arrays of equal length")
+    if winners.size == 0:
         raise DomainError("matches must be nonempty")
+    if np.any(winners == losers):
+        raise DomainError("a match needs two distinct players")
     if iterations < 1:
         raise DomainError("iterations must be >= 1")
     if performance_variance <= 0:
@@ -131,9 +117,7 @@ def trueskill_gibbs(
             raise DomainError("player ids must be dense 0..P-1")
     player_count = len(roster)
 
-    winners = np.array([m.winner for m in matches])
-    losers = np.array([m.loser for m in matches])
-    if winners.min() < 0 or max(winners.max(), losers.max()) >= player_count:
+    if min(winners.min(), losers.min()) < 0 or max(winners.max(), losers.max()) >= player_count:
         raise DomainError("match player ids out of range")
 
     inv_v = 1.0 / performance_variance

@@ -34,6 +34,11 @@ def seed_sequence(root_seed: int, *spawn_key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(root_seed, spawn_key=tuple(spawn_key))
 
 
+def derive_seed(root_seed: int, *spawn_key: int) -> int:
+    """Integer seed deterministically derived from the root seed and key."""
+    return int(seed_sequence(root_seed, *spawn_key).generate_state(1)[0])
+
+
 def derive_rng(root_seed: int, *spawn_key: int) -> np.random.Generator:
     """Generator deterministically derived from the root seed and key."""
     return np.random.default_rng(seed_sequence(root_seed, *spawn_key))

@@ -15,11 +15,10 @@ import time
 import numpy as np
 
 from latentbias import (
+    Dataset,
     DivergenceError,
-    EthnicGroup,
     ModelConfig,
     PriorKind,
-    StopRecord,
     TrueParams,
     balance,
     drift_slope,
@@ -57,6 +56,19 @@ def _recovery_dataset(seed: int, beta=(0.0, 0.5, 1.0, 1.5), pop=1453):
     params = TrueParams(beta=beta, population=(pop,) * len(beta))
     records, _ = synthesize(params, rng)
     return records
+
+
+def _table_dataset(rng):
+    """The national table's per-group totals and positives, outcomes shuffled per group."""
+    labels, groups, outcomes = [], [], []
+    for gid, (label, total, guilty, _lt, _lg) in enumerate(NATIONAL_TABLE):
+        group_outcomes = np.zeros(total, dtype=bool)
+        group_outcomes[:guilty] = True
+        rng.shuffle(group_outcomes)
+        labels.append(label)
+        groups.append(np.full(total, gid))
+        outcomes.append(group_outcomes)
+    return Dataset(np.concatenate(groups), np.concatenate(outcomes), labels)
 
 
 def test_01_truncated_normal_moments():
@@ -151,13 +163,12 @@ def test_06_sample_size_drives_variance():
     rng = np.random.default_rng(8)
     params = TrueParams(beta=(0.5, 0.5, 0.5, 0.5), population=(2600,) * 4)
     records, _ = synthesize(params, rng)
-    counts = {0: 1000, 1: 1000, 2: 1000, 3: 100}
-    taken = {g: 0 for g in counts}
-    subset = []
-    for rec in records:
-        if taken[rec.group] < counts[rec.group]:
-            subset.append(rec)
-            taken[rec.group] += 1
+    counts = (1000, 1000, 1000, 100)
+    # the first counts[g] records of each group, in row order
+    rank_in_group = np.zeros(len(records), dtype=int)
+    for g in range(len(counts)):
+        rank_in_group[records.group == g] = np.arange(records.counts()[g])
+    subset = records.take(rank_in_group < np.asarray(counts)[records.group])
     cfg = ModelConfig(seed=2, prior=PriorKind.INDEPENDENT, sweeps=200, burn_in=50)
     summary, _ = run_gibbs(subset, cfg)
     small = summary.bias_variance[3]
@@ -193,26 +204,19 @@ def test_07_free_prior_instability():
 
 
 def test_08_ranking_baseline_national_order():
-    groups = [EthnicGroup(i, label) for i, (label, *_rest) in enumerate(NATIONAL_TABLE)]
     want_order = ["Black", "Asian", "Other/Mixed", "White", "Criminality"]
     hits = 0
     smallest_dominates = 0
     for seed in range(10):
         rng = np.random.default_rng(np.random.SeedSequence((seed, 88)))
-        records = []
-        for gid, (label, total, guilty, _lt, _lg) in enumerate(NATIONAL_TABLE):
-            outcomes = np.zeros(total, dtype=bool)
-            outcomes[:guilty] = True
-            rng.shuffle(outcomes)
-            records.extend(StopRecord(group=gid, outcome=bool(o)) for o in outcomes)
-        players, matches = matches_from_dataset(records, groups)
-        skills = trueskill_gibbs(matches, players, iterations=500, seed=seed)
+        players, *matches = matches_from_dataset(_table_dataset(rng))
+        skills = trueskill_gibbs(*matches, players, iterations=500, seed=seed)
         order = [
             p.label for p in sorted(players, key=lambda p: -skills.mean(p.id))
         ]
         if order == want_order:
             hits += 1
-        anchored = trueskill_gibbs(matches, players, iterations=500, seed=seed,
+        anchored = trueskill_gibbs(*matches, players, iterations=500, seed=seed,
                                    anchor_common=True)
         group_vars = {p.label: anchored.variance(p.id) for p in players[1:]}
         if group_vars["Other/Mixed"] == max(group_vars.values()):
@@ -245,14 +249,12 @@ def test_09_ingestion_fixture_tables(national_records, charges_raw_csv):
         reachable = label == "White"  # 4208/9374 is the one integer-exact entry
         check(f"national {label}", total, report.positive_percent(label), want, reachable)
 
-    london = {label: [0, 0] for label, *_ in NATIONAL_TABLE}
-    for rec in records:
-        if rec.force == LONDON_FORCE:
-            label = NATIONAL_TABLE[rec.group][0]
-            london[label][0] += 1
-            london[label][1] += int(bool(rec.outcome))
-    for (label, _t, _g, lon_total, _lg), want in zip(NATIONAL_TABLE, LONDON_GUILTY_PCT):
-        n, pos = london[label]
+    in_london = records.force == records.forces.index(LONDON_FORCE)
+    for gid, ((label, _t, _g, lon_total, _lg), want) in enumerate(
+        zip(NATIONAL_TABLE, LONDON_GUILTY_PCT)
+    ):
+        rows = in_london & (records.group == gid)
+        n, pos = int(rows.sum()), int(records.outcome[rows].sum())
         ok &= n == lon_total
         reachable = label in ("White", "Black")
         check(f"london {label}", n, 100.0 * pos / n, want, reachable)
@@ -277,13 +279,7 @@ def test_09_ingestion_fixture_tables(national_records, charges_raw_csv):
 
 
 def test_10_throughput_full_dataset():
-    rng = np.random.default_rng(55)
-    records = []
-    for gid, (label, total, guilty, _lt, _lg) in enumerate(NATIONAL_TABLE):
-        outcomes = np.zeros(total, dtype=bool)
-        outcomes[:guilty] = True
-        rng.shuffle(outcomes)
-        records.extend(StopRecord(group=gid, outcome=bool(o)) for o in outcomes)
+    records = _table_dataset(np.random.default_rng(55))
     assert len(records) == 16224
     cfg = ModelConfig(seed=3, prior=PriorKind.DEPENDENT, sweeps=200, burn_in=50)
     t0 = time.perf_counter()

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from latentbias import EthnicGroup, StopRecord, TrueParams, synthesize, write_dataset_csv
+from latentbias import Dataset, TrueParams, synthesize, write_dataset_csv
 from latentbias.cli import main
 
 HEADER = "force,officer_defined_ethnicity,self_defined_ethnicity,outcome,date\n"
@@ -29,11 +29,10 @@ def raw_csv(tmp_path):
 @pytest.fixture()
 def canonical_csv(tmp_path):
     params = TrueParams(beta=(0.0, 0.8), population=(400, 400))
-    records, _ = synthesize(params, np.random.default_rng(3))
-    groups = [EthnicGroup(0, "alpha"), EthnicGroup(1, "beta")]
+    dataset, _ = synthesize(params, np.random.default_rng(3), labels=("alpha", "beta"))
     path = tmp_path / "dataset.csv"
     with open(path, "w", encoding="utf-8") as fh:
-        write_dataset_csv(records, groups, fh)
+        write_dataset_csv(dataset, fh)
     return path
 
 
@@ -133,14 +132,25 @@ def test_fit_invalid_config_exit_2(canonical_csv, tmp_path):
     ]) == 2
 
 
-@pytest.mark.parametrize("flag", ["--alpha", "--gamma"])
-@pytest.mark.parametrize("value", ["nan", "inf"])
-def test_fit_non_finite_noise_exit_2(canonical_csv, tmp_path, capsys, flag, value):
-    assert main([
-        "fit", "--input", str(canonical_csv), flag, value,
-        "--seed", "1", "--out-dir", str(tmp_path / "x"),
-    ]) == 2
+@pytest.mark.parametrize("value, flag, method", [
+    pytest.param(value, flag, method, id=f"{value}-{flag}" + (f"-score-{method}" if method else ""))
+    for method in (None, "accuracy", "likelihood")
+    for value in ("nan", "inf")
+    for flag in ("--alpha", "--gamma")
+])
+def test_fit_non_finite_noise_exit_2(canonical_csv, tmp_path, capsys, flag, value, method):
+    # method None runs fit with the bad value; otherwise score does, on a good fit
+    if method is None:
+        argv = ["fit", "--input", str(canonical_csv), "--seed", "1"]
+    else:
+        fit_dir = tmp_path / "f"
+        assert main(["fit", "--input", str(canonical_csv), "--sweeps", "8", "--burn-in", "2",
+                     "--seed", "1", "--out-dir", str(fit_dir)]) == 0
+        argv = ["score", "--summary", str(fit_dir / "summary.json"),
+                "--test", str(canonical_csv), "--method", method]
+    assert main(argv + [flag, value, "--out-dir", str(tmp_path / "x")]) == 2
     assert "positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "x" / "manifest.json").exists()
 
 
 def test_fit_bad_outcome_flag_exit_2(tmp_path, capsys):
@@ -161,10 +171,10 @@ def test_rank_outputs(canonical_csv, tmp_path, capsys):
 
 
 def test_rank_single_group_two_rows(tmp_path):
-    records = [StopRecord(group=0, outcome=bool(i % 2)) for i in range(50)]
+    dataset = Dataset(np.zeros(50, dtype=int), np.arange(50) % 2 == 1, ("only",))
     path = tmp_path / "one.csv"
     with open(path, "w", encoding="utf-8") as fh:
-        write_dataset_csv(records, [EthnicGroup(0, "only")], fh)
+        write_dataset_csv(dataset, fh)
     out = tmp_path / "r1"
     assert main(["rank", "--input", str(path), "--iterations", "50",
                  "--seed", "1", "--out-dir", str(out)]) == 0

@@ -7,10 +7,10 @@ import pytest
 from latentbias import (
     ColumnSpec,
     DataError,
+    Dataset,
     DomainError,
     EthnicityMapping,
     SchemeKind,
-    StopRecord,
     TrueParams,
     balance,
     coarsen_outcome,
@@ -39,6 +39,42 @@ def _parse(text, scheme_kind=SchemeKind.GUILTY_NOT_GUILTY, mapping=None):
 
 
 HEADER = "force,officer_defined_ethnicity,self_defined_ethnicity,outcome\n"
+
+
+def _ds(groups, outcomes, forces=None):
+    """Dataset over labels g0..gK; ``forces`` (one name per row) become the force table."""
+    labels = [f"g{i}" for i in range(max(groups, default=-1) + 1)]
+    if forces is None:
+        return Dataset(np.array(groups, dtype=int), np.array(outcomes, dtype=bool), labels)
+    return Dataset(np.array(groups, dtype=int), np.array(outcomes, dtype=bool), labels,
+                   np.arange(len(forces)), tuple(forces))
+
+
+# --- the dataset type --------------------------------------------------------------
+
+def test_dataset_rejects_out_of_range_codes():
+    ds = Dataset(np.array([0, 1]), np.array([True, False]), ("a", "b"))
+    assert len(ds) == 2 and ds.forces == ("",) and ds.force.tolist() == [0, 0]
+    with pytest.raises(DomainError):
+        Dataset(np.array([-1]), np.array([True]), ("a",))
+    with pytest.raises(DomainError):
+        Dataset(np.array([2]), np.array([True]), ("a", "b"))
+    with pytest.raises(DomainError):
+        Dataset(np.array([0]), np.array([True]), ("a",), np.array([1]), ("f",))
+    with pytest.raises(DomainError):
+        Dataset(np.array([0.0]), np.array([True]), ("a",))
+    with pytest.raises(DomainError):
+        Dataset(np.array([0]), np.array([1]), ("a",))  # outcome must be bool
+    with pytest.raises(DomainError):
+        Dataset(np.array([0, 0]), np.array([True]), ("a",))  # unequal lengths
+
+
+def test_dataset_rejects_duplicate_labels():
+    Dataset(np.array([0, 1]), np.array([True, True]), ("a", "b"))
+    with pytest.raises(DomainError):
+        Dataset(np.array([0, 1]), np.array([True, True]), ("a", "a"))
+    with pytest.raises(DomainError):
+        Dataset(np.array([0]), np.array([True]), ("a",), np.array([0]), ("f", "f"))
 
 
 # --- outcome coarsening -----------------------------------------------------------
@@ -83,7 +119,7 @@ def test_lenient_severe_requires_lenient_set():
 
 def test_parse_empty_file_with_header():
     records, report = _parse(HEADER)
-    assert records == []
+    assert len(records) == 0
     assert report.rows_total == 0
     assert report.rows_kept == 0
 
@@ -101,8 +137,10 @@ def test_parse_basic_row_and_precedence():
         "ForceA,Asian,,Nothing found - no further action\n"
     )
     records, report = _parse(text)
-    assert [r.group for r in records] == [0, 1, 2]
-    assert [r.outcome for r in records] == [True, True, False]
+    assert records.group.tolist() == [0, 1, 2]
+    assert records.outcome.tolist() == [True, True, False]
+    assert records.labels == default_mapping().group_labels
+    assert [records.forces[f] for f in records.force] == ["ForceA"] * 3
     assert report.rows_kept == 3
 
 
@@ -112,7 +150,7 @@ def test_parse_self_precedence_mode():
     records, _report = parse_records(
         io.StringIO(text), mapping, mapping.scheme(SchemeKind.GUILTY_NOT_GUILTY), ColumnSpec()
     )
-    assert records[0].group == 1
+    assert records.group.tolist() == [1]
 
 
 def test_parse_drops_and_counts_bad_rows():
@@ -135,7 +173,7 @@ def test_parse_drops_and_counts_bad_rows():
 def test_parse_unmapped_ethnicity_goes_to_fallback_with_warning():
     text = HEADER + "ForceA,Martian,,Arrest\n"
     records, report = _parse(text)
-    assert records[0].group == 3  # Other/Mixed
+    assert records.group.tolist() == [3]  # Other/Mixed
     assert report.unmapped_ethnicities == 1
     assert any("Martian" in w for w in report.warnings)
 
@@ -148,7 +186,7 @@ def test_parse_charges_excludes_not_guilty():
     )
     records, report = _parse(text, SchemeKind.LENIENT_SEVERE)
     assert len(records) == 2
-    assert [r.outcome for r in records] == [False, True]  # lenient, severe
+    assert records.outcome.tolist() == [False, True]  # lenient, severe
     assert report.dropped["not guilty (excluded from severity dataset)"] == 1
 
 
@@ -177,15 +215,16 @@ def test_national_fixture_counts(national_records):
 def test_london_filter_matches_table(national_records):
     records, _report, _mapping = national_records
     london = filter_force(records, LONDON_FORCE)
+    assert set(london.force.tolist()) == {records.forces.index(LONDON_FORCE)}
     for gid, (label, _t, _g, lon_total, lon_guilty) in enumerate(NATIONAL_TABLE):
-        got = [r for r in london if r.group == gid]
-        assert len(got) == lon_total
-        assert sum(1 for r in got if r.outcome) == lon_guilty
+        in_group = london.group == gid
+        assert int(in_group.sum()) == lon_total
+        assert int(london.outcome[in_group].sum()) == lon_guilty
 
 
 def test_filter_force_absent_is_empty(national_records):
     records, _report, _mapping = national_records
-    assert filter_force(records, "No Such Force") == []
+    assert len(filter_force(records, "No Such Force")) == 0
 
 
 # --- balancing -----------------------------------------------------------------------
@@ -195,56 +234,49 @@ def test_balance_counts(national_records):
     rng = np.random.default_rng(1)
     balanced = balance(records, 500, rng)
     assert len(balanced) == 2000
-    for g in range(4):
-        assert sum(1 for r in balanced if r.group == g) == 500
+    assert balanced.counts().tolist() == [500] * 4
 
 
 def test_balance_passthrough_at_group_size():
-    records = [StopRecord(group=0, outcome=True)] * 5 + [StopRecord(group=1, outcome=False)] * 9
+    records = _ds([0] * 5 + [1] * 9, [True] * 5 + [False] * 9)
     rng = np.random.default_rng(2)
     balanced = balance(records, 5, rng)
-    assert sum(1 for r in balanced if r.group == 0) == 5
-    assert sum(1 for r in balanced if r.group == 1) == 5
+    assert balanced.counts().tolist() == [5, 5]
+    assert balanced.group[:5].tolist() == [0] * 5  # row order kept
 
 
 def test_balance_minimum():
-    records = [StopRecord(group=g, outcome=True) for g in (0, 0, 1, 1)]
+    records = _ds([0, 0, 1, 1], [True] * 4)
     balanced = balance(records, 1, np.random.default_rng(0))
     assert len(balanced) == 2
 
 
 def test_balance_insufficient_names_group():
-    records = [StopRecord(group=0, outcome=True)] * 3 + [StopRecord(group=1, outcome=True)] * 10
+    records = _ds([0] * 3 + [1] * 10, [True] * 13)
     with pytest.raises(DomainError) as exc:
         balance(records, 5, np.random.default_rng(0))
     assert "group 0" in str(exc.value)
 
 
 def test_balance_deterministic():
-    records = [StopRecord(group=i % 3, outcome=bool(i % 2)) for i in range(600)]
+    records = _ds([i % 3 for i in range(600)], [bool(i % 2) for i in range(600)],
+                  [str(i) for i in range(600)])
     a = balance(records, 50, np.random.default_rng(9))
     b = balance(records, 50, np.random.default_rng(9))
-    assert a == b
+    assert np.array_equal(a.force, b.force)
+    assert np.array_equal(a.group, b.group) and np.array_equal(a.outcome, b.outcome)
 
 
 def test_balance_inclusion_frequencies_uniform():
     # skewed group: every record's inclusion frequency stays within 3
     # standard errors of n/size over repeated seeded runs
-    records = [StopRecord(group=0, outcome=bool(i % 2)) for i in range(40)]
+    records = _ds([0] * 40, [bool(i % 2) for i in range(40)], [str(i) for i in range(40)])
     runs, keep = 600, 10
     counts = np.zeros(40)
     for s in range(runs):
         chosen = balance(records, keep, np.random.default_rng(s))
-        # identify chosen records by identity in the list
-        ids = set()
-        it = iter(range(40))
-        for rec in chosen:
-            for i in it:
-                if records[i] is rec:
-                    ids.add(i)
-                    break
-        for i in ids:
-            counts[i] += 1
+        # each row's force code is its position in ``records``
+        counts[chosen.force] += 1
     p = keep / 40
     se = math.sqrt(p * (1 - p) / runs)
     freq = counts / runs
@@ -254,36 +286,38 @@ def test_balance_inclusion_frequencies_uniform():
 # --- splitting ------------------------------------------------------------------------
 
 def test_split_90_10():
-    records = [StopRecord(group=0, outcome=bool(i % 2)) for i in range(100)]
+    records = _ds([0] * 100, [bool(i % 2) for i in range(100)])
     train, test = split(records, 0.1, np.random.default_rng(0))
     assert len(train) == 90 and len(test) == 10
 
 
 def test_split_stratified_exact():
-    records = [StopRecord(group=0, outcome=True)] * 40 + [StopRecord(group=1, outcome=True)] * 20
+    records = _ds([0] * 40 + [1] * 20, [True] * 60)
     _train, test = split(records, 0.1, np.random.default_rng(1))
-    assert sum(1 for r in test if r.group == 0) == 4
-    assert sum(1 for r in test if r.group == 1) == 2
+    assert test.counts().tolist() == [4, 2]
 
 
 def test_split_disjoint_exhaustive_deterministic():
-    records = [StopRecord(group=i % 3, outcome=bool(i % 2), force=str(i)) for i in range(97)]
-    t1 = split(records, 0.25, np.random.default_rng(5))
-    t2 = split(records, 0.25, np.random.default_rng(5))
-    assert t1 == t2
-    train, test = t1
+    records = _ds([i % 3 for i in range(97)], [bool(i % 2) for i in range(97)],
+                  [str(i) for i in range(97)])
+    train, test = split(records, 0.25, np.random.default_rng(5))
+    train2, test2 = split(records, 0.25, np.random.default_rng(5))
+    assert np.array_equal(train.force, train2.force) and np.array_equal(test.force, test2.force)
     assert len(train) + len(test) == 97
-    forces = sorted(r.force for r in train + test)
-    assert forces == sorted(str(i) for i in range(97))
+    # each row's force code is its position: together the sides hold every
+    # row once, each side in the original order
+    assert sorted(train.force.tolist() + test.force.tolist()) == list(range(97))
+    assert np.all(np.diff(train.force) > 0) and np.all(np.diff(test.force) > 0)
+    assert np.array_equal(test.group, records.group[test.force])
 
 
 def test_split_validates_fraction():
-    records = [StopRecord(group=0, outcome=True)] * 10
+    records = _ds([0] * 10, [True] * 10)
     for frac in (0.0, 1.0, -0.2, 1.7):
         with pytest.raises(DomainError):
             split(records, frac, np.random.default_rng(0))
     with pytest.raises(DomainError):
-        split(records[:1], 0.5, np.random.default_rng(0))
+        split(records.take([0]), 0.5, np.random.default_rng(0))
 
 
 # --- synthetic generator ----------------------------------------------------------------
@@ -292,14 +326,16 @@ def test_synthesize_saturated_stop():
     params = TrueParams(beta=(10.0, 10.0), population=(5000, 5000))
     records, report = synthesize(params, np.random.default_rng(0))
     assert len(records) == 10000
-    positive = sum(1 for r in records if r.outcome)
+    assert records.counts().tolist() == [5000, 5000]
+    assert records.labels == ("group0", "group1")
+    positive = int(records.outcome.sum())
     assert positive / len(records) == pytest.approx(0.5, abs=0.02)
 
 
 def test_synthesize_never_stopped():
     params = TrueParams(beta=(-10.0,), population=(20000,))
     records, report = synthesize(params, np.random.default_rng(1))
-    assert records == []
+    assert len(records) == 0
     assert report.stopped == (0,)
 
 
@@ -319,36 +355,50 @@ def test_synthesize_respects_alpha():
     assert report.stop_rate(0) == pytest.approx(want, abs=0.01)
 
 
+@pytest.mark.parametrize("field", ["alpha", "gamma"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+def test_true_params_rejects_bad_noise(field, value):
+    with pytest.raises(DomainError, match="positive and finite"):
+        TrueParams(beta=(0.0,), **{field: value})
+
+
 # --- canonical CSV ------------------------------------------------------------------------
 
 def test_dataset_csv_roundtrip():
     params = TrueParams(beta=(0.0, 1.0), population=(300, 300))
     records, _report = synthesize(params, np.random.default_rng(4))
-    from latentbias import EthnicGroup
-
-    groups = [EthnicGroup(0, "group0"), EthnicGroup(1, "group1")]
     buf = io.StringIO()
-    write_dataset_csv(records, groups, buf)
-    back_records, back_groups = read_dataset_csv(io.StringIO(buf.getvalue()))
-    assert [g.label for g in back_groups] == ["group0", "group1"]
-    assert len(back_records) == len(records)
-    for a, b in zip(records, back_records):
-        assert (a.group, a.stopped, a.outcome, a.force) == (b.group, b.stopped, b.outcome, b.force)
+    write_dataset_csv(records, buf)
+    assert buf.getvalue().splitlines()[0] == "group,stopped,outcome,force"
+    back = read_dataset_csv(io.StringIO(buf.getvalue()))
+    assert back.labels == ("group0", "group1")
+    assert back.forces == ("synthetic",)
+    assert np.array_equal(back.group, records.group)
+    assert np.array_equal(back.outcome, records.outcome)
+    assert np.array_equal(back.force, records.force)
+
+
+def test_dataset_csv_quotes_force_names():
+    records = Dataset(np.array([1, 0]), np.array([True, False]), ("b", "a"),
+                      np.array([0, 1]), ("Police Service, PSNI", ""))
+    buf = io.StringIO()
+    write_dataset_csv(records, buf)
+    assert buf.getvalue() == 'group,stopped,outcome,force\na,1,1,"Police Service, PSNI"\nb,1,0,\n'
+    back = read_dataset_csv(io.StringIO(buf.getvalue()))
+    assert back.labels == ("a", "b")  # codes follow sorted label order
+    assert back.group.tolist() == [0, 1]
+    assert [back.forces[f] for f in back.force] == ["Police Service, PSNI", ""]
 
 
 @pytest.mark.parametrize(
     "bad_row",
-    ["a,yes,1,f", "a,2,1,f", "a,true,0,f", "a,1,yes,f", "a,1,2,f", "a,1,true,f", "a,1"],
+    ["a,yes,1,f", "a,2,1,f", "a,true,0,f", "a,1,yes,f", "a,1,2,f", "a,1,true,f", "a,1",
+     "a,0,,f", "a,0,0,f", "a,1,,f"],
 )
 def test_dataset_csv_rejects_bad_flags_with_line_number(bad_row):
     text = "group,stopped,outcome,force\na,1,1,f\nb,1,0,f\n" + bad_row + "\n"
     with pytest.raises(DataError, match="^line 4: "):
         read_dataset_csv(io.StringIO(text))
-
-
-def test_dataset_csv_accepts_empty_outcome_for_non_stop():
-    records, _groups = read_dataset_csv(io.StringIO("group,stopped,outcome,force\na,0,,f\n"))
-    assert (records[0].stopped, records[0].outcome) == (False, None)
 
 
 def test_dataset_csv_rejects_wrong_schema():

@@ -9,13 +9,8 @@ from latentbias import (
     DomainError,
     Gaussian1D,
     MultivariateGaussian,
-    NaturalGaussian,
-    from_natural,
-    mvn_marginal,
-    mvn_sample,
     sample_truncated_normal,
     std_normal_cdf,
-    to_natural,
     truncated_moments,
 )
 
@@ -115,6 +110,21 @@ def test_truncated_moments_match_oracle_grid():
         assert v == pytest.approx(vo, rel=1e-7)
 
 
+def test_sample_deterministic_given_seed():
+    means = np.linspace(-9.0, 3.0, 50)  # both the inverse-CDF and the rejection branch
+    a = sample_truncated_normal(means, 1.0, np.ones(50), np.random.default_rng(42))
+    b = sample_truncated_normal(means, 1.0, np.ones(50), np.random.default_rng(42))
+    assert np.array_equal(a, b)
+    c = sample_truncated_normal(means, 1.0, np.ones(50), np.random.default_rng(43))
+    assert not np.array_equal(a, c)
+
+
+def test_sample_concentrates_at_tiny_variance():
+    rng = np.random.default_rng(0)
+    xs = sample_truncated_normal(np.array([2.0, -3.0]), 1e-12, np.array([1.0, -1.0]), rng)
+    assert np.all(np.abs(xs - np.array([2.0, -3.0])) < 1e-5)
+
+
 def test_truncated_rejects_bad_variance():
     rng = np.random.default_rng(0)
     with pytest.raises(DomainError):
@@ -138,37 +148,7 @@ def test_gaussian1d_rejects_bad_variance():
         Gaussian1D(0.0, 0.0)
 
 
-# --- natural/moment conversions ----------------------------------------------
-
-def test_identity_roundtrip():
-    mvn = MultivariateGaussian(mean=np.zeros(3), covariance=np.eye(3))
-    nat = to_natural(mvn)
-    assert np.allclose(nat.precision, np.eye(3))
-    assert np.allclose(nat.precision_mean, 0.0)
-
-
-def test_known_2x2_inverse():
-    mvn = MultivariateGaussian(mean=[1.0, -1.0], covariance=[[1.0, 0.5], [0.5, 1.0]])
-    nat = to_natural(mvn)
-    expected = np.array([[4 / 3, -2 / 3], [-2 / 3, 4 / 3]])
-    assert np.allclose(nat.precision, expected, atol=1e-12)
-
-
-@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
-def test_random_spd_roundtrips(dim):
-    rng = np.random.default_rng(dim)
-    for _ in range(20):
-        a = rng.standard_normal((dim, dim))
-        cov = a @ a.T + dim * np.eye(dim)
-        mean = rng.standard_normal(dim)
-        mvn = MultivariateGaussian(mean=mean, covariance=cov)
-        back = from_natural(to_natural(mvn))
-        assert np.allclose(back.mean, mvn.mean, rtol=1e-8, atol=1e-10)
-        assert np.allclose(back.covariance, mvn.covariance, rtol=1e-8)
-        nat = NaturalGaussian(precision=np.linalg.inv(cov), precision_mean=np.linalg.solve(cov, mean))
-        nat2 = to_natural(from_natural(nat))
-        assert np.allclose(nat2.precision, nat.precision, rtol=1e-8)
-
+# --- multivariate Gaussian ---------------------------------------------------
 
 def test_non_spd_covariance_reports_pivot():
     bad = np.array([[1.0, 0.0, 0.0], [0.0, -2.0, 0.0], [0.0, 0.0, 1.0]])
@@ -180,74 +160,3 @@ def test_non_spd_covariance_reports_pivot():
 def test_asymmetric_covariance_rejected():
     with pytest.raises(DomainError):
         MultivariateGaussian(mean=np.zeros(2), covariance=[[1.0, 0.3], [0.1, 1.0]])
-
-
-# --- marginalization -----------------------------------------------------------
-
-def _mvn3():
-    cov = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.0]])
-    return MultivariateGaussian(mean=[1.0, 2.0, 3.0], covariance=cov)
-
-
-def test_marginal_full_identity():
-    mvn = _mvn3()
-    marg = mvn_marginal(mvn, (0, 1, 2))
-    assert np.array_equal(marg.mean, mvn.mean)
-    assert np.array_equal(marg.covariance, mvn.covariance)
-
-
-def test_marginal_single_index():
-    mvn = _mvn3()
-    marg = mvn_marginal(mvn, (1,))
-    assert marg.mean[0] == 2.0
-    assert marg.covariance[0, 0] == 1.5
-
-
-def test_marginal_selection():
-    mvn = _mvn3()
-    marg = mvn_marginal(mvn, (0, 2))
-    assert np.array_equal(marg.mean, [1.0, 3.0])
-    assert np.array_equal(marg.covariance, mvn.covariance[np.ix_([0, 2], [0, 2])])
-
-
-def test_marginal_rejects_bad_indices():
-    mvn = _mvn3()
-    with pytest.raises(DomainError):
-        mvn_marginal(mvn, (0, 0))
-    with pytest.raises(DomainError):
-        mvn_marginal(mvn, (0, 3))
-
-
-# --- sampling -------------------------------------------------------------------
-
-def test_sample_deterministic_given_seed():
-    mvn = _mvn3()
-    a = mvn_sample(mvn, np.random.default_rng(42), size=10)
-    b = mvn_sample(mvn, np.random.default_rng(42), size=10)
-    assert np.array_equal(a, b)
-
-
-def test_sample_concentrates_at_tiny_variance():
-    mvn = MultivariateGaussian(mean=[2.0, -3.0], covariance=1e-12 * np.eye(2))
-    draws = mvn_sample(mvn, np.random.default_rng(0), size=1000)
-    assert np.all(np.abs(draws - np.array([2.0, -3.0])) < 1e-5)
-
-
-def test_sample_moments_match_covariance():
-    cov = np.array([[1.0, 0.5], [0.5, 1.0]])
-    mvn = MultivariateGaussian(mean=[0.0, 0.0], covariance=cov)
-    draws = mvn_sample(mvn, np.random.default_rng(1), size=1_000_000)
-    emp = np.cov(draws.T)
-    assert np.allclose(emp, cov, atol=0.01)
-    corr = np.corrcoef(draws.T)[0, 1]
-    assert corr == pytest.approx(0.5, abs=0.01)
-
-
-def test_marginal_consistency_joint_vs_direct():
-    # project joint samples vs sample the marginal directly: same moments
-    mvn = _mvn3()
-    n = 1_000_000
-    joint = mvn_sample(mvn, np.random.default_rng(7), size=n)[:, [0, 2]]
-    direct = mvn_sample(mvn_marginal(mvn, (0, 2)), np.random.default_rng(8), size=n)
-    assert np.allclose(joint.mean(axis=0), direct.mean(axis=0), atol=0.01)
-    assert np.allclose(np.cov(joint.T), np.cov(direct.T), atol=0.01)

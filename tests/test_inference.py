@@ -7,33 +7,27 @@ from scipy import stats
 from scipy.special import erfcx, log_ndtr
 
 from latentbias import (
+    DataError,
+    Dataset,
     DivergenceError,
     DomainError,
     GibbsTrace,
     ModelConfig,
-    NaturalAccumulator,
     NumericalError,
     PosteriorSummary,
     PriorKind,
-    StopRecord,
     TrueParams,
-    accumulate_stats,
-    anchor,
     build_prior,
     drift_slope,
-    gibbs_sweep,
-    posterior_from_stats,
+    read_dataset_csv,
     read_trace_csv,
-    refresh_criminality,
     run_gibbs,
-    sample_latents,
+    sample_truncated_normal,
     synthesize,
     write_trace_csv,
 )
 
 from latentbias import inference
-
-from conftest import mills_lambda_oracle
 
 
 def _cfg(**kw):
@@ -42,255 +36,115 @@ def _cfg(**kw):
     return ModelConfig(**base)
 
 
-def _asym_records(counts=(1500, 900, 600), positive_rate=32):
+def _asym_records(counts=(1500, 900, 600), positive_rate=32, labels=None):
     """Deterministic outcome-skewed dataset (1 negative per `positive_rate`)."""
-    records = []
-    for g, n in enumerate(counts):
-        for i in range(n):
-            records.append(StopRecord(group=g, outcome=(i % positive_rate != 0)))
-    return records
+    labels = labels or [f"group{g}" for g in range(len(counts))]
+    outcome = np.concatenate([np.arange(n) % positive_rate != 0 for n in counts])
+    return Dataset(np.repeat(np.arange(len(counts)), counts), outcome, labels)
 
 
-# --- latent sampling -------------------------------------------------------------
+# --- reported precision -------------------------------------------------------------
 
-def test_latents_respect_signs():
-    cfg = _cfg()
-    rng = np.random.default_rng(0)
-    for outcome in (True, False):
-        rec = StopRecord(group=0, outcome=outcome)
-        for _ in range(200):
-            lat = sample_latents(rec, 0.0, 0.0, cfg, rng)
-            assert lat.s > 0
-            assert lat.t is not None
-            assert (lat.t > 0) == outcome
+def _report_precision(counts, **kw):
+    cfg = _cfg(**kw)
+    prior = build_prior(cfg.prior, len(counts))
+    return inference._assemble_report_precision(prior, np.asarray(counts), cfg)
 
-
-def test_latent_s_half_normal_mean():
-    cfg = _cfg()
-    rng = np.random.default_rng(1)
-    rec = StopRecord(group=0, outcome=True)
-    draws = [sample_latents(rec, 0.0, 0.0, cfg, rng).s for _ in range(100_000)]
-    assert np.mean(draws) == pytest.approx(math.sqrt(2 / math.pi), abs=0.02)
-
-
-def test_latent_t_mills_mean():
-    # T ~ N(1, 1) truncated negative: mean 1 - phi(1)/Phi(-1)
-    cfg = _cfg()
-    rng = np.random.default_rng(2)
-    rec = StopRecord(group=0, outcome=False)
-    draws = [sample_latents(rec, 1.0, 0.0, cfg, rng).t for _ in range(100_000)]
-    expected = 1.0 - mills_lambda_oracle(1.0)
-    assert expected == pytest.approx(-0.52514, abs=1e-4)
-    assert np.mean(draws) == pytest.approx(expected, abs=0.02)
-
-
-def test_unstopped_record_has_no_t():
-    cfg = _cfg()
-    rng = np.random.default_rng(3)
-    lat = sample_latents(StopRecord(group=0, stopped=False), 0.0, 0.0, cfg, rng)
-    assert lat.s < 0
-    assert lat.t is None
-
-
-def test_refresh_criminality_distribution():
-    # c | s, t pools the unit prior with both unit-noise observations
-    cfg = _cfg()
-    rng = np.random.default_rng(4)
-    rec = StopRecord(group=0, outcome=True)
-    lat = sample_latents(rec, 0.5, 0.2, cfg, rng)
-    draws = np.array([refresh_criminality(rec, lat, 0.2, cfg, rng) for _ in range(200_000)])
-    want_mean = ((lat.s - 0.2) + lat.t) / 3.0
-    assert draws.mean() == pytest.approx(want_mean, abs=0.01)
-    assert draws.var() == pytest.approx(1.0 / 3.0, abs=0.01)
-
-
-# --- accumulation -----------------------------------------------------------------
 
 def test_single_record_unit_increments():
     # at alpha = gamma = 1 each record adds exactly 1 to its bias diagonal
     # and 1 to the criminality diagonal
-    from latentbias.inference import LatentPair
-
-    stats = NaturalAccumulator(3)
-    cfg = _cfg(prior=PriorKind.INDEPENDENT)
-    rec = StopRecord(group=1, outcome=True)
-    accumulate_stats(rec, LatentPair(s=0.9, t=0.4), (0.1, 0.0), cfg, stats)
-    assert stats.precision[1, 1] == 1.0
-    assert stats.precision[2, 2] == 1.0
-    assert stats.precision[0, 0] == 0.0
-    assert stats.precision_mean[1] == pytest.approx(0.9 - 0.1)
-    assert stats.precision_mean[2] == pytest.approx(0.4)
+    lam = _report_precision([0, 1], prior=PriorKind.INDEPENDENT)
+    assert np.array_equal(np.diag(lam), [1.0, 2.0, 2.0])
     # independent prior never writes the off-diagonals
-    off = stats.precision - np.diag(np.diag(stats.precision))
+    off = lam - np.diag(np.diag(lam))
     assert np.all(off == 0.0)
 
 
 def test_dependent_adds_cross_terms():
-    from latentbias.inference import LatentPair
-
-    stats = NaturalAccumulator(3)
-    cfg = _cfg(prior=PriorKind.DEPENDENT, alpha=2.0)
-    rec = StopRecord(group=0, outcome=True)
-    accumulate_stats(rec, LatentPair(s=1.0, t=0.5), (0.0, 0.0), cfg, stats)
-    assert stats.precision[0, 2] == pytest.approx(0.5)
-    assert stats.precision[2, 0] == pytest.approx(0.5)
-    assert stats.precision[0, 0] == pytest.approx(0.5)
+    lam = _report_precision([1, 0], prior=PriorKind.DEPENDENT, alpha=2.0)
+    assert lam[0, 2] == pytest.approx(0.5)
+    assert lam[2, 0] == pytest.approx(0.5)
+    assert lam[0, 0] == pytest.approx(1.5)
+    assert lam[1, 2] == lam[2, 1] == 0.0
 
 
 def test_zero_records_leaves_accumulator_empty():
-    stats = NaturalAccumulator(4)
-    assert np.all(stats.precision == 0.0)
-    assert np.all(stats.precision_mean == 0.0)
+    for kind in PriorKind:
+        assert np.array_equal(_report_precision([0, 0, 0], prior=kind), np.eye(4))
 
 
 def test_accumulation_additivity():
-    from latentbias.inference import LatentPair
-
-    cfg = _cfg(prior=PriorKind.DEPENDENT)
-    rec = StopRecord(group=0, outcome=True)
-    lat = LatentPair(s=1.3, t=-0.2)
-    once = NaturalAccumulator(2)
-    accumulate_stats(rec, lat, (0.3, 0.1), cfg, once)
-    twice = NaturalAccumulator(2)
-    accumulate_stats(rec, lat, (0.3, 0.1), cfg, twice)
-    accumulate_stats(rec, lat, (0.3, 0.1), cfg, twice)
-    assert np.allclose(twice.precision, 2.0 * once.precision)
-    assert np.allclose(twice.precision_mean, 2.0 * once.precision_mean)
+    once = _report_precision([3, 5], prior=PriorKind.DEPENDENT, alpha=1.3, gamma=0.8)
+    twice = _report_precision([6, 10], prior=PriorKind.DEPENDENT, alpha=1.3, gamma=0.8)
+    assert np.allclose(twice - np.eye(3), 2.0 * (once - np.eye(3)), rtol=1e-14, atol=0)
 
 
 def test_conjugacy_against_closed_form():
-    # one group, one record, fixed latents: the combination must equal the
-    # hand-computed conjugate update exactly
-    from latentbias.inference import LatentPair
-
-    cfg = _cfg(prior=PriorKind.INDEPENDENT, alpha=2.0, gamma=0.5)
-    prior = build_prior(PriorKind.INDEPENDENT, 1, group_means=(0.3,), group_variances=(4.0,))
-    stats = NaturalAccumulator(2)
-    s, t, c_used = 1.1, -0.7, 0.25
-    accumulate_stats(StopRecord(group=0, outcome=False), LatentPair(s=s, t=t), (c_used, 0.0), cfg, stats)
-    post = posterior_from_stats(prior, stats)
+    # one group, one record: the recorded variances must be the
+    # hand-computed conjugate covariance, with anchoring off and on
+    prior_state = build_prior(PriorKind.INDEPENDENT, 1, group_means=(0.3,), group_variances=(4.0,))
+    records = Dataset(np.array([0]), np.array([False]), ("only",))
     lam_b = 1 / 4.0 + 1 / 2.0
-    eta_b = 0.3 / 4.0 + (s - c_used) / 2.0
     lam_c = 1.0 + 1 / 0.5
-    eta_c = 0.0 + t / 0.5
-    assert post.joint.mean[0] == pytest.approx(eta_b / lam_b, abs=1e-10)
-    assert post.joint.mean[1] == pytest.approx(eta_c / lam_c, abs=1e-10)
-    assert post.joint.covariance[0, 0] == pytest.approx(1 / lam_b, abs=1e-10)
-    assert post.joint.covariance[1, 1] == pytest.approx(1 / lam_c, abs=1e-10)
-    assert post.joint.covariance[0, 1] == 0.0
+    for kind, cross in ((PriorKind.INDEPENDENT, 0.0), (PriorKind.DEPENDENT, 1 / 2.0)):
+        det = lam_b * lam_c - cross * cross
+        var_b, var_c, cov = lam_c / det, lam_b / det, -cross / det
+        for anchoring, scale in ((False, 1.0), (True, var_c)):
+            cfg = _cfg(prior=kind, alpha=2.0, gamma=0.5, anchoring=anchoring, sweeps=3, burn_in=1)
+            _summary, trace = run_gibbs(records, cfg, prior_state=prior_state)
+            assert trace.variances[0] == pytest.approx([var_b / scale, var_c / scale], abs=1e-12)
+            assert trace.cross_cov[0] == pytest.approx([cov / scale], abs=1e-12)
 
 
-# --- anchoring ---------------------------------------------------------------------
+# --- first sweep against a record-at-a-time reference ---------------------------------
 
-def _state(mean, cov, kind=PriorKind.DEPENDENT):
-    from latentbias import MultivariateGaussian, PosteriorState
+def _reference_first_sweep(dataset, alpha, gamma, rng):
+    """Recorded bias means of ``run_gibbs``'s sweep 0, record by record.
 
-    return PosteriorState(
-        joint=MultivariateGaussian(mean=mean, covariance=cov),
-        prior_kind=kind,
-        group_count=len(mean) - 1,
-    )
-
-
-def test_anchor_fixed_point():
-    state = _state([0.5, -0.5, 0.0], np.eye(3))
-    anchored = anchor(state)
-    assert np.array_equal(anchored.joint.mean, state.joint.mean)
-    assert np.array_equal(anchored.joint.covariance, state.joint.covariance)
-
-
-def test_anchor_recentres_means():
-    state = _state([1.0, 2.0, 1.0], np.eye(3))
-    anchored = anchor(state)
-    assert np.array_equal(anchored.joint.mean, [0.0, 1.0, 0.0])
-
-
-def test_anchor_rescales_covariance():
-    state = _state([0.3, -0.1, 0.2], 4.0 * np.eye(3))
-    anchored = anchor(state)
-    assert np.allclose(anchored.joint.covariance, np.eye(3))
-    assert anchored.criminality_variance == 1.0
+    Restates the anchored sweep for a unit prior: each record draws its
+    criminality from the prior and its own bias around the prior mean with
+    the group's reported variance, then its latents, then refreshes its
+    criminality; the accumulated evidence over the diagonal precision gives
+    the means, re-centred on the criminality coordinate. The bias MH step
+    runs after a group is accumulated, so it does not enter sweep 0.
+    """
+    k = len(dataset.labels)
+    counts = np.bincount(dataset.group, minlength=k)
+    prec_diag = np.append(1.0 + counts / alpha, 1.0 + len(dataset) / gamma)
+    v_refresh = 1.0 / (1.0 + 1.0 / alpha + 1.0 / gamma)
+    eta = np.zeros(k + 1)
+    for g, positive in zip(dataset.group.tolist(), dataset.outcome.tolist()):
+        c = rng.standard_normal()
+        b = math.sqrt(1.0 / prec_diag[g]) * rng.standard_normal()
+        s = sample_truncated_normal(c + b, alpha, 1.0, rng)
+        t = sample_truncated_normal(c, gamma, 1.0 if positive else -1.0, rng)
+        c = v_refresh * ((s - b) / alpha + t / gamma) + math.sqrt(v_refresh) * rng.standard_normal()
+        eta[g] += (s - c) / alpha
+        eta[k] += t / gamma
+    mean = eta / prec_diag
+    return mean[:k] - mean[k]
 
 
-def test_anchor_idempotent():
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((4, 4))
-    state = _state(rng.standard_normal(4), a @ a.T + 4 * np.eye(4))
-    once = anchor(state)
-    twice = anchor(once)
-    assert np.allclose(twice.joint.mean, once.joint.mean, atol=1e-12)
-    assert np.allclose(twice.joint.covariance, once.joint.covariance, rtol=1e-12)
-
-
-def test_anchor_preserves_rank_order():
-    rng = np.random.default_rng(1)
-    a = rng.standard_normal((5, 5))
-    state = _state(rng.standard_normal(5), a @ a.T + 5 * np.eye(5))
-    anchored = anchor(state)
-    assert np.array_equal(
-        np.argsort(state.bias_means), np.argsort(anchored.bias_means)
-    )
-
-
-# --- single sweep --------------------------------------------------------------------
-
-def test_sweep_empty_dataset_returns_state():
-    cfg = _cfg(prior=PriorKind.DEPENDENT)
-    prior = build_prior(PriorKind.DEPENDENT, 3)
-    out = gibbs_sweep(prior, [], cfg, np.random.default_rng(0))
-    assert np.array_equal(out.joint.mean, prior.joint.mean)
-    assert np.array_equal(out.joint.covariance, prior.joint.covariance)
-
-
-def test_sweep_independent_keeps_cross_zero_and_anchored_c_standard():
-    cfg = _cfg(prior=PriorKind.INDEPENDENT)
-    prior = build_prior(PriorKind.INDEPENDENT, 2)
-    records = [StopRecord(group=i % 2, outcome=i % 3 == 0) for i in range(60)]
-    out = gibbs_sweep(prior, records, cfg, np.random.default_rng(0))
-    off = out.joint.covariance - np.diag(np.diag(out.joint.covariance))
-    assert np.all(off == 0.0)
-    anchored = anchor(out)
-    assert anchored.criminality_mean == 0.0
-    assert anchored.criminality_variance == 1.0
-
-
-def test_sweep_single_draw_mode_runs():
-    cfg = _cfg(prior=PriorKind.DEPENDENT, per_record_draws=False)
-    prior = build_prior(PriorKind.DEPENDENT, 2)
-    records = [StopRecord(group=i % 2, outcome=i % 2 == 0) for i in range(40)]
-    out = gibbs_sweep(prior, records, cfg, np.random.default_rng(5))
-    assert out.joint.dim == 3
-
-
-def test_sweep_batch_matches_scalar_accumulation():
-    # the vectorised chain and the scalar ops share the accumulate formulas:
-    # feeding identical latents through both paths gives identical stats
-    from latentbias.inference import LatentPair
-
-    cfg = _cfg(prior=PriorKind.DEPENDENT, alpha=1.3, gamma=0.8)
-    records = [StopRecord(group=g, outcome=o) for g, o in
-               [(0, True), (0, False), (1, True), (1, True), (1, False)]]
-    s_vals = [0.5, 1.2, 0.3, 2.0, 0.9]
-    t_vals = [0.4, -0.6, 1.0, 0.2, -1.1]
-    c_vals = [0.1, -0.2, 0.3, 0.0, 0.5]
-    scalar = NaturalAccumulator(3)
-    for rec, s, t, c in zip(records, s_vals, t_vals, c_vals):
-        accumulate_stats(rec, LatentPair(s=s, t=t), (c, 0.0), cfg, scalar)
-    # vectorised equivalent, grouped exactly as run_gibbs does it
-    vec = NaturalAccumulator(3)
-    for g in (0, 1):
-        idx = [i for i, r in enumerate(records) if r.group == g]
-        s_arr = np.array([s_vals[i] for i in idx])
-        t_arr = np.array([t_vals[i] for i in idx])
-        c_arr = np.array([c_vals[i] for i in idx])
-        vec.precision[g, g] += len(idx) / cfg.alpha
-        vec.precision_mean[g] += float(np.sum(s_arr - c_arr)) / cfg.alpha
-        vec.precision[2, 2] += len(idx) / cfg.gamma
-        vec.precision_mean[2] += float(np.sum(t_arr)) / cfg.gamma
-        vec.precision[g, 2] += len(idx) / cfg.alpha
-        vec.precision[2, g] += len(idx) / cfg.alpha
-    assert np.allclose(scalar.precision, vec.precision, atol=1e-12)
-    assert np.allclose(scalar.precision_mean, vec.precision_mean, atol=1e-12)
+def test_first_sweep_matches_record_reference():
+    # unequal group sizes and positive rates, rows interleaved across groups
+    rng = np.random.default_rng(41)
+    group = rng.permutation(np.repeat([0, 1, 2], [40, 25, 12]))
+    rate = np.array([0.9, 0.3, 0.6])[group]
+    records = Dataset(group, rng.random(group.size) < rate, ("a", "b", "c"))
+    alpha, gamma, seeds = 1.3, 0.8, 200
+    want = np.array([
+        _reference_first_sweep(records, alpha, gamma, np.random.default_rng(10_000 + s))
+        for s in range(seeds)
+    ])
+    for kind in (PriorKind.DEPENDENT, PriorKind.INDEPENDENT):
+        got = np.array([
+            run_gibbs(records, ModelConfig(seed=s, alpha=alpha, gamma=gamma, prior=kind,
+                                           sweeps=1, burn_in=0))[1].means[0, :3]
+            for s in range(seeds)
+        ])
+        for coord in range(3):
+            assert stats.ks_2samp(got[:, coord], want[:, coord]).pvalue > 1e-3, (kind, coord)
 
 
 # --- bias-conditional sampler ---------------------------------------------------------
@@ -445,14 +299,9 @@ def test_balanced_variances_agree():
     rng = np.random.default_rng(11)
     params = TrueParams(beta=(0.0, 0.0, 0.0), population=(900, 900, 900))
     records, _rep = synthesize(params, rng)
-    counts = [sum(1 for r in records if r.group == g) for g in range(3)]
-    n = min(counts)
-    trimmed = []
-    seen = [0, 0, 0]
-    for rec in records:
-        if seen[rec.group] < n:
-            trimmed.append(rec)
-            seen[rec.group] += 1
+    n = records.counts().min()
+    # synthesize emits group blocks: keep the first n rows of each
+    trimmed = records.take(np.concatenate([np.flatnonzero(records.group == g)[:n] for g in range(3)]))
     cfg = _cfg(seed=5, sweeps=60, burn_in=20, prior=PriorKind.INDEPENDENT)
     summary, _ = run_gibbs(trimmed, cfg)
     rel = summary.bias_variance.max() / summary.bias_variance.min() - 1.0
@@ -506,30 +355,19 @@ def test_drift_slope_positive_for_unanchored_free_chain():
 
 def test_rejects_unstopped_and_empty():
     with pytest.raises(DomainError):
-        run_gibbs([], _cfg())
-    with pytest.raises(DomainError):
-        run_gibbs([StopRecord(group=0, stopped=False)], _cfg())
-
-
-def test_run_gibbs_single_draw_mode_deterministic():
-    records = _asym_records((200, 150), positive_rate=3)
-    cfg = _cfg(seed=13, sweeps=30, burn_in=5, per_record_draws=False)
-    s1, t1 = run_gibbs(records, cfg)
-    s2, t2 = run_gibbs(records, cfg)
-    assert np.array_equal(t1.means, t2.means)
-    assert sorted(s1.rank.tolist()) == [1, 2]
-    assert np.all(t1.means[:, 2] == 0.0)
+        run_gibbs(_asym_records((3,)).take([]), _cfg())
+    with pytest.raises(DomainError, match="no records"):
+        run_gibbs(Dataset(np.array([0]), np.array([True]), ("a", "b")), _cfg())
+    # rows that are not stops never reach a dataset
+    with pytest.raises(DataError, match="^line 2: "):
+        read_dataset_csv(io.StringIO("group,stopped,outcome,force\na,0,0,f\n"))
 
 
 def test_run_gibbs_custom_prior_and_groups():
-    from latentbias import EthnicGroup
-
-    records = _asym_records((200, 150), positive_rate=3)
-    groups = [EthnicGroup(0, "first"), EthnicGroup(1, "second")]
+    records = _asym_records((200, 150), positive_rate=3, labels=("first", "second"))
     prior = build_prior(PriorKind.DEPENDENT, 2, group_means=(0.5, -0.5),
                         group_variances=(2.0, 2.0))
-    summary, _ = run_gibbs(records, _cfg(seed=3, sweeps=20, burn_in=5),
-                           groups=groups, prior_state=prior)
+    summary, _ = run_gibbs(records, _cfg(seed=3, sweeps=20, burn_in=5), prior_state=prior)
     assert summary.labels == ["first", "second"]
     # a correlated prior covariance is rejected up front
     from latentbias import MultivariateGaussian, PosteriorState

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from latentbias import (
+    Dataset,
     DomainError,
     PosteriorSummary,
     PriorKind,
-    StopRecord,
     likelihood_oracle,
     outcome_probability_given_stop,
     predictive_score,
@@ -27,6 +27,11 @@ def _summary(bias_mean, c_mean=0.0):
         prior_kind=PriorKind.DEPENDENT,
         sweeps=100,
     )
+
+
+def _test_set(groups, outcomes):
+    return Dataset(np.array(groups), np.array(outcomes, dtype=bool),
+                   [f"g{i}" for i in range(max(groups) + 1)])
 
 
 # --- closed form ----------------------------------------------------------------
@@ -91,7 +96,7 @@ def test_oracle_matches_closed_form_subgrid():
 
 def test_saturated_positive_posterior_scores_one():
     summary = _summary([0.0, 0.0], c_mean=5.0)
-    test = [StopRecord(group=i % 2, outcome=True) for i in range(40)]
+    test = _test_set([i % 2 for i in range(40)], [True] * 40)
     assert predictive_score(summary, test, 1.0, 1.0) == 1.0
 
 
@@ -99,14 +104,14 @@ def test_zero_mean_breaks_tie_to_positive():
     # predicted probability is exactly 0.5 -> predict positive -> accuracy
     # equals the positive fraction
     summary = _summary([0.3, -0.3], c_mean=0.0)
-    test = [StopRecord(group=i % 2, outcome=(i % 5 < 2)) for i in range(100)]
-    positive_fraction = sum(1 for r in test if r.outcome) / len(test)
+    test = _test_set([i % 2 for i in range(100)], [i % 5 < 2 for i in range(100)])
+    positive_fraction = test.outcome.sum() / len(test)
     assert predictive_score(summary, test, 1.0, 1.0) == pytest.approx(positive_fraction)
 
 
 def test_strongly_negative_posterior_predicts_negative():
     summary = _summary([0.0], c_mean=-4.0)
-    test = [StopRecord(group=0, outcome=False) for _ in range(10)]
+    test = _test_set([0] * 10, [False] * 10)
     assert predictive_score(summary, test, 1.0, 1.0) == 1.0
 
 
@@ -118,7 +123,7 @@ def test_likelihood_method_uses_group_specific_probabilities():
     # stop selection biases criminality upward: both conditionals above 1/2,
     # and a larger bias means weaker selection, so a smaller probability
     assert 0.5 < p_hi < p_lo
-    test = [StopRecord(group=0, outcome=True), StopRecord(group=1, outcome=True)]
+    test = _test_set([0, 1], [True, True])
     want = (p_hi + p_lo) / 2
     assert predictive_score(summary, test, 1.0, 1.0, method="likelihood") == pytest.approx(want)
 
@@ -126,8 +131,13 @@ def test_likelihood_method_uses_group_specific_probabilities():
 def test_score_validates_input():
     summary = _summary([0.0])
     with pytest.raises(DomainError):
-        predictive_score(summary, [], 1.0, 1.0)
+        predictive_score(summary, _test_set([0], [True]).take([]), 1.0, 1.0)
+    with pytest.raises(DomainError):  # group 1 is unknown to a one-group posterior
+        predictive_score(summary, _test_set([1], [True]), 1.0, 1.0, method="likelihood")
     with pytest.raises(DomainError):
-        predictive_score(summary, [StopRecord(group=0, stopped=False)], 1.0, 1.0)
-    with pytest.raises(DomainError):
-        predictive_score(summary, [StopRecord(group=0, outcome=True)], 1.0, 1.0, method="bogus")
+        predictive_score(summary, _test_set([0], [True]), 1.0, 1.0, method="bogus")
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="positive and finite"):
+            outcome_probability_given_stop(0.0, 0.0, bad, 1.0)
+        with pytest.raises(DomainError, match="positive and finite"):
+            outcome_probability_given_stop(0.0, 0.0, 1.0, bad)

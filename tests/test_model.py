@@ -5,16 +5,12 @@ import pytest
 
 from latentbias import (
     DomainError,
-    EthnicGroup,
     ModelConfig,
     PriorKind,
-    StopRecord,
     build_prior,
     guilt_probability,
-    mvn_marginal,
     stop_probability,
 )
-from latentbias.model import validate_groups
 
 from conftest import cdf_oracle
 
@@ -46,9 +42,9 @@ def test_custom_prior_placement():
 def test_prior_criminality_marginal_standard_normal():
     for kind in (PriorKind.INDEPENDENT, PriorKind.DEPENDENT, PriorKind.FREE):
         state = build_prior(kind, 3)
-        marg = mvn_marginal(state.joint, (3,))
-        assert marg.mean[0] == 0.0
-        assert marg.covariance[0, 0] == 1.0
+        assert state.criminality_mean == 0.0
+        assert state.criminality_variance == 1.0
+        assert np.all(state.joint.covariance[3, :3] == 0.0)
 
 
 def test_prior_validation():
@@ -96,26 +92,14 @@ def test_probability_domain_errors():
         stop_probability(0.0, 0.0, 0.0)
     with pytest.raises(DomainError):
         guilt_probability(0.0, -1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="positive and finite"):
+            stop_probability(0.0, 0.0, bad)
+        with pytest.raises(DomainError, match="positive and finite"):
+            guilt_probability(0.0, bad)
 
 
-# --- records and config ----------------------------------------------------------
-
-def test_record_outcome_requires_stop():
-    StopRecord(group=0, stopped=True, outcome=True)
-    StopRecord(group=0, stopped=False, outcome=None)
-    with pytest.raises(DomainError):
-        StopRecord(group=0, stopped=False, outcome=True)
-    with pytest.raises(DomainError):
-        StopRecord(group=-1)
-
-
-def test_group_validation():
-    validate_groups([EthnicGroup(0, "a"), EthnicGroup(1, "b")])
-    with pytest.raises(DomainError):
-        validate_groups([EthnicGroup(0, "a"), EthnicGroup(2, "b")])
-    with pytest.raises(DomainError):
-        validate_groups([EthnicGroup(0, "a"), EthnicGroup(1, "a")])
-
+# --- config ----------------------------------------------------------------------
 
 def test_config_validation():
     with pytest.raises(DomainError):

@@ -5,11 +5,9 @@ import pytest
 
 from latentbias import (
     COMMON_LABEL,
+    Dataset,
     DomainError,
-    EthnicGroup,
-    Match,
     Player,
-    StopRecord,
     matches_from_dataset,
     rank,
     trueskill_gibbs,
@@ -21,73 +19,76 @@ def _players(n):
     return [Player(i, f"p{i}") for i in range(n)]
 
 
+def _matches(pairs):
+    """``(winners, losers)`` arrays from ``(winner, loser)`` pairs."""
+    arr = np.array(pairs, dtype=int).reshape(-1, 2)
+    return arr[:, 0], arr[:, 1]
+
+
+def _dataset(groups, outcomes, labels):
+    return Dataset(np.array(groups, dtype=int), np.array(outcomes, dtype=bool), labels)
+
+
 # --- match construction -----------------------------------------------------------
 
 def test_positive_outcome_is_common_player_win():
-    players, matches = matches_from_dataset([StopRecord(group=1, outcome=True)],
-                                            [EthnicGroup(0, "a"), EthnicGroup(1, "b")])
+    players, winners, losers = matches_from_dataset(_dataset([1], [True], ("a", "b")))
     assert players[0].label == COMMON_LABEL
-    assert matches == [Match(winner=0, loser=2)]
+    assert [p.label for p in players[1:]] == ["a", "b"]
+    assert (winners.tolist(), losers.tolist()) == ([0], [2])
 
 
 def test_negative_outcome_is_group_win():
-    _players_, matches = matches_from_dataset([StopRecord(group=2, outcome=False)],
-                                              [EthnicGroup(i, l) for i, l in enumerate("abc")])
-    assert matches == [Match(winner=3, loser=0)]
+    _players_, winners, losers = matches_from_dataset(_dataset([2], [False], ("a", "b", "c")))
+    assert (winners.tolist(), losers.tolist()) == ([3], [0])
 
 
 def test_empty_dataset_gives_no_matches():
-    players, matches = matches_from_dataset([], [EthnicGroup(0, "a")])
-    assert matches == []
+    players, winners, losers = matches_from_dataset(_dataset([], [], ("a",)))
+    assert winners.size == losers.size == 0
     assert len(players) == 2
 
 
 def test_match_order_preserved():
-    recs = [StopRecord(group=0, outcome=bool(i % 2)) for i in range(6)]
-    _p, matches = matches_from_dataset(recs, [EthnicGroup(0, "a")])
-    assert [m.winner for m in matches] == [1, 0, 1, 0, 1, 0]
+    recs = _dataset([0] * 6, [bool(i % 2) for i in range(6)], ("a",))
+    _p, winners, _losers = matches_from_dataset(recs)
+    assert winners.tolist() == [1, 0, 1, 0, 1, 0]
 
 
 def test_match_rejects_self_play():
     with pytest.raises(DomainError):
-        Match(winner=1, loser=1)
+        trueskill_gibbs(*_matches([(0, 1), (1, 1)]), _players(2), iterations=10, seed=0)
 
 
 # --- gibbs ranking -------------------------------------------------------------------
 
 def test_total_dominance_orders_players():
-    matches = [Match(winner=1, loser=2) for _ in range(100)]
+    matches = _matches([(1, 2)] * 100)
     for seed in (0, 1, 2):
-        skills = trueskill_gibbs(matches, _players(3), iterations=500, seed=seed)
+        skills = trueskill_gibbs(*matches, _players(3), iterations=500, seed=seed)
         assert skills.mean(1) > skills.mean(2)
 
 
 def test_win_dominance_through_common_player():
     # A (id 1) always beats the common player, B (id 2) always loses to it
-    matches = [Match(winner=1, loser=0) for _ in range(80)]
-    matches += [Match(winner=0, loser=2) for _ in range(80)]
+    matches = _matches([(1, 0)] * 80 + [(0, 2)] * 80)
     for seed in range(5):
-        skills = trueskill_gibbs(matches, _players(3), iterations=500, seed=seed)
+        skills = trueskill_gibbs(*matches, _players(3), iterations=500, seed=seed)
         assert skills.mean(1) > skills.mean(2)
 
 
 def test_alternating_wins_stay_close():
-    matches = []
-    for i in range(200):
-        matches.append(Match(winner=1 + i % 2, loser=2 - i % 2))
-    skills = trueskill_gibbs(matches, _players(3), iterations=500, seed=3)
+    matches = _matches([(1 + i % 2, 2 - i % 2) for i in range(200)])
+    skills = trueskill_gibbs(*matches, _players(3), iterations=500, seed=3)
     assert abs(skills.mean(1) - skills.mean(2)) < 0.05
 
 
 def test_low_count_player_has_larger_anchored_variance():
     # identical win rates, 10x match counts: the thin player's skill is
     # less pinned down (measured relative to the common player)
-    matches = []
-    for i in range(1000):
-        matches.append(Match(winner=1, loser=0) if i % 2 else Match(winner=0, loser=1))
-    for i in range(100):
-        matches.append(Match(winner=2, loser=0) if i % 2 else Match(winner=0, loser=2))
-    skills = trueskill_gibbs(matches, _players(3), iterations=500, seed=4, anchor_common=True)
+    pairs = [(1, 0) if i % 2 else (0, 1) for i in range(1000)]
+    pairs += [(2, 0) if i % 2 else (0, 2) for i in range(100)]
+    skills = trueskill_gibbs(*_matches(pairs), _players(3), iterations=500, seed=4, anchor_common=True)
     assert skills.variance(2) > skills.variance(1)
 
 
@@ -98,39 +99,40 @@ def test_label_permutation_equivariance():
     rng = np.random.default_rng(0)
     outcomes = rng.random(400) < 0.4
     group = rng.integers(0, 2, 400)
-    recs = [StopRecord(group=int(g), outcome=bool(o)) for g, o in zip(group, outcomes)]
-    swapped = [StopRecord(group=1 - rec.group, outcome=rec.outcome) for rec in recs]
-    g2 = [EthnicGroup(0, "a"), EthnicGroup(1, "b")]
-    p1, m1 = matches_from_dataset(recs, g2)
-    p2, m2 = matches_from_dataset(swapped, g2)
-    s1 = trueskill_gibbs(m1, p1, iterations=4000, seed=5, anchor_common=True)
-    s2 = trueskill_gibbs(m2, p2, iterations=4000, seed=6, anchor_common=True)
+    recs = _dataset(group, outcomes, ("a", "b"))
+    swapped = _dataset(1 - group, outcomes, ("a", "b"))
+    p1, *m1 = matches_from_dataset(recs)
+    p2, *m2 = matches_from_dataset(swapped)
+    s1 = trueskill_gibbs(*m1, p1, iterations=4000, seed=5, anchor_common=True)
+    s2 = trueskill_gibbs(*m2, p2, iterations=4000, seed=6, anchor_common=True)
     assert s1.mean(1) == pytest.approx(s2.mean(2), abs=0.03)
     assert s1.mean(2) == pytest.approx(s2.mean(1), abs=0.03)
     assert s1.mean(0) == s2.mean(0) == 0.0
 
 
 def test_deterministic_given_seed():
-    matches = [Match(winner=i % 2, loser=2) for i in range(50)]
-    a = trueskill_gibbs(matches, _players(3), iterations=100, seed=9)
-    b = trueskill_gibbs(matches, _players(3), iterations=100, seed=9)
+    matches = _matches([(i % 2, 2) for i in range(50)])
+    a = trueskill_gibbs(*matches, _players(3), iterations=100, seed=9)
+    b = trueskill_gibbs(*matches, _players(3), iterations=100, seed=9)
     assert [g.mean for g in a.skills] == [g.mean for g in b.skills]
     assert [g.variance for g in a.skills] == [g.variance for g in b.skills]
 
 
 def test_anchored_common_mean_is_zero():
-    matches = [Match(winner=1, loser=0) for _ in range(60)]
-    skills = trueskill_gibbs(matches, _players(2), iterations=200, seed=2, anchor_common=True)
+    matches = _matches([(1, 0)] * 60)
+    skills = trueskill_gibbs(*matches, _players(2), iterations=200, seed=2, anchor_common=True)
     assert skills.mean(0) == 0.0
 
 
 def test_validates_inputs():
     with pytest.raises(DomainError):
-        trueskill_gibbs([], _players(2), iterations=10, seed=0)
+        trueskill_gibbs(*_matches([]), _players(2), iterations=10, seed=0)
     with pytest.raises(DomainError):
-        trueskill_gibbs([Match(winner=0, loser=5)], _players(2), iterations=10, seed=0)
+        trueskill_gibbs(*_matches([(0, 5)]), _players(2), iterations=10, seed=0)
     with pytest.raises(DomainError):
-        trueskill_gibbs([Match(winner=0, loser=1)], _players(2), iterations=0, seed=0)
+        trueskill_gibbs(*_matches([(0, 1)]), _players(2), iterations=0, seed=0)
+    with pytest.raises(DomainError):
+        trueskill_gibbs([0, 1], [1], _players(2), iterations=10, seed=0)
 
 
 # --- ordering and export ----------------------------------------------------------------
@@ -153,8 +155,8 @@ def test_rank_singleton():
 
 
 def test_ranking_csv_format():
-    matches = [Match(winner=1, loser=0) for _ in range(30)]
-    skills = trueskill_gibbs(matches, [Player(0, COMMON_LABEL), Player(1, "GroupA")],
+    matches = _matches([(1, 0)] * 30)
+    skills = trueskill_gibbs(*matches, [Player(0, COMMON_LABEL), Player(1, "GroupA")],
                              iterations=100, seed=1)
     buf = io.StringIO()
     write_ranking_csv(skills, buf)
