@@ -69,14 +69,6 @@ def test_dataset_rejects_out_of_range_codes():
         Dataset(np.array([0, 0]), np.array([True]), ("a",))  # unequal lengths
 
 
-def test_dataset_rejects_duplicate_labels():
-    Dataset(np.array([0, 1]), np.array([True, True]), ("a", "b"))
-    with pytest.raises(DomainError):
-        Dataset(np.array([0, 1]), np.array([True, True]), ("a", "a"))
-    with pytest.raises(DomainError):
-        Dataset(np.array([0]), np.array([True]), ("a",), np.array([0]), ("f", "f"))
-
-
 # --- outcome coarsening -----------------------------------------------------------
 
 def test_lenient_strings_are_negative_under_charges():

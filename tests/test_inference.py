@@ -29,6 +29,8 @@ from latentbias import (
 
 from latentbias import inference
 
+from conftest import mills_lambda_oracle
+
 
 def _cfg(**kw):
     base = dict(seed=1, sweeps=10, burn_in=2)
@@ -41,6 +43,35 @@ def _asym_records(counts=(1500, 900, 600), positive_rate=32, labels=None):
     labels = labels or [f"group{g}" for g in range(len(counts))]
     outcome = np.concatenate([np.arange(n) % positive_rate != 0 for n in counts])
     return Dataset(np.repeat(np.arange(len(counts)), counts), outcome, labels)
+
+
+# --- latent sampling -------------------------------------------------------------
+# run_gibbs draws s ~ N(c + b, alpha) on s > 0 for every stop and
+# t ~ N(c, gamma) on the outcome's side, one vectorised call per group
+
+def test_latents_respect_signs():
+    rng = np.random.default_rng(0)
+    taus = np.where(np.arange(400) % 3 == 0, -1.0, 1.0)
+    c, b = rng.standard_normal(400), rng.standard_normal(400)
+    s_lat = sample_truncated_normal(c + b, 1.0, np.ones(400), rng)
+    t_lat = sample_truncated_normal(c, 1.0, taus, rng)
+    assert np.all(s_lat > 0)
+    assert np.array_equal(t_lat > 0, taus > 0)
+
+
+def test_latent_s_half_normal_mean():
+    rng = np.random.default_rng(1)
+    draws = sample_truncated_normal(np.zeros(100_000), 1.0, np.ones(100_000), rng)
+    assert np.mean(draws) == pytest.approx(math.sqrt(2 / math.pi), abs=0.02)
+
+
+def test_latent_t_mills_mean():
+    # T ~ N(1, 1) truncated negative: mean 1 - phi(1)/Phi(-1)
+    rng = np.random.default_rng(2)
+    draws = sample_truncated_normal(np.ones(100_000), 1.0, -np.ones(100_000), rng)
+    expected = 1.0 - mills_lambda_oracle(1.0)
+    assert expected == pytest.approx(-0.52514, abs=1e-4)
+    assert np.mean(draws) == pytest.approx(expected, abs=0.02)
 
 
 # --- reported precision -------------------------------------------------------------
@@ -145,6 +176,16 @@ def test_first_sweep_matches_record_reference():
         ])
         for coord in range(3):
             assert stats.ks_2samp(got[:, coord], want[:, coord]).pvalue > 1e-3, (kind, coord)
+
+
+def test_sweep_independent_keeps_cross_zero_and_anchored_c_standard():
+    group = np.arange(60) % 2
+    records = Dataset(group, np.arange(60) % 3 == 0, ("a", "b"))
+    cfg = _cfg(prior=PriorKind.INDEPENDENT, sweeps=1, burn_in=0)
+    _summary, trace = run_gibbs(records, cfg)
+    assert np.all(trace.cross_cov[0] == 0.0)
+    assert trace.means[0, 2] == 0.0
+    assert trace.variances[0, 2] == 1.0
 
 
 # --- bias-conditional sampler ---------------------------------------------------------
@@ -274,6 +315,19 @@ def test_run_gibbs_anchored_criminality_rows():
     assert np.all(trace.means[:, k] == 0.0)
     assert np.all(trace.variances[:, k] == 1.0)
     assert summary.criminality_mean == 0.0
+
+
+def test_anchor_rescales_covariance():
+    # the recorded covariance does not depend on the draws, so an anchored
+    # run records exactly the unanchored one divided by its criminality variance
+    records = _asym_records((30, 20, 10), positive_rate=3)
+    raw = run_gibbs(records, _cfg(seed=5, sweeps=4, burn_in=1, anchoring=False))[1]
+    anchored = run_gibbs(records, _cfg(seed=5, sweeps=4, burn_in=1, anchoring=True))[1]
+    k = raw.group_count
+    assert not np.all(raw.variances[:, k] == 1.0)
+    assert np.array_equal(anchored.variances, raw.variances / raw.variances[:, k:])
+    assert np.array_equal(anchored.cross_cov, raw.cross_cov / raw.variances[:, k:])
+    assert np.all(anchored.variances[:, k] == 1.0)
 
 
 def test_run_gibbs_independent_conservation():

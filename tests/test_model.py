@@ -1,14 +1,18 @@
+import io
 import math
 
 import numpy as np
 import pytest
 
 from latentbias import (
+    DataError,
+    Dataset,
     DomainError,
     ModelConfig,
     PriorKind,
     build_prior,
     guilt_probability,
+    read_dataset_csv,
     stop_probability,
 )
 
@@ -99,7 +103,27 @@ def test_probability_domain_errors():
             guilt_probability(0.0, bad)
 
 
-# --- config ----------------------------------------------------------------------
+# --- records and config ----------------------------------------------------------
+
+def test_record_outcome_requires_stop():
+    header = "group,stopped,outcome,force\n"
+    read_dataset_csv(io.StringIO(header + "a,1,1,\n"))
+    with pytest.raises(DataError, match="^line 2: "):
+        read_dataset_csv(io.StringIO(header + "a,0,1,\n"))
+    with pytest.raises(DomainError):
+        Dataset(np.array([-1]), np.array([True]), ("a",))
+
+
+def test_group_validation():
+    # group and force codes index tables of unique entries
+    Dataset(np.array([0, 1]), np.array([True, True]), ("a", "b"))
+    with pytest.raises(DomainError):
+        Dataset(np.array([0, 2]), np.array([True, True]), ("a", "b"))
+    with pytest.raises(DomainError):
+        Dataset(np.array([0, 1]), np.array([True, True]), ("a", "a"))
+    with pytest.raises(DomainError):
+        Dataset(np.array([0]), np.array([True]), ("a",), np.array([0]), ("f", "f"))
+
 
 def test_config_validation():
     with pytest.raises(DomainError):
