@@ -10,7 +10,7 @@ Run:  python demos/04_ranking_baseline.py
 
 import numpy as np
 
-from latentbias import Dataset, matches_from_dataset, rank, trueskill_gibbs
+from latentbias import Dataset, matches_from_dataset, trueskill_gibbs
 
 TABLE = (
     ("White", 9374, 4208),
@@ -32,20 +32,19 @@ dataset = Dataset(
     [label for label, *_rest in TABLE],
 )
 
-players, winners, losers = matches_from_dataset(dataset)
-print(f"{winners.size} matches, {len(players)} players\n")
+labels, winners, losers = matches_from_dataset(dataset)
+print(f"{winners.size} matches, {len(labels)} players\n")
 
-skills = trueskill_gibbs(winners, losers, players, iterations=500, seed=0)
+means, variances = trueskill_gibbs(winners, losers, len(labels), iterations=500, seed=0)
 print("raw skills (shared comparative level left in):")
 print(f"{'rank':>4} {'player':>13} {'mean':>9} {'variance':>9}")
-for position, player in enumerate(rank(skills), start=1):
-    print(f"{position:>4} {player.label:>13} {skills.mean(player.id):>9.4f} "
-          f"{skills.variance(player.id):>9.4f}")
+for position, i in enumerate(np.argsort(-means, kind="stable"), start=1):
+    print(f"{position:>4} {labels[i]:>13} {means[i]:>9.4f} {variances[i]:>9.4f}")
 
-anchored = trueskill_gibbs(winners, losers, players, iterations=500, seed=0, anchor_common=True)
+means, variances = trueskill_gibbs(winners, losers, len(labels), iterations=500, seed=0,
+                                   anchor_common=True)
 print("\nanchored on the common player (exposes per-player information):")
 print(f"{'player':>13} {'mean':>9} {'variance':>9}")
-for player in anchored.players:
-    print(f"{player.label:>13} {anchored.mean(player.id):>9.4f} "
-          f"{anchored.variance(player.id):>9.4f}")
+for label, mean, variance in zip(labels, means, variances):
+    print(f"{label:>13} {mean:>9.4f} {variance:>9.4f}")
 print("\nnote the smallest group (Other/Mixed) carries the widest anchored variance")

@@ -2,9 +2,10 @@
 
 A numpy/scipy library with a thin CLI. The pieces:
 
-* :mod:`latentbias.gaussians`  - truncated-normal sampling and the dense
-  Gaussian the prior is held in.
-* :mod:`latentbias.model`      - domain types and the three prior regimes.
+* :mod:`latentbias.gaussians`  - normal CDF/PDF and truncated-normal
+  moments and sampling.
+* :mod:`latentbias.model`      - configuration, the three prior regimes
+  and the ``(means, variances)`` bias prior.
 * :mod:`latentbias.inference`  - the Gibbs sampler, anchoring, traces.
 * :mod:`latentbias.likelihood` - closed-form record likelihood, its
   quadrature oracle, held-out scoring.
@@ -41,8 +42,6 @@ from .errors import (
     NumericalError,
 )
 from .gaussians import (
-    Gaussian1D,
-    MultivariateGaussian,
     sample_truncated_normal,
     std_normal_cdf,
     std_normal_pdf,
@@ -64,7 +63,6 @@ from .likelihood import (
 )
 from .model import (
     ModelConfig,
-    PosteriorState,
     PriorKind,
     build_prior,
     guilt_probability,
@@ -72,10 +70,7 @@ from .model import (
 )
 from .ranking import (
     COMMON_LABEL,
-    Player,
-    SkillState,
     matches_from_dataset,
-    rank,
     trueskill_gibbs,
     write_ranking_csv,
 )

@@ -209,18 +209,18 @@ def cmd_rank(args) -> int:
     dataset = _read_dataset(args.input)
     if len(dataset) == 0:
         raise DomainError("dataset is empty")
-    players, winners, losers = matches_from_dataset(dataset)
-    skills = trueskill_gibbs(
+    labels, winners, losers = matches_from_dataset(dataset)
+    means, variances = trueskill_gibbs(
         winners,
         losers,
-        players,
+        len(labels),
         iterations=args.iterations,
         seed=derive_seed(args.seed, DOMAIN_RANK, 0),
         anchor_common=args.anchor_common,
     )
     ranking_path = run.path / "ranking.csv"
     with open(ranking_path, "w", encoding="utf-8") as fh:
-        write_ranking_csv(skills, fh)
+        write_ranking_csv(labels, means, variances, fh)
     run.finish(
         config={
             "iterations": args.iterations,

@@ -360,18 +360,27 @@ def parse_records(
 ) -> tuple[Dataset, IngestReport]:
     """Parse raw CSV rows into a dataset labelled by the mapping's groups.
 
-    Hard errors (missing required column) raise
+    Hard errors (missing required column, unparseable header) raise
     :class:`~latentbias.errors.DataError`; malformed or incomplete rows
-    are dropped and counted, never aborting the ingest. Under the
+    (too few fields, or a field the CSV parser rejects) are dropped and
+    counted, never aborting the ingest. Blank lines are skipped. A column
+    named twice in the header reads its last occurrence. Under the
     LenientSevere scheme, rows that are not guilty-positive are excluded
     (the severity dataset covers confirmed offences only).
     """
-    reader = csv.DictReader(stream)
-    if reader.fieldnames is None:
+    reader = csv.reader(stream)
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise DataError(f"line {reader.line_num}: unreadable header: {exc}") from None
+    if header is None:
         raise DataError("input has no header row")
-    missing = [c for c in columns.required() if c not in reader.fieldnames]
+    position = {name: i for i, name in enumerate(header)}
+    missing = [c for c in columns.required() if c not in position]
     if missing:
         raise DataError(f"missing required column(s): {', '.join(missing)}")
+    i_force, i_officer, i_self, i_outcome = (position[c] for c in columns.required())
+    width = max(i_force, i_officer, i_self, i_outcome) + 1
 
     label_to_id = {label: i for i, label in enumerate(mapping.group_labels)}
     guilty_scheme = OutcomeScheme(
@@ -383,48 +392,53 @@ def parse_records(
     outcomes: list[bool] = []
     forces: list[int] = []
     force_ids: dict[str, int] = {}
-    for row in reader:
-        report.rows_total += 1
+    while True:
         try:
-            if any(row.get(c) is None for c in columns.required()):
-                report.drop("malformed row")
-                continue
-            officer = (row[columns.officer_ethnicity] or "").strip()
-            self_def = (row[columns.self_ethnicity] or "").strip()
-            first, second = (
-                (officer, self_def) if mapping.precedence == "officer" else (self_def, officer)
-            )
-            eth = first or second
-            if not eth:
-                report.drop("missing ethnicity")
-                continue
-            outcome_text = (row[columns.outcome] or "").strip()
-            if not outcome_text:
-                report.drop("missing outcome")
-                continue
-            label = mapping.mapping.get(eth)
-            if label is None:
-                label = mapping.fallback_group
-                report.unmapped_ethnicities += 1
-                if len(report.warnings) < 200:
-                    report.warnings.append(f"unmapped ethnicity {eth!r} -> {label}")
-            if scheme.kind is SchemeKind.LENIENT_SEVERE:
-                if not coarsen_outcome(outcome_text, guilty_scheme):
-                    report.drop("not guilty (excluded from severity dataset)")
-                    continue
-            elif outcome_text not in scheme.guilty_set and outcome_text not in mapping.negative_set:
-                report.unknown_outcomes += 1
-            outcome = coarsen_outcome(outcome_text, scheme)
-            force = (row[columns.force] or "").strip()
-            groups.append(label_to_id[label])
-            outcomes.append(outcome)
-            forces.append(force_ids.setdefault(force, len(force_ids)))
-            report.rows_kept += 1
-            report.group_counts[label] += 1
-            if outcome:
-                report.group_positive[label] += 1
+            row = next(reader)
+        except StopIteration:
+            break
         except csv.Error:
+            row = None  # the parser resumes at the next line
+        if row == []:
+            continue
+        report.rows_total += 1
+        if row is None or len(row) < width:
             report.drop("malformed row")
+            continue
+        officer = row[i_officer].strip()
+        self_def = row[i_self].strip()
+        first, second = (
+            (officer, self_def) if mapping.precedence == "officer" else (self_def, officer)
+        )
+        eth = first or second
+        if not eth:
+            report.drop("missing ethnicity")
+            continue
+        outcome_text = row[i_outcome].strip()
+        if not outcome_text:
+            report.drop("missing outcome")
+            continue
+        label = mapping.mapping.get(eth)
+        if label is None:
+            label = mapping.fallback_group
+            report.unmapped_ethnicities += 1
+            if len(report.warnings) < 200:
+                report.warnings.append(f"unmapped ethnicity {eth!r} -> {label}")
+        if scheme.kind is SchemeKind.LENIENT_SEVERE:
+            if not coarsen_outcome(outcome_text, guilty_scheme):
+                report.drop("not guilty (excluded from severity dataset)")
+                continue
+        elif outcome_text not in scheme.guilty_set and outcome_text not in mapping.negative_set:
+            report.unknown_outcomes += 1
+        outcome = coarsen_outcome(outcome_text, scheme)
+        force = row[i_force].strip()
+        groups.append(label_to_id[label])
+        outcomes.append(outcome)
+        forces.append(force_ids.setdefault(force, len(force_ids)))
+        report.rows_kept += 1
+        report.group_counts[label] += 1
+        if outcome:
+            report.group_positive[label] += 1
     dataset = Dataset(np.array(groups, dtype=np.intp), np.array(outcomes, dtype=bool),
                       mapping.group_labels, np.array(forces, dtype=np.intp), tuple(force_ids))
     return dataset, report
@@ -554,45 +568,55 @@ _CANONICAL_COLUMNS = ("group", "stopped", "outcome", "force")
 _OUTCOME_TEXT = frozenset({"0", "1"})
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field, quoted when it holds a comma, a quote, CR or
+    LF (``csv.writer`` with a LF terminator leaves CR bare, unreadable)."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_dataset_csv(dataset: Dataset, stream: TextIO) -> None:
     """Canonical dataset CSV: ``group,stopped,outcome,force``, one row per
     stop, so ``stopped`` is always ``1`` and ``outcome`` is ``0`` or ``1``."""
     stream.write(",".join(_CANONICAL_COLUMNS) + "\n")
-    writer = csv.writer(stream, lineterminator="\n")
-    labels, forces = dataset.labels, dataset.forces
+    labels = [_csv_field(label) + ",1," for label in dataset.labels]
+    forces = [_csv_field(force) + "\n" for force in dataset.forces]
     for g, positive, f in zip(dataset.group.tolist(), dataset.outcome.tolist(),
                               dataset.force.tolist()):
-        writer.writerow([labels[g], "1", "1" if positive else "0", forces[f]])
+        stream.write(labels[g] + ("1," if positive else "0,") + forces[f])
 
 
 def read_dataset_csv(stream: Iterable[str] | TextIO) -> Dataset:
     """Load a canonical dataset CSV; group codes follow sorted label order.
 
     Raises:
-        DataError: if a column is missing, or a row is not a stop
-            (``stopped`` other than ``1``) with a ``0``/``1`` outcome; the
-            message names the row's line.
+        DataError: if a column is missing, a row is not a stop
+            (``stopped`` other than ``1``) with a ``0``/``1`` outcome, or
+            the CSV parser rejects a row; the message names the row's line.
     """
     reader = csv.reader(stream)
-    header = next(reader, None)
-    if header is None or not set(_CANONICAL_COLUMNS).issubset(header):
-        raise DataError("canonical dataset CSV needs columns group,stopped,outcome,force")
-    cols = [header.index(c) for c in _CANONICAL_COLUMNS]
-    width = max(cols) + 1
     groups, outcomes, forces = [], [], []
-    # line numbers count one line per row, as write_dataset_csv writes them
-    for line, row in enumerate(filter(None, reader), start=2):
-        group, stopped, outcome, force = (
-            [row[c] for c in cols] if len(row) >= width else [None] * 4
-        )
-        if stopped != "1" or outcome not in _OUTCOME_TEXT:
-            raise DataError(
-                f"line {line}: every row must be a stop (stopped 1) with outcome 0 or 1, "
-                f"got stopped={stopped!r} outcome={outcome!r}"
+    try:
+        header = next(reader, None)
+        if header is None or not set(_CANONICAL_COLUMNS).issubset(header):
+            raise DataError("canonical dataset CSV needs columns group,stopped,outcome,force")
+        cols = [header.index(c) for c in _CANONICAL_COLUMNS]
+        width = max(cols) + 1
+        for row in filter(None, reader):
+            group, stopped, outcome, force = (
+                [row[c] for c in cols] if len(row) >= width else [None] * 4
             )
-        groups.append(group)
-        outcomes.append(outcome == "1")
-        forces.append(force)
+            if stopped != "1" or outcome not in _OUTCOME_TEXT:
+                raise DataError(
+                    f"line {reader.line_num}: every row must be a stop (stopped 1) "
+                    f"with outcome 0 or 1, got stopped={stopped!r} outcome={outcome!r}"
+                )
+            groups.append(group)
+            outcomes.append(outcome == "1")
+            forces.append(force)
+    except csv.Error as exc:
+        raise DataError(f"line {reader.line_num}: {exc}") from None
     labels = sorted(set(groups))
     label_to_id = {label: i for i, label in enumerate(labels)}
     force_ids: dict[str, int] = {}

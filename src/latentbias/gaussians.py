@@ -1,11 +1,8 @@
-"""Scalar and small-matrix Gaussian primitives.
+"""Scalar Gaussian primitives.
 
-Standard-normal CDF/PDF, one-sided truncated-normal sampling, and a dense
-moment-form multivariate Gaussian (mean, covariance). Dimensions stay
-small (a handful of coordinates), so the covariance is dense and checked by
-Cholesky; ill-conditioned inputs raise
-:class:`~latentbias.errors.ConditioningError` rather than being jittered
-silently.
+Standard-normal CDF/PDF, the moments of a one-sided truncated normal, and
+a vectorised one-sided truncated-normal sampler that stays exact in the
+far tails.
 
 All sampling takes an explicit ``numpy.random.Generator``; given the same
 generator state the outputs are bit-for-bit reproducible.
@@ -14,16 +11,13 @@ generator state the outputs are bit-for-bit reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .errors import ConditioningError, DomainError, NumericalError
+from .errors import DomainError, NumericalError
 
 __all__ = [
-    "Gaussian1D",
-    "MultivariateGaussian",
     "std_normal_cdf",
     "std_normal_pdf",
     "sample_truncated_normal",
@@ -158,87 +152,3 @@ def sample_truncated_normal(mean, variance, sign, rng: np.random.Generator):
     z = _sample_lower_truncated_std(np.ascontiguousarray(-m_pos / sd_b), rng)
     x = np.broadcast_to(s, shape) * (m_pos + sd_b * z)
     return float(x[0]) if scalar else x
-
-
-@dataclass(frozen=True)
-class Gaussian1D:
-    """A univariate Gaussian with strictly positive variance."""
-
-    mean: float
-    variance: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.mean) and math.isfinite(self.variance)):
-            raise DomainError("Gaussian1D parameters must be finite")
-        if self.variance <= 0:
-            raise DomainError(f"variance must be positive, got {self.variance}")
-
-    def to_dict(self) -> dict:
-        return {"mean": self.mean, "variance": self.variance}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Gaussian1D":
-        return cls(mean=float(d["mean"]), variance=float(d["variance"]))
-
-
-def _cholesky_or_raise(matrix: np.ndarray, what: str) -> np.ndarray:
-    """Cholesky factor of ``matrix``; ConditioningError with the failing pivot."""
-    try:
-        return np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError:
-        pivot = _first_bad_pivot(matrix)
-        raise ConditioningError(
-            f"{what} is not positive definite (pivot {pivot})", pivot=pivot
-        ) from None
-
-
-def _first_bad_pivot(matrix: np.ndarray) -> int:
-    d = matrix.shape[0]
-    for k in range(1, d + 1):
-        try:
-            np.linalg.cholesky(matrix[:k, :k])
-        except np.linalg.LinAlgError:
-            return k - 1
-    return d - 1
-
-
-def _validate_spd(matrix: np.ndarray, what: str) -> np.ndarray:
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-        raise DomainError(f"{what} must be a square matrix of dimension >= 1")
-    scale = max(np.abs(m).max(), 1.0)
-    if np.abs(m - m.T).max() > 1e-10 * scale:
-        raise DomainError(f"{what} must be symmetric within 1e-10 relative")
-    m = 0.5 * (m + m.T)
-    _cholesky_or_raise(m, what)
-    return m
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.array(arr, dtype=float)
-    arr.flags.writeable = False
-    return arr
-
-
-@dataclass(frozen=True)
-class MultivariateGaussian:
-    """Dense moment-form Gaussian: mean vector and SPD covariance."""
-
-    mean: np.ndarray
-    covariance: np.ndarray
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float).reshape(-1)
-        if mean.size < 1:
-            raise DomainError("dimension must be >= 1")
-        cov = _validate_spd(self.covariance, "covariance")
-        if cov.shape[0] != mean.size:
-            raise DomainError(
-                f"mean has dimension {mean.size} but covariance is {cov.shape[0]}x{cov.shape[0]}"
-            )
-        object.__setattr__(self, "mean", _freeze(mean))
-        object.__setattr__(self, "covariance", _freeze(cov))
-
-    @property
-    def dim(self) -> int:
-        return self.mean.size

@@ -48,7 +48,7 @@ from scipy.special import log_ndtr
 from .data import Dataset
 from .errors import ConditioningError, DivergenceError, DomainError, NumericalError
 from .gaussians import sample_truncated_normal
-from .model import ModelConfig, PosteriorState, PriorKind, build_prior
+from .model import ModelConfig, PriorKind, build_prior, descending_order
 
 __all__ = [
     "GibbsTrace",
@@ -201,10 +201,8 @@ class PosteriorSummary:
 
 
 def _ranks_desc(values: np.ndarray) -> np.ndarray:
-    # descending by value, ties broken by index
-    order = np.lexsort((np.arange(values.size), -values))
     ranks = np.empty(values.size, dtype=int)
-    ranks[order] = np.arange(1, values.size + 1)
+    ranks[descending_order(values)] = np.arange(1, values.size + 1)
     return ranks
 
 
@@ -295,29 +293,25 @@ def _sample_bias_conditional(
 
 
 def _assemble_report_precision(
-    prior: PosteriorState, counts: np.ndarray, config: ModelConfig
+    prior_variances: np.ndarray, counts: np.ndarray, config: ModelConfig
 ) -> np.ndarray:
-    """Prior precision plus the data's: ``1/alpha`` per record on its bias
-    diagonal (and, except under INDEPENDENT, on its bias/criminality cross
-    entries) and ``1/gamma`` per record on the criminality diagonal."""
-    k = prior.group_count
-    cov0 = prior.joint.covariance
-    chol = np.linalg.cholesky(cov0)
-    inv_chol = np.linalg.inv(chol)
-    lam = inv_chol.T @ inv_chol
-    for g in range(k):
-        lam[g, g] += counts[g] / config.alpha
-        if config.prior is not PriorKind.INDEPENDENT:
-            lam[g, k] += counts[g] / config.alpha
-            lam[k, g] += counts[g] / config.alpha
-    lam[k, k] += int(counts.sum()) / config.gamma
+    """Prior precision ``diag(1/v, 1)`` plus the data's: ``1/alpha`` per
+    record on its bias diagonal (and, except under INDEPENDENT, on its
+    bias/criminality cross entries) and ``1/gamma`` per record on the
+    criminality diagonal."""
+    k = prior_variances.size
+    per_group = counts / config.alpha
+    lam = np.diag(np.append(1.0 / prior_variances + per_group,
+                            1.0 + int(counts.sum()) / config.gamma))
+    if config.prior is not PriorKind.INDEPENDENT:
+        lam[k, :k] = lam[:k, k] = per_group
     return lam
 
 
 def run_gibbs(
     dataset: Dataset,
     config: ModelConfig,
-    prior_state: PosteriorState | None = None,
+    prior: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[PosteriorSummary, GibbsTrace]:
     """Run the full chain and summarise the post-burn-in sweeps.
 
@@ -325,7 +319,10 @@ def run_gibbs(
     individual owns a latent criminality) and, per sweep and group, draws
     per-record bias values, redraws the latents, refreshes the
     criminalities, and recombines the accumulated evidence with the
-    original prior. With anchoring on (the default except under FREE) the
+    original prior. ``prior`` is a ``(means, variances)`` pair of
+    independent bias priors as :func:`~latentbias.model.build_prior`
+    returns it (default: zero means, unit variances); the criminality
+    prior is N(0,1). With anchoring on (the default except under FREE) the
     update is the stabilised one and every recorded sweep satisfies
     ``C_mean == 0`` and ``C_var == 1`` exactly; with anchoring off the
     literal coupled combination is applied and recorded raw.
@@ -335,6 +332,9 @@ def run_gibbs(
     ``dataset.labels``; every label needs at least one record.
 
     Raises:
+        ConditioningError: when the posterior precision is not positive
+            definite, which DEPENDENT and FREE reach when ``gamma`` is well
+            above ``alpha``.
         DivergenceError: when any recorded mean magnitude exceeds
             ``config.divergence_mean_limit`` or any variance exceeds
             ``config.divergence_variance_limit``; the exception carries
@@ -350,23 +350,24 @@ def run_gibbs(
         raise DomainError(f"groups with no records: {empty}")
     # outcome signs of each group's records, in row order
     taus = [np.where(dataset.outcome[dataset.group == g], 1.0, -1.0) for g in range(k)]
-    prior = prior_state if prior_state is not None else build_prior(config.prior, k)
-    if prior.group_count != k:
-        raise DomainError("prior group count does not match dataset")
-    off = prior.joint.covariance - np.diag(np.diag(prior.joint.covariance))
-    if np.any(off != 0.0):
-        raise DomainError("run_gibbs needs a diagonal prior covariance (build_prior produces one)")
+    m0, v0 = build_prior(k) if prior is None else build_prior(k, *prior)
 
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     alpha, gamma = config.alpha, config.gamma
     sqrt_a, sqrt_g = math.sqrt(alpha), math.sqrt(gamma)
     stabilised = config.anchoring_enabled
 
-    lam_rep = _assemble_report_precision(prior, counts, config)
+    lam_rep = _assemble_report_precision(v0, counts, config)
+    try:
+        np.linalg.cholesky(lam_rep)
+    except np.linalg.LinAlgError:
+        raise ConditioningError(
+            f"the {config.prior.value} prior's posterior precision is not positive definite "
+            f"at alpha={alpha:g}, gamma={gamma:g}; lower gamma or raise alpha"
+        ) from None
     cov_rep = np.linalg.inv(lam_rep)
     cov_rep = 0.5 * (cov_rep + cov_rep.T)
-    prec0 = np.linalg.inv(prior.joint.covariance)
-    eta0 = prec0 @ prior.joint.mean
+    eta0 = np.append(m0 / v0, 0.0)
     prec_diag = np.diag(lam_rep).copy()
     draw_sd = np.sqrt(1.0 / prec_diag[:k])
     cov2_chol = [
@@ -375,9 +376,9 @@ def run_gibbs(
 
     # persistent per-record criminalities, initialised from their prior
     crims = [rng.standard_normal(int(n)) for n in counts]
-    bias_sample = prior.joint.mean[:k].astype(float).copy()
+    bias_sample = m0.copy()
     modes: list[float | None] = [None] * k
-    mean = prior.joint.mean.copy()
+    mean = np.append(m0, 0.0)
 
     v_stop = 1.0 / (1.0 + 1.0 / alpha + 1.0 / gamma)
     sd_stop = math.sqrt(v_stop)
@@ -411,7 +412,7 @@ def run_gibbs(
             eta[k] += float(np.sum(t_lat)) / gamma
             if stabilised:
                 bias_sample[g], modes[g] = _sample_bias_conditional(
-                    c, float(prior.joint.mean[g]), float(prior.joint.covariance[g, g]),
+                    c, float(m0[g]), float(v0[g]),
                     sqrt_a, float(bias_sample[g]), rng, modes[g],
                 )
         if stabilised:
@@ -435,10 +436,6 @@ def run_gibbs(
                 trace=partial,
             )
         trace_means[sweep] = mean - mean[k] if stabilised else mean
-        if np.any(rec_var_row <= 0):
-            raise ConditioningError(
-                f"non-positive recorded variance at sweep {sweep}", pivot=int(np.argmin(rec_var_row))
-            )
         trace_vars[sweep] = rec_var_row
         trace_cross[sweep] = rec_cross_row
         wall[sweep] = time.perf_counter() - t0

@@ -3,9 +3,9 @@
 An individual carries a latent criminality ``C ~ N(0, 1)`` and belongs to
 group ``k`` with latent bias ``beta_k``. They are stopped when
 ``C + beta_k + N(0, alpha) > 0`` and, once stopped, the recorded outcome is
-positive when ``C + N(0, gamma) > 0``. The joint belief over
-``(beta_0..beta_{K-1}, C)`` is a multivariate Gaussian whose update rules
-depend on the prior regime:
+positive when ``C + N(0, gamma) > 0``. The belief over
+``(beta_0..beta_{K-1}, C)`` starts from independent Gaussians (see
+:func:`build_prior`) and its update rules depend on the prior regime:
 
 * ``INDEPENDENT`` - bias and criminality never correlate; no cross terms
   are ever written.
@@ -26,13 +26,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .gaussians import MultivariateGaussian, std_normal_cdf
+from .gaussians import std_normal_cdf
 
 __all__ = [
     "PriorKind",
     "ModelConfig",
-    "PosteriorState",
     "build_prior",
+    "descending_order",
     "stop_probability",
     "guilt_probability",
     "require_positive_finite",
@@ -103,49 +103,17 @@ class ModelConfig:
         return self.prior is not PriorKind.FREE
 
 
-@dataclass(frozen=True)
-class PosteriorState:
-    """Joint Gaussian belief over (beta_0..beta_{K-1}, C)."""
-
-    joint: MultivariateGaussian
-    prior_kind: PriorKind
-    group_count: int
-
-    def __post_init__(self):
-        if self.group_count < 1:
-            raise DomainError("group_count must be >= 1")
-        if self.joint.dim != self.group_count + 1:
-            raise DomainError(
-                f"joint dimension {self.joint.dim} != group_count + 1 = {self.group_count + 1}"
-            )
-
-    @property
-    def bias_means(self) -> np.ndarray:
-        return self.joint.mean[: self.group_count]
-
-    @property
-    def bias_variances(self) -> np.ndarray:
-        return np.diag(self.joint.covariance)[: self.group_count]
-
-    @property
-    def criminality_mean(self) -> float:
-        return float(self.joint.mean[self.group_count])
-
-    @property
-    def criminality_variance(self) -> float:
-        return float(self.joint.covariance[self.group_count, self.group_count])
-
-
 def build_prior(
-    kind: PriorKind,
     group_count: int,
     group_means: Sequence[float] | None = None,
     group_variances: Sequence[float] | None = None,
-) -> PosteriorState:
-    """Initial joint belief: bias coordinates N(mu_k, sigma_k), criminality N(0,1).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Independent bias priors ``N(mu_k, sigma_k)``, as ``(means, variances)``.
 
-    Every prior kind starts with zero cross-covariance; the regimes differ
-    only in how inference is allowed to update the joint afterwards.
+    Defaults are zero means and unit variances. The criminality prior is
+    always N(0,1) and independent of the biases, so it is not part of the
+    pair; every prior kind starts from this belief, and the regimes differ
+    only in how inference updates it.
     """
     if group_count < 1:
         raise DomainError("group_count must be >= 1")
@@ -157,13 +125,16 @@ def build_prior(
         raise DomainError(
             f"group_means and group_variances must have length {group_count}"
         )
-    if np.any(variances <= 0):
-        raise DomainError(f"group variances must be positive, got {list(variances)}")
-    joint = MultivariateGaussian(
-        mean=np.concatenate([means, [0.0]]),
-        covariance=np.diag(np.concatenate([variances, [1.0]])),
-    )
-    return PosteriorState(joint=joint, prior_kind=kind, group_count=group_count)
+    if not np.all(np.isfinite(means)):
+        raise DomainError(f"group means must be finite, got {list(means)}")
+    if not np.all((variances > 0) & np.isfinite(variances)):
+        raise DomainError(f"group variances must be positive and finite, got {list(variances)}")
+    return means, variances
+
+
+def descending_order(values: np.ndarray) -> np.ndarray:
+    """Indices of ``values`` from largest to smallest; ties keep index order."""
+    return np.argsort(-np.asarray(values), kind="stable")
 
 
 def stop_probability(c: float, beta: float, alpha: float) -> float:

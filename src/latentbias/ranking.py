@@ -17,82 +17,60 @@ strictly larger variance).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence, TextIO
 
 import numpy as np
 
 from .data import Dataset
 from .errors import DivergenceError, DomainError
-from .gaussians import Gaussian1D, sample_truncated_normal
+from .gaussians import sample_truncated_normal
+from .model import descending_order
 
 __all__ = [
     "COMMON_LABEL",
-    "Player",
-    "SkillState",
     "matches_from_dataset",
     "trueskill_gibbs",
-    "rank",
     "write_ranking_csv",
 ]
 
 COMMON_LABEL = "Criminality"
 
 
-@dataclass(frozen=True)
-class Player:
-    id: int
-    label: str
+def matches_from_dataset(dataset: Dataset) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Player labels plus one match per record, as ``(labels, winners, losers)``.
 
-
-@dataclass
-class SkillState:
-    """Per-player skill beliefs, ordered by player id."""
-
-    players: list[Player]
-    skills: list[Gaussian1D]
-
-    def mean(self, player_id: int) -> float:
-        return self.skills[player_id].mean
-
-    def variance(self, player_id: int) -> float:
-        return self.skills[player_id].variance
-
-
-def matches_from_dataset(dataset: Dataset) -> tuple[list[Player], np.ndarray, np.ndarray]:
-    """Players plus one match per record, as ``(players, winners, losers)``.
-
-    Player 0 is the common player; group ``k`` plays as id ``k + 1``.
-    A positive outcome is a win for the common player, a negative outcome
-    a win for the group's player. Matches keep the row order.
+    Player 0 is the common player (:data:`COMMON_LABEL`); group ``k``
+    plays as id ``k + 1``. A positive outcome is a win for the common
+    player, a negative outcome a win for the group's player. Matches keep
+    the row order.
     """
-    players = [Player(0, COMMON_LABEL)] + [
-        Player(i + 1, label) for i, label in enumerate(dataset.labels)
-    ]
+    labels = [COMMON_LABEL, *dataset.labels]
     group_player = dataset.group + 1
     winners = np.where(dataset.outcome, 0, group_player)
     losers = np.where(dataset.outcome, group_player, 0)
-    return players, winners, losers
+    return labels, winners, losers
 
 
 def trueskill_gibbs(
     winners: np.ndarray,
     losers: np.ndarray,
-    players: Sequence[Player] | int,
+    player_count: int,
     iterations: int = 500,
     seed: int = 0,
     burn_in: int | None = None,
     performance_variance: float = 1.0,
     anchor_common: bool = False,
     divergence_limit: float = 1e6,
-) -> SkillState:
+) -> tuple[np.ndarray, np.ndarray]:
     """Batch Gibbs over match margins and player skills.
 
-    Match ``m`` is won by player ``winners[m]`` against ``losers[m]``.
+    Match ``m`` is won by player ``winners[m]`` against ``losers[m]``;
+    player ids run over ``0..player_count-1``.
     Per iteration: margins ``d_m ~ N(w_win - w_lose, v)`` truncated
     positive, then the whole skill vector jointly from its Gaussian
-    conditional. Returns the empirical post-burn-in mean and variance per
-    player. Deterministic given ``seed``.
+    conditional. Returns the empirical post-burn-in ``(means, variances)``
+    per player; variances are floored at 1e-12, so an anchored common
+    player reports 1e-12. Deterministic given ``seed``.
     """
     winners = np.asarray(winners, dtype=np.intp)
     losers = np.asarray(losers, dtype=np.intp)
@@ -109,14 +87,6 @@ def trueskill_gibbs(
     burn = iterations // 5 if burn_in is None else burn_in
     if burn < 0 or burn >= iterations:
         raise DomainError(f"need iterations > burn_in >= 0, got {iterations}, {burn}")
-    if isinstance(players, int):
-        roster = [Player(i, f"player{i}") for i in range(players)]
-    else:
-        roster = sorted(players, key=lambda p: p.id)
-        if [p.id for p in roster] != list(range(len(roster))):
-            raise DomainError("player ids must be dense 0..P-1")
-    player_count = len(roster)
-
     if min(winners.min(), losers.min()) < 0 or max(winners.max(), losers.max()) >= player_count:
         raise DomainError("match player ids out of range")
 
@@ -146,24 +116,13 @@ def trueskill_gibbs(
             raise DivergenceError(f"ranking chain diverged at iteration {it}", sweep=it)
         if it >= burn:
             kept[it - burn] = skills - skills[0] if anchor_common else skills
-    means = kept.mean(axis=0)
-    variances = kept.var(axis=0)
-    variances = np.maximum(variances, 1e-12)
-    return SkillState(
-        players=roster,
-        skills=[Gaussian1D(float(m), float(v)) for m, v in zip(means, variances)],
-    )
+    return kept.mean(axis=0), np.maximum(kept.var(axis=0), 1e-12)
 
 
-def rank(skills: SkillState) -> list[Player]:
-    """Players in descending mean-skill order; ties break by id."""
-    return sorted(skills.players, key=lambda p: (-skills.mean(p.id), p.id))
-
-
-def write_ranking_csv(skills: SkillState, stream: TextIO) -> None:
+def write_ranking_csv(
+    labels: Sequence[str], means: np.ndarray, variances: np.ndarray, stream: TextIO
+) -> None:
+    """``rank,label,mean,variance``, players by descending mean, ties by id."""
     stream.write("rank,label,mean,variance\n")
-    for position, player in enumerate(rank(skills), start=1):
-        stream.write(
-            f"{position},{player.label},"
-            f"{skills.mean(player.id):.12g},{skills.variance(player.id):.12g}\n"
-        )
+    for position, i in enumerate(descending_order(means), start=1):
+        stream.write(f"{position},{labels[i]},{means[i]:.12g},{variances[i]:.12g}\n")

@@ -153,6 +153,36 @@ def test_fit_non_finite_noise_exit_2(canonical_csv, tmp_path, capsys, flag, valu
     assert not (tmp_path / "x" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("prior", ["dependent", "free"])
+@pytest.mark.parametrize("alpha, gamma", [("0.7", "1.6"), ("1", "1.2")])
+def test_fit_gamma_above_alpha_exit_2(canonical_csv, tmp_path, capsys, prior, alpha, gamma):
+    # the posterior precision is not positive definite here: a
+    # configuration error, not a crash
+    out = tmp_path / "x"
+    assert main(["fit", "--input", str(canonical_csv), "--prior", prior, "--alpha", alpha,
+                 "--gamma", gamma, "--seed", "1", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{prior} prior" in err and f"alpha={alpha}, gamma={gamma}" in err
+    assert not (out / "manifest.json").exists()
+
+
+def test_csv_field_over_parser_limit(tmp_path, capsys):
+    # ingest drops the row as malformed; fit and rank name the line and exit 2
+    raw = tmp_path / "raw.csv"
+    raw.write_text(HEADER + f"ForceA,White,,Arrest\nForceA,{'x' * 200_000},,Arrest\n"
+                   "ForceA,Black,,Nothing found - no further action\n", encoding="utf-8")
+    assert main(["ingest", "--input", str(raw), "--out-dir", str(tmp_path / "i")]) == 0
+    assert "malformed row: 1" in capsys.readouterr().out
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"group,stopped,outcome,force\na,1,1,f\na,1,0,{'x' * 200_000}\n",
+                   encoding="utf-8")
+    for command in ("fit", "rank"):
+        assert main([command, "--input", str(bad), "--seed", "1",
+                     "--out-dir", str(tmp_path / command)]) == 2
+        assert "line 3: field larger than field limit" in capsys.readouterr().err
+
+
 def test_fit_bad_outcome_flag_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("group,stopped,outcome,force\na,1,1,f\na,1,yes,f\n", encoding="utf-8")

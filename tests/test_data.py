@@ -162,6 +162,35 @@ def test_parse_drops_and_counts_bad_rows():
     assert report.rows_kept + report.rows_dropped == report.rows_total
 
 
+def test_parse_counts_unparseable_row_as_malformed():
+    # a field over the csv module's size limit fails in the parser itself;
+    # the row is dropped and counted, and parsing resumes at the next line
+    text = HEADER + "ForceA,White,,Arrest\n" + f"ForceA,{'x' * 200_000},,Arrest\n" + "ForceB,Black,,Arrest\n"
+    records, report = _parse(text)
+    assert records.group.tolist() == [0, 1]
+    assert [records.forces[f] for f in records.force] == ["ForceA", "ForceB"]
+    assert report.rows_total == 3
+    assert report.dropped == {"malformed row": 1}
+
+
+def test_parse_blank_lines_short_rows_and_duplicate_columns():
+    # blank lines are not rows; a row too short to reach a required column
+    # is malformed; a column named twice reads its last occurrence
+    text = (
+        "outcome,force,officer_defined_ethnicity,self_defined_ethnicity,outcome\n"
+        "\n"
+        "ignored,ForceA,White,,Arrest\n"
+        "\n"
+        "Arrest,ForceA,White,\n"
+        "\n"
+    )
+    records, report = _parse(text)
+    assert report.rows_total == 2
+    assert report.dropped == {"malformed row": 1}
+    assert records.outcome.tolist() == [True]
+    assert report.unknown_outcomes == 0
+
+
 def test_parse_unmapped_ethnicity_goes_to_fallback_with_warning():
     text = HEADER + "ForceA,Martian,,Arrest\n"
     records, report = _parse(text)
@@ -390,6 +419,20 @@ def test_dataset_csv_quotes_force_names():
 def test_dataset_csv_rejects_bad_flags_with_line_number(bad_row):
     text = "group,stopped,outcome,force\na,1,1,f\nb,1,0,f\n" + bad_row + "\n"
     with pytest.raises(DataError, match="^line 4: "):
+        read_dataset_csv(io.StringIO(text))
+
+
+def test_dataset_csv_error_names_the_physical_line():
+    # blank lines and a quoted line break still count as lines of the file
+    for text in ("group,stopped,outcome,force\n\n\na,1,1,f\na,1,x,f\n",
+                 'group,stopped,outcome,force\n"a\n\nb",1,1,f\na,1,x,f\n'):
+        with pytest.raises(DataError, match="^line 5: "):
+            read_dataset_csv(io.StringIO(text))
+
+
+def test_dataset_csv_unparseable_row_is_data_error_with_line_number():
+    text = "group,stopped,outcome,force\na,1,1,f\n" + f"a,1,1,{'x' * 200_000}\n"
+    with pytest.raises(DataError, match="^line 3: field larger than field limit"):
         read_dataset_csv(io.StringIO(text))
 
 

@@ -1,14 +1,10 @@
-import json
 import math
 
 import numpy as np
 import pytest
 
 from latentbias import (
-    ConditioningError,
     DomainError,
-    Gaussian1D,
-    MultivariateGaussian,
     sample_truncated_normal,
     std_normal_cdf,
     truncated_moments,
@@ -133,30 +129,3 @@ def test_truncated_rejects_bad_variance():
         sample_truncated_normal(0.0, -1.0, 1.0, rng)
     with pytest.raises(DomainError):
         sample_truncated_normal(0.0, 1.0, 2.0, rng)
-
-
-# --- Gaussian1D ---------------------------------------------------------------
-
-def test_gaussian1d_roundtrip_exact():
-    g = Gaussian1D(mean=0.12345678901234567, variance=3.9999999999999996)
-    g2 = Gaussian1D.from_dict(json.loads(json.dumps(g.to_dict())))
-    assert g2.mean == g.mean and g2.variance == g.variance
-
-
-def test_gaussian1d_rejects_bad_variance():
-    with pytest.raises(DomainError):
-        Gaussian1D(0.0, 0.0)
-
-
-# --- multivariate Gaussian ---------------------------------------------------
-
-def test_non_spd_covariance_reports_pivot():
-    bad = np.array([[1.0, 0.0, 0.0], [0.0, -2.0, 0.0], [0.0, 0.0, 1.0]])
-    with pytest.raises(ConditioningError) as exc:
-        MultivariateGaussian(mean=np.zeros(3), covariance=bad)
-    assert exc.value.pivot == 1
-
-
-def test_asymmetric_covariance_rejected():
-    with pytest.raises(DomainError):
-        MultivariateGaussian(mean=np.zeros(2), covariance=[[1.0, 0.3], [0.1, 1.0]])

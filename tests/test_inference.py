@@ -7,6 +7,7 @@ from scipy import stats
 from scipy.special import erfcx, log_ndtr
 
 from latentbias import (
+    ConditioningError,
     DataError,
     Dataset,
     DivergenceError,
@@ -78,8 +79,8 @@ def test_latent_t_mills_mean():
 
 def _report_precision(counts, **kw):
     cfg = _cfg(**kw)
-    prior = build_prior(cfg.prior, len(counts))
-    return inference._assemble_report_precision(prior, np.asarray(counts), cfg)
+    _means, variances = build_prior(len(counts))
+    return inference._assemble_report_precision(variances, np.asarray(counts), cfg)
 
 
 def test_single_record_unit_increments():
@@ -114,7 +115,7 @@ def test_accumulation_additivity():
 def test_conjugacy_against_closed_form():
     # one group, one record: the recorded variances must be the
     # hand-computed conjugate covariance, with anchoring off and on
-    prior_state = build_prior(PriorKind.INDEPENDENT, 1, group_means=(0.3,), group_variances=(4.0,))
+    prior = build_prior(1, group_means=(0.3,), group_variances=(4.0,))
     records = Dataset(np.array([0]), np.array([False]), ("only",))
     lam_b = 1 / 4.0 + 1 / 2.0
     lam_c = 1.0 + 1 / 0.5
@@ -123,7 +124,7 @@ def test_conjugacy_against_closed_form():
         var_b, var_c, cov = lam_c / det, lam_b / det, -cross / det
         for anchoring, scale in ((False, 1.0), (True, var_c)):
             cfg = _cfg(prior=kind, alpha=2.0, gamma=0.5, anchoring=anchoring, sweeps=3, burn_in=1)
-            _summary, trace = run_gibbs(records, cfg, prior_state=prior_state)
+            _summary, trace = run_gibbs(records, cfg, prior=prior)
             assert trace.variances[0] == pytest.approx([var_b / scale, var_c / scale], abs=1e-12)
             assert trace.cross_cov[0] == pytest.approx([cov / scale], abs=1e-12)
 
@@ -419,22 +420,25 @@ def test_rejects_unstopped_and_empty():
 
 def test_run_gibbs_custom_prior_and_groups():
     records = _asym_records((200, 150), positive_rate=3, labels=("first", "second"))
-    prior = build_prior(PriorKind.DEPENDENT, 2, group_means=(0.5, -0.5),
-                        group_variances=(2.0, 2.0))
-    summary, _ = run_gibbs(records, _cfg(seed=3, sweeps=20, burn_in=5), prior_state=prior)
+    prior = build_prior(2, group_means=(0.5, -0.5), group_variances=(2.0, 2.0))
+    summary, _ = run_gibbs(records, _cfg(seed=3, sweeps=20, burn_in=5), prior=prior)
     assert summary.labels == ["first", "second"]
-    # a correlated prior covariance is rejected up front
-    from latentbias import MultivariateGaussian, PosteriorState
+    # a prior sized for another group count, or an invalid one, is rejected
+    for bad in (build_prior(3), (np.zeros(2), np.array([1.0, np.nan]))):
+        with pytest.raises(DomainError):
+            run_gibbs(records, _cfg(seed=3, sweeps=20, burn_in=5), prior=bad)
 
-    cov = np.eye(3)
-    cov[0, 1] = cov[1, 0] = 0.3
-    bad = PosteriorState(
-        joint=MultivariateGaussian(mean=np.zeros(3), covariance=cov),
-        prior_kind=PriorKind.DEPENDENT,
-        group_count=2,
-    )
-    with pytest.raises(DomainError):
-        run_gibbs(records, _cfg(seed=3, sweeps=20, burn_in=5), prior_state=bad)
+
+@pytest.mark.parametrize("kind", [PriorKind.DEPENDENT, PriorKind.FREE])
+@pytest.mark.parametrize("alpha, gamma", [(0.7, 1.6), (1.0, 1.2)])
+def test_gamma_above_alpha_precision_not_positive_definite(kind, alpha, gamma):
+    # the criminality Schur complement 1 + N(1/gamma - 1/alpha)
+    # + sum_g (n_g/alpha) / (1 + n_g/alpha) is negative for these rows
+    records = _asym_records((200, 150), positive_rate=3)
+    with pytest.raises(ConditioningError, match=f"{kind.value}.*alpha={alpha:g}, gamma={gamma:g}"):
+        run_gibbs(records, _cfg(prior=kind, alpha=alpha, gamma=gamma))
+    # INDEPENDENT writes no cross terms, so its precision stays diagonal
+    run_gibbs(records, _cfg(prior=PriorKind.INDEPENDENT, alpha=alpha, gamma=gamma))
 
 
 # --- trace and summary IO ----------------------------------------------------------

@@ -7,14 +7,17 @@ import pytest
 from latentbias import (
     DataError,
     Dataset,
+    DivergenceError,
     DomainError,
     ModelConfig,
     PriorKind,
     build_prior,
     guilt_probability,
     read_dataset_csv,
+    run_gibbs,
     stop_probability,
 )
+from latentbias import inference
 
 from conftest import cdf_oracle
 
@@ -22,40 +25,62 @@ from conftest import cdf_oracle
 # --- prior construction --------------------------------------------------------
 
 def test_independent_prior_default():
-    state = build_prior(PriorKind.INDEPENDENT, 4)
-    assert state.joint.dim == 5
-    assert np.array_equal(state.joint.mean, np.zeros(5))
-    assert np.array_equal(state.joint.covariance, np.eye(5))
-    assert state.prior_kind is PriorKind.INDEPENDENT
+    means, variances = build_prior(4)
+    assert np.array_equal(means, np.zeros(4))
+    assert np.array_equal(variances, np.ones(4))
 
 
 def test_dependent_prior_same_numbers():
-    ind = build_prior(PriorKind.INDEPENDENT, 4)
-    dep = build_prior(PriorKind.DEPENDENT, 4)
-    assert np.array_equal(ind.joint.mean, dep.joint.mean)
-    assert np.array_equal(ind.joint.covariance, dep.joint.covariance)
-    assert dep.prior_kind is PriorKind.DEPENDENT
+    # every regime starts from build_prior's default: passing it explicitly
+    # reproduces the run that builds it itself, bit for bit
+    records = Dataset(np.repeat([0, 1], [30, 20]), np.arange(50) % 3 == 0, ("a", "b"))
+
+    def trace(cfg, **kw):
+        try:
+            return run_gibbs(records, cfg, **kw)[1]
+        except DivergenceError as exc:  # unanchored FREE: compare what was recorded
+            return exc.trace
+
+    for kind in PriorKind:
+        cfg = ModelConfig(seed=4, prior=kind, sweeps=6, burn_in=1)
+        implicit, explicit = trace(cfg), trace(cfg, prior=build_prior(2))
+        assert np.array_equal(implicit.means, explicit.means)
+        assert np.array_equal(implicit.variances, explicit.variances)
 
 
 def test_custom_prior_placement():
-    state = build_prior(PriorKind.INDEPENDENT, 2, group_means=(0.5, -0.5), group_variances=(2, 2))
-    assert np.array_equal(state.joint.mean, [0.5, -0.5, 0.0])
-    assert np.array_equal(np.diag(state.joint.covariance), [2.0, 2.0, 1.0])
+    means, variances = build_prior(2, group_means=(0.5, -0.5), group_variances=(2, 2))
+    assert np.array_equal(means, [0.5, -0.5])
+    assert np.array_equal(variances, [2.0, 2.0])
 
 
 def test_prior_criminality_marginal_standard_normal():
-    for kind in (PriorKind.INDEPENDENT, PriorKind.DEPENDENT, PriorKind.FREE):
-        state = build_prior(kind, 3)
-        assert state.criminality_mean == 0.0
-        assert state.criminality_variance == 1.0
-        assert np.all(state.joint.covariance[3, :3] == 0.0)
+    # with no records the precision run_gibbs assembles is the prior's:
+    # criminality N(0,1), no cross terms, under every regime
+    _means, variances = build_prior(3, group_variances=(2.0, 4.0, 0.5))
+    for kind in PriorKind:
+        cfg = ModelConfig(seed=1, prior=kind)
+        lam = inference._assemble_report_precision(variances, np.zeros(3, dtype=int), cfg)
+        assert np.array_equal(lam, np.diag([0.5, 0.25, 2.0, 1.0]))
 
 
 def test_prior_validation():
+    for kw in (
+        dict(group_means=(0.0,)),
+        dict(group_variances=(1.0, 0.0)),
+        dict(group_variances=(1.0, -2.0)),
+        dict(group_variances=(1.0, math.nan)),
+        dict(group_variances=(math.inf, 1.0)),
+        dict(group_means=(math.nan, 0.0)),
+        dict(group_means=(0.0, -math.inf)),
+    ):
+        with pytest.raises(DomainError):
+            build_prior(2, **kw)
+
+
+def test_prior_needs_a_group():
     with pytest.raises(DomainError):
-        build_prior(PriorKind.INDEPENDENT, 2, group_means=(0.0,))
-    with pytest.raises(DomainError):
-        build_prior(PriorKind.INDEPENDENT, 2, group_variances=(1.0, 0.0))
+        build_prior(0)
 
 
 # --- event probabilities ---------------------------------------------------------
