@@ -15,11 +15,9 @@ A numpy/scipy library with a thin CLI. The pieces:
 """
 
 from .data import (
-    ColumnSpec,
     Dataset,
     EthnicityMapping,
     IngestReport,
-    OutcomeScheme,
     SchemeKind,
     SynthReport,
     TrueParams,

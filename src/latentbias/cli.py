@@ -20,7 +20,6 @@ import numpy as np
 
 from . import __version__
 from .data import (
-    ColumnSpec,
     Dataset,
     EthnicityMapping,
     SchemeKind,
@@ -82,9 +81,9 @@ class _RunDir:
 def cmd_ingest(args) -> int:
     run = _RunDir(args)
     mapping = _load_mapping(args.mapping)
-    scheme = mapping.scheme(SchemeKind.from_string(args.scheme))
+    kind = SchemeKind.from_string(args.scheme)
     with open(args.input, newline="", encoding="utf-8") as fh:
-        dataset, report = parse_records(fh, mapping, scheme, ColumnSpec())
+        dataset, report = parse_records(fh, mapping, kind)
     dataset_path = run.path / "dataset.csv"
     with open(dataset_path, "w", encoding="utf-8") as fh:
         write_dataset_csv(dataset, fh)
@@ -115,11 +114,9 @@ def _load_fit_dataset(args) -> Dataset:
     if args.preset not in PRESETS:
         raise DomainError(f"unknown preset {args.preset!r} (choose from {', '.join(PRESETS)})")
     mapping = _load_mapping(args.mapping)
-    scheme_kind = (
-        SchemeKind.LENIENT_SEVERE if args.preset == "charges" else SchemeKind.GUILTY_NOT_GUILTY
-    )
+    kind = SchemeKind.LENIENT_SEVERE if args.preset == "charges" else SchemeKind.GUILTY_NOT_GUILTY
     with open(args.input, newline="", encoding="utf-8") as fh:
-        dataset, _report = parse_records(fh, mapping, mapping.scheme(scheme_kind), ColumnSpec())
+        dataset, _report = parse_records(fh, mapping, kind)
     if args.preset == "augmented":
         dataset = balance(dataset, 1000, derive_rng(args.seed, DOMAIN_BALANCE))
     elif args.preset == "london-met":

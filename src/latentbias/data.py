@@ -1,19 +1,22 @@
 """Ingestion and dataset operations for stop-and-search records.
 
-Raw input is RFC 4180 CSV with a header row. Four columns are required
-(names configurable): the force, the officer-defined ethnicity, the
-self-defined ethnicity, and the outcome text. Outcome strings are matched
-exactly after whitespace trimming and case-sensitively.
+Raw input is RFC 4180 CSV with a header row naming at least the four
+columns in :data:`RAW_COLUMNS`: the force, the officer-defined ethnicity,
+the self-defined ethnicity, and the outcome text. Outcome strings are
+matched exactly after whitespace trimming and case-sensitively.
 
-Two outcome schemes exist. ``GuiltyNotGuilty`` marks a record positive
-when its outcome string is in the configured guilty set (unknown strings
-count negative and are tallied as warnings). ``LenientSevere`` applies to
-records already guilty-positive - everything else is dropped from the
-dataset - and marks a record positive ("severe") exactly when the outcome
-is NOT in the lenient set.
+Two outcome schemes exist (:class:`SchemeKind`). ``GuiltyNotGuilty`` marks
+a record positive when its outcome string is in the guilty set (unknown
+strings count negative and are tallied in the ingest report).
+``LenientSevere`` applies to records already guilty-positive - everything
+else is dropped from the dataset - and marks a record positive ("severe")
+exactly when the outcome is NOT in the lenient set. :func:`coarsen_outcome`
+is the one place this rule lives.
 
-The ethnicity mapping, the lenient set, and the guilty set travel in one
-JSON configuration file so an ingest run is fully specified by its inputs.
+The ethnicity mapping and the guilty, lenient and not-guilty sets travel
+together in one :class:`EthnicityMapping`, read from one JSON
+configuration file, so an ingest run is fully specified by its inputs and
+the scheme.
 
 Every layer holds its stops as one columnar :class:`Dataset`: group codes,
 outcomes and force codes in numpy arrays, plus the label tables.
@@ -36,9 +39,7 @@ from .model import require_positive_finite
 __all__ = [
     "Dataset",
     "SchemeKind",
-    "OutcomeScheme",
     "EthnicityMapping",
-    "ColumnSpec",
     "IngestReport",
     "TrueParams",
     "SynthReport",
@@ -54,6 +55,13 @@ __all__ = [
 ]
 
 DEFAULT_GROUP_LABELS = ("White", "Black", "Asian", "Other/Mixed")
+
+# header names of the raw columns ingest reads: force, officer-defined
+# ethnicity, self-defined ethnicity, outcome text
+RAW_COLUMNS = ("force", "officer_defined_ethnicity", "self_defined_ethnicity", "outcome")
+
+# unmapped-ethnicity warnings kept in (and printed by) an ingest report
+_WARNINGS_KEPT = 20
 
 # the five lenient outcome strings; severe is everything else guilty
 DEFAULT_LENIENT = frozenset(
@@ -198,28 +206,15 @@ class SchemeKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class OutcomeScheme:
-    """Outcome coarsening rule plus the string sets it needs."""
-
-    kind: SchemeKind
-    lenient_set: frozenset = DEFAULT_LENIENT
-    guilty_set: frozenset = DEFAULT_GUILTY
-
-    def __post_init__(self):
-        if self.kind is SchemeKind.LENIENT_SEVERE and not self.lenient_set:
-            raise DomainError("LenientSevere scheme needs a nonempty lenient set")
-        if not self.guilty_set:
-            raise DomainError("the guilty-positive set must be nonempty")
-
-
-@dataclass(frozen=True)
 class EthnicityMapping:
     """Raw ethnicity strings to group labels, plus the outcome sets.
 
     ``precedence`` selects which label field wins: the officer-defined
     label by default, falling back to the self-defined one when blank.
     Unmapped strings route to the last group (Other/Mixed by convention)
-    and are tallied as warnings, so the mapping is total.
+    and are tallied as warnings, so the mapping is total. The guilty,
+    lenient and not-guilty sets are the only outcome sets ingest reads;
+    the guilty set must be nonempty.
     """
 
     mapping: dict = field(default_factory=lambda: dict(_DEFAULT_ETHNICITY_MAP))
@@ -237,13 +232,12 @@ class EthnicityMapping:
         bad = set(self.mapping.values()) - set(self.group_labels)
         if bad:
             raise DomainError(f"mapping targets unknown groups: {sorted(bad)}")
+        if not self.guilty_set:
+            raise DomainError("the guilty-positive set must be nonempty")
 
     @property
     def fallback_group(self) -> str:
         return self.group_labels[-1]
-
-    def scheme(self, kind: SchemeKind) -> OutcomeScheme:
-        return OutcomeScheme(kind=kind, lenient_set=self.lenient_set, guilty_set=self.guilty_set)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -279,35 +273,27 @@ def default_mapping() -> EthnicityMapping:
     return EthnicityMapping()
 
 
-@dataclass(frozen=True)
-class ColumnSpec:
-    """Header names of the required raw CSV columns."""
-
-    force: str = "force"
-    officer_ethnicity: str = "officer_defined_ethnicity"
-    self_ethnicity: str = "self_defined_ethnicity"
-    outcome: str = "outcome"
-
-    def required(self) -> tuple:
-        return (self.force, self.officer_ethnicity, self.self_ethnicity, self.outcome)
-
-
-def coarsen_outcome(raw_outcome: str, scheme: OutcomeScheme) -> bool:
-    """Coarsen an outcome string to the scheme's binary.
+def coarsen_outcome(raw_outcome: str, kind: SchemeKind, mapping: EthnicityMapping) -> bool:
+    """Coarsen an outcome string to the binary of scheme ``kind``, using
+    the mapping's guilty or lenient set.
 
     Never raises: unknown strings are negative under GuiltyNotGuilty and
     positive (severe) under LenientSevere, per the "all other responses"
     rule. Matching is exact after trimming, case-sensitive.
     """
     text = (raw_outcome or "").strip()
-    if scheme.kind is SchemeKind.GUILTY_NOT_GUILTY:
-        return text in scheme.guilty_set
-    return text not in scheme.lenient_set
+    if kind is SchemeKind.GUILTY_NOT_GUILTY:
+        return text in mapping.guilty_set
+    return text not in mapping.lenient_set
 
 
 @dataclass
 class IngestReport:
-    """Row accounting and per-group tallies for one ingest run."""
+    """Row accounting and per-group tallies for one ingest run.
+
+    ``warnings`` keeps the first few unmapped-ethnicity warnings;
+    ``unmapped_ethnicities`` counts them all.
+    """
 
     rows_total: int = 0
     rows_kept: int = 0
@@ -345,29 +331,32 @@ class IngestReport:
             n = self.group_counts[label]
             pos = self.group_positive.get(label, 0)
             lines.append(f"  {label:<12} {n:>6} {pos:>9} {self.positive_percent(label):>9.2f}")
-        for w in self.warnings[:20]:
+        for w in self.warnings:
             lines.append(f"  warning: {w}")
-        if len(self.warnings) > 20:
-            lines.append(f"  ... {len(self.warnings) - 20} more warnings")
+        if self.unmapped_ethnicities > len(self.warnings):
+            lines.append(f"  ... {self.unmapped_ethnicities - len(self.warnings)} more warnings")
         return "\n".join(lines) + "\n"
 
 
 def parse_records(
-    stream: Iterable[str] | TextIO,
-    mapping: EthnicityMapping,
-    scheme: OutcomeScheme,
-    columns: ColumnSpec = ColumnSpec(),
+    stream: Iterable[str] | TextIO, mapping: EthnicityMapping, kind: SchemeKind
 ) -> tuple[Dataset, IngestReport]:
-    """Parse raw CSV rows into a dataset labelled by the mapping's groups.
+    """Parse raw CSV rows into a dataset labelled by the mapping's groups,
+    with outcomes coarsened by scheme ``kind`` from the mapping's sets.
 
     Hard errors (missing required column, unparseable header) raise
-    :class:`~latentbias.errors.DataError`; malformed or incomplete rows
-    (too few fields, or a field the CSV parser rejects) are dropped and
-    counted, never aborting the ingest. Blank lines are skipped. A column
-    named twice in the header reads its last occurrence. Under the
-    LenientSevere scheme, rows that are not guilty-positive are excluded
-    (the severity dataset covers confirmed offences only).
+    :class:`~latentbias.errors.DataError`, and LenientSevere with an empty
+    lenient set raises :class:`~latentbias.errors.DomainError`; malformed
+    or incomplete rows (too few fields, or a field the CSV parser rejects)
+    are dropped and counted, never aborting the ingest. Blank lines are
+    skipped. A column named twice in the header reads its last occurrence.
+    Under the LenientSevere scheme, rows that are not guilty-positive are
+    excluded (the severity dataset covers confirmed offences only). The
+    report's kept-row and per-group tallies are those of the returned
+    dataset.
     """
+    if kind is SchemeKind.LENIENT_SEVERE and not mapping.lenient_set:
+        raise DomainError("LenientSevere scheme needs a nonempty lenient set")
     reader = csv.reader(stream)
     try:
         header = next(reader, None)
@@ -376,18 +365,17 @@ def parse_records(
     if header is None:
         raise DataError("input has no header row")
     position = {name: i for i, name in enumerate(header)}
-    missing = [c for c in columns.required() if c not in position]
+    missing = [c for c in RAW_COLUMNS if c not in position]
     if missing:
         raise DataError(f"missing required column(s): {', '.join(missing)}")
-    i_force, i_officer, i_self, i_outcome = (position[c] for c in columns.required())
+    i_force, i_officer, i_self, i_outcome = (position[c] for c in RAW_COLUMNS)
     width = max(i_force, i_officer, i_self, i_outcome) + 1
+    i_first, i_second = (
+        (i_officer, i_self) if mapping.precedence == "officer" else (i_self, i_officer)
+    )
 
     label_to_id = {label: i for i, label in enumerate(mapping.group_labels)}
-    guilty_scheme = OutcomeScheme(
-        SchemeKind.GUILTY_NOT_GUILTY, mapping.lenient_set, mapping.guilty_set
-    )
-    report = IngestReport(group_counts={label: 0 for label in mapping.group_labels},
-                          group_positive={label: 0 for label in mapping.group_labels})
+    report = IngestReport()
     groups: list[int] = []
     outcomes: list[bool] = []
     forces: list[int] = []
@@ -405,12 +393,7 @@ def parse_records(
         if row is None or len(row) < width:
             report.drop("malformed row")
             continue
-        officer = row[i_officer].strip()
-        self_def = row[i_self].strip()
-        first, second = (
-            (officer, self_def) if mapping.precedence == "officer" else (self_def, officer)
-        )
-        eth = first or second
+        eth = row[i_first].strip() or row[i_second].strip()
         if not eth:
             report.drop("missing ethnicity")
             continue
@@ -422,25 +405,23 @@ def parse_records(
         if label is None:
             label = mapping.fallback_group
             report.unmapped_ethnicities += 1
-            if len(report.warnings) < 200:
+            if len(report.warnings) < _WARNINGS_KEPT:
                 report.warnings.append(f"unmapped ethnicity {eth!r} -> {label}")
-        if scheme.kind is SchemeKind.LENIENT_SEVERE:
-            if not coarsen_outcome(outcome_text, guilty_scheme):
+        if kind is SchemeKind.LENIENT_SEVERE:
+            if not coarsen_outcome(outcome_text, SchemeKind.GUILTY_NOT_GUILTY, mapping):
                 report.drop("not guilty (excluded from severity dataset)")
                 continue
-        elif outcome_text not in scheme.guilty_set and outcome_text not in mapping.negative_set:
+        elif outcome_text not in mapping.guilty_set and outcome_text not in mapping.negative_set:
             report.unknown_outcomes += 1
-        outcome = coarsen_outcome(outcome_text, scheme)
-        force = row[i_force].strip()
         groups.append(label_to_id[label])
-        outcomes.append(outcome)
-        forces.append(force_ids.setdefault(force, len(force_ids)))
-        report.rows_kept += 1
-        report.group_counts[label] += 1
-        if outcome:
-            report.group_positive[label] += 1
+        outcomes.append(coarsen_outcome(outcome_text, kind, mapping))
+        forces.append(force_ids.setdefault(row[i_force].strip(), len(force_ids)))
     dataset = Dataset(np.array(groups, dtype=np.intp), np.array(outcomes, dtype=bool),
                       mapping.group_labels, np.array(forces, dtype=np.intp), tuple(force_ids))
+    positive = np.bincount(dataset.group, weights=dataset.outcome, minlength=len(dataset.labels))
+    report.rows_kept = len(dataset)
+    report.group_counts = dict(zip(dataset.labels, dataset.counts().tolist()))
+    report.group_positive = dict(zip(dataset.labels, positive.astype(int).tolist()))
     return dataset, report
 
 

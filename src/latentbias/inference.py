@@ -338,7 +338,9 @@ def run_gibbs(
         DivergenceError: when any recorded mean magnitude exceeds
             ``config.divergence_mean_limit`` or any variance exceeds
             ``config.divergence_variance_limit``; the exception carries
-            the sweep index and the partial trace.
+            the sweep index and the partial trace. The recorded variances
+            are fixed before sweep 0, so that limit trips at sweep 0 with
+            an empty trace.
     """
     if len(dataset) == 0:
         raise DomainError("dataset must be nonempty")
@@ -354,7 +356,7 @@ def run_gibbs(
 
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     alpha, gamma = config.alpha, config.gamma
-    sqrt_a, sqrt_g = math.sqrt(alpha), math.sqrt(gamma)
+    sqrt_a = math.sqrt(alpha)
     stabilised = config.anchoring_enabled
 
     lam_rep = _assemble_report_precision(v0, counts, config)
@@ -369,10 +371,10 @@ def run_gibbs(
     cov_rep = 0.5 * (cov_rep + cov_rep.T)
     eta0 = np.append(m0 / v0, 0.0)
     prec_diag = np.diag(lam_rep).copy()
-    draw_sd = np.sqrt(1.0 / prec_diag[:k])
-    cov2_chol = [
-        np.linalg.cholesky(cov_rep[np.ix_([g, k], [g, k])]) for g in range(k)
-    ]
+    # per-record bias draws: around the current bias sample with the
+    # conditional sd when stabilised, around the coupled mean with the
+    # marginal sd otherwise
+    draw_sd = np.sqrt(1.0 / prec_diag[:k] if stabilised else np.diag(cov_rep)[:k])
 
     # persistent per-record criminalities, initialised from their prior
     crims = [rng.standard_normal(int(n)) for n in counts]
@@ -393,17 +395,30 @@ def run_gibbs(
     rec_var_row = np.diag(rec_cov).copy()
     rec_cross_row = rec_cov[k, :k].copy()
 
+    def diverged(sweep: int, message: str) -> DivergenceError:
+        partial = GibbsTrace(
+            means=trace_means[:sweep].copy(),
+            variances=trace_vars[:sweep].copy(),
+            cross_cov=trace_cross[:sweep].copy(),
+            wall_times=wall[:sweep].copy(),
+            group_count=k,
+        )
+        return DivergenceError(f"chain diverged at sweep {sweep} ({message})",
+                               sweep=sweep, trace=partial)
+
+    # the recorded variances are fixed before sweep 0, so they are checked once
+    if np.any(rec_var_row > config.divergence_variance_limit):
+        raise diverged(0, f"max variance {rec_var_row.max():.3g} exceeds "
+                          f"{config.divergence_variance_limit:.3g}")
+
     for sweep in range(sweeps):
         t0 = time.perf_counter()
         eta = eta0.copy()
+        centre = bias_sample if stabilised else mean
         for g in range(k):
             n = int(counts[g])
             c = crims[g]
-            if stabilised:
-                b = bias_sample[g] + draw_sd[g] * rng.standard_normal(n)
-            else:
-                z2 = rng.standard_normal((n, 2))
-                b = mean[g] + (z2 @ cov2_chol[g].T)[:, 0]
+            b = centre[g] + draw_sd[g] * rng.standard_normal(n)
             s_lat = sample_truncated_normal(c + b, alpha, np.ones(n), rng)
             t_lat = sample_truncated_normal(c, gamma, taus[g], rng)
             c = v_stop * ((s_lat - b) / alpha + t_lat / gamma) + sd_stop * rng.standard_normal(n)
@@ -419,22 +434,8 @@ def run_gibbs(
             mean = eta / prec_diag
         else:
             mean = cov_rep @ eta
-        if np.any(np.abs(mean) > config.divergence_mean_limit) or np.any(
-            rec_var_row > config.divergence_variance_limit
-        ):
-            partial = GibbsTrace(
-                means=trace_means[:sweep].copy(),
-                variances=trace_vars[:sweep].copy(),
-                cross_cov=trace_cross[:sweep].copy(),
-                wall_times=wall[:sweep].copy(),
-                group_count=k,
-            )
-            raise DivergenceError(
-                f"chain diverged at sweep {sweep} "
-                f"(max |mean| {np.abs(mean).max():.3g})",
-                sweep=sweep,
-                trace=partial,
-            )
+        if np.any(np.abs(mean) > config.divergence_mean_limit):
+            raise diverged(sweep, f"max |mean| {np.abs(mean).max():.3g}")
         trace_means[sweep] = mean - mean[k] if stabilised else mean
         trace_vars[sweep] = rec_var_row
         trace_cross[sweep] = rec_cross_row

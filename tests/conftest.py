@@ -157,11 +157,9 @@ def charges_raw_csv(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def national_records(national_raw_csv):
-    from latentbias import ColumnSpec, SchemeKind, default_mapping, parse_records
+    from latentbias import SchemeKind, default_mapping, parse_records
 
     mapping = default_mapping()
     with open(national_raw_csv, newline="", encoding="utf-8") as fh:
-        records, report = parse_records(
-            fh, mapping, mapping.scheme(SchemeKind.GUILTY_NOT_GUILTY), ColumnSpec()
-        )
+        records, report = parse_records(fh, mapping, SchemeKind.GUILTY_NOT_GUILTY)
     return records, report, mapping

@@ -225,7 +225,7 @@ def test_08_ranking_baseline_national_order():
 
 
 def test_09_ingestion_fixture_tables(national_records, charges_raw_csv):
-    from latentbias import ColumnSpec, SchemeKind, default_mapping, parse_records
+    from latentbias import SchemeKind, default_mapping, parse_records
 
     lines = []
     ok = True
@@ -259,9 +259,7 @@ def test_09_ingestion_fixture_tables(national_records, charges_raw_csv):
 
     charges_mapping = default_mapping()
     with open(charges_raw_csv, newline="", encoding="utf-8") as fh:
-        _c_records, c_report = parse_records(
-            fh, charges_mapping, charges_mapping.scheme(SchemeKind.LENIENT_SEVERE), ColumnSpec()
-        )
+        _c_records, c_report = parse_records(fh, charges_mapping, SchemeKind.LENIENT_SEVERE)
     for (label, total, lenient), want in zip(CHARGES_TABLE, CHARGES_LENIENT_PCT):
         ok &= c_report.group_counts[label] == total
         # the table reports the LENIENT share; the scheme's positive is severe

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from latentbias import Dataset, TrueParams, synthesize, write_dataset_csv
+from latentbias import Dataset, TrueParams, default_mapping, synthesize, write_dataset_csv
 from latentbias.cli import main
 
 HEADER = "force,officer_defined_ethnicity,self_defined_ethnicity,outcome,date\n"
@@ -58,6 +58,26 @@ def test_ingest_missing_column_exit_2(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["ingest", "--input", str(bad), "--out-dir", str(out)]) == 2
     assert "outcome" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("empty_set, argv, message", [
+    ("guilty", ["ingest"], "the guilty-positive set must be nonempty"),
+    ("lenient", ["ingest", "--scheme", "charges"],
+     "LenientSevere scheme needs a nonempty lenient set"),
+    ("lenient", ["fit", "--preset", "charges", "--seed", "1"],
+     "LenientSevere scheme needs a nonempty lenient set"),
+])
+def test_mapping_with_empty_outcome_set_exit_2(raw_csv, tmp_path, capsys, empty_set, argv,
+                                               message):
+    doc = json.loads(default_mapping().to_json())
+    doc[empty_set] = []
+    mapping = tmp_path / "mapping.json"
+    mapping.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(argv + ["--input", str(raw_csv), "--mapping", str(mapping),
+                        "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (out / "manifest.json").exists()
 
 
 def test_ingest_unreadable_input_exit_2(tmp_path):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from latentbias import (
-    ColumnSpec,
     DataError,
     Dataset,
     DomainError,
@@ -23,8 +22,6 @@ from latentbias import (
     synthesize,
     write_dataset_csv,
 )
-from latentbias.data import OutcomeScheme
-
 from conftest import (
     GUILTY_LENIENT,
     NATIONAL_TABLE,
@@ -35,7 +32,7 @@ from conftest import (
 
 def _parse(text, scheme_kind=SchemeKind.GUILTY_NOT_GUILTY, mapping=None):
     mapping = mapping or default_mapping()
-    return parse_records(io.StringIO(text), mapping, mapping.scheme(scheme_kind), ColumnSpec())
+    return parse_records(io.StringIO(text), mapping, scheme_kind)
 
 
 HEADER = "force,officer_defined_ethnicity,self_defined_ethnicity,outcome\n"
@@ -72,39 +69,39 @@ def test_dataset_rejects_out_of_range_codes():
 # --- outcome coarsening -----------------------------------------------------------
 
 def test_lenient_strings_are_negative_under_charges():
-    scheme = default_mapping().scheme(SchemeKind.LENIENT_SEVERE)
     for s in GUILTY_LENIENT:
-        assert coarsen_outcome(s, scheme) is False
+        assert coarsen_outcome(s, SchemeKind.LENIENT_SEVERE, default_mapping()) is False
 
 
 def test_arrest_is_severe():
-    scheme = default_mapping().scheme(SchemeKind.LENIENT_SEVERE)
-    assert coarsen_outcome("Arrest", scheme) is True
+    assert coarsen_outcome("Arrest", SchemeKind.LENIENT_SEVERE, default_mapping()) is True
 
 
 def test_unknown_string_is_severe_under_charges():
-    scheme = default_mapping().scheme(SchemeKind.LENIENT_SEVERE)
-    assert coarsen_outcome("Some brand-new outcome", scheme) is True
+    assert coarsen_outcome(
+        "Some brand-new outcome", SchemeKind.LENIENT_SEVERE, default_mapping()
+    ) is True
 
 
 def test_empty_and_unknown_negative_under_guilty():
-    scheme = default_mapping().scheme(SchemeKind.GUILTY_NOT_GUILTY)
-    assert coarsen_outcome("", scheme) is False
-    assert coarsen_outcome("Some brand-new outcome", scheme) is False
-    assert coarsen_outcome("  Arrest  ", scheme) is True
+    kind, mapping = SchemeKind.GUILTY_NOT_GUILTY, default_mapping()
+    assert coarsen_outcome("", kind, mapping) is False
+    assert coarsen_outcome("Some brand-new outcome", kind, mapping) is False
+    assert coarsen_outcome("  Arrest  ", kind, mapping) is True
 
 
 def test_coarsening_total_on_arbitrary_text():
-    scheme = default_mapping().scheme(SchemeKind.GUILTY_NOT_GUILTY)
+    kind, mapping = SchemeKind.GUILTY_NOT_GUILTY, default_mapping()
     rng = np.random.default_rng(0)
     for _ in range(200):
         junk = "".join(chr(32 + int(c)) for c in rng.integers(0, 90, size=12))
-        assert coarsen_outcome(junk, scheme) in (False, True)
+        assert coarsen_outcome(junk, kind, mapping) in (False, True)
 
 
 def test_lenient_severe_requires_lenient_set():
-    with pytest.raises(DomainError):
-        OutcomeScheme(kind=SchemeKind.LENIENT_SEVERE, lenient_set=frozenset())
+    mapping = EthnicityMapping(lenient_set=frozenset())
+    with pytest.raises(DomainError, match="nonempty lenient set"):
+        _parse(HEADER, SchemeKind.LENIENT_SEVERE, mapping)
 
 
 # --- parsing -----------------------------------------------------------------------
@@ -139,9 +136,7 @@ def test_parse_basic_row_and_precedence():
 def test_parse_self_precedence_mode():
     mapping = EthnicityMapping(precedence="self")
     text = HEADER + "ForceA,White,Black,Arrest\n"
-    records, _report = parse_records(
-        io.StringIO(text), mapping, mapping.scheme(SchemeKind.GUILTY_NOT_GUILTY), ColumnSpec()
-    )
+    records, _report = parse_records(io.StringIO(text), mapping, SchemeKind.GUILTY_NOT_GUILTY)
     assert records.group.tolist() == [1]
 
 
@@ -197,6 +192,12 @@ def test_parse_unmapped_ethnicity_goes_to_fallback_with_warning():
     assert records.group.tolist() == [3]  # Other/Mixed
     assert report.unmapped_ethnicities == 1
     assert any("Martian" in w for w in report.warnings)
+    # the report shows the first 20 warnings and counts the rest from the tally
+    records, report = _parse(HEADER + "ForceA,Martian,,Arrest\n" * 250)
+    assert report.unmapped_ethnicities == 250
+    text = report.to_text()
+    assert text.count("  warning: unmapped ethnicity 'Martian'") == 20
+    assert text.endswith("  ... 230 more warnings\n")
 
 
 def test_parse_charges_excludes_not_guilty():

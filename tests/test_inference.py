@@ -392,6 +392,12 @@ def test_divergence_guard_configurable():
     with pytest.raises(DivergenceError) as exc:
         run_gibbs(records, cfg)
     assert exc.value.sweep == 0
+    # the recorded variances are fixed before sweep 0, so their limit trips
+    # there, with an empty partial trace and the variance named
+    cfg = _cfg(seed=1, sweeps=30, burn_in=5, divergence_variance_limit=1e-9)
+    with pytest.raises(DivergenceError, match="max variance") as exc:
+        run_gibbs(records, cfg)
+    assert exc.value.sweep == 0 and exc.value.trace.sweeps == 0
 
 
 def test_drift_slope_positive_for_unanchored_free_chain():

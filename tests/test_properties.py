@@ -1,5 +1,7 @@
-"""Property-based tests: CSV round-trips and the shared rank order."""
+"""Property-based tests: CSV round-trips, ingest accounting and the shared
+rank order."""
 
+import csv
 import io
 
 import numpy as np
@@ -10,6 +12,9 @@ from latentbias import (
     Dataset,
     PosteriorSummary,
     PriorKind,
+    SchemeKind,
+    default_mapping,
+    parse_records,
     read_dataset_csv,
     write_dataset_csv,
     write_ranking_csv,
@@ -44,6 +49,34 @@ def test_dataset_csv_roundtrip(dataset):
     assert [back.labels[g] for g in back.group] == [dataset.labels[g] for g in dataset.group]
     assert back.outcome.tolist() == dataset.outcome.tolist()
     assert [back.forces[f] for f in back.force] == [dataset.forces[f] for f in dataset.force]
+
+
+# mapped, unmapped and blank ethnicities; guilty (severe), guilty (lenient),
+# not-guilty, unknown and blank outcomes
+_ETHNICITY = st.sampled_from(["White", "Black", "Asian/Asian British - Indian", "Mixed",
+                              "Martian", "Not stated", ""])
+_OUTCOME = st.sampled_from(["Arrest", "Offender cautioned", "Community resolution",
+                            "No further action", "Unknown", "", "  Arrest "])
+_RAW_ROW = st.tuples(st.sampled_from(["ForceA", "Force, B"]), _ETHNICITY, _ETHNICITY, _OUTCOME)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_RAW_ROW | _RAW_ROW.map(lambda row: row[:2]), max_size=40),
+       st.sampled_from(list(SchemeKind)))
+def test_parse_records_report_matches_dataset(rows, kind):
+    # short rows are malformed; the rest are kept or dropped by ethnicity and outcome
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["force", "officer_defined_ethnicity", "self_defined_ethnicity", "outcome"])
+    writer.writerows(rows)
+    dataset, report = parse_records(io.StringIO(buf.getvalue()), default_mapping(), kind)
+    labels = dataset.labels
+    positive = np.bincount(dataset.group, weights=dataset.outcome, minlength=len(labels))
+    assert report.rows_total == len(rows)
+    assert report.rows_kept == len(dataset)
+    assert report.group_counts == dict(zip(labels, dataset.counts().tolist()))
+    assert report.group_positive == dict(zip(labels, positive.tolist()))
+    assert report.rows_kept + report.rows_dropped == report.rows_total
 
 
 @settings(max_examples=300, deadline=None)

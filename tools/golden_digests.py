@@ -1,0 +1,104 @@
+"""SHA-256 digests of every CLI output on the benchmark's two raw exports.
+
+Usage::
+
+    python tools/golden_digests.py OUT_DIR
+
+Generates the ``national-cli`` and ``export-200k`` inputs with
+``perfbench/workloads.py`` (seed 1) under ``OUT_DIR``, which must be new or
+empty. On each it runs ``ingest`` under both schemes, ``fit`` three ways
+(``dependent``; ``independent --anchoring off``; ``free``, whose default
+unanchored chain may stop with exit 3 and a partial trace), ``rank``, and
+``score`` by both methods, all through ``python -m latentbias.cli`` on the
+sources next to this script. It prints ``sha256  relpath`` for every file
+the commands write, for each command's stdout and stderr, and for a file
+of exit codes. Commands run with ``OUT_DIR`` as working directory and
+relative paths, and each manifest is hashed without ``wall_time_s``, so two
+runs of one tree print the same lines, and a diff of the lines printed by
+two trees names exactly the outputs a change moved.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+import workloads  # noqa: E402
+
+SEED = 1
+# workload -> (sweeps, burn-in, ranking iterations), the benchmark's own
+RUN_LENGTHS = {
+    "national-cli": (workloads.NATIONAL_SWEEPS, workloads.NATIONAL_BURN_IN,
+                     workloads.NATIONAL_ITERATIONS),
+    "export-200k": (workloads.EXPORT_SWEEPS, workloads.EXPORT_BURN_IN,
+                    workloads.EXPORT_ITERATIONS),
+}
+# one BLAS thread, so a matrix product sums in one order on every host
+ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def commands(name: str) -> list[tuple[str, list[str]]]:
+    """``(step, argv)`` pairs for one workload, paths relative to OUT_DIR."""
+    sweeps, burn_in, iterations = (str(v) for v in RUN_LENGTHS[name])
+    raw, test, dataset = f"{name}/raw.csv", f"{name}/test.csv", f"{name}/ingest/dataset.csv"
+    fit = ["fit", "--input", dataset, "--sweeps", sweeps, "--burn-in", burn_in,
+           "--seed", str(SEED)]
+    steps = [
+        ("ingest", ["ingest", "--input", raw]),
+        ("ingest-charges", ["ingest", "--input", raw, "--scheme", "charges"]),
+        ("fit", fit + ["--prior", "dependent"]),
+        ("fit-indep-off", fit + ["--prior", "independent", "--anchoring", "off"]),
+        ("fit-free", fit + ["--prior", "free"]),
+        ("rank", ["rank", "--input", dataset, "--iterations", iterations, "--seed", str(SEED)]),
+    ] + [
+        (f"score-{method}", ["score", "--summary", f"{name}/fit/summary.json", "--test", test,
+                             "--method", method])
+        for method in ("likelihood", "accuracy")
+    ]
+    return [(step, argv + ["--out-dir", f"{name}/{step}"]) for step, argv in steps]
+
+
+def digest(path: Path) -> str:
+    if path.name == "manifest.json":
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc.pop("wall_time_s", None)
+        data = json.dumps(doc, indent=2, sort_keys=True).encode("utf-8")
+    else:
+        data = path.read_bytes()
+    return hashlib.sha256(data).hexdigest()
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        sys.stderr.write("usage: python tools/golden_digests.py OUT_DIR\n")
+        return 2
+    out = Path(argv[0]).resolve()
+    if out.exists() and any(out.iterdir()):
+        sys.stderr.write(f"error: {out} is not empty\n")
+        return 2
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **ENV)
+    exit_codes = []
+    for name in RUN_LENGTHS:
+        (out / name / "logs").mkdir(parents=True)
+        generate, _commands = workloads.WORKLOADS[name]
+        generate(SEED, out / name)
+        for step, cli_argv in commands(name):
+            proc = subprocess.run([sys.executable, "-m", "latentbias.cli", *cli_argv],
+                                  cwd=out, env=env, capture_output=True)
+            (out / name / "logs" / f"{step}.stdout").write_bytes(proc.stdout)
+            (out / name / "logs" / f"{step}.stderr").write_bytes(proc.stderr)
+            exit_codes.append(f"{name}/{step} {proc.returncode}\n")
+    (out / "exit_codes.txt").write_text("".join(exit_codes), encoding="utf-8")
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        print(f"{digest(path)}  {path.relative_to(out).as_posix()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
