@@ -5,7 +5,9 @@ a vectorised one-sided truncated-normal sampler that stays exact in the
 far tails.
 
 All sampling takes an explicit ``numpy.random.Generator``; given the same
-generator state the outputs are bit-for-bit reproducible.
+generator state the outputs are bit-for-bit reproducible. Callers in a
+loop pass a 1-D mean with scalar variance and sign, so the arguments are
+validated once per call and never broadcast.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # sampler switches to exponential-proposal rejection.
 _TAIL_MASS_SWITCH = 1e-6
 _MAX_REJECTION_ROUNDS = 1000
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 def std_normal_cdf(x):
@@ -80,20 +83,26 @@ def truncated_moments(mean, variance, sign):
     return s * m, v
 
 
+def _invert_upper_tail(u: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Map uniforms ``u`` in [0, 1) onto the kept upper-tail masses ``q``
+    and invert the CDF there, in place in ``u``."""
+    # (1-u)*q stays in (0, q]; the clip keeps ndtri away from an exact 1.0
+    np.subtract(1.0, u, out=u)
+    u *= q
+    np.minimum(u, _BELOW_ONE, out=u)
+    return np.negative(ndtri(u, out=u), out=u)
+
+
 def _sample_lower_truncated_std(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Z ~ N(0,1) conditioned on Z > a, elementwise over ``a``."""
-    out = np.empty_like(a)
     q = ndtr(-a)  # kept tail mass
     easy = q >= _TAIL_MASS_SWITCH
-    if np.any(easy):
-        u = rng.random(int(easy.sum()))
-        # map u uniformly onto the kept upper-tail mass; (1-u)*q stays in
-        # (0, q] and the clip keeps ndtri away from an exact 1.0
-        arg = np.minimum((1.0 - u) * q[easy], np.nextafter(1.0, 0.0))
-        out[easy] = -ndtri(arg)
+    if easy.all():  # no far tail: no gather or scatter
+        return _invert_upper_tail(rng.random(a.size), q)
+    out = np.empty_like(a)
+    out[easy] = _invert_upper_tail(rng.random(int(easy.sum())), q[easy])
     hard = ~easy
-    if np.any(hard):
-        out[hard] = _sample_tail_rejection(a[hard], rng)
+    out[hard] = _sample_tail_rejection(a[hard], rng)
     return out
 
 
@@ -126,20 +135,45 @@ def sample_truncated_normal(mean, variance, sign, rng: np.random.Generator):
     """Sample N(mean, variance) restricted to the half-line ``sign * x > 0``.
 
     ``mean``/``sign`` may be scalars or matching ndarrays; ``variance`` is a
-    positive scalar (or array). Moderate truncations use the inverse CDF;
-    when the kept mass drops below 1e-6 the sampler switches to
-    exponential-proposal rejection, so far tails (standardized truncation
-    points of 8 and beyond) neither loop unboundedly nor lose support.
+    positive, finite scalar (or array). Moderate truncations use the
+    inverse CDF; when the kept mass drops below 1e-6 the sampler switches
+    to exponential-proposal rejection, so far tails (standardized
+    truncation points of 8 and beyond) neither loop unboundedly nor lose
+    support.
+
+    Fast path: with a 1-D ``mean`` and scalar ``variance`` and ``sign``,
+    validation is one finiteness pass over ``mean`` plus two scalar checks,
+    and nothing is broadcast. It returns the same draws, shape and dtype as
+    the same call with ``np.full(mean.size, .)`` arrays for variance and
+    sign, from an equal generator state.
 
     Raises:
-        DomainError: non-positive variance, non-finite mean, or bad sign.
+        DomainError: non-positive or non-finite variance, non-finite mean,
+            or bad sign.
     """
     m = np.asarray(mean, dtype=float)
+    if m.ndim == 1 and np.ndim(variance) == 0 and np.ndim(sign) == 0:
+        if not np.isfinite(m).all():
+            raise DomainError("mean must be finite")
+        v, s = float(variance), float(sign)
+        if not (v > 0 and math.isfinite(v)):
+            raise DomainError(f"variance must be positive and finite, got {variance!r}")
+        if abs(s) != 1.0:
+            raise DomainError(f"sign must be +1 or -1, got {sign!r}")
+        sd = math.sqrt(v)
+        # mirror sign=-1 onto the positive half-line, sample, mirror back
+        m_pos = m if s > 0 else -m
+        # division rounds sign-symmetrically: this is -m_pos / sd bit for bit
+        x = _sample_lower_truncated_std(m_pos / -sd, rng)
+        x *= sd
+        x += m_pos
+        return x if s > 0 else np.negative(x, out=x)
+
     v = np.asarray(variance, dtype=float)
     if not np.all(np.isfinite(m)):
         raise DomainError("mean must be finite")
-    if not np.all(v > 0):
-        raise DomainError(f"variance must be positive, got {variance!r}")
+    if not np.all((v > 0) & np.isfinite(v)):
+        raise DomainError(f"variance must be positive and finite, got {variance!r}")
     s = _validate_sign(sign)
     sd = np.sqrt(v)
     # mirror sign=-1 onto the positive half-line, sample, mirror back

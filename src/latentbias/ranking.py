@@ -24,7 +24,7 @@ import numpy as np
 from .data import Dataset
 from .errors import DivergenceError, DomainError
 from .gaussians import sample_truncated_normal
-from .model import descending_order
+from .model import descending_order, require_positive_finite
 
 __all__ = [
     "COMMON_LABEL",
@@ -71,6 +71,13 @@ def trueskill_gibbs(
     conditional. Returns the empirical post-burn-in ``(means, variances)``
     per player; variances are floored at 1e-12, so an anchored common
     player reports 1e-12. Deterministic given ``seed``.
+
+    Raises:
+        DomainError: malformed matches, ``iterations`` below 1, a bad
+            ``burn_in``, or a ``performance_variance`` or
+            ``divergence_limit`` that is not positive and finite.
+        DivergenceError: when a skill's magnitude exceeds
+            ``divergence_limit``.
     """
     winners = np.asarray(winners, dtype=np.intp)
     losers = np.asarray(losers, dtype=np.intp)
@@ -82,8 +89,8 @@ def trueskill_gibbs(
         raise DomainError("a match needs two distinct players")
     if iterations < 1:
         raise DomainError("iterations must be >= 1")
-    if performance_variance <= 0:
-        raise DomainError("performance variance must be positive")
+    require_positive_finite(performance_variance=performance_variance,
+                            divergence_limit=divergence_limit)
     burn = iterations // 5 if burn_in is None else burn_in
     if burn < 0 or burn >= iterations:
         raise DomainError(f"need iterations > burn_in >= 0, got {iterations}, {burn}")
@@ -105,7 +112,7 @@ def trueskill_gibbs(
     kept = np.empty((iterations - burn, player_count))
     for it in range(iterations):
         margins = sample_truncated_normal(
-            skills[winners] - skills[losers], performance_variance, np.ones(winners.size), rng
+            skills[winners] - skills[losers], performance_variance, 1.0, rng
         )
         eta = (
             np.bincount(winners, weights=margins, minlength=player_count)

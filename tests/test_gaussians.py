@@ -123,9 +123,16 @@ def test_sample_concentrates_at_tiny_variance():
 
 def test_truncated_rejects_bad_variance():
     rng = np.random.default_rng(0)
-    with pytest.raises(DomainError):
-        sample_truncated_normal(0.0, 0.0, 1.0, rng)
-    with pytest.raises(DomainError):
-        sample_truncated_normal(0.0, -1.0, 1.0, rng)
-    with pytest.raises(DomainError):
-        sample_truncated_normal(0.0, 1.0, 2.0, rng)
+    bad = [
+        (0.0, 0.0, 1.0), (0.0, -1.0, 1.0), (0.0, math.inf, 1.0), (0.0, math.nan, 1.0),
+        (0.0, 1.0, 2.0), (math.nan, 1.0, 1.0), (math.inf, 1.0, -1.0), (-math.inf, 1.0, 1.0),
+    ]
+    for mean, variance, sign in bad:
+        # scalars; a 1-D mean with scalar variance and sign; all arrays
+        with pytest.raises(DomainError):
+            sample_truncated_normal(mean, variance, sign, rng)
+        with pytest.raises(DomainError):
+            sample_truncated_normal(np.array([0.5, mean]), variance, sign, rng)
+        with pytest.raises(DomainError):
+            sample_truncated_normal(np.array([0.5, mean]), np.full(2, variance),
+                                    np.full(2, sign), rng)

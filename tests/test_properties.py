@@ -1,11 +1,12 @@
-"""Property-based tests: CSV round-trips, ingest accounting and the shared
-rank order."""
+"""Property-based tests: CSV round-trips, ingest accounting, the shared
+rank order and the truncated-normal sampler."""
 
 import csv
 import io
+import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latentbias import (
@@ -16,6 +17,8 @@ from latentbias import (
     default_mapping,
     parse_records,
     read_dataset_csv,
+    sample_truncated_normal,
+    truncated_moments,
     write_dataset_csv,
     write_ranking_csv,
 )
@@ -95,3 +98,27 @@ def test_ranking_csv_order_matches_summary_rank(levels):
     )
     assert [r[1] for r in rows] == [labels[i] for i in summary.ranked_indices()]
     assert [int(r[0]) for r in rows] == sorted(summary.rank.tolist())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-12.0, 12.0), min_size=1, max_size=4), st.floats(0.1, 10.0),
+       st.sampled_from([1.0, -1.0]), st.integers(0, 2**32 - 1))
+@example(ratios=[-12.0, 0.0, 12.0], sd=1.0, sign=1.0, seed=0)
+@example(ratios=[-12.0, 0.0, 12.0], sd=3.0, sign=-1.0, seed=0)
+def test_truncated_normal_support_moments_and_scalar_path(ratios, sd, sign, seed):
+    # |mean|/sd up to 12: the inverse-CDF and the far-tail branch, alone and
+    # mixed in one call
+    n = 2000
+    variance = sd * sd
+    means = np.repeat(np.array(ratios) * sd, n)
+    draws = sample_truncated_normal(means, variance, sign, np.random.default_rng(seed))
+    assert draws.dtype == np.float64 and draws.shape == means.shape
+    assert np.all(sign * draws > 0)
+    for chunk_means, chunk in zip(means.reshape(-1, n), draws.reshape(-1, n)):
+        m, v = truncated_moments(float(chunk_means[0]), variance, sign)
+        assert abs(chunk.mean() - m) <= 5.0 * math.sqrt(v / n)
+    as_arrays = sample_truncated_normal(means, np.full(means.size, variance),
+                                        np.full(means.size, sign), np.random.default_rng(seed))
+    assert as_arrays.tobytes() == draws.tobytes()
+    one = sample_truncated_normal(float(means[0]), variance, sign, np.random.default_rng(seed))
+    assert isinstance(one, float) and sign * one > 0
