@@ -6,8 +6,8 @@ far tails.
 
 All sampling takes an explicit ``numpy.random.Generator``; given the same
 generator state the outputs are bit-for-bit reproducible. Callers in a
-loop pass a 1-D mean with scalar variance and sign, so the arguments are
-validated once per call and never broadcast.
+loop pass a 1-D mean with scalar variance and sign, so validation is one
+pass over the mean and nothing is copied out to a broadcast shape.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ def std_normal_pdf(x):
 
 def _validate_sign(sign) -> np.ndarray:
     s = np.asarray(sign, dtype=float)
-    if not np.all(np.abs(s) == 1.0):
+    if not (np.abs(s) == 1.0).all():
         raise DomainError(f"sign must be +1 or -1, got {sign!r}")
     return s
 
@@ -98,7 +98,7 @@ def _sample_lower_truncated_std(a: np.ndarray, rng: np.random.Generator) -> np.n
     q = ndtr(-a)  # kept tail mass
     easy = q >= _TAIL_MASS_SWITCH
     if easy.all():  # no far tail: no gather or scatter
-        return _invert_upper_tail(rng.random(a.size), q)
+        return _invert_upper_tail(rng.random(a.shape), q)
     out = np.empty_like(a)
     out[easy] = _invert_upper_tail(rng.random(int(easy.sum())), q[easy])
     hard = ~easy
@@ -141,48 +141,30 @@ def sample_truncated_normal(mean, variance, sign, rng: np.random.Generator):
     truncation points of 8 and beyond) neither loop unboundedly nor lose
     support.
 
-    Fast path: with a 1-D ``mean`` and scalar ``variance`` and ``sign``,
-    validation is one finiteness pass over ``mean`` plus two scalar checks,
-    and nothing is broadcast. It returns the same draws, shape and dtype as
-    the same call with ``np.full(mean.size, .)`` arrays for variance and
-    sign, from an equal generator state.
+    Loop callers pass a 1-D ``mean`` with scalar ``variance`` and ``sign``:
+    validation is then one finiteness pass over ``mean`` plus scalar
+    checks. The draws, shape and dtype equal those of the same call with
+    ``np.full(mean.size, .)`` arrays for variance and sign, from an equal
+    generator state.
 
     Raises:
         DomainError: non-positive or non-finite variance, non-finite mean,
             or bad sign.
     """
     m = np.asarray(mean, dtype=float)
-    if m.ndim == 1 and np.ndim(variance) == 0 and np.ndim(sign) == 0:
-        if not np.isfinite(m).all():
-            raise DomainError("mean must be finite")
-        v, s = float(variance), float(sign)
-        if not (v > 0 and math.isfinite(v)):
-            raise DomainError(f"variance must be positive and finite, got {variance!r}")
-        if abs(s) != 1.0:
-            raise DomainError(f"sign must be +1 or -1, got {sign!r}")
-        sd = math.sqrt(v)
-        # mirror sign=-1 onto the positive half-line, sample, mirror back
-        m_pos = m if s > 0 else -m
-        # division rounds sign-symmetrically: this is -m_pos / sd bit for bit
-        x = _sample_lower_truncated_std(m_pos / -sd, rng)
-        x *= sd
-        x += m_pos
-        return x if s > 0 else np.negative(x, out=x)
-
     v = np.asarray(variance, dtype=float)
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise DomainError("mean must be finite")
-    if not np.all((v > 0) & np.isfinite(v)):
+    if not ((v > 0) & np.isfinite(v)).all():
         raise DomainError(f"variance must be positive and finite, got {variance!r}")
     s = _validate_sign(sign)
     sd = np.sqrt(v)
-    # mirror sign=-1 onto the positive half-line, sample, mirror back
-    shape = np.broadcast_shapes(m.shape, s.shape, sd.shape)
-    scalar = len(shape) == 0
-    if scalar:
-        shape = (1,)
-    m_pos = np.ascontiguousarray(np.broadcast_to(s * m, shape))
-    sd_b = np.broadcast_to(sd, shape)
-    z = _sample_lower_truncated_std(np.ascontiguousarray(-m_pos / sd_b), rng)
-    x = np.broadcast_to(s, shape) * (m_pos + sd_b * z)
-    return float(x[0]) if scalar else x
+    # mirror onto the half-line x > 0, sample there, mirror back: with s =
+    # +-1 the products are exact and s_m / -sd rounds as -s_m / sd does
+    s_m = s * m
+    a = s_m / -sd
+    x = _sample_lower_truncated_std(np.atleast_1d(a), rng)
+    x *= sd
+    x += s_m
+    x *= s
+    return float(x[0]) if np.ndim(a) == 0 else x

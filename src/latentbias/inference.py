@@ -416,30 +416,16 @@ def run_gibbs(
         eta = eta0.copy()
         centre = bias_sample if stabilised else mean
         for g in range(k):
+            n = int(counts[g])
             c, tau = crims[g], taus[g]
-            # b = centre + draw_sd * N(0, 1), in place
-            b = rng.standard_normal(int(counts[g]))
-            b *= draw_sd[g]
-            b += centre[g]
+            b = centre[g] + draw_sd[g] * rng.standard_normal(n)
             s_lat = sample_truncated_normal(c + b, alpha, 1.0, rng)
             # the outcome latent lives on tau * x > 0: draw it mirrored onto x > 0
-            t_lat = sample_truncated_normal(tau * c, gamma, 1.0, rng)
-            t_lat *= tau
-            t_sum = float(np.sum(t_lat))
-            # c = v_stop * ((s_lat - b) / alpha + t_lat / gamma) + sd_stop * N(0, 1),
-            # in place and in that order; t_lat's buffer takes the noise
-            c = np.subtract(s_lat, b, out=b)
-            c /= alpha
-            t_lat /= gamma
-            c += t_lat
-            c *= v_stop
-            noise = rng.standard_normal(out=t_lat)
-            noise *= sd_stop
-            c += noise
+            t_lat = tau * sample_truncated_normal(tau * c, gamma, 1.0, rng)
+            c = v_stop * ((s_lat - b) / alpha + t_lat / gamma) + sd_stop * rng.standard_normal(n)
             crims[g] = c
-            s_lat -= c
-            eta[g] += float(np.sum(s_lat)) / alpha
-            eta[k] += t_sum / gamma
+            eta[g] += float(np.sum(s_lat - c)) / alpha
+            eta[k] += float(np.sum(t_lat)) / gamma
             if stabilised:
                 bias_sample[g], modes[g] = _sample_bias_conditional(
                     c, float(m0[g]), float(v0[g]),
