@@ -30,7 +30,7 @@ from .data import (
     read_dataset_csv,
     write_dataset_csv,
 )
-from .errors import DataError, DivergenceError, DomainError, LatentBiasError
+from .errors import DivergenceError, DomainError, LatentBiasError
 from .inference import (
     PosteriorSummary,
     read_trace_csv,
@@ -331,10 +331,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
-    except (DomainError, DataError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except LatentBiasError as exc:
+    except (LatentBiasError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

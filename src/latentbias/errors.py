@@ -12,15 +12,7 @@ class DomainError(LatentBiasError, ValueError):
 
 
 class ConditioningError(LatentBiasError):
-    """A matrix that must be positive definite is not.
-
-    ``pivot`` is the 0-based index of the first non-positive Cholesky pivot
-    when known, else ``None``.
-    """
-
-    def __init__(self, message: str, pivot: int | None = None):
-        super().__init__(message)
-        self.pivot = pivot
+    """A matrix that must be positive definite is not."""
 
 
 class DivergenceError(LatentBiasError):

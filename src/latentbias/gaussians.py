@@ -4,10 +4,11 @@ Standard-normal CDF/PDF, the moments of a one-sided truncated normal, and
 a vectorised one-sided truncated-normal sampler that stays exact in the
 far tails.
 
-All sampling takes an explicit ``numpy.random.Generator``; given the same
-generator state the outputs are bit-for-bit reproducible. Callers in a
-loop pass a 1-D mean with scalar variance and sign, so validation is one
-pass over the mean and nothing is copied out to a broadcast shape.
+Both truncated-normal helpers take one half-line, ``x > 0``, and a
+positive finite scalar variance; draw the negative half-line as
+``-sample_truncated_normal(-mean, variance, rng)``. All sampling takes an
+explicit ``numpy.random.Generator``; given the same generator state the
+outputs are bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -58,29 +59,29 @@ def std_normal_pdf(x):
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
-def _validate_sign(sign) -> np.ndarray:
-    s = np.asarray(sign, dtype=float)
-    if not (np.abs(s) == 1.0).all():
-        raise DomainError(f"sign must be +1 or -1, got {sign!r}")
-    return s
+def _require_variance(variance) -> float:
+    """``variance`` as a float, if it is positive and finite."""
+    v = float(variance)
+    if not 0.0 < v < math.inf:
+        raise DomainError(f"variance must be positive and finite, got {variance!r}")
+    return v
 
 
-def truncated_moments(mean, variance, sign):
-    """Exact mean and variance of a one-sided truncated normal.
+def truncated_moments(mean, variance):
+    """Exact mean and variance of N(mean, variance) restricted to ``x > 0``.
 
-    The distribution is N(mean, variance) restricted to ``sign * x > 0``.
     Uses the Mills-ratio closed forms with tail-stable CDF evaluation.
+
+    Raises:
+        DomainError: non-finite mean, or variance not positive and finite.
     """
-    if variance <= 0:
-        raise DomainError(f"variance must be positive, got {variance}")
-    s = float(_validate_sign(sign))
+    if not math.isfinite(mean):
+        raise DomainError(f"mean must be finite, got {mean!r}")
+    variance = _require_variance(variance)
     sd = math.sqrt(variance)
-    # standardized truncation point for the positive half-line of s*x
-    a = -s * mean / sd
+    a = -mean / sd  # standardized truncation point
     lam = std_normal_pdf(a) / std_normal_cdf(-a)
-    m = s * mean + sd * lam
-    v = variance * (1.0 + a * lam - lam * lam)
-    return s * m, v
+    return mean + sd * lam, variance * (1.0 + a * lam - lam * lam)
 
 
 def _invert_upper_tail(u: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -131,40 +132,25 @@ def _sample_tail_rejection(a: np.ndarray, rng: np.random.Generator) -> np.ndarra
     return out
 
 
-def sample_truncated_normal(mean, variance, sign, rng: np.random.Generator):
-    """Sample N(mean, variance) restricted to the half-line ``sign * x > 0``.
+def sample_truncated_normal(mean, variance, rng: np.random.Generator):
+    """Sample N(mean, variance) restricted to the half-line ``x > 0``.
 
-    ``mean``/``sign`` may be scalars or matching ndarrays; ``variance`` is a
-    positive, finite scalar (or array). Moderate truncations use the
+    ``mean`` is a 1-D ndarray, or a scalar, which returns a float;
+    ``variance`` is a positive, finite scalar. Moderate truncations use the
     inverse CDF; when the kept mass drops below 1e-6 the sampler switches
     to exponential-proposal rejection, so far tails (standardized
     truncation points of 8 and beyond) neither loop unboundedly nor lose
-    support.
-
-    Loop callers pass a 1-D ``mean`` with scalar ``variance`` and ``sign``:
-    validation is then one finiteness pass over ``mean`` plus scalar
-    checks. The draws, shape and dtype equal those of the same call with
-    ``np.full(mean.size, .)`` arrays for variance and sign, from an equal
-    generator state.
+    support. Draw the negative half-line as
+    ``-sample_truncated_normal(-mean, variance, rng)``.
 
     Raises:
-        DomainError: non-positive or non-finite variance, non-finite mean,
-            or bad sign.
+        DomainError: non-finite mean, or variance not positive and finite.
     """
     m = np.asarray(mean, dtype=float)
-    v = np.asarray(variance, dtype=float)
     if not np.isfinite(m).all():
         raise DomainError("mean must be finite")
-    if not ((v > 0) & np.isfinite(v)).all():
-        raise DomainError(f"variance must be positive and finite, got {variance!r}")
-    s = _validate_sign(sign)
-    sd = np.sqrt(v)
-    # mirror onto the half-line x > 0, sample there, mirror back: with s =
-    # +-1 the products are exact and s_m / -sd rounds as -s_m / sd does
-    s_m = s * m
-    a = s_m / -sd
-    x = _sample_lower_truncated_std(np.atleast_1d(a), rng)
+    sd = math.sqrt(_require_variance(variance))
+    x = _sample_lower_truncated_std(np.atleast_1d(m / -sd), rng)
     x *= sd
-    x += s_m
-    x *= s
-    return float(x[0]) if np.ndim(a) == 0 else x
+    x += m
+    return float(x[0]) if m.ndim == 0 else x

@@ -419,9 +419,9 @@ def run_gibbs(
             n = int(counts[g])
             c, tau = crims[g], taus[g]
             b = centre[g] + draw_sd[g] * rng.standard_normal(n)
-            s_lat = sample_truncated_normal(c + b, alpha, 1.0, rng)
+            s_lat = sample_truncated_normal(c + b, alpha, rng)
             # the outcome latent lives on tau * x > 0: draw it mirrored onto x > 0
-            t_lat = tau * sample_truncated_normal(tau * c, gamma, 1.0, rng)
+            t_lat = tau * sample_truncated_normal(tau * c, gamma, rng)
             c = v_stop * ((s_lat - b) / alpha + t_lat / gamma) + sd_stop * rng.standard_normal(n)
             crims[g] = c
             eta[g] += float(np.sum(s_lat - c)) / alpha

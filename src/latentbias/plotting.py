@@ -23,10 +23,8 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def render_trace_svg(trace: GibbsTrace, labels: list[str] | None = None) -> str:
+def render_trace_svg(trace: GibbsTrace) -> str:
     k = trace.group_count
-    if labels is None:
-        labels = [f"group{i}" for i in range(k)]
     means = trace.means[:, :k]
     sds = np.sqrt(np.maximum(trace.variances[:, :k], 0.0))
     n = trace.sweeps
@@ -80,7 +78,7 @@ def render_trace_svg(trace: GibbsTrace, labels: list[str] | None = None) -> str:
             )
         parts.append(
             f'<text x="{_fmt(_WIDTH - _MARGIN + 8)}" y="{_fmt(_MARGIN + 16 * g)}" '
-            f'font-size="12" fill="{colour}">{labels[g]}</text>'
+            f'font-size="12" fill="{colour}">group{g}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -24,7 +24,7 @@ import numpy as np
 from .data import Dataset
 from .errors import DivergenceError, DomainError
 from .gaussians import sample_truncated_normal
-from .model import descending_order, require_positive_finite
+from .model import descending_order
 
 __all__ = [
     "COMMON_LABEL",
@@ -34,6 +34,8 @@ __all__ = [
 ]
 
 COMMON_LABEL = "Criminality"
+# a skill whose magnitude passes this has diverged
+_DIVERGENCE_LIMIT = 1e6
 
 
 def matches_from_dataset(dataset: Dataset) -> tuple[list[str], np.ndarray, np.ndarray]:
@@ -57,27 +59,22 @@ def trueskill_gibbs(
     player_count: int,
     iterations: int = 500,
     seed: int = 0,
-    burn_in: int | None = None,
-    performance_variance: float = 1.0,
     anchor_common: bool = False,
-    divergence_limit: float = 1e6,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batch Gibbs over match margins and player skills.
 
     Match ``m`` is won by player ``winners[m]`` against ``losers[m]``;
     player ids run over ``0..player_count-1``.
-    Per iteration: margins ``d_m ~ N(w_win - w_lose, v)`` truncated
+    Per iteration: margins ``d_m ~ N(w_win - w_lose, 1)`` truncated
     positive, then the whole skill vector jointly from its Gaussian
-    conditional. Returns the empirical post-burn-in ``(means, variances)``
-    per player; variances are floored at 1e-12, so an anchored common
-    player reports 1e-12. Deterministic given ``seed``.
+    conditional. The first ``iterations // 5`` iterations are burn-in.
+    Returns the empirical post-burn-in ``(means, variances)`` per player;
+    variances are floored at 1e-12, so an anchored common player reports
+    1e-12. Deterministic given ``seed``.
 
     Raises:
-        DomainError: malformed matches, ``iterations`` below 1, a bad
-            ``burn_in``, or a ``performance_variance`` or
-            ``divergence_limit`` that is not positive and finite.
-        DivergenceError: when a skill's magnitude exceeds
-            ``divergence_limit``.
+        DomainError: malformed matches or ``iterations`` below 1.
+        DivergenceError: when a skill's magnitude exceeds 1e6.
     """
     winners = np.asarray(winners, dtype=np.intp)
     losers = np.asarray(losers, dtype=np.intp)
@@ -89,20 +86,15 @@ def trueskill_gibbs(
         raise DomainError("a match needs two distinct players")
     if iterations < 1:
         raise DomainError("iterations must be >= 1")
-    require_positive_finite(performance_variance=performance_variance,
-                            divergence_limit=divergence_limit)
-    burn = iterations // 5 if burn_in is None else burn_in
-    if burn < 0 or burn >= iterations:
-        raise DomainError(f"need iterations > burn_in >= 0, got {iterations}, {burn}")
     if min(winners.min(), losers.min()) < 0 or max(winners.max(), losers.max()) >= player_count:
         raise DomainError("match player ids out of range")
 
-    inv_v = 1.0 / performance_variance
+    burn = iterations // 5
     precision = np.eye(player_count)
-    np.add.at(precision, (winners, winners), inv_v)
-    np.add.at(precision, (losers, losers), inv_v)
-    np.add.at(precision, (winners, losers), -inv_v)
-    np.add.at(precision, (losers, winners), -inv_v)
+    np.add.at(precision, (winners, winners), 1.0)
+    np.add.at(precision, (losers, losers), 1.0)
+    np.add.at(precision, (winners, losers), -1.0)
+    np.add.at(precision, (losers, winners), -1.0)
     covariance = np.linalg.inv(precision)
     covariance = 0.5 * (covariance + covariance.T)
     chol = np.linalg.cholesky(covariance)
@@ -111,15 +103,11 @@ def trueskill_gibbs(
     skills = np.zeros(player_count)
     kept = np.empty((iterations - burn, player_count))
     for it in range(iterations):
-        margins = sample_truncated_normal(
-            skills[winners] - skills[losers], performance_variance, 1.0, rng
-        )
-        eta = (
-            np.bincount(winners, weights=margins, minlength=player_count)
-            - np.bincount(losers, weights=margins, minlength=player_count)
-        ) * inv_v
+        margins = sample_truncated_normal(skills[winners] - skills[losers], 1.0, rng)
+        eta = (np.bincount(winners, weights=margins, minlength=player_count)
+               - np.bincount(losers, weights=margins, minlength=player_count))
         skills = covariance @ eta + chol @ rng.standard_normal(player_count)
-        if np.any(np.abs(skills) > divergence_limit):
+        if np.any(np.abs(skills) > _DIVERGENCE_LIMIT):
             raise DivergenceError(f"ranking chain diverged at iteration {it}", sweep=it)
         if it >= burn:
             kept[it - burn] = skills - skills[0] if anchor_common else skills

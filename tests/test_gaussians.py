@@ -49,20 +49,20 @@ def test_cdf_rejects_non_finite():
 
 def test_truncated_support_positive():
     rng = np.random.default_rng(0)
-    xs = sample_truncated_normal(np.zeros(10_000), 1.0, np.ones(10_000), rng)
+    xs = sample_truncated_normal(np.zeros(10_000), 1.0, rng)
     assert np.all(xs > 0)
 
 
 def test_half_normal_mean():
     rng = np.random.default_rng(1)
-    xs = sample_truncated_normal(np.zeros(1_000_000), 1.0, np.ones(1_000_000), rng)
+    xs = sample_truncated_normal(np.zeros(1_000_000), 1.0, rng)
     assert xs.mean() == pytest.approx(math.sqrt(2 / math.pi), abs=0.01)
 
 
 def test_far_tail_mean_against_mills_oracle():
     # N(-4, 1) restricted to x > 0: mean is phi(4)/Phi(-4) - 4
     rng = np.random.default_rng(2)
-    xs = sample_truncated_normal(np.full(1_000_000, -4.0), 1.0, np.ones(1_000_000), rng)
+    xs = sample_truncated_normal(np.full(1_000_000, -4.0), 1.0, rng)
     expected = mills_lambda_oracle(4.0) - 4.0
     assert expected == pytest.approx(0.22561, abs=1e-4)
     assert xs.mean() == pytest.approx(expected, abs=0.01)
@@ -70,8 +70,9 @@ def test_far_tail_mean_against_mills_oracle():
 
 
 def test_negative_sign_mirror():
+    # N(1, 2) on x < 0, drawn as the caller-side mirror of N(-1, 2) on x > 0
     rng = np.random.default_rng(3)
-    xs = sample_truncated_normal(np.full(200_000, 1.0), 2.0, -np.ones(200_000), rng)
+    xs = -sample_truncated_normal(np.full(200_000, -1.0), 2.0, rng)
     assert np.all(xs < 0)
     m, v = truncated_moment_oracle(1.0, 2.0, -1.0)
     assert xs.mean() == pytest.approx(m, abs=0.02)
@@ -81,26 +82,26 @@ def test_negative_sign_mirror():
 def test_extreme_tail_does_not_hang_or_leak():
     # kept mass ~6e-16: must use the rejection path, finish fast, stay in support
     rng = np.random.default_rng(4)
-    xs = sample_truncated_normal(np.full(100_000, -8.0), 1.0, np.ones(100_000), rng)
+    xs = sample_truncated_normal(np.full(100_000, -8.0), 1.0, rng)
     assert np.all(xs > 0)
     m, _v = truncated_moment_oracle(-8.0, 1.0, 1.0)
     assert xs.mean() == pytest.approx(m, abs=0.02)
 
 
 def test_truncation_support_fuzz():
-    # 10^7 draws across the documented envelope |mean|/sd up to 8: no sign
-    # violation anywhere
+    # 10^7 draws across the documented envelope |mean|/sd up to 8, half of
+    # them mirrored onto x < 0: no sign violation anywhere
     rng = np.random.default_rng(5)
     n = 10_000_000
     means = rng.uniform(-8.0, 8.0, n)
     signs = np.where(rng.random(n) < 0.5, 1.0, -1.0)
-    xs = sample_truncated_normal(means, 1.0, signs, rng)
+    xs = signs * sample_truncated_normal(signs * means, 1.0, rng)
     assert np.all(signs * xs > 0)
 
 
 def test_truncated_moments_match_oracle_grid():
     for a in (-8, -4, -1, 0, 1, 4, 8):
-        m, v = truncated_moments(-float(a), 1.0, 1.0)
+        m, v = truncated_moments(-float(a), 1.0)
         mo, vo = truncated_moment_oracle(-float(a), 1.0, 1.0)
         assert m == pytest.approx(mo, rel=1e-9)
         assert v == pytest.approx(vo, rel=1e-7)
@@ -108,31 +109,34 @@ def test_truncated_moments_match_oracle_grid():
 
 def test_sample_deterministic_given_seed():
     means = np.linspace(-9.0, 3.0, 50)  # both the inverse-CDF and the rejection branch
-    a = sample_truncated_normal(means, 1.0, np.ones(50), np.random.default_rng(42))
-    b = sample_truncated_normal(means, 1.0, np.ones(50), np.random.default_rng(42))
+    a = sample_truncated_normal(means, 1.0, np.random.default_rng(42))
+    b = sample_truncated_normal(means, 1.0, np.random.default_rng(42))
     assert np.array_equal(a, b)
-    c = sample_truncated_normal(means, 1.0, np.ones(50), np.random.default_rng(43))
+    c = sample_truncated_normal(means, 1.0, np.random.default_rng(43))
     assert not np.array_equal(a, c)
 
 
 def test_sample_concentrates_at_tiny_variance():
     rng = np.random.default_rng(0)
-    xs = sample_truncated_normal(np.array([2.0, -3.0]), 1e-12, np.array([1.0, -1.0]), rng)
+    signs = np.array([1.0, -1.0])
+    xs = signs * sample_truncated_normal(signs * np.array([2.0, -3.0]), 1e-12, rng)
     assert np.all(np.abs(xs - np.array([2.0, -3.0])) < 1e-5)
 
 
 def test_truncated_rejects_bad_variance():
     rng = np.random.default_rng(0)
-    bad = [
-        (0.0, 0.0, 1.0), (0.0, -1.0, 1.0), (0.0, math.inf, 1.0), (0.0, math.nan, 1.0),
-        (0.0, 1.0, 2.0), (math.nan, 1.0, 1.0), (math.inf, 1.0, -1.0), (-math.inf, 1.0, 1.0),
-    ]
-    for mean, variance, sign in bad:
-        # scalars; a 1-D mean with scalar variance and sign; all arrays
-        with pytest.raises(DomainError):
-            sample_truncated_normal(mean, variance, sign, rng)
-        with pytest.raises(DomainError):
-            sample_truncated_normal(np.array([0.5, mean]), variance, sign, rng)
-        with pytest.raises(DomainError):
-            sample_truncated_normal(np.array([0.5, mean]), np.full(2, variance),
-                                    np.full(2, sign), rng)
+    for variance in (0.0, -1.0, math.inf, math.nan):
+        # a scalar mean; a 1-D mean; the closed-form moments
+        with pytest.raises(DomainError, match="variance must be positive and finite"):
+            sample_truncated_normal(0.0, variance, rng)
+        with pytest.raises(DomainError, match="variance must be positive and finite"):
+            sample_truncated_normal(np.array([0.5, 0.0]), variance, rng)
+        with pytest.raises(DomainError, match="variance must be positive and finite"):
+            truncated_moments(0.0, variance)
+    for mean in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="mean must be finite"):
+            sample_truncated_normal(mean, 1.0, rng)
+        with pytest.raises(DomainError, match="mean must be finite"):
+            sample_truncated_normal(np.array([0.5, mean]), 1.0, rng)
+        with pytest.raises(DomainError, match="mean must be finite"):
+            truncated_moments(mean, 1.0)
