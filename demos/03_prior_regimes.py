@@ -1,9 +1,11 @@
 """The three prior regimes on identical data.
 
-INDEPENDENT never couples bias and criminality, so each group's anchored
-variance scales like (1 + N) / (1 + n_k): thin groups look wide. DEPENDENT
-adds the cross-precision, which ties every bias to the criminality
-coordinate and compresses all the variances to about 1. FREE runs the same
+INDEPENDENT never couples bias and criminality, so each group's reported
+anchored variance scales like (1 + N) / (1 + n_k): thin groups look wide.
+DEPENDENT adds the cross-precision, which ties every bias to the
+criminality coordinate and compresses all the reported variances to about
+1. Both are the fixed report in ``bias_variance``, not the spread of the
+bias draws, which under anchoring is the same for both. FREE runs the same
 joint structure without the drift correction; its coupled mean update
 amplifies any bias/outcome evidence mismatch by roughly N/(K+1) per sweep
 and the chain blows past the divergence guard within a few sweeps.

@@ -34,6 +34,8 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _TAIL_MASS_SWITCH = 1e-6
 _MAX_REJECTION_ROUNDS = 1000
 _BELOW_ONE = np.nextafter(1.0, 0.0)
+# continued-fraction moments from this truncation point on, to full precision
+_FAR_TAIL_SWITCH, _FAR_TAIL_TERMS = 5.0, 40
 
 
 def std_normal_cdf(x):
@@ -70,7 +72,9 @@ def _require_variance(variance) -> float:
 def truncated_moments(mean, variance):
     """Exact mean and variance of N(mean, variance) restricted to ``x > 0``.
 
-    Uses the Mills-ratio closed forms with tail-stable CDF evaluation.
+    Uses the Mills-ratio closed forms; past a standardized truncation point
+    of 5, where they cancel and then underflow, Laplace's continued fraction
+    for the Mills ratio keeps both moments at full relative precision.
 
     Raises:
         DomainError: non-finite mean, or variance not positive and finite.
@@ -80,8 +84,16 @@ def truncated_moments(mean, variance):
     variance = _require_variance(variance)
     sd = math.sqrt(variance)
     a = -mean / sd  # standardized truncation point
-    lam = std_normal_pdf(a) / std_normal_cdf(-a)
-    return mean + sd * lam, variance * (1.0 + a * lam - lam * lam)
+    if a < _FAR_TAIL_SWITCH:
+        lam = std_normal_pdf(a) / std_normal_cdf(-a)
+        return mean + sd * lam, variance * (1.0 + a * lam - lam * lam)
+    # lam = a + gap, gap = 1/(a + rest), rest = 2/(a + 3/(a + ...)): the moments are
+    # mean + sd*lam = sd*gap and variance*(1 + a*lam - lam**2) = variance*gap*(rest - gap)
+    rest = 0.0
+    for j in range(_FAR_TAIL_TERMS, 1, -1):
+        rest = j / (a + rest)
+    gap = 1.0 / (a + rest)
+    return sd * gap, variance * gap * (rest - gap)
 
 
 def _invert_upper_tail(u: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -1,37 +1,28 @@
-"""Gibbs sampling over truncated-Gaussian latents with drift correction.
+"""Gibbs sampling of per-group bias, with and without drift correction.
 
-Every stopped record contributes two latent variables: a stopping
-susceptibility ``S`` (sign fixed to the stop indicator) and a true
-criminality ``T`` (sign fixed to the outcome). A sweep redraws the latents
-of each group's records as one array, refreshes each record's
-criminality, accumulates the resulting Gaussian pseudo-observations in
-natural-parameter form, and combines them with the prior.
+Every stopped record has two latents: a stopping susceptibility ``S``
+(sign fixed to the stop) and a true criminality ``T`` (sign fixed to the
+outcome). The anchoring flag is the drift correction. With it on (the
+default except under FREE), each person's criminality is N(0,1) with no
+shared term, so the latents integrate out and a group's bias conditional
+depends only on its counts (:class:`_CountTarget`). Its mode and scale are
+solved once per group; each sweep then advances every bias by independence
+Metropolis-Hastings steps, O(K) work with no per-record draws. With it off
+the chain keeps one criminality per record, redraws the latents, and
+applies the coupled natural-parameter combination literally; the cross
+terms amplify any mismatch between bias-side and outcome-side evidence by
+roughly ``N / (K + 1)`` per sweep, so unanchored FREE runs diverge within a
+few sweeps on asymmetric data - the documented instability this package
+keeps. The guard raises :class:`~latentbias.errors.DivergenceError` with
+the sweep index instead of overflowing.
 
-Three structural rules distinguish the prior regimes:
-
-* bias precision: each record adds ``1/alpha`` to its group's diagonal;
-* criminality precision: each outcome adds ``1/gamma`` to the criminality
-  diagonal (all regimes - this is what gives anchored bias variances their
-  characteristic ``(1 + N) / (1 + n_k)`` scale);
-* cross precision: DEPENDENT and FREE add ``1/alpha`` to the
-  bias/criminality cross entries, INDEPENDENT never writes them.
-
-The anchoring flag is the drift correction. With it on, recorded states
-are re-centred so the criminality mean is exactly zero and rescaled so its
-variance is exactly one, and the chain itself runs a stabilised update
-(coordinate-wise conjugate combination, per-record bias draws centred on
-the current bias sample). Once per sweep, each bias sample is advanced
-by independence Metropolis-Hastings steps whose target is the bias
-conditional with the record criminalities binned into 128 equal-width
-bins; the proposal is a Student-t at that conditional's mode, found by a
-safeguarded Newton solve. With it off the chain applies the
-coupled natural-parameter combination literally; because the cross terms
-make that solve amplify any mismatch between bias-side and outcome-side
-evidence by roughly ``N / (K + 1)`` per sweep, unanchored runs under the
-FREE regime diverge within a few sweeps on asymmetric data - the
-documented instability this package preserves deliberately. The guard
-raises :class:`~latentbias.errors.DivergenceError` carrying the sweep
-index instead of overflowing.
+The recorded variances are a fixed report: the inverse of a precision in
+which each record adds ``1/alpha`` to its group's bias diagonal, each
+outcome adds ``1/gamma`` to the criminality diagonal, and DEPENDENT and
+FREE (never INDEPENDENT) add ``1/alpha`` to the cross entries; anchored
+runs divide it by its criminality entry. That gives anchored bias
+variances their ``(1 + N) / (1 + n_k)`` scale, a reporting formula and not
+the spread of the bias draws.
 """
 
 from __future__ import annotations
@@ -43,7 +34,7 @@ from dataclasses import dataclass
 from typing import TextIO
 
 import numpy as np
-from scipy.special import log_ndtr
+from scipy.special import ndtr, owens_t
 
 from .data import Dataset
 from .errors import ConditioningError, DivergenceError, DomainError, NumericalError
@@ -59,13 +50,12 @@ __all__ = [
     "read_trace_csv",
 ]
 
-# bias-conditional sampler: criminality bins, mode solve, Student-t proposal
-_BIAS_BINS = 128
+# bias-conditional sampler: mode solve, Student-t proposal
 _BIAS_NEWTON_STEPS = 60
 _BIAS_MODE_TOL = 1e-10
 _BIAS_T_DOF = 4.0
 _BIAS_MH_STEPS = 3
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass
@@ -206,59 +196,64 @@ def _ranks_desc(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _bin_criminalities(cs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bin centres and counts of ``cs`` over ``_BIAS_BINS`` equal-width bins
-    spanning ``[min, max]``; empty bins are dropped."""
-    lo, hi = float(cs.min()), float(cs.max())
-    if hi - lo < 1e-9:
-        return np.array([0.5 * (lo + hi)]), np.array([float(cs.size)])
-    width = (hi - lo) / _BIAS_BINS
-    counts = np.bincount(((cs - lo) / width).astype(np.intp), minlength=_BIAS_BINS + 1)
-    counts[_BIAS_BINS - 1] += counts[_BIAS_BINS]  # the maximum belongs to the last bin
-    keep = np.flatnonzero(counts[:_BIAS_BINS])
-    return lo + (keep + 0.5) * width, counts[keep].astype(float)
+class _CountTarget:
+    """One group's bias conditional with every latent integrated out,
 
+        log N(beta; m0, v0) + n_pos log P+(beta) + n_neg log P-(beta),
 
-def _sample_bias_conditional(
-    cs: np.ndarray,
-    m0: float,
-    v0: float,
-    sqrt_alpha: float,
-    current: float,
-    rng: np.random.Generator,
-    prev_mode: float | None,
-) -> tuple[float, float]:
-    """Metropolis-Hastings update of a bias coordinate; returns
-    ``(new value, mode)``.
-
-    With the susceptibility latents integrated out, the conditional given
-    the record criminalities of an all-stopped group is
-
-        p(beta) propto N(beta; m0, v0) * prod_i Phi((c_i + beta)/sqrt(alpha))
-
-    which is log-concave. The criminalities are binned into ``_BIAS_BINS``
-    equal-width bins (each record enters at its bin centre). The mode is a
-    safeguarded Newton solve on the closed-form score, warm-started at
-    ``prev_mode``, with the Mills ratio taken in log space so it stays
-    finite far in the lower tail. Starting from ``current``, the chain then
-    takes ``_BIAS_MH_STEPS`` independence MH steps, each proposing from a
-    Student-t centred at the mode and scaled by the inverse square root of
-    the negative Hessian there, so it targets the binned conditional
-    exactly. Collapsing the latents here is what lets the chain mix in a
-    handful of sweeps instead of O(n).
-
-    Raises:
-        NumericalError: if the mode solve does not converge.
+    up to a constant. ``P+-`` are the orthant masses of (S, T) = (C + beta +
+    N(0, alpha), C + N(0, gamma)), C ~ N(0,1), on S > 0 and +-T > 0; with
+    ``h = beta/sqrt(1+alpha)``, ``rho = 1/sqrt((1+alpha)(1+gamma))`` and
+    ``r = rho/sqrt(1-rho^2)``, Owen's T gives ``P+- = Phi(h)/2 +- T(h, r)``.
+    The density is log-concave. ``P-`` loses relative precision where the
+    stop is rare (``h`` below about -10 at alpha = gamma = 1), far below
+    the mode under any prior mean at or above the default's.
     """
-    centers, weights = _bin_criminalities(cs)
-    alpha = sqrt_alpha * sqrt_alpha
-    x = m0 if prev_mode is None else prev_mode
+
+    def __init__(self, n_pos, n_neg, m0, v0, alpha: float, gamma: float):
+        rho2 = 1.0 / ((1.0 + alpha) * (1.0 + gamma))
+        self.n_pos, self.n_neg, self.m0, self.v0 = n_pos, n_neg, m0, v0
+        self.sa, self.r = math.sqrt(1.0 + alpha), math.sqrt(rho2 / (1.0 - rho2))
+
+    def log_density(self, beta: np.ndarray) -> np.ndarray:
+        """The log density at each ``beta``; ``-inf`` where ``P-`` rounds to 0."""
+        h = beta / self.sa
+        half, t = 0.5 * ndtr(h), owens_t(h, self.r)
+        out = -((beta - self.m0) ** 2) / (2.0 * self.v0)
+        with np.errstate(divide="ignore"):
+            if self.n_pos:
+                out = out + self.n_pos * np.log(half + t)
+            if self.n_neg:
+                out = out + self.n_neg * np.log(np.maximum(half - t, 0.0))
+        return out
+
+    def score_hessian(self, beta: float) -> tuple[float, float]:
+        """First and second derivatives of the log density at ``beta``, from
+        ``dP+-/dh = phi(h) Phi(-+r h)``, ``d2P+-/dh2 = -h dP+-/dh -+ r phi(h) phi(r h)``."""
+        sa, r = self.sa, self.r
+        h = beta / sa
+        half, t = 0.5 * ndtr(h), owens_t(h, r)
+        phi, phi_r = math.exp(-0.5 * h * h) / _SQRT_2PI, math.exp(-0.5 * r * r * h * h) / _SQRT_2PI
+        score, hess = -(beta - self.m0) / self.v0, -1.0 / self.v0
+        for n, sign, p in ((self.n_pos, -1.0, half + t), (self.n_neg, 1.0, half - t)):
+            if n and not p > 0:  # the orthant mass cancelled or underflowed away
+                return math.nan, math.nan
+            if n:
+                ratio = phi * ndtr(sign * r * h) / p
+                score += n * ratio / sa
+                hess += n * (sign * r * phi * phi_r / p - h * ratio - ratio * ratio) / (sa * sa)
+        return float(score), float(hess)
+
+
+def _bias_mode(target: _CountTarget) -> tuple[float, float]:
+    """Mode and Laplace scale ``1/sqrt(-hessian)`` of ``target``: Newton
+    steps from the prior mean, bisecting the score's sign bracket on an
+    overshoot. Raises NumericalError on a non-finite score or no convergence.
+    """
+    x = target.m0
     blo, bhi = -math.inf, math.inf  # score(blo) > 0 > score(bhi)
     for _ in range(_BIAS_NEWTON_STEPS):
-        z = (centers + x) / sqrt_alpha
-        lam = np.exp(-0.5 * z * z - _LOG_SQRT_2PI - log_ndtr(z))
-        score = -(x - m0) / v0 + float(weights @ lam) / sqrt_alpha
-        hess = -1.0 / v0 - float(weights @ (lam * (z + lam))) / alpha
+        score, hess = target.score_hessian(x)
         if not (math.isfinite(score) and hess < 0):
             raise NumericalError(f"bias mode solve hit a non-finite score at {x:.3g}")
         if score > 0:
@@ -267,29 +262,33 @@ def _sample_bias_conditional(
             bhi = x
         step = -score / hess
         if abs(step) <= _BIAS_MODE_TOL * (1.0 + abs(x)) or bhi - blo <= _BIAS_MODE_TOL:
-            break
+            return x, 1.0 / math.sqrt(-hess)
         x += step
         if not (blo < x < bhi):  # Newton overshot the sign bracket: bisect
             x = 0.5 * (blo + bhi)
-    else:
-        raise NumericalError(f"bias mode solve did not converge (last score {score:.3g})")
-    mode, scale = x, 1.0 / math.sqrt(-hess)
+    raise NumericalError(f"bias mode solve did not converge (last score {score:.3g})")
 
+
+def _sample_bias_conditional(
+    target: _CountTarget, mode: float, scale: float, current: float, rng: np.random.Generator
+) -> float:
+    """``_BIAS_MH_STEPS`` independence Metropolis-Hastings steps from
+    ``current``, each proposing from a Student-t at ``target``'s mode and
+    Laplace scale (as :func:`_bias_mode` returns them); ``target`` is
+    exactly invariant."""
     # the steps share one vectorised evaluation of the target; with a single
     # step the rejections cluster and cut the bias chain's ESS by about a third
     proposals = mode + scale * rng.standard_t(_BIAS_T_DOF, size=_BIAS_MH_STEPS)
     uniforms = rng.random(_BIAS_MH_STEPS)
     pts = np.concatenate(([current], proposals))
-    z = (centers[None, :] + pts[:, None]) / sqrt_alpha
-    log_target = -((pts - m0) ** 2) / (2.0 * v0) + log_ndtr(z) @ weights
     log_proposal = -0.5 * (_BIAS_T_DOF + 1.0) * np.log1p(((pts - mode) / scale) ** 2 / _BIAS_T_DOF)
-    log_weight = (log_target - log_proposal).tolist()
+    log_weight = (target.log_density(pts) - log_proposal).tolist()
     state = 0
     for i, u in enumerate(uniforms.tolist(), start=1):
         log_ratio = log_weight[i] - log_weight[state]
         if log_ratio >= 0 or u < math.exp(log_ratio):
             state = i
-    return float(pts[state]), mode
+    return float(pts[state])
 
 
 def _assemble_report_precision(
@@ -315,17 +314,15 @@ def run_gibbs(
 ) -> tuple[PosteriorSummary, GibbsTrace]:
     """Run the full chain and summarise the post-burn-in sweeps.
 
-    The chain keeps one persistent criminality value per record (each
-    individual owns a latent criminality) and, per sweep and group, draws
-    per-record bias values, redraws the latents, refreshes the
-    criminalities, and recombines the accumulated evidence with the
-    original prior. ``prior`` is a ``(means, variances)`` pair of
-    independent bias priors as :func:`~latentbias.model.build_prior`
-    returns it (default: zero means, unit variances); the criminality
-    prior is N(0,1). With anchoring on (the default except under FREE) the
-    update is the stabilised one and every recorded sweep satisfies
-    ``C_mean == 0`` and ``C_var == 1`` exactly; with anchoring off the
-    literal coupled combination is applied and recorded raw.
+    ``prior`` is a ``(means, variances)`` pair of independent bias priors
+    as :func:`~latentbias.model.build_prior` returns it (default: zero
+    means, unit variances); the criminality prior is N(0,1). With anchoring
+    on, each sweep draws every group's bias from its exact count-level
+    conditional, starting at its mode, and records the draws with
+    ``C_mean == 0`` and ``C_var == 1`` exactly, so ``bias_mean`` is the
+    post-burn-in mean of the draws. With anchoring off the per-record
+    latent chain runs and the coupled means are recorded raw. Either way
+    ``bias_variance`` is the fixed report (see the module docstring).
 
     Entirely deterministic given ``config.seed``: two runs with equal
     inputs produce bit-identical traces. The summary carries
@@ -341,6 +338,7 @@ def run_gibbs(
             the sweep index and the partial trace. The recorded variances
             are fixed before sweep 0, so that limit trips at sweep 0 with
             an empty trace.
+        NumericalError: when an anchored group's mode solve fails.
     """
     if len(dataset) == 0:
         raise DomainError("dataset must be nonempty")
@@ -350,14 +348,11 @@ def run_gibbs(
     if np.any(counts == 0):
         empty = [labels[i] for i in np.nonzero(counts == 0)[0]]
         raise DomainError(f"groups with no records: {empty}")
-    # outcome signs of each group's records, in row order
-    taus = [np.where(dataset.outcome[dataset.group == g], 1.0, -1.0) for g in range(k)]
     m0, v0 = build_prior(k) if prior is None else build_prior(k, *prior)
 
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     alpha, gamma = config.alpha, config.gamma
-    sqrt_a = math.sqrt(alpha)
-    stabilised = config.anchoring_enabled
+    anchored = config.anchoring_enabled
 
     lam_rep = _assemble_report_precision(v0, counts, config)
     try:
@@ -369,86 +364,79 @@ def run_gibbs(
         ) from None
     cov_rep = np.linalg.inv(lam_rep)
     cov_rep = 0.5 * (cov_rep + cov_rep.T)
-    eta0 = np.append(m0 / v0, 0.0)
-    prec_diag = np.diag(lam_rep).copy()
-    # per-record bias draws: around the current bias sample with the
-    # conditional sd when stabilised, around the coupled mean with the
-    # marginal sd otherwise
-    draw_sd = np.sqrt(1.0 / prec_diag[:k] if stabilised else np.diag(cov_rep)[:k])
-
-    # persistent per-record criminalities, initialised from their prior
-    crims = [rng.standard_normal(int(n)) for n in counts]
-    bias_sample = m0.copy()
-    modes: list[float | None] = [None] * k
-    mean = np.append(m0, 0.0)
-
-    v_stop = 1.0 / (1.0 + 1.0 / alpha + 1.0 / gamma)
-    sd_stop = math.sqrt(v_stop)
 
     sweeps = config.sweeps
     trace_means = np.empty((sweeps, k + 1))
-    trace_vars = np.empty((sweeps, k + 1))
-    trace_cross = np.empty((sweeps, k))
     wall = np.empty(sweeps)
 
-    rec_cov = cov_rep / cov_rep[k, k] if stabilised else cov_rep
+    rec_cov = cov_rep / cov_rep[k, k] if anchored else cov_rep
     rec_var_row = np.diag(rec_cov).copy()
     rec_cross_row = rec_cov[k, :k].copy()
 
-    def diverged(sweep: int, message: str) -> DivergenceError:
-        partial = GibbsTrace(
-            means=trace_means[:sweep].copy(),
-            variances=trace_vars[:sweep].copy(),
-            cross_cov=trace_cross[:sweep].copy(),
-            wall_times=wall[:sweep].copy(),
-            group_count=k,
+    def trace_upto(n: int) -> GibbsTrace:
+        # the recorded variances and cross-covariances are fixed rows
+        return GibbsTrace(
+            means=trace_means[:n].copy(), variances=np.tile(rec_var_row, (n, 1)),
+            cross_cov=np.tile(rec_cross_row, (n, 1)), wall_times=wall[:n].copy(), group_count=k,
         )
+
+    def diverged(sweep: int, message: str) -> DivergenceError:
         return DivergenceError(f"chain diverged at sweep {sweep} ({message})",
-                               sweep=sweep, trace=partial)
+                               sweep=sweep, trace=trace_upto(sweep))
 
     # the recorded variances are fixed before sweep 0, so they are checked once
     if np.any(rec_var_row > config.divergence_variance_limit):
         raise diverged(0, f"max variance {rec_var_row.max():.3g} exceeds "
                           f"{config.divergence_variance_limit:.3g}")
 
+    if anchored:
+        # the latents integrate out: each group's target is fixed by its
+        # counts, so its mode and scale are solved once and the chain starts there
+        positives = np.bincount(dataset.group, weights=dataset.outcome, minlength=k)
+        targets = [_CountTarget(*group, alpha, gamma)
+                   for group in zip(positives, counts - positives, m0, v0)]
+        laplace = [_bias_mode(target) for target in targets]
+        mean = np.append([mode for mode, _scale in laplace], 0.0)
+    else:
+        # outcome signs of each group's records, in row order
+        taus = [np.where(dataset.outcome[dataset.group == g], 1.0, -1.0) for g in range(k)]
+        eta0 = np.append(m0 / v0, 0.0)
+        # per-record bias draws around the coupled mean with the marginal sd
+        draw_sd = np.sqrt(np.diag(cov_rep)[:k])
+        # persistent per-record criminalities, initialised from their prior
+        crims = [rng.standard_normal(int(n)) for n in counts]
+        mean = np.append(m0, 0.0)
+        v_stop = 1.0 / (1.0 + 1.0 / alpha + 1.0 / gamma)
+        sd_stop = math.sqrt(v_stop)
+
     for sweep in range(sweeps):
         t0 = time.perf_counter()
-        eta = eta0.copy()
-        centre = bias_sample if stabilised else mean
-        for g in range(k):
-            n = int(counts[g])
-            c, tau = crims[g], taus[g]
-            b = centre[g] + draw_sd[g] * rng.standard_normal(n)
-            s_lat = sample_truncated_normal(c + b, alpha, rng)
-            # the outcome latent lives on tau * x > 0: draw it mirrored onto x > 0
-            t_lat = tau * sample_truncated_normal(tau * c, gamma, rng)
-            c = v_stop * ((s_lat - b) / alpha + t_lat / gamma) + sd_stop * rng.standard_normal(n)
-            crims[g] = c
-            eta[g] += float(np.sum(s_lat - c)) / alpha
-            eta[k] += float(np.sum(t_lat)) / gamma
-            if stabilised:
-                bias_sample[g], modes[g] = _sample_bias_conditional(
-                    c, float(m0[g]), float(v0[g]),
-                    sqrt_a, float(bias_sample[g]), rng, modes[g],
-                )
-        if stabilised:
-            mean = eta / prec_diag
+        if anchored:
+            for g in range(k):
+                mean[g] = _sample_bias_conditional(targets[g], *laplace[g], float(mean[g]), rng)
         else:
+            eta = eta0.copy()
+            for g in range(k):
+                n = int(counts[g])
+                c, tau = crims[g], taus[g]
+                b = mean[g] + draw_sd[g] * rng.standard_normal(n)
+                s_lat = sample_truncated_normal(c + b, alpha, rng)
+                # the outcome latent lives on tau * x > 0: draw it mirrored onto x > 0
+                t_lat = tau * sample_truncated_normal(tau * c, gamma, rng)
+                c = v_stop * ((s_lat - b) / alpha + t_lat / gamma) + sd_stop * rng.standard_normal(n)
+                crims[g] = c
+                eta[g] += float(np.sum(s_lat - c)) / alpha
+                eta[k] += float(np.sum(t_lat)) / gamma
             mean = cov_rep @ eta
         if np.any(np.abs(mean) > config.divergence_mean_limit):
             raise diverged(sweep, f"max |mean| {np.abs(mean).max():.3g}")
-        trace_means[sweep] = mean - mean[k] if stabilised else mean
-        trace_vars[sweep] = rec_var_row
-        trace_cross[sweep] = rec_cross_row
+        trace_means[sweep] = mean
         wall[sweep] = time.perf_counter() - t0
 
-    trace = GibbsTrace(
-        means=trace_means, variances=trace_vars, cross_cov=trace_cross,
-        wall_times=wall, group_count=k,
-    )
+    trace = trace_upto(sweeps)
     post = slice(config.burn_in, None)
-    mean_avg = trace_means[post].mean(axis=0)
-    var_avg = trace_vars[post].mean(axis=0)
+    mean_avg = trace.means[post].mean(axis=0)
+    var_avg = trace.variances[post].mean(axis=0)
     summary = PosteriorSummary(
         labels=labels,
         bias_mean=mean_avg[:k],

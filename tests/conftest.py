@@ -17,6 +17,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.stats import multivariate_normal, norm
 
 # --- reference tables -------------------------------------------------------
 # (label, national total, national guilty, london total, london guilty)
@@ -82,6 +83,58 @@ def truncated_moment_oracle(mean: float, variance: float, sign: float):
     m = sign * mean + sd * lam
     v = variance * (1.0 + a * lam - lam * lam)
     return sign * m, v
+
+
+def count_log_density_oracle(beta, n_pos, n_neg, m0, v0, alpha, gamma):
+    """Log density, up to a constant, of one group's bias once every latent
+    is integrated out: ``log N(beta; m0, v0) + n_pos log P(stop, positive)
+    + n_neg log P(stop, negative)``.
+
+    With criminality C ~ N(0, 1), a stop is S = C + beta + N(0, alpha) > 0
+    and a positive outcome T = C + N(0, gamma) > 0, so (-S + beta, +-T) is
+    a zero-mean bivariate normal with covariance [[1+alpha, +-1],
+    [+-1, 1+gamma]], and each orthant mass is its CDF at (beta, 0), taken
+    from scipy's bivariate-normal integrator rather than a closed form.
+    """
+    beta = np.atleast_1d(np.asarray(beta, dtype=float))
+    points = np.column_stack([beta, np.zeros_like(beta)])
+    out = norm.logpdf(beta, m0, math.sqrt(v0))
+    for n, sign in ((n_pos, 1.0), (n_neg, -1.0)):
+        if n:
+            cov = [[1.0 + alpha, sign], [sign, 1.0 + gamma]]
+            mass = multivariate_normal.cdf(points, mean=[0.0, 0.0], cov=cov,
+                                           abseps=1e-14, releps=1e-14)
+            with np.errstate(divide="ignore"):
+                out = out + n * np.log(np.atleast_1d(mass))
+    return out
+
+
+def count_posterior_oracle(n_pos, n_neg, m0, v0, alpha, gamma, points=2001):
+    """``(mean, sd, cdf)`` of one group's bias posterior by trapezoidal
+    quadrature of :func:`count_log_density_oracle` on a dense grid.
+
+    A coarse pass over m0 +- 12 prior sds finds where the log density is
+    within 60 of its peak; the dense grid spans that, so it never depends on
+    the draws it is compared with. ``cdf`` interpolates on the dense grid.
+    """
+    def logd(grid):
+        return count_log_density_oracle(grid, n_pos, n_neg, m0, v0, alpha, gamma)
+
+    coarse = m0 + math.sqrt(v0) * np.linspace(-12.0, 12.0, 961)
+    lc = logd(coarse)
+    bulk = coarse[lc > lc.max() - 60.0]
+    step = coarse[1] - coarse[0]
+    grid = np.linspace(bulk.min() - step, bulk.max() + step, points)
+    dens = np.exp(logd(grid) - lc.max())
+
+    def integral(y):
+        return np.concatenate(([0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(grid))))
+
+    cdf = integral(dens)
+    total = cdf[-1]
+    mean = integral(grid * dens)[-1] / total
+    sd = math.sqrt(integral((grid - mean) ** 2 * dens)[-1] / total)
+    return mean, sd, lambda x: np.interp(x, grid, cdf / total)
 
 
 # --- fixture CSV builders ----------------------------------------------------

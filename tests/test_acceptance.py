@@ -282,7 +282,7 @@ def test_10_throughput_full_dataset():
     run_gibbs(records, cfg)
     elapsed = time.perf_counter() - t0
     rate = cfg.sweeps / elapsed
-    ok = rate >= 100.0
+    ok = rate >= 400.0
     _report(10, "throughput on the 16224-record dataset",
             ok, f"{rate:.0f} sweeps/s")
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from latentbias import (
     DomainError,
@@ -105,6 +106,36 @@ def test_truncated_moments_match_oracle_grid():
         mo, vo = truncated_moment_oracle(-float(a), 1.0, 1.0)
         assert m == pytest.approx(mo, rel=1e-9)
         assert v == pytest.approx(vo, rel=1e-7)
+
+
+def _excess_moments_oracle(a):
+    """Mean and variance of U = Z - a for Z ~ N(0,1) on Z > a, by quadrature
+    of the weight exp(-a u - u^2 / 2), which never underflows at u = 0;
+    u is integrated in units of 1 / (1 + a)."""
+    scale = 1.0 / (1.0 + a)
+
+    def moment(p):
+        val, _err = integrate.quad(
+            lambda s: (s * scale) ** p * math.exp(-a * s * scale - 0.5 * (s * scale) ** 2),
+            0.0, np.inf, epsabs=0, epsrel=1e-13,
+        )
+        return val
+
+    m0, m1, m2 = moment(0), moment(1), moment(2)
+    mean = m1 / m0
+    return mean, m2 / m0 - mean * mean
+
+
+@pytest.mark.parametrize("mean", [-4.9, -5.0, -10.0, -30.0, -38.5, -40.0, -1e3])
+def test_truncated_moments_far_tail(mean):
+    # the density and the kept mass both underflow past a ~ 38; on x > 0
+    # the truncated variable is sd * U, so the moments are sd*E[U], var*Var[U]
+    for variance in (1.0, 4.0):
+        sd = math.sqrt(variance)
+        m, v = truncated_moments(mean, variance)
+        mo, vo = _excess_moments_oracle(-mean / sd)
+        assert m == pytest.approx(sd * mo, rel=1e-9)
+        assert v == pytest.approx(variance * vo, rel=1e-8)
 
 
 def test_sample_deterministic_given_seed():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import erfcx, log_ndtr
+from scipy.special import erfcx
 
 from latentbias import (
     ConditioningError,
@@ -30,7 +30,7 @@ from latentbias import (
 
 from latentbias import inference
 
-from conftest import mills_lambda_oracle
+from conftest import count_log_density_oracle, count_posterior_oracle, mills_lambda_oracle
 
 
 def _cfg(**kw):
@@ -129,34 +129,39 @@ def test_conjugacy_against_closed_form():
             assert trace.cross_cov[0] == pytest.approx([cov / scale], abs=1e-12)
 
 
-# --- first sweep against a record-at-a-time reference ---------------------------------
+# --- first unanchored sweep against a record-at-a-time reference ----------------------
 
-def _reference_first_sweep(dataset, alpha, gamma, rng):
-    """Recorded bias means of ``run_gibbs``'s sweep 0, record by record.
+def _reference_first_sweep(dataset, alpha, gamma, kind, rng):
+    """Recorded means of ``run_gibbs``'s unanchored sweep 0, record by record.
 
-    Restates the anchored sweep for a unit prior: each record draws its
+    Restates the latent sweep for a unit prior: the regime's posterior
+    precision (``1/alpha`` per record on its bias diagonal and, except under
+    INDEPENDENT, on its cross entries; ``1/gamma`` per record on the
+    criminality diagonal) is inverted here. Each record draws its
     criminality from the prior and its own bias around the prior mean with
-    the group's reported variance, then its latents, then refreshes its
-    criminality; the accumulated evidence over the diagonal precision gives
-    the means, re-centred on the criminality coordinate. The bias MH step
-    runs after a group is accumulated, so it does not enter sweep 0.
+    the group's marginal sd, then its latents, then refreshes its
+    criminality; the covariance times the accumulated evidence gives the
+    means, recorded raw.
     """
     k = len(dataset.labels)
     counts = np.bincount(dataset.group, minlength=k)
-    prec_diag = np.append(1.0 + counts / alpha, 1.0 + len(dataset) / gamma)
+    lam = np.diag(np.append(1.0 + counts / alpha, 1.0 + len(dataset) / gamma))
+    if kind is not PriorKind.INDEPENDENT:
+        lam[k, :k] = lam[:k, k] = counts / alpha
+    cov = np.linalg.inv(lam)
+    bias_sd = np.sqrt(np.diag(cov))
     v_refresh = 1.0 / (1.0 + 1.0 / alpha + 1.0 / gamma)
     eta = np.zeros(k + 1)
     for g, positive in zip(dataset.group.tolist(), dataset.outcome.tolist()):
         c = rng.standard_normal()
-        b = math.sqrt(1.0 / prec_diag[g]) * rng.standard_normal()
+        b = bias_sd[g] * rng.standard_normal()
         s = sample_truncated_normal(c + b, alpha, rng)
         tau = 1.0 if positive else -1.0
         t = tau * sample_truncated_normal(tau * c, gamma, rng)
         c = v_refresh * ((s - b) / alpha + t / gamma) + math.sqrt(v_refresh) * rng.standard_normal()
         eta[g] += (s - c) / alpha
         eta[k] += t / gamma
-    mean = eta / prec_diag
-    return mean[:k] - mean[k]
+    return cov @ eta
 
 
 def test_first_sweep_matches_record_reference():
@@ -166,17 +171,17 @@ def test_first_sweep_matches_record_reference():
     rate = np.array([0.9, 0.3, 0.6])[group]
     records = Dataset(group, rng.random(group.size) < rate, ("a", "b", "c"))
     alpha, gamma, seeds = 1.3, 0.8, 200
-    want = np.array([
-        _reference_first_sweep(records, alpha, gamma, np.random.default_rng(10_000 + s))
-        for s in range(seeds)
-    ])
     for kind in (PriorKind.DEPENDENT, PriorKind.INDEPENDENT):
-        got = np.array([
-            run_gibbs(records, ModelConfig(seed=s, alpha=alpha, gamma=gamma, prior=kind,
-                                           sweeps=1, burn_in=0))[1].means[0, :3]
+        want = np.array([
+            _reference_first_sweep(records, alpha, gamma, kind, np.random.default_rng(10_000 + s))
             for s in range(seeds)
         ])
-        for coord in range(3):
+        got = np.array([
+            run_gibbs(records, ModelConfig(seed=s, alpha=alpha, gamma=gamma, prior=kind,
+                                           sweeps=1, burn_in=0, anchoring=False))[1].means[0]
+            for s in range(seeds)
+        ])
+        for coord in range(4):
             assert stats.ks_2samp(got[:, coord], want[:, coord]).pvalue > 1e-3, (kind, coord)
 
 
@@ -190,36 +195,23 @@ def test_sweep_independent_keeps_cross_zero_and_anchored_c_standard():
     assert trace.variances[0, 2] == 1.0
 
 
-# --- bias-conditional sampler ---------------------------------------------------------
+# --- count-level bias conditional ------------------------------------------------------
 
-def _unbinned_log_target(grid, cs, m0, v0, sqrt_alpha):
-    # the conditional before binning, evaluated record by record
-    out = -((grid - m0) ** 2) / (2.0 * v0)
-    for c in cs:
-        out = out + log_ndtr((c + grid) / sqrt_alpha)
-    return out
+def _target(n_pos, n_neg, m0=0.0, v0=1.0, alpha=1.0, gamma=1.0):
+    return inference._CountTarget(float(n_pos), float(n_neg), m0, v0, alpha, gamma)
 
 
-def _quadrature_cdf(cs, m0, v0, sqrt_alpha, draws, points=4001):
-    pad = 5.0 * draws.std()
-    grid = np.linspace(draws.min() - pad, draws.max() + pad, points)
-    logp = _unbinned_log_target(grid, cs, m0, v0, sqrt_alpha)
-    dens = np.exp(logp - logp.max())
-    cdf = np.concatenate(([0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))))
-    return lambda x: np.interp(x, grid, cdf / cdf[-1])
-
-
-def _bias_chain(cs, m0, v0, sqrt_alpha, seed, draws, thin=5, burn=50):
+def _bias_chain(target, seed, draws, thin=5, burn=50):
+    mode, scale = inference._bias_mode(target)
     rng = np.random.default_rng(seed)
-    current, mode = m0, None
-    kept, moves = [], 0
+    current, kept, moves = target.m0, [], 0
     for i in range(burn + draws * thin):
-        new, mode = inference._sample_bias_conditional(cs, m0, v0, sqrt_alpha, current, rng, mode)
+        new = inference._sample_bias_conditional(target, mode, scale, current, rng)
         moves += new != current
         current = new
         if i >= burn and (i - burn) % thin == 0:
             kept.append(current)
-    return np.asarray(kept), moves / (burn + draws * thin), mode
+    return np.asarray(kept), moves / (burn + draws * thin)
 
 
 def _mills(z):
@@ -227,74 +219,87 @@ def _mills(z):
     return math.sqrt(2.0 / math.pi) / erfcx(-np.asarray(z) / math.sqrt(2.0))
 
 
+@pytest.mark.parametrize("alpha, gamma", [(1.0, 1.0), (2.0, 0.5), (1.0, 0.05), (4.0, 4.0)])
+@pytest.mark.parametrize("n_pos, n_neg", [(800, 1600), (420, 180), (3, 0), (0, 1)])
+def test_count_target_matches_oracle_density(alpha, gamma, n_pos, n_neg):
+    # equal up to a constant, over the posterior bulk and the region below
+    # it where the stop probability is moderate
+    target = _target(n_pos, n_neg, 0.2, 2.0, alpha, gamma)
+    grid = np.linspace(-2.0, 7.0, 37)
+    got = target.log_density(grid)
+    want = count_log_density_oracle(grid, n_pos, n_neg, 0.2, 2.0, alpha, gamma)
+    assert np.allclose(got - got[0], want - want[0], rtol=1e-9, atol=1e-9)
+
+
+@pytest.mark.parametrize("alpha, gamma", [(1.0, 1.0), (2.0, 0.5), (1.0, 0.05)])
+def test_count_target_derivatives_match_finite_differences(alpha, gamma):
+    target = _target(420, 180, 0.2, 2.0, alpha, gamma)
+    step = 1e-4
+    for beta in (-1.5, 0.0, 1.0, 3.5, 6.0):
+        logp = target.log_density(np.array([beta - step, beta, beta + step]))
+        score, hess = target.score_hessian(beta)
+        assert score == pytest.approx((logp[2] - logp[0]) / (2 * step), rel=1e-6, abs=1e-6)
+        assert hess == pytest.approx((logp[2] - 2 * logp[1] + logp[0]) / step**2,
+                                     rel=1e-4, abs=1e-4)
+        assert hess < 0
+
+
 @pytest.mark.parametrize("n, seed", [(5, 31), (9374, 32)])
 def test_bias_conditional_matches_unbinned_quadrature(n, seed):
-    cs = np.random.default_rng(seed).normal(-1.0, 1.0, size=n)
-    draws, accept, _mode = _bias_chain(cs, 0.0, 1.0, 1.0, seed, draws=2000)
+    # the chain against the oracle posterior for a small and a large group
+    n_pos = round(0.45 * n)
+    target = _target(n_pos, n - n_pos, alpha=1.3, gamma=0.8)
+    draws, accept = _bias_chain(target, seed, draws=2000)
     assert accept > 0.5
-    cdf = _quadrature_cdf(cs, 0.0, 1.0, 1.0, draws)
-    assert stats.kstest(draws, cdf).pvalue > 0.01
-
-
-def test_bias_conditional_single_bin():
-    cs = np.full(50, 0.3)
-    centers, weights = inference._bin_criminalities(cs)
-    assert centers.tolist() == [0.3] and weights.tolist() == [50.0]
-    draws, _accept, mode = _bias_chain(cs, 0.5, 2.0, 1.5, 33, draws=1000)
-    z = (0.3 + mode) / 1.5
-    assert -(mode - 0.5) / 2.0 + 50.0 * float(_mills(z)) / 1.5 == pytest.approx(0.0, abs=1e-8)
-    cdf = _quadrature_cdf(cs, 0.5, 2.0, 1.5, draws)
+    _mean, _sd, cdf = count_posterior_oracle(n_pos, n - n_pos, 0.0, 1.0, 1.3, 0.8)
     assert stats.kstest(draws, cdf).pvalue > 0.01
 
 
 def test_bias_conditional_far_tail_mode():
-    # the prior pins beta near 0, so every record sits at z < -40, where
-    # Phi underflows and a pdf / cdf Mills ratio reads 0 instead of |z|
-    cs = np.array([-50.0, -49.5, -49.0])
-    m0, v0 = 0.0, 1e-4
-    rng = np.random.default_rng(34)
-    value, mode = inference._sample_bias_conditional(cs, m0, v0, 1.0, m0, rng, None)
-    centers, weights = inference._bin_criminalities(cs)
-    z = centers + mode
-    assert np.all(z < -40)
-    assert math.isfinite(value) and math.isfinite(mode)
-    pull = float(weights @ _mills(z))
-    assert pull == pytest.approx(148.5, rel=1e-3)  # ~ sum |z|
+    # the prior pins beta where the stop probability is ~1e-135 (h ~ -25);
+    # with positives only, P+ = Phi(h) to double precision there, so the
+    # score's root must balance the prior against n_pos * Mills(h) / sqrt(2)
+    n_pos, m0, v0 = 3, -35.0, 1e-4
+    target = _target(n_pos, 0, m0, v0)
+    mode, scale = inference._bias_mode(target)
+    h = mode / math.sqrt(2.0)
+    assert h < -24 and math.isfinite(scale)
+    pull = n_pos * float(_mills(h)) / math.sqrt(2.0)
+    assert pull == pytest.approx(n_pos * abs(h) / math.sqrt(2.0), rel=1e-2)  # Mills ~ |h|
     assert -(mode - m0) / v0 + pull == pytest.approx(0.0, abs=1e-6 * pull)
-    assert abs(value - mode) < 10 * math.sqrt(v0)
+    value = inference._sample_bias_conditional(target, mode, scale, m0, np.random.default_rng(34))
+    assert math.isfinite(value) and abs(value - mode) < 10 * math.sqrt(v0)
 
 
 def test_bias_conditional_same_seed_same_draws():
-    cs = np.random.default_rng(35).normal(0.5, 1.0, size=300)
+    target = _target(120, 180)
+    mode, scale = inference._bias_mode(target)
 
     def run(seed):
         rng = np.random.default_rng(seed)
-        current, mode, out = 0.0, None, []
+        current, out = 0.0, []
         for _ in range(20):
-            current, mode = inference._sample_bias_conditional(
-                cs, 0.0, 1.0, 1.0, current, rng, mode
-            )
-            out.append((current, mode))
+            current = inference._sample_bias_conditional(target, mode, scale, current, rng)
+            out.append(current)
         return out
 
     assert run(7) == run(7)
     assert run(7) != run(8)
 
 
-def test_bias_binning_matches_histogram():
-    cs = np.random.default_rng(36).normal(size=5000)
-    centers, weights = inference._bin_criminalities(cs)
-    counts, edges = np.histogram(cs, bins=128)
-    keep = counts > 0
-    assert np.array_equal(weights, counts[keep].astype(float))
-    assert np.allclose(centers, 0.5 * (edges[:-1] + edges[1:])[keep], rtol=0, atol=1e-12)
-
-
 def test_bias_mode_solve_raises_when_capped(monkeypatch):
     monkeypatch.setattr(inference, "_BIAS_NEWTON_STEPS", 1)
-    cs = np.random.default_rng(37).normal(-1.0, 1.0, size=200)
     with pytest.raises(NumericalError):
-        inference._sample_bias_conditional(cs, 0.0, 1.0, 1.0, 0.0, np.random.default_rng(0), None)
+        inference._bias_mode(_target(80, 120))
+
+
+def test_bias_mode_raises_where_negative_mass_cancels():
+    # at alpha = gamma = 0.02 and beta = -2, P- is 3.6e-26 (by quadrature),
+    # far below the rounding of Phi(h)/2 - T(h, r): fail, never mis-solve
+    target = _target(3, 1, -2.0, 1e-4, 0.02, 0.02)
+    assert target.log_density(np.array([-2.0]))[0] == -math.inf
+    with pytest.raises(NumericalError, match="non-finite score"):
+        inference._bias_mode(target)
 
 
 # --- full runs -----------------------------------------------------------------------

@@ -1,0 +1,57 @@
+"""``run_gibbs``'s anchored bias draws against the exact count-level posterior.
+
+Under anchoring each person's criminality is N(0,1) with no shared term, so
+a group's bias posterior depends only on its counts of stops and positive
+outcomes. :func:`conftest.count_posterior_oracle` evaluates that posterior
+on a dense grid with scipy's bivariate-normal CDF, sharing no code with
+:mod:`latentbias.inference`. Each post-burn-in chain must match its mean
+and sd within 4 Monte Carlo standard errors (batch means) and pass a KS
+test on thinned draws.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from scipy import stats
+
+from latentbias import Dataset, ModelConfig, PriorKind, run_gibbs
+
+from conftest import count_posterior_oracle
+
+# (stops, positives) per group: a large, a mid-sized and a small group,
+# positive rates of 1/3, 0.7 and 3/8
+COUNTS = ((2400, 800), (600, 420), (80, 30))
+SWEEPS, BURN_IN, BATCHES, THIN = 4200, 200, 40, 5
+
+
+def _dataset():
+    group = np.repeat(np.arange(len(COUNTS)), [n for n, _ in COUNTS])
+    outcome = np.concatenate([np.arange(n) < positives for n, positives in COUNTS])
+    return Dataset(group, outcome, ("a", "b", "c"))
+
+
+def _batch_means(x):
+    """Monte Carlo standard error of the mean of ``x`` by non-overlapping
+    batch means, and the effective sample size it implies."""
+    batches = x[: x.size - x.size % BATCHES].reshape(BATCHES, -1).mean(axis=1)
+    mcse = batches.std(ddof=1) / math.sqrt(BATCHES)
+    return mcse, x.var() / mcse**2
+
+
+@pytest.mark.parametrize("kind", [PriorKind.DEPENDENT, PriorKind.INDEPENDENT])
+@pytest.mark.parametrize("alpha, gamma", [(1.0, 1.0), (2.0, 0.5), (1.0, 0.05)])
+def test_anchored_draws_match_count_posterior(kind, alpha, gamma):
+    cfg = ModelConfig(seed=17, alpha=alpha, gamma=gamma, prior=kind,
+                      sweeps=SWEEPS, burn_in=BURN_IN)
+    summary, trace = run_gibbs(_dataset(), cfg)
+    draws = trace.means[BURN_IN:, : len(COUNTS)]
+    assert np.allclose(summary.bias_mean, draws.mean(axis=0), rtol=1e-13, atol=0)
+    for g, (n, positives) in enumerate(COUNTS):
+        mean, sd, cdf = count_posterior_oracle(positives, n - positives, 0.0, 1.0, alpha, gamma)
+        x = draws[:, g]
+        mcse, ess = _batch_means(x)
+        assert abs(x.mean() - mean) < 4 * mcse, (g, x.mean(), mean, mcse)
+        # the sd of a sample sd is sd / sqrt(2 ess) for near-normal draws
+        assert abs(x.std() - sd) < 4 * sd / math.sqrt(2 * ess), (g, x.std(), sd, ess)
+        assert stats.kstest(x[::THIN], cdf).pvalue > 1e-3, g
