@@ -20,6 +20,13 @@ the scheme.
 
 Every layer holds its stops as one columnar :class:`Dataset`: group codes,
 outcomes and force codes in numpy arrays, plus the label tables.
+
+The canonical dataset CSV has one line per stop, fixed by its (group,
+outcome, force) cell, so a file has at most 2·K·F distinct lines for K
+groups and F forces. :func:`read_dataset_csv` parses each distinct line
+once, so a read costs one pass over the lines plus at most 2·K·F parses.
+Its errors name the physical line, and :func:`write_dataset_csv` formats
+each cell once.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
@@ -559,52 +567,127 @@ def _csv_field(text: str) -> str:
 
 def write_dataset_csv(dataset: Dataset, stream: TextIO) -> None:
     """Canonical dataset CSV: ``group,stopped,outcome,force``, one row per
-    stop, so ``stopped`` is always ``1`` and ``outcome`` is ``0`` or ``1``."""
+    stop, so ``stopped`` is always ``1`` and ``outcome`` is ``0`` or ``1``.
+
+    A row is fixed by its (group, outcome, force) cell, so each cell present
+    is formatted once and the rows are joined by indexing that table.
+    """
     stream.write(",".join(_CANONICAL_COLUMNS) + "\n")
-    labels = [_csv_field(label) + ",1," for label in dataset.labels]
+    cells = (2 * dataset.group + dataset.outcome) * len(dataset.forces) + dataset.force
+    _cells, first, row_cell = np.unique(cells, return_index=True, return_inverse=True)
+    labels = [_csv_field(label) for label in dataset.labels]
     forces = [_csv_field(force) + "\n" for force in dataset.forces]
-    for g, positive, f in zip(dataset.group.tolist(), dataset.outcome.tolist(),
-                              dataset.force.tolist()):
-        stream.write(labels[g] + ("1," if positive else "0,") + forces[f])
+    table = [labels[g] + (",1,1," if positive else ",1,0,") + forces[f]
+             for g, positive, f in zip(dataset.group[first].tolist(),
+                                       dataset.outcome[first].tolist(),
+                                       dataset.force[first].tolist())]
+    stream.write("".join(map(table.__getitem__, row_cell.tolist())))
+
+
+# what a line of the canonical CSV is when a record starts on it
+_BLANK, _RECORD, _BAD, _OPEN = range(4)
+
+
+def _canonical_record(row: list, columns: itemgetter, width: int) -> tuple:
+    """``(kind, value)`` of one parsed row: ``(_BLANK, None)``,
+    ``(_RECORD, (group, positive, force))``, or ``(_BAD, message)`` for a
+    row that is not a stop with a ``0``/``1`` outcome."""
+    if not row:
+        return _BLANK, None
+    group, stopped, outcome, force = columns(row) if len(row) >= width else [None] * 4
+    if stopped != "1" or outcome not in _OUTCOME_TEXT:
+        return _BAD, (f"every row must be a stop (stopped 1) with outcome 0 or 1, "
+                      f"got stopped={stopped!r} outcome={outcome!r}")
+    return _RECORD, (group, outcome == "1", force)
+
+
+def _line_start(line: str, columns: itemgetter, width: int) -> tuple:
+    """:func:`_canonical_record` of the record that starts on ``line``;
+    ``(_OPEN, None)`` when the line leaves a quoted field open, so that
+    record runs on over the lines that follow it."""
+    # the empty second line is read only when the record has not ended
+    reader = csv.reader((line, ""))
+    try:
+        row = next(reader)
+    except csv.Error as exc:
+        return _BAD, str(exc)
+    return (_OPEN, None) if reader.line_num > 1 else _canonical_record(row, columns, width)
 
 
 def read_dataset_csv(stream: Iterable[str] | TextIO) -> Dataset:
-    """Load a canonical dataset CSV; group codes follow sorted label order.
+    """Load a canonical dataset CSV; group codes follow sorted label order and
+    force codes the order in which forces first appear.
+
+    The lines are read once and each distinct line is parsed once, as the
+    start of a record; the columns are then built by indexing. A canonical
+    file has at most 2·K·F distinct lines (K groups, F forces), so a file of
+    N stops costs N line reads plus at most 2·K·F parses. A line that leaves
+    a quoted field open (a label or force holding CR or LF) starts a record
+    that spans lines: at each place it starts one, that record is read
+    across the following lines and the scan goes on after it. Blank lines
+    are skipped.
 
     Raises:
         DataError: if a column is missing, a row is not a stop
             (``stopped`` other than ``1``) with a ``0``/``1`` outcome, or
-            the CSV parser rejects a row; the message names the row's line.
+            the CSV parser rejects a row. The first such row in file order
+            is reported, and the message names its physical line: every
+            line of the file counts, blank lines and the lines inside a
+            quoted field included.
     """
-    reader = csv.reader(stream)
-    groups, outcomes, forces = [], [], []
+    lines = list(stream)
+    reader = csv.reader(lines)
     try:
         header = next(reader, None)
-        if header is None or not set(_CANONICAL_COLUMNS).issubset(header):
-            raise DataError("canonical dataset CSV needs columns group,stopped,outcome,force")
-        cols = [header.index(c) for c in _CANONICAL_COLUMNS]
-        width = max(cols) + 1
-        for row in filter(None, reader):
-            group, stopped, outcome, force = (
-                [row[c] for c in cols] if len(row) >= width else [None] * 4
-            )
-            if stopped != "1" or outcome not in _OUTCOME_TEXT:
-                raise DataError(
-                    f"line {reader.line_num}: every row must be a stop (stopped 1) "
-                    f"with outcome 0 or 1, got stopped={stopped!r} outcome={outcome!r}"
-                )
-            groups.append(group)
-            outcomes.append(outcome == "1")
-            forces.append(force)
     except csv.Error as exc:
         raise DataError(f"line {reader.line_num}: {exc}") from None
-    labels = sorted(set(groups))
-    label_to_id = {label: i for i, label in enumerate(labels)}
+    if header is None or not set(_CANONICAL_COLUMNS).issubset(header):
+        raise DataError("canonical dataset CSV needs columns group,stopped,outcome,force")
+    cols = [header.index(c) for c in _CANONICAL_COLUMNS]
+    columns, width = itemgetter(*cols), max(cols) + 1
+    start = reader.line_num
+    body = lines[start:]
+    # one entry per distinct line, in order of first appearance; the
+    # records that span lines are appended as the scan reads them
+    index = {line: i for i, line in enumerate(dict.fromkeys(body))}
+    keys = np.fromiter(map(index.__getitem__, body), dtype=np.intp, count=len(body))
+    entries = [_line_start(line, columns, width) for line in index]
+    entries.append((_BLANK, None))  # the lines inside a record that spans lines
+    inside = len(entries) - 1
+    kinds = np.array([kind for kind, _value in entries], dtype=np.int8)
+    end = 0
+    for at in np.flatnonzero(kinds[keys] >= _BAD).tolist():
+        if at < end:
+            continue
+        kind, value = entries[keys[at]]
+        if kind == _BAD:
+            raise DataError(f"line {start + at + 1}: {value}")
+        reader = csv.reader(map(body.__getitem__, range(at, len(body))))
+        try:
+            row = next(reader)
+        except csv.Error as exc:
+            raise DataError(f"line {start + at + reader.line_num}: {exc}") from None
+        end = at + reader.line_num
+        kind, value = _canonical_record(row, columns, width)
+        if kind == _BAD:
+            raise DataError(f"line {start + end}: {value}")
+        keys[at] = len(entries)
+        keys[at + 1:end] = inside
+        entries.append((kind, value))
+    kinds = np.array([kind for kind, _value in entries], dtype=np.int8)
+    records = keys[kinds[keys] == _RECORD]
+    first = np.full(len(entries), records.size)
+    np.minimum.at(first, records, np.arange(records.size))
+    used = np.flatnonzero(first < records.size)
+    used = used[np.argsort(first[used])].tolist()  # in order of first appearance
+    values = [entries[e][1] for e in used]
+    labels = sorted({label for label, _positive, _force in values})
+    label_ids = {label: i for i, label in enumerate(labels)}
     force_ids: dict[str, int] = {}
-    return Dataset(
-        np.array([label_to_id[g] for g in groups], dtype=np.intp),
-        np.array(outcomes, dtype=bool),
-        labels,
-        np.array([force_ids.setdefault(f, len(force_ids)) for f in forces], dtype=np.intp),
-        tuple(force_ids),
-    )
+    group = np.zeros(len(entries), dtype=np.intp)
+    positive = np.zeros(len(entries), dtype=bool)
+    force = np.zeros(len(entries), dtype=np.intp)
+    group[used] = [label_ids[label] for label, _positive, _force in values]
+    positive[used] = [is_positive for _label, is_positive, _force in values]
+    force[used] = [force_ids.setdefault(name, len(force_ids)) for _label, _positive, name in values]
+    return Dataset(group[records], positive[records], labels, force[records], tuple(force_ids))

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
 from scipy.special import ndtr
 
 from .data import Dataset
@@ -56,6 +55,10 @@ def likelihood_oracle(c: float, beta: float, x: int, abs_tol: float = 1e-6) -> f
     Raises:
         NumericalError: if the quadrature error estimate exceeds ``abs_tol``.
     """
+    # imported here: scipy.integrate (with scipy.optimize) is a test oracle's
+    # dependency, and the CLI would otherwise load it on every start
+    from scipy import integrate
+
     if x not in (0, 1):
         raise DomainError(f"x must be 0 or 1, got {x!r}")
 

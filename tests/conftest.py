@@ -4,6 +4,9 @@ The oracle helpers deliberately avoid the package's own CDF path: they
 integrate the normal density with adaptive quadrature, so closed-form
 results in the package are checked against an independent method.
 
+The canonical-CSV oracles are the row-at-a-time reader and writer that
+the package's line-table versions must match exactly.
+
 The raw CSV fixtures reconstruct the reference tables exactly at the
 record level: per-group totals and positive counts are hit exactly, and
 the force column embeds the London Metropolitan subset so the same file
@@ -12,12 +15,16 @@ serves the national and the force-filtered paths.
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
 import pytest
 from scipy import integrate
 from scipy.stats import multivariate_normal, norm
+
+from latentbias.data import Dataset
+from latentbias.errors import DataError
 
 # --- reference tables -------------------------------------------------------
 # (label, national total, national guilty, london total, london guilty)
@@ -135,6 +142,73 @@ def count_posterior_oracle(n_pos, n_neg, m0, v0, alpha, gamma, points=2001):
     mean = integral(grid * dens)[-1] / total
     sd = math.sqrt(integral((grid - mean) ** 2 * dens)[-1] / total)
     return mean, sd, lambda x: np.interp(x, grid, cdf / total)
+
+
+# --- canonical CSV oracles --------------------------------------------------
+
+_CANONICAL_COLUMNS = ("group", "stopped", "outcome", "force")
+_OUTCOME_TEXT = frozenset({"0", "1"})
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field, quoted when it holds a comma, a quote, CR or
+    LF (``csv.writer`` with a LF terminator leaves CR bare, unreadable)."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def write_dataset_csv_oracle(dataset, stream) -> None:
+    """Canonical dataset CSV written one row at a time."""
+    stream.write(",".join(_CANONICAL_COLUMNS) + "\n")
+    labels = [_csv_field(label) + ",1," for label in dataset.labels]
+    forces = [_csv_field(force) + "\n" for force in dataset.forces]
+    for g, positive, f in zip(dataset.group.tolist(), dataset.outcome.tolist(),
+                              dataset.force.tolist()):
+        stream.write(labels[g] + ("1," if positive else "0,") + forces[f])
+
+
+def read_dataset_csv_oracle(stream) -> Dataset:
+    """Canonical dataset CSV read one record at a time by ``csv.reader``;
+    group codes follow sorted label order.
+
+    Raises:
+        DataError: if a column is missing, a row is not a stop
+            (``stopped`` other than ``1``) with a ``0``/``1`` outcome, or
+            the CSV parser rejects a row; the message names the row's line.
+    """
+    reader = csv.reader(stream)
+    groups, outcomes, forces = [], [], []
+    try:
+        header = next(reader, None)
+        if header is None or not set(_CANONICAL_COLUMNS).issubset(header):
+            raise DataError("canonical dataset CSV needs columns group,stopped,outcome,force")
+        cols = [header.index(c) for c in _CANONICAL_COLUMNS]
+        width = max(cols) + 1
+        for row in filter(None, reader):
+            group, stopped, outcome, force = (
+                [row[c] for c in cols] if len(row) >= width else [None] * 4
+            )
+            if stopped != "1" or outcome not in _OUTCOME_TEXT:
+                raise DataError(
+                    f"line {reader.line_num}: every row must be a stop (stopped 1) "
+                    f"with outcome 0 or 1, got stopped={stopped!r} outcome={outcome!r}"
+                )
+            groups.append(group)
+            outcomes.append(outcome == "1")
+            forces.append(force)
+    except csv.Error as exc:
+        raise DataError(f"line {reader.line_num}: {exc}") from None
+    labels = sorted(set(groups))
+    label_to_id = {label: i for i, label in enumerate(labels)}
+    force_ids: dict[str, int] = {}
+    return Dataset(
+        np.array([label_to_id[g] for g in groups], dtype=np.intp),
+        np.array(outcomes, dtype=bool),
+        labels,
+        np.array([force_ids.setdefault(f, len(force_ids)) for f in forces], dtype=np.intp),
+        tuple(force_ids),
+    )
 
 
 # --- fixture CSV builders ----------------------------------------------------

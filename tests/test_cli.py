@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import latentbias
 from latentbias import Dataset, TrueParams, default_mapping, synthesize, write_dataset_csv
 from latentbias.cli import main
 
@@ -34,6 +38,17 @@ def canonical_csv(tmp_path):
     with open(path, "w", encoding="utf-8") as fh:
         write_dataset_csv(dataset, fh)
     return path
+
+
+def test_cli_starts_without_scipy_integrate():
+    # a fresh interpreter: this process has scipy.integrate from the test oracles
+    src = str(Path(latentbias.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = "import sys, latentbias.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 def _manifest(path: Path) -> dict:

@@ -1,28 +1,36 @@
-"""Property-based tests: CSV round-trips, ingest accounting, the shared
-rank order and the truncated-normal sampler."""
+"""Property-based tests: CSV round-trips and their row-at-a-time oracles,
+ingest accounting, split and balance, the shared rank order and the
+truncated-normal sampler."""
 
 import csv
 import io
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latentbias import (
+    DataError,
     Dataset,
+    DomainError,
     PosteriorSummary,
     PriorKind,
     SchemeKind,
+    balance,
     default_mapping,
     parse_records,
     read_dataset_csv,
     sample_truncated_normal,
+    split,
     truncated_moments,
     write_dataset_csv,
     write_ranking_csv,
 )
 from latentbias.inference import _ranks_desc
+
+from conftest import read_dataset_csv_oracle, write_dataset_csv_oracle
 
 # table entries with the characters CSV must quote or carry through
 _TEXT = st.text(st.sampled_from('ab ,"\'\r\n\t;é€中 ') | st.characters(), max_size=8)
@@ -54,6 +62,81 @@ def test_dataset_csv_roundtrip(dataset):
     assert [back.forces[f] for f in back.force] == [dataset.forces[f] for f in dataset.force]
 
 
+@settings(max_examples=300, deadline=None)
+@given(datasets())
+def test_dataset_csv_writer_matches_row_oracle(dataset):
+    # one formatted line per (group, outcome, force) cell gives the bytes
+    # the row-at-a-time writer gives, empty datasets (n = 0) included
+    buf, oracle = io.StringIO(), io.StringIO()
+    write_dataset_csv(dataset, buf)
+    write_dataset_csv_oracle(dataset, oracle)
+    assert buf.getvalue() == oracle.getvalue()
+
+
+_HEADERS = ("group,stopped,outcome,force",) * 4 + (
+    "force,outcome,group,stopped", "stopped,group,note,outcome,force,group",
+    "group,stopped,outcome")
+# one quoted or bare field: bare text with a quote, comma or line break
+# parses as something else or fails, which both readers must agree on
+_FIELD = st.tuples(_TEXT, st.integers(0, 2)).map(
+    lambda t: '"' + t[0].replace('"', '""') + '"' if t[1] else t[0])
+_FLAG = st.sampled_from(["1"] * 12 + ["0", "", "yes", "2"])
+_OUTCOME_FLAG = st.sampled_from(["0", "1"] * 6 + ["", "x"])
+_ENDING = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+
+
+@st.composite
+def _canonical_lines(draw, header):
+    names = header.split(",")
+    fields = {"group": draw(_FIELD), "stopped": draw(_FLAG), "outcome": draw(_OUTCOME_FLAG),
+              "force": draw(_FIELD), "note": draw(_FIELD)}
+    row = ",".join(fields[name] for name in names)
+    if draw(st.integers(0, 19)) == 0:
+        row = row.rsplit(",", draw(st.integers(1, len(names) - 1)))[0]  # short row
+    return row + draw(_ENDING)
+
+
+_FIELD_LIMIT_ROW = f"a,1,1,{'x' * (csv.field_size_limit() + 1)}\n"
+
+
+@st.composite
+def canonical_texts(draw):
+    """Canonical CSV texts built from a few distinct lines, repeated: quoted
+    CR, LF, commas and quotes, records that span lines, blank lines, CRLF
+    and CR endings, bad flags, short rows, an oversized field and an
+    unterminated quote at the end."""
+    header = draw(st.sampled_from(_HEADERS))
+    pool = draw(st.lists(
+        _canonical_lines(header) | st.sampled_from(["\n", "\r\n", _FIELD_LIMIT_ROW]),
+        min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=40))
+    tail = draw(st.sampled_from(["", "", '"a,1,1,f\n', 'a,1,1,"f']))
+    return header + draw(_ENDING) + "".join(pool[i] for i in picks) + tail
+
+
+def _read_result(read, text, newline):
+    try:
+        dataset = read(io.StringIO(text, newline=newline))
+    except DataError as exc:
+        return str(exc)
+    return (dataset.labels, dataset.forces, dataset.group.dtype, dataset.group.tolist(),
+            dataset.outcome.dtype, dataset.outcome.tolist(), dataset.force.dtype,
+            dataset.force.tolist())
+
+
+@settings(max_examples=500, deadline=None)
+@given(canonical_texts(), st.sampled_from(["", "\n"]))
+@example('group,stopped,outcome,force\na,1,1,f\n"x\ny",1,1,f\na,1,1,f\n'
+         'a,1,x,f\n"x\ny",1,1,f\na,1,x,f\n', "")
+@example('group,stopped,outcome,force\n"b\na,1,x,f\n",1,1,f\na,1,x,f\n', "")
+@example('group,stopped,outcome,force\r\n"b\r\n\r\nc",1,0,"f,\r"\r\n\r\na,1,1,f\r\n', "")
+def test_dataset_csv_reader_matches_row_oracle(text, newline):
+    # the same Dataset, or the same DataError with the same line, as a
+    # reader that parses every record in file order
+    assert _read_result(read_dataset_csv, text, newline) == \
+        _read_result(read_dataset_csv_oracle, text, newline)
+
+
 # mapped, unmapped and blank ethnicities; guilty (severe), guilty (lenient),
 # not-guilty, unknown and blank outcomes
 _ETHNICITY = st.sampled_from(["White", "Black", "Asian/Asian British - Indian", "Mixed",
@@ -80,6 +163,52 @@ def test_parse_records_report_matches_dataset(rows, kind):
     assert report.group_counts == dict(zip(labels, dataset.counts().tolist()))
     assert report.group_positive == dict(zip(labels, positive.tolist()))
     assert report.rows_kept + report.rows_dropped == report.rows_total
+
+
+@st.composite
+def _numbered_rows(draw, min_size):
+    """A dataset whose force column numbers its rows, so every row of a
+    subset can be traced back."""
+    k = draw(st.integers(1, 4))
+    group = draw(st.lists(st.integers(0, k - 1), min_size=min_size, max_size=40))
+    outcome = draw(st.lists(st.booleans(), min_size=len(group), max_size=len(group)))
+    return Dataset(np.array(group, dtype=int), np.array(outcome, dtype=bool),
+                   [f"g{i}" for i in range(k)], np.arange(len(group)),
+                   [str(i) for i in range(len(group))])
+
+
+def _kept_rows(dataset, subset):
+    # the subset's rows, each the row of ``dataset`` its force code names
+    rows = subset.force
+    assert subset.labels == dataset.labels
+    assert np.array_equal(subset.group, dataset.group[rows])
+    assert np.array_equal(subset.outcome, dataset.outcome[rows])
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_numbered_rows(min_size=2), st.floats(0.01, 0.99), st.integers(0, 2**32 - 1))
+def test_split_is_stratified_disjoint_exhaustive_and_ordered(dataset, fraction, seed):
+    train, test = split(dataset, fraction, np.random.default_rng(seed))
+    train_rows, test_rows = _kept_rows(dataset, train), _kept_rows(dataset, test)
+    assert np.all(np.diff(train_rows) > 0) and np.all(np.diff(test_rows) > 0)
+    assert sorted(train_rows.tolist() + test_rows.tolist()) == list(range(len(dataset)))
+    n = dataset.counts()
+    assert np.all(np.abs(test.counts() - fraction * n) <= 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_numbered_rows(min_size=1), st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_balance_gives_n_per_group_as_a_sorted_subset(dataset, n, seed):
+    present = dataset.counts() > 0
+    if n > dataset.counts()[present].min():
+        with pytest.raises(DomainError):
+            balance(dataset, n, np.random.default_rng(seed))
+        return
+    balanced = balance(dataset, n, np.random.default_rng(seed))
+    rows = _kept_rows(dataset, balanced)
+    assert np.all(np.diff(rows) > 0)
+    assert np.array_equal(balanced.counts(), np.where(present, n, 0))
 
 
 @settings(max_examples=300, deadline=None)
