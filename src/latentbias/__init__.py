@@ -2,7 +2,7 @@
 
 A numpy/scipy library with a thin CLI. The pieces:
 
-* :mod:`latentbias.gaussians`  - normal CDF/PDF and truncated-normal
+* :mod:`latentbias.gaussians`  - the normal CDF and truncated-normal
   moments and sampling.
 * :mod:`latentbias.model`      - configuration, the three prior regimes
   and the ``(means, variances)`` bias prior.
@@ -42,7 +42,6 @@ from .errors import (
 from .gaussians import (
     sample_truncated_normal,
     std_normal_cdf,
-    std_normal_pdf,
     truncated_moments,
 )
 from .inference import (
@@ -64,7 +63,6 @@ from .model import (
     PriorKind,
     build_prior,
     guilt_probability,
-    stop_probability,
 )
 from .ranking import (
     COMMON_LABEL,

@@ -12,6 +12,7 @@ divergence of a chain.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 from pathlib import Path
@@ -30,7 +31,7 @@ from .data import (
     read_dataset_csv,
     write_dataset_csv,
 )
-from .errors import DivergenceError, DomainError, LatentBiasError
+from .errors import DataError, DivergenceError, DomainError, LatentBiasError
 from .inference import (
     PosteriorSummary,
     read_trace_csv,
@@ -46,12 +47,30 @@ from .seeds import DOMAIN_BALANCE, DOMAIN_FIT, DOMAIN_RANK, derive_rng, derive_s
 
 LONDON_MET_FORCE = "Metropolitan Police"
 PRESETS = ("national", "augmented", "charges", "london-met")
+# the lone surrogates an undecodable byte reads as under "surrogateescape"
+_UNDECODED = re.compile("[\udc80-\udcff]")
+
+
+def _read_input(path: str, read, *args):
+    """``read(stream, *args)`` on the UTF-8 text of the file at ``path``.
+
+    Raises:
+        DataError: if the file is not valid UTF-8; the message names the
+            file and the physical line of the first undecodable byte.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return read(fh, *args)
+    except UnicodeDecodeError as exc:
+        with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+            line = next(n for n, text in enumerate(fh, start=1) if _UNDECODED.search(text))
+        raise DataError(f"{path}: line {line}: not valid UTF-8 ({exc.reason})") from None
 
 
 def _load_mapping(path: str | None) -> EthnicityMapping:
     if path is None:
         return default_mapping()
-    return EthnicityMapping.from_json(Path(path).read_text(encoding="utf-8"))
+    return EthnicityMapping.from_json(_read_input(path, lambda fh: fh.read()))
 
 
 class _RunDir:
@@ -82,8 +101,7 @@ def cmd_ingest(args) -> int:
     run = _RunDir(args)
     mapping = _load_mapping(args.mapping)
     kind = SchemeKind.from_string(args.scheme)
-    with open(args.input, newline="", encoding="utf-8") as fh:
-        dataset, report = parse_records(fh, mapping, kind)
+    dataset, report = _read_input(args.input, parse_records, mapping, kind)
     dataset_path = run.path / "dataset.csv"
     with open(dataset_path, "w", encoding="utf-8") as fh:
         write_dataset_csv(dataset, fh)
@@ -103,8 +121,7 @@ def cmd_ingest(args) -> int:
 
 
 def _read_dataset(path: str) -> Dataset:
-    with open(path, newline="", encoding="utf-8") as fh:
-        return read_dataset_csv(fh)
+    return _read_input(path, read_dataset_csv)
 
 
 def _load_fit_dataset(args) -> Dataset:
@@ -115,8 +132,7 @@ def _load_fit_dataset(args) -> Dataset:
         raise DomainError(f"unknown preset {args.preset!r} (choose from {', '.join(PRESETS)})")
     mapping = _load_mapping(args.mapping)
     kind = SchemeKind.LENIENT_SEVERE if args.preset == "charges" else SchemeKind.GUILTY_NOT_GUILTY
-    with open(args.input, newline="", encoding="utf-8") as fh:
-        dataset, _report = parse_records(fh, mapping, kind)
+    dataset, _report = _read_input(args.input, parse_records, mapping, kind)
     if args.preset == "augmented":
         dataset = balance(dataset, 1000, derive_rng(args.seed, DOMAIN_BALANCE))
     elif args.preset == "london-met":
@@ -234,7 +250,7 @@ def cmd_rank(args) -> int:
 def cmd_score(args) -> int:
     run = _RunDir(args)
     require_positive_finite(alpha=args.alpha, gamma=args.gamma)
-    summary = PosteriorSummary.from_json(Path(args.summary).read_text(encoding="utf-8"))
+    summary = PosteriorSummary.from_json(_read_input(args.summary, lambda fh: fh.read()))
     test = _read_dataset(args.test)
     # point the test file's group codes at the summary's label order
     unknown = [label for label in test.labels if label not in summary.labels]
@@ -260,8 +276,7 @@ def cmd_score(args) -> int:
 
 def cmd_plot(args) -> int:
     run = _RunDir(args)
-    with open(args.trace, encoding="utf-8") as fh:
-        trace = read_trace_csv(fh)
+    trace = _read_input(args.trace, read_trace_csv)
     svg = render_trace_svg(trace)
     plot_path = run.path / "plot.svg"
     plot_path.write_text(svg, encoding="utf-8")

@@ -1,6 +1,6 @@
 """Scalar Gaussian primitives.
 
-Standard-normal CDF/PDF, the moments of a one-sided truncated normal, and
+The standard-normal CDF, the moments of a one-sided truncated normal, and
 a vectorised one-sided truncated-normal sampler that stays exact in the
 far tails.
 
@@ -22,7 +22,6 @@ from .errors import DomainError, NumericalError
 
 __all__ = [
     "std_normal_cdf",
-    "std_normal_pdf",
     "sample_truncated_normal",
     "truncated_moments",
 ]
@@ -54,13 +53,6 @@ def std_normal_cdf(x):
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
-def std_normal_pdf(x):
-    """Standard-normal density."""
-    arr = np.asarray(x, dtype=float)
-    out = np.exp(-0.5 * arr * arr) / _SQRT_2PI
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
-
-
 def _require_variance(variance) -> float:
     """``variance`` as a float, if it is positive and finite."""
     v = float(variance)
@@ -85,7 +77,7 @@ def truncated_moments(mean, variance):
     sd = math.sqrt(variance)
     a = -mean / sd  # standardized truncation point
     if a < _FAR_TAIL_SWITCH:
-        lam = std_normal_pdf(a) / std_normal_cdf(-a)
+        lam = math.exp(-0.5 * a * a) / _SQRT_2PI / std_normal_cdf(-a)
         return mean + sd * lam, variance * (1.0 + a * lam - lam * lam)
     # lam = a + gap, gap = 1/(a + rest), rest = 2/(a + 3/(a + ...)): the moments are
     # mean + sd*lam = sd*gap and variance*(1 + a*lam - lam**2) = variance*gap*(rest - gap)

@@ -249,6 +249,10 @@ def _bias_mode(target: _CountTarget) -> tuple[float, float]:
     """Mode and Laplace scale ``1/sqrt(-hessian)`` of ``target``: Newton
     steps from the prior mean, bisecting the score's sign bracket on an
     overshoot. Raises NumericalError on a non-finite score or no convergence.
+
+    ``target`` is any log-concave 1-D density with ``_CountTarget``'s
+    ``m0``/``score_hessian`` contract; the ranking chain's
+    :class:`~latentbias.ranking._SkillTarget` shares this kernel.
     """
     x = target.m0
     blo, bhi = -math.inf, math.inf  # score(blo) > 0 > score(bhi)

@@ -33,7 +33,6 @@ __all__ = [
     "ModelConfig",
     "build_prior",
     "descending_order",
-    "stop_probability",
     "guilt_probability",
     "require_positive_finite",
 ]
@@ -135,12 +134,6 @@ def build_prior(
 def descending_order(values: np.ndarray) -> np.ndarray:
     """Indices of ``values`` from largest to smallest; ties keep index order."""
     return np.argsort(-np.asarray(values), kind="stable")
-
-
-def stop_probability(c: float, beta: float, alpha: float) -> float:
-    """P(stopped) = Phi((c + beta) / sqrt(alpha))."""
-    require_positive_finite(alpha=alpha)
-    return std_normal_cdf((c + beta) / math.sqrt(alpha))
 
 
 def guilt_probability(c: float, gamma: float) -> float:

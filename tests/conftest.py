@@ -116,18 +116,15 @@ def count_log_density_oracle(beta, n_pos, n_neg, m0, v0, alpha, gamma):
     return out
 
 
-def count_posterior_oracle(n_pos, n_neg, m0, v0, alpha, gamma, points=2001):
-    """``(mean, sd, cdf)`` of one group's bias posterior by trapezoidal
-    quadrature of :func:`count_log_density_oracle` on a dense grid.
+def posterior_oracle(logd, center, scale, points=2001):
+    """``(mean, sd, cdf)`` of the 1-D density ``exp(logd(x))``, known up to a
+    constant, by trapezoidal quadrature on a dense grid.
 
-    A coarse pass over m0 +- 12 prior sds finds where the log density is
-    within 60 of its peak; the dense grid spans that, so it never depends on
-    the draws it is compared with. ``cdf`` interpolates on the dense grid.
+    A coarse pass over ``center`` +- 12 ``scale`` finds where the log density
+    is within 60 of its peak; the dense grid spans that, so it never depends
+    on the draws it is compared with. ``cdf`` interpolates on the dense grid.
     """
-    def logd(grid):
-        return count_log_density_oracle(grid, n_pos, n_neg, m0, v0, alpha, gamma)
-
-    coarse = m0 + math.sqrt(v0) * np.linspace(-12.0, 12.0, 961)
+    coarse = center + scale * np.linspace(-12.0, 12.0, 961)
     lc = logd(coarse)
     bulk = coarse[lc > lc.max() - 60.0]
     step = coarse[1] - coarse[0]
@@ -142,6 +139,26 @@ def count_posterior_oracle(n_pos, n_neg, m0, v0, alpha, gamma, points=2001):
     mean = integral(grid * dens)[-1] / total
     sd = math.sqrt(integral((grid - mean) ** 2 * dens)[-1] / total)
     return mean, sd, lambda x: np.interp(x, grid, cdf / total)
+
+
+def count_posterior_oracle(n_pos, n_neg, m0, v0, alpha, gamma, points=2001):
+    """:func:`posterior_oracle` of :func:`count_log_density_oracle`, one
+    group's bias posterior, over its prior's m0 +- 12 sds."""
+    def logd(grid):
+        return count_log_density_oracle(grid, n_pos, n_neg, m0, v0, alpha, gamma)
+
+    return posterior_oracle(logd, m0, math.sqrt(v0), points)
+
+
+def skill_posterior_oracle(n_pos, n_neg, points=2001):
+    """:func:`posterior_oracle` of the relative skill ``d = w_1 - w_0`` of a
+    player that lost ``n_pos`` and won ``n_neg`` matches against the common
+    player: with N(0,1) skills and P(win) = Phi(skill difference), its
+    density is proportional to ``N(d; 0, 2) Phi(d)^n_neg Phi(-d)^n_pos``."""
+    def logd(d):
+        return norm.logpdf(d, 0.0, math.sqrt(2.0)) + n_neg * norm.logcdf(d) + n_pos * norm.logcdf(-d)
+
+    return posterior_oracle(logd, 0.0, math.sqrt(2.0), points)
 
 
 # --- canonical CSV oracles --------------------------------------------------

@@ -99,6 +99,24 @@ def test_ingest_unreadable_input_exit_2(tmp_path):
     assert main(["ingest", "--input", str(tmp_path / "nope.csv"), "--out-dir", str(tmp_path / "o")]) == 2
 
 
+def test_ingest_non_utf8_input_exit_2(tmp_path, capsys):
+    raw = tmp_path / "raw.csv"
+    raw.write_bytes(HEADER.encode() + b"ForceA,White,,Arrest\nForceA,Bl\xffck,,Arrest\n")
+    assert main(["ingest", "--input", str(raw), "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"{raw}: line 3: not valid UTF-8" in err
+
+
+def test_fit_non_utf8_dataset_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"group,stopped,outcome,force\na,1,1,f\n\na,1,0,\xff\n")
+    assert main(["fit", "--input", str(bad), "--seed", "1", "--out-dir", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"{bad}: line 4: not valid UTF-8" in err
+
+
 def test_ingest_empty_file_ok(tmp_path):
     raw = tmp_path / "empty.csv"
     raw.write_text(HEADER)

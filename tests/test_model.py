@@ -15,7 +15,6 @@ from latentbias import (
     guilt_probability,
     read_dataset_csv,
     run_gibbs,
-    stop_probability,
 )
 from latentbias import inference
 
@@ -85,18 +84,6 @@ def test_prior_needs_a_group():
 
 # --- event probabilities ---------------------------------------------------------
 
-def test_stop_probability_symmetric_threshold():
-    assert stop_probability(0.0, 0.0, 1.0) == 0.5
-
-
-def test_stop_probability_against_oracle():
-    assert stop_probability(1.0, 0.5, 1.0) == pytest.approx(cdf_oracle(1.5), abs=1e-12)
-
-
-def test_stop_probability_symmetric_in_sum():
-    assert stop_probability(0.7, -0.2, 2.0) == stop_probability(-0.2, 0.7, 2.0)
-
-
 def test_guilt_probability_values():
     assert guilt_probability(0.0, 1.0) == 0.5
     assert guilt_probability(1.0, 1.0) == pytest.approx(cdf_oracle(1.0), abs=1e-12)
@@ -109,21 +96,15 @@ def test_guilt_probability_antisymmetry():
 
 def test_probabilities_increase_in_c():
     cs = np.linspace(-3, 3, 50)
-    stops = [stop_probability(c, 0.3, 1.0) for c in cs]
     guilts = [guilt_probability(c, 1.0) for c in cs]
-    assert np.all(np.diff(stops) > 0)
     assert np.all(np.diff(guilts) > 0)
-    assert all(0 < p < 1 for p in stops + guilts)
+    assert all(0 < p < 1 for p in guilts)
 
 
 def test_probability_domain_errors():
     with pytest.raises(DomainError):
-        stop_probability(0.0, 0.0, 0.0)
-    with pytest.raises(DomainError):
         guilt_probability(0.0, -1.0)
     for bad in (math.nan, math.inf):
-        with pytest.raises(DomainError, match="positive and finite"):
-            stop_probability(0.0, 0.0, bad)
         with pytest.raises(DomainError, match="positive and finite"):
             guilt_probability(0.0, bad)
 

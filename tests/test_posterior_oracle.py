@@ -1,4 +1,4 @@
-"""``run_gibbs``'s anchored bias draws against the exact count-level posterior.
+"""The count-level chains against their exact 1-D posteriors.
 
 Under anchoring each person's criminality is N(0,1) with no shared term, so
 a group's bias posterior depends only on its counts of stops and positive
@@ -7,6 +7,10 @@ on a dense grid with scipy's bivariate-normal CDF, sharing no code with
 :mod:`latentbias.inference`. Each post-burn-in chain must match its mean
 and sd within 4 Monte Carlo standard errors (batch means) and pass a KS
 test on thinned draws.
+
+The ranking chain is checked the same way on one player against the
+common player, whose relative skill has a 1-D posterior
+(:func:`conftest.skill_posterior_oracle`).
 """
 
 import math
@@ -15,9 +19,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from latentbias import Dataset, ModelConfig, PriorKind, run_gibbs
+from latentbias import Dataset, ModelConfig, PriorKind, run_gibbs, trueskill_gibbs
 
-from conftest import count_posterior_oracle
+from conftest import count_posterior_oracle, skill_posterior_oracle
 
 # (stops, positives) per group: a large, a mid-sized and a small group,
 # positive rates of 1/3, 0.7 and 3/8
@@ -55,3 +59,27 @@ def test_anchored_draws_match_count_posterior(kind, alpha, gamma):
         # the sd of a sample sd is sd / sqrt(2 ess) for near-normal draws
         assert abs(x.std() - sd) < 4 * sd / math.sqrt(2 * ess), (g, x.std(), sd, ess)
         assert stats.kstest(x[::THIN], cdf).pvalue > 1e-3, g
+
+
+@pytest.mark.parametrize("n_pos, n_neg", [(300, 150), (6, 3)])
+def test_ranking_chain_matches_skill_posterior(n_pos, n_neg):
+    # one player loses n_pos and wins n_neg matches against the common player
+    # (with few matches the prior shapes the posterior); the batches are
+    # independent chains of 200 post-burn-in iterations each
+    chains, iterations = 40, 250
+    winners = np.repeat([0, 1], [n_pos, n_neg])
+    losers = 1 - winners
+    kept = iterations - iterations // 5
+    runs = {anchor: np.array([trueskill_gibbs(winners, losers, 2, iterations, seed, anchor)
+                              for seed in range(chains)])
+            for anchor in (True, False)}
+    mean, sd, _cdf = skill_posterior_oracle(n_pos, n_neg)
+    # w_0 | d ~ N(-d/2, 1/2), so these are the common player's exact moments
+    want = {True: (mean, sd**2), False: (-mean / 2, sd**2 / 4 + 0.5)}
+    for anchor, player in ((True, 1), (False, 0)):
+        chain_means = runs[anchor][:, 0, player]
+        chain_vars = runs[anchor][:, 1, player] * kept / (kept - 1)
+        want_mean, want_var = want[anchor]
+        for got, value in ((chain_means, want_mean), (chain_vars, want_var)):
+            mcse = got.std(ddof=1) / math.sqrt(chains)
+            assert abs(got.mean() - value) < 4 * mcse, (anchor, got.mean(), value, mcse)

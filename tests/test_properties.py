@@ -1,6 +1,6 @@
 """Property-based tests: CSV round-trips and their row-at-a-time oracles,
-ingest accounting, split and balance, the shared rank order and the
-truncated-normal sampler."""
+ingest accounting, split and balance, the shared rank order, the ranking
+chain's match-order invariance and the truncated-normal sampler."""
 
 import csv
 import io
@@ -25,6 +25,7 @@ from latentbias import (
     sample_truncated_normal,
     split,
     truncated_moments,
+    trueskill_gibbs,
     write_dataset_csv,
     write_ranking_csv,
 )
@@ -227,6 +228,31 @@ def test_ranking_csv_order_matches_summary_rank(levels):
     )
     assert [r[1] for r in rows] == [labels[i] for i in summary.ranked_indices()]
     assert [int(r[0]) for r in rows] == sorted(summary.rank.tolist())
+
+
+@st.composite
+def match_lists(draw):
+    """``(player_count, winners, losers)`` of a general match graph."""
+    players = draw(st.integers(2, 5))
+    pairs = draw(st.lists(st.tuples(st.integers(0, players - 1), st.integers(1, players - 1)),
+                          min_size=1, max_size=40))
+    # the second id is an offset, so no player meets itself
+    winners = np.array([w for w, _offset in pairs])
+    losers = (winners + np.array([offset for _w, offset in pairs])) % players
+    return players, winners, losers
+
+
+@settings(max_examples=100, deadline=None)
+@given(match_lists(), st.randoms(use_true_random=False), st.integers(1, 12),
+       st.integers(0, 2**32 - 1), st.booleans())
+def test_trueskill_gibbs_ignores_match_order(matches, shuffler, iterations, seed, anchor):
+    # the chain sees only the win count of each (winner, loser) pair
+    players, winners, losers = matches
+    order = list(range(winners.size))
+    shuffler.shuffle(order)
+    want = trueskill_gibbs(winners, losers, players, iterations, seed, anchor)
+    got = trueskill_gibbs(winners[order], losers[order], players, iterations, seed, anchor)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 @settings(max_examples=200, deadline=None)
