@@ -21,6 +21,18 @@ the scheme.
 Every layer holds its stops as one columnar :class:`Dataset`: group codes,
 outcomes and force codes in numpy arrays, plus the label tables.
 
+:func:`parse_records` tokenises a raw export once. C-level iterators
+intern each row's four :data:`RAW_COLUMNS` fields to a key id, so no
+Python runs per row, and each distinct key is resolved once in Python.
+The key holds no other column, so dates and other unused fields, which
+make almost every line of a real export distinct, do not multiply it.
+
+Both readers parse strictly: any CSV parser error (a quote still open at
+the end of the input, text after a closing quote, a field over the
+parser's size limit) raises :class:`~latentbias.errors.DataError` naming
+the line the parser stopped on, whatever the field's length. Ingest only
+drops and counts rows with too few fields.
+
 The canonical dataset CSV has one line per stop, fixed by its (group,
 outcome, force) cell, so a file has at most 2·K·F distinct lines for K
 groups and F forces. :func:`read_dataset_csv` parses each distinct line
@@ -35,8 +47,10 @@ import csv
 import enum
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import count, repeat
+from operator import add, itemgetter
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
@@ -312,8 +326,8 @@ class IngestReport:
     unmapped_ethnicities: int = 0
     warnings: list = field(default_factory=list)
 
-    def drop(self, reason: str) -> None:
-        self.dropped[reason] = self.dropped.get(reason, 0) + 1
+    def drop(self, reason: str, rows: int) -> None:
+        self.dropped[reason] = self.dropped.get(reason, 0) + rows
 
     @property
     def rows_dropped(self) -> int:
@@ -352,20 +366,26 @@ def parse_records(
     """Parse raw CSV rows into a dataset labelled by the mapping's groups,
     with outcomes coarsened by scheme ``kind`` from the mapping's sets.
 
-    Hard errors (missing required column, unparseable header) raise
+    Hard errors (missing required column, unparseable header, or any row
+    the strict CSV parser rejects) raise
     :class:`~latentbias.errors.DataError`, and LenientSevere with an empty
-    lenient set raises :class:`~latentbias.errors.DomainError`; malformed
-    or incomplete rows (too few fields, or a field the CSV parser rejects)
-    are dropped and counted, never aborting the ingest. Blank lines are
-    skipped. A column named twice in the header reads its last occurrence.
-    Under the LenientSevere scheme, rows that are not guilty-positive are
-    excluded (the severity dataset covers confirmed offences only). The
-    report's kept-row and per-group tallies are those of the returned
-    dataset.
+    lenient set raises :class:`~latentbias.errors.DomainError`; rows with
+    too few fields are dropped and counted as malformed, never aborting
+    the ingest. Blank lines are skipped. A column named twice in the
+    header reads its last occurrence. Under the LenientSevere scheme, rows
+    that are not guilty-positive are excluded (the severity dataset covers
+    confirmed offences only). The report's kept-row and per-group tallies
+    are those of the returned dataset.
+
+    Cost: the rows are tokenised once, and C-level iterators intern each
+    row's four :data:`RAW_COLUMNS` fields to a key id, with no Python per
+    row. Each distinct key is then resolved once in Python, and the
+    columns and tallies are built by indexing with the ids. The key holds
+    no other column, so dates and other unused fields do not multiply it.
     """
     if kind is SchemeKind.LENIENT_SEVERE and not mapping.lenient_set:
         raise DomainError("LenientSevere scheme needs a nonempty lenient set")
-    reader = csv.reader(stream)
+    reader = csv.reader(stream, strict=True)
     try:
         header = next(reader, None)
     except csv.Error as exc:
@@ -377,55 +397,61 @@ def parse_records(
     if missing:
         raise DataError(f"missing required column(s): {', '.join(missing)}")
     i_force, i_officer, i_self, i_outcome = (position[c] for c in RAW_COLUMNS)
-    width = max(i_force, i_officer, i_self, i_outcome) + 1
     i_first, i_second = (
         (i_officer, i_self) if mapping.precedence == "officer" else (i_self, i_officer)
     )
-
+    # each nonblank row, padded so that a short row reads None in its last
+    # needed column, is interned by (force, first label, second label,
+    # outcome); ids follow the keys' first appearance
+    pad = [None] * (max(i_force, i_first, i_second, i_outcome) + 1)
+    keys = defaultdict(count().__next__)
+    try:
+        ids = np.fromiter(map(keys.__getitem__,
+                              map(itemgetter(i_force, i_first, i_second, i_outcome),
+                                  map(add, filter(None, reader), repeat(pad)))),
+                          dtype=np.intp)
+    except csv.Error as exc:
+        raise DataError(f"line {reader.line_num}: {exc}") from None
     label_to_id = {label: i for i, label in enumerate(mapping.group_labels)}
-    report = IngestReport()
-    groups: list[int] = []
-    outcomes: list[bool] = []
-    forces: list[int] = []
+    report = IngestReport(rows_total=ids.size)
+    # per key: (group code, positive, force code), group -1 when its rows are dropped
+    cells = [(-1, 0, 0)] * len(keys)
+    warning_of: dict[int, str] = {}
     force_ids: dict[str, int] = {}
-    while True:
-        try:
-            row = next(reader)
-        except StopIteration:
-            break
-        except csv.Error:
-            row = None  # the parser resumes at the next line
-        if row == []:
+    # keys in id order, so the first kept key of a force is its first kept row
+    for k, (key, rows) in enumerate(zip(keys, np.bincount(ids, minlength=len(keys)).tolist())):
+        if None in key:
+            report.drop("malformed row", rows)
             continue
-        report.rows_total += 1
-        if row is None or len(row) < width:
-            report.drop("malformed row")
-            continue
-        eth = row[i_first].strip() or row[i_second].strip()
+        force, first, second, outcome_text = key
+        eth = first.strip() or second.strip()
         if not eth:
-            report.drop("missing ethnicity")
+            report.drop("missing ethnicity", rows)
             continue
-        outcome_text = row[i_outcome].strip()
+        outcome_text = outcome_text.strip()
         if not outcome_text:
-            report.drop("missing outcome")
+            report.drop("missing outcome", rows)
             continue
         label = mapping.mapping.get(eth)
         if label is None:
             label = mapping.fallback_group
-            report.unmapped_ethnicities += 1
-            if len(report.warnings) < _WARNINGS_KEPT:
-                report.warnings.append(f"unmapped ethnicity {eth!r} -> {label}")
+            report.unmapped_ethnicities += rows
+            warning_of[k] = f"unmapped ethnicity {eth!r} -> {label}"
         if kind is SchemeKind.LENIENT_SEVERE:
             if not coarsen_outcome(outcome_text, SchemeKind.GUILTY_NOT_GUILTY, mapping):
-                report.drop("not guilty (excluded from severity dataset)")
+                report.drop("not guilty (excluded from severity dataset)", rows)
                 continue
         elif outcome_text not in mapping.guilty_set and outcome_text not in mapping.negative_set:
-            report.unknown_outcomes += 1
-        groups.append(label_to_id[label])
-        outcomes.append(coarsen_outcome(outcome_text, kind, mapping))
-        forces.append(force_ids.setdefault(row[i_force].strip(), len(force_ids)))
-    dataset = Dataset(np.array(groups, dtype=np.intp), np.array(outcomes, dtype=bool),
-                      mapping.group_labels, np.array(forces, dtype=np.intp), tuple(force_ids))
+            report.unknown_outcomes += rows
+        cells[k] = (label_to_id[label], coarsen_outcome(outcome_text, kind, mapping),
+                    force_ids.setdefault(force.strip(), len(force_ids)))
+    unmapped = np.zeros(len(keys), dtype=bool)
+    unmapped[list(warning_of)] = True
+    report.warnings = [warning_of[k] for k in ids[unmapped[ids]][:_WARNINGS_KEPT].tolist()]
+    group_of, positive_of, force_of = np.array(cells, dtype=np.intp).reshape(-1, 3).T
+    kept = ids[group_of[ids] >= 0]
+    dataset = Dataset(group_of[kept], positive_of[kept].astype(bool), mapping.group_labels,
+                      force_of[kept], tuple(force_ids))
     positive = np.bincount(dataset.group, weights=dataset.outcome, minlength=len(dataset.labels))
     report.rows_kept = len(dataset)
     report.group_counts = dict(zip(dataset.labels, dataset.counts().tolist()))
@@ -605,13 +631,14 @@ def _line_start(line: str, columns: itemgetter, width: int) -> tuple:
     """:func:`_canonical_record` of the record that starts on ``line``;
     ``(_OPEN, None)`` when the line leaves a quoted field open, so that
     record runs on over the lines that follow it."""
-    # the empty second line is read only when the record has not ended
-    reader = csv.reader((line, ""))
+    # the empty second line is read only when the record has not ended, and
+    # the strict parser then fails at the end of input
+    reader = csv.reader((line, ""), strict=True)
     try:
         row = next(reader)
     except csv.Error as exc:
-        return _BAD, str(exc)
-    return (_OPEN, None) if reader.line_num > 1 else _canonical_record(row, columns, width)
+        return (_OPEN, None) if reader.line_num > 1 else (_BAD, str(exc))
+    return _canonical_record(row, columns, width)
 
 
 def read_dataset_csv(stream: Iterable[str] | TextIO) -> Dataset:
@@ -630,13 +657,14 @@ def read_dataset_csv(stream: Iterable[str] | TextIO) -> Dataset:
     Raises:
         DataError: if a column is missing, a row is not a stop
             (``stopped`` other than ``1``) with a ``0``/``1`` outcome, or
-            the CSV parser rejects a row. The first such row in file order
+            the strict CSV parser rejects a row (a quote still open at the
+            end of the input included). The first such row in file order
             is reported, and the message names its physical line: every
             line of the file counts, blank lines and the lines inside a
             quoted field included.
     """
     lines = list(stream)
-    reader = csv.reader(lines)
+    reader = csv.reader(lines, strict=True)
     try:
         header = next(reader, None)
     except csv.Error as exc:
@@ -662,7 +690,7 @@ def read_dataset_csv(stream: Iterable[str] | TextIO) -> Dataset:
         kind, value = entries[keys[at]]
         if kind == _BAD:
             raise DataError(f"line {start + at + 1}: {value}")
-        reader = csv.reader(map(body.__getitem__, range(at, len(body))))
+        reader = csv.reader(map(body.__getitem__, range(at, len(body))), strict=True)
         try:
             row = next(reader)
         except csv.Error as exc:

@@ -4,8 +4,9 @@ The oracle helpers deliberately avoid the package's own CDF path: they
 integrate the normal density with adaptive quadrature, so closed-form
 results in the package are checked against an independent method.
 
-The canonical-CSV oracles are the row-at-a-time reader and writer that
-the package's line-table versions must match exactly.
+The CSV oracles are the row-at-a-time raw-export parser and canonical
+reader and writer that the package's keyed and line-table versions must
+match exactly.
 
 The raw CSV fixtures reconstruct the reference tables exactly at the
 record level: per-group totals and positive counts are hit exactly, and
@@ -23,8 +24,8 @@ import pytest
 from scipy import integrate
 from scipy.stats import multivariate_normal, norm
 
-from latentbias.data import Dataset
-from latentbias.errors import DataError
+from latentbias.data import RAW_COLUMNS, Dataset, IngestReport, SchemeKind, coarsen_outcome
+from latentbias.errors import DataError, DomainError
 
 # --- reference tables -------------------------------------------------------
 # (label, national total, national guilty, london total, london guilty)
@@ -194,7 +195,7 @@ def read_dataset_csv_oracle(stream) -> Dataset:
             (``stopped`` other than ``1``) with a ``0``/``1`` outcome, or
             the CSV parser rejects a row; the message names the row's line.
     """
-    reader = csv.reader(stream)
+    reader = csv.reader(stream, strict=True)
     groups, outcomes, forces = [], [], []
     try:
         header = next(reader, None)
@@ -226,6 +227,79 @@ def read_dataset_csv_oracle(stream) -> Dataset:
         np.array([force_ids.setdefault(f, len(force_ids)) for f in forces], dtype=np.intp),
         tuple(force_ids),
     )
+
+
+# --- raw export oracle --------------------------------------------------------
+
+def parse_records_oracle(stream, mapping, kind):
+    """Raw export parsed one row at a time, every rule applied per row.
+
+    Raises:
+        DataError: if the header lacks a required column or the strict CSV
+            parser rejects a row; the message names the parser's line.
+        DomainError: for LenientSevere with an empty lenient set.
+    """
+    if kind is SchemeKind.LENIENT_SEVERE and not mapping.lenient_set:
+        raise DomainError("LenientSevere scheme needs a nonempty lenient set")
+    reader = csv.reader(stream, strict=True)
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise DataError(f"line {reader.line_num}: unreadable header: {exc}") from None
+    if header is None:
+        raise DataError("input has no header row")
+    position = {name: i for i, name in enumerate(header)}
+    missing = [c for c in RAW_COLUMNS if c not in position]
+    if missing:
+        raise DataError(f"missing required column(s): {', '.join(missing)}")
+    i_force, i_officer, i_self, i_outcome = (position[c] for c in RAW_COLUMNS)
+    width = max(i_force, i_officer, i_self, i_outcome) + 1
+    i_first, i_second = (
+        (i_officer, i_self) if mapping.precedence == "officer" else (i_self, i_officer)
+    )
+    label_to_id = {label: i for i, label in enumerate(mapping.group_labels)}
+    report = IngestReport()
+    groups, outcomes, forces = [], [], []
+    force_ids: dict[str, int] = {}
+    try:
+        for row in filter(None, reader):
+            report.rows_total += 1
+            if len(row) < width:
+                report.drop("malformed row", 1)
+                continue
+            eth = row[i_first].strip() or row[i_second].strip()
+            if not eth:
+                report.drop("missing ethnicity", 1)
+                continue
+            outcome_text = row[i_outcome].strip()
+            if not outcome_text:
+                report.drop("missing outcome", 1)
+                continue
+            label = mapping.mapping.get(eth)
+            if label is None:
+                label = mapping.fallback_group
+                report.unmapped_ethnicities += 1
+                if len(report.warnings) < 20:
+                    report.warnings.append(f"unmapped ethnicity {eth!r} -> {label}")
+            if kind is SchemeKind.LENIENT_SEVERE:
+                if not coarsen_outcome(outcome_text, SchemeKind.GUILTY_NOT_GUILTY, mapping):
+                    report.drop("not guilty (excluded from severity dataset)", 1)
+                    continue
+            elif (outcome_text not in mapping.guilty_set
+                  and outcome_text not in mapping.negative_set):
+                report.unknown_outcomes += 1
+            groups.append(label_to_id[label])
+            outcomes.append(coarsen_outcome(outcome_text, kind, mapping))
+            forces.append(force_ids.setdefault(row[i_force].strip(), len(force_ids)))
+    except csv.Error as exc:
+        raise DataError(f"line {reader.line_num}: {exc}") from None
+    dataset = Dataset(np.array(groups, dtype=np.intp), np.array(outcomes, dtype=bool),
+                      mapping.group_labels, np.array(forces, dtype=np.intp), tuple(force_ids))
+    positive = np.bincount(dataset.group, weights=dataset.outcome, minlength=len(dataset.labels))
+    report.rows_kept = len(dataset)
+    report.group_counts = dict(zip(dataset.labels, dataset.counts().tolist()))
+    report.group_positive = dict(zip(dataset.labels, positive.astype(int).tolist()))
+    return dataset, report
 
 
 # --- fixture CSV builders ----------------------------------------------------

@@ -221,12 +221,13 @@ def test_fit_gamma_above_alpha_exit_2(canonical_csv, tmp_path, capsys, prior, al
 
 
 def test_csv_field_over_parser_limit(tmp_path, capsys):
-    # ingest drops the row as malformed; fit and rank name the line and exit 2
+    # ingest, fit and rank name the line and exit 2
     raw = tmp_path / "raw.csv"
     raw.write_text(HEADER + f"ForceA,White,,Arrest\nForceA,{'x' * 200_000},,Arrest\n"
                    "ForceA,Black,,Nothing found - no further action\n", encoding="utf-8")
-    assert main(["ingest", "--input", str(raw), "--out-dir", str(tmp_path / "i")]) == 0
-    assert "malformed row: 1" in capsys.readouterr().out
+    assert main(["ingest", "--input", str(raw), "--out-dir", str(tmp_path / "i")]) == 2
+    assert "line 3: field larger than field limit" in capsys.readouterr().err
+    assert not (tmp_path / "i" / "manifest.json").exists()
     bad = tmp_path / "bad.csv"
     bad.write_text(f"group,stopped,outcome,force\na,1,1,f\na,1,0,{'x' * 200_000}\n",
                    encoding="utf-8")
@@ -234,6 +235,24 @@ def test_csv_field_over_parser_limit(tmp_path, capsys):
         assert main([command, "--input", str(bad), "--seed", "1",
                      "--out-dir", str(tmp_path / command)]) == 2
         assert "line 3: field larger than field limit" in capsys.readouterr().err
+
+
+def test_ingest_unterminated_quote_exit_2(tmp_path, capsys):
+    # a quote opened in the unused date column would swallow the rows after it
+    raw = tmp_path / "raw.csv"
+    raw.write_text(HEADER + 'F,White,,Arrest,"2024\nF,White,,Arrest,x\nG,Black,,Arrest,y\n',
+                   encoding="utf-8")
+    assert main(["ingest", "--input", str(raw), "--out-dir", str(tmp_path / "i")]) == 2
+    assert capsys.readouterr().err.strip() == "error: line 4: unexpected end of data"
+    assert not (tmp_path / "i" / "dataset.csv").exists()
+
+
+def test_fit_unterminated_quote_exit_2(tmp_path, capsys):
+    # a force left open would swallow the records after it into its name
+    bad = tmp_path / "bad.csv"
+    bad.write_text('group,stopped,outcome,force\nA,1,0,"x\nA,1,0,y\nB,1,1,z\n', encoding="utf-8")
+    assert main(["fit", "--input", str(bad), "--seed", "1", "--out-dir", str(tmp_path / "f")]) == 2
+    assert capsys.readouterr().err.strip() == "error: line 4: unexpected end of data"
 
 
 def test_fit_bad_outcome_flag_exit_2(tmp_path, capsys):

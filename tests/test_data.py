@@ -157,15 +157,16 @@ def test_parse_drops_and_counts_bad_rows():
     assert report.rows_kept + report.rows_dropped == report.rows_total
 
 
-def test_parse_counts_unparseable_row_as_malformed():
-    # a field over the csv module's size limit fails in the parser itself;
-    # the row is dropped and counted, and parsing resumes at the next line
-    text = HEADER + "ForceA,White,,Arrest\n" + f"ForceA,{'x' * 200_000},,Arrest\n" + "ForceB,Black,,Arrest\n"
-    records, report = _parse(text)
-    assert records.group.tolist() == [0, 1]
-    assert [records.forces[f] for f in records.force] == ["ForceA", "ForceB"]
-    assert report.rows_total == 3
-    assert report.dropped == {"malformed row": 1}
+def test_parse_unparseable_row_is_data_error_with_line_number():
+    # any row the strict CSV parser rejects ends the ingest, naming its line,
+    # whatever the length of the field: an oversized field, text after a
+    # closing quote, and a quote still open at the end of the input
+    for bad, line in ((f"ForceA,{'x' * 200_000},,Arrest\n", 3),
+                      ('ForceA,"White"x,,Arrest\n', 3),
+                      ('ForceA,"White,,Arrest\n', 4)):
+        text = HEADER + "ForceA,White,,Arrest\n" + bad + "ForceB,Black,,Arrest\n"
+        with pytest.raises(DataError, match=f"^line {line}: "):
+            _parse(text)
 
 
 def test_parse_blank_lines_short_rows_and_duplicate_columns():

@@ -1,6 +1,7 @@
 """Property-based tests: CSV round-trips and their row-at-a-time oracles,
-ingest accounting, split and balance, the shared rank order, the ranking
-chain's match-order invariance and the truncated-normal sampler."""
+the keyed raw-export parser against its row-at-a-time oracle, ingest
+accounting, split and balance, the shared rank order, the ranking chain's
+match-order invariance and the truncated-normal sampler."""
 
 import csv
 import io
@@ -15,6 +16,7 @@ from latentbias import (
     DataError,
     Dataset,
     DomainError,
+    EthnicityMapping,
     PosteriorSummary,
     PriorKind,
     SchemeKind,
@@ -31,7 +33,7 @@ from latentbias import (
 )
 from latentbias.inference import _ranks_desc
 
-from conftest import read_dataset_csv_oracle, write_dataset_csv_oracle
+from conftest import parse_records_oracle, read_dataset_csv_oracle, write_dataset_csv_oracle
 
 # table entries with the characters CSV must quote or carry through
 _TEXT = st.text(st.sampled_from('ab ,"\'\r\n\t;é€中 ') | st.characters(), max_size=8)
@@ -164,6 +166,87 @@ def test_parse_records_report_matches_dataset(rows, kind):
     assert report.group_counts == dict(zip(labels, dataset.counts().tolist()))
     assert report.group_positive == dict(zip(labels, positive.tolist()))
     assert report.rows_kept + report.rows_dropped == report.rows_total
+
+
+# raw export headers: extra columns in any order, a column named twice (the
+# last occurrence is read), and one header missing a required column
+_RAW_HEADERS = (
+    "force,officer_defined_ethnicity,self_defined_ethnicity,outcome",
+    "force,officer_defined_ethnicity,self_defined_ethnicity,outcome,date,note",
+    "date,outcome,note,self_defined_ethnicity,force,officer_defined_ethnicity",
+    "outcome,force,officer_defined_ethnicity,self_defined_ethnicity,outcome,date",
+    "force,officer_defined_ethnicity,date,force,self_defined_ethnicity,outcome,note",
+    "force,officer_defined_ethnicity,outcome,date",
+)
+_RAW_FIELD = {
+    "force": st.sampled_from(["ForceA", "Force, B", ' "Q"\nforce', " ForceA ", ""]),
+    "officer_defined_ethnicity": _ETHNICITY | st.sampled_from([" White ", "Martian "]),
+    "self_defined_ethnicity": _ETHNICITY,
+    "outcome": _OUTCOME,
+}
+# what may follow the rows: nothing, or a row the strict parser rejects (a
+# quote left open at the end, text after a closing quote, an oversized field)
+_RAW_TAIL = st.sampled_from(["", "", "", 'ForceA,"White\n', 'F,"x"y,,Arrest\n',
+                             f"F,{'x' * (csv.field_size_limit() + 1)},,Arrest\n"])
+
+
+@st.composite
+def raw_exports(draw):
+    """Raw export texts from a few row templates repeated in runs, every
+    row made distinct by a unique date: blank lines, short rows, quoted
+    forces, unused columns of high variety, and enough repeats of an
+    unmapped template for more than 20 warnings."""
+    header = draw(st.sampled_from(_RAW_HEADERS))
+    names = header.split(",")
+    templates = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.integers(0, 7)) == 0:
+            templates.append(None)  # a blank line
+            continue
+        fields = [draw(_RAW_FIELD.get(name, _TEXT)) for name in names]
+        templates.append(fields[:draw(st.integers(1, len(names)))]
+                         if draw(st.integers(0, 7)) == 0 else fields)
+    runs = draw(st.lists(st.tuples(st.integers(0, len(templates) - 1), st.integers(1, 12)),
+                         max_size=10))
+    picks = [pick for pick, repeats in runs for _ in range(repeats)]
+    ending = draw(_ENDING.filter(lambda e: e != "\r"))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator=ending)
+    writer.writerow(names)
+    for i, pick in enumerate(picks):
+        if templates[pick] is None:
+            buf.write(ending)
+        else:
+            writer.writerow([f"2024-03-01T{i:05d}" if name == "date" else field
+                             for name, field in zip(names, templates[pick])])
+    return buf.getvalue() + draw(_RAW_TAIL)
+
+
+def _parse_result(parse, text, newline, mapping, kind):
+    try:
+        dataset, report = parse(io.StringIO(text, newline=newline), mapping, kind)
+    except DataError as exc:
+        return str(exc)
+    return (dataset.labels, dataset.forces, dataset.group.dtype, dataset.group.tolist(),
+            dataset.outcome.dtype, dataset.outcome.tolist(), dataset.force.dtype,
+            dataset.force.tolist(), vars(report), list(report.dropped.items()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_exports(), st.sampled_from(["", "\n"]), st.sampled_from(["officer", "self"]),
+       st.sampled_from(list(SchemeKind)))
+@example("force,officer_defined_ethnicity,self_defined_ethnicity,outcome\n"
+         + "F,Martian,,Arrest\n" * 25 + "G,White,,Arrest\n", "", "officer",
+         SchemeKind.GUILTY_NOT_GUILTY)
+@example('force,officer_defined_ethnicity,self_defined_ethnicity,outcome,date\n'
+         'F,White,,Arrest,"2024\nF,White,,Arrest,x\nG,Black,,Arrest,y\n', "", "officer",
+         SchemeKind.GUILTY_NOT_GUILTY)
+def test_parse_records_matches_row_oracle(text, newline, precedence, kind):
+    # the same Dataset and report (dropped reasons and warnings in row
+    # order), or the same DataError, as a parser that resolves every row
+    mapping = EthnicityMapping(precedence=precedence)
+    assert _parse_result(parse_records, text, newline, mapping, kind) == \
+        _parse_result(parse_records_oracle, text, newline, mapping, kind)
 
 
 @st.composite

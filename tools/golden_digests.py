@@ -10,16 +10,21 @@ empty. On each it runs ``ingest`` under both schemes, ``fit`` three ways
 (``dependent``; ``independent --anchoring off``; ``free``, whose default
 unanchored chain may stop with exit 3 and a partial trace), ``rank``, and
 ``score`` by both methods, all through ``python -m latentbias.cli`` on the
-sources next to this script. It prints ``sha256  relpath`` for every file
-the commands write, for each command's stdout and stderr, and for a file
-of exit codes. Commands run with ``OUT_DIR`` as working directory and
-relative paths, and each manifest is hashed without ``wall_time_s``, so two
-runs of one tree print the same lines, and a diff of the lines printed by
-two trees names exactly the outputs a change moved.
+sources next to this script. It then derives ``export-200k-variety``, the
+``export-200k`` rows with every line made distinct as in a real export,
+and ingests it under both schemes; its ingest outputs must equal
+``export-200k``'s, and its exit codes go in a file of its own. It prints
+``sha256  relpath`` for every file the commands write, for each command's
+stdout and stderr, and for the files of exit codes. Commands run with
+``OUT_DIR`` as working directory and relative paths, and each manifest is
+hashed without ``wall_time_s``, so two runs of one tree print the same
+lines, and a diff of the lines printed by two trees names exactly the
+outputs a change moved.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import os
@@ -39,19 +44,30 @@ RUN_LENGTHS = {
     "export-200k": (workloads.EXPORT_SWEEPS, workloads.EXPORT_BURN_IN,
                     workloads.EXPORT_ITERATIONS),
 }
+VARIETY = "export-200k-variety"
+# columns a real export carries and ingest never reads
+VARIETY_COLUMNS = ("type", "latitude", "longitude", "object_of_search")
+VARIETY_SEARCHES = ("Person search", "Person and Vehicle search", "Vehicle search")
+VARIETY_OBJECTS = ("Controlled drugs", "Offensive weapons", "Stolen goods",
+                   "Article for use in theft")
 # one BLAS thread, so a matrix product sums in one order on every host
 ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def ingest_steps(name: str) -> list[tuple[str, list[str]]]:
+    """``(step, argv)`` pairs ingesting ``name/raw.csv`` under both schemes."""
+    raw = f"{name}/raw.csv"
+    return [("ingest", ["ingest", "--input", raw]),
+            ("ingest-charges", ["ingest", "--input", raw, "--scheme", "charges"])]
 
 
 def commands(name: str) -> list[tuple[str, list[str]]]:
     """``(step, argv)`` pairs for one workload, paths relative to OUT_DIR."""
     sweeps, burn_in, iterations = (str(v) for v in RUN_LENGTHS[name])
-    raw, test, dataset = f"{name}/raw.csv", f"{name}/test.csv", f"{name}/ingest/dataset.csv"
+    test, dataset = f"{name}/test.csv", f"{name}/ingest/dataset.csv"
     fit = ["fit", "--input", dataset, "--sweeps", sweeps, "--burn-in", burn_in,
            "--seed", str(SEED)]
-    steps = [
-        ("ingest", ["ingest", "--input", raw]),
-        ("ingest-charges", ["ingest", "--input", raw, "--scheme", "charges"]),
+    return ingest_steps(name) + [
         ("fit", fit + ["--prior", "dependent"]),
         ("fit-indep-off", fit + ["--prior", "independent", "--anchoring", "off"]),
         ("fit-free", fit + ["--prior", "free"]),
@@ -61,7 +77,44 @@ def commands(name: str) -> list[tuple[str, list[str]]]:
                              "--method", method])
         for method in ("likelihood", "accuracy")
     ]
-    return [(step, argv + ["--out-dir", f"{name}/{step}"]) for step, argv in steps]
+
+
+def write_variety(source: Path, target: Path) -> None:
+    """``source``'s raw rows with every line made distinct: each full row
+    gets a unique timestamp in its date column and values in
+    :data:`VARIETY_COLUMNS`; short rows stay as they are."""
+    with open(source, newline="", encoding="utf-8") as src, \
+            open(target, "w", newline="", encoding="utf-8") as dst:
+        reader = csv.reader(src)
+        writer = csv.writer(dst, lineterminator="\n")
+        header = next(reader)
+        date = header.index("date")
+        writer.writerow(header + list(VARIETY_COLUMNS))
+        for i, row in enumerate(reader):
+            if len(row) == len(header):
+                minute, second = divmod(i, 60)
+                hour, minute = divmod(minute, 60)
+                day, hour = divmod(hour, 24)
+                row[date] = f"2024-03-{1 + day:02d}T{hour:02d}:{minute:02d}:{second:02d}"
+                row += [VARIETY_SEARCHES[i % 3], f"{51 + i * 7919 % 100_000 / 1e5:.5f}",
+                        f"{-(i * 104_729 % 100_000) / 1e5:.5f}", VARIETY_OBJECTS[i % 4]]
+            writer.writerow(row)
+
+
+def run_steps(name: str, steps, out: Path, env: dict) -> str:
+    """Run each ``(step, argv)`` of workload ``name`` with outputs in
+    ``name/step``, keep its stdout and stderr under ``name/logs``, and
+    return the lines of its exit codes."""
+    (out / name / "logs").mkdir(parents=True, exist_ok=True)
+    exit_codes = []
+    for step, cli_argv in steps:
+        proc = subprocess.run([sys.executable, "-m", "latentbias.cli", *cli_argv,
+                               "--out-dir", f"{name}/{step}"],
+                              cwd=out, env=env, capture_output=True)
+        (out / name / "logs" / f"{step}.stdout").write_bytes(proc.stdout)
+        (out / name / "logs" / f"{step}.stderr").write_bytes(proc.stderr)
+        exit_codes.append(f"{name}/{step} {proc.returncode}\n")
+    return "".join(exit_codes)
 
 
 def digest(path: Path) -> str:
@@ -85,16 +138,15 @@ def main(argv: list[str]) -> int:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **ENV)
     exit_codes = []
     for name in RUN_LENGTHS:
-        (out / name / "logs").mkdir(parents=True)
+        (out / name).mkdir(parents=True)
         generate, _commands = workloads.WORKLOADS[name]
         generate(SEED, out / name)
-        for step, cli_argv in commands(name):
-            proc = subprocess.run([sys.executable, "-m", "latentbias.cli", *cli_argv],
-                                  cwd=out, env=env, capture_output=True)
-            (out / name / "logs" / f"{step}.stdout").write_bytes(proc.stdout)
-            (out / name / "logs" / f"{step}.stderr").write_bytes(proc.stderr)
-            exit_codes.append(f"{name}/{step} {proc.returncode}\n")
+        exit_codes.append(run_steps(name, commands(name), out, env))
     (out / "exit_codes.txt").write_text("".join(exit_codes), encoding="utf-8")
+    (out / VARIETY).mkdir()
+    write_variety(out / "export-200k" / "raw.csv", out / VARIETY / "raw.csv")
+    (out / VARIETY / "exit_codes.txt").write_text(
+        run_steps(VARIETY, ingest_steps(VARIETY), out, env), encoding="utf-8")
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         print(f"{digest(path)}  {path.relative_to(out).as_posix()}")
     return 0
