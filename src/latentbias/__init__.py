@@ -1,9 +1,10 @@
 """Bayesian latent-bias inference for stop-and-search records.
 
-A numpy/scipy library with a thin CLI. The pieces:
+A numpy library with a thin CLI; only the unanchored per-record sampler
+imports scipy, at its first draw. The pieces:
 
-* :mod:`latentbias.gaussians`  - the normal CDF and truncated-normal
-  moments and sampling.
+* :mod:`latentbias.gaussians`  - the normal CDF and its log, Owen's T, and
+  truncated-normal moments and sampling.
 * :mod:`latentbias.model`      - configuration, the three prior regimes
   and the ``(means, variances)`` bias prior.
 * :mod:`latentbias.inference`  - the Gibbs sampler, anchoring, traces.

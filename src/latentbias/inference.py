@@ -7,14 +7,16 @@ default except under FREE), each person's criminality is N(0,1) with no
 shared term, so the latents integrate out and a group's bias conditional
 depends only on its counts (:class:`_CountTarget`). Its mode and scale are
 solved once per group; each sweep then advances every bias by independence
-Metropolis-Hastings steps, O(K) work with no per-record draws. With it off
-the chain keeps one criminality per record, redraws the latents, and
-applies the coupled natural-parameter combination literally; the cross
-terms amplify any mismatch between bias-side and outcome-side evidence by
-roughly ``N / (K + 1)`` per sweep, so unanchored FREE runs diverge within a
-few sweeps on asymmetric data - the documented instability this package
-keeps. The guard raises :class:`~latentbias.errors.DivergenceError` with
-the sweep index instead of overflowing.
+Metropolis-Hastings steps, O(K) work with no per-record draws. The targets
+do not move, so each is evaluated once per fit, on all of its proposals.
+With it off the chain keeps one criminality per record, redraws the
+latents, and applies the coupled natural-parameter combination literally;
+the cross terms amplify any mismatch between bias-side and outcome-side
+evidence by roughly ``N / (K + 1)`` per sweep, so unanchored FREE runs
+diverge within a few sweeps on asymmetric data - the documented
+instability this package keeps. The guard raises
+:class:`~latentbias.errors.DivergenceError` with the sweep index instead of
+overflowing.
 
 The recorded variances are a fixed report: the inverse of a precision in
 which each record adds ``1/alpha`` to its group's bias diagonal, each
@@ -34,11 +36,10 @@ from dataclasses import dataclass
 from typing import TextIO
 
 import numpy as np
-from scipy.special import ndtr, owens_t
 
 from .data import Dataset
 from .errors import ConditioningError, DivergenceError, DomainError, NumericalError
-from .gaussians import sample_truncated_normal
+from .gaussians import ndtr, owens_t, owens_t_tail, sample_truncated_normal, std_normal_cdf
 from .model import ModelConfig, PriorKind, build_prior, descending_order
 
 __all__ = [
@@ -205,9 +206,11 @@ class _CountTarget:
     N(0, alpha), C + N(0, gamma)), C ~ N(0,1), on S > 0 and +-T > 0; with
     ``h = beta/sqrt(1+alpha)``, ``rho = 1/sqrt((1+alpha)(1+gamma))`` and
     ``r = rho/sqrt(1-rho^2)``, Owen's T gives ``P+- = Phi(h)/2 +- T(h, r)``.
-    The density is log-concave. ``P-`` loses relative precision where the
-    stop is rare (``h`` below about -10 at alpha = gamma = 1), far below
-    the mode under any prior mean at or above the default's.
+    Where ``h r < -1`` the difference for ``P-`` cancels, so ``P-`` is the
+    tail integral ``(1/2pi) int_r^inf exp(-h^2 (1+x^2)/2)/(1+x^2) dx``
+    (:func:`~latentbias.gaussians.owens_t_tail`) instead: both masses keep
+    their relative precision until they underflow. The density is
+    log-concave.
     """
 
     def __init__(self, n_pos, n_neg, m0, v0, alpha: float, gamma: float):
@@ -215,16 +218,24 @@ class _CountTarget:
         self.n_pos, self.n_neg, self.m0, self.v0 = n_pos, n_neg, m0, v0
         self.sa, self.r = math.sqrt(1.0 + alpha), math.sqrt(rho2 / (1.0 - rho2))
 
+    def masses(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(P+, P-)`` at each standardized ``h = beta/sqrt(1+alpha)``."""
+        half, t = 0.5 * std_normal_cdf(h), owens_t(h, self.r)
+        neg = half - t
+        rare = h * self.r < -1.0
+        if rare.any():
+            neg[rare] = owens_t_tail(h[rare], self.r)
+        return half + t, neg
+
     def log_density(self, beta: np.ndarray) -> np.ndarray:
-        """The log density at each ``beta``; ``-inf`` where ``P-`` rounds to 0."""
-        h = beta / self.sa
-        half, t = 0.5 * ndtr(h), owens_t(h, self.r)
+        """The log density at each ``beta``; ``-inf`` where a needed mass underflows."""
+        pos, neg = self.masses(beta / self.sa)
         out = -((beta - self.m0) ** 2) / (2.0 * self.v0)
         with np.errstate(divide="ignore"):
             if self.n_pos:
-                out = out + self.n_pos * np.log(half + t)
+                out = out + self.n_pos * np.log(pos)
             if self.n_neg:
-                out = out + self.n_neg * np.log(np.maximum(half - t, 0.0))
+                out = out + self.n_neg * np.log(neg)
         return out
 
     def score_hessian(self, beta: float) -> tuple[float, float]:
@@ -232,11 +243,11 @@ class _CountTarget:
         ``dP+-/dh = phi(h) Phi(-+r h)``, ``d2P+-/dh2 = -h dP+-/dh -+ r phi(h) phi(r h)``."""
         sa, r = self.sa, self.r
         h = beta / sa
-        half, t = 0.5 * ndtr(h), owens_t(h, r)
+        pos, neg = (float(m[0]) for m in self.masses(np.array([h])))
         phi, phi_r = math.exp(-0.5 * h * h) / _SQRT_2PI, math.exp(-0.5 * r * r * h * h) / _SQRT_2PI
         score, hess = -(beta - self.m0) / self.v0, -1.0 / self.v0
-        for n, sign, p in ((self.n_pos, -1.0, half + t), (self.n_neg, 1.0, half - t)):
-            if n and not p > 0:  # the orthant mass cancelled or underflowed away
+        for n, sign, p in ((self.n_pos, -1.0, pos), (self.n_neg, 1.0, neg)):
+            if n and not p > 0:  # the orthant mass underflowed
                 return math.nan, math.nan
             if n:
                 ratio = phi * ndtr(sign * r * h) / p
@@ -273,26 +284,72 @@ def _bias_mode(target: _CountTarget) -> tuple[float, float]:
     raise NumericalError(f"bias mode solve did not converge (last score {score:.3g})")
 
 
+def _log_weights(target, mode: float, scale: float, pts: np.ndarray) -> list[float]:
+    """Log density of ``target`` minus that of the Student-t proposal at
+    ``mode`` and ``scale``, up to constants, at each of ``pts``."""
+    log_proposal = -0.5 * (_BIAS_T_DOF + 1.0) * np.log1p(((pts - mode) / scale) ** 2 / _BIAS_T_DOF)
+    return (target.log_density(pts) - log_proposal).tolist()
+
+
+def _mh_states(log_weight: list[float], uniforms: list[float]) -> list[int]:
+    """Independence Metropolis-Hastings over precomputed log weights: the
+    chain starts at point 0, and step ``i`` proposes point ``i``, accepted
+    when ``uniforms[i - 1] < exp(log_weight[i] - log_weight[state])``.
+    Returns the state's index after each step."""
+    state, states = 0, []
+    for i, u in enumerate(uniforms, start=1):
+        log_ratio = log_weight[i] - log_weight[state]
+        if log_ratio >= 0 or u < math.exp(log_ratio):
+            state = i
+        states.append(state)
+    return states
+
+
 def _sample_bias_conditional(
     target: _CountTarget, mode: float, scale: float, current: float, rng: np.random.Generator
 ) -> float:
     """``_BIAS_MH_STEPS`` independence Metropolis-Hastings steps from
     ``current``, each proposing from a Student-t at ``target``'s mode and
     Laplace scale (as :func:`_bias_mode` returns them); ``target`` is
-    exactly invariant."""
+    exactly invariant. For a target that moves between calls; the anchored
+    fit, whose targets are fixed, runs the same steps in one batch."""
     # the steps share one vectorised evaluation of the target; with a single
     # step the rejections cluster and cut the bias chain's ESS by about a third
     proposals = mode + scale * rng.standard_t(_BIAS_T_DOF, size=_BIAS_MH_STEPS)
     uniforms = rng.random(_BIAS_MH_STEPS)
     pts = np.concatenate(([current], proposals))
-    log_proposal = -0.5 * (_BIAS_T_DOF + 1.0) * np.log1p(((pts - mode) / scale) ** 2 / _BIAS_T_DOF)
-    log_weight = (target.log_density(pts) - log_proposal).tolist()
-    state = 0
-    for i, u in enumerate(uniforms.tolist(), start=1):
-        log_ratio = log_weight[i] - log_weight[state]
-        if log_ratio >= 0 or u < math.exp(log_ratio):
-            state = i
-    return float(pts[state])
+    return float(pts[_mh_states(_log_weights(target, mode, scale, pts), uniforms.tolist())[-1]])
+
+
+def _anchored_chain(
+    targets: list[_CountTarget], sweeps: int, rng: np.random.Generator, wall: np.ndarray
+) -> np.ndarray:
+    """``(sweeps, K)`` bias draws: each group's chain of
+    :func:`_sample_bias_conditional` steps from its mode, one call per
+    sweep and group in sweep-major order, bit for bit.
+
+    The targets do not move, so every proposal is drawn first, in that
+    order, and each target is evaluated once, on its mode and all its
+    proposals. ``wall`` receives each sweep's draw time plus an equal share
+    of the rest.
+    """
+    k, steps = len(targets), _BIAS_MH_STEPS
+    laplace = [_bias_mode(target) for target in targets]
+    t_draws, u_draws = np.empty((k, sweeps, steps)), np.empty((k, sweeps, steps))
+    for sweep in range(sweeps):
+        t0 = time.perf_counter()
+        for g in range(k):
+            t_draws[g, sweep] = rng.standard_t(_BIAS_T_DOF, size=steps)
+            u_draws[g, sweep] = rng.random(steps)
+        wall[sweep] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    out = np.empty((sweeps, k))
+    for g, (target, (mode, scale)) in enumerate(zip(targets, laplace)):
+        pts = np.concatenate(([mode], mode + scale * t_draws[g].ravel()))
+        states = _mh_states(_log_weights(target, mode, scale, pts), u_draws[g].ravel().tolist())
+        out[:, g] = pts[states[steps - 1 :: steps]]
+    wall += (time.perf_counter() - t0) / sweeps
+    return out
 
 
 def _assemble_report_precision(
@@ -394,13 +451,16 @@ def run_gibbs(
                           f"{config.divergence_variance_limit:.3g}")
 
     if anchored:
-        # the latents integrate out: each group's target is fixed by its
-        # counts, so its mode and scale are solved once and the chain starts there
+        # the latents integrate out: each group's target is fixed by its counts
         positives = np.bincount(dataset.group, weights=dataset.outcome, minlength=k)
         targets = [_CountTarget(*group, alpha, gamma)
                    for group in zip(positives, counts - positives, m0, v0)]
-        laplace = [_bias_mode(target) for target in targets]
-        mean = np.append([mode for mode, _scale in laplace], 0.0)
+        trace_means[:, :k] = _anchored_chain(targets, sweeps, rng, wall)
+        trace_means[:, k] = 0.0
+        over = np.abs(trace_means).max(axis=1) > config.divergence_mean_limit
+        if over.any():
+            sweep = int(np.argmax(over))
+            raise diverged(sweep, f"max |mean| {np.abs(trace_means[sweep]).max():.3g}")
     else:
         # outcome signs of each group's records, in row order
         taus = [np.where(dataset.outcome[dataset.group == g], 1.0, -1.0) for g in range(k)]
@@ -412,13 +472,8 @@ def run_gibbs(
         mean = np.append(m0, 0.0)
         v_stop = 1.0 / (1.0 + 1.0 / alpha + 1.0 / gamma)
         sd_stop = math.sqrt(v_stop)
-
-    for sweep in range(sweeps):
-        t0 = time.perf_counter()
-        if anchored:
-            for g in range(k):
-                mean[g] = _sample_bias_conditional(targets[g], *laplace[g], float(mean[g]), rng)
-        else:
+        for sweep in range(sweeps):
+            t0 = time.perf_counter()
             eta = eta0.copy()
             for g in range(k):
                 n = int(counts[g])
@@ -432,10 +487,10 @@ def run_gibbs(
                 eta[g] += float(np.sum(s_lat - c)) / alpha
                 eta[k] += float(np.sum(t_lat)) / gamma
             mean = cov_rep @ eta
-        if np.any(np.abs(mean) > config.divergence_mean_limit):
-            raise diverged(sweep, f"max |mean| {np.abs(mean).max():.3g}")
-        trace_means[sweep] = mean
-        wall[sweep] = time.perf_counter() - t0
+            if np.any(np.abs(mean) > config.divergence_mean_limit):
+                raise diverged(sweep, f"max |mean| {np.abs(mean).max():.3g}")
+            trace_means[sweep] = mean
+            wall[sweep] = time.perf_counter() - t0
 
     trace = trace_upto(sweeps)
     post = slice(config.burn_in, None)

@@ -19,10 +19,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtr
 
 from .data import Dataset
 from .errors import DomainError, NumericalError
+from .gaussians import ndtr, owens_t
 from .inference import PosteriorSummary
 from .model import guilt_probability, require_positive_finite
 
@@ -32,9 +32,6 @@ __all__ = [
     "predictive_score",
     "outcome_probability_given_stop",
 ]
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
 
 def stop_search_likelihood(c: float, beta: float, x: int) -> float:
     """Closed-form probability of (stop, outcome ``x``) for unit noise."""
@@ -74,9 +71,29 @@ def likelihood_oracle(c: float, beta: float, x: int, abs_tol: float = 1e-6) -> f
     return float(value)
 
 
-# 64-point Gauss-Hermite rule for expectations over the criminality prior
-_GH_NODES, _GH_WEIGHTS = np.polynomial.hermite_e.hermegauss(64)
-_GH_WEIGHTS = _GH_WEIGHTS / _SQRT_2PI
+def _bivariate_cdf(h: float, k: float, rho: float) -> float:
+    """P(X < h, Y < k) for standard normals with correlation ``|rho| < 1``,
+    by Owen's T (Owen 1956):
+
+        Phi(h)/2 + Phi(k)/2 - T(h, a_h) - T(k, a_k) - [hk < 0 or hk = 0 > h + k]/2,
+
+    with ``a_h = (k - rho h)/(h sqrt(1 - rho^2))`` and ``a_k`` likewise; at
+    ``h = 0`` the term ``T(0, a_h)`` is its limit ``+-1/4``, the sign of ``k``.
+    The pieces are summed exactly (``math.fsum``), so the constants cancel
+    without rounding.
+    """
+    if h == 0.0 and k == 0.0:
+        return 0.25 + math.asin(rho) / (2.0 * math.pi)
+    s = math.sqrt(1.0 - rho * rho)
+    parts = [0.5 * ndtr(h), 0.5 * ndtr(k)]
+    if h * k < 0.0 or (h * k == 0.0 and h + k < 0.0):
+        parts.append(-0.5)
+    for x, y in ((h, k), (k, h)):
+        if x == 0.0:
+            parts.append(-math.copysign(0.25, y))
+        else:
+            parts.append(-float(owens_t(np.array([x]), (y - rho * x) / (x * s))[0]))
+    return math.fsum(parts)
 
 
 def outcome_probability_given_stop(
@@ -84,18 +101,22 @@ def outcome_probability_given_stop(
 ) -> float:
     """P(positive outcome | stopped) for one group.
 
-    The population criminality is N(criminality_mean, 1); stopping selects
-    individuals upward, so this conditional stays above one half whenever
-    the criminality mean is non-negative.
+    The population criminality is ``C ~ N(criminality_mean, 1)``; a stop is
+    ``S = C + bias_mean + N(0, alpha) > 0`` and a positive outcome ``T = C +
+    N(0, gamma) > 0``. ``(S, T)`` is bivariate normal with covariance
+    ``[[1+alpha, 1], [1, 1+gamma]]``, so this is the orthant mass
+    ``P(S > 0, T > 0)`` over ``P(S > 0)``, in closed form. Stopping selects
+    individuals upward, so it stays above one half whenever the criminality
+    mean is non-negative. Returns 0.5 where the stop probability underflows.
     """
     require_positive_finite(alpha=alpha, gamma=gamma)
-    c = _GH_NODES + criminality_mean
-    stop = ndtr((c + bias_mean) / math.sqrt(alpha))
-    pos = ndtr(c / math.sqrt(gamma))
-    denom = float(np.sum(_GH_WEIGHTS * stop))
-    if denom <= 0:
+    h = (criminality_mean + bias_mean) / math.sqrt(1.0 + alpha)
+    k = criminality_mean / math.sqrt(1.0 + gamma)
+    stop = ndtr(h)
+    if stop <= 0:
         return 0.5
-    return float(np.sum(_GH_WEIGHTS * stop * pos) / denom)
+    rho = 1.0 / math.sqrt((1.0 + alpha) * (1.0 + gamma))
+    return _bivariate_cdf(h, k, rho) / stop
 
 
 def predictive_score(

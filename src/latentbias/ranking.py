@@ -26,10 +26,10 @@ import math
 from typing import Sequence, TextIO
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from .data import Dataset
 from .errors import DivergenceError, DomainError
+from .gaussians import log_ndtr
 from .inference import _bias_mode, _sample_bias_conditional
 from .model import descending_order
 
@@ -68,28 +68,31 @@ class _SkillTarget:
         log N(d; m0, 1) + sum_j n_j log Phi(s_j (d - d_{q_j})),
 
     up to a constant, with ``m0 = -w_0``. Factor ``j`` is the ``n_j`` wins
-    (``s_j = +1``) or losses (``s_j = -1``) against opponent ``q_j``. The
-    density is log-concave; ``log_ndtr`` and a log-space Mills ratio keep
-    it and its derivatives finite in the far tails. Same contract as
+    (``s_j = +1``) or losses (``s_j = -1``) against opponent ``q_j``, given
+    as a list of ``(d_{q_j}, s_j, n_j)``. A star-graph player has at most
+    two, so they are evaluated in scalar arithmetic. The density is
+    log-concave; ``log_ndtr`` and a log-space Mills ratio keep it and its
+    derivatives finite in the far tails. Same contract as
     :class:`~latentbias.inference._CountTarget`.
     """
 
-    def __init__(self, m0: float, opponents: np.ndarray, signs: np.ndarray, counts: np.ndarray):
-        self.m0, self.opponents, self.signs, self.counts = m0, opponents, signs, counts
+    def __init__(self, m0: float, factors: list[tuple[float, float, float]]):
+        self.m0, self.factors = m0, factors
 
     def log_density(self, d: np.ndarray) -> np.ndarray:
         """The log density at each ``d``."""
-        margins = self.signs * (d[:, None] - self.opponents)
-        return log_ndtr(margins) @ self.counts - 0.5 * (d - self.m0) ** 2
+        return np.array([sum(n * log_ndtr(s * (x - q)) for q, s, n in self.factors)
+                         - 0.5 * (x - self.m0) ** 2 for x in d.tolist()])
 
     def score_hessian(self, d: float) -> tuple[float, float]:
         """First and second derivatives of the log density at ``d``, from
         ``d log Phi(y)/dy = lam(y) = phi(y)/Phi(y)`` and ``dlam/dy = -lam (y + lam)``."""
-        y = self.signs * (d - self.opponents)
-        lam = np.exp(-0.5 * y * y - _LOG_SQRT_2PI - log_ndtr(y))
-        n_lam = self.counts * lam
-        score = self.m0 - d + float(n_lam @ self.signs)
-        hess = -1.0 - float(n_lam @ (y + lam))
+        score, hess = self.m0 - d, -1.0
+        for q, s, n in self.factors:
+            y = s * (d - q)
+            lam = math.exp(-0.5 * y * y - _LOG_SQRT_2PI - log_ndtr(y))
+            score += n * lam * s
+            hess -= n * lam * (y + lam)
         return score, hess
 
 
@@ -149,13 +152,13 @@ def trueskill_gibbs(
     # wins[p, q]: how often p beat q
     wins = np.bincount(winners * player_count + losers,
                        minlength=player_count * player_count).reshape(player_count, player_count)
-    # each player's factors: its wins, then its losses, against each opponent met
+    # each player's factors: its wins, then its losses, against each opponent met,
+    # as (opponent, sign, count)
     factors = []
     for p in range(1, player_count):
-        beat, lost_to = np.flatnonzero(wins[p]), np.flatnonzero(wins[:, p])
-        factors.append((np.concatenate((beat, lost_to)),
-                        np.repeat([1.0, -1.0], [beat.size, lost_to.size]),
-                        np.concatenate((wins[p, beat], wins[lost_to, p])).astype(float)))
+        beat, lost_to = np.flatnonzero(wins[p]).tolist(), np.flatnonzero(wins[:, p]).tolist()
+        factors.append([(q, 1.0, float(wins[p, q])) for q in beat]
+                       + [(q, -1.0, float(wins[q, p])) for q in lost_to])
 
     burn = iterations // 5
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -164,8 +167,8 @@ def trueskill_gibbs(
     level_sd = 1.0 / math.sqrt(player_count)
     kept = np.empty((iterations - burn, player_count))
     for it in range(iterations):
-        for p, (opponents, signs, counts) in enumerate(factors, start=1):
-            target = _SkillTarget(-common, rel[opponents], signs, counts)
+        for p, player_factors in enumerate(factors, start=1):
+            target = _SkillTarget(-common, [(float(rel[q]), s, n) for q, s, n in player_factors])
             rel[p] = _sample_bias_conditional(target, *_bias_mode(target), float(rel[p]), rng)
         common = -rel.sum() / player_count + level_sd * rng.standard_normal()
         skills = rel + common

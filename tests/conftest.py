@@ -93,28 +93,45 @@ def truncated_moment_oracle(mean: float, variance: float, sign: float):
     return sign * m, v
 
 
+def stop_outcome_mass_oracle(stop_mean, outcome_mean, alpha, gamma, sign=1.0):
+    """P(S > 0, sign * T > 0) at each pair of means, for a stop latent
+    S ~ N(stop_mean, 1 + alpha) and an outcome latent T ~ N(outcome_mean,
+    1 + gamma) sharing one N(0, 1) criminality, so Cov(S, T) = 1.
+
+    (stop_mean - S, sign * (outcome_mean - T)) is a zero-mean bivariate
+    normal with covariance [[1+alpha, sign], [sign, 1+gamma]], and the mass
+    is its CDF at (stop_mean, sign * outcome_mean), taken from scipy's
+    bivariate-normal integrator rather than a closed form.
+    """
+    points = np.column_stack(np.broadcast_arrays(stop_mean, sign * np.asarray(outcome_mean)))
+    cov = [[1.0 + alpha, sign], [sign, 1.0 + gamma]]
+    return np.atleast_1d(multivariate_normal.cdf(points, mean=[0.0, 0.0], cov=cov,
+                                                 abseps=1e-14, releps=1e-14))
+
+
 def count_log_density_oracle(beta, n_pos, n_neg, m0, v0, alpha, gamma):
     """Log density, up to a constant, of one group's bias once every latent
     is integrated out: ``log N(beta; m0, v0) + n_pos log P(stop, positive)
-    + n_neg log P(stop, negative)``.
-
-    With criminality C ~ N(0, 1), a stop is S = C + beta + N(0, alpha) > 0
-    and a positive outcome T = C + N(0, gamma) > 0, so (-S + beta, +-T) is
-    a zero-mean bivariate normal with covariance [[1+alpha, +-1],
-    [+-1, 1+gamma]], and each orthant mass is its CDF at (beta, 0), taken
-    from scipy's bivariate-normal integrator rather than a closed form.
+    + n_neg log P(stop, negative)``, with a zero criminality mean, so each
+    mass is :func:`stop_outcome_mass_oracle` at ``(beta, 0)``.
     """
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    points = np.column_stack([beta, np.zeros_like(beta)])
     out = norm.logpdf(beta, m0, math.sqrt(v0))
     for n, sign in ((n_pos, 1.0), (n_neg, -1.0)):
         if n:
-            cov = [[1.0 + alpha, sign], [sign, 1.0 + gamma]]
-            mass = multivariate_normal.cdf(points, mean=[0.0, 0.0], cov=cov,
-                                           abseps=1e-14, releps=1e-14)
+            mass = stop_outcome_mass_oracle(beta, 0.0, alpha, gamma, sign)
             with np.errstate(divide="ignore"):
-                out = out + n * np.log(np.atleast_1d(mass))
+                out = out + n * np.log(mass)
     return out
+
+
+def outcome_probability_oracle(bias_mean, criminality_mean, alpha, gamma):
+    """P(positive outcome | stopped) for one group with criminality
+    N(criminality_mean, 1): :func:`stop_outcome_mass_oracle` over the stop
+    probability."""
+    stop_mean = criminality_mean + bias_mean
+    mass = stop_outcome_mass_oracle(stop_mean, criminality_mean, alpha, gamma)[0]
+    return mass / norm.cdf(stop_mean / math.sqrt(1.0 + alpha))
 
 
 def posterior_oracle(logd, center, scale, points=2001):

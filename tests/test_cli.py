@@ -40,15 +40,34 @@ def canonical_csv(tmp_path):
     return path
 
 
-def test_cli_starts_without_scipy_integrate():
-    # a fresh interpreter: this process has scipy.integrate from the test oracles
+def test_cli_pipeline_runs_without_scipy(raw_csv, tmp_path):
+    # a fresh interpreter where importing scipy fails (this process has it
+    # from the test oracles): every anchored step, both scores and the plot
     src = str(Path(latentbias.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    code = "import sys, latentbias.cli; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True)
-    assert out.stdout.strip() == "False"
+    out = tmp_path / "run"
+    dataset, summary = out / "ingest" / "dataset.csv", out / "fit" / "summary.json"
+    steps = [
+        ["ingest", "--input", str(raw_csv), "--out-dir", str(out / "ingest")],
+        ["fit", "--input", str(dataset), "--sweeps", "30", "--burn-in", "5", "--seed", "3",
+         "--out-dir", str(out / "fit")],
+        ["rank", "--input", str(dataset), "--iterations", "20", "--seed", "3",
+         "--out-dir", str(out / "rank")],
+        *(["score", "--summary", str(summary), "--test", str(dataset), "--method", method,
+           "--out-dir", str(out / f"score-{method}")] for method in ("accuracy", "likelihood")),
+        ["plot", "--trace", str(out / "fit" / "trace.csv"), "--out-dir", str(out / "plot")],
+    ]
+    code = ("import json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from latentbias.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    if main(argv):\n"
+            "        sys.exit(1)\n")
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(steps)], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert (out / "plot" / "plot.svg").exists()
 
 
 def _manifest(path: Path) -> dict:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from latentbias import (
     DomainError,
@@ -10,6 +10,7 @@ from latentbias import (
     std_normal_cdf,
     truncated_moments,
 )
+from latentbias.gaussians import log_ndtr, ndtr, owens_t, owens_t_tail
 
 from conftest import cdf_oracle, mills_lambda_oracle, truncated_moment_oracle
 
@@ -44,6 +45,58 @@ def test_cdf_rejects_non_finite():
         std_normal_cdf(float("nan"))
     with pytest.raises(DomainError):
         std_normal_cdf(float("inf"))
+
+
+# --- Phi, log Phi and Owen's T against scipy ------------------------------------
+
+_TINY = np.finfo(float).tiny
+
+
+def _max_rel_error(got, want):
+    """Largest relative error where the reference is a normal float."""
+    got, want = np.asarray(got), np.asarray(want)
+    normal = np.abs(want) >= _TINY
+    return float(np.max(np.abs(got[normal] / want[normal] - 1.0)))
+
+
+def test_ndtr_and_log_ndtr_match_scipy():
+    # across log_ndtr's switch to its asymptotic series at -20 and Phi's
+    # underflow near -37.5
+    xs = np.linspace(-38.0, 38.0, 15201)
+    assert _max_rel_error([ndtr(x) for x in xs.tolist()], special.ndtr(xs)) <= 1e-12
+    assert _max_rel_error([log_ndtr(x) for x in xs.tolist()], special.log_ndtr(xs)) <= 1e-12
+    assert ndtr(0.0) == 0.5
+    assert log_ndtr(-1e5) == pytest.approx(special.log_ndtr(-1e5), rel=1e-15)
+
+
+def test_owens_t_matches_scipy():
+    # both branches (the reflection above |a| = 1), a = +-1 exactly and h = 0
+    hs = np.concatenate([np.linspace(-40.0, 40.0, 1601), [0.0]])
+    for a in np.concatenate([np.logspace(-3.0, 3.0, 49), [1.0]]).tolist():
+        for signed in (a, -a):
+            assert _max_rel_error(owens_t(hs, signed), special.owens_t(hs, signed)) <= 1e-12, signed
+
+
+def _owens_t_tail_oracle(h, a):
+    """``(1/2pi) int_a^inf exp(-h^2 (1+x^2)/2)/(1+x^2) dx`` by adaptive
+    quadrature, its value at ``x = a`` factored out and the range split
+    where the integrand has decayed by ``e``."""
+    def f(x):
+        return math.exp(-0.5 * h * h * (x * x - a * a)) / (1 + x * x)
+
+    split = a + 1.0 / (h * h * a)
+    head, _err = integrate.quad(f, a, split, epsabs=0, epsrel=1e-13)
+    tail, _err = integrate.quad(f, split, np.inf, epsabs=0, epsrel=1e-13, limit=200)
+    return math.exp(-0.5 * h * h * (1 + a * a)) * (head + tail) / (2 * math.pi)
+
+
+@pytest.mark.parametrize("a", [0.1, 0.58, 1.0, 4.98, 1000.0])
+def test_owens_t_tail_matches_quadrature(a):
+    # (a h)^2 from 1/2 to where the tail underflows; the difference
+    # Phi(-|h|)/2 - T(h, a) it replaces has lost every digit by the end
+    hs = -np.sqrt(np.geomspace(0.5, 1400.0, 25)) / a
+    want = [_owens_t_tail_oracle(h, a) for h in hs.tolist()]
+    assert _max_rel_error(owens_t_tail(hs, a), want) <= 1e-12
 
 
 # --- truncated normal sampling ----------------------------------------------

@@ -293,13 +293,18 @@ def test_bias_mode_solve_raises_when_capped(monkeypatch):
         inference._bias_mode(_target(80, 120))
 
 
-def test_bias_mode_raises_where_negative_mass_cancels():
-    # at alpha = gamma = 0.02 and beta = -2, P- is 3.6e-26 (by quadrature),
-    # far below the rounding of Phi(h)/2 - T(h, r): fail, never mis-solve
+def test_negative_mass_keeps_precision_where_the_difference_cancels():
+    # at alpha = gamma = 0.02 and beta = -2, P- is 3.6171569044211e-26 (mpmath
+    # quadrature) while Phi(h)/2 - T(h, r) rounds to -8.7e-18; the mode solve
+    # must converge there
     target = _target(3, 1, -2.0, 1e-4, 0.02, 0.02)
-    assert target.log_density(np.array([-2.0]))[0] == -math.inf
-    with pytest.raises(NumericalError, match="non-finite score"):
-        inference._bias_mode(target)
+    _pos, neg = target.masses(np.array([-2.0 / target.sa]))
+    assert neg[0] == pytest.approx(3.6171569044211e-26, rel=1e-12)
+    assert math.isfinite(target.log_density(np.array([-2.0]))[0])
+    mode, scale = inference._bias_mode(target)
+    score, hess = target.score_hessian(mode)
+    assert abs(mode + 2.0) < 5 * math.sqrt(1e-4) and math.isfinite(scale)
+    assert abs(score) < 1e-6 * -hess * scale
 
 
 # --- full runs -----------------------------------------------------------------------
@@ -313,6 +318,45 @@ def test_run_gibbs_deterministic():
     assert np.array_equal(t1.variances, t2.variances)
     assert np.array_equal(t1.cross_cov, t2.cross_cov)
     assert np.array_equal(s1.bias_mean, s2.bias_mean)
+
+
+@pytest.mark.parametrize("kind", [PriorKind.DEPENDENT, PriorKind.INDEPENDENT])
+def test_anchored_chain_matches_per_sweep_kernel(kind):
+    # the batched chain against one _sample_bias_conditional call per sweep
+    # and group, in sweep-major order, from each group's mode; at alpha =
+    # gamma = 0.3, r > 1 takes Owen's T through its reflection
+    records = _asym_records((300, 200, 40), positive_rate=3)
+    cfg = _cfg(seed=21, sweeps=40, burn_in=5, prior=kind, alpha=0.3, gamma=0.3)
+    _summary, trace = run_gibbs(records, cfg)
+    m0, v0 = build_prior(3)
+    positives = np.bincount(records.group, weights=records.outcome, minlength=3)
+    targets = [inference._CountTarget(p, n - p, m, v, cfg.alpha, cfg.gamma)
+               for p, n, m, v in zip(positives, records.counts(), m0, v0)]
+    assert targets[0].r > 1
+    laplace = [inference._bias_mode(target) for target in targets]
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    current = [mode for mode, _scale in laplace]
+    want = np.empty((cfg.sweeps, 3))
+    for sweep in range(cfg.sweeps):
+        for g in range(3):
+            current[g] = inference._sample_bias_conditional(targets[g], *laplace[g], current[g], rng)
+        want[sweep] = current
+    assert np.array_equal(trace.means[:, :3], want)
+    assert np.all(trace.means[:, 3] == 0.0)
+    assert trace.wall_times.shape == (cfg.sweeps,) and np.all(trace.wall_times > 0)
+
+
+def test_anchored_guard_raises_at_first_offending_sweep():
+    # a limit just above the first 5 sweeps' draws: seed 5 first passes it at sweep 19
+    records = _asym_records((300, 200), positive_rate=3)
+    _summary, full = run_gibbs(records, _cfg(seed=5, sweeps=30, burn_in=5))
+    limit = float(np.abs(full.means[:5]).max())
+    first = int(np.argmax(np.abs(full.means).max(axis=1) > limit))
+    assert first >= 5
+    with pytest.raises(DivergenceError) as exc:
+        run_gibbs(records, _cfg(seed=5, sweeps=30, burn_in=5, divergence_mean_limit=limit))
+    assert exc.value.sweep == first
+    assert np.array_equal(exc.value.trace.means, full.means[:first])
 
 
 def test_run_gibbs_anchored_criminality_rows():

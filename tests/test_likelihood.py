@@ -12,7 +12,7 @@ from latentbias import (
     stop_search_likelihood,
 )
 
-from conftest import cdf_oracle
+from conftest import cdf_oracle, outcome_probability_oracle
 
 
 def _summary(bias_mean, c_mean=0.0):
@@ -126,6 +126,17 @@ def test_likelihood_method_uses_group_specific_probabilities():
     test = _test_set([0, 1], [True, True])
     want = (p_hi + p_lo) / 2
     assert predictive_score(summary, test, 1.0, 1.0, method="likelihood") == pytest.approx(want)
+
+
+@pytest.mark.parametrize("alpha, gamma", [(1.0, 1.0), (2.0, 0.5), (0.02, 0.02)])
+@pytest.mark.parametrize("criminality_mean", [-1.0, 0.0, 1.0])
+def test_outcome_probability_matches_bivariate_oracle(alpha, gamma, criminality_mean):
+    # the bias mean -criminality_mean puts the stop threshold at 0, and with
+    # a zero criminality mean both arguments of the orthant are 0
+    for bias_mean in (-2.0, -criminality_mean, 0.7, 3.0):
+        got = outcome_probability_given_stop(bias_mean, criminality_mean, alpha, gamma)
+        want = outcome_probability_oracle(bias_mean, criminality_mean, alpha, gamma)
+        assert got == pytest.approx(want, rel=1e-12), bias_mean
 
 
 def test_score_validates_input():
