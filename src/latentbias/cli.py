@@ -247,10 +247,32 @@ def cmd_rank(args) -> int:
     return 0
 
 
+def _score_noise(args, summary: PosteriorSummary) -> dict[str, float]:
+    """``alpha`` and ``gamma`` for ``score``: the flag where given, else the
+    value the fit recorded in its summary, else 1.
+
+    Raises:
+        DomainError: if a given value is not positive and finite, or
+            differs from the recorded one.
+    """
+    given = {name: getattr(args, name) for name in ("alpha", "gamma")
+             if getattr(args, name) is not None}
+    require_positive_finite(**given)
+    noise = {}
+    for name in ("alpha", "gamma"):
+        recorded = getattr(summary, name)
+        value = given.get(name, recorded)
+        if recorded is not None and value != recorded:
+            raise DomainError(f"--{name} {value} differs from the fit's {name} {recorded} "
+                              f"recorded in {args.summary}")
+        noise[name] = 1.0 if value is None else value
+    return noise
+
+
 def cmd_score(args) -> int:
     run = _RunDir(args)
-    require_positive_finite(alpha=args.alpha, gamma=args.gamma)
     summary = PosteriorSummary.from_json(_read_input(args.summary, lambda fh: fh.read()))
+    noise = _score_noise(args, summary)
     test = _read_dataset(args.test)
     # point the test file's group codes at the summary's label order
     unknown = [label for label in test.labels if label not in summary.labels]
@@ -261,11 +283,11 @@ def cmd_score(args) -> int:
         )
     remap = np.array([summary.labels.index(label) for label in test.labels], dtype=np.intp)
     test = Dataset(remap[test.group], test.outcome, summary.labels, test.force, test.forces)
-    score = predictive_score(summary, test, args.alpha, args.gamma, method=args.method)
+    score = predictive_score(summary, test, noise["alpha"], noise["gamma"], method=args.method)
     line = f"{100.0 * score:.1f}\n"
     (run.path / "score.txt").write_text(line, encoding="utf-8")
     run.finish(
-        config={"alpha": args.alpha, "gamma": args.gamma, "method": args.method},
+        config={**noise, "method": args.method},
         inputs={"summary": args.summary, "test": args.test},
         outputs={"score": run.path / "score.txt"},
         extra={"score_percent": round(100.0 * score, 4)},
@@ -325,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="score a fitted summary on held-out records")
     p.add_argument("--summary", required=True, help="summary.json from fit")
     p.add_argument("--test", required=True, help="canonical test dataset CSV")
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--gamma", type=float, default=1.0)
+    p.add_argument("--alpha", type=float, default=None, help="default: the fit's")
+    p.add_argument("--gamma", type=float, default=None, help="default: the fit's")
     p.add_argument("--method", default="accuracy", choices=["accuracy", "likelihood"])
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_score)

@@ -30,8 +30,9 @@ make almost every line of a real export distinct, do not multiply it.
 Both readers parse strictly: any CSV parser error (a quote still open at
 the end of the input, text after a closing quote, a field over the
 parser's size limit) raises :class:`~latentbias.errors.DataError` naming
-the line the parser stopped on, whatever the field's length. Ingest only
-drops and counts rows with too few fields.
+the line on which the rejected record began, whatever the field's length:
+for a quote left open, the line of the quote, not the end of the input.
+Ingest only drops and counts rows with too few fields.
 
 The canonical dataset CSV has one line per stop, fixed by its (group,
 outcome, force) cell, so a file has at most 2·K·F distinct lines for K
@@ -377,6 +378,11 @@ def parse_records(
     confirmed offences only). The report's kept-row and per-group tallies
     are those of the returned dataset.
 
+    A parser error names the line on which the rejected record began. The
+    row pipeline does not track lines, so after an error a seekable stream,
+    or a sequence of lines, is read again up to that record; a one-shot
+    iterator names the line the parser stopped on instead.
+
     Cost: the rows are tokenised once, and C-level iterators intern each
     row's four :data:`RAW_COLUMNS` fields to a key id, with no Python per
     row. Each distinct key is then resolved once in Python, and the
@@ -385,11 +391,13 @@ def parse_records(
     """
     if kind is SchemeKind.LENIENT_SEVERE and not mapping.lenient_set:
         raise DomainError("LenientSevere scheme needs a nonempty lenient set")
+    seekable = getattr(stream, "seekable", None)
+    origin = stream.tell() if seekable is not None and seekable() else None
     reader = csv.reader(stream, strict=True)
     try:
         header = next(reader, None)
     except csv.Error as exc:
-        raise DataError(f"line {reader.line_num}: unreadable header: {exc}") from None
+        raise DataError(f"line 1: unreadable header: {exc}") from None
     if header is None:
         raise DataError("input has no header row")
     position = {name: i for i, name in enumerate(header)}
@@ -411,7 +419,8 @@ def parse_records(
                                   map(add, filter(None, reader), repeat(pad)))),
                           dtype=np.intp)
     except csv.Error as exc:
-        raise DataError(f"line {reader.line_num}: {exc}") from None
+        line = _rejected_record_line(stream, origin, reader.line_num)
+        raise DataError(f"line {line}: {exc}") from None
     label_to_id = {label: i for i, label in enumerate(mapping.group_labels)}
     report = IngestReport(rows_total=ids.size)
     # per key: (group code, positive, force code), group -1 when its rows are dropped
@@ -457,6 +466,25 @@ def parse_records(
     report.group_counts = dict(zip(dataset.labels, dataset.counts().tolist()))
     report.group_positive = dict(zip(dataset.labels, positive.astype(int).tolist()))
     return dataset, report
+
+
+def _rejected_record_line(stream, origin: int | None, stopped: int) -> int:
+    """The line on which the record that the strict parser rejected began,
+    by reading ``stream`` again from its start (``origin``, where it can
+    seek) up to that record; ``stopped``, the line the parser stopped on,
+    for a one-shot iterator."""
+    if origin is not None:
+        stream.seek(origin)
+    elif iter(stream) is stream:
+        return stopped
+    reader = csv.reader(stream, strict=True)
+    begins = 1
+    try:
+        for _row in reader:
+            begins = reader.line_num + 1
+    except csv.Error:
+        pass
+    return begins
 
 
 def _rows_by_group(dataset: Dataset):
@@ -661,14 +689,15 @@ def read_dataset_csv(stream: Iterable[str] | TextIO) -> Dataset:
             end of the input included). The first such row in file order
             is reported, and the message names its physical line: every
             line of the file counts, blank lines and the lines inside a
-            quoted field included.
+            quoted field included. For a parser error that is the line on
+            which the rejected record began.
     """
     lines = list(stream)
     reader = csv.reader(lines, strict=True)
     try:
         header = next(reader, None)
     except csv.Error as exc:
-        raise DataError(f"line {reader.line_num}: {exc}") from None
+        raise DataError(f"line 1: {exc}") from None
     if header is None or not set(_CANONICAL_COLUMNS).issubset(header):
         raise DataError("canonical dataset CSV needs columns group,stopped,outcome,force")
     cols = [header.index(c) for c in _CANONICAL_COLUMNS]
@@ -694,7 +723,7 @@ def read_dataset_csv(stream: Iterable[str] | TextIO) -> Dataset:
         try:
             row = next(reader)
         except csv.Error as exc:
-            raise DataError(f"line {start + at + reader.line_num}: {exc}") from None
+            raise DataError(f"line {start + at + 1}: {exc}") from None
         end = at + reader.line_num
         kind, value = _canonical_record(row, columns, width)
         if kind == _BAD:

@@ -134,7 +134,10 @@ def read_trace_csv(stream: TextIO) -> GibbsTrace:
 @dataclass
 class PosteriorSummary:
     """Post-burn-in summary: per-group bias belief and rank, plus the
-    criminality marginal and the run metadata needed to reuse it."""
+    criminality marginal and the run metadata needed to reuse it.
+
+    ``alpha`` and ``gamma`` are the fit's noise variances; ``None`` when
+    read from a summary written before they were recorded."""
 
     labels: list[str]
     bias_mean: np.ndarray
@@ -144,6 +147,8 @@ class PosteriorSummary:
     criminality_variance: float
     prior_kind: PriorKind
     sweeps: int
+    alpha: float | None = None
+    gamma: float | None = None
 
     def ranked_indices(self) -> np.ndarray:
         """Group indices ordered best rank first."""
@@ -168,6 +173,8 @@ class PosteriorSummary:
                 "criminality_variance": self.criminality_variance,
                 "prior_kind": self.prior_kind.value,
                 "sweeps": self.sweeps,
+                "alpha": self.alpha,
+                "gamma": self.gamma,
             },
             indent=2,
             sort_keys=True,
@@ -186,8 +193,10 @@ class PosteriorSummary:
                 criminality_variance=float(d["criminality_variance"]),
                 prior_kind=PriorKind.from_string(d["prior_kind"]),
                 sweeps=int(d["sweeps"]),
+                **{name: None if d.get(name) is None else float(d[name])
+                   for name in ("alpha", "gamma")},
             )
-        except (KeyError, TypeError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
             raise DomainError(f"not a posterior summary: {exc}") from None
 
 
@@ -262,8 +271,8 @@ def _bias_mode(target: _CountTarget) -> tuple[float, float]:
     overshoot. Raises NumericalError on a non-finite score or no convergence.
 
     ``target`` is any log-concave 1-D density with ``_CountTarget``'s
-    ``m0``/``score_hessian`` contract; the ranking chain's
-    :class:`~latentbias.ranking._SkillTarget` shares this kernel.
+    ``m0``/``score_hessian`` contract; the ranking chain solves its
+    proposals with it on :class:`~latentbias.ranking._SkillTarget`.
     """
     x = target.m0
     blo, bhi = -math.inf, math.inf  # score(blo) > 0 > score(bhi)
@@ -311,8 +320,13 @@ def _sample_bias_conditional(
     """``_BIAS_MH_STEPS`` independence Metropolis-Hastings steps from
     ``current``, each proposing from a Student-t at ``target``'s mode and
     Laplace scale (as :func:`_bias_mode` returns them); ``target`` is
-    exactly invariant. For a target that moves between calls; the anchored
-    fit, whose targets are fixed, runs the same steps in one batch."""
+    exactly invariant.
+
+    No caller in the package is left: the anchored fit runs these steps in
+    one batch on its fixed targets, and the ranking chain on fixed
+    proposals with a scalar tilt. This stays as the step-at-a-time
+    reference that the tests compare both against, and as the name the
+    benchmark's tracer wraps."""
     # the steps share one vectorised evaluation of the target; with a single
     # step the rejections cluster and cut the bias chain's ESS by about a third
     proposals = mode + scale * rng.standard_t(_BIAS_T_DOF, size=_BIAS_MH_STEPS)
@@ -505,6 +519,8 @@ def run_gibbs(
         criminality_variance=float(var_avg[k]),
         prior_kind=config.prior,
         sweeps=sweeps,
+        alpha=alpha,
+        gamma=gamma,
     )
     return summary, trace
 

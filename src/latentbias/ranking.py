@@ -7,10 +7,15 @@ outcome means the group's player won. Skills ``w`` get N(0,1) priors and
 a match is won with probability ``Phi(w_win - w_lose)`` (unit performance
 noise).
 
-That likelihood depends only on how often each ordered pair of players
-met, so :func:`trueskill_gibbs` samples from a table of win counts, with
-no per-match latent: each skill relative to the common player from its
-exact 1-D conditional by the fit's kernel, then the common level exactly.
+Every match involves the common player, so the likelihood depends only
+on each group's wins and losses against it, and :func:`trueskill_gibbs`
+samples from those counts with no per-match latent. Given the common
+level, the groups' skills relative to it are independent, and only the
+prior factor of each conditional moves with that level. So each group
+gets one fixed Student-t proposal, computed from its counts once per run,
+and its target is evaluated once on all of its proposals; the
+Metropolis-Hastings steps then need one scalar ratio each, and stay exact
+because the proposal depends only on the data.
 
 Because every observation is purely comparative, the common level of all
 skills is informed only by the prior and wanders from iteration to
@@ -30,7 +35,7 @@ import numpy as np
 from .data import Dataset
 from .errors import DivergenceError, DomainError
 from .gaussians import log_ndtr
-from .inference import _bias_mode, _sample_bias_conditional
+from .inference import _BIAS_MH_STEPS, _BIAS_T_DOF, _bias_mode, _log_weights
 from .model import descending_order
 
 __all__ = [
@@ -62,37 +67,38 @@ def matches_from_dataset(dataset: Dataset) -> tuple[list[str], np.ndarray, np.nd
 
 
 class _SkillTarget:
-    """One player's relative skill ``d`` given the common level ``w_0`` and
-    every other relative skill,
+    """One player's relative skill ``d`` given the common level ``w_0``,
 
-        log N(d; m0, 1) + sum_j n_j log Phi(s_j (d - d_{q_j})),
+        log N(d; m0, 1) + b log Phi(d) + a log Phi(-d),
 
-    up to a constant, with ``m0 = -w_0``. Factor ``j`` is the ``n_j`` wins
-    (``s_j = +1``) or losses (``s_j = -1``) against opponent ``q_j``, given
-    as a list of ``(d_{q_j}, s_j, n_j)``. A star-graph player has at most
-    two, so they are evaluated in scalar arithmetic. The density is
-    log-concave; ``log_ndtr`` and a log-space Mills ratio keep it and its
-    derivatives finite in the far tails. Same contract as
+    up to a constant, with ``m0 = -w_0``: the player won ``b`` and lost ``a``
+    matches against the common player. The density is log-concave;
+    ``log_ndtr`` and a log-space Mills ratio keep it and its derivatives
+    finite in the far tails. Same contract as
     :class:`~latentbias.inference._CountTarget`.
     """
 
-    def __init__(self, m0: float, factors: list[tuple[float, float, float]]):
-        self.m0, self.factors = m0, factors
+    def __init__(self, m0: float, a: int, b: int):
+        self.m0, self.a, self.b = m0, a, b
 
     def log_density(self, d: np.ndarray) -> np.ndarray:
         """The log density at each ``d``."""
-        return np.array([sum(n * log_ndtr(s * (x - q)) for q, s, n in self.factors)
-                         - 0.5 * (x - self.m0) ** 2 for x in d.tolist()])
+        out = -0.5 * (d - self.m0) ** 2
+        for n, sign in ((self.b, 1.0), (self.a, -1.0)):
+            if n:
+                out += n * np.array([log_ndtr(sign * x) for x in d.tolist()])
+        return out
 
     def score_hessian(self, d: float) -> tuple[float, float]:
         """First and second derivatives of the log density at ``d``, from
         ``d log Phi(y)/dy = lam(y) = phi(y)/Phi(y)`` and ``dlam/dy = -lam (y + lam)``."""
         score, hess = self.m0 - d, -1.0
-        for q, s, n in self.factors:
-            y = s * (d - q)
-            lam = math.exp(-0.5 * y * y - _LOG_SQRT_2PI - log_ndtr(y))
-            score += n * lam * s
-            hess -= n * lam * (y + lam)
+        for n, sign in ((self.b, 1.0), (self.a, -1.0)):
+            if n:
+                y = sign * d
+                lam = math.exp(-0.5 * y * y - _LOG_SQRT_2PI - log_ndtr(y))
+                score += n * lam * sign
+                hess -= n * lam * (y + lam)
         return score, hess
 
 
@@ -104,36 +110,45 @@ def trueskill_gibbs(
     seed: int = 0,
     anchor_common: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Count-level Gibbs over player skills.
+    """Count-level Gibbs over player skills on a star graph.
 
     Match ``m`` is won by player ``winners[m]`` against ``losers[m]``;
-    player ids run over ``0..player_count-1``. The matches are reduced
-    once to the win count of each ordered (winner, loser) pair, so the
-    match order does not matter. The chain runs on the relative skills
-    ``d_p = w_p - w_0`` (``d_0 = 0``) and the common level ``w_0``; per
-    iteration:
+    player ids run over ``0..player_count-1``, and every match involves
+    player 0, as :func:`matches_from_dataset` builds them. The matches are
+    reduced once to each player's wins ``b_p`` and losses ``a_p`` against
+    player 0, so the match order does not matter. The chain runs on the
+    relative skills ``d_p = w_p - w_0`` (``d_0 = 0``) and the common level
+    ``w_0``; per iteration:
 
-    * each ``d_p``, ``p >= 1`` in turn, from its exact 1-D conditional
-      ``N(d_p; -w_0, 1) * prod_q Phi(d_p - d_q)^wins[p,q] *
-      Phi(d_q - d_p)^wins[q,p]`` (a :class:`_SkillTarget`), by the fit's
-      kernel: a Newton mode solve from ``-w_0``, never from the current
-      ``d_p``, so the Student-t independence proposals leave the
-      conditional exactly invariant;
+    * each ``d_p``, ``p >= 1``, by ``3`` independence Metropolis-Hastings
+      steps on its exact 1-D conditional ``N(d; -w_0, 1) Phi(d)^b_p
+      Phi(-d)^a_p``; given ``w_0`` the ``d_p`` are independent, so this is
+      an exact blocked step;
     * ``w_0 ~ N(-sum(d) / player_count, 1 / player_count)``, exactly: the
       likelihood depends only on skill differences.
 
-    In a star graph (every match against player 0, as
-    :func:`matches_from_dataset` builds) the ``d_p`` are independent given
-    ``w_0``, so the sweep over them is an exact blocked step. The chain
-    starts at zero skills and the first ``iterations // 5`` iterations are
-    burn-in. Returns the empirical post-burn-in ``(means, variances)`` of
-    the skills ``w`` (of ``d`` with ``anchor_common``) per player;
-    variances are floored at 1e-12, so an anchored common player reports
-    1e-12. Deterministic given ``seed``.
+    Only the prior factor of a conditional moves with ``w_0``: it is the
+    fixed ``w_0 = 0`` target times ``exp(-w_0 d)``. So each player gets one
+    Student-t proposal, at the mode and Laplace scale of that fixed target
+    (the fit's kernel, ``inference._bias_mode``), and the target is
+    evaluated once per run on all of the player's proposals; a step from
+    ``x`` to ``y`` is accepted on the scalar log ratio ``lw(y) - lw(x) -
+    w_0 (y - x)``. A proposal that depends only on the data leaves each
+    full conditional exactly invariant inside the Gibbs sweep (Tierney
+    1994, *Ann. Statist.* 22(4)). Every proposal, uniform and ``w_0``
+    normal is drawn before the chain runs.
+
+    Each ``d_p`` starts at its proposal mode and ``w_0`` at zero; the first
+    ``iterations // 5`` iterations are burn-in. Returns the empirical
+    post-burn-in ``(means, variances)`` of the skills ``w`` (of ``d`` with
+    ``anchor_common``) per player; variances are floored at 1e-12, so an
+    anchored common player reports 1e-12. Deterministic given ``seed``.
 
     Raises:
-        DomainError: malformed matches or ``iterations`` below 1.
-        DivergenceError: when a skill's magnitude exceeds 1e6.
+        DomainError: malformed matches, a match without player 0, or
+            ``iterations`` below 1.
+        DivergenceError: at the first iteration where a skill's magnitude
+            exceeds 1e6.
         NumericalError: when a 1-D mode solve fails.
     """
     winners = np.asarray(winners, dtype=np.intp)
@@ -148,34 +163,52 @@ def trueskill_gibbs(
         raise DomainError("iterations must be >= 1")
     if min(winners.min(), losers.min()) < 0 or max(winners.max(), losers.max()) >= player_count:
         raise DomainError("match player ids out of range")
-
-    # wins[p, q]: how often p beat q
-    wins = np.bincount(winners * player_count + losers,
-                       minlength=player_count * player_count).reshape(player_count, player_count)
-    # each player's factors: its wins, then its losses, against each opponent met,
-    # as (opponent, sign, count)
-    factors = []
-    for p in range(1, player_count):
-        beat, lost_to = np.flatnonzero(wins[p]).tolist(), np.flatnonzero(wins[:, p]).tolist()
-        factors.append([(q, 1.0, float(wins[p, q])) for q in beat]
-                       + [(q, -1.0, float(wins[q, p])) for q in lost_to])
-
-    burn = iterations // 5
+    # table[p, q]: how often p beat q
+    table = np.bincount(winners * player_count + losers,
+                        minlength=player_count * player_count).reshape(player_count, player_count)
+    if table[1:, 1:].any():
+        raise DomainError("every match must involve the common player 0")
+    # per player p >= 1: losses a_p to player 0 and wins b_p against it
+    losses, wins = table[0, 1:].tolist(), table[1:, 0].tolist()
+    burn, steps = iterations // 5, _BIAS_MH_STEPS
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    rel = np.zeros(player_count)  # d, with d_0 = 0 throughout
+    t_draws = rng.standard_t(_BIAS_T_DOF, size=(player_count - 1, iterations * steps))
+    uniforms = rng.random((player_count - 1, iterations * steps)).tolist()
+    level_noise = (rng.standard_normal(iterations) / math.sqrt(player_count)).tolist()
+    # per player: its proposal mode (point 0, the start) then its proposals,
+    # and the fixed target's log weight at each
+    points, log_weights = [], []
+    for a, b, draws in zip(losses, wins, t_draws):
+        target = _SkillTarget(0.0, a, b)
+        mode, scale = _bias_mode(target)
+        pts = np.concatenate(([mode], mode + scale * draws))
+        points.append(pts.tolist())
+        log_weights.append(_log_weights(target, mode, scale, pts))
+
+    states = [0] * (player_count - 1)
     common = 0.0  # w_0
-    level_sd = 1.0 / math.sqrt(player_count)
-    kept = np.empty((iterations - burn, player_count))
+    rel = np.zeros((iterations, player_count))  # d, with d_0 = 0 throughout
+    levels = np.empty(iterations)
     for it in range(iterations):
-        for p, player_factors in enumerate(factors, start=1):
-            target = _SkillTarget(-common, [(float(rel[q]), s, n) for q, s, n in player_factors])
-            rel[p] = _sample_bias_conditional(target, *_bias_mode(target), float(rel[p]), rng)
-        common = -rel.sum() / player_count + level_sd * rng.standard_normal()
-        skills = rel + common
-        if np.any(np.abs(skills) > _DIVERGENCE_LIMIT):
-            raise DivergenceError(f"ranking chain diverged at iteration {it}", sweep=it)
-        if it >= burn:
-            kept[it - burn] = rel if anchor_common else skills
+        first = it * steps + 1
+        total = 0.0
+        for p, (pts, lw, u) in enumerate(zip(points, log_weights, uniforms)):
+            x = states[p]
+            for y in range(first, first + steps):
+                log_ratio = lw[y] - lw[x] - common * (pts[y] - pts[x])
+                if log_ratio >= 0 or u[y - 1] < math.exp(log_ratio):
+                    x = y
+            states[p] = x
+            rel[it, p + 1] = pts[x]
+            total += pts[x]
+        common = -total / player_count + level_noise[it]
+        levels[it] = common
+    skills = rel + levels[:, None]
+    over = (np.abs(skills) > _DIVERGENCE_LIMIT).any(axis=1)
+    if over.any():
+        it = int(np.argmax(over))
+        raise DivergenceError(f"ranking chain diverged at iteration {it}", sweep=it)
+    kept = (rel if anchor_common else skills)[burn:]
     return kept.mean(axis=0), np.maximum(kept.var(axis=0), 1e-12)
 
 

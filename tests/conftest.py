@@ -210,17 +210,23 @@ def read_dataset_csv_oracle(stream) -> Dataset:
     Raises:
         DataError: if a column is missing, a row is not a stop
             (``stopped`` other than ``1``) with a ``0``/``1`` outcome, or
-            the CSV parser rejects a row; the message names the row's line.
+            the CSV parser rejects a row; the message names the row's line,
+            for a parser error the line on which the row began.
     """
     reader = csv.reader(stream, strict=True)
     groups, outcomes, forces = [], [], []
+    begins = 1  # the line on which the next record begins
     try:
         header = next(reader, None)
         if header is None or not set(_CANONICAL_COLUMNS).issubset(header):
             raise DataError("canonical dataset CSV needs columns group,stopped,outcome,force")
         cols = [header.index(c) for c in _CANONICAL_COLUMNS]
         width = max(cols) + 1
-        for row in filter(None, reader):
+        begins = reader.line_num + 1
+        for row in reader:
+            begins = reader.line_num + 1
+            if not row:
+                continue
             group, stopped, outcome, force = (
                 [row[c] for c in cols] if len(row) >= width else [None] * 4
             )
@@ -233,7 +239,7 @@ def read_dataset_csv_oracle(stream) -> Dataset:
             outcomes.append(outcome == "1")
             forces.append(force)
     except csv.Error as exc:
-        raise DataError(f"line {reader.line_num}: {exc}") from None
+        raise DataError(f"line {begins}: {exc}") from None
     labels = sorted(set(groups))
     label_to_id = {label: i for i, label in enumerate(labels)}
     force_ids: dict[str, int] = {}
@@ -253,7 +259,8 @@ def parse_records_oracle(stream, mapping, kind):
 
     Raises:
         DataError: if the header lacks a required column or the strict CSV
-            parser rejects a row; the message names the parser's line.
+            parser rejects a row; the message names the line on which the
+            rejected row began.
         DomainError: for LenientSevere with an empty lenient set.
     """
     if kind is SchemeKind.LENIENT_SEVERE and not mapping.lenient_set:
@@ -262,7 +269,7 @@ def parse_records_oracle(stream, mapping, kind):
     try:
         header = next(reader, None)
     except csv.Error as exc:
-        raise DataError(f"line {reader.line_num}: unreadable header: {exc}") from None
+        raise DataError(f"line 1: unreadable header: {exc}") from None
     if header is None:
         raise DataError("input has no header row")
     position = {name: i for i, name in enumerate(header)}
@@ -278,8 +285,12 @@ def parse_records_oracle(stream, mapping, kind):
     report = IngestReport()
     groups, outcomes, forces = [], [], []
     force_ids: dict[str, int] = {}
+    begins = reader.line_num + 1  # the line on which the next record begins
     try:
-        for row in filter(None, reader):
+        for row in reader:
+            begins = reader.line_num + 1
+            if not row:
+                continue
             report.rows_total += 1
             if len(row) < width:
                 report.drop("malformed row", 1)
@@ -309,7 +320,7 @@ def parse_records_oracle(stream, mapping, kind):
             outcomes.append(coarsen_outcome(outcome_text, kind, mapping))
             forces.append(force_ids.setdefault(row[i_force].strip(), len(force_ids)))
     except csv.Error as exc:
-        raise DataError(f"line {reader.line_num}: {exc}") from None
+        raise DataError(f"line {begins}: {exc}") from None
     dataset = Dataset(np.array(groups, dtype=np.intp), np.array(outcomes, dtype=bool),
                       mapping.group_labels, np.array(forces, dtype=np.intp), tuple(force_ids))
     positive = np.bincount(dataset.group, weights=dataset.outcome, minlength=len(dataset.labels))

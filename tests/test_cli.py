@@ -262,7 +262,7 @@ def test_ingest_unterminated_quote_exit_2(tmp_path, capsys):
     raw.write_text(HEADER + 'F,White,,Arrest,"2024\nF,White,,Arrest,x\nG,Black,,Arrest,y\n',
                    encoding="utf-8")
     assert main(["ingest", "--input", str(raw), "--out-dir", str(tmp_path / "i")]) == 2
-    assert capsys.readouterr().err.strip() == "error: line 4: unexpected end of data"
+    assert capsys.readouterr().err.strip() == "error: line 2: unexpected end of data"
     assert not (tmp_path / "i" / "dataset.csv").exists()
 
 
@@ -271,7 +271,7 @@ def test_fit_unterminated_quote_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text('group,stopped,outcome,force\nA,1,0,"x\nA,1,0,y\nB,1,1,z\n', encoding="utf-8")
     assert main(["fit", "--input", str(bad), "--seed", "1", "--out-dir", str(tmp_path / "f")]) == 2
-    assert capsys.readouterr().err.strip() == "error: line 4: unexpected end of data"
+    assert capsys.readouterr().err.strip() == "error: line 2: unexpected end of data"
 
 
 def test_fit_bad_outcome_flag_exit_2(tmp_path, capsys):
@@ -331,6 +331,52 @@ def test_score_command(canonical_csv, tmp_path, capsys):
     assert "." in printed
     doc = _manifest(out)
     assert "score_percent" in doc
+
+
+def test_score_defaults_to_the_recorded_noise_and_rejects_a_mismatch(
+        canonical_csv, tmp_path, capsys):
+    fit_dir = tmp_path / "f"
+    assert main(["fit", "--input", str(canonical_csv), "--sweeps", "20", "--burn-in", "4",
+                 "--seed", "2", "--alpha", "2", "--gamma", "0.5",
+                 "--out-dir", str(fit_dir)]) == 0
+    summary = fit_dir / "summary.json"
+    doc = json.loads(summary.read_text())
+    assert (doc["alpha"], doc["gamma"]) == (2.0, 0.5)
+    base = ["score", "--summary", str(summary), "--test", str(canonical_csv)]
+    for flags in ([], ["--alpha", "2"], ["--gamma", "0.5"], ["--alpha", "2", "--gamma", "0.5"]):
+        out = tmp_path / f"s{len(flags)}{''.join(flags)}"
+        assert main(base + flags + ["--out-dir", str(out)]) == 0
+        config = _manifest(out)["config"]
+        assert (config["alpha"], config["gamma"]) == (2.0, 0.5)
+    capsys.readouterr()
+    for flag, value, recorded in (("--alpha", "4", "2.0"), ("--gamma", "1", "0.5")):
+        out = tmp_path / f"bad{flag}"
+        assert main(base + [flag, value, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{flag} {float(value)} differs from the fit's {flag[2:]} {recorded}" in err
+        assert not (out / "score.txt").exists()
+
+
+def test_score_reads_a_summary_without_recorded_noise(canonical_csv, tmp_path, capsys):
+    # a summary.json written before alpha and gamma were recorded
+    fit_dir = tmp_path / "f"
+    assert main(["fit", "--input", str(canonical_csv), "--sweeps", "20", "--burn-in", "4",
+                 "--seed", "2", "--out-dir", str(fit_dir)]) == 0
+    summary = fit_dir / "summary.json"
+    doc = json.loads(summary.read_text())
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({k: v for k, v in doc.items() if k not in ("alpha", "gamma")}))
+    base = ["score", "--test", str(canonical_csv), "--method", "likelihood"]
+    capsys.readouterr()
+    scores = []
+    for path, flags in ((summary, []), (old, []), (old, ["--alpha", "1", "--gamma", "1"])):
+        assert main(base + ["--summary", str(path), *flags,
+                            "--out-dir", str(tmp_path / f"s{len(scores)}")]) == 0
+        scores.append(capsys.readouterr().out)
+    assert scores[0] == scores[1] == scores[2]
+    assert main(base + ["--summary", str(old), "--alpha", "3",
+                        "--out-dir", str(tmp_path / "s3")]) == 0
+    assert _manifest(tmp_path / "s3")["config"]["alpha"] == 3.0
 
 
 def test_score_schema_mismatch_exit_2(canonical_csv, tmp_path):

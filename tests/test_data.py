@@ -163,10 +163,22 @@ def test_parse_unparseable_row_is_data_error_with_line_number():
     # closing quote, and a quote still open at the end of the input
     for bad, line in ((f"ForceA,{'x' * 200_000},,Arrest\n", 3),
                       ('ForceA,"White"x,,Arrest\n', 3),
-                      ('ForceA,"White,,Arrest\n', 4)):
+                      ('ForceA,"White,,Arrest\n', 3)):
         text = HEADER + "ForceA,White,,Arrest\n" + bad + "ForceB,Black,,Arrest\n"
         with pytest.raises(DataError, match=f"^line {line}: "):
             _parse(text)
+
+
+def test_parse_error_names_the_line_the_record_began():
+    # a record from line 4 (after a blank line 3) breaks its quoted field onto
+    # line 5 and has text after the closing quote there; a stream that can
+    # seek and a list of lines are read again, a one-shot iterator cannot be
+    text = (HEADER + "ForceA,White,,Arrest\n\n" + 'ForceA,"Wh\nite"x,,Arrest\n'
+            + "ForceB,Black,,Arrest\n")
+    lines = io.StringIO(text).readlines()
+    for stream, line in ((io.StringIO(text), 4), (lines, 4), (iter(lines), 5)):
+        with pytest.raises(DataError, match=f"^line {line}: "):
+            parse_records(stream, default_mapping(), SchemeKind.GUILTY_NOT_GUILTY)
 
 
 def test_parse_blank_lines_short_rows_and_duplicate_columns():
@@ -429,6 +441,15 @@ def test_dataset_csv_error_names_the_physical_line():
     for text in ("group,stopped,outcome,force\n\n\na,1,1,f\na,1,x,f\n",
                  'group,stopped,outcome,force\n"a\n\nb",1,1,f\na,1,x,f\n'):
         with pytest.raises(DataError, match="^line 5: "):
+            read_dataset_csv(io.StringIO(text))
+
+
+def test_dataset_csv_parse_error_names_the_line_the_record_began():
+    # a quote left open on line 3, and text after a quote closed on line 4 of
+    # a record that began on line 3
+    for text in ('group,stopped,outcome,force\na,1,1,f\na,1,1,"f\na,1,1,f\n\n',
+                 'group,stopped,outcome,force\na,1,1,f\n"a\nb"x,1,1,f\na,1,1,f\n'):
+        with pytest.raises(DataError, match="^line 3: "):
             read_dataset_csv(io.StringIO(text))
 
 

@@ -538,6 +538,7 @@ def test_summary_json_roundtrip():
     assert back.labels == summary.labels
     assert np.allclose(back.bias_mean, summary.bias_mean)
     assert back.prior_kind is summary.prior_kind
+    assert (back.alpha, back.gamma) == (summary.alpha, summary.gamma) == (1.0, 1.0)
 
 
 def test_summary_csv_schema():

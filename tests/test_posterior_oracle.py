@@ -10,7 +10,9 @@ test on thinned draws.
 
 The ranking chain is checked the same way on one player against the
 common player, whose relative skill has a 1-D posterior
-(:func:`conftest.skill_posterior_oracle`).
+(:func:`conftest.skill_posterior_oracle`). With several players it is
+checked against a step-at-a-time reference chain that solves each moving
+conditional's mode at every step.
 """
 
 import math
@@ -20,6 +22,8 @@ import pytest
 from scipy import stats
 
 from latentbias import Dataset, ModelConfig, PriorKind, run_gibbs, trueskill_gibbs
+from latentbias.inference import _bias_mode, _sample_bias_conditional
+from latentbias.ranking import _SkillTarget
 
 from conftest import count_posterior_oracle, skill_posterior_oracle
 
@@ -61,11 +65,12 @@ def test_anchored_draws_match_count_posterior(kind, alpha, gamma):
         assert stats.kstest(x[::THIN], cdf).pvalue > 1e-3, g
 
 
-@pytest.mark.parametrize("n_pos, n_neg", [(300, 150), (6, 3)])
+@pytest.mark.parametrize("n_pos, n_neg", [(300, 150), (6, 3), (0, 5), (40, 0)])
 def test_ranking_chain_matches_skill_posterior(n_pos, n_neg):
     # one player loses n_pos and wins n_neg matches against the common player
-    # (with few matches the prior shapes the posterior); the batches are
-    # independent chains of 200 post-burn-in iterations each
+    # (with few matches, or wins on one side only, the prior shapes the
+    # posterior); the batches are independent chains of 200 post-burn-in
+    # iterations each
     chains, iterations = 40, 250
     winners = np.repeat([0, 1], [n_pos, n_neg])
     losers = 1 - winners
@@ -83,3 +88,48 @@ def test_ranking_chain_matches_skill_posterior(n_pos, n_neg):
         for got, value in ((chain_means, want_mean), (chain_vars, want_var)):
             mcse = got.std(ddof=1) / math.sqrt(chains)
             assert abs(got.mean() - value) < 4 * mcse, (anchor, got.mean(), value, mcse)
+
+
+def _reference_star_chain(losses, wins, iterations, seed):
+    """The star chain one step at a time: per iteration, each relative skill
+    by :func:`_sample_bias_conditional` on its conditional given the current
+    common level, with the mode solved afresh, then the common level.
+    Returns the post-burn-in ``(relative skills, skills)``."""
+    players = len(losses) + 1
+    rng = np.random.default_rng(seed)
+    rel, common = np.zeros(players), 0.0
+    rels, levels = [], []
+    for _ in range(iterations):
+        for p in range(1, players):
+            target = _SkillTarget(-common, losses[p - 1], wins[p - 1])
+            rel[p] = _sample_bias_conditional(target, *_bias_mode(target), float(rel[p]), rng)
+        common = -rel.sum() / players + rng.standard_normal() / math.sqrt(players)
+        rels.append(rel.copy())
+        levels.append(common)
+    burn = iterations // 5
+    rel, levels = np.array(rels)[burn:], np.array(levels)[burn:]
+    return rel, rel + levels[:, None]
+
+
+def test_ranking_chain_matches_step_at_a_time_reference():
+    # four groups, from many matches to few and one-sided; each chain's
+    # post-burn-in mean and variance is one batch
+    losses, wins = (300, 6, 0, 40), (150, 3, 5, 0)
+    chains, iterations = 40, 250
+    winners = np.concatenate([np.repeat(0, sum(losses))]
+                             + [np.repeat(p, n) for p, n in enumerate(wins, start=1)])
+    losers = np.concatenate([np.repeat(p, n) for p, n in enumerate(losses, start=1)]
+                            + [np.repeat(0, sum(wins))])
+    reference = [_reference_star_chain(losses, wins, iterations, 1000 + seed)
+                 for seed in range(chains)]
+    for anchor, column in ((True, 0), (False, 1)):
+        star = np.array([trueskill_gibbs(winners, losers, 5, iterations, seed, anchor)
+                         for seed in range(chains)])
+        ref = np.array([(draws[column].mean(axis=0), draws[column].var(axis=0))
+                        for draws in reference])
+        for stat in (0, 1):
+            for player in range(1 if anchor else 0, 5):
+                got, want = star[:, stat, player], ref[:, stat, player]
+                mcse = math.hypot(got.std(ddof=1), want.std(ddof=1)) / math.sqrt(chains)
+                assert abs(got.mean() - want.mean()) < 4 * mcse, \
+                    (anchor, stat, player, got.mean(), want.mean(), mcse)

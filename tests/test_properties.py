@@ -1,4 +1,5 @@
-"""Property-based tests: CSV round-trips and their row-at-a-time oracles,
+"""Property-based tests: CSV round-trips (datasets and traces) and their
+row-at-a-time oracles,
 the keyed raw-export parser against its row-at-a-time oracle, ingest
 accounting, split and balance, the shared rank order, the ranking chain's
 match-order invariance and the truncated-normal sampler."""
@@ -11,12 +12,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from latentbias import (
     DataError,
     Dataset,
     DomainError,
     EthnicityMapping,
+    GibbsTrace,
     PosteriorSummary,
     PriorKind,
     SchemeKind,
@@ -24,12 +27,14 @@ from latentbias import (
     default_mapping,
     parse_records,
     read_dataset_csv,
+    read_trace_csv,
     sample_truncated_normal,
     split,
     truncated_moments,
     trueskill_gibbs,
     write_dataset_csv,
     write_ranking_csv,
+    write_trace_csv,
 )
 from latentbias.inference import _ranks_desc
 
@@ -314,15 +319,47 @@ def test_ranking_csv_order_matches_summary_rank(levels):
 
 
 @st.composite
+def traces(draw):
+    """Traces of 1-6 groups and 1-20 sweeps holding any float, NaN and
+    infinities included."""
+    k, n = draw(st.integers(1, 6)), draw(st.integers(1, 20))
+    values = st.floats(width=64)
+    return GibbsTrace(means=draw(arrays(np.float64, (n, k + 1), elements=values)),
+                      variances=draw(arrays(np.float64, (n, k + 1), elements=values)),
+                      cross_cov=draw(arrays(np.float64, (n, k), elements=values)),
+                      wall_times=draw(arrays(np.float64, n, elements=values)), group_count=k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(traces())
+def test_trace_csv_roundtrip(trace):
+    # every value comes back as written, to 12 significant digits; wall times
+    # are not written, so they read as zero; writing it again gives the same text
+    buf = io.StringIO()
+    write_trace_csv(trace, buf)
+    back = read_trace_csv(io.StringIO(buf.getvalue()))
+    written = np.vectorize(lambda v: float(f"{v:.12g}"), otypes=[float])
+    assert (back.group_count, back.sweeps) == (trace.group_count, trace.sweeps)
+    for got, want in ((back.means, trace.means), (back.variances, trace.variances),
+                      (back.cross_cov, trace.cross_cov)):
+        assert got.shape == want.shape
+        assert np.array_equal(got, written(want), equal_nan=True)
+    assert np.array_equal(back.wall_times, np.zeros(trace.sweeps))
+    again = io.StringIO()
+    write_trace_csv(back, again)
+    assert again.getvalue() == buf.getvalue()
+
+
+@st.composite
 def match_lists(draw):
-    """``(player_count, winners, losers)`` of a general match graph."""
+    """``(player_count, winners, losers)`` of a star graph: every match is
+    between the common player 0 and another player."""
     players = draw(st.integers(2, 5))
-    pairs = draw(st.lists(st.tuples(st.integers(0, players - 1), st.integers(1, players - 1)),
+    pairs = draw(st.lists(st.tuples(st.integers(1, players - 1), st.booleans()),
                           min_size=1, max_size=40))
-    # the second id is an offset, so no player meets itself
-    winners = np.array([w for w, _offset in pairs])
-    losers = (winners + np.array([offset for _w, offset in pairs])) % players
-    return players, winners, losers
+    others = np.array([p for p, _won in pairs])
+    won = np.array([w for _p, w in pairs])
+    return players, np.where(won, others, 0), np.where(won, 0, others)
 
 
 @settings(max_examples=100, deadline=None)

@@ -6,11 +6,13 @@ import pytest
 from latentbias import (
     COMMON_LABEL,
     Dataset,
+    DivergenceError,
     DomainError,
     matches_from_dataset,
     trueskill_gibbs,
     write_ranking_csv,
 )
+from latentbias import ranking
 
 
 def _matches(pairs):
@@ -56,7 +58,8 @@ def test_match_rejects_self_play():
 # --- gibbs ranking -------------------------------------------------------------------
 
 def test_total_dominance_orders_players():
-    matches = _matches([(1, 2)] * 100)
+    # player 1 wins all 100 of its matches against the common player, player 2 half
+    matches = _matches([(1, 0)] * 100 + [(2, 0), (0, 2)] * 50)
     for seed in (0, 1, 2):
         means, _variances = trueskill_gibbs(*matches, 3, iterations=500, seed=seed)
         assert means[1] > means[2]
@@ -71,7 +74,8 @@ def test_win_dominance_through_common_player():
 
 
 def test_alternating_wins_stay_close():
-    matches = _matches([(1 + i % 2, 2 - i % 2) for i in range(200)])
+    # both players win every other match against the common player
+    matches = _matches([(1, 0), (0, 1), (2, 0), (0, 2)] * 100)
     means, _variances = trueskill_gibbs(*matches, 3, iterations=500, seed=3)
     assert abs(means[1] - means[2]) < 0.05
 
@@ -105,7 +109,7 @@ def test_label_permutation_equivariance():
 
 
 def test_deterministic_given_seed():
-    matches = _matches([(i % 2, 2) for i in range(50)])
+    matches = _matches([(0, 1 + i % 2) if i % 3 else (1 + i % 2, 0) for i in range(50)])
     a = trueskill_gibbs(*matches, 3, iterations=100, seed=9)
     b = trueskill_gibbs(*matches, 3, iterations=100, seed=9)
     assert np.array_equal(a[0], b[0])
@@ -117,6 +121,19 @@ def test_anchored_common_mean_is_zero():
     means, variances = trueskill_gibbs(*matches, 2, iterations=200, seed=2, anchor_common=True)
     assert means[0] == 0.0
     assert variances[0] == 1e-12  # the variance floor ranking.csv prints
+
+
+def test_rejects_a_match_without_the_common_player():
+    with pytest.raises(DomainError, match="common player 0"):
+        trueskill_gibbs(*_matches([(0, 1), (1, 2), (2, 0)]), 3, iterations=10, seed=0)
+
+
+def test_divergence_guard_raises_at_the_first_iteration_over_the_limit(monkeypatch):
+    matches = _matches([(1, 0)] * 30 + [(0, 2)] * 30)
+    monkeypatch.setattr(ranking, "_DIVERGENCE_LIMIT", 0.0)  # every nonzero skill is over
+    with pytest.raises(DivergenceError, match="iteration 0") as info:
+        trueskill_gibbs(*matches, 3, iterations=50, seed=0)
+    assert info.value.sweep == 0
 
 
 def test_validates_inputs():

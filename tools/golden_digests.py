@@ -8,9 +8,9 @@ Generates the ``national-cli`` and ``export-200k`` inputs with
 ``perfbench/workloads.py`` (seed 1) under ``OUT_DIR``, which must be new or
 empty. On each it runs ``ingest`` under both schemes, ``fit`` three ways
 (``dependent``; ``independent --anchoring off``; ``free``, whose default
-unanchored chain may stop with exit 3 and a partial trace), ``rank``, and
-``score`` by both methods, all through ``python -m latentbias.cli`` on the
-sources next to this script. It then derives ``export-200k-variety``, the
+unanchored chain may stop with exit 3 and a partial trace), ``rank`` with
+and without ``--anchor-common``, and ``score`` by both methods, all
+through ``python -m latentbias.cli`` on the sources next to this script. It then derives ``export-200k-variety``, the
 ``export-200k`` rows with every line made distinct as in a real export,
 and ingests it under both schemes; its ingest outputs must equal
 ``export-200k``'s, and its exit codes go in a file of its own. It prints
@@ -67,11 +67,13 @@ def commands(name: str) -> list[tuple[str, list[str]]]:
     test, dataset = f"{name}/test.csv", f"{name}/ingest/dataset.csv"
     fit = ["fit", "--input", dataset, "--sweeps", sweeps, "--burn-in", burn_in,
            "--seed", str(SEED)]
+    rank = ["rank", "--input", dataset, "--iterations", iterations, "--seed", str(SEED)]
     return ingest_steps(name) + [
         ("fit", fit + ["--prior", "dependent"]),
         ("fit-indep-off", fit + ["--prior", "independent", "--anchoring", "off"]),
         ("fit-free", fit + ["--prior", "free"]),
-        ("rank", ["rank", "--input", dataset, "--iterations", iterations, "--seed", str(SEED)]),
+        ("rank", rank),
+        ("rank-anchored", rank + ["--anchor-common"]),
     ] + [
         (f"score-{method}", ["score", "--summary", f"{name}/fit/summary.json", "--test", test,
                              "--method", method])
