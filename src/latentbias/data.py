@@ -36,10 +36,12 @@ Ingest only drops and counts rows with too few fields.
 
 The canonical dataset CSV has one line per stop, fixed by its (group,
 outcome, force) cell, so a file has at most 2·K·F distinct lines for K
-groups and F forces. :func:`read_dataset_csv` parses each distinct line
-once, so a read costs one pass over the lines plus at most 2·K·F parses.
-Its errors name the physical line, and :func:`write_dataset_csv` formats
-each cell once.
+groups and F forces. :func:`read_dataset_csv` streams the file: it
+interns each line as it is read and parses each distinct line once, so a
+read costs one pass over the lines with one dict lookup per line, plus at
+most 2·K·F parses, and holds only the distinct lines and one integer per
+row. Its errors name the physical line, and :func:`write_dataset_csv`
+formats each cell present once.
 """
 
 from __future__ import annotations
@@ -624,18 +626,20 @@ def write_dataset_csv(dataset: Dataset, stream: TextIO) -> None:
     stop, so ``stopped`` is always ``1`` and ``outcome`` is ``0`` or ``1``.
 
     A row is fixed by its (group, outcome, force) cell, so each cell present
-    is formatted once and the rows are joined by indexing that table.
+    is formatted once and the rows are joined by indexing that table. The
+    cells present are counted, not sorted, and only their forces are
+    formatted, however many forces the table holds.
     """
     stream.write(",".join(_CANONICAL_COLUMNS) + "\n")
-    cells = (2 * dataset.group + dataset.outcome) * len(dataset.forces) + dataset.force
-    _cells, first, row_cell = np.unique(cells, return_index=True, return_inverse=True)
-    labels = [_csv_field(label) for label in dataset.labels]
-    forces = [_csv_field(force) + "\n" for force in dataset.forces]
-    table = [labels[g] + (",1,1," if positive else ",1,0,") + forces[f]
-             for g, positive, f in zip(dataset.group[first].tolist(),
-                                       dataset.outcome[first].tolist(),
-                                       dataset.force[first].tolist())]
-    stream.write("".join(map(table.__getitem__, row_cell.tolist())))
+    n_forces = len(dataset.forces)
+    cells = (2 * dataset.group + dataset.outcome) * n_forces + dataset.force
+    present = np.bincount(cells) > 0
+    slot = np.cumsum(present) - 1  # each present cell's place in the table
+    group_outcome, force = np.divmod(np.flatnonzero(present), n_forces)
+    starts = [_csv_field(label) + end for label in dataset.labels for end in (",1,0,", ",1,1,")]
+    table = [starts[go] + _csv_field(dataset.forces[f]) + "\n"
+             for go, f in zip(group_outcome.tolist(), force.tolist())]
+    stream.write("".join(map(table.__getitem__, slot[cells].tolist())))
 
 
 # what a line of the canonical CSV is when a record starts on it
@@ -673,27 +677,30 @@ def read_dataset_csv(stream: Iterable[str] | TextIO) -> Dataset:
     """Load a canonical dataset CSV; group codes follow sorted label order and
     force codes the order in which forces first appear.
 
-    The lines are read once and each distinct line is parsed once, as the
-    start of a record; the columns are then built by indexing. A canonical
-    file has at most 2·K·F distinct lines (K groups, F forces), so a file of
-    N stops costs N line reads plus at most 2·K·F parses. A line that leaves
-    a quoted field open (a label or force holding CR or LF) starts a record
-    that spans lines: at each place it starts one, that record is read
-    across the following lines and the scan goes on after it. Blank lines
-    are skipped.
+    The stream is read in one pass (a list of lines or a one-shot iterator
+    works as well as a file). Each line is interned as it arrives, to the
+    id of its first appearance, and each distinct line is then parsed once,
+    as the start of a record; the columns are built by indexing. A
+    canonical file has at most 2·K·F distinct lines (K groups, F forces),
+    so a file of N stops costs N line reads and dict lookups plus at most
+    2·K·F parses, and the read holds the distinct lines and N integers,
+    not the lines themselves. A line that leaves a quoted field open (a
+    label or force holding CR or LF) starts a record that spans lines: at
+    each place it starts one, that record is parsed again from the
+    distinct lines, fetched one at a time as the parser asks for them,
+    and the scan goes on after it. Blank lines are skipped.
 
     Raises:
         DataError: if a column is missing, a row is not a stop
             (``stopped`` other than ``1``) with a ``0``/``1`` outcome, or
             the strict CSV parser rejects a row (a quote still open at the
             end of the input included). The first such row in file order
-            is reported, and the message names its physical line: every
-            line of the file counts, blank lines and the lines inside a
-            quoted field included. For a parser error that is the line on
-            which the rejected record began.
+            is reported, and the message names the physical line on which
+            it began: every line of the file counts, blank lines and the
+            lines inside a quoted field included.
     """
-    lines = list(stream)
-    reader = csv.reader(lines, strict=True)
+    stream = iter(stream)  # a list of lines must not give its header twice
+    reader = csv.reader(stream, strict=True)
     try:
         header = next(reader, None)
     except csv.Error as exc:
@@ -703,12 +710,13 @@ def read_dataset_csv(stream: Iterable[str] | TextIO) -> Dataset:
     cols = [header.index(c) for c in _CANONICAL_COLUMNS]
     columns, width = itemgetter(*cols), max(cols) + 1
     start = reader.line_num
-    body = lines[start:]
-    # one entry per distinct line, in order of first appearance; the
-    # records that span lines are appended as the scan reads them
-    index = {line: i for i, line in enumerate(dict.fromkeys(body))}
-    keys = np.fromiter(map(index.__getitem__, body), dtype=np.intp, count=len(body))
-    entries = [_line_start(line, columns, width) for line in index]
+    # each line after the header is interned as it is read: one entry per
+    # distinct line, in order of first appearance; the records that span
+    # lines are appended as the scan reads them
+    index = defaultdict(count().__next__)
+    keys = np.fromiter(map(index.__getitem__, stream), dtype=np.intp)
+    distinct = list(index)
+    entries = [_line_start(line, columns, width) for line in distinct]
     entries.append((_BLANK, None))  # the lines inside a record that spans lines
     inside = len(entries) - 1
     kinds = np.array([kind for kind, _value in entries], dtype=np.int8)
@@ -719,7 +727,8 @@ def read_dataset_csv(stream: Iterable[str] | TextIO) -> Dataset:
         kind, value = entries[keys[at]]
         if kind == _BAD:
             raise DataError(f"line {start + at + 1}: {value}")
-        reader = csv.reader(map(body.__getitem__, range(at, len(body))), strict=True)
+        # the record's lines, looked up one at a time as the parser asks
+        reader = csv.reader(map(distinct.__getitem__, keys[at:]), strict=True)
         try:
             row = next(reader)
         except csv.Error as exc:
@@ -727,7 +736,7 @@ def read_dataset_csv(stream: Iterable[str] | TextIO) -> Dataset:
         end = at + reader.line_num
         kind, value = _canonical_record(row, columns, width)
         if kind == _BAD:
-            raise DataError(f"line {start + end}: {value}")
+            raise DataError(f"line {start + at + 1}: {value}")
         keys[at] = len(entries)
         keys[at + 1:end] = inside
         entries.append((kind, value))

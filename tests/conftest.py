@@ -210,8 +210,8 @@ def read_dataset_csv_oracle(stream) -> Dataset:
     Raises:
         DataError: if a column is missing, a row is not a stop
             (``stopped`` other than ``1``) with a ``0``/``1`` outcome, or
-            the CSV parser rejects a row; the message names the row's line,
-            for a parser error the line on which the row began.
+            the CSV parser rejects a row; the message names the line on
+            which the row began.
     """
     reader = csv.reader(stream, strict=True)
     groups, outcomes, forces = [], [], []
@@ -224,7 +224,7 @@ def read_dataset_csv_oracle(stream) -> Dataset:
         width = max(cols) + 1
         begins = reader.line_num + 1
         for row in reader:
-            begins = reader.line_num + 1
+            began, begins = begins, reader.line_num + 1
             if not row:
                 continue
             group, stopped, outcome, force = (
@@ -232,7 +232,7 @@ def read_dataset_csv_oracle(stream) -> Dataset:
             )
             if stopped != "1" or outcome not in _OUTCOME_TEXT:
                 raise DataError(
-                    f"line {reader.line_num}: every row must be a stop (stopped 1) "
+                    f"line {began}: every row must be a stop (stopped 1) "
                     f"with outcome 0 or 1, got stopped={stopped!r} outcome={outcome!r}"
                 )
             groups.append(group)

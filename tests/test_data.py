@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -437,10 +438,12 @@ def test_dataset_csv_rejects_bad_flags_with_line_number(bad_row):
 
 
 def test_dataset_csv_error_names_the_physical_line():
-    # blank lines and a quoted line break still count as lines of the file
-    for text in ("group,stopped,outcome,force\n\n\na,1,1,f\na,1,x,f\n",
-                 'group,stopped,outcome,force\n"a\n\nb",1,1,f\na,1,x,f\n'):
-        with pytest.raises(DataError, match="^line 5: "):
+    # blank lines and a quoted line break still count as lines of the file,
+    # and a bad record that spans lines is named by the line it began on
+    for text, line in (("group,stopped,outcome,force\n\n\na,1,1,f\na,1,x,f\n", 5),
+                       ('group,stopped,outcome,force\n"a\n\nb",1,1,f\na,1,x,f\n', 5),
+                       ('group,stopped,outcome,force\n"a\nb",1,x,f\n', 2)):
+        with pytest.raises(DataError, match=f"^line {line}: "):
             read_dataset_csv(io.StringIO(text))
 
 
@@ -457,6 +460,61 @@ def test_dataset_csv_unparseable_row_is_data_error_with_line_number():
     text = "group,stopped,outcome,force\na,1,1,f\n" + f"a,1,1,{'x' * 200_000}\n"
     with pytest.raises(DataError, match="^line 3: field larger than field limit"):
         read_dataset_csv(io.StringIO(text))
+
+
+def _same_dataset(a, b):
+    return (a.labels == b.labels and a.forces == b.forces
+            and np.array_equal(a.group, b.group) and np.array_equal(a.outcome, b.outcome)
+            and np.array_equal(a.force, b.force))
+
+
+def test_dataset_csv_reads_a_list_and_a_one_shot_iterator_alike():
+    records = Dataset(np.array([1, 0, 2, 1, 0]), np.array([True, False, True, True, False]),
+                      ("a", "b", "c\nd"), np.array([0, 1, 1, 0, 1]), ("Police, PSNI", "f"))
+    buf = io.StringIO()
+    write_dataset_csv(records, buf)
+    header, rows = buf.getvalue().split("\n", 1)
+    text = header + "\n\n" + rows + "\n"  # with blank lines, and a record over two lines
+    lines = text.splitlines(keepends=True)
+    assert _same_dataset(read_dataset_csv(io.StringIO(text)), records)
+    for stream in (lines, iter(lines), (line for line in lines)):
+        assert _same_dataset(read_dataset_csv(stream), records)
+
+
+def test_dataset_csv_roundtrips_many_records_that_span_lines():
+    # every record spans two lines, so each is read again from the
+    # distinct-line table; that re-read must not copy the rest of the file
+    rng = np.random.default_rng(15)
+    n = 20_000
+    records = Dataset(rng.integers(0, 3, n), rng.random(n) < 0.5, ("a\nb", "c\nd", "e\n"),
+                      rng.integers(0, 2, n), ("f", "g\nh"))
+    buf = io.StringIO()
+    write_dataset_csv(records, buf)
+    back = read_dataset_csv(io.StringIO(buf.getvalue()))
+    assert back.labels == ("a\nb", "c\nd", "e\n")
+    assert [back.forces[f] for f in back.force] == [records.forces[f] for f in records.force]
+    assert np.array_equal(back.group, records.group)
+    assert np.array_equal(back.outcome, records.outcome)
+
+
+def test_dataset_csv_read_holds_no_list_of_lines():
+    # about 214k stops on 8 distinct lines: the read holds the distinct
+    # lines and one integer per row (a peak of about 7 MB here), not every
+    # line of the file (about 24 MB)
+    params = TrueParams(beta=(0.4, 0.0, -0.4, -0.8), population=(112_000,) * 4)
+    records, _report = synthesize(params, np.random.default_rng(15))
+    buf = io.StringIO()
+    write_dataset_csv(records, buf)
+    stream = io.StringIO(buf.getvalue())
+    assert len(records) > 200_000
+    tracemalloc.start()
+    try:
+        back = read_dataset_csv(stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.group, records.group)
+    assert peak < 14e6, f"read peaked at {peak / 1e6:.1f} MB"
 
 
 def test_dataset_csv_rejects_wrong_schema():
