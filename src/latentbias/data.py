@@ -685,10 +685,12 @@ def read_dataset_csv(stream: Iterable[str] | TextIO) -> Dataset:
     so a file of N stops costs N line reads and dict lookups plus at most
     2·K·F parses, and the read holds the distinct lines and N integers,
     not the lines themselves. A line that leaves a quoted field open (a
-    label or force holding CR or LF) starts a record that spans lines: at
-    each place it starts one, that record is parsed again from the
-    distinct lines, fetched one at a time as the parser asks for them,
-    and the scan goes on after it. Blank lines are skipped.
+    label or force holding CR or LF) starts a record that spans lines.
+    Each distinct such record is parsed once, from the distinct lines
+    fetched one at a time as the parser asks for them, and remembered by
+    the ids of the lines it consumed; where the same ids recur, its entry
+    is reused without a parse. The scan goes on after the record. Blank
+    lines are skipped.
 
     Raises:
         DataError: if a column is missing, a row is not a stop
@@ -720,6 +722,9 @@ def read_dataset_csv(stream: Iterable[str] | TextIO) -> Dataset:
     entries.append((_BLANK, None))  # the lines inside a record that spans lines
     inside = len(entries) - 1
     kinds = np.array([kind for kind, _value in entries], dtype=np.int8)
+    # each record that spans lines, as a trie over the ids of the lines it
+    # consumed; the node after its last line holds its entry under None
+    spans: dict = {}
     end = 0
     for at in np.flatnonzero(kinds[keys] >= _BAD).tolist():
         if at < end:
@@ -727,19 +732,28 @@ def read_dataset_csv(stream: Iterable[str] | TextIO) -> Dataset:
         kind, value = entries[keys[at]]
         if kind == _BAD:
             raise DataError(f"line {start + at + 1}: {value}")
-        # the record's lines, looked up one at a time as the parser asks
-        reader = csv.reader(map(distinct.__getitem__, keys[at:]), strict=True)
-        try:
-            row = next(reader)
-        except csv.Error as exc:
-            raise DataError(f"line {start + at + 1}: {exc}") from None
-        end = at + reader.line_num
-        kind, value = _canonical_record(row, columns, width)
-        if kind == _BAD:
-            raise DataError(f"line {start + at + 1}: {value}")
-        keys[at] = len(entries)
+        node, end = spans, at
+        while node is not None and None not in node:
+            node = node.get(int(keys[end])) if end < keys.size else None
+            end += 1
+        if node is None:  # a record not seen before
+            # its lines, looked up one at a time as the parser asks
+            reader = csv.reader(map(distinct.__getitem__, keys[at:]), strict=True)
+            try:
+                row = next(reader)
+            except csv.Error as exc:
+                raise DataError(f"line {start + at + 1}: {exc}") from None
+            end = at + reader.line_num
+            kind, value = _canonical_record(row, columns, width)
+            if kind == _BAD:
+                raise DataError(f"line {start + at + 1}: {value}")
+            node = spans
+            for key in keys[at:end].tolist():
+                node = node.setdefault(key, {})
+            node[None] = len(entries)
+            entries.append((kind, value))
+        keys[at] = node[None]
         keys[at + 1:end] = inside
-        entries.append((kind, value))
     kinds = np.array([kind for kind, _value in entries], dtype=np.int8)
     records = keys[kinds[keys] == _RECORD]
     first = np.full(len(entries), records.size)

@@ -8,7 +8,8 @@ shared term, so the latents integrate out and a group's bias conditional
 depends only on its counts (:class:`_CountTarget`). Its mode and scale are
 solved once per group; each sweep then advances every bias by independence
 Metropolis-Hastings steps, O(K) work with no per-record draws. The targets
-do not move, so each is evaluated once per fit, on all of its proposals.
+do not move, so a fit draws its proposals in one generator call and its
+uniforms in another, and evaluates each target once, on all its proposals.
 With it off the chain keeps one criminality per record, redraws the
 latents, and applies the coupled natural-parameter combination literally;
 the cross terms amplify any mismatch between bias-side and outcome-side
@@ -67,7 +68,8 @@ class GibbsTrace:
     (bias coordinates then criminality); ``cross_cov`` holds the
     covariance between criminality and each bias coordinate. Wall times
     are kept for reporting but never written to the CSV export, which must
-    be byte-deterministic.
+    be byte-deterministic. An anchored chain's wall times are equal shares
+    of its time, so their percentiles are all equal.
     """
 
     means: np.ndarray
@@ -340,29 +342,25 @@ def _anchored_chain(
 ) -> np.ndarray:
     """``(sweeps, K)`` bias draws: each group's chain of
     :func:`_sample_bias_conditional` steps from its mode, one call per
-    sweep and group in sweep-major order, bit for bit.
+    sweep, bit for bit when each call is fed its group's next variates.
 
-    The targets do not move, so every proposal is drawn first, in that
-    order, and each target is evaluated once, on its mode and all its
-    proposals. ``wall`` receives each sweep's draw time plus an equal share
-    of the rest.
+    The proposals depend only on the data, so they are drawn before the
+    chain runs (Tierney 1994): one ``standard_t`` and one ``random`` call,
+    each ``(K, sweeps * steps)`` with group ``g``'s sweeps in order along
+    row ``g``. Each target is evaluated once, on its mode and all its
+    proposals. ``wall`` gets an equal share of the chain's time per sweep.
     """
     k, steps = len(targets), _BIAS_MH_STEPS
     laplace = [_bias_mode(target) for target in targets]
-    t_draws, u_draws = np.empty((k, sweeps, steps)), np.empty((k, sweeps, steps))
-    for sweep in range(sweeps):
-        t0 = time.perf_counter()
-        for g in range(k):
-            t_draws[g, sweep] = rng.standard_t(_BIAS_T_DOF, size=steps)
-            u_draws[g, sweep] = rng.random(steps)
-        wall[sweep] = time.perf_counter() - t0
     t0 = time.perf_counter()
+    t_draws = rng.standard_t(_BIAS_T_DOF, size=(k, sweeps * steps))
+    u_draws = rng.random((k, sweeps * steps))
     out = np.empty((sweeps, k))
     for g, (target, (mode, scale)) in enumerate(zip(targets, laplace)):
-        pts = np.concatenate(([mode], mode + scale * t_draws[g].ravel()))
-        states = _mh_states(_log_weights(target, mode, scale, pts), u_draws[g].ravel().tolist())
+        pts = np.concatenate(([mode], mode + scale * t_draws[g]))
+        states = _mh_states(_log_weights(target, mode, scale, pts), u_draws[g].tolist())
         out[:, g] = pts[states[steps - 1 :: steps]]
-    wall += (time.perf_counter() - t0) / sweeps
+    wall[:] = (time.perf_counter() - t0) / sweeps
     return out
 
 

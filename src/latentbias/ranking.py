@@ -86,7 +86,7 @@ class _SkillTarget:
         out = -0.5 * (d - self.m0) ** 2
         for n, sign in ((self.b, 1.0), (self.a, -1.0)):
             if n:
-                out += n * np.array([log_ndtr(sign * x) for x in d.tolist()])
+                out += n * np.fromiter(map(log_ndtr, (sign * d).tolist()), float, d.size)
         return out
 
     def score_hessian(self, d: float) -> tuple[float, float]:

@@ -67,6 +67,16 @@ _HEADER = "force,officer_defined_ethnicity,self_defined_ethnicity,outcome,date"
 
 # --- oracles ----------------------------------------------------------------
 
+# a dense grid past both underflows of Phi, with the signed zeros, +-1e-300,
+# Phi's underflow near -37.5 and log_ndtr's series switch at -20: the array
+# helpers must give the scalar ndtr and log_ndtr on it bit for bit
+EXACT_GRID = np.concatenate([
+    np.linspace(-60.0, 60.0, 200001),
+    [0.0, -0.0, 1e-300, -1e-300, 37.5, -37.5, -20.0,
+     np.nextafter(-20.0, -np.inf), np.nextafter(-20.0, 0.0)],
+])
+
+
 def normal_density(x):
     return np.exp(-0.5 * np.asarray(x) ** 2) / math.sqrt(2.0 * math.pi)
 

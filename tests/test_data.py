@@ -23,6 +23,7 @@ from latentbias import (
     synthesize,
     write_dataset_csv,
 )
+from latentbias import data
 from conftest import (
     GUILTY_LENIENT,
     NATIONAL_TABLE,
@@ -495,6 +496,36 @@ def test_dataset_csv_roundtrips_many_records_that_span_lines():
     assert [back.forces[f] for f in back.force] == [records.forces[f] for f in records.force]
     assert np.array_equal(back.group, records.group)
     assert np.array_equal(back.outcome, records.outcome)
+
+
+def test_dataset_csv_parses_each_distinct_record_that_spans_lines_once(monkeypatch):
+    # all 12 cells once, then the same rows 500 times: the repeats reuse each
+    # record's entry, so both files take the same number of parses
+    parses = []
+
+    def counted(*args):
+        parses.append(args)
+        return canonical_record(*args)
+
+    canonical_record = data._canonical_record
+    monkeypatch.setattr(data, "_canonical_record", counted)
+    cells = np.array([(g, o, f) for g in range(3) for o in (0, 1) for f in range(2)])
+    calls = []
+    for copies in (1, 500):
+        group, outcome, force = np.tile(cells, (copies, 1)).T
+        records = Dataset(group, outcome.astype(bool), ("a\nb", "c\nd", "e\n"), force,
+                          ("f", "g\nh"))
+        buf = io.StringIO()
+        write_dataset_csv(records, buf)
+        parses.clear()
+        assert _same_dataset(read_dataset_csv(io.StringIO(buf.getvalue())), records)
+        calls.append(len(parses))
+    assert calls[0] == calls[1]
+    # a bad record after them, sharing its first line with good ones, is
+    # still parsed and named by the line it began on
+    text = buf.getvalue() + '"a\nb",1,x,f\n'
+    with pytest.raises(DataError, match=f"^line {text.count(chr(10)) - 1}: every row"):
+        read_dataset_csv(io.StringIO(text))
 
 
 def test_dataset_csv_read_holds_no_list_of_lines():

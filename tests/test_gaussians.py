@@ -10,9 +10,10 @@ from latentbias import (
     std_normal_cdf,
     truncated_moments,
 )
+from latentbias import gaussians
 from latentbias.gaussians import log_ndtr, ndtr, owens_t, owens_t_tail
 
-from conftest import cdf_oracle, mills_lambda_oracle, truncated_moment_oracle
+from conftest import EXACT_GRID, cdf_oracle, mills_lambda_oracle, truncated_moment_oracle
 
 
 # --- standard normal CDF -----------------------------------------------------
@@ -67,6 +68,11 @@ def test_ndtr_and_log_ndtr_match_scipy():
     assert _max_rel_error([log_ndtr(x) for x in xs.tolist()], special.log_ndtr(xs)) <= 1e-12
     assert ndtr(0.0) == 0.5
     assert log_ndtr(-1e5) == pytest.approx(special.log_ndtr(-1e5), rel=1e-15)
+
+
+def test_ndtr_array_is_the_scalar_ndtr_bit_for_bit():
+    want = np.array([ndtr(x) for x in EXACT_GRID.tolist()])
+    assert gaussians._ndtr_array(EXACT_GRID).tobytes() == want.tobytes()
 
 
 def test_owens_t_matches_scipy():

@@ -320,10 +320,27 @@ def test_run_gibbs_deterministic():
     assert np.array_equal(s1.bias_mean, s2.bias_mean)
 
 
+class _Replay:
+    """Stands in for the generator in one _sample_bias_conditional call,
+    serving fixed proposals and uniforms."""
+
+    def __init__(self, t_draws: np.ndarray, uniforms: np.ndarray):
+        self.t_draws, self.uniforms = t_draws, uniforms
+
+    def standard_t(self, df, size):
+        assert df == inference._BIAS_T_DOF and size == self.t_draws.size
+        return self.t_draws
+
+    def random(self, size):
+        assert size == self.uniforms.size
+        return self.uniforms
+
+
 @pytest.mark.parametrize("kind", [PriorKind.DEPENDENT, PriorKind.INDEPENDENT])
 def test_anchored_chain_matches_per_sweep_kernel(kind):
     # the batched chain against one _sample_bias_conditional call per sweep
-    # and group, in sweep-major order, from each group's mode; at alpha =
+    # and group from each group's mode, each call replaying its group's
+    # slice of the seed's one standard_t and one random array; at alpha =
     # gamma = 0.3, r > 1 takes Owen's T through its reflection
     records = _asym_records((300, 200, 40), positive_rate=3)
     cfg = _cfg(seed=21, sweeps=40, burn_in=5, prior=kind, alpha=0.3, gamma=0.3)
@@ -335,11 +352,16 @@ def test_anchored_chain_matches_per_sweep_kernel(kind):
     assert targets[0].r > 1
     laplace = [inference._bias_mode(target) for target in targets]
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    steps = inference._BIAS_MH_STEPS
+    t_draws = rng.standard_t(inference._BIAS_T_DOF, size=(3, cfg.sweeps * steps))
+    uniforms = rng.random((3, cfg.sweeps * steps))
     current = [mode for mode, _scale in laplace]
     want = np.empty((cfg.sweeps, 3))
     for sweep in range(cfg.sweeps):
+        part = slice(sweep * steps, (sweep + 1) * steps)
         for g in range(3):
-            current[g] = inference._sample_bias_conditional(targets[g], *laplace[g], current[g], rng)
+            replay = _Replay(t_draws[g, part], uniforms[g, part])
+            current[g] = inference._sample_bias_conditional(targets[g], *laplace[g], current[g], replay)
         want[sweep] = current
     assert np.array_equal(trace.means[:, :3], want)
     assert np.all(trace.means[:, 3] == 0.0)

@@ -13,6 +13,9 @@ from latentbias import (
     write_ranking_csv,
 )
 from latentbias import ranking
+from latentbias.gaussians import log_ndtr
+
+from conftest import EXACT_GRID
 
 
 def _matches(pairs):
@@ -145,6 +148,15 @@ def test_validates_inputs():
         trueskill_gibbs(*_matches([(0, 1)]), 2, iterations=0, seed=0)
     with pytest.raises(DomainError):
         trueskill_gibbs([0, 1], [1], 2, iterations=10, seed=0)
+
+
+def test_skill_target_maps_the_scalar_log_ndtr_bit_for_bit():
+    # b = 3 wins and a = 2 losses: both signs of the mapped log_ndtr
+    want = -0.5 * (EXACT_GRID - 0.0) ** 2
+    want += 3 * np.array([log_ndtr(x) for x in EXACT_GRID.tolist()])
+    want += 2 * np.array([log_ndtr(-x) for x in EXACT_GRID.tolist()])
+    got = ranking._SkillTarget(0.0, 2, 3).log_density(EXACT_GRID)
+    assert got.tobytes() == want.tobytes()
 
 
 # --- ordering and export ----------------------------------------------------------------
