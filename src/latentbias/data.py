@@ -36,12 +36,14 @@ Ingest only drops and counts rows with too few fields.
 
 The canonical dataset CSV has one line per stop, fixed by its (group,
 outcome, force) cell, so a file has at most 2·K·F distinct lines for K
-groups and F forces. :func:`read_dataset_csv` streams the file: it
-interns each line as it is read and parses each distinct line once, so a
-read costs one pass over the lines with one dict lookup per line, plus at
-most 2·K·F parses, and holds only the distinct lines and one integer per
-row. Its errors name the physical line, and :func:`write_dataset_csv`
-formats each cell present once.
+groups and F forces. :func:`read_dataset_csv` streams the file and
+interns each line as it is read. When each distinct line, parsed alone,
+is blank or one whole good record, the read costs one pass over the lines
+with one dict lookup per line, plus at most 2·K·F parses, and holds only
+the distinct lines and one integer per row. Otherwise (a record that
+spans lines, a bad row) it parses the whole file again in order, a row at
+a time from the distinct lines. Its errors name the physical line, and
+:func:`write_dataset_csv` formats each cell present once.
 """
 
 from __future__ import annotations
@@ -280,18 +282,32 @@ class EthnicityMapping:
 
     @classmethod
     def from_json(cls, text: str) -> "EthnicityMapping":
+        """The mapping a JSON file holds: ``group_labels``, ``lenient``,
+        ``guilty`` and the optional ``not_guilty`` as lists of strings, and
+        ``ethnicity`` as an object mapping strings to strings.
+
+        Raises:
+            DataError: if the text is not such an object; a value of the
+                wrong type is named by its key, never coerced.
+        """
         try:
             d = json.loads(text)
-            return cls(
-                mapping=dict(d["ethnicity"]),
-                precedence=d.get("precedence", "officer"),
-                group_labels=tuple(d["group_labels"]),
-                lenient_set=frozenset(d["lenient"]),
-                guilty_set=frozenset(d["guilty"]),
-                negative_set=frozenset(d.get("not_guilty", DEFAULT_NOT_GUILTY)),
-            )
+            ethnicity = d["ethnicity"]
+            lists = {key: d[key] for key in ("group_labels", "lenient", "guilty")}
+            lists["not_guilty"] = d.get("not_guilty", list(DEFAULT_NOT_GUILTY))
+            precedence = d.get("precedence", "officer")
         except (KeyError, TypeError, json.JSONDecodeError) as exc:
             raise DataError(f"invalid mapping file: {exc}") from None
+        for key, values in lists.items():
+            if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+                raise DataError(f"invalid mapping file: {key!r} must be a list of strings")
+        if not isinstance(ethnicity, dict) or not all(
+                isinstance(v, str) for v in ethnicity.values()):
+            raise DataError("invalid mapping file: 'ethnicity' must map strings to strings")
+        return cls(mapping=ethnicity, precedence=precedence,
+                   group_labels=tuple(lists["group_labels"]),
+                   lenient_set=frozenset(lists["lenient"]), guilty_set=frozenset(lists["guilty"]),
+                   negative_set=frozenset(lists["not_guilty"]))
 
 
 def default_mapping() -> EthnicityMapping:
@@ -421,8 +437,13 @@ def parse_records(
                                   map(add, filter(None, reader), repeat(pad)))),
                           dtype=np.intp)
     except csv.Error as exc:
-        line = _rejected_record_line(stream, origin, reader.line_num)
-        raise DataError(f"line {line}: {exc}") from None
+        # read again up to the rejected record, which names the line it began on
+        if origin is not None:
+            stream.seek(origin)
+        if origin is not None or iter(stream) is not stream:
+            for _row in _csv_rows(stream):
+                pass
+        raise DataError(f"line {reader.line_num}: {exc}") from None
     label_to_id = {label: i for i, label in enumerate(mapping.group_labels)}
     report = IngestReport(rows_total=ids.size)
     # per key: (group code, positive, force code), group -1 when its rows are dropped
@@ -468,25 +489,6 @@ def parse_records(
     report.group_counts = dict(zip(dataset.labels, dataset.counts().tolist()))
     report.group_positive = dict(zip(dataset.labels, positive.astype(int).tolist()))
     return dataset, report
-
-
-def _rejected_record_line(stream, origin: int | None, stopped: int) -> int:
-    """The line on which the record that the strict parser rejected began,
-    by reading ``stream`` again from its start (``origin``, where it can
-    seek) up to that record; ``stopped``, the line the parser stopped on,
-    for a one-shot iterator."""
-    if origin is not None:
-        stream.seek(origin)
-    elif iter(stream) is stream:
-        return stopped
-    reader = csv.reader(stream, strict=True)
-    begins = 1
-    try:
-        for _row in reader:
-            begins = reader.line_num + 1
-    except csv.Error:
-        pass
-    return begins
 
 
 def _rows_by_group(dataset: Dataset):
@@ -642,55 +644,56 @@ def write_dataset_csv(dataset: Dataset, stream: TextIO) -> None:
     stream.write("".join(map(table.__getitem__, slot[cells].tolist())))
 
 
-# what a line of the canonical CSV is when a record starts on it
-_BLANK, _RECORD, _BAD, _OPEN = range(4)
-
-
-def _canonical_record(row: list, columns: itemgetter, width: int) -> tuple:
-    """``(kind, value)`` of one parsed row: ``(_BLANK, None)``,
-    ``(_RECORD, (group, positive, force))``, or ``(_BAD, message)`` for a
-    row that is not a stop with a ``0``/``1`` outcome."""
-    if not row:
-        return _BLANK, None
-    group, stopped, outcome, force = columns(row) if len(row) >= width else [None] * 4
-    if stopped != "1" or outcome not in _OUTCOME_TEXT:
-        return _BAD, (f"every row must be a stop (stopped 1) with outcome 0 or 1, "
-                      f"got stopped={stopped!r} outcome={outcome!r}")
-    return _RECORD, (group, outcome == "1", force)
-
-
-def _line_start(line: str, columns: itemgetter, width: int) -> tuple:
-    """:func:`_canonical_record` of the record that starts on ``line``;
-    ``(_OPEN, None)`` when the line leaves a quoted field open, so that
-    record runs on over the lines that follow it."""
-    # the empty second line is read only when the record has not ended, and
-    # the strict parser then fails at the end of input
-    reader = csv.reader((line, ""), strict=True)
+def _csv_rows(lines: Iterable[str], first: int = 1):
+    """``(line, row)`` for each row that the strict ``csv.reader`` reads from
+    ``lines``, where ``line`` is the line on which the row began and the
+    first of ``lines`` is line ``first``. A parser error raises
+    :class:`~latentbias.errors.DataError` naming the line on which the
+    rejected record began."""
+    reader = csv.reader(lines, strict=True)
+    begins = first
     try:
-        row = next(reader)
+        for row in reader:
+            yield begins, row
+            begins = first + reader.line_num
     except csv.Error as exc:
-        return (_OPEN, None) if reader.line_num > 1 else (_BAD, str(exc))
-    return _canonical_record(row, columns, width)
+        raise DataError(f"line {begins}: {exc}") from None
+
+
+def _stops(lines: Iterable[str], first: int, columns: itemgetter, width: int):
+    """``(group, positive, force)`` for each canonical row read from ``lines``
+    (see :func:`_csv_rows`), ``None`` for a blank one.
+
+    Raises:
+        DataError: naming the line of the first row that the parser rejects
+            or that is not a stop (``stopped`` 1) with a ``0``/``1`` outcome.
+    """
+    for line, row in _csv_rows(lines, first):
+        if not row:
+            yield None
+            continue
+        group, stopped, outcome, force = columns(row) if len(row) >= width else [None] * 4
+        if stopped != "1" or outcome not in _OUTCOME_TEXT:
+            raise DataError(f"line {line}: every row must be a stop (stopped 1) with outcome "
+                            f"0 or 1, got stopped={stopped!r} outcome={outcome!r}")
+        yield group, outcome == "1", force
 
 
 def read_dataset_csv(stream: Iterable[str] | TextIO) -> Dataset:
     """Load a canonical dataset CSV; group codes follow sorted label order and
     force codes the order in which forces first appear.
 
-    The stream is read in one pass (a list of lines or a one-shot iterator
-    works as well as a file). Each line is interned as it arrives, to the
-    id of its first appearance, and each distinct line is then parsed once,
-    as the start of a record; the columns are built by indexing. A
-    canonical file has at most 2·K·F distinct lines (K groups, F forces),
-    so a file of N stops costs N line reads and dict lookups plus at most
-    2·K·F parses, and the read holds the distinct lines and N integers,
-    not the lines themselves. A line that leaves a quoted field open (a
-    label or force holding CR or LF) starts a record that spans lines.
-    Each distinct such record is parsed once, from the distinct lines
-    fetched one at a time as the parser asks for them, and remembered by
-    the ids of the lines it consumed; where the same ids recur, its entry
-    is reused without a parse. The scan goes on after the record. Blank
-    lines are skipped.
+    The stream is read once (a list of lines or a one-shot iterator works as
+    well as a file), and each line is interned as it arrives, to the id of
+    its first appearance. Fast path: when each distinct line, parsed alone,
+    is blank or one whole good record, the columns are built by indexing
+    with the ids, so a file of N stops costs N line reads and dict lookups
+    plus one parse per distinct line (at most 2·K·F for K groups and F
+    forces), and the read holds the distinct lines and N integers, not the
+    lines themselves. Row path: otherwise (a label or force holding CR or
+    LF, so that a record spans lines, or a bad row), the lines are parsed
+    again in file order, a row at a time, from the table of distinct lines.
+    Blank lines are skipped.
 
     Raises:
         DataError: if a column is missing, a row is not a stop
@@ -711,63 +714,28 @@ def read_dataset_csv(stream: Iterable[str] | TextIO) -> Dataset:
         raise DataError("canonical dataset CSV needs columns group,stopped,outcome,force")
     cols = [header.index(c) for c in _CANONICAL_COLUMNS]
     columns, width = itemgetter(*cols), max(cols) + 1
-    start = reader.line_num
-    # each line after the header is interned as it is read: one entry per
-    # distinct line, in order of first appearance; the records that span
-    # lines are appended as the scan reads them
     index = defaultdict(count().__next__)
     keys = np.fromiter(map(index.__getitem__, stream), dtype=np.intp)
     distinct = list(index)
-    entries = [_line_start(line, columns, width) for line in distinct]
-    entries.append((_BLANK, None))  # the lines inside a record that spans lines
-    inside = len(entries) - 1
-    kinds = np.array([kind for kind, _value in entries], dtype=np.int8)
-    # each record that spans lines, as a trie over the ids of the lines it
-    # consumed; the node after its last line holds its entry under None
-    spans: dict = {}
-    end = 0
-    for at in np.flatnonzero(kinds[keys] >= _BAD).tolist():
-        if at < end:
-            continue
-        kind, value = entries[keys[at]]
-        if kind == _BAD:
-            raise DataError(f"line {start + at + 1}: {value}")
-        node, end = spans, at
-        while node is not None and None not in node:
-            node = node.get(int(keys[end])) if end < keys.size else None
-            end += 1
-        if node is None:  # a record not seen before
-            # its lines, looked up one at a time as the parser asks
-            reader = csv.reader(map(distinct.__getitem__, keys[at:]), strict=True)
-            try:
-                row = next(reader)
-            except csv.Error as exc:
-                raise DataError(f"line {start + at + 1}: {exc}") from None
-            end = at + reader.line_num
-            kind, value = _canonical_record(row, columns, width)
-            if kind == _BAD:
-                raise DataError(f"line {start + at + 1}: {value}")
-            node = spans
-            for key in keys[at:end].tolist():
-                node = node.setdefault(key, {})
-            node[None] = len(entries)
-            entries.append((kind, value))
-        keys[at] = node[None]
-        keys[at + 1:end] = inside
-    kinds = np.array([kind for kind, _value in entries], dtype=np.int8)
-    records = keys[kinds[keys] == _RECORD]
-    first = np.full(len(entries), records.size)
-    np.minimum.at(first, records, np.arange(records.size))
-    used = np.flatnonzero(first < records.size)
-    used = used[np.argsort(first[used])].tolist()  # in order of first appearance
-    values = [entries[e][1] for e in used]
-    labels = sorted({label for label, _positive, _force in values})
+    try:
+        # fast path: parsed alone, each distinct line is blank (None) or one
+        # whole good record, so the ids index the stops as they do the lines
+        stops = [stop for line in distinct for stop in _stops((line,), 1, columns, width)]
+    except DataError:
+        # row path: a record spans lines or a row is bad, so the lines are
+        # parsed in file order, and the stops interned as the lines were
+        index = defaultdict(count().__next__)
+        lines = map(distinct.__getitem__, keys.tolist())
+        keys = np.fromiter(map(index.__getitem__,
+                               _stops(lines, reader.line_num + 1, columns, width)),
+                           dtype=np.intp)
+        stops = list(index)
+    labels = sorted({stop[0] for stop in stops if stop})
     label_ids = {label: i for i, label in enumerate(labels)}
     force_ids: dict[str, int] = {}
-    group = np.zeros(len(entries), dtype=np.intp)
-    positive = np.zeros(len(entries), dtype=bool)
-    force = np.zeros(len(entries), dtype=np.intp)
-    group[used] = [label_ids[label] for label, _positive, _force in values]
-    positive[used] = [is_positive for _label, is_positive, _force in values]
-    force[used] = [force_ids.setdefault(name, len(force_ids)) for _label, _positive, name in values]
-    return Dataset(group[records], positive[records], labels, force[records], tuple(force_ids))
+    cells = np.array([(label_ids[stop[0]], stop[1], force_ids.setdefault(stop[2], len(force_ids)))
+                      if stop else (-1, 0, 0) for stop in stops], dtype=np.intp).reshape(-1, 3)
+    group, positive, force = cells.T
+    records = keys[group[keys] >= 0]
+    return Dataset(group[records], positive[records].astype(bool), labels, force[records],
+                   tuple(force_ids))

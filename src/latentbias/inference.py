@@ -38,7 +38,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _csv_field
 from .errors import ConditioningError, DivergenceError, DomainError, NumericalError
 from .gaussians import ndtr, owens_t, owens_t_tail, sample_truncated_normal, std_normal_cdf
 from .model import ModelConfig, PriorKind, build_prior, descending_order
@@ -160,7 +160,7 @@ class PosteriorSummary:
         stream.write("rank,label,bias_mean,bias_variance\n")
         for idx in self.ranked_indices():
             stream.write(
-                f"{int(self.rank[idx])},{self.labels[idx]},"
+                f"{int(self.rank[idx])},{_csv_field(self.labels[idx])},"
                 f"{self.bias_mean[idx]:.12g},{self.bias_variance[idx]:.12g}\n"
             )
 

@@ -32,7 +32,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _csv_field
 from .errors import DivergenceError, DomainError
 from .gaussians import log_ndtr
 from .inference import _BIAS_MH_STEPS, _BIAS_T_DOF, _bias_mode, _log_weights
@@ -215,7 +215,8 @@ def trueskill_gibbs(
 def write_ranking_csv(
     labels: Sequence[str], means: np.ndarray, variances: np.ndarray, stream: TextIO
 ) -> None:
-    """``rank,label,mean,variance``, players by descending mean, ties by id."""
+    """``rank,label,mean,variance``, players by descending mean, ties by id;
+    labels quoted as in the canonical dataset CSV."""
     stream.write("rank,label,mean,variance\n")
     for position, i in enumerate(descending_order(means), start=1):
-        stream.write(f"{position},{labels[i]},{means[i]:.12g},{variances[i]:.12g}\n")
+        stream.write(f"{position},{_csv_field(labels[i])},{means[i]:.12g},{variances[i]:.12g}\n")

@@ -114,6 +114,26 @@ def test_mapping_with_empty_outcome_set_exit_2(raw_csv, tmp_path, capsys, empty_
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("changes, message", [
+    ({"guilty": "Arrest"}, "'guilty' must be a list of strings"),
+    ({"group_labels": [1, 2], "ethnicity": {"White": 1, "Black": 2}},
+     "'group_labels' must be a list of strings"),
+    ({"ethnicity": [["White", "White"]]}, "'ethnicity' must map strings to strings"),
+])
+def test_mapping_with_mistyped_value_exit_2(raw_csv, tmp_path, capsys, changes, message):
+    # never coerced: a string is not a set of its characters, nor a list of
+    # pairs an object
+    doc = json.loads(default_mapping().to_json())
+    doc.update(changes)
+    mapping = tmp_path / "mapping.json"
+    mapping.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["ingest", "--input", str(raw_csv), "--mapping", str(mapping),
+                 "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: invalid mapping file: {message}\n"
+    assert not (out / "manifest.json").exists()
+
+
 def test_ingest_unreadable_input_exit_2(tmp_path):
     assert main(["ingest", "--input", str(tmp_path / "nope.csv"), "--out-dir", str(tmp_path / "o")]) == 2
 

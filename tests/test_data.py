@@ -23,7 +23,6 @@ from latentbias import (
     synthesize,
     write_dataset_csv,
 )
-from latentbias import data
 from conftest import (
     GUILTY_LENIENT,
     NATIONAL_TABLE,
@@ -440,10 +439,13 @@ def test_dataset_csv_rejects_bad_flags_with_line_number(bad_row):
 
 def test_dataset_csv_error_names_the_physical_line():
     # blank lines and a quoted line break still count as lines of the file,
-    # and a bad record that spans lines is named by the line it began on
+    # and a bad record that spans lines is named by the line it began on,
+    # also after good records that share its first line
     for text, line in (("group,stopped,outcome,force\n\n\na,1,1,f\na,1,x,f\n", 5),
                        ('group,stopped,outcome,force\n"a\n\nb",1,1,f\na,1,x,f\n', 5),
-                       ('group,stopped,outcome,force\n"a\nb",1,x,f\n', 2)):
+                       ('group,stopped,outcome,force\n"a\nb",1,x,f\n', 2),
+                       ('group,stopped,outcome,force\n"a\nb",1,1,f\n"a\nb",1,0,"g\nh"\n'
+                        '"a\nb",1,x,f\n', 7)):
         with pytest.raises(DataError, match=f"^line {line}: "):
             read_dataset_csv(io.StringIO(text))
 
@@ -483,8 +485,8 @@ def test_dataset_csv_reads_a_list_and_a_one_shot_iterator_alike():
 
 
 def test_dataset_csv_roundtrips_many_records_that_span_lines():
-    # every record spans two lines, so each is read again from the
-    # distinct-line table; that re-read must not copy the rest of the file
+    # every record spans two lines, so the file takes the row path: one
+    # parse in file order, a row at a time from the distinct-line table
     rng = np.random.default_rng(15)
     n = 20_000
     records = Dataset(rng.integers(0, 3, n), rng.random(n) < 0.5, ("a\nb", "c\nd", "e\n"),
@@ -496,36 +498,6 @@ def test_dataset_csv_roundtrips_many_records_that_span_lines():
     assert [back.forces[f] for f in back.force] == [records.forces[f] for f in records.force]
     assert np.array_equal(back.group, records.group)
     assert np.array_equal(back.outcome, records.outcome)
-
-
-def test_dataset_csv_parses_each_distinct_record_that_spans_lines_once(monkeypatch):
-    # all 12 cells once, then the same rows 500 times: the repeats reuse each
-    # record's entry, so both files take the same number of parses
-    parses = []
-
-    def counted(*args):
-        parses.append(args)
-        return canonical_record(*args)
-
-    canonical_record = data._canonical_record
-    monkeypatch.setattr(data, "_canonical_record", counted)
-    cells = np.array([(g, o, f) for g in range(3) for o in (0, 1) for f in range(2)])
-    calls = []
-    for copies in (1, 500):
-        group, outcome, force = np.tile(cells, (copies, 1)).T
-        records = Dataset(group, outcome.astype(bool), ("a\nb", "c\nd", "e\n"), force,
-                          ("f", "g\nh"))
-        buf = io.StringIO()
-        write_dataset_csv(records, buf)
-        parses.clear()
-        assert _same_dataset(read_dataset_csv(io.StringIO(buf.getvalue())), records)
-        calls.append(len(parses))
-    assert calls[0] == calls[1]
-    # a bad record after them, sharing its first line with good ones, is
-    # still parsed and named by the line it began on
-    text = buf.getvalue() + '"a\nb",1,x,f\n'
-    with pytest.raises(DataError, match=f"^line {text.count(chr(10)) - 1}: every row"):
-        read_dataset_csv(io.StringIO(text))
 
 
 def test_dataset_csv_read_holds_no_list_of_lines():

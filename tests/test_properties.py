@@ -301,21 +301,28 @@ def test_balance_gives_n_per_group_as_a_sorted_subset(dataset, n, seed):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.integers(-3, 3), min_size=1, max_size=12))
-def test_ranking_csv_order_matches_summary_rank(levels):
-    # few distinct values, so ties are common
+@given(st.lists(st.tuples(st.integers(-3, 3), _TEXT), min_size=1, max_size=12,
+                unique_by=lambda player: player[1]))
+def test_ranking_csv_order_matches_summary_rank(players):
+    # few distinct values, so ties are common; labels that hold a comma, a
+    # quote, CR or LF come back whole from both files
+    levels, labels = zip(*players)
     means = np.array(levels, dtype=float) / 2.0
-    labels = [f"p{i}" for i in range(means.size)]
-    buf = io.StringIO()
-    write_ranking_csv(labels, means, np.ones(means.size), buf)
-    rows = [line.split(",") for line in buf.getvalue().splitlines()[1:]]
+    ranking, summary_csv = io.StringIO(), io.StringIO()
+    write_ranking_csv(labels, means, np.ones(means.size), ranking)
     summary = PosteriorSummary(
-        labels=labels, bias_mean=means, bias_variance=np.ones(means.size),
+        labels=list(labels), bias_mean=means, bias_variance=np.ones(means.size),
         rank=_ranks_desc(means), criminality_mean=0.0, criminality_variance=1.0,
         prior_kind=PriorKind.DEPENDENT, sweeps=1,
     )
+    summary.to_csv(summary_csv)
+    rows, summary_rows = (list(csv.reader(io.StringIO(buf.getvalue(), newline="")))[1:]
+                          for buf in (ranking, summary_csv))
+    assert [len(r) for r in rows + summary_rows] == [4] * 2 * means.size
     assert [r[1] for r in rows] == [labels[i] for i in summary.ranked_indices()]
     assert [int(r[0]) for r in rows] == sorted(summary.rank.tolist())
+    assert [r[:2] for r in summary_rows] == [
+        [str(summary.rank[i]), labels[i]] for i in summary.ranked_indices()]
 
 
 @st.composite

@@ -13,7 +13,12 @@ and without ``--anchor-common``, and ``score`` by both methods, all
 through ``python -m latentbias.cli`` on the sources next to this script. It then derives ``export-200k-variety``, the
 ``export-200k`` rows with every line made distinct as in a real export,
 and ingests it under both schemes; its ingest outputs must equal
-``export-200k``'s, and its exit codes go in a file of its own. It prints
+``export-200k``'s, and its exit codes go in a file of its own. Last,
+``national-cli-quoted`` ingests ``national-cli``'s rows with the default
+mapping's group labels renamed to hold a comma, a quote and a line break,
+so its canonical CSV takes the reader's row path; it runs ``fit``
+(``dependent``), ``rank`` and ``score`` by both methods on its own
+``dataset.csv``, and its exit codes also go in a file of its own. It prints
 ``sha256  relpath`` for every file the commands write, for each command's
 stdout and stderr, and for the files of exit codes. Commands run with
 ``OUT_DIR`` as working directory and relative paths, and each manifest is
@@ -33,8 +38,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
 import workloads  # noqa: E402
+from latentbias import default_mapping  # noqa: E402
 
 SEED = 1
 # workload -> (sweeps, burn-in, ranking iterations), the benchmark's own
@@ -50,6 +56,9 @@ VARIETY_COLUMNS = ("type", "latitude", "longitude", "object_of_search")
 VARIETY_SEARCHES = ("Person search", "Person and Vehicle search", "Vehicle search")
 VARIETY_OBJECTS = ("Controlled drugs", "Offensive weapons", "Stolen goods",
                    "Article for use in theft")
+QUOTED = "national-cli-quoted"
+# default group label -> the label national-cli-quoted gives it
+QUOTED_LABELS = {"Black": "Black, African", "Asian": 'Asian "South"', "Other/Mixed": "Other\nMixed"}
 # one BLAS thread, so a matrix product sums in one order on every host
 ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
@@ -103,6 +112,34 @@ def write_variety(source: Path, target: Path) -> None:
             writer.writerow(row)
 
 
+def write_quoted_mapping(path: Path) -> None:
+    """The default mapping with its group labels renamed by :data:`QUOTED_LABELS`."""
+    doc = json.loads(default_mapping().to_json())
+    doc["group_labels"] = [QUOTED_LABELS.get(label, label) for label in doc["group_labels"]]
+    doc["ethnicity"] = {eth: QUOTED_LABELS.get(label, label)
+                        for eth, label in doc["ethnicity"].items()}
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True), encoding="utf-8")
+
+
+def quoted_steps() -> list[tuple[str, list[str]]]:
+    """``(step, argv)`` pairs for ``national-cli-quoted``: ingest
+    ``national-cli/raw.csv`` with the renamed labels, then fit, rank and
+    score on the dataset that writes."""
+    sweeps, burn_in, iterations = (str(v) for v in RUN_LENGTHS["national-cli"])
+    dataset = f"{QUOTED}/ingest/dataset.csv"
+    return [
+        ("ingest", ["ingest", "--input", "national-cli/raw.csv",
+                    "--mapping", f"{QUOTED}/mapping.json"]),
+        ("fit", ["fit", "--input", dataset, "--prior", "dependent", "--sweeps", sweeps,
+                 "--burn-in", burn_in, "--seed", str(SEED)]),
+        ("rank", ["rank", "--input", dataset, "--iterations", iterations, "--seed", str(SEED)]),
+    ] + [
+        (f"score-{method}", ["score", "--summary", f"{QUOTED}/fit/summary.json", "--test",
+                             dataset, "--method", method])
+        for method in ("likelihood", "accuracy")
+    ]
+
+
 def run_steps(name: str, steps, out: Path, env: dict) -> str:
     """Run each ``(step, argv)`` of workload ``name`` with outputs in
     ``name/step``, keep its stdout and stderr under ``name/logs``, and
@@ -149,6 +186,10 @@ def main(argv: list[str]) -> int:
     write_variety(out / "export-200k" / "raw.csv", out / VARIETY / "raw.csv")
     (out / VARIETY / "exit_codes.txt").write_text(
         run_steps(VARIETY, ingest_steps(VARIETY), out, env), encoding="utf-8")
+    (out / QUOTED).mkdir()
+    write_quoted_mapping(out / QUOTED / "mapping.json")
+    (out / QUOTED / "exit_codes.txt").write_text(
+        run_steps(QUOTED, quoted_steps(), out, env), encoding="utf-8")
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         print(f"{digest(path)}  {path.relative_to(out).as_posix()}")
     return 0
