@@ -117,6 +117,10 @@ DEFAULT_GUILTY = frozenset(
     | set(DEFAULT_LENIENT)
 )
 
+# the keys a mapping file may hold
+_MAPPING_KEYS = frozenset(
+    {"precedence", "group_labels", "ethnicity", "lenient", "guilty", "not_guilty"})
+
 # recognised clearances; anything else outside the guilty set is tallied
 # as an unknown outcome string in the ingest report
 DEFAULT_NOT_GUILTY = frozenset(
@@ -288,10 +292,16 @@ class EthnicityMapping:
 
         Raises:
             DataError: if the text is not such an object; a value of the
-                wrong type is named by its key, never coerced.
+                wrong type is named by its key, never coerced, and so is
+                every key outside those five and ``precedence``.
         """
         try:
             d = json.loads(text)
+            unknown = sorted(set(d) - _MAPPING_KEYS) if isinstance(d, dict) else []
+            if unknown:
+                raise DataError("invalid mapping file: unknown "
+                                f"{'key' if len(unknown) == 1 else 'keys'} "
+                                + ", ".join(map(repr, unknown)))
             ethnicity = d["ethnicity"]
             lists = {key: d[key] for key in ("group_labels", "lenient", "guilty")}
             lists["not_guilty"] = d.get("not_guilty", list(DEFAULT_NOT_GUILTY))

@@ -12,6 +12,15 @@ normal float (checked on dense grids by the tests). Only the unanchored
 per-record sampler imports ``scipy.special``, at its first call, for the
 inverse CDF.
 
+Owen's T and its tail take a float ``h``, which returns a float and runs
+on stdlib ``math`` alone, or a 1-D array ``h``, which returns an array;
+the type of ``h`` picks the path, as it picks :func:`ndtr` or
+``_ndtr_array`` in :func:`std_normal_cdf`. Both paths walk one 40-point
+Gauss-Legendre table and agree within a few units in the last place. The
+float path serves scalar callers, such as the anchored fit's Newton steps
+and the bivariate orthant of held-out scoring; the array path serves a
+target evaluated on all its proposals at once.
+
 Both truncated-normal helpers take one half-line, ``x > 0``, and a
 positive finite scalar variance; draw the negative half-line as
 ``-sample_truncated_normal(-mean, variance, rng)``. All sampling takes an
@@ -77,8 +86,10 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (1.0 + x), 1.0 / ((1.0 - x * x) * slope * slope)
 
 
-# 40 points hold Owen's T within 5e-13 relative wherever it is a normal float
+# 40 points hold Owen's T within 5e-13 relative wherever it is a normal float;
+# the float paths walk the same rule as (node, weight) pairs
 _GL_NODES, _GL_WEIGHTS = _gauss_legendre(40)
+_GL_RULE = tuple(zip(_GL_NODES.tolist(), _GL_WEIGHTS.tolist()))
 
 
 def ndtr(x: float) -> float:
@@ -118,37 +129,63 @@ def _owens_t_integral(h: np.ndarray, a: float) -> np.ndarray:
     """Owen's T's defining integral at each ``h >= 0`` for ``0 <= a <= 1``,
     by the fixed Gauss-Legendre rule on ``[0, min(a, sqrt(80)/h)]``: past
     that, ``exp(-h^2 x^2/2)`` is below ``exp(-40)``. ``exp(-h^2/2)`` is
-    factored out, so the summands stay normal floats wherever T is one."""
+    factored out, so the summands stay normal floats wherever T is one.
+
+    Works in place on one ``(N, 40)`` grid of ``x^2`` and one of summands.
+    """
     # h a > sqrt(80) needs h > sqrt(80) > 1, so the division is safe
     top = np.where(h * a > _CUTOFF_X, _CUTOFF_X / np.maximum(h, 1.0), a)
-    x2 = np.square(np.multiply.outer(top, _GL_NODES))
     half_h2 = -0.5 * np.square(h)
-    terms = np.exp(half_h2[..., None] * x2) / (1.0 + x2)
-    return np.exp(half_h2) * top * (terms * _GL_WEIGHTS).sum(axis=-1) / _TWO_PI
+    x2 = np.multiply.outer(top, _GL_NODES)
+    np.square(x2, out=x2)
+    terms = np.multiply(half_h2[..., None], x2)
+    np.exp(terms, out=terms)
+    x2 += 1.0
+    terms /= x2
+    terms *= _GL_WEIGHTS
+    return np.exp(half_h2) * top * terms.sum(axis=-1) / _TWO_PI
 
 
-def owens_t(h: np.ndarray, a: float) -> np.ndarray:
+def _owens_t_integral_float(h: float, a: float) -> float:
+    """:func:`_owens_t_integral` of a float ``h``, on the same rule."""
+    top = _CUTOFF_X / max(h, 1.0) if h * a > _CUTOFF_X else a
+    half_h2 = -0.5 * h * h
+    total = 0.0
+    for node, weight in _GL_RULE:
+        x = top * node
+        x2 = x * x
+        total += math.exp(half_h2 * x2) / (1.0 + x2) * weight
+    return math.exp(half_h2) * top * total / _TWO_PI
+
+
+def owens_t(h, a: float):
     """Owen's T function ``T(h, a) = (1/2pi) int_0^a exp(-h^2 (1+x^2)/2) / (1+x^2) dx``
-    at each element of the array ``h``, for a float ``a`` (Owen 1956).
+    for a float ``a`` (Owen 1956), at a float ``h`` (which returns a float)
+    or at each element of a 1-D array ``h``.
 
     For ``|a| <= 1`` a 40-point Gauss-Legendre rule on the integral; for
     ``|a| > 1`` the reflection ``T(h, a) = (Phi(h) Phi(-ah) + Phi(-h) Phi(ah))/2
     - T(ah, 1/a)`` (``h >= 0``, ``a > 0``). T is even in ``h`` and odd in ``a``.
     """
-    h = np.abs(h)
+    if isinstance(h, np.ndarray):
+        integral, cdf = _owens_t_integral, _ndtr_array
+    else:
+        integral, cdf = _owens_t_integral_float, ndtr
+    h = abs(h)
     sign, a = math.copysign(1.0, a), abs(a)
     if a <= 1.0:
-        return sign * _owens_t_integral(h, a)
+        return sign * integral(h, a)
     ah = a * h
-    cross = (_ndtr_array(h) * _ndtr_array(-ah) + _ndtr_array(-h) * _ndtr_array(ah)) * 0.5
-    return sign * (cross - _owens_t_integral(ah, 1.0 / a))
+    cross = (cdf(h) * cdf(-ah) + cdf(-h) * cdf(ah)) * 0.5
+    return sign * (cross - integral(ah, 1.0 / a))
 
 
-def owens_t_tail(h: np.ndarray, a: float) -> np.ndarray:
+def owens_t_tail(h, a: float):
     """``(1/2pi) int_a^inf exp(-h^2 (1+x^2)/2) / (1+x^2) dx``, the rest of
-    Owen's T at each element of ``h`` for a float ``a > 0``: it equals
-    ``Phi(-|h|)/2 - T(h, a)`` without the subtraction, so it keeps its
-    relative precision where that difference cancels.
+    Owen's T at a float ``h`` (which returns a float) or at each element of
+    a 1-D array ``h``, for a float ``a > 0``: it equals ``Phi(-|h|)/2 - T(h, a)``
+    without the subtraction, so it keeps its relative precision where that
+    difference cancels.
 
     With ``x = a/v`` it is an integral over ``v`` in (0, 1] whose integrand
     falls like ``exp(-q (1/v^2 - 1)/2)``, ``q = (a h)^2``; the 40-point rule
@@ -157,6 +194,17 @@ def owens_t_tail(h: np.ndarray, a: float) -> np.ndarray:
     within ``v ~ sqrt(q)`` of 0 and the rule loses precision (5e-12 at
     ``q = 0.1``), where ``Phi(-|h|)/2 - T(h, a)`` does not cancel.
     """
+    if not isinstance(h, np.ndarray):
+        ah = a * h
+        q = ah * ah
+        lo = math.sqrt(q / (q + 2.0 * _CUTOFF))
+        total = 0.0
+        for node, weight in _GL_RULE:
+            v = lo + (1.0 - lo) * node
+            v2 = v * v
+            total += math.exp(-0.5 * q * (1.0 / v2 - 1.0)) / (a * a + v2) * weight
+        peak = math.exp(-0.5 * h * h * (1.0 + a * a))
+        return peak * (1.0 - lo) * total * (a / _TWO_PI)
     q = np.square(a * h)
     lo = np.sqrt(q / (q + 2.0 * _CUTOFF))
     v = lo[..., None] + np.multiply.outer(1.0 - lo, _GL_NODES)

@@ -6,10 +6,11 @@ outcome). The anchoring flag is the drift correction. With it on (the
 default except under FREE), each person's criminality is N(0,1) with no
 shared term, so the latents integrate out and a group's bias conditional
 depends only on its counts (:class:`_CountTarget`). Its mode and scale are
-solved once per group; each sweep then advances every bias by independence
-Metropolis-Hastings steps, O(K) work with no per-record draws. The targets
-do not move, so a fit draws its proposals in one generator call and its
-uniforms in another, and evaluates each target once, on all its proposals.
+solved once per group, by Newton steps in float arithmetic; each sweep then
+advances every bias by independence Metropolis-Hastings steps, O(K) work
+with no per-record draws. The targets do not move, so a fit draws its
+proposals in one generator call and its uniforms in another, and evaluates
+each target once, on all its proposals, in one array call per group.
 With it off the chain keeps one criminality per record, redraws the
 latents, and applies the coupled natural-parameter combination literally;
 the cross terms amplify any mismatch between bias-side and outcome-side
@@ -225,17 +226,26 @@ class _CountTarget:
     """
 
     def __init__(self, n_pos, n_neg, m0, v0, alpha: float, gamma: float):
-        rho2 = 1.0 / ((1.0 + alpha) * (1.0 + gamma))
-        self.n_pos, self.n_neg, self.m0, self.v0 = n_pos, n_neg, m0, v0
-        self.sa, self.r = math.sqrt(1.0 + alpha), math.sqrt(rho2 / (1.0 - rho2))
+        # Python floats: the mode solve's float arithmetic runs on them
+        self.n_pos, self.n_neg, self.m0, self.v0 = (float(v) for v in (n_pos, n_neg, m0, v0))
+        # r^2 = rho^2/(1 - rho^2) = 1/(alpha + gamma + alpha gamma), without
+        # the cancellation in 1 - rho^2 when both noises are tiny
+        self.sa, self.r = math.sqrt(1.0 + alpha), math.sqrt(1.0 / (alpha + gamma + alpha * gamma))
 
-    def masses(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(P+, P-)`` at each standardized ``h = beta/sqrt(1+alpha)``."""
-        half, t = 0.5 * std_normal_cdf(h), owens_t(h, self.r)
-        neg = half - t
-        rare = h * self.r < -1.0
-        if rare.any():
-            neg[rare] = owens_t_tail(h[rare], self.r)
+    def masses(self, h):
+        """``(P+, P-)`` at a standardized ``h = beta/sqrt(1+alpha)``: floats
+        for a float, arrays for a 1-D array."""
+        r = self.r
+        t = owens_t(h, r)
+        if isinstance(h, np.ndarray):
+            half = 0.5 * std_normal_cdf(h)
+            neg = half - t
+            rare = h * r < -1.0
+            if rare.any():
+                neg[rare] = owens_t_tail(h[rare], r)
+        else:
+            half = 0.5 * ndtr(h)
+            neg = owens_t_tail(h, r) if h * r < -1.0 else half - t
         return half + t, neg
 
     def log_density(self, beta: np.ndarray) -> np.ndarray:
@@ -250,11 +260,15 @@ class _CountTarget:
         return out
 
     def score_hessian(self, beta: float) -> tuple[float, float]:
-        """First and second derivatives of the log density at ``beta``, from
-        ``dP+-/dh = phi(h) Phi(-+r h)``, ``d2P+-/dh2 = -h dP+-/dh -+ r phi(h) phi(r h)``."""
+        """First and second derivatives of the log density at a float ``beta``,
+        from ``dP+-/dh = phi(h) Phi(-+r h)``, ``d2P+-/dh2 = -h dP+-/dh -+ r phi(h) phi(r h)``.
+
+        Float arithmetic only (the float paths of ``ndtr`` and Owen's T), as
+        the mode solve calls it once per Newton step; NaN where a needed
+        orthant mass underflows."""
         sa, r = self.sa, self.r
         h = beta / sa
-        pos, neg = (float(m[0]) for m in self.masses(np.array([h])))
+        pos, neg = self.masses(h)
         phi, phi_r = math.exp(-0.5 * h * h) / _SQRT_2PI, math.exp(-0.5 * r * r * h * h) / _SQRT_2PI
         score, hess = -(beta - self.m0) / self.v0, -1.0 / self.v0
         for n, sign, p in ((self.n_pos, -1.0, pos), (self.n_neg, 1.0, neg)):

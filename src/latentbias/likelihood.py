@@ -71,20 +71,20 @@ def likelihood_oracle(c: float, beta: float, x: int, abs_tol: float = 1e-6) -> f
     return float(value)
 
 
-def _bivariate_cdf(h: float, k: float, rho: float) -> float:
-    """P(X < h, Y < k) for standard normals with correlation ``|rho| < 1``,
-    by Owen's T (Owen 1956):
+def _bivariate_cdf(h: float, k: float, rho: float, s: float) -> float:
+    """P(X < h, Y < k) for standard normals with correlation ``|rho| < 1``
+    and ``s = sqrt(1 - rho^2)``, by Owen's T (Owen 1956):
 
         Phi(h)/2 + Phi(k)/2 - T(h, a_h) - T(k, a_k) - [hk < 0 or hk = 0 > h + k]/2,
 
-    with ``a_h = (k - rho h)/(h sqrt(1 - rho^2))`` and ``a_k`` likewise; at
-    ``h = 0`` the term ``T(0, a_h)`` is its limit ``+-1/4``, the sign of ``k``.
-    The pieces are summed exactly (``math.fsum``), so the constants cancel
-    without rounding.
+    with ``a_h = (k - rho h)/(h s)`` and ``a_k`` likewise; at ``h = 0`` the
+    term ``T(0, a_h)`` is its limit ``+-1/4``, the sign of ``k``. The pieces
+    are summed exactly (``math.fsum``), so the constants cancel without
+    rounding. The caller passes ``s`` because ``1 - rho^2`` cancels as
+    ``|rho|`` nears 1.
     """
     if h == 0.0 and k == 0.0:
         return 0.25 + math.asin(rho) / (2.0 * math.pi)
-    s = math.sqrt(1.0 - rho * rho)
     parts = [0.5 * ndtr(h), 0.5 * ndtr(k)]
     if h * k < 0.0 or (h * k == 0.0 and h + k < 0.0):
         parts.append(-0.5)
@@ -92,7 +92,7 @@ def _bivariate_cdf(h: float, k: float, rho: float) -> float:
         if x == 0.0:
             parts.append(-math.copysign(0.25, y))
         else:
-            parts.append(-float(owens_t(np.array([x]), (y - rho * x) / (x * s))[0]))
+            parts.append(-owens_t(x, (y - rho * x) / (x * s)))
     return math.fsum(parts)
 
 
@@ -115,8 +115,10 @@ def outcome_probability_given_stop(
     stop = ndtr(h)
     if stop <= 0:
         return 0.5
-    rho = 1.0 / math.sqrt((1.0 + alpha) * (1.0 + gamma))
-    return _bivariate_cdf(h, k, rho) / stop
+    scale = (1.0 + alpha) * (1.0 + gamma)
+    # 1 - rho^2 = (alpha + gamma + alpha gamma)/scale, exact where both noises are tiny
+    s = math.sqrt((alpha + gamma + alpha * gamma) / scale)
+    return _bivariate_cdf(h, k, 1.0 / math.sqrt(scale), s) / stop
 
 
 def predictive_score(

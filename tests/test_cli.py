@@ -119,6 +119,9 @@ def test_mapping_with_empty_outcome_set_exit_2(raw_csv, tmp_path, capsys, empty_
     ({"group_labels": [1, 2], "ethnicity": {"White": 1, "Black": 2}},
      "'group_labels' must be a list of strings"),
     ({"ethnicity": [["White", "White"]]}, "'ethnicity' must map strings to strings"),
+    # a misspelt key never falls back to its default
+    ({"not_gulity": ["Arrest"]}, "unknown key 'not_gulity'"),
+    ({"precednce": "self", "not_gulity": []}, "unknown keys 'not_gulity', 'precednce'"),
 ])
 def test_mapping_with_mistyped_value_exit_2(raw_csv, tmp_path, capsys, changes, message):
     # never coerced: a string is not a set of its characters, nor a list of
@@ -243,6 +246,24 @@ def test_fit_non_finite_noise_exit_2(canonical_csv, tmp_path, capsys, flag, valu
     assert main(argv + [flag, value, "--out-dir", str(tmp_path / "x")]) == 2
     assert "positive and finite" in capsys.readouterr().err
     assert not (tmp_path / "x" / "manifest.json").exists()
+
+
+def test_tiny_noise_fits_and_scores(canonical_csv, tmp_path, capsys):
+    # (1 + alpha)(1 + gamma) rounds to 1 at this noise: a result, not a traceback
+    tiny = ["--alpha", "1e-17", "--gamma", "1e-17"]
+    fit_dir = tmp_path / "f"
+    assert main(["fit", "--input", str(canonical_csv), "--prior", "independent",
+                 "--sweeps", "20", "--burn-in", "4", "--seed", "1",
+                 "--out-dir", str(fit_dir)] + tiny) == 0
+    doc = json.loads((fit_dir / "summary.json").read_text(encoding="utf-8"))
+    assert np.isfinite(doc["bias_mean"] + doc["bias_variance"]).all()
+    for method in ("accuracy", "likelihood"):
+        capsys.readouterr()
+        assert main(["score", "--summary", str(fit_dir / "summary.json"),
+                     "--test", str(canonical_csv), "--method", method,
+                     "--out-dir", str(tmp_path / method)] + tiny) == 0
+        out = capsys.readouterr()
+        assert np.isfinite(float(out.out)) and out.err == ""
 
 
 @pytest.mark.parametrize("prior", ["dependent", "free"])

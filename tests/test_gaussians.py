@@ -76,11 +76,31 @@ def test_ndtr_array_is_the_scalar_ndtr_bit_for_bit():
 
 
 def test_owens_t_matches_scipy():
-    # both branches (the reflection above |a| = 1), a = +-1 exactly and h = 0
+    # both branches (the reflection above |a| = 1), a = +-1 exactly and h = 0,
+    # on the array path and on the float path
     hs = np.concatenate([np.linspace(-40.0, 40.0, 1601), [0.0]])
     for a in np.concatenate([np.logspace(-3.0, 3.0, 49), [1.0]]).tolist():
         for signed in (a, -a):
-            assert _max_rel_error(owens_t(hs, signed), special.owens_t(hs, signed)) <= 1e-12, signed
+            want = special.owens_t(hs, signed)
+            assert _max_rel_error(owens_t(hs, signed), want) <= 1e-12, signed
+            assert _max_rel_error([owens_t(h, signed) for h in hs.tolist()], want) <= 1e-12, signed
+
+
+def _max_ulps(got, want):
+    """Largest difference in units of the last place of ``want``."""
+    got, want = np.asarray(got), np.asarray(want)
+    return float(np.max(np.abs(got - want) / np.spacing(np.abs(want))))
+
+
+@pytest.mark.parametrize("function, a, ulps", [
+    (owens_t, 0.5, 8), (owens_t, -3.0, 8), (owens_t_tail, 0.58, 16)])
+def test_owens_t_float_path_matches_array_path(function, a, ulps):
+    # one rule, two evaluations: the float path returns floats, and differs
+    # from the array path only by rounding (exp and the summation order);
+    # the tail's summands span more magnitudes, so its sums round further apart
+    got = [function(h, a) for h in EXACT_GRID.tolist()]
+    assert all(type(v) is float for v in got)
+    assert _max_ulps(got, function(EXACT_GRID, a)) <= ulps
 
 
 def _owens_t_tail_oracle(h, a):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import optimize, stats
 from scipy.special import erfcx
 
 from latentbias import (
@@ -231,7 +231,8 @@ def test_count_target_matches_oracle_density(alpha, gamma, n_pos, n_neg):
     assert np.allclose(got - got[0], want - want[0], rtol=1e-9, atol=1e-9)
 
 
-@pytest.mark.parametrize("alpha, gamma", [(1.0, 1.0), (2.0, 0.5), (1.0, 0.05)])
+# (0.3, 0.3) puts r above 1, where Owen's T takes its reflection
+@pytest.mark.parametrize("alpha, gamma", [(1.0, 1.0), (2.0, 0.5), (1.0, 0.05), (0.3, 0.3)])
 def test_count_target_derivatives_match_finite_differences(alpha, gamma):
     target = _target(420, 180, 0.2, 2.0, alpha, gamma)
     step = 1e-4
@@ -291,6 +292,22 @@ def test_bias_mode_solve_raises_when_capped(monkeypatch):
     monkeypatch.setattr(inference, "_BIAS_NEWTON_STEPS", 1)
     with pytest.raises(NumericalError):
         inference._bias_mode(_target(80, 120))
+
+
+def test_count_target_at_tiny_noise_matches_the_noiseless_limit():
+    # (1 + alpha)(1 + gamma) rounds to 1 here, so r must not come from
+    # 1 - rho^2; at alpha = gamma = 0 and beta > 0, P+ = 1/2 and
+    # P- = Phi(beta) - 1/2, so the mode balances the prior against
+    # n_neg phi(beta) / (Phi(beta) - 1/2)
+    target = _target(420, 180, 0.2, 2.0, 1e-17, 1e-17)
+    mode, scale = inference._bias_mode(target)
+
+    def score(b):
+        return -(b - 0.2) / 2.0 + 180 * stats.norm.pdf(b) / (stats.norm.cdf(b) - 0.5)
+
+    assert mode == pytest.approx(optimize.brentq(score, 0.01, 10.0, xtol=1e-14), rel=1e-9)
+    assert math.isfinite(scale)
+    assert np.isfinite(target.log_density(mode + scale * np.linspace(-3.0, 3.0, 7))).all()
 
 
 def test_negative_mass_keeps_precision_where_the_difference_cancels():

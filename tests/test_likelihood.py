@@ -139,6 +139,16 @@ def test_outcome_probability_matches_bivariate_oracle(alpha, gamma, criminality_
         assert got == pytest.approx(want, rel=1e-12), bias_mean
 
 
+@pytest.mark.parametrize("bias_mean, criminality_mean", [(0.5, 0.0), (-0.5, 0.3), (2.0, -1.0)])
+def test_outcome_probability_at_tiny_noise(bias_mean, criminality_mean):
+    # (1 + alpha)(1 + gamma) rounds to 1 here, so 1 - rho^2 must not come
+    # from a subtraction; the noiseless limit is P(C > max(0, -b)) / P(C > -b)
+    got = outcome_probability_given_stop(bias_mean, criminality_mean, 1e-17, 1e-17)
+    want = (cdf_oracle(criminality_mean - max(0.0, -bias_mean))
+            / cdf_oracle(criminality_mean + bias_mean))
+    assert got == pytest.approx(want, rel=1e-9)
+
+
 def test_score_validates_input():
     summary = _summary([0.0])
     with pytest.raises(DomainError):
