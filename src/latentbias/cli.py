@@ -51,15 +51,16 @@ PRESETS = ("national", "augmented", "charges", "london-met")
 _UNDECODED = re.compile("[\udc80-\udcff]")
 
 
-def _read_input(path: str, read, *args):
-    """``read(stream, *args)`` on the UTF-8 text of the file at ``path``.
+def _read_input(path: str, read, *args, binary: bool = False):
+    """``read(stream, *args)`` on the UTF-8 text of the file at ``path``, or
+    with ``binary`` on its bytes, which ``read`` decodes as UTF-8.
 
     Raises:
         DataError: if the file is not valid UTF-8; the message names the
             file and the physical line of the first undecodable byte.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, "rb") if binary else open(path, newline="", encoding="utf-8") as fh:
             return read(fh, *args)
     except UnicodeDecodeError as exc:
         with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
@@ -121,7 +122,7 @@ def cmd_ingest(args) -> int:
 
 
 def _read_dataset(path: str) -> Dataset:
-    return _read_input(path, read_dataset_csv)
+    return _read_input(path, read_dataset_csv, binary=True)
 
 
 def _load_fit_dataset(args) -> Dataset:

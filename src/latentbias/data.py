@@ -37,13 +37,18 @@ Ingest only drops and counts rows with too few fields.
 The canonical dataset CSV has one line per stop, fixed by its (group,
 outcome, force) cell, so a file has at most 2·K·F distinct lines for K
 groups and F forces. :func:`read_dataset_csv` streams the file and
-interns each line as it is read. When each distinct line, parsed alone,
-is blank or one whole good record, the read costs one pass over the lines
-with one dict lookup per line, plus at most 2·K·F parses, and holds only
-the distinct lines and one integer per row. Otherwise (a record that
-spans lines, a bad row) it parses the whole file again in order, a row at
-a time from the distinct lines. Its errors name the physical line, and
-:func:`write_dataset_csv` formats each cell present once.
+interns each line as it is read; a file opened in binary is interned as
+raw bytes, and each distinct line is decoded once, as strict UTF-8. When
+each distinct line, parsed alone, is blank or one whole good record, the
+read costs one pass over the lines with one dict lookup per line, plus at
+most 2·K·F parses, and holds only the distinct lines and one integer per
+row. Otherwise (a record that spans lines, a bad row) it parses the whole
+file again in order, a row at a time from the distinct lines. Binary
+lines read as the text lines of the same file do: where text mode would
+split a line (a CR not followed by LF) or the header spans lines, the
+decoded lines are split as text mode splits them and read in order. Its
+errors name the physical line, and :func:`write_dataset_csv` formats each
+cell present once.
 """
 
 from __future__ import annotations
@@ -52,11 +57,12 @@ import csv
 import enum
 import json
 import math
+import re
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import count, repeat
+from itertools import chain, count, repeat
 from operator import add, itemgetter
-from typing import Iterable, Sequence, TextIO
+from typing import BinaryIO, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -675,69 +681,57 @@ def _stops(lines: Iterable[str], first: int, columns: itemgetter, width: int):
     (see :func:`_csv_rows`), ``None`` for a blank one.
 
     Raises:
-        DataError: naming the line of the first row that the parser rejects
-            or that is not a stop (``stopped`` 1) with a ``0``/``1`` outcome.
+        DataError: naming the line of the first row that the parser rejects,
+            that has fewer than ``width`` fields, or that is not a stop
+            (``stopped`` 1) with a ``0``/``1`` outcome.
     """
     for line, row in _csv_rows(lines, first):
         if not row:
             yield None
             continue
-        group, stopped, outcome, force = columns(row) if len(row) >= width else [None] * 4
+        if len(row) < width:
+            raise DataError(f"line {line}: row has {len(row)} fields, need {width}")
+        group, stopped, outcome, force = columns(row)
         if stopped != "1" or outcome not in _OUTCOME_TEXT:
             raise DataError(f"line {line}: every row must be a stop (stopped 1) with outcome "
                             f"0 or 1, got stopped={stopped!r} outcome={outcome!r}")
         yield group, outcome == "1", force
 
 
-def read_dataset_csv(stream: Iterable[str] | TextIO) -> Dataset:
-    """Load a canonical dataset CSV; group codes follow sorted label order and
-    force codes the order in which forces first appear.
-
-    The stream is read once (a list of lines or a one-shot iterator works as
-    well as a file), and each line is interned as it arrives, to the id of
-    its first appearance. Fast path: when each distinct line, parsed alone,
-    is blank or one whole good record, the columns are built by indexing
-    with the ids, so a file of N stops costs N line reads and dict lookups
-    plus one parse per distinct line (at most 2·K·F for K groups and F
-    forces), and the read holds the distinct lines and N integers, not the
-    lines themselves. Row path: otherwise (a label or force holding CR or
-    LF, so that a record spans lines, or a bad row), the lines are parsed
-    again in file order, a row at a time, from the table of distinct lines.
-    Blank lines are skipped.
+def _header_columns(header: list | None) -> tuple[itemgetter, int]:
+    """The getter of the canonical columns from a row with ``header``, and
+    the number of fields a row needs.
 
     Raises:
-        DataError: if a column is missing, a row is not a stop
-            (``stopped`` other than ``1``) with a ``0``/``1`` outcome, or
-            the strict CSV parser rejects a row (a quote still open at the
-            end of the input included). The first such row in file order
-            is reported, and the message names the physical line on which
-            it began: every line of the file counts, blank lines and the
-            lines inside a quoted field included.
+        DataError: if a canonical column is missing or named twice.
     """
-    stream = iter(stream)  # a list of lines must not give its header twice
-    reader = csv.reader(stream, strict=True)
-    try:
-        header = next(reader, None)
-    except csv.Error as exc:
-        raise DataError(f"line 1: {exc}") from None
     if header is None or not set(_CANONICAL_COLUMNS).issubset(header):
         raise DataError("canonical dataset CSV needs columns group,stopped,outcome,force")
-    cols = [header.index(c) for c in _CANONICAL_COLUMNS]
-    columns, width = itemgetter(*cols), max(cols) + 1
-    index = defaultdict(count().__next__)
-    keys = np.fromiter(map(index.__getitem__, stream), dtype=np.intp)
-    distinct = list(index)
+    twice = [name for name in _CANONICAL_COLUMNS if header.count(name) > 1]
+    if twice:
+        raise DataError(f"line 1: the header names {', '.join(map(repr, twice))} "
+                        "more than once")
+    cols = [header.index(name) for name in _CANONICAL_COLUMNS]
+    return itemgetter(*cols), max(cols) + 1
+
+
+def _dataset_from_lines(keys: np.ndarray, distinct: list, columns: itemgetter, width: int,
+                        first: int) -> Dataset:
+    """The dataset of the canonical rows whose lines are
+    ``distinct[keys]``, the first of them line ``first`` of the file.
+
+    Fast path: parsed alone, each distinct line is blank or one whole good
+    record, so the ids index the stops as they do the lines. Row path:
+    otherwise the lines are parsed again in file order, a row at a time.
+    """
     try:
-        # fast path: parsed alone, each distinct line is blank (None) or one
-        # whole good record, so the ids index the stops as they do the lines
         stops = [stop for line in distinct for stop in _stops((line,), 1, columns, width)]
     except DataError:
         # row path: a record spans lines or a row is bad, so the lines are
         # parsed in file order, and the stops interned as the lines were
         index = defaultdict(count().__next__)
         lines = map(distinct.__getitem__, keys.tolist())
-        keys = np.fromiter(map(index.__getitem__,
-                               _stops(lines, reader.line_num + 1, columns, width)),
+        keys = np.fromiter(map(index.__getitem__, _stops(lines, first, columns, width)),
                            dtype=np.intp)
         stops = list(index)
     labels = sorted({stop[0] for stop in stops if stop})
@@ -749,3 +743,93 @@ def read_dataset_csv(stream: Iterable[str] | TextIO) -> Dataset:
     records = keys[group[keys] >= 0]
     return Dataset(group[records], positive[records].astype(bool), labels, force[records],
                    tuple(force_ids))
+
+
+def _read_text(lines: Iterator[str]) -> Dataset:
+    """:func:`read_dataset_csv` of the text lines ``lines``."""
+    reader = csv.reader(lines, strict=True)
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise DataError(f"line 1: {exc}") from None
+    columns, width = _header_columns(header)
+    index = defaultdict(count().__next__)
+    keys = np.fromiter(map(index.__getitem__, lines), dtype=np.intp)
+    return _dataset_from_lines(keys, list(index), columns, width, reader.line_num + 1)
+
+
+# a CR that ends no line read in binary: text mode ends a line there
+_BARE_CR = re.compile(r"\r(?!\n|\Z)")
+# one line as text mode (``newline=""``) reads it: up to and including a
+# CR, LF or CRLF, or to the end of the input
+_TEXT_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
+
+
+def _text_lines(lines: Iterable[str]) -> Iterator[str]:
+    """The lines that text mode with ``newline=""`` reads from the decoded
+    binary ``lines``, which end only at LF."""
+    for line in lines:
+        yield from map(re.Match.group, _TEXT_LINE.finditer(line))
+
+
+def _read_bytes(first: bytes, lines: Iterator[bytes]) -> Dataset:
+    """:func:`read_dataset_csv` of the binary line ``first`` and the binary
+    lines ``lines`` after it, decoded as strict UTF-8."""
+    header = first.decode()
+    try:
+        rows = list(csv.reader((header,), strict=True))
+    except csv.Error:
+        rows = []
+    if len(rows) != 1 or _BARE_CR.search(header):
+        # text mode would read other lines, or the header spans lines
+        return _read_text(_text_lines(chain((header,), map(bytes.decode, lines))))
+    columns, width = _header_columns(rows[0])
+    index = defaultdict(count().__next__)
+    keys = np.fromiter(map(index.__getitem__, lines), dtype=np.intp)
+    distinct = [line.decode() for line in index]
+    if any(map(_BARE_CR.search, distinct)):
+        return _read_text(_text_lines(chain((header,), map(distinct.__getitem__, keys.tolist()))))
+    return _dataset_from_lines(keys, distinct, columns, width, 2)
+
+
+def read_dataset_csv(stream: Iterable[str] | Iterable[bytes] | TextIO | BinaryIO) -> Dataset:
+    """Load a canonical dataset CSV; group codes follow sorted label order and
+    force codes the order in which forces first appear.
+
+    The stream yields text lines (a file opened with ``newline=""``) or
+    binary lines (a file opened with ``"rb"``, which must be UTF-8), and is
+    read once: a list of lines or a one-shot iterator works as well as a
+    file. Each line is interned as it arrives, to the id of its first
+    appearance; binary lines are interned raw and each distinct line is
+    decoded once. Fast path: when each distinct line, parsed alone, is
+    blank or one whole good record, the columns are built by indexing with
+    the ids, so a file of N stops costs N line reads and dict lookups plus
+    one parse per distinct line (at most 2·K·F for K groups and F forces),
+    and the read holds the distinct lines and N integers, not the lines
+    themselves. Row path: otherwise (a label or force holding CR or LF, so
+    that a record spans lines, or a bad row), the lines are parsed again in
+    file order, a row at a time, from the table of distinct lines. Blank
+    lines are skipped.
+
+    Binary lines give what the same file read as text gives, line numbers
+    included. Where text mode would end a line that binary mode does not
+    (a CR not followed by LF, as in a file with CR line endings), or where
+    the header spans lines, the decoded lines are split as text mode splits
+    them and read in file order as text.
+
+    Raises:
+        DataError: if a column is missing or named twice, a row has fewer
+            fields than the header needs, a row is not a stop (``stopped``
+            other than ``1``) with a ``0``/``1`` outcome, or the strict
+            CSV parser rejects a row (a quote still open at the end of the
+            input included). The first such row in file order is reported,
+            and the message names the physical line on which it began:
+            every line of the file counts, blank lines and the lines
+            inside a quoted field included.
+        UnicodeDecodeError: if a binary line is not valid UTF-8.
+    """
+    lines = iter(stream)  # a list of lines must not give its header twice
+    first = next(lines, None)
+    if isinstance(first, bytes):
+        return _read_bytes(first, lines)
+    return _read_text(chain(() if first is None else (first,), lines))

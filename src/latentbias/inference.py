@@ -431,7 +431,10 @@ def run_gibbs(
         raise DomainError("dataset must be nonempty")
     k = len(dataset.labels)
     labels = list(dataset.labels)
-    counts = dataset.counts()
+    # rows per (group, outcome) cell: negatives and positives of each group
+    negatives, positives = np.bincount(
+        2 * dataset.group + dataset.outcome, minlength=2 * k).reshape(k, 2).T
+    counts = negatives + positives
     if np.any(counts == 0):
         empty = [labels[i] for i in np.nonzero(counts == 0)[0]]
         raise DomainError(f"groups with no records: {empty}")
@@ -478,9 +481,8 @@ def run_gibbs(
 
     if anchored:
         # the latents integrate out: each group's target is fixed by its counts
-        positives = np.bincount(dataset.group, weights=dataset.outcome, minlength=k)
         targets = [_CountTarget(*group, alpha, gamma)
-                   for group in zip(positives, counts - positives, m0, v0)]
+                   for group in zip(positives, negatives, m0, v0)]
         trace_means[:, :k] = _anchored_chain(targets, sweeps, rng, wall)
         trace_means[:, k] = 0.0
         over = np.abs(trace_means).max(axis=1) > config.divergence_mean_limit

@@ -218,10 +218,10 @@ def read_dataset_csv_oracle(stream) -> Dataset:
     group codes follow sorted label order.
 
     Raises:
-        DataError: if a column is missing, a row is not a stop
-            (``stopped`` other than ``1``) with a ``0``/``1`` outcome, or
-            the CSV parser rejects a row; the message names the line on
-            which the row began.
+        DataError: if a column is missing or named twice, a row has too
+            few fields or is not a stop (``stopped`` other than ``1``) with
+            a ``0``/``1`` outcome, or the CSV parser rejects a row; the
+            message names the line on which the row began.
     """
     reader = csv.reader(stream, strict=True)
     groups, outcomes, forces = [], [], []
@@ -230,6 +230,10 @@ def read_dataset_csv_oracle(stream) -> Dataset:
         header = next(reader, None)
         if header is None or not set(_CANONICAL_COLUMNS).issubset(header):
             raise DataError("canonical dataset CSV needs columns group,stopped,outcome,force")
+        repeated = [c for c in _CANONICAL_COLUMNS if header.count(c) > 1]
+        if repeated:
+            raise DataError(f"line 1: the header names {', '.join(map(repr, repeated))} "
+                            "more than once")
         cols = [header.index(c) for c in _CANONICAL_COLUMNS]
         width = max(cols) + 1
         begins = reader.line_num + 1
@@ -237,9 +241,9 @@ def read_dataset_csv_oracle(stream) -> Dataset:
             began, begins = begins, reader.line_num + 1
             if not row:
                 continue
-            group, stopped, outcome, force = (
-                [row[c] for c in cols] if len(row) >= width else [None] * 4
-            )
+            if len(row) < width:
+                raise DataError(f"line {began}: row has {len(row)} fields, need {width}")
+            group, stopped, outcome, force = [row[c] for c in cols]
             if stopped != "1" or outcome not in _OUTCOME_TEXT:
                 raise DataError(
                     f"line {began}: every row must be a stop (stopped 1) "

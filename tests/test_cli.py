@@ -159,6 +159,34 @@ def test_fit_non_utf8_dataset_exit_2(tmp_path, capsys):
     assert f"{bad}: line 4: not valid UTF-8" in err
 
 
+@pytest.mark.parametrize("ending", [b"\r\n", b"\r"])
+def test_crlf_and_cr_datasets_give_the_lf_outputs(canonical_csv, tmp_path, ending):
+    # the canonical file is read as bytes; other line endings change nothing
+    other = tmp_path / "other.csv"
+    other.write_bytes(canonical_csv.read_bytes().replace(b"\n", ending))
+    outputs = []
+    for path, out in ((canonical_csv, tmp_path / "lf"), (other, tmp_path / "other")):
+        assert main(["fit", "--input", str(path), "--sweeps", "30", "--burn-in", "5",
+                     "--seed", "3", "--out-dir", str(out / "fit")]) == 0
+        assert main(["rank", "--input", str(path), "--iterations", "20", "--seed", "3",
+                     "--out-dir", str(out / "rank")]) == 0
+        for method in ("accuracy", "likelihood"):
+            assert main(["score", "--summary", str(out / "fit" / "summary.json"),
+                         "--test", str(path), "--method", method,
+                         "--out-dir", str(out / f"score-{method}")]) == 0
+        outputs.append({file.relative_to(out): file.read_bytes() for file in out.rglob("*")
+                        if file.is_file() and file.name != "manifest.json"})
+    assert len(outputs[0]) == 6
+    assert outputs[0] == outputs[1]
+
+
+def test_fit_dataset_naming_a_column_twice_exit_2(tmp_path, capsys):
+    path = tmp_path / "twice.csv"
+    path.write_text("group,stopped,outcome,force,group\na,1,1,f,b\n", encoding="utf-8")
+    assert main(["fit", "--input", str(path), "--seed", "1", "--out-dir", str(tmp_path / "x")]) == 2
+    assert "line 1: the header names 'group' more than once" in capsys.readouterr().err
+
+
 def test_ingest_empty_file_ok(tmp_path):
     raw = tmp_path / "empty.csv"
     raw.write_text(HEADER)

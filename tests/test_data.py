@@ -523,3 +523,68 @@ def test_dataset_csv_read_holds_no_list_of_lines():
 def test_dataset_csv_rejects_wrong_schema():
     with pytest.raises(DataError):
         read_dataset_csv(io.StringIO("a,b\n1,2\n"))
+
+
+@pytest.mark.parametrize("header, named", [("group,stopped,outcome,force,group", "'group'"),
+                                           ("force,group,stopped,force,outcome", "'force'")])
+def test_dataset_csv_rejects_a_column_named_twice(header, named):
+    text = header + "\na,1,1,f,b\n"
+    for stream in (io.StringIO(text), io.BytesIO(text.encode())):
+        with pytest.raises(DataError, match=f"^line 1: the header names {named} more than once"):
+            read_dataset_csv(stream)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("group,stopped,outcome,force\nb,1,1,f\na,1,0\n", "line 3: row has 3 fields, need 4"),
+    ("group,stopped,outcome,force\na,1\n", "line 2: row has 2 fields, need 4"),
+    ("stopped,group,note,outcome,force\n1,a,n\n", "line 2: row has 3 fields, need 5")])
+def test_dataset_csv_short_row_names_its_field_count(text, message):
+    with pytest.raises(DataError, match=f"^{message}$"):
+        read_dataset_csv(io.StringIO(text))
+
+
+def _with_endings(text, ending):
+    return text.replace("\n", ending).encode()
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+def test_dataset_csv_reads_binary_lines_as_text_lines(ending):
+    # a binary read ends lines at LF only, so a CR-only file is one binary
+    # line, which a csv reader fed those lines rejects as a line break in an
+    # unquoted field; it must read as the text does
+    records = Dataset(np.array([1, 0, 2, 1, 0]), np.array([True, False, True, True, False]),
+                      ("a", "b", "c"), np.array([0, 1, 1, 0, 1]), ("Police, PSNI", "f"))
+    buf = io.StringIO()
+    write_dataset_csv(records, buf)
+    raw = _with_endings(buf.getvalue(), ending)
+    assert _same_dataset(read_dataset_csv(io.BytesIO(raw)), records)
+    assert _same_dataset(read_dataset_csv(raw.splitlines(keepends=True)), records)
+    bad = _with_endings("group,stopped,outcome,force\na,1,1,f\n\na,1,x,f\n", ending)
+    with pytest.raises(DataError, match="^line 4: every row must be a stop"):
+        read_dataset_csv(io.BytesIO(bad))
+
+
+def test_dataset_csv_binary_error_names_the_text_line():
+    # a header that spans lines or recurs, and a quoted CR that text mode
+    # ends a line at, in the header and in a row
+    for text, line in (('group,stopped,outcome,force,"no\nte"\na,1,1,f,n\na,1,x,f,n\n', 4),
+                       ('group,stopped,outcome,force\na,1,1,f\ngroup,stopped,outcome,force\n',
+                        3),
+                       ('group,stopped,outcome,"x\ry",force\na,1,1,n,f\na,1,x,n,f\n', 4),
+                       ('group,stopped,outcome,force\na,1,1,"f\rg"\na,1,x,f\n', 4)):
+        with pytest.raises(DataError, match=f"^line {line}: every row must be a stop"):
+            read_dataset_csv(io.StringIO(text, newline=""))
+        with pytest.raises(DataError, match=f"^line {line}: every row must be a stop"):
+            read_dataset_csv(io.BytesIO(text.encode()))
+    text = 'group,stopped,outcome,force,"no\nte"\na,1,1,f,n\nb,1,0,g,n\n'
+    back = read_dataset_csv(io.BytesIO(text.encode()))
+    assert back.labels == ("a", "b") and back.forces == ("f", "g")
+    assert back.outcome.tolist() == [True, False]
+
+
+def test_dataset_csv_binary_lines_decode_as_strict_utf8():
+    back = read_dataset_csv(io.BytesIO("group,stopped,outcome,force\né,1,1,中\n".encode()))
+    assert back.labels == ("é",) and back.forces == ("中",)
+    for raw in (b"group,stopped,outcome,force\na,1,0,\xff\n", b"group,stopped,\xffoutcome\n"):
+        with pytest.raises(UnicodeDecodeError):
+            read_dataset_csv(io.BytesIO(raw))

@@ -20,6 +20,7 @@ from latentbias import (
     DomainError,
     EthnicityMapping,
     GibbsTrace,
+    ModelConfig,
     PosteriorSummary,
     PriorKind,
     SchemeKind,
@@ -28,6 +29,7 @@ from latentbias import (
     parse_records,
     read_dataset_csv,
     read_trace_csv,
+    run_gibbs,
     sample_truncated_normal,
     split,
     truncated_moments,
@@ -122,9 +124,9 @@ def canonical_texts(draw):
     return header + draw(_ENDING) + "".join(pool[i] for i in picks) + tail
 
 
-def _read_result(read, text, newline):
+def _read_result(read, stream):
     try:
-        dataset = read(io.StringIO(text, newline=newline))
+        dataset = read(stream)
     except DataError as exc:
         return str(exc)
     return (dataset.labels, dataset.forces, dataset.group.dtype, dataset.group.tolist(),
@@ -140,9 +142,16 @@ def _read_result(read, text, newline):
 @example('group,stopped,outcome,force\r\n"b\r\n\r\nc",1,0,"f,\r"\r\n\r\na,1,1,f\r\n', "")
 def test_dataset_csv_reader_matches_row_oracle(text, newline):
     # the same Dataset, or the same DataError with the same line, as a
-    # reader that parses every record in file order
-    assert _read_result(read_dataset_csv, text, newline) == \
-        _read_result(read_dataset_csv_oracle, text, newline)
+    # reader that parses every record in file order; read as bytes, the
+    # text reads as a file opened with newline="" does
+    assert _read_result(read_dataset_csv, io.StringIO(text, newline=newline)) == \
+        _read_result(read_dataset_csv_oracle, io.StringIO(text, newline=newline))
+    try:
+        raw = text.encode()
+    except UnicodeEncodeError:  # a lone surrogate has no UTF-8 form
+        return
+    assert _read_result(read_dataset_csv, io.BytesIO(raw)) == \
+        _read_result(read_dataset_csv_oracle, io.StringIO(text, newline=""))
 
 
 # mapped, unmapped and blank ethnicities; guilty (severe), guilty (lenient),
@@ -380,6 +389,28 @@ def test_trueskill_gibbs_ignores_match_order(matches, shuffler, iterations, seed
     want = trueskill_gibbs(winners, losers, players, iterations, seed, anchor)
     got = trueskill_gibbs(winners[order], losers[order], players, iterations, seed, anchor)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.booleans(), min_size=1, max_size=30), min_size=1, max_size=4),
+       st.randoms(use_true_random=False), st.sampled_from([PriorKind.INDEPENDENT,
+                                                           PriorKind.DEPENDENT]),
+       st.integers(0, 2**32 - 1))
+def test_anchored_run_gibbs_ignores_row_order(outcomes, shuffler, prior, seed):
+    # the anchored chain sees only each group's counts of positive and
+    # negative rows, so any order of the rows gives the same trace and summary
+    group = np.repeat(np.arange(len(outcomes)), [len(o) for o in outcomes])
+    outcome = np.array([o for rows in outcomes for o in rows], dtype=bool)
+    labels = [f"g{k}" for k in range(len(outcomes))]
+    order = list(range(group.size))
+    shuffler.shuffle(order)
+    config = ModelConfig(seed=seed, prior=prior, sweeps=6, burn_in=2)
+    want_summary, want = run_gibbs(Dataset(group, outcome, labels), config)
+    got_summary, got = run_gibbs(Dataset(group[order], outcome[order], labels), config)
+    for name in ("means", "variances", "cross_cov"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got_summary.to_json() == want_summary.to_json()
+    assert np.array_equal(got_summary.bias_mean, want_summary.bias_mean)
 
 
 @settings(max_examples=200, deadline=None)
