@@ -264,6 +264,8 @@ class EthnicityMapping:
     def __post_init__(self):
         if self.precedence not in ("officer", "self"):
             raise DomainError(f"precedence must be 'officer' or 'self', got {self.precedence!r}")
+        if not self.group_labels:
+            raise DomainError("the group label list must be nonempty")
         if len(set(self.group_labels)) != len(self.group_labels):
             raise DomainError("group labels must be unique")
         bad = set(self.mapping.values()) - set(self.group_labels)
@@ -401,13 +403,12 @@ def parse_records(
     """Parse raw CSV rows into a dataset labelled by the mapping's groups,
     with outcomes coarsened by scheme ``kind`` from the mapping's sets.
 
-    Hard errors (missing required column, unparseable header, or any row
-    the strict CSV parser rejects) raise
+    Hard errors (a required column missing or named twice, unparseable
+    header, or any row the strict CSV parser rejects) raise
     :class:`~latentbias.errors.DataError`, and LenientSevere with an empty
     lenient set raises :class:`~latentbias.errors.DomainError`; rows with
     too few fields are dropped and counted as malformed, never aborting
-    the ingest. Blank lines are skipped. A column named twice in the
-    header reads its last occurrence. Under the LenientSevere scheme, rows
+    the ingest. Blank lines are skipped. Under the LenientSevere scheme, rows
     that are not guilty-positive are excluded (the severity dataset covers
     confirmed offences only). The report's kept-row and per-group tallies
     are those of the returned dataset.
@@ -438,6 +439,7 @@ def parse_records(
     missing = [c for c in RAW_COLUMNS if c not in position]
     if missing:
         raise DataError(f"missing required column(s): {', '.join(missing)}")
+    _require_named_once(header, RAW_COLUMNS)
     i_force, i_officer, i_self, i_outcome = (position[c] for c in RAW_COLUMNS)
     i_first, i_second = (
         (i_officer, i_self) if mapping.precedence == "officer" else (i_self, i_officer)
@@ -698,6 +700,14 @@ def _stops(lines: Iterable[str], first: int, columns: itemgetter, width: int):
         yield group, outcome == "1", force
 
 
+def _require_named_once(header: list, names) -> None:
+    """Raise :class:`DataError` if ``header`` names any of ``names`` more than once."""
+    twice = [name for name in names if header.count(name) > 1]
+    if twice:
+        raise DataError(f"line 1: the header names {', '.join(map(repr, twice))} "
+                        "more than once")
+
+
 def _header_columns(header: list | None) -> tuple[itemgetter, int]:
     """The getter of the canonical columns from a row with ``header``, and
     the number of fields a row needs.
@@ -707,10 +717,7 @@ def _header_columns(header: list | None) -> tuple[itemgetter, int]:
     """
     if header is None or not set(_CANONICAL_COLUMNS).issubset(header):
         raise DataError("canonical dataset CSV needs columns group,stopped,outcome,force")
-    twice = [name for name in _CANONICAL_COLUMNS if header.count(name) > 1]
-    if twice:
-        raise DataError(f"line 1: the header names {', '.join(map(repr, twice))} "
-                        "more than once")
+    _require_named_once(header, _CANONICAL_COLUMNS)
     cols = [header.index(name) for name in _CANONICAL_COLUMNS]
     return itemgetter(*cols), max(cols) + 1
 

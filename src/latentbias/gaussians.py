@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError
 
 __all__ = [
     "std_normal_cdf",
@@ -51,10 +51,8 @@ _LOG_SQRT_2PI = math.log(_SQRT_2PI)
 _SQRT1_2 = math.sqrt(0.5)
 _TWO_PI = 2.0 * math.pi
 
-# Below this kept tail mass the inverse-CDF path loses resolution and the
-# sampler switches to exponential-proposal rejection.
+# below this kept tail mass the sampler inverts the CDF in log space
 _TAIL_MASS_SWITCH = 1e-6
-_MAX_REJECTION_ROUNDS = 1000
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 # continued-fraction moments from this truncation point on, to full precision
 _FAR_TAIL_SWITCH, _FAR_TAIL_TERMS = 5.0, 40
@@ -264,73 +262,21 @@ def truncated_moments(mean, variance):
     return sd * gap, variance * gap * (rest - gap)
 
 
-def _invert_upper_tail(u: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Map uniforms ``u`` in [0, 1) onto the kept upper-tail masses ``q``
-    and invert the CDF there, in place in ``u``."""
-    from scipy import special
-
-    # (1-u)*q stays in (0, q]; the clip keeps ndtri away from an exact 1.0
-    np.subtract(1.0, u, out=u)
-    u *= q
-    np.minimum(u, _BELOW_ONE, out=u)
-    return np.negative(special.ndtri(u, out=u), out=u)
-
-
-def _sample_lower_truncated_std(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Z ~ N(0,1) conditioned on Z > a, elementwise over ``a``.
-
-    With :func:`_invert_upper_tail`, the package's only scipy user: the
-    inverse CDF has no stdlib counterpart, so ``scipy.special`` is
-    imported at the first draw, never when the CLI starts.
-    """
-    from scipy import special
-
-    q = special.ndtr(-a)  # kept tail mass
-    easy = q >= _TAIL_MASS_SWITCH
-    if easy.all():  # no far tail: no gather or scatter
-        return _invert_upper_tail(rng.random(a.shape), q)
-    out = np.empty_like(a)
-    out[easy] = _invert_upper_tail(rng.random(int(easy.sum())), q[easy])
-    hard = ~easy
-    out[hard] = _sample_tail_rejection(a[hard], rng)
-    return out
-
-
-def _sample_tail_rejection(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Exponential-proposal rejection sampler for far tails (Robert 1995).
-
-    Acceptance probability approaches 1 as the truncation point grows, so
-    the loop is bounded in practice; a hard round cap guards pathological
-    inputs.
-    """
-    out = np.empty_like(a)
-    pending = np.arange(a.size)
-    rate = 0.5 * (a + np.sqrt(a * a + 4.0))
-    rounds = 0
-    while pending.size:
-        rounds += 1
-        if rounds > _MAX_REJECTION_ROUNDS:
-            raise NumericalError(
-                f"tail rejection sampler failed to accept after {rounds - 1} rounds"
-            )
-        lam = rate[pending]
-        z = a[pending] + rng.exponential(1.0, pending.size) / lam
-        accept = rng.random(pending.size) <= np.exp(-0.5 * (z - lam) ** 2)
-        out[pending[accept]] = z[accept]
-        pending = pending[~accept]
-    return out
-
-
 def sample_truncated_normal(mean, variance, rng: np.random.Generator):
     """Sample N(mean, variance) restricted to the half-line ``x > 0``.
 
     ``mean`` is a 1-D ndarray, or a scalar, which returns a float;
-    ``variance`` is a positive, finite scalar. Moderate truncations use the
-    inverse CDF; when the kept mass drops below 1e-6 the sampler switches
-    to exponential-proposal rejection, so far tails (standardized
-    truncation points of 8 and beyond) neither loop unboundedly nor lose
-    support. Draw the negative half-line as
-    ``-sample_truncated_normal(-mean, variance, rng)``.
+    ``variance`` is a positive, finite scalar. Each draw inverts the CDF of
+    the standardized ``Z > a = -mean/sd`` at one uniform ``u``,
+    ``P(Z > z) = (1 - u) Phi(-a)``, with no loop. Where the kept mass
+    ``Phi(-a)`` is below 1e-6 the inversion runs in log space,
+    ``z = -ndtri_exp(log1p(-u) + log_ndtr(-a))``, so far tails stay exact
+    and in support after ``Phi(-a)`` underflows near ``a = 38``. Draw the
+    negative half-line as ``-sample_truncated_normal(-mean, variance, rng)``.
+
+    The package's only scipy user: the inverse CDF has no stdlib
+    counterpart, so ``scipy.special`` is imported at the first draw, never
+    when the CLI starts.
 
     Raises:
         DomainError: non-finite mean, or variance not positive and finite.
@@ -339,7 +285,21 @@ def sample_truncated_normal(mean, variance, rng: np.random.Generator):
     if not np.isfinite(m).all():
         raise DomainError("mean must be finite")
     sd = math.sqrt(_require_variance(variance))
-    x = _sample_lower_truncated_std(np.atleast_1d(m / -sd), rng)
+    from scipy import special
+
+    a = np.atleast_1d(m / -sd)
+    u = rng.random(a.shape)
+    q = special.ndtr(-a)  # kept tail mass
+    far = q < _TAIL_MASS_SWITCH
+    if far.any():
+        log_kept = np.log1p(-u[far]) + special.log_ndtr(-a[far])
+    # (1-u)*q stays in (0, q]; the clip keeps ndtri away from an exact 1.0
+    np.subtract(1.0, u, out=u)
+    u *= q
+    np.minimum(u, _BELOW_ONE, out=u)
+    x = np.negative(special.ndtri(u, out=u), out=u)
+    if far.any():
+        x[far] = -special.ndtri_exp(log_kept)
     x *= sd
     x += m
     return float(x[0]) if m.ndim == 0 else x

@@ -13,6 +13,8 @@ proposals in one generator call and its uniforms in another, and evaluates
 each target once, on all its proposals, in one array call per group.
 With it off the chain keeps one criminality per record, redraws the
 latents, and applies the coupled natural-parameter combination literally;
+each sweep is one array pass over every record (two truncated-normal
+calls, the per-group sums by ``np.bincount``);
 the cross terms amplify any mismatch between bias-side and outcome-side
 evidence by roughly ``N / (K + 1)`` per sweep, so unanchored FREE runs
 diverge within a few sweeps on asymmetric data - the documented
@@ -185,9 +187,11 @@ class PosteriorSummary:
 
     @classmethod
     def from_json(cls, text: str) -> "PosteriorSummary":
+        """The summary :meth:`to_json` wrote, ``alpha`` and ``gamma`` optional.
+        Raises DomainError on a missing, mistyped or inconsistent field."""
         try:
             d = json.loads(text)
-            return cls(
+            summary = cls(
                 labels=list(d["labels"]),
                 bias_mean=np.asarray(d["bias_mean"], dtype=float),
                 bias_variance=np.asarray(d["bias_variance"], dtype=float),
@@ -201,6 +205,20 @@ class PosteriorSummary:
             )
         except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
             raise DomainError(f"not a posterior summary: {exc}") from None
+        k = len(summary.labels)
+        for name in ("bias_mean", "bias_variance", "rank"):
+            values = getattr(summary, name)
+            if values.shape != (k,):
+                raise DomainError(f"not a posterior summary: {name!r} needs {k} entries, "
+                                  f"one per label, got {values.size}")
+        if not np.isfinite(summary.bias_mean).all():
+            raise DomainError("not a posterior summary: 'bias_mean' must be finite")
+        if not ((summary.bias_variance > 0) & np.isfinite(summary.bias_variance)).all():
+            raise DomainError(
+                "not a posterior summary: 'bias_variance' must be positive and finite")
+        if sorted(summary.rank.tolist()) != list(range(1, k + 1)):
+            raise DomainError(f"not a posterior summary: 'rank' must be a permutation of 1..{k}")
+        return summary
 
 
 def _ranks_desc(values: np.ndarray) -> np.ndarray:
@@ -490,30 +508,26 @@ def run_gibbs(
             sweep = int(np.argmax(over))
             raise diverged(sweep, f"max |mean| {np.abs(trace_means[sweep]).max():.3g}")
     else:
-        # outcome signs of each group's records, in row order
-        taus = [np.where(dataset.outcome[dataset.group == g], 1.0, -1.0) for g in range(k)]
+        # one array pass per sweep over every record, in row order
+        group = dataset.group
+        tau = np.where(dataset.outcome, 1.0, -1.0)  # outcome sign of each record
         eta0 = np.append(m0 / v0, 0.0)
         # per-record bias draws around the coupled mean with the marginal sd
-        draw_sd = np.sqrt(np.diag(cov_rep)[:k])
+        draw_sd = np.sqrt(np.diag(cov_rep)[:k])[group]
         # persistent per-record criminalities, initialised from their prior
-        crims = [rng.standard_normal(int(n)) for n in counts]
+        c = rng.standard_normal(group.size)
         mean = np.append(m0, 0.0)
         v_stop = 1.0 / (1.0 + 1.0 / alpha + 1.0 / gamma)
         sd_stop = math.sqrt(v_stop)
         for sweep in range(sweeps):
             t0 = time.perf_counter()
-            eta = eta0.copy()
-            for g in range(k):
-                n = int(counts[g])
-                c, tau = crims[g], taus[g]
-                b = mean[g] + draw_sd[g] * rng.standard_normal(n)
-                s_lat = sample_truncated_normal(c + b, alpha, rng)
-                # the outcome latent lives on tau * x > 0: draw it mirrored onto x > 0
-                t_lat = tau * sample_truncated_normal(tau * c, gamma, rng)
-                c = v_stop * ((s_lat - b) / alpha + t_lat / gamma) + sd_stop * rng.standard_normal(n)
-                crims[g] = c
-                eta[g] += float(np.sum(s_lat - c)) / alpha
-                eta[k] += float(np.sum(t_lat)) / gamma
+            b = mean[group] + draw_sd * rng.standard_normal(group.size)
+            s_lat = sample_truncated_normal(c + b, alpha, rng)
+            # the outcome latent lives on tau * x > 0: draw it mirrored onto x > 0
+            t_lat = tau * sample_truncated_normal(tau * c, gamma, rng)
+            c = v_stop * ((s_lat - b) / alpha + t_lat / gamma)
+            c += sd_stop * rng.standard_normal(group.size)
+            eta = eta0 + np.append(np.bincount(group, s_lat - c, k) / alpha, t_lat.sum() / gamma)
             mean = cov_rep @ eta
             if np.any(np.abs(mean) > config.divergence_mean_limit):
                 raise diverged(sweep, f"max |mean| {np.abs(mean).max():.3g}")

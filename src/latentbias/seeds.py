@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DomainError
+
 DOMAIN_DATA = 0
 DOMAIN_FIT = 1
 DOMAIN_RANK = 2
@@ -30,7 +32,9 @@ DOMAIN_BALANCE = 4
 
 
 def seed_sequence(root_seed: int, *spawn_key: int) -> np.random.SeedSequence:
-    """SeedSequence for ``root_seed`` at the given spawn key."""
+    """SeedSequence for ``root_seed`` at the given spawn key; DomainError if it is negative."""
+    if root_seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {root_seed}")
     return np.random.SeedSequence(root_seed, spawn_key=tuple(spawn_key))
 
 

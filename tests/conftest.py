@@ -272,9 +272,9 @@ def parse_records_oracle(stream, mapping, kind):
     """Raw export parsed one row at a time, every rule applied per row.
 
     Raises:
-        DataError: if the header lacks a required column or the strict CSV
-            parser rejects a row; the message names the line on which the
-            rejected row began.
+        DataError: if the header lacks a required column or names one
+            twice, or the strict CSV parser rejects a row; the message names
+            the line on which the rejected row began.
         DomainError: for LenientSevere with an empty lenient set.
     """
     if kind is SchemeKind.LENIENT_SEVERE and not mapping.lenient_set:
@@ -290,6 +290,10 @@ def parse_records_oracle(stream, mapping, kind):
     missing = [c for c in RAW_COLUMNS if c not in position]
     if missing:
         raise DataError(f"missing required column(s): {', '.join(missing)}")
+    twice = [c for c in RAW_COLUMNS if header.count(c) > 1]
+    if twice:
+        raise DataError(f"line 1: the header names {', '.join(map(repr, twice))} "
+                        "more than once")
     i_force, i_officer, i_self, i_outcome = (position[c] for c in RAW_COLUMNS)
     width = max(i_force, i_officer, i_self, i_outcome) + 1
     i_first, i_second = (

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -137,6 +138,34 @@ def test_mapping_with_mistyped_value_exit_2(raw_csv, tmp_path, capsys, changes, 
     assert not (out / "manifest.json").exists()
 
 
+def test_mapping_with_no_group_labels_exit_2(raw_csv, tmp_path, capsys):
+    # no group for an unmapped ethnicity to fall back to
+    doc = json.loads(default_mapping().to_json())
+    doc.update(group_labels=[], ethnicity={})
+    mapping = tmp_path / "mapping.json"
+    mapping.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["ingest", "--input", str(raw_csv), "--mapping", str(mapping),
+                 "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == "error: the group label list must be nonempty\n"
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--seed", "-1"],
+    ["rank", "--seed", "-5"],
+    # the augmented preset's balancing draw, before the fit derives its chain seed
+    ["fit", "--preset", "augmented", "--seed", "-1"],
+])
+def test_negative_seed_exit_2(raw_csv, canonical_csv, tmp_path, capsys, argv):
+    source = raw_csv if "--preset" in argv else canonical_csv
+    out = tmp_path / "o"
+    assert main(argv + ["--input", str(source), "--out-dir", str(out)]) == 2
+    seed = argv[argv.index("--seed") + 1]
+    assert capsys.readouterr().err == f"error: seed must be a non-negative integer, got {seed}\n"
+    assert not (out / "manifest.json").exists()
+
+
 def test_ingest_unreadable_input_exit_2(tmp_path):
     assert main(["ingest", "--input", str(tmp_path / "nope.csv"), "--out-dir", str(tmp_path / "o")]) == 2
 
@@ -185,6 +214,15 @@ def test_fit_dataset_naming_a_column_twice_exit_2(tmp_path, capsys):
     path.write_text("group,stopped,outcome,force,group\na,1,1,f,b\n", encoding="utf-8")
     assert main(["fit", "--input", str(path), "--seed", "1", "--out-dir", str(tmp_path / "x")]) == 2
     assert "line 1: the header names 'group' more than once" in capsys.readouterr().err
+
+
+def test_ingest_header_naming_a_column_twice_exit_2(tmp_path, capsys):
+    raw = tmp_path / "twice.csv"
+    raw.write_text(HEADER.strip() + ",force\nA,White,,Arrest,2024-03-03,B\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["ingest", "--input", str(raw), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == "error: line 1: the header names 'force' more than once\n"
+    assert not (out / "manifest.json").exists()
 
 
 def test_ingest_empty_file_ok(tmp_path):
@@ -453,6 +491,31 @@ def test_score_schema_mismatch_exit_2(canonical_csv, tmp_path):
     bad.write_text("{\"nope\": 1}")
     assert main(["score", "--summary", str(bad), "--test", str(canonical_csv),
                  "--out-dir", str(tmp_path / "s")]) == 2
+
+
+@pytest.mark.parametrize("method", ["likelihood", "accuracy"])
+def test_score_inconsistent_summary_exit_2(canonical_csv, tmp_path, capsys, method):
+    fit_dir = tmp_path / "f"
+    assert main(["fit", "--input", str(canonical_csv), "--sweeps", "20", "--burn-in", "4",
+                 "--seed", "2", "--out-dir", str(fit_dir)]) == 0
+    doc = json.loads((fit_dir / "summary.json").read_text(encoding="utf-8"))
+    capsys.readouterr()
+    for i, (changes, message) in enumerate([
+        ({"bias_mean": doc["bias_mean"][:1]}, "'bias_mean' needs 2 entries, one per label, got 1"),
+        ({"rank": [1, 2, 3]}, "'rank' needs 2 entries, one per label, got 3"),
+        ({"bias_mean": [math.nan, 0.5]}, "'bias_mean' must be finite"),
+        ({"bias_variance": [1.0, 0.0]}, "'bias_variance' must be positive and finite"),
+        ({"bias_variance": [math.inf, 1.0]}, "'bias_variance' must be positive and finite"),
+        ({"rank": [1, 1]}, "'rank' must be a permutation of 1..2"),
+        ({"rank": [2, 3]}, "'rank' must be a permutation of 1..2"),
+    ]):
+        bad = tmp_path / f"bad{i}.json"
+        bad.write_text(json.dumps({**doc, **changes}), encoding="utf-8")
+        out = tmp_path / f"s{i}"
+        assert main(["score", "--summary", str(bad), "--test", str(canonical_csv),
+                     "--method", method, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: not a posterior summary: {message}\n")
+        assert not (out / "manifest.json").exists()
 
 
 def test_score_unknown_group_label_exit_2(canonical_csv, tmp_path):

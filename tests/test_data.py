@@ -184,9 +184,12 @@ def test_parse_error_names_the_line_the_record_began():
 
 def test_parse_blank_lines_short_rows_and_duplicate_columns():
     # blank lines are not rows; a row too short to reach a required column
-    # is malformed; a column named twice reads its last occurrence
+    # is malformed; an unused column may be named twice, a required one not
+    with pytest.raises(DataError, match="^line 1: the header names 'outcome' more than once$"):
+        _parse("outcome,force,officer_defined_ethnicity,self_defined_ethnicity,outcome\n"
+               "Arrest,ForceA,White,,Arrest\n")
     text = (
-        "outcome,force,officer_defined_ethnicity,self_defined_ethnicity,outcome\n"
+        "note,force,officer_defined_ethnicity,self_defined_ethnicity,outcome,note\n"
         "\n"
         "ignored,ForceA,White,,Arrest\n"
         "\n"

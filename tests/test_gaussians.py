@@ -160,12 +160,29 @@ def test_negative_sign_mirror():
 
 
 def test_extreme_tail_does_not_hang_or_leak():
-    # kept mass ~6e-16: must use the rejection path, finish fast, stay in support
+    # kept mass ~6e-16: must use the log-space path, finish fast, stay in support
     rng = np.random.default_rng(4)
     xs = sample_truncated_normal(np.full(100_000, -8.0), 1.0, rng)
     assert np.all(xs > 0)
     m, _v = truncated_moment_oracle(-8.0, 1.0, 1.0)
     assert xs.mean() == pytest.approx(m, abs=0.02)
+
+
+@pytest.mark.parametrize("a", [20.0, 38.0, 100.0])
+def test_log_space_tail_matches_moments(a):
+    # Phi(-a) is 3e-89 at 20, subnormal at 38 and 0 at 100: only the
+    # log-space inversion keeps these draws; each takes one uniform
+    n = 100_000
+    for variance in (1.0, 4.0):
+        rng, spent = np.random.default_rng(int(a)), np.random.default_rng(int(a))
+        xs = sample_truncated_normal(np.full(n, -a * math.sqrt(variance)), variance, rng)
+        spent.random(n)
+        assert rng.random() == spent.random()
+        assert np.all(np.isfinite(xs)) and np.all(xs > 0)
+        m, v = truncated_moments(-a * math.sqrt(variance), variance)
+        fourth = np.mean((xs - xs.mean()) ** 4)
+        assert abs(xs.mean() - m) < 5 * math.sqrt(v / n)
+        assert abs(xs.var() - v) < 5 * math.sqrt((fourth - v * v) / n)
 
 
 def test_truncation_support_fuzz():
@@ -218,7 +235,7 @@ def test_truncated_moments_far_tail(mean):
 
 
 def test_sample_deterministic_given_seed():
-    means = np.linspace(-9.0, 3.0, 50)  # both the inverse-CDF and the rejection branch
+    means = np.linspace(-9.0, 3.0, 50)  # both the inverse-CDF and the log-space branch
     a = sample_truncated_normal(means, 1.0, np.random.default_rng(42))
     b = sample_truncated_normal(means, 1.0, np.random.default_rng(42))
     assert np.array_equal(a, b)

@@ -48,7 +48,7 @@ def _asym_records(counts=(1500, 900, 600), positive_rate=32, labels=None):
 
 # --- latent sampling -------------------------------------------------------------
 # run_gibbs draws s ~ N(c + b, alpha) on s > 0 for every stop and
-# t ~ N(c, gamma) on the outcome's side, one vectorised call per group
+# t ~ N(c, gamma) on the outcome's side, one vectorised call over every record
 
 def test_latents_respect_signs():
     rng = np.random.default_rng(0)

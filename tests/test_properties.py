@@ -182,13 +182,14 @@ def test_parse_records_report_matches_dataset(rows, kind):
     assert report.rows_kept + report.rows_dropped == report.rows_total
 
 
-# raw export headers: extra columns in any order, a column named twice (the
-# last occurrence is read), and one header missing a required column
+# raw export headers: extra columns in any order, an unused column named
+# twice, a required column named twice (an error), and one header missing a
+# required column
 _RAW_HEADERS = (
     "force,officer_defined_ethnicity,self_defined_ethnicity,outcome",
     "force,officer_defined_ethnicity,self_defined_ethnicity,outcome,date,note",
     "date,outcome,note,self_defined_ethnicity,force,officer_defined_ethnicity",
-    "outcome,force,officer_defined_ethnicity,self_defined_ethnicity,outcome,date",
+    "note,force,officer_defined_ethnicity,self_defined_ethnicity,outcome,date,note",
     "force,officer_defined_ethnicity,date,force,self_defined_ethnicity,outcome,note",
     "force,officer_defined_ethnicity,outcome,date",
 )
