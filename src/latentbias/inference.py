@@ -43,7 +43,7 @@ import numpy as np
 
 from .data import Dataset, _csv_field
 from .errors import ConditioningError, DivergenceError, DomainError, NumericalError
-from .gaussians import ndtr, owens_t, owens_t_tail, sample_truncated_normal, std_normal_cdf
+from .gaussians import ndtr, orthant_masses, sample_truncated_normal
 from .model import ModelConfig, PriorKind, build_prior, descending_order
 
 __all__ = [
@@ -195,7 +195,7 @@ class PosteriorSummary:
                 labels=list(d["labels"]),
                 bias_mean=np.asarray(d["bias_mean"], dtype=float),
                 bias_variance=np.asarray(d["bias_variance"], dtype=float),
-                rank=np.asarray(d["rank"], dtype=int),
+                rank=np.asarray(d["rank"], dtype=float),
                 criminality_mean=float(d["criminality_mean"]),
                 criminality_variance=float(d["criminality_variance"]),
                 prior_kind=PriorKind.from_string(d["prior_kind"]),
@@ -206,6 +206,9 @@ class PosteriorSummary:
         except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
             raise DomainError(f"not a posterior summary: {exc}") from None
         k = len(summary.labels)
+        for i, label in enumerate(summary.labels):
+            if label in summary.labels[:i]:
+                raise DomainError(f"not a posterior summary: label {label!r} is repeated")
         for name in ("bias_mean", "bias_variance", "rank"):
             values = getattr(summary, name)
             if values.shape != (k,):
@@ -218,6 +221,7 @@ class PosteriorSummary:
                 "not a posterior summary: 'bias_variance' must be positive and finite")
         if sorted(summary.rank.tolist()) != list(range(1, k + 1)):
             raise DomainError(f"not a posterior summary: 'rank' must be a permutation of 1..{k}")
+        summary.rank = summary.rank.astype(int)
         return summary
 
 
@@ -232,43 +236,20 @@ class _CountTarget:
 
         log N(beta; m0, v0) + n_pos log P+(beta) + n_neg log P-(beta),
 
-    up to a constant. ``P+-`` are the orthant masses of (S, T) = (C + beta +
-    N(0, alpha), C + N(0, gamma)), C ~ N(0,1), on S > 0 and +-T > 0; with
-    ``h = beta/sqrt(1+alpha)``, ``rho = 1/sqrt((1+alpha)(1+gamma))`` and
-    ``r = rho/sqrt(1-rho^2)``, Owen's T gives ``P+- = Phi(h)/2 +- T(h, r)``.
-    Where ``h r < -1`` the difference for ``P-`` cancels, so ``P-`` is the
-    tail integral ``(1/2pi) int_r^inf exp(-h^2 (1+x^2)/2)/(1+x^2) dx``
-    (:func:`~latentbias.gaussians.owens_t_tail`) instead: both masses keep
-    their relative precision until they underflow. The density is
-    log-concave.
+    up to a constant, where ``P+-`` are the orthant masses of (S, T) = (C +
+    beta + N(0, alpha), C + N(0, gamma)), C ~ N(0,1), on S > 0 and +-T > 0:
+    :func:`~latentbias.gaussians.orthant_masses` at ``h = beta/sqrt(1+alpha)``
+    and ``k = 0``, precise until they underflow. The density is log-concave.
     """
 
     def __init__(self, n_pos, n_neg, m0, v0, alpha: float, gamma: float):
         # Python floats: the mode solve's float arithmetic runs on them
         self.n_pos, self.n_neg, self.m0, self.v0 = (float(v) for v in (n_pos, n_neg, m0, v0))
-        # r^2 = rho^2/(1 - rho^2) = 1/(alpha + gamma + alpha gamma), without
-        # the cancellation in 1 - rho^2 when both noises are tiny
         self.sa, self.r = math.sqrt(1.0 + alpha), math.sqrt(1.0 / (alpha + gamma + alpha * gamma))
-
-    def masses(self, h):
-        """``(P+, P-)`` at a standardized ``h = beta/sqrt(1+alpha)``: floats
-        for a float, arrays for a 1-D array."""
-        r = self.r
-        t = owens_t(h, r)
-        if isinstance(h, np.ndarray):
-            half = 0.5 * std_normal_cdf(h)
-            neg = half - t
-            rare = h * r < -1.0
-            if rare.any():
-                neg[rare] = owens_t_tail(h[rare], r)
-        else:
-            half = 0.5 * ndtr(h)
-            neg = owens_t_tail(h, r) if h * r < -1.0 else half - t
-        return half + t, neg
 
     def log_density(self, beta: np.ndarray) -> np.ndarray:
         """The log density at each ``beta``; ``-inf`` where a needed mass underflows."""
-        pos, neg = self.masses(beta / self.sa)
+        pos, neg = orthant_masses(beta / self.sa, 0.0, self.r)
         out = -((beta - self.m0) ** 2) / (2.0 * self.v0)
         with np.errstate(divide="ignore"):
             if self.n_pos:
@@ -281,12 +262,12 @@ class _CountTarget:
         """First and second derivatives of the log density at a float ``beta``,
         from ``dP+-/dh = phi(h) Phi(-+r h)``, ``d2P+-/dh2 = -h dP+-/dh -+ r phi(h) phi(r h)``.
 
-        Float arithmetic only (the float paths of ``ndtr`` and Owen's T), as
+        Float arithmetic only (the float paths of ``ndtr`` and the orthant), as
         the mode solve calls it once per Newton step; NaN where a needed
         orthant mass underflows."""
         sa, r = self.sa, self.r
         h = beta / sa
-        pos, neg = self.masses(h)
+        pos, neg = orthant_masses(h, 0.0, r)
         phi, phi_r = math.exp(-0.5 * h * h) / _SQRT_2PI, math.exp(-0.5 * r * r * h * h) / _SQRT_2PI
         score, hess = -(beta - self.m0) / self.v0, -1.0 / self.v0
         for n, sign, p in ((self.n_pos, -1.0, pos), (self.n_neg, 1.0, neg)):

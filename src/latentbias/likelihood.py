@@ -11,7 +11,8 @@ outcome ``x`` factorises into two normal CDFs:
 The two branches sum to the total stop probability ``Phi(c + beta)``, not
 to one. :func:`likelihood_oracle` checks the same quantity by brute-force
 2-D integration of the latent densities with the stop gate, sharing no
-code with the closed form.
+code with the closed form. Held-out scoring takes each group's P(positive
+outcome | stopped) from the orthant masses the anchored fit uses.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DomainError, NumericalError
-from .gaussians import ndtr, owens_t
+from .gaussians import ndtr, orthant_masses
 from .inference import PosteriorSummary
 from .model import guilt_probability, require_positive_finite
 
@@ -71,31 +72,6 @@ def likelihood_oracle(c: float, beta: float, x: int, abs_tol: float = 1e-6) -> f
     return float(value)
 
 
-def _bivariate_cdf(h: float, k: float, rho: float, s: float) -> float:
-    """P(X < h, Y < k) for standard normals with correlation ``|rho| < 1``
-    and ``s = sqrt(1 - rho^2)``, by Owen's T (Owen 1956):
-
-        Phi(h)/2 + Phi(k)/2 - T(h, a_h) - T(k, a_k) - [hk < 0 or hk = 0 > h + k]/2,
-
-    with ``a_h = (k - rho h)/(h s)`` and ``a_k`` likewise; at ``h = 0`` the
-    term ``T(0, a_h)`` is its limit ``+-1/4``, the sign of ``k``. The pieces
-    are summed exactly (``math.fsum``), so the constants cancel without
-    rounding. The caller passes ``s`` because ``1 - rho^2`` cancels as
-    ``|rho|`` nears 1.
-    """
-    if h == 0.0 and k == 0.0:
-        return 0.25 + math.asin(rho) / (2.0 * math.pi)
-    parts = [0.5 * ndtr(h), 0.5 * ndtr(k)]
-    if h * k < 0.0 or (h * k == 0.0 and h + k < 0.0):
-        parts.append(-0.5)
-    for x, y in ((h, k), (k, h)):
-        if x == 0.0:
-            parts.append(-math.copysign(0.25, y))
-        else:
-            parts.append(-owens_t(x, (y - rho * x) / (x * s)))
-    return math.fsum(parts)
-
-
 def outcome_probability_given_stop(
     bias_mean: float, criminality_mean: float, alpha: float, gamma: float
 ) -> float:
@@ -104,21 +80,18 @@ def outcome_probability_given_stop(
     The population criminality is ``C ~ N(criminality_mean, 1)``; a stop is
     ``S = C + bias_mean + N(0, alpha) > 0`` and a positive outcome ``T = C +
     N(0, gamma) > 0``. ``(S, T)`` is bivariate normal with covariance
-    ``[[1+alpha, 1], [1, 1+gamma]]``, so this is the orthant mass
-    ``P(S > 0, T > 0)`` over ``P(S > 0)``, in closed form. Stopping selects
-    individuals upward, so it stays above one half whenever the criminality
-    mean is non-negative. Returns 0.5 where the stop probability underflows.
+    ``[[1+alpha, 1], [1, 1+gamma]]``, so this is ``P+/(P+ + P-)`` for its
+    orthant masses ``P+- = P(S > 0, +-T > 0)``
+    (:func:`~latentbias.gaussians.orthant_masses`), in closed form. Stopping
+    selects individuals upward, so it stays above one half whenever the
+    criminality mean is non-negative. Returns 0.5 where the stop probability
+    underflows.
     """
     require_positive_finite(alpha=alpha, gamma=gamma)
-    h = (criminality_mean + bias_mean) / math.sqrt(1.0 + alpha)
-    k = criminality_mean / math.sqrt(1.0 + gamma)
-    stop = ndtr(h)
-    if stop <= 0:
-        return 0.5
-    scale = (1.0 + alpha) * (1.0 + gamma)
-    # 1 - rho^2 = (alpha + gamma + alpha gamma)/scale, exact where both noises are tiny
-    s = math.sqrt((alpha + gamma + alpha * gamma) / scale)
-    return _bivariate_cdf(h, k, 1.0 / math.sqrt(scale), s) / stop
+    pos, neg = orthant_masses((criminality_mean + bias_mean) / math.sqrt(1.0 + alpha),
+                              criminality_mean / math.sqrt(1.0 + gamma),
+                              math.sqrt(1.0 / (alpha + gamma + alpha * gamma)))
+    return pos / (pos + neg) if pos + neg > 0 else 0.5
 
 
 def predictive_score(

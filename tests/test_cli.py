@@ -508,6 +508,8 @@ def test_score_inconsistent_summary_exit_2(canonical_csv, tmp_path, capsys, meth
         ({"bias_variance": [math.inf, 1.0]}, "'bias_variance' must be positive and finite"),
         ({"rank": [1, 1]}, "'rank' must be a permutation of 1..2"),
         ({"rank": [2, 3]}, "'rank' must be a permutation of 1..2"),
+        ({"rank": [1.9, 2.2]}, "'rank' must be a permutation of 1..2"),
+        ({"labels": ["a", "a"]}, "label 'a' is repeated"),
     ]):
         bad = tmp_path / f"bad{i}.json"
         bad.write_text(json.dumps({**doc, **changes}), encoding="utf-8")

@@ -11,9 +11,15 @@ from latentbias import (
     truncated_moments,
 )
 from latentbias import gaussians
-from latentbias.gaussians import log_ndtr, ndtr, owens_t, owens_t_tail
+from latentbias.gaussians import log_ndtr, ndtr, orthant_masses, owens_t, owens_t_tail
 
-from conftest import EXACT_GRID, cdf_oracle, mills_lambda_oracle, truncated_moment_oracle
+from conftest import (
+    EXACT_GRID,
+    cdf_oracle,
+    mills_lambda_oracle,
+    stop_outcome_mass_oracle,
+    truncated_moment_oracle,
+)
 
 
 # --- standard normal CDF -----------------------------------------------------
@@ -123,6 +129,39 @@ def test_owens_t_tail_matches_quadrature(a):
     hs = -np.sqrt(np.geomspace(0.5, 1400.0, 25)) / a
     want = [_owens_t_tail_oracle(h, a) for h in hs.tolist()]
     assert _max_rel_error(owens_t_tail(hs, a), want) <= 1e-12
+
+
+# --- stop/outcome orthant masses ----------------------------------------------
+
+@pytest.mark.parametrize("r", [0.58, 1.0, 4.98])
+def test_orthant_masses_float_path_matches_array_path(r):
+    # at outcome threshold 0, across h r = -1, where P- switches from
+    # Phi(h)/2 - T(h, r) to Owen's T's tail
+    switch = -1.0 / r
+    hs = np.concatenate([np.linspace(-8.0 / r, 2.0 / r, 10001),
+                         [switch, np.nextafter(switch, 0.0), np.nextafter(switch, -np.inf)]])
+    got = [orthant_masses(h, 0.0, r) for h in hs.tolist()]
+    assert all(type(v) is float for pair in got for v in pair)
+    for want, floats in zip(orthant_masses(hs, 0.0, r), zip(*got)):
+        assert _max_rel_error(floats, want) <= 1e-14
+
+
+@pytest.mark.parametrize("alpha, gamma", [(1.0, 1.0), (2.0, 0.5), (0.02, 0.02)])
+@pytest.mark.parametrize("outcome_mean", [-1.5, -0.187, 0.512, 2.0])
+def test_orthant_masses_off_the_zero_threshold_match_scipy(alpha, gamma, outcome_mean):
+    # both masses, h = 0 included; the pieces of Owen's T sum are of order
+    # 1/2, and both it and scipy's integrator carry absolute errors of about
+    # 1e-17 (against mpmath), so small masses also get one ulp of 1
+    r = 1.0 / math.sqrt(alpha + gamma + alpha * gamma)
+    stop_means = np.append(np.linspace(-6.0, 6.0, 25), 0.0)
+    got = np.array([orthant_masses(m / math.sqrt(1.0 + alpha),
+                                   outcome_mean / math.sqrt(1.0 + gamma), r)
+                    for m in stop_means.tolist()])
+    for column, sign in enumerate((1.0, -1.0)):
+        want = stop_outcome_mass_oracle(stop_means, outcome_mean, alpha, gamma, sign)
+        keep = want > 1e-10
+        assert got[keep, column] == pytest.approx(want[keep], rel=1e-12,
+                                                  abs=np.finfo(float).eps), sign
 
 
 # --- truncated normal sampling ----------------------------------------------

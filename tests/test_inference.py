@@ -1,4 +1,5 @@
 import io
+import json
 import math
 
 import numpy as np
@@ -29,6 +30,7 @@ from latentbias import (
 )
 
 from latentbias import inference
+from latentbias.gaussians import orthant_masses
 
 from conftest import count_log_density_oracle, count_posterior_oracle, mills_lambda_oracle
 
@@ -131,6 +133,16 @@ def test_conjugacy_against_closed_form():
 
 # --- first unanchored sweep against a record-at-a-time reference ----------------------
 
+def _reference_covariance(dataset, alpha, gamma, kind):
+    """Inverse of the regime's posterior precision for a unit prior."""
+    k = len(dataset.labels)
+    counts = np.bincount(dataset.group, minlength=k)
+    lam = np.diag(np.append(1.0 + counts / alpha, 1.0 + len(dataset) / gamma))
+    if kind is not PriorKind.INDEPENDENT:
+        lam[k, :k] = lam[:k, k] = counts / alpha
+    return np.linalg.inv(lam)
+
+
 def _reference_first_sweep(dataset, alpha, gamma, kind, rng):
     """Recorded means of ``run_gibbs``'s unanchored sweep 0, record by record.
 
@@ -144,11 +156,7 @@ def _reference_first_sweep(dataset, alpha, gamma, kind, rng):
     means, recorded raw.
     """
     k = len(dataset.labels)
-    counts = np.bincount(dataset.group, minlength=k)
-    lam = np.diag(np.append(1.0 + counts / alpha, 1.0 + len(dataset) / gamma))
-    if kind is not PriorKind.INDEPENDENT:
-        lam[k, :k] = lam[:k, k] = counts / alpha
-    cov = np.linalg.inv(lam)
+    cov = _reference_covariance(dataset, alpha, gamma, kind)
     bias_sd = np.sqrt(np.diag(cov))
     v_refresh = 1.0 / (1.0 + 1.0 / alpha + 1.0 / gamma)
     eta = np.zeros(k + 1)
@@ -183,6 +191,33 @@ def test_first_sweep_matches_record_reference():
         ])
         for coord in range(4):
             assert stats.ks_2samp(got[:, coord], want[:, coord]).pvalue > 1e-3, (kind, coord)
+
+
+def test_unanchored_bias_draws_spread_with_their_own_groups_sd(monkeypatch):
+    # 2,000 records against 20 make the groups' marginal sds differ about
+    # tenfold; a record's bias draw is its stop latent's mean minus its
+    # criminality, read off the sweep's two truncated-normal calls
+    rng = np.random.default_rng(43)
+    group = rng.permutation(np.repeat([0, 1], [2000, 20]))
+    records = Dataset(group, rng.random(group.size) < 0.6, ("big", "small"))
+    means = []
+
+    def spy(mean, variance, rng):
+        means.append(np.array(mean))
+        return sample_truncated_normal(mean, variance, rng)
+
+    monkeypatch.setattr(inference, "sample_truncated_normal", spy)
+    tau = np.where(records.outcome, 1.0, -1.0)
+    for kind in (PriorKind.DEPENDENT, PriorKind.INDEPENDENT):
+        means.clear()
+        run_gibbs(records, ModelConfig(seed=3, alpha=1.3, gamma=0.8, prior=kind,
+                                       sweeps=1, burn_in=0, anchoring=False))
+        stop_mean, outcome_mean = means  # c + b, then tau * c
+        bias = stop_mean - tau * outcome_mean
+        sd = np.sqrt(np.diag(_reference_covariance(records, 1.3, 0.8, kind)))
+        for g in (0, 1):
+            z = bias[group == g] / sd[g]  # the prior mean is 0
+            assert stats.kstest(z, "norm").pvalue > 1e-3, (kind, g)
 
 
 def test_sweep_independent_keeps_cross_zero_and_anchored_c_standard():
@@ -315,7 +350,7 @@ def test_negative_mass_keeps_precision_where_the_difference_cancels():
     # quadrature) while Phi(h)/2 - T(h, r) rounds to -8.7e-18; the mode solve
     # must converge there
     target = _target(3, 1, -2.0, 1e-4, 0.02, 0.02)
-    _pos, neg = target.masses(np.array([-2.0 / target.sa]))
+    _pos, neg = orthant_masses(np.array([-2.0 / target.sa]), 0.0, target.r)
     assert neg[0] == pytest.approx(3.6171569044211e-26, rel=1e-12)
     assert math.isfinite(target.log_density(np.array([-2.0]))[0])
     mode, scale = inference._bias_mode(target)
@@ -578,6 +613,19 @@ def test_summary_json_roundtrip():
     assert np.allclose(back.bias_mean, summary.bias_mean)
     assert back.prior_kind is summary.prior_kind
     assert (back.alpha, back.gamma) == (summary.alpha, summary.gamma) == (1.0, 1.0)
+
+
+def test_summary_json_rejects_fractional_rank_and_repeated_labels():
+    records = _asym_records((150, 100), positive_rate=3)
+    summary, _ = run_gibbs(records, _cfg(seed=4, sweeps=12, burn_in=2))
+    doc = json.loads(summary.to_json())
+    back = PosteriorSummary.from_json(json.dumps({**doc, "rank": [float(v) for v in doc["rank"]]}))
+    assert back.rank.tolist() == doc["rank"] and back.rank.dtype.kind == "i"
+    # 1.9 and 2.2 would truncate to the permutation [1, 2]
+    with pytest.raises(DomainError, match=r"'rank' must be a permutation of 1\.\.2"):
+        PosteriorSummary.from_json(json.dumps({**doc, "rank": [1.9, 2.2]}))
+    with pytest.raises(DomainError, match="label 'a' is repeated"):
+        PosteriorSummary.from_json(json.dumps({**doc, "labels": ["a", "a"]}))
 
 
 def test_summary_csv_schema():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from latentbias import (
     predictive_score,
     stop_search_likelihood,
 )
+from latentbias.gaussians import orthant_masses
+from latentbias.inference import _CountTarget
 
 from conftest import cdf_oracle, outcome_probability_oracle
 
@@ -137,6 +141,28 @@ def test_outcome_probability_matches_bivariate_oracle(alpha, gamma, criminality_
         got = outcome_probability_given_stop(bias_mean, criminality_mean, alpha, gamma)
         want = outcome_probability_oracle(bias_mean, criminality_mean, alpha, gamma)
         assert got == pytest.approx(want, rel=1e-12), bias_mean
+
+
+@pytest.mark.parametrize("alpha, gamma", [(1.0, 1.0), (2.0, 0.5), (0.02, 0.02)])
+def test_outcome_probability_at_zero_criminality_is_the_fits_orthant(alpha, gamma):
+    # the anchored fit's bias conditional and held-out scoring share one
+    # orthant: at a zero criminality mean they agree bit for bit
+    target = _CountTarget(1, 1, 0.0, 1.0, alpha, gamma)
+    for beta in np.linspace(-9.0, 9.0, 73).tolist():
+        pos, neg = orthant_masses(beta / target.sa, 0.0, target.r)
+        assert outcome_probability_given_stop(beta, 0.0, alpha, gamma) == pos / (pos + neg)
+
+
+@pytest.mark.parametrize("criminality_mean", [-0.187, 0.512, 1.5])
+def test_outcome_probability_far_in_the_stop_tail_stays_near_one(criminality_mean):
+    # at alpha = gamma = 1 and a standardised stop threshold h from -14 to -6,
+    # a stop selects so high a criminality that 1 - P(positive | stopped) is
+    # 3.5e-4 or less (mpmath); the Owen's T sum on the outcome threshold's
+    # positive side cancels to nothing there once the criminality mean is > 0
+    for h in np.linspace(-14.0, -6.0, 33).tolist():
+        bias_mean = h * math.sqrt(2.0) - criminality_mean
+        p = outcome_probability_given_stop(bias_mean, criminality_mean, 1.0, 1.0)
+        assert 1.0 - 1e-3 < p < 1.0 + 1e-13, h
 
 
 @pytest.mark.parametrize("bias_mean, criminality_mean", [(0.5, 0.0), (-0.5, 0.3), (2.0, -1.0)])

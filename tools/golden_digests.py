@@ -9,11 +9,13 @@ Generates the ``national-cli`` and ``export-200k`` inputs with
 empty. On each it runs ``ingest`` under both schemes, ``fit`` three ways
 (``dependent``; ``independent --anchoring off``; ``free``, whose default
 unanchored chain may stop with exit 3 and a partial trace), ``rank`` with
-and without ``--anchor-common``, and ``score`` by both methods, all
-through ``python -m latentbias.cli`` on the sources next to this script. It then derives ``export-200k-variety``, the
-``export-200k`` rows with every line made distinct as in a real export,
-and ingests it under both schemes; its ingest outputs must equal
-``export-200k``'s, and its exit codes go in a file of its own. Last,
+and without ``--anchor-common``, and ``score`` by both methods on the
+``dependent`` and the ``--anchoring off`` summaries, all through ``python -m
+latentbias.cli`` on the sources next to this script. It then derives
+``export-200k-variety``, the ``export-200k`` rows with every line made
+distinct as in a real export, and ingests it under both schemes; its
+ingest outputs must equal ``export-200k``'s, and its exit codes go in a
+file of its own. Last,
 ``national-cli-quoted`` ingests ``national-cli``'s rows with the default
 mapping's group labels renamed to hold a comma, a quote and a line break,
 so its canonical CSV takes the reader's row path; it runs ``fit``
@@ -84,8 +86,11 @@ def commands(name: str) -> list[tuple[str, list[str]]]:
         ("rank", rank),
         ("rank-anchored", rank + ["--anchor-common"]),
     ] + [
-        (f"score-{method}", ["score", "--summary", f"{name}/fit/summary.json", "--test", test,
-                             "--method", method])
+        (f"score-{method}{suffix}", ["score", "--summary", f"{name}/{fit}/summary.json",
+                                     "--test", test, "--method", method])
+        # the anchored summary's criminality mean is exactly 0; the unanchored
+        # one's is not, which takes scoring's orthant off the outcome threshold 0
+        for fit, suffix in (("fit", ""), ("fit-indep-off", "-indep-off"))
         for method in ("likelihood", "accuracy")
     ]
 
