@@ -633,7 +633,7 @@ _CANONICAL_COLUMNS = ("group", "stopped", "outcome", "force")
 _OUTCOME_TEXT = frozenset({"0", "1"})
 
 
-def _csv_field(text: str) -> str:
+def csv_field(text: str) -> str:
     """``text`` as one CSV field, quoted when it holds a comma, a quote, CR or
     LF (``csv.writer`` with a LF terminator leaves CR bare, unreadable)."""
     if any(c in text for c in ',"\r\n'):
@@ -656,8 +656,8 @@ def write_dataset_csv(dataset: Dataset, stream: TextIO) -> None:
     present = np.bincount(cells) > 0
     slot = np.cumsum(present) - 1  # each present cell's place in the table
     group_outcome, force = np.divmod(np.flatnonzero(present), n_forces)
-    starts = [_csv_field(label) + end for label in dataset.labels for end in (",1,0,", ",1,1,")]
-    table = [starts[go] + _csv_field(dataset.forces[f]) + "\n"
+    starts = [csv_field(label) + end for label in dataset.labels for end in (",1,0,", ",1,1,")]
+    table = [starts[go] + csv_field(dataset.forces[f]) + "\n"
              for go, f in zip(group_outcome.tolist(), force.tolist())]
     stream.write("".join(map(table.__getitem__, slot[cells].tolist())))
 

@@ -233,7 +233,8 @@ def orthant_masses(h, k: float, r: float):
         Phi(h)/2 + Phi(q)/2 - T(h, (q - p h)/(h s)) - T(q, (h - p q)/(q s)) - [h > 0]/2
 
     (the ``h`` terms are 0 at ``h = 0``); the other mass is ``Phi(h)`` less
-    the same pieces. For ``h`` from about -6 to -10 the pieces cancel, and
+    the same pieces. Far out, rounding can take either below 0, so both are
+    floored at 0. For ``h`` from about -6 to -10 the pieces cancel, and
     ``P+/(P+ + P-)`` is off by up to about 1e-4 relative (against mpmath);
     above ``h = -4`` it agrees to about 1e-12.
     """
@@ -243,7 +244,7 @@ def orthant_masses(h, k: float, r: float):
         parts = [0.5 * ndtr(q), -owens_t(q, (h - p * q) / (q * s))]
         if h != 0.0:
             parts += [0.5 * ndtr(h), -owens_t(h, (q - p * h) / (h * s)), -0.5 * (h > 0.0)]
-        near, far = math.fsum(parts), math.fsum([ndtr(h), *(-part for part in parts)])
+        near, far = (max(0.0, math.fsum(v)) for v in (parts, [ndtr(h), *(-x for x in parts)]))
         return (near, far) if k < 0.0 else (far, near)
     t = owens_t(h, r)
     if isinstance(h, np.ndarray):

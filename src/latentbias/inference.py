@@ -5,12 +5,11 @@ Every stopped record has two latents: a stopping susceptibility ``S``
 outcome). The anchoring flag is the drift correction. With it on (the
 default except under FREE), each person's criminality is N(0,1) with no
 shared term, so the latents integrate out and a group's bias conditional
-depends only on its counts (:class:`_CountTarget`). Its mode and scale are
-solved once per group, by Newton steps in float arithmetic; each sweep then
-advances every bias by independence Metropolis-Hastings steps, O(K) work
-with no per-record draws. The targets do not move, so a fit draws its
-proposals in one generator call and its uniforms in another, and evaluates
-each target once, on all its proposals, in one array call per group.
+depends only on its counts (:class:`_CountTarget`). Each sweep advances
+every bias by the independence Metropolis-Hastings steps of
+:mod:`~latentbias.kernel`, O(K) work with no per-record draws; the targets
+do not move, so the kernel draws a fit's proposals and uniforms in one batch
+and evaluates each target once, on all its proposals.
 With it off the chain keeps one criminality per record, redraws the
 latents, and applies the coupled natural-parameter combination literally;
 each sweep is one array pass over every record (two truncated-normal
@@ -41,9 +40,10 @@ from typing import TextIO
 
 import numpy as np
 
-from .data import Dataset, _csv_field
-from .errors import ConditioningError, DivergenceError, DomainError, NumericalError
+from .data import Dataset, csv_field
+from .errors import ConditioningError, DivergenceError, DomainError
 from .gaussians import ndtr, orthant_masses, sample_truncated_normal
+from .kernel import MH_STEPS, T_DOF, log_weights, mh_states, proposals
 from .model import ModelConfig, PriorKind, build_prior, descending_order
 
 __all__ = [
@@ -55,11 +55,6 @@ __all__ = [
     "read_trace_csv",
 ]
 
-# bias-conditional sampler: mode solve, Student-t proposal
-_BIAS_NEWTON_STEPS = 60
-_BIAS_MODE_TOL = 1e-10
-_BIAS_T_DOF = 4.0
-_BIAS_MH_STEPS = 3
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -163,7 +158,7 @@ class PosteriorSummary:
         stream.write("rank,label,bias_mean,bias_variance\n")
         for idx in self.ranked_indices():
             stream.write(
-                f"{int(self.rank[idx])},{_csv_field(self.labels[idx])},"
+                f"{int(self.rank[idx])},{csv_field(self.labels[idx])},"
                 f"{self.bias_mean[idx]:.12g},{self.bias_variance[idx]:.12g}\n"
             )
 
@@ -280,101 +275,18 @@ class _CountTarget:
         return float(score), float(hess)
 
 
-def _bias_mode(target: _CountTarget) -> tuple[float, float]:
-    """Mode and Laplace scale ``1/sqrt(-hessian)`` of ``target``: Newton
-    steps from the prior mean, bisecting the score's sign bracket on an
-    overshoot. Raises NumericalError on a non-finite score or no convergence.
-
-    ``target`` is any log-concave 1-D density with ``_CountTarget``'s
-    ``m0``/``score_hessian`` contract; the ranking chain solves its
-    proposals with it on :class:`~latentbias.ranking._SkillTarget`.
-    """
-    x = target.m0
-    blo, bhi = -math.inf, math.inf  # score(blo) > 0 > score(bhi)
-    for _ in range(_BIAS_NEWTON_STEPS):
-        score, hess = target.score_hessian(x)
-        if not (math.isfinite(score) and hess < 0):
-            raise NumericalError(f"bias mode solve hit a non-finite score at {x:.3g}")
-        if score > 0:
-            blo = x
-        else:
-            bhi = x
-        step = -score / hess
-        if abs(step) <= _BIAS_MODE_TOL * (1.0 + abs(x)) or bhi - blo <= _BIAS_MODE_TOL:
-            return x, 1.0 / math.sqrt(-hess)
-        x += step
-        if not (blo < x < bhi):  # Newton overshot the sign bracket: bisect
-            x = 0.5 * (blo + bhi)
-    raise NumericalError(f"bias mode solve did not converge (last score {score:.3g})")
-
-
-def _log_weights(target, mode: float, scale: float, pts: np.ndarray) -> list[float]:
-    """Log density of ``target`` minus that of the Student-t proposal at
-    ``mode`` and ``scale``, up to constants, at each of ``pts``."""
-    log_proposal = -0.5 * (_BIAS_T_DOF + 1.0) * np.log1p(((pts - mode) / scale) ** 2 / _BIAS_T_DOF)
-    return (target.log_density(pts) - log_proposal).tolist()
-
-
-def _mh_states(log_weight: list[float], uniforms: list[float]) -> list[int]:
-    """Independence Metropolis-Hastings over precomputed log weights: the
-    chain starts at point 0, and step ``i`` proposes point ``i``, accepted
-    when ``uniforms[i - 1] < exp(log_weight[i] - log_weight[state])``.
-    Returns the state's index after each step."""
-    state, states = 0, []
-    for i, u in enumerate(uniforms, start=1):
-        log_ratio = log_weight[i] - log_weight[state]
-        if log_ratio >= 0 or u < math.exp(log_ratio):
-            state = i
-        states.append(state)
-    return states
-
-
 def _sample_bias_conditional(
     target: _CountTarget, mode: float, scale: float, current: float, rng: np.random.Generator
 ) -> float:
-    """``_BIAS_MH_STEPS`` independence Metropolis-Hastings steps from
-    ``current``, each proposing from a Student-t at ``target``'s mode and
-    Laplace scale (as :func:`_bias_mode` returns them); ``target`` is
-    exactly invariant.
-
-    No caller in the package is left: the anchored fit runs these steps in
-    one batch on its fixed targets, and the ranking chain on fixed
-    proposals with a scalar tilt. This stays as the step-at-a-time
-    reference that the tests compare both against, and as the name the
-    benchmark's tracer wraps."""
-    # the steps share one vectorised evaluation of the target; with a single
-    # step the rejections cluster and cut the bias chain's ESS by about a third
-    proposals = mode + scale * rng.standard_t(_BIAS_T_DOF, size=_BIAS_MH_STEPS)
-    uniforms = rng.random(_BIAS_MH_STEPS)
-    pts = np.concatenate(([current], proposals))
-    return float(pts[_mh_states(_log_weights(target, mode, scale, pts), uniforms.tolist())[-1]])
-
-
-def _anchored_chain(
-    targets: list[_CountTarget], sweeps: int, rng: np.random.Generator, wall: np.ndarray
-) -> np.ndarray:
-    """``(sweeps, K)`` bias draws: each group's chain of
-    :func:`_sample_bias_conditional` steps from its mode, one call per
-    sweep, bit for bit when each call is fed its group's next variates.
-
-    The proposals depend only on the data, so they are drawn before the
-    chain runs (Tierney 1994): one ``standard_t`` and one ``random`` call,
-    each ``(K, sweeps * steps)`` with group ``g``'s sweeps in order along
-    row ``g``. Each target is evaluated once, on its mode and all its
-    proposals. ``wall`` gets an equal share of the chain's time per sweep.
-    """
-    k, steps = len(targets), _BIAS_MH_STEPS
-    laplace = [_bias_mode(target) for target in targets]
-    t0 = time.perf_counter()
-    t_draws = rng.standard_t(_BIAS_T_DOF, size=(k, sweeps * steps))
-    u_draws = rng.random((k, sweeps * steps))
-    out = np.empty((sweeps, k))
-    for g, (target, (mode, scale)) in enumerate(zip(targets, laplace)):
-        pts = np.concatenate(([mode], mode + scale * t_draws[g]))
-        states = _mh_states(_log_weights(target, mode, scale, pts), u_draws[g].tolist())
-        out[:, g] = pts[states[steps - 1 :: steps]]
-    wall[:] = (time.perf_counter() - t0) / sweeps
-    return out
+    """The kernel's ``MH_STEPS`` steps from ``current`` on ``target``, at its
+    mode and scale (:func:`~latentbias.kernel.mode_and_scale`). No caller in
+    the package is left: the fit and the ranking chain batch their draws in
+    :func:`~latentbias.kernel.proposals`. This stays as the tests'
+    step-at-a-time reference and as the name the benchmark's tracer wraps."""
+    proposed = mode + scale * rng.standard_t(T_DOF, size=MH_STEPS)
+    uniforms = rng.random(MH_STEPS)
+    pts = np.concatenate(([current], proposed))
+    return float(pts[mh_states(log_weights(target, mode, scale, pts), uniforms.tolist())[-1]])
 
 
 def _assemble_report_precision(
@@ -479,10 +391,14 @@ def run_gibbs(
                           f"{config.divergence_variance_limit:.3g}")
 
     if anchored:
-        # the latents integrate out: each group's target is fixed by its counts
+        # the latents integrate out: each group's target is fixed by its counts,
+        # so its chain is one accept loop over its proposals, read once a sweep
         targets = [_CountTarget(*group, alpha, gamma)
                    for group in zip(positives, negatives, m0, v0)]
-        trace_means[:, :k] = _anchored_chain(targets, sweeps, rng, wall)
+        t0 = time.perf_counter()
+        for g, (pts, lw, u) in enumerate(proposals(targets, sweeps, rng)):
+            trace_means[:, g] = pts[mh_states(lw, u)[MH_STEPS - 1 :: MH_STEPS]]
+        wall[:] = (time.perf_counter() - t0) / sweeps
         trace_means[:, k] = 0.0
         over = np.abs(trace_means).max(axis=1) > config.divergence_mean_limit
         if over.any():

@@ -12,10 +12,10 @@ on each group's wins and losses against it, and :func:`trueskill_gibbs`
 samples from those counts with no per-match latent. Given the common
 level, the groups' skills relative to it are independent, and only the
 prior factor of each conditional moves with that level. So each group
-gets one fixed Student-t proposal, computed from its counts once per run,
-and its target is evaluated once on all of its proposals; the
-Metropolis-Hastings steps then need one scalar ratio each, and stay exact
-because the proposal depends only on the data.
+gets one fixed Student-t proposal from :mod:`~latentbias.kernel`, computed
+from its counts once per run, and its target is evaluated once on all of
+its proposals; the Metropolis-Hastings steps then need one scalar ratio
+each, and stay exact because the proposal depends only on the data.
 
 Because every observation is purely comparative, the common level of all
 skills is informed only by the prior and wanders from iteration to
@@ -32,10 +32,10 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .data import Dataset, _csv_field
+from .data import Dataset, csv_field
 from .errors import DivergenceError, DomainError
 from .gaussians import log_ndtr
-from .inference import _BIAS_MH_STEPS, _BIAS_T_DOF, _bias_mode, _log_weights
+from .kernel import MH_STEPS, proposals
 from .model import descending_order
 
 __all__ = [
@@ -74,8 +74,8 @@ class _SkillTarget:
     up to a constant, with ``m0 = -w_0``: the player won ``b`` and lost ``a``
     matches against the common player. The density is log-concave;
     ``log_ndtr`` and a log-space Mills ratio keep it and its derivatives
-    finite in the far tails. Same contract as
-    :class:`~latentbias.inference._CountTarget`.
+    finite in the far tails. A target of :mod:`~latentbias.kernel`, as
+    :class:`~latentbias.inference._CountTarget` is.
     """
 
     def __init__(self, m0: float, a: int, b: int):
@@ -130,8 +130,8 @@ def trueskill_gibbs(
     Only the prior factor of a conditional moves with ``w_0``: it is the
     fixed ``w_0 = 0`` target times ``exp(-w_0 d)``. So each player gets one
     Student-t proposal, at the mode and Laplace scale of that fixed target
-    (the fit's kernel, ``inference._bias_mode``), and the target is
-    evaluated once per run on all of the player's proposals; a step from
+    (the fit's kernel, :func:`~latentbias.kernel.proposals`), and the target
+    is evaluated once per run on all of the player's proposals; a step from
     ``x`` to ``y`` is accepted on the scalar log ratio ``lw(y) - lw(x) -
     w_0 (y - x)``. A proposal that depends only on the data leaves each
     full conditional exactly invariant inside the Gibbs sweep (Tierney
@@ -170,20 +170,13 @@ def trueskill_gibbs(
         raise DomainError("every match must involve the common player 0")
     # per player p >= 1: losses a_p to player 0 and wins b_p against it
     losses, wins = table[0, 1:].tolist(), table[1:, 0].tolist()
-    burn, steps = iterations // 5, _BIAS_MH_STEPS
+    burn, steps = iterations // 5, MH_STEPS
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    t_draws = rng.standard_t(_BIAS_T_DOF, size=(player_count - 1, iterations * steps))
-    uniforms = rng.random((player_count - 1, iterations * steps)).tolist()
-    level_noise = (rng.standard_normal(iterations) / math.sqrt(player_count)).tolist()
     # per player: its proposal mode (point 0, the start) then its proposals,
-    # and the fixed target's log weight at each
-    points, log_weights = [], []
-    for a, b, draws in zip(losses, wins, t_draws):
-        target = _SkillTarget(0.0, a, b)
-        mode, scale = _bias_mode(target)
-        pts = np.concatenate(([mode], mode + scale * draws))
-        points.append(pts.tolist())
-        log_weights.append(_log_weights(target, mode, scale, pts))
+    # the fixed target's log weight at each, and its uniforms
+    chains = [(pts.tolist(), lw, u) for pts, lw, u in proposals(
+        [_SkillTarget(0.0, a, b) for a, b in zip(losses, wins)], iterations, rng)]
+    level_noise = (rng.standard_normal(iterations) / math.sqrt(player_count)).tolist()
 
     states = [0] * (player_count - 1)
     common = 0.0  # w_0
@@ -192,7 +185,7 @@ def trueskill_gibbs(
     for it in range(iterations):
         first = it * steps + 1
         total = 0.0
-        for p, (pts, lw, u) in enumerate(zip(points, log_weights, uniforms)):
+        for p, (pts, lw, u) in enumerate(chains):
             x = states[p]
             for y in range(first, first + steps):
                 log_ratio = lw[y] - lw[x] - common * (pts[y] - pts[x])
@@ -219,4 +212,4 @@ def write_ranking_csv(
     labels quoted as in the canonical dataset CSV."""
     stream.write("rank,label,mean,variance\n")
     for position, i in enumerate(descending_order(means), start=1):
-        stream.write(f"{position},{_csv_field(labels[i])},{means[i]:.12g},{variances[i]:.12g}\n")
+        stream.write(f"{position},{csv_field(labels[i])},{means[i]:.12g},{variances[i]:.12g}\n")

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 from scipy.stats import multivariate_normal, norm
 
 from latentbias.data import RAW_COLUMNS, Dataset, IngestReport, SchemeKind, coarsen_outcome
@@ -117,6 +117,36 @@ def stop_outcome_mass_oracle(stop_mean, outcome_mean, alpha, gamma, sign=1.0):
     cov = [[1.0 + alpha, sign], [sign, 1.0 + gamma]]
     return np.atleast_1d(multivariate_normal.cdf(points, mean=[0.0, 0.0], cov=cov,
                                                  abseps=1e-14, releps=1e-14))
+
+
+# breakpoints of the relative oracle's quadrature, above the stop threshold
+_MASS_BREAKS = (0.0, 1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 40.0)
+
+
+def stop_outcome_mass_relative_oracle(stop_mean, outcome_mean, alpha, gamma, sign=1.0):
+    """:func:`stop_outcome_mass_oracle` at one pair of means, to about 1e-13
+    relative, also where the mass is tiny (that one is accurate to about
+    1e-16 absolute).
+
+    With ``h`` and ``k`` the standardised means and ``rho = 1/sqrt((1 +
+    alpha)(1 + gamma))`` the correlation of S and T, the mass is the 1-D
+    integral of ``phi(x) Phi(sign (k + rho x)/s)`` over the standardised stop
+    latent ``x > -h``, with ``s = sqrt(1 - rho^2)``. It is summed over
+    intervals that start at the threshold and widen geometrically, each by
+    ``integrate.quad`` at ``epsrel`` 1e-13 and no absolute tolerance, so a
+    peak at the threshold as narrow as 1e-3 is resolved.
+    """
+    h, k = stop_mean / math.sqrt(1.0 + alpha), outcome_mean / math.sqrt(1.0 + gamma)
+    rho = 1.0 / math.sqrt((1.0 + alpha) * (1.0 + gamma))
+    s = math.sqrt((alpha + gamma + alpha * gamma) * rho * rho)
+
+    def integrand(x):
+        return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi) * special.ndtr(
+            sign * (k + rho * x) / s)
+
+    return math.fsum(integrate.quad(integrand, lo - h, hi - h, epsabs=0.0, epsrel=1e-13,
+                                    limit=200)[0]
+                     for lo, hi in zip(_MASS_BREAKS, _MASS_BREAKS[1:]))
 
 
 def count_log_density_oracle(beta, n_pos, n_neg, m0, v0, alpha, gamma):

@@ -18,6 +18,7 @@ from conftest import (
     cdf_oracle,
     mills_lambda_oracle,
     stop_outcome_mass_oracle,
+    stop_outcome_mass_relative_oracle,
     truncated_moment_oracle,
 )
 
@@ -162,6 +163,25 @@ def test_orthant_masses_off_the_zero_threshold_match_scipy(alpha, gamma, outcome
         keep = want > 1e-10
         assert got[keep, column] == pytest.approx(want[keep], rel=1e-12,
                                                   abs=np.finfo(float).eps), sign
+
+
+@pytest.mark.parametrize("alpha, gamma", [(1.0, 1.0), (0.1, 2.0)])
+@pytest.mark.parametrize("outcome_mean", [-0.187, 0.512, 1.5])
+def test_orthant_masses_off_the_zero_threshold_keep_the_stated_relative_accuracy(
+        alpha, gamma, outcome_mean):
+    # the docstring's limits on P+/(P+ + P-), against a relative oracle: about
+    # 1e-12 from h = -4 to 0 (at most 1.2e-12 here, at h = -4), and within
+    # 1e-4 from h = -10 to -6, where the Owen's T pieces cancel
+    r = 1.0 / math.sqrt(alpha + gamma + alpha * gamma)
+    k = outcome_mean / math.sqrt(1.0 + gamma)
+    for lo, hi, rel in ((-4.0, 0.0, 2e-12), (-10.0, -6.0, 1e-4)):
+        for h in np.linspace(lo, hi, 41).tolist():
+            pos, neg = orthant_masses(h, k, r)
+            want_pos, want_neg = (
+                stop_outcome_mass_relative_oracle(h * math.sqrt(1.0 + alpha), outcome_mean,
+                                                  alpha, gamma, sign) for sign in (1.0, -1.0))
+            assert pos / (pos + neg) == pytest.approx(want_pos / (want_pos + want_neg),
+                                                      rel=rel), h
 
 
 # --- truncated normal sampling ----------------------------------------------

@@ -29,7 +29,7 @@ from latentbias import (
     write_trace_csv,
 )
 
-from latentbias import inference
+from latentbias import inference, kernel
 from latentbias.gaussians import orthant_masses
 
 from conftest import count_log_density_oracle, count_posterior_oracle, mills_lambda_oracle
@@ -237,7 +237,7 @@ def _target(n_pos, n_neg, m0=0.0, v0=1.0, alpha=1.0, gamma=1.0):
 
 
 def _bias_chain(target, seed, draws, thin=5, burn=50):
-    mode, scale = inference._bias_mode(target)
+    mode, scale = kernel.mode_and_scale(target)
     rng = np.random.default_rng(seed)
     current, kept, moves = target.m0, [], 0
     for i in range(burn + draws * thin):
@@ -297,7 +297,7 @@ def test_bias_conditional_far_tail_mode():
     # score's root must balance the prior against n_pos * Mills(h) / sqrt(2)
     n_pos, m0, v0 = 3, -35.0, 1e-4
     target = _target(n_pos, 0, m0, v0)
-    mode, scale = inference._bias_mode(target)
+    mode, scale = kernel.mode_and_scale(target)
     h = mode / math.sqrt(2.0)
     assert h < -24 and math.isfinite(scale)
     pull = n_pos * float(_mills(h)) / math.sqrt(2.0)
@@ -309,7 +309,7 @@ def test_bias_conditional_far_tail_mode():
 
 def test_bias_conditional_same_seed_same_draws():
     target = _target(120, 180)
-    mode, scale = inference._bias_mode(target)
+    mode, scale = kernel.mode_and_scale(target)
 
     def run(seed):
         rng = np.random.default_rng(seed)
@@ -324,9 +324,9 @@ def test_bias_conditional_same_seed_same_draws():
 
 
 def test_bias_mode_solve_raises_when_capped(monkeypatch):
-    monkeypatch.setattr(inference, "_BIAS_NEWTON_STEPS", 1)
+    monkeypatch.setattr(kernel, "_NEWTON_STEPS", 1)
     with pytest.raises(NumericalError):
-        inference._bias_mode(_target(80, 120))
+        kernel.mode_and_scale(_target(80, 120))
 
 
 def test_count_target_at_tiny_noise_matches_the_noiseless_limit():
@@ -335,7 +335,7 @@ def test_count_target_at_tiny_noise_matches_the_noiseless_limit():
     # P- = Phi(beta) - 1/2, so the mode balances the prior against
     # n_neg phi(beta) / (Phi(beta) - 1/2)
     target = _target(420, 180, 0.2, 2.0, 1e-17, 1e-17)
-    mode, scale = inference._bias_mode(target)
+    mode, scale = kernel.mode_and_scale(target)
 
     def score(b):
         return -(b - 0.2) / 2.0 + 180 * stats.norm.pdf(b) / (stats.norm.cdf(b) - 0.5)
@@ -353,7 +353,7 @@ def test_negative_mass_keeps_precision_where_the_difference_cancels():
     _pos, neg = orthant_masses(np.array([-2.0 / target.sa]), 0.0, target.r)
     assert neg[0] == pytest.approx(3.6171569044211e-26, rel=1e-12)
     assert math.isfinite(target.log_density(np.array([-2.0]))[0])
-    mode, scale = inference._bias_mode(target)
+    mode, scale = kernel.mode_and_scale(target)
     score, hess = target.score_hessian(mode)
     assert abs(mode + 2.0) < 5 * math.sqrt(1e-4) and math.isfinite(scale)
     assert abs(score) < 1e-6 * -hess * scale
@@ -380,7 +380,7 @@ class _Replay:
         self.t_draws, self.uniforms = t_draws, uniforms
 
     def standard_t(self, df, size):
-        assert df == inference._BIAS_T_DOF and size == self.t_draws.size
+        assert df == kernel.T_DOF and size == self.t_draws.size
         return self.t_draws
 
     def random(self, size):
@@ -402,10 +402,10 @@ def test_anchored_chain_matches_per_sweep_kernel(kind):
     targets = [inference._CountTarget(p, n - p, m, v, cfg.alpha, cfg.gamma)
                for p, n, m, v in zip(positives, records.counts(), m0, v0)]
     assert targets[0].r > 1
-    laplace = [inference._bias_mode(target) for target in targets]
+    laplace = [kernel.mode_and_scale(target) for target in targets]
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    steps = inference._BIAS_MH_STEPS
-    t_draws = rng.standard_t(inference._BIAS_T_DOF, size=(3, cfg.sweeps * steps))
+    steps = kernel.MH_STEPS
+    t_draws = rng.standard_t(kernel.T_DOF, size=(3, cfg.sweeps * steps))
     uniforms = rng.random((3, cfg.sweeps * steps))
     current = [mode for mode, _scale in laplace]
     want = np.empty((cfg.sweeps, 3))

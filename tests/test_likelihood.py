@@ -165,6 +165,16 @@ def test_outcome_probability_far_in_the_stop_tail_stays_near_one(criminality_mea
         assert 1.0 - 1e-3 < p < 1.0 + 1e-13, h
 
 
+def test_outcome_probability_stays_a_probability_to_the_end_of_the_stop_tail():
+    # at criminality mean 0.512, P- is the exact sum of the Owen's T pieces,
+    # which rounds below 0 far out (to -5.6e-72 at h = -16), and P+, Phi(h)
+    # less that sum, then exceeds Phi(h); past about h = -38.5 the stop
+    # probability underflows and the result is 0.5
+    for h in np.linspace(-40.0, 0.0, 801).tolist():
+        p = outcome_probability_given_stop(h * math.sqrt(2.0) - 0.512, 0.512, 1.0, 1.0)
+        assert 0.0 <= p <= 1.0, h
+
+
 @pytest.mark.parametrize("bias_mean, criminality_mean", [(0.5, 0.0), (-0.5, 0.3), (2.0, -1.0)])
 def test_outcome_probability_at_tiny_noise(bias_mean, criminality_mean):
     # (1 + alpha)(1 + gamma) rounds to 1 here, so 1 - rho^2 must not come

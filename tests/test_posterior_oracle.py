@@ -22,7 +22,8 @@ import pytest
 from scipy import stats
 
 from latentbias import Dataset, ModelConfig, PriorKind, run_gibbs, trueskill_gibbs
-from latentbias.inference import _bias_mode, _sample_bias_conditional
+from latentbias.inference import _sample_bias_conditional
+from latentbias.kernel import mode_and_scale
 from latentbias.ranking import _SkillTarget
 
 from conftest import count_posterior_oracle, skill_posterior_oracle
@@ -102,7 +103,7 @@ def _reference_star_chain(losses, wins, iterations, seed):
     for _ in range(iterations):
         for p in range(1, players):
             target = _SkillTarget(-common, losses[p - 1], wins[p - 1])
-            rel[p] = _sample_bias_conditional(target, *_bias_mode(target), float(rel[p]), rng)
+            rel[p] = _sample_bias_conditional(target, *mode_and_scale(target), float(rel[p]), rng)
         common = -rel.sum() / players + rng.standard_normal() / math.sqrt(players)
         rels.append(rel.copy())
         levels.append(common)

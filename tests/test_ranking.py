@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from latentbias import (
     trueskill_gibbs,
     write_ranking_csv,
 )
-from latentbias import ranking
+from latentbias import kernel, ranking
 from latentbias.gaussians import log_ndtr
 
 from conftest import EXACT_GRID
@@ -157,6 +158,55 @@ def test_skill_target_maps_the_scalar_log_ndtr_bit_for_bit():
     want += 2 * np.array([log_ndtr(-x) for x in EXACT_GRID.tolist()])
     got = ranking._SkillTarget(0.0, 2, 3).log_density(EXACT_GRID)
     assert got.tobytes() == want.tobytes()
+
+
+def _replayed_star_chain(losses, wins, iterations, seed, anchor_common):
+    """:func:`trueskill_gibbs` one Metropolis-Hastings step at a time, on the
+    seed's ``standard_t``, ``random`` and ``standard_normal`` draws sliced
+    per iteration and player. Each step evaluates the player's conditional
+    given the current common level, ``N(d; -w_0, 1) Phi(d)^b Phi(-d)^a``,
+    and its Student-t proposal density at both points."""
+    players, steps = len(losses) + 1, kernel.MH_STEPS
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    t_draws = rng.standard_t(kernel.T_DOF, size=(players - 1, iterations * steps))
+    uniforms = rng.random((players - 1, iterations * steps))
+    level_noise = rng.standard_normal(iterations)
+    laplace = [kernel.mode_and_scale(ranking._SkillTarget(0.0, a, b))
+               for a, b in zip(losses, wins)]
+    current = [mode for mode, _scale in laplace]
+    rel, levels, common = np.zeros((iterations, players)), np.empty(iterations), 0.0
+    for it in range(iterations):
+        for p, (mode, scale) in enumerate(laplace):
+            target = ranking._SkillTarget(-common, losses[p], wins[p])
+
+            def log_ratio_term(x):  # log target minus log proposal, up to constants
+                log_proposal = -0.5 * (kernel.T_DOF + 1) * math.log1p(
+                    ((x - mode) / scale) ** 2 / kernel.T_DOF)
+                return target.log_density(np.array([x]))[0] - log_proposal
+
+            for step in range(it * steps, (it + 1) * steps):
+                y = mode + scale * t_draws[p, step]
+                log_ratio = log_ratio_term(y) - log_ratio_term(current[p])
+                if uniforms[p, step] < math.exp(min(0.0, log_ratio)):
+                    current[p] = y
+        rel[it, 1:] = current
+        common = -sum(current) / players + level_noise[it] / math.sqrt(players)
+        levels[it] = common
+    kept = (rel if anchor_common else rel + levels[:, None])[iterations // 5:]
+    return kept.mean(axis=0), np.maximum(kept.var(axis=0), 1e-12)
+
+
+@pytest.mark.parametrize("anchor_common", [False, True])
+def test_chain_replays_its_draws_one_step_at_a_time(anchor_common):
+    # from many matches to few and one-sided; every accept decision and so
+    # every recorded skill must match, bit for bit
+    losses, wins = (300, 6, 0, 40), (150, 3, 5, 0)
+    pairs = [(0, p) for p, n in enumerate(losses, start=1) for _ in range(n)]
+    pairs += [(p, 0) for p, n in enumerate(wins, start=1) for _ in range(n)]
+    got = trueskill_gibbs(*_matches(pairs), 5, iterations=150, seed=23,
+                          anchor_common=anchor_common)
+    want = _replayed_star_chain(losses, wins, 150, 23, anchor_common)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 # --- ordering and export ----------------------------------------------------------------
