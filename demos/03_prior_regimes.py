@@ -27,7 +27,7 @@ from latentbias import (
 rng = np.random.default_rng(3)
 params = TrueParams(beta=(0.0, 0.5, 1.0, 1.5), population=(1400,) * 4)
 dataset, _report = synthesize(params, rng)
-counts = dataset.counts()
+counts = dataset.outcome_counts().sum(axis=1)
 print(f"dataset: {len(dataset)} records, per-group counts {counts.tolist()}\n")
 
 results = {}

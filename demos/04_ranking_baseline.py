@@ -10,7 +10,7 @@ Run:  python demos/04_ranking_baseline.py
 
 import numpy as np
 
-from latentbias import Dataset, matches_from_dataset, trueskill_gibbs
+from latentbias import COMMON_LABEL, trueskill_gibbs
 
 TABLE = (
     ("White", 9374, 4208),
@@ -19,30 +19,19 @@ TABLE = (
     ("Other/Mixed", 536, 219),
 )
 
-rng = np.random.default_rng(1)
-outcomes = []
-for label, total, positive in TABLE:
-    group_outcomes = np.zeros(total, dtype=bool)
-    group_outcomes[:positive] = True
-    rng.shuffle(group_outcomes)
-    outcomes.append(group_outcomes)
-dataset = Dataset(
-    np.repeat(np.arange(len(TABLE)), [total for _label, total, _pos in TABLE]),
-    np.concatenate(outcomes),
-    [label for label, *_rest in TABLE],
-)
+# each group wins on its negative stops and loses on its positive ones
+labels = [COMMON_LABEL, *(label for label, *_rest in TABLE)]
+wins = np.array([total - positive for _label, total, positive in TABLE])
+losses = np.array([positive for _label, _total, positive in TABLE])
+print(f"{wins.sum() + losses.sum()} matches, {len(labels)} players\n")
 
-labels, winners, losers = matches_from_dataset(dataset)
-print(f"{winners.size} matches, {len(labels)} players\n")
-
-means, variances = trueskill_gibbs(winners, losers, len(labels), iterations=500, seed=0)
+means, variances = trueskill_gibbs(wins, losses, iterations=500, seed=0)
 print("raw skills (shared comparative level left in):")
 print(f"{'rank':>4} {'player':>13} {'mean':>9} {'variance':>9}")
 for position, i in enumerate(np.argsort(-means, kind="stable"), start=1):
     print(f"{position:>4} {labels[i]:>13} {means[i]:>9.4f} {variances[i]:>9.4f}")
 
-means, variances = trueskill_gibbs(winners, losers, len(labels), iterations=500, seed=0,
-                                   anchor_common=True)
+means, variances = trueskill_gibbs(wins, losses, iterations=500, seed=0, anchor_common=True)
 print("\nanchored on the common player (exposes per-player information):")
 print(f"{'player':>13} {'mean':>9} {'variance':>9}")
 for label, mean, variance in zip(labels, means, variances):

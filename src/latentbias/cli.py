@@ -223,11 +223,10 @@ def cmd_rank(args) -> int:
     dataset = _read_dataset(args.input)
     if len(dataset) == 0:
         raise DomainError("dataset is empty")
-    labels, winners, losers = matches_from_dataset(dataset)
+    labels, wins, losses = matches_from_dataset(dataset)
     means, variances = trueskill_gibbs(
-        winners,
-        losers,
-        len(labels),
+        wins,
+        losses,
         iterations=args.iterations,
         seed=derive_seed(args.seed, DOMAIN_RANK, 0),
         anchor_common=args.anchor_common,

@@ -220,9 +220,11 @@ class Dataset:
     def __len__(self) -> int:
         return self.group.size
 
-    def counts(self) -> np.ndarray:
-        """Rows per group, indexed by group code."""
-        return np.bincount(self.group, minlength=len(self.labels))
+    def outcome_counts(self) -> np.ndarray:
+        """``(K, 2)`` integer table of stops per group code: negative
+        outcomes in column 0, positive in column 1."""
+        k = len(self.labels)
+        return np.bincount(2 * self.group + self.outcome, minlength=2 * k).reshape(k, 2)
 
     def take(self, index) -> "Dataset":
         """The rows at ``index`` (integer positions or a bool mask), tables kept."""
@@ -502,10 +504,10 @@ def parse_records(
     kept = ids[group_of[ids] >= 0]
     dataset = Dataset(group_of[kept], positive_of[kept].astype(bool), mapping.group_labels,
                       force_of[kept], tuple(force_ids))
-    positive = np.bincount(dataset.group, weights=dataset.outcome, minlength=len(dataset.labels))
+    counts = dataset.outcome_counts()
     report.rows_kept = len(dataset)
-    report.group_counts = dict(zip(dataset.labels, dataset.counts().tolist()))
-    report.group_positive = dict(zip(dataset.labels, positive.astype(int).tolist()))
+    report.group_counts = dict(zip(dataset.labels, counts.sum(axis=1).tolist()))
+    report.group_positive = dict(zip(dataset.labels, counts[:, 1].tolist()))
     return dataset, report
 
 

@@ -234,9 +234,11 @@ def orthant_masses(h, k: float, r: float):
 
     (the ``h`` terms are 0 at ``h = 0``); the other mass is ``Phi(h)`` less
     the same pieces. Far out, rounding can take either below 0, so both are
-    floored at 0. For ``h`` from about -6 to -10 the pieces cancel, and
-    ``P+/(P+ + P-)`` is off by up to about 1e-4 relative (against mpmath);
-    above ``h = -4`` it agrees to about 1e-12.
+    floored at 0. The pieces cancel, so a single mass is accurate only to
+    about 1e-16 absolute, and in the stop tail it can be off by up to 100 %
+    relative. Only the ratio ``P+/(P+ + P-)`` keeps a stated relative
+    accuracy: for ``h`` from about -6 to -10 it is off by up to about 1e-4
+    (against mpmath), and above ``h = -4`` it agrees to about 1e-12.
     """
     if k != 0.0:
         s = 1.0 / math.sqrt(1.0 + r * r)

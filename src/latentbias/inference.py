@@ -44,7 +44,8 @@ from .data import Dataset, csv_field
 from .errors import ConditioningError, DivergenceError, DomainError
 from .gaussians import ndtr, orthant_masses, sample_truncated_normal
 from .kernel import MH_STEPS, T_DOF, log_weights, mh_states, proposals
-from .model import ModelConfig, PriorKind, build_prior, descending_order
+from .model import (DIVERGENCE_MEAN_LIMIT, DIVERGENCE_VARIANCE_LIMIT, ModelConfig, PriorKind,
+                    build_prior, descending_order)
 
 __all__ = [
     "GibbsTrace",
@@ -331,20 +332,18 @@ def run_gibbs(
             definite, which DEPENDENT and FREE reach when ``gamma`` is well
             above ``alpha``.
         DivergenceError: when any recorded mean magnitude exceeds
-            ``config.divergence_mean_limit`` or any variance exceeds
-            ``config.divergence_variance_limit``; the exception carries
-            the sweep index and the partial trace. The recorded variances
-            are fixed before sweep 0, so that limit trips at sweep 0 with
-            an empty trace.
+            :data:`~latentbias.model.DIVERGENCE_MEAN_LIMIT` or any variance
+            exceeds :data:`~latentbias.model.DIVERGENCE_VARIANCE_LIMIT`; the
+            exception carries the sweep index and the partial trace. The
+            recorded variances are fixed before sweep 0, so that limit trips
+            at sweep 0 with an empty trace.
         NumericalError: when an anchored group's mode solve fails.
     """
     if len(dataset) == 0:
         raise DomainError("dataset must be nonempty")
     k = len(dataset.labels)
     labels = list(dataset.labels)
-    # rows per (group, outcome) cell: negatives and positives of each group
-    negatives, positives = np.bincount(
-        2 * dataset.group + dataset.outcome, minlength=2 * k).reshape(k, 2).T
+    negatives, positives = dataset.outcome_counts().T
     counts = negatives + positives
     if np.any(counts == 0):
         empty = [labels[i] for i in np.nonzero(counts == 0)[0]]
@@ -386,9 +385,9 @@ def run_gibbs(
                                sweep=sweep, trace=trace_upto(sweep))
 
     # the recorded variances are fixed before sweep 0, so they are checked once
-    if np.any(rec_var_row > config.divergence_variance_limit):
+    if np.any(rec_var_row > DIVERGENCE_VARIANCE_LIMIT):
         raise diverged(0, f"max variance {rec_var_row.max():.3g} exceeds "
-                          f"{config.divergence_variance_limit:.3g}")
+                          f"{DIVERGENCE_VARIANCE_LIMIT:.3g}")
 
     if anchored:
         # the latents integrate out: each group's target is fixed by its counts,
@@ -400,7 +399,7 @@ def run_gibbs(
             trace_means[:, g] = pts[mh_states(lw, u)[MH_STEPS - 1 :: MH_STEPS]]
         wall[:] = (time.perf_counter() - t0) / sweeps
         trace_means[:, k] = 0.0
-        over = np.abs(trace_means).max(axis=1) > config.divergence_mean_limit
+        over = np.abs(trace_means).max(axis=1) > DIVERGENCE_MEAN_LIMIT
         if over.any():
             sweep = int(np.argmax(over))
             raise diverged(sweep, f"max |mean| {np.abs(trace_means[sweep]).max():.3g}")
@@ -426,7 +425,7 @@ def run_gibbs(
             c += sd_stop * rng.standard_normal(group.size)
             eta = eta0 + np.append(np.bincount(group, s_lat - c, k) / alpha, t_lat.sum() / gamma)
             mean = cov_rep @ eta
-            if np.any(np.abs(mean) > config.divergence_mean_limit):
+            if np.any(np.abs(mean) > DIVERGENCE_MEAN_LIMIT):
                 raise diverged(sweep, f"max |mean| {np.abs(mean).max():.3g}")
             trace_means[sweep] = mean
             wall[sweep] = time.perf_counter() - t0

@@ -114,25 +114,28 @@ def predictive_score(
     ``method="likelihood"`` returns the mean predictive probability
     assigned to the observed outcomes using each record's group-specific
     stop-conditional probability - a strictly finer-grained alternative.
+    Both read only the test set's per-group outcome tally
+    (:meth:`~latentbias.data.Dataset.outcome_counts`); the likelihood sum is
+    taken exactly (``math.fsum``) over its products.
     """
     if len(test) == 0:
         raise DomainError("test set must be nonempty")
+    counts = test.outcome_counts()
     if method == "accuracy":
         p = guilt_probability(posterior.criminality_mean, gamma)
-        hits = int(np.count_nonzero(test.outcome == (p >= 0.5)))
-        return hits / len(test)
+        return int(counts[:, int(p >= 0.5)].sum()) / len(test)
     if method == "likelihood":
         k = len(posterior.labels)
-        if test.group.max() >= k:
-            raise DomainError(f"test group code {test.group.max()} unknown to the posterior")
-        per_group = np.array([
+        unknown = np.flatnonzero(counts[k:].any(axis=1))
+        if unknown.size:
+            raise DomainError(f"test group code {k + unknown[-1]} unknown to the posterior")
+        p = np.array([
             outcome_probability_given_stop(
                 float(posterior.bias_mean[g]), posterior.criminality_mean, alpha, gamma
             )
             for g in range(k)
         ])
-        p = per_group[test.group]
-        # summed in row order, one addition at a time
-        total = float(np.cumsum(np.where(test.outcome, p, 1.0 - p))[-1])
-        return total / len(test)
+        # each group's negative stops score 1 - p and its positive stops p
+        per_group = counts[:k] * np.column_stack((1.0 - p, p))
+        return math.fsum(per_group.ravel().tolist()) / len(test)
     raise DomainError(f"unknown scoring method {method!r}")

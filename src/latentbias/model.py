@@ -29,6 +29,8 @@ from .errors import DomainError
 from .gaussians import std_normal_cdf
 
 __all__ = [
+    "DIVERGENCE_MEAN_LIMIT",
+    "DIVERGENCE_VARIANCE_LIMIT",
     "PriorKind",
     "ModelConfig",
     "build_prior",
@@ -36,6 +38,11 @@ __all__ = [
     "guilt_probability",
     "require_positive_finite",
 ]
+
+# a chain whose recorded mean (a bias, criminality or skill) or variance
+# passes these has diverged
+DIVERGENCE_MEAN_LIMIT = 1e6
+DIVERGENCE_VARIANCE_LIMIT = 1e12
 
 
 class PriorKind(enum.Enum):
@@ -79,8 +86,6 @@ class ModelConfig:
     sweeps: int = 500
     burn_in: int = 100
     anchoring: Optional[bool] = None
-    divergence_mean_limit: float = 1e6
-    divergence_variance_limit: float = 1e12
 
     def __post_init__(self):
         require_positive_finite(alpha=self.alpha, gamma=self.gamma)
@@ -90,10 +95,6 @@ class ModelConfig:
             raise DomainError(
                 f"need sweeps > burn_in >= 0, got sweeps={self.sweeps} burn_in={self.burn_in}"
             )
-        require_positive_finite(
-            divergence_mean_limit=self.divergence_mean_limit,
-            divergence_variance_limit=self.divergence_variance_limit,
-        )
 
     @property
     def anchoring_enabled(self) -> bool:

@@ -1,21 +1,22 @@
 """Skill-ranking baseline: each group plays a common "Criminality" player.
 
-Every stop-and-search record becomes one decisive match, held as one
-entry of a winner array and a loser array of player ids. A positive
-outcome means the common player beat the group's player; a negative
-outcome means the group's player won. Skills ``w`` get N(0,1) priors and
-a match is won with probability ``Phi(w_win - w_lose)`` (unit performance
-noise).
+Every stop-and-search record is one decisive match between its group's
+player and the common player. A positive outcome means the common player
+beat the group's player; a negative outcome means the group's player won.
+So the data are each group's wins (its negative stops) and losses (its
+positive stops) against the common player, as
+:meth:`~latentbias.data.Dataset.outcome_counts` tallies them. Skills ``w``
+get N(0,1) priors and a match is won with probability
+``Phi(w_win - w_lose)`` (unit performance noise).
 
-Every match involves the common player, so the likelihood depends only
-on each group's wins and losses against it, and :func:`trueskill_gibbs`
-samples from those counts with no per-match latent. Given the common
-level, the groups' skills relative to it are independent, and only the
-prior factor of each conditional moves with that level. So each group
-gets one fixed Student-t proposal from :mod:`~latentbias.kernel`, computed
-from its counts once per run, and its target is evaluated once on all of
-its proposals; the Metropolis-Hastings steps then need one scalar ratio
-each, and stay exact because the proposal depends only on the data.
+:func:`trueskill_gibbs` samples from those counts with no per-match
+latent. Given the common level, the groups' skills relative to it are
+independent, and only the prior factor of each conditional moves with that
+level. So each group gets one fixed Student-t proposal from
+:mod:`~latentbias.kernel`, computed from its counts once per run, and its
+target is evaluated once on all of its proposals; the Metropolis-Hastings
+steps then need one scalar ratio each, and stay exact because the proposal
+depends only on the data.
 
 Because every observation is purely comparative, the common level of all
 skills is informed only by the prior and wanders from iteration to
@@ -36,7 +37,7 @@ from .data import Dataset, csv_field
 from .errors import DivergenceError, DomainError
 from .gaussians import log_ndtr
 from .kernel import MH_STEPS, proposals
-from .model import descending_order
+from .model import DIVERGENCE_MEAN_LIMIT, descending_order
 
 __all__ = [
     "COMMON_LABEL",
@@ -46,24 +47,19 @@ __all__ = [
 ]
 
 COMMON_LABEL = "Criminality"
-# a skill whose magnitude passes this has diverged
-_DIVERGENCE_LIMIT = 1e6
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def matches_from_dataset(dataset: Dataset) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Player labels plus one match per record, as ``(labels, winners, losers)``.
+    """Player labels and each group's record against the common player, as
+    ``(labels, wins, losses)``.
 
-    Player 0 is the common player (:data:`COMMON_LABEL`); group ``k``
-    plays as id ``k + 1``. A positive outcome is a win for the common
-    player, a negative outcome a win for the group's player. Matches keep
-    the row order.
+    The labels put the common player (:data:`COMMON_LABEL`) first, then the
+    groups. A group wins on each of its negative stops and loses on each of
+    its positive ones; ``wins`` and ``losses`` are indexed by group code.
     """
-    labels = [COMMON_LABEL, *dataset.labels]
-    group_player = dataset.group + 1
-    winners = np.where(dataset.outcome, 0, group_player)
-    losers = np.where(dataset.outcome, group_player, 0)
-    return labels, winners, losers
+    negatives, positives = dataset.outcome_counts().T
+    return [COMMON_LABEL, *dataset.labels], negatives, positives
 
 
 class _SkillTarget:
@@ -103,29 +99,26 @@ class _SkillTarget:
 
 
 def trueskill_gibbs(
-    winners: np.ndarray,
-    losers: np.ndarray,
-    player_count: int,
+    wins: np.ndarray,
+    losses: np.ndarray,
     iterations: int = 500,
     seed: int = 0,
     anchor_common: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Count-level Gibbs over player skills on a star graph.
 
-    Match ``m`` is won by player ``winners[m]`` against ``losers[m]``;
-    player ids run over ``0..player_count-1``, and every match involves
-    player 0, as :func:`matches_from_dataset` builds them. The matches are
-    reduced once to each player's wins ``b_p`` and losses ``a_p`` against
-    player 0, so the match order does not matter. The chain runs on the
+    Player 0 is the common player; player ``p >= 1`` won ``b_p =
+    wins[p - 1]`` and lost ``a_p = losses[p - 1]`` matches against it, as
+    :func:`matches_from_dataset` tallies them. The chain runs on the
     relative skills ``d_p = w_p - w_0`` (``d_0 = 0``) and the common level
-    ``w_0``; per iteration:
+    ``w_0``; with ``P`` players, per iteration:
 
     * each ``d_p``, ``p >= 1``, by ``3`` independence Metropolis-Hastings
       steps on its exact 1-D conditional ``N(d; -w_0, 1) Phi(d)^b_p
       Phi(-d)^a_p``; given ``w_0`` the ``d_p`` are independent, so this is
       an exact blocked step;
-    * ``w_0 ~ N(-sum(d) / player_count, 1 / player_count)``, exactly: the
-      likelihood depends only on skill differences.
+    * ``w_0 ~ N(-sum(d) / P, 1 / P)``, exactly: the likelihood depends only
+      on skill differences.
 
     Only the prior factor of a conditional moves with ``w_0``: it is the
     fixed ``w_0 = 0`` target times ``exp(-w_0 d)``. So each player gets one
@@ -141,44 +134,39 @@ def trueskill_gibbs(
     Each ``d_p`` starts at its proposal mode and ``w_0`` at zero; the first
     ``iterations // 5`` iterations are burn-in. Returns the empirical
     post-burn-in ``(means, variances)`` of the skills ``w`` (of ``d`` with
-    ``anchor_common``) per player; variances are floored at 1e-12, so an
-    anchored common player reports 1e-12. Deterministic given ``seed``.
+    ``anchor_common``) per player, the common player first; variances are
+    floored at 1e-12, so an anchored common player reports 1e-12.
+    Deterministic given ``seed``.
 
     Raises:
-        DomainError: malformed matches, a match without player 0, or
+        DomainError: ``wins`` and ``losses`` not 1-D non-negative integer
+            tallies of equal length with at least one match, or
             ``iterations`` below 1.
         DivergenceError: at the first iteration where a skill's magnitude
-            exceeds 1e6.
+            exceeds :data:`~latentbias.model.DIVERGENCE_MEAN_LIMIT`.
         NumericalError: when a 1-D mode solve fails.
     """
-    winners = np.asarray(winners, dtype=np.intp)
-    losers = np.asarray(losers, dtype=np.intp)
-    if winners.ndim != 1 or winners.shape != losers.shape:
-        raise DomainError("winners and losers must be 1-D arrays of equal length")
-    if winners.size == 0:
+    wins, losses = np.asarray(wins), np.asarray(losses)
+    if not (wins.ndim == 1 and wins.shape == losses.shape
+            and wins.dtype.kind in "iu" and losses.dtype.kind in "iu"):
+        raise DomainError("wins and losses must be 1-D integer tallies of equal length")
+    if (wins < 0).any() or (losses < 0).any():
+        raise DomainError("wins and losses must be non-negative")
+    if wins.sum() + losses.sum() == 0:
         raise DomainError("matches must be nonempty")
-    if np.any(winners == losers):
-        raise DomainError("a match needs two distinct players")
     if iterations < 1:
         raise DomainError("iterations must be >= 1")
-    if min(winners.min(), losers.min()) < 0 or max(winners.max(), losers.max()) >= player_count:
-        raise DomainError("match player ids out of range")
-    # table[p, q]: how often p beat q
-    table = np.bincount(winners * player_count + losers,
-                        minlength=player_count * player_count).reshape(player_count, player_count)
-    if table[1:, 1:].any():
-        raise DomainError("every match must involve the common player 0")
-    # per player p >= 1: losses a_p to player 0 and wins b_p against it
-    losses, wins = table[0, 1:].tolist(), table[1:, 0].tolist()
+    player_count = wins.size + 1
     burn, steps = iterations // 5, MH_STEPS
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     # per player: its proposal mode (point 0, the start) then its proposals,
     # the fixed target's log weight at each, and its uniforms
     chains = [(pts.tolist(), lw, u) for pts, lw, u in proposals(
-        [_SkillTarget(0.0, a, b) for a, b in zip(losses, wins)], iterations, rng)]
+        [_SkillTarget(0.0, a, b) for a, b in zip(losses.tolist(), wins.tolist())],
+        iterations, rng)]
     level_noise = (rng.standard_normal(iterations) / math.sqrt(player_count)).tolist()
 
-    states = [0] * (player_count - 1)
+    states = [0] * wins.size
     common = 0.0  # w_0
     rel = np.zeros((iterations, player_count))  # d, with d_0 = 0 throughout
     levels = np.empty(iterations)
@@ -197,7 +185,7 @@ def trueskill_gibbs(
         common = -total / player_count + level_noise[it]
         levels[it] = common
     skills = rel + levels[:, None]
-    over = (np.abs(skills) > _DIVERGENCE_LIMIT).any(axis=1)
+    over = (np.abs(skills) > DIVERGENCE_MEAN_LIMIT).any(axis=1)
     if over.any():
         it = int(np.argmax(over))
         raise DivergenceError(f"ranking chain diverged at iteration {it}", sweep=it)

@@ -372,8 +372,9 @@ def parse_records_oracle(stream, mapping, kind):
     dataset = Dataset(np.array(groups, dtype=np.intp), np.array(outcomes, dtype=bool),
                       mapping.group_labels, np.array(forces, dtype=np.intp), tuple(force_ids))
     positive = np.bincount(dataset.group, weights=dataset.outcome, minlength=len(dataset.labels))
+    rows = np.bincount(dataset.group, minlength=len(dataset.labels))
     report.rows_kept = len(dataset)
-    report.group_counts = dict(zip(dataset.labels, dataset.counts().tolist()))
+    report.group_counts = dict(zip(dataset.labels, rows.tolist()))
     report.group_positive = dict(zip(dataset.labels, positive.astype(int).tolist()))
     return dataset, report
 

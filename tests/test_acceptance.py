@@ -167,7 +167,7 @@ def test_06_sample_size_drives_variance():
     # the first counts[g] records of each group, in row order
     rank_in_group = np.zeros(len(records), dtype=int)
     for g in range(len(counts)):
-        rank_in_group[records.group == g] = np.arange(records.counts()[g])
+        rank_in_group[records.group == g] = np.arange(records.outcome_counts().sum(axis=1)[g])
     subset = records.take(rank_in_group < np.asarray(counts)[records.group])
     cfg = ModelConfig(seed=2, prior=PriorKind.INDEPENDENT, sweeps=200, burn_in=50)
     summary, _ = run_gibbs(subset, cfg)
@@ -210,12 +210,12 @@ def test_08_ranking_baseline_national_order():
     for seed in range(10):
         rng = np.random.default_rng(np.random.SeedSequence((seed, 88)))
         labels, *matches = matches_from_dataset(_table_dataset(rng))
-        means, _variances = trueskill_gibbs(*matches, len(labels), iterations=500, seed=seed)
+        means, _variances = trueskill_gibbs(*matches, iterations=500, seed=seed)
         order = [labels[i] for i in np.argsort(-means, kind="stable")]
         if order == want_order:
             hits += 1
-        _means, anchored_vars = trueskill_gibbs(*matches, len(labels), iterations=500,
-                                                seed=seed, anchor_common=True)
+        _means, anchored_vars = trueskill_gibbs(*matches, iterations=500, seed=seed,
+                                                anchor_common=True)
         group_vars = dict(zip(labels[1:], anchored_vars[1:]))
         if group_vars["Other/Mixed"] == max(group_vars.values()):
             smallest_dominates += 1

@@ -273,14 +273,14 @@ def test_balance_counts(national_records):
     rng = np.random.default_rng(1)
     balanced = balance(records, 500, rng)
     assert len(balanced) == 2000
-    assert balanced.counts().tolist() == [500] * 4
+    assert balanced.outcome_counts().sum(axis=1).tolist() == [500] * 4
 
 
 def test_balance_passthrough_at_group_size():
     records = _ds([0] * 5 + [1] * 9, [True] * 5 + [False] * 9)
     rng = np.random.default_rng(2)
     balanced = balance(records, 5, rng)
-    assert balanced.counts().tolist() == [5, 5]
+    assert balanced.outcome_counts().sum(axis=1).tolist() == [5, 5]
     assert balanced.group[:5].tolist() == [0] * 5  # row order kept
 
 
@@ -333,7 +333,7 @@ def test_split_90_10():
 def test_split_stratified_exact():
     records = _ds([0] * 40 + [1] * 20, [True] * 60)
     _train, test = split(records, 0.1, np.random.default_rng(1))
-    assert test.counts().tolist() == [4, 2]
+    assert test.outcome_counts().sum(axis=1).tolist() == [4, 2]
 
 
 def test_split_disjoint_exhaustive_deterministic():
@@ -365,7 +365,7 @@ def test_synthesize_saturated_stop():
     params = TrueParams(beta=(10.0, 10.0), population=(5000, 5000))
     records, report = synthesize(params, np.random.default_rng(0))
     assert len(records) == 10000
-    assert records.counts().tolist() == [5000, 5000]
+    assert records.outcome_counts().sum(axis=1).tolist() == [5000, 5000]
     assert records.labels == ("group0", "group1")
     positive = int(records.outcome.sum())
     assert positive / len(records) == pytest.approx(0.5, abs=0.02)

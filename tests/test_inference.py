@@ -400,7 +400,7 @@ def test_anchored_chain_matches_per_sweep_kernel(kind):
     m0, v0 = build_prior(3)
     positives = np.bincount(records.group, weights=records.outcome, minlength=3)
     targets = [inference._CountTarget(p, n - p, m, v, cfg.alpha, cfg.gamma)
-               for p, n, m, v in zip(positives, records.counts(), m0, v0)]
+               for p, n, m, v in zip(positives, records.outcome_counts().sum(axis=1), m0, v0)]
     assert targets[0].r > 1
     laplace = [kernel.mode_and_scale(target) for target in targets]
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
@@ -420,15 +420,16 @@ def test_anchored_chain_matches_per_sweep_kernel(kind):
     assert trace.wall_times.shape == (cfg.sweeps,) and np.all(trace.wall_times > 0)
 
 
-def test_anchored_guard_raises_at_first_offending_sweep():
+def test_anchored_guard_raises_at_first_offending_sweep(monkeypatch):
     # a limit just above the first 5 sweeps' draws: seed 5 first passes it at sweep 19
     records = _asym_records((300, 200), positive_rate=3)
     _summary, full = run_gibbs(records, _cfg(seed=5, sweeps=30, burn_in=5))
     limit = float(np.abs(full.means[:5]).max())
     first = int(np.argmax(np.abs(full.means).max(axis=1) > limit))
     assert first >= 5
+    monkeypatch.setattr(inference, "DIVERGENCE_MEAN_LIMIT", limit)
     with pytest.raises(DivergenceError) as exc:
-        run_gibbs(records, _cfg(seed=5, sweeps=30, burn_in=5, divergence_mean_limit=limit))
+        run_gibbs(records, _cfg(seed=5, sweeps=30, burn_in=5))
     assert exc.value.sweep == first
     assert np.array_equal(exc.value.trace.means, full.means[:first])
 
@@ -478,7 +479,7 @@ def test_balanced_variances_agree():
     rng = np.random.default_rng(11)
     params = TrueParams(beta=(0.0, 0.0, 0.0), population=(900, 900, 900))
     records, _rep = synthesize(params, rng)
-    n = records.counts().min()
+    n = records.outcome_counts().sum(axis=1).min()
     # synthesize emits group blocks: keep the first n rows of each
     trimmed = records.take(np.concatenate([np.flatnonzero(records.group == g)[:n] for g in range(3)]))
     cfg = _cfg(seed=5, sweeps=60, burn_in=20, prior=PriorKind.INDEPENDENT)
@@ -510,28 +511,29 @@ def test_free_anchored_survives_with_zero_criminality():
     assert np.all(trace.means[:, trace.group_count] == 0.0)
 
 
-def test_divergence_guard_configurable():
+def test_divergence_guard_configurable(monkeypatch):
     records = _asym_records((200, 100), positive_rate=3)
-    cfg = _cfg(seed=1, sweeps=30, burn_in=5, divergence_mean_limit=1e-9)
-    with pytest.raises(DivergenceError) as exc:
-        run_gibbs(records, cfg)
+    cfg = _cfg(seed=1, sweeps=30, burn_in=5)
+    with monkeypatch.context() as patch:
+        patch.setattr(inference, "DIVERGENCE_MEAN_LIMIT", 1e-9)
+        with pytest.raises(DivergenceError) as exc:
+            run_gibbs(records, cfg)
     assert exc.value.sweep == 0
     # the recorded variances are fixed before sweep 0, so their limit trips
     # there, with an empty partial trace and the variance named
-    cfg = _cfg(seed=1, sweeps=30, burn_in=5, divergence_variance_limit=1e-9)
+    monkeypatch.setattr(inference, "DIVERGENCE_VARIANCE_LIMIT", 1e-9)
     with pytest.raises(DivergenceError, match="max variance") as exc:
         run_gibbs(records, cfg)
     assert exc.value.sweep == 0 and exc.value.trace.sweeps == 0
 
 
-def test_drift_slope_positive_for_unanchored_free_chain():
+def test_drift_slope_positive_for_unanchored_free_chain(monkeypatch):
     # with the guard lifted, the uncorrected chain's criminality mean moves
     # away from zero monotonically in trend: the drift diagnostic is positive
     records = _asym_records((800, 500), positive_rate=3)
-    cfg = _cfg(
-        seed=8, sweeps=25, burn_in=5, prior=PriorKind.FREE,
-        divergence_mean_limit=1e200, divergence_variance_limit=1e200,
-    )
+    monkeypatch.setattr(inference, "DIVERGENCE_MEAN_LIMIT", 1e200)
+    monkeypatch.setattr(inference, "DIVERGENCE_VARIANCE_LIMIT", 1e200)
+    cfg = _cfg(seed=8, sweeps=25, burn_in=5, prior=PriorKind.FREE)
     _summary, trace = run_gibbs(records, cfg)
     assert drift_slope(trace) > 0
     magnitudes = np.abs(trace.means[:, trace.group_count])

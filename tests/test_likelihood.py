@@ -132,6 +132,19 @@ def test_likelihood_method_uses_group_specific_probabilities():
     assert predictive_score(summary, test, 1.0, 1.0, method="likelihood") == pytest.approx(want)
 
 
+def test_likelihood_score_is_the_exact_mean_of_the_row_probabilities():
+    # a running sum over 20,000 rows drifts by about 2e-14 relative; the
+    # score must stay within a few roundings of the exactly summed rows
+    summary = _summary([0.3, -0.7, 1.1, -0.2], c_mean=0.25)
+    rng = np.random.default_rng(20)
+    groups, outcomes = rng.integers(0, 4, 20_000), rng.random(20_000) < 0.4
+    p = np.array([outcome_probability_given_stop(b, 0.25, 1.0, 1.0)
+                  for b in summary.bias_mean.tolist()])[groups]
+    want = math.fsum(np.where(outcomes, p, 1.0 - p).tolist()) / groups.size
+    got = predictive_score(summary, _test_set(groups, outcomes), 1.0, 1.0, method="likelihood")
+    assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
 @pytest.mark.parametrize("alpha, gamma", [(1.0, 1.0), (2.0, 0.5), (0.02, 0.02)])
 @pytest.mark.parametrize("criminality_mean", [-1.0, 0.0, 1.0])
 def test_outcome_probability_matches_bivariate_oracle(alpha, gamma, criminality_mean):

@@ -73,10 +73,8 @@ def test_ranking_chain_matches_skill_posterior(n_pos, n_neg):
     # posterior); the batches are independent chains of 200 post-burn-in
     # iterations each
     chains, iterations = 40, 250
-    winners = np.repeat([0, 1], [n_pos, n_neg])
-    losers = 1 - winners
     kept = iterations - iterations // 5
-    runs = {anchor: np.array([trueskill_gibbs(winners, losers, 2, iterations, seed, anchor)
+    runs = {anchor: np.array([trueskill_gibbs([n_neg], [n_pos], iterations, seed, anchor)
                               for seed in range(chains)])
             for anchor in (True, False)}
     mean, sd, _cdf = skill_posterior_oracle(n_pos, n_neg)
@@ -117,14 +115,10 @@ def test_ranking_chain_matches_step_at_a_time_reference():
     # post-burn-in mean and variance is one batch
     losses, wins = (300, 6, 0, 40), (150, 3, 5, 0)
     chains, iterations = 40, 250
-    winners = np.concatenate([np.repeat(0, sum(losses))]
-                             + [np.repeat(p, n) for p, n in enumerate(wins, start=1)])
-    losers = np.concatenate([np.repeat(p, n) for p, n in enumerate(losses, start=1)]
-                            + [np.repeat(0, sum(wins))])
     reference = [_reference_star_chain(losses, wins, iterations, 1000 + seed)
                  for seed in range(chains)]
     for anchor, column in ((True, 0), (False, 1)):
-        star = np.array([trueskill_gibbs(winners, losers, 5, iterations, seed, anchor)
+        star = np.array([trueskill_gibbs(wins, losses, iterations, seed, anchor)
                          for seed in range(chains)])
         ref = np.array([(draws[column].mean(axis=0), draws[column].var(axis=0))
                         for draws in reference])

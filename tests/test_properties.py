@@ -1,8 +1,9 @@
 """Property-based tests: CSV round-trips (datasets and traces) and their
 row-at-a-time oracles,
 the keyed raw-export parser against its row-at-a-time oracle, ingest
-accounting, split and balance, the shared rank order, the ranking chain's
-match-order invariance and the truncated-normal sampler."""
+accounting, split and balance, the shared rank order, the per-group
+outcome tally that the ranking chain and held-out scoring read, and the
+truncated-normal sampler."""
 
 import csv
 import io
@@ -26,7 +27,9 @@ from latentbias import (
     SchemeKind,
     balance,
     default_mapping,
+    matches_from_dataset,
     parse_records,
+    predictive_score,
     read_dataset_csv,
     read_trace_csv,
     run_gibbs,
@@ -177,7 +180,8 @@ def test_parse_records_report_matches_dataset(rows, kind):
     positive = np.bincount(dataset.group, weights=dataset.outcome, minlength=len(labels))
     assert report.rows_total == len(rows)
     assert report.rows_kept == len(dataset)
-    assert report.group_counts == dict(zip(labels, dataset.counts().tolist()))
+    per_group = np.bincount(dataset.group, minlength=len(labels))
+    assert report.group_counts == dict(zip(labels, per_group.tolist()))
     assert report.group_positive == dict(zip(labels, positive.tolist()))
     assert report.rows_kept + report.rows_dropped == report.rows_total
 
@@ -292,22 +296,23 @@ def test_split_is_stratified_disjoint_exhaustive_and_ordered(dataset, fraction, 
     train_rows, test_rows = _kept_rows(dataset, train), _kept_rows(dataset, test)
     assert np.all(np.diff(train_rows) > 0) and np.all(np.diff(test_rows) > 0)
     assert sorted(train_rows.tolist() + test_rows.tolist()) == list(range(len(dataset)))
-    n = dataset.counts()
-    assert np.all(np.abs(test.counts() - fraction * n) <= 1.0)
+    n = dataset.outcome_counts().sum(axis=1)
+    assert np.all(np.abs(test.outcome_counts().sum(axis=1) - fraction * n) <= 1.0)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_numbered_rows(min_size=1), st.integers(1, 12), st.integers(0, 2**32 - 1))
 def test_balance_gives_n_per_group_as_a_sorted_subset(dataset, n, seed):
-    present = dataset.counts() > 0
-    if n > dataset.counts()[present].min():
+    per_group = dataset.outcome_counts().sum(axis=1)
+    present = per_group > 0
+    if n > per_group[present].min():
         with pytest.raises(DomainError):
             balance(dataset, n, np.random.default_rng(seed))
         return
     balanced = balance(dataset, n, np.random.default_rng(seed))
     rows = _kept_rows(dataset, balanced)
     assert np.all(np.diff(rows) > 0)
-    assert np.array_equal(balanced.counts(), np.where(present, n, 0))
+    assert np.array_equal(balanced.outcome_counts().sum(axis=1), np.where(present, n, 0))
 
 
 @settings(max_examples=300, deadline=None)
@@ -367,29 +372,58 @@ def test_trace_csv_roundtrip(trace):
     assert again.getvalue() == buf.getvalue()
 
 
+@settings(max_examples=200, deadline=None)
+@given(datasets())
+def test_outcome_counts_match_a_per_row_tally(dataset):
+    # labels without rows tally (0, 0)
+    want = np.zeros((len(dataset.labels), 2), dtype=int)
+    for g, positive in zip(dataset.group.tolist(), dataset.outcome.tolist()):
+        want[g, int(positive)] += 1
+    got = dataset.outcome_counts()
+    assert got.dtype.kind == "i" and np.array_equal(got, want)
+
+
 @st.composite
-def match_lists(draw):
-    """``(player_count, winners, losers)`` of a star graph: every match is
-    between the common player 0 and another player."""
-    players = draw(st.integers(2, 5))
-    pairs = draw(st.lists(st.tuples(st.integers(1, players - 1), st.booleans()),
-                          min_size=1, max_size=40))
-    others = np.array([p for p, _won in pairs])
-    won = np.array([w for _p, w in pairs])
-    return players, np.where(won, others, 0), np.where(won, 0, others)
+def same_tally_datasets(draw):
+    """Two datasets with one outcome tally: the first in group and outcome
+    order, the second its rows shuffled and given other force codes."""
+    tally = draw(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)),
+                          min_size=1, max_size=4).filter(lambda t: sum(map(sum, t)) > 0))
+    cells = [(g, positive) for g, (negatives, positives) in enumerate(tally)
+             for positive, n in ((False, negatives), (True, positives)) for _ in range(n)]
+    group = np.array([g for g, _positive in cells])
+    outcome = np.array([positive for _g, positive in cells])
+    order = np.array(draw(st.permutations(range(len(cells)))), dtype=int)
+    force = np.array(draw(st.lists(st.integers(0, 2), min_size=len(cells), max_size=len(cells))))
+    labels = [f"g{k}" for k in range(len(tally))]
+    return (Dataset(group, outcome, labels),
+            Dataset(group[order], outcome[order], labels, force, ("f0", "f1", "f2")))
 
 
 @settings(max_examples=100, deadline=None)
-@given(match_lists(), st.randoms(use_true_random=False), st.integers(1, 12),
-       st.integers(0, 2**32 - 1), st.booleans())
-def test_trueskill_gibbs_ignores_match_order(matches, shuffler, iterations, seed, anchor):
-    # the chain sees only the win count of each (winner, loser) pair
-    players, winners, losers = matches
-    order = list(range(winners.size))
-    shuffler.shuffle(order)
-    want = trueskill_gibbs(winners, losers, players, iterations, seed, anchor)
-    got = trueskill_gibbs(winners[order], losers[order], players, iterations, seed, anchor)
+@given(same_tally_datasets(), st.integers(1, 12), st.integers(0, 2**32 - 1), st.booleans(),
+       st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4), st.floats(-2.0, 2.0),
+       st.floats(0.1, 5.0), st.floats(0.1, 5.0))
+def test_ranking_and_scores_read_only_the_outcome_tally(pair, iterations, seed, anchor,
+                                                       bias, criminality, alpha, gamma):
+    # neither row order nor force codes reach the ranking chain or the score
+    ordered, shuffled = pair
+    k = len(ordered.labels)
+    want_labels, *want_matches = matches_from_dataset(ordered)
+    got_labels, *got_matches = matches_from_dataset(shuffled)
+    assert got_labels == want_labels
+    want = trueskill_gibbs(*want_matches, iterations, seed, anchor)
+    got = trueskill_gibbs(*got_matches, iterations, seed, anchor)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    means = np.array(bias[:k])
+    summary = PosteriorSummary(
+        labels=list(ordered.labels), bias_mean=means, bias_variance=np.ones(k),
+        rank=_ranks_desc(means), criminality_mean=criminality, criminality_variance=1.0,
+        prior_kind=PriorKind.DEPENDENT, sweeps=1,
+    )
+    for method in ("accuracy", "likelihood"):
+        assert (predictive_score(summary, shuffled, alpha, gamma, method)
+                == predictive_score(summary, ordered, alpha, gamma, method)), method
 
 
 @settings(max_examples=100, deadline=None)

@@ -19,77 +19,55 @@ from latentbias.gaussians import log_ndtr
 from conftest import EXACT_GRID
 
 
-def _matches(pairs):
-    """``(winners, losers)`` arrays from ``(winner, loser)`` pairs."""
-    arr = np.array(pairs, dtype=int).reshape(-1, 2)
-    return arr[:, 0], arr[:, 1]
-
-
 def _dataset(groups, outcomes, labels):
     return Dataset(np.array(groups, dtype=int), np.array(outcomes, dtype=bool), labels)
 
 
-# --- match construction -----------------------------------------------------------
+# --- match tallies ------------------------------------------------------------------
 
 def test_positive_outcome_is_common_player_win():
-    labels, winners, losers = matches_from_dataset(_dataset([1], [True], ("a", "b")))
+    labels, wins, losses = matches_from_dataset(_dataset([1], [True], ("a", "b")))
     assert labels == [COMMON_LABEL, "a", "b"]
-    assert (winners.tolist(), losers.tolist()) == ([0], [2])
+    assert (wins.tolist(), losses.tolist()) == ([0, 0], [0, 1])
 
 
 def test_negative_outcome_is_group_win():
-    _labels, winners, losers = matches_from_dataset(_dataset([2], [False], ("a", "b", "c")))
-    assert (winners.tolist(), losers.tolist()) == ([3], [0])
+    _labels, wins, losses = matches_from_dataset(_dataset([2], [False], ("a", "b", "c")))
+    assert (wins.tolist(), losses.tolist()) == ([0, 0, 1], [0, 0, 0])
 
 
 def test_empty_dataset_gives_no_matches():
-    labels, winners, losers = matches_from_dataset(_dataset([], [], ("a",)))
-    assert winners.size == losers.size == 0
+    labels, wins, losses = matches_from_dataset(_dataset([], [], ("a",)))
+    assert wins.tolist() == losses.tolist() == [0]
     assert len(labels) == 2
-
-
-def test_match_order_preserved():
-    recs = _dataset([0] * 6, [bool(i % 2) for i in range(6)], ("a",))
-    _p, winners, _losers = matches_from_dataset(recs)
-    assert winners.tolist() == [1, 0, 1, 0, 1, 0]
-
-
-def test_match_rejects_self_play():
-    with pytest.raises(DomainError):
-        trueskill_gibbs(*_matches([(0, 1), (1, 1)]), 2, iterations=10, seed=0)
 
 
 # --- gibbs ranking -------------------------------------------------------------------
 
 def test_total_dominance_orders_players():
     # player 1 wins all 100 of its matches against the common player, player 2 half
-    matches = _matches([(1, 0)] * 100 + [(2, 0), (0, 2)] * 50)
     for seed in (0, 1, 2):
-        means, _variances = trueskill_gibbs(*matches, 3, iterations=500, seed=seed)
+        means, _variances = trueskill_gibbs([100, 50], [0, 50], iterations=500, seed=seed)
         assert means[1] > means[2]
 
 
 def test_win_dominance_through_common_player():
-    # A (id 1) always beats the common player, B (id 2) always loses to it
-    matches = _matches([(1, 0)] * 80 + [(0, 2)] * 80)
+    # A (player 1) always beats the common player, B (player 2) always loses to it
     for seed in range(5):
-        means, _variances = trueskill_gibbs(*matches, 3, iterations=500, seed=seed)
+        means, _variances = trueskill_gibbs([80, 0], [0, 80], iterations=500, seed=seed)
         assert means[1] > means[2]
 
 
 def test_alternating_wins_stay_close():
-    # both players win every other match against the common player
-    matches = _matches([(1, 0), (0, 1), (2, 0), (0, 2)] * 100)
-    means, _variances = trueskill_gibbs(*matches, 3, iterations=500, seed=3)
+    # both players win half of their matches against the common player
+    means, _variances = trueskill_gibbs([100, 100], [100, 100], iterations=500, seed=3)
     assert abs(means[1] - means[2]) < 0.05
 
 
 def test_low_count_player_has_larger_anchored_variance():
     # identical win rates, 10x match counts: the thin player's skill is
     # less pinned down (measured relative to the common player)
-    pairs = [(1, 0) if i % 2 else (0, 1) for i in range(1000)]
-    pairs += [(2, 0) if i % 2 else (0, 2) for i in range(100)]
-    _means, variances = trueskill_gibbs(*_matches(pairs), 3, iterations=500, seed=4,
+    _means, variances = trueskill_gibbs([500, 50], [500, 50], iterations=500, seed=4,
                                         anchor_common=True)
     assert variances[2] > variances[1]
 
@@ -103,52 +81,52 @@ def test_label_permutation_equivariance():
     group = rng.integers(0, 2, 400)
     recs = _dataset(group, outcomes, ("a", "b"))
     swapped = _dataset(1 - group, outcomes, ("a", "b"))
-    l1, *m1 = matches_from_dataset(recs)
-    l2, *m2 = matches_from_dataset(swapped)
-    s1, _v1 = trueskill_gibbs(*m1, len(l1), iterations=4000, seed=5, anchor_common=True)
-    s2, _v2 = trueskill_gibbs(*m2, len(l2), iterations=4000, seed=6, anchor_common=True)
+    _l1, *m1 = matches_from_dataset(recs)
+    _l2, *m2 = matches_from_dataset(swapped)
+    s1, _v1 = trueskill_gibbs(*m1, iterations=4000, seed=5, anchor_common=True)
+    s2, _v2 = trueskill_gibbs(*m2, iterations=4000, seed=6, anchor_common=True)
     assert s1[1] == pytest.approx(s2[2], abs=0.03)
     assert s1[2] == pytest.approx(s2[1], abs=0.03)
     assert s1[0] == s2[0] == 0.0
 
 
 def test_deterministic_given_seed():
-    matches = _matches([(0, 1 + i % 2) if i % 3 else (1 + i % 2, 0) for i in range(50)])
-    a = trueskill_gibbs(*matches, 3, iterations=100, seed=9)
-    b = trueskill_gibbs(*matches, 3, iterations=100, seed=9)
-    assert np.array_equal(a[0], b[0])
-    assert np.array_equal(a[1], b[1])
+    # the same tallies in any integer type give the same chain
+    a = trueskill_gibbs([9, 8], [16, 17], iterations=100, seed=9)
+    for wins, losses in (([9, 8], [16, 17]), (np.array([9, 8], np.uint8), (16, 17))):
+        b = trueskill_gibbs(wins, losses, iterations=100, seed=9)
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
 
 def test_anchored_common_mean_is_zero():
-    matches = _matches([(1, 0)] * 60)
-    means, variances = trueskill_gibbs(*matches, 2, iterations=200, seed=2, anchor_common=True)
+    means, variances = trueskill_gibbs([60], [0], iterations=200, seed=2, anchor_common=True)
     assert means[0] == 0.0
     assert variances[0] == 1e-12  # the variance floor ranking.csv prints
 
 
-def test_rejects_a_match_without_the_common_player():
-    with pytest.raises(DomainError, match="common player 0"):
-        trueskill_gibbs(*_matches([(0, 1), (1, 2), (2, 0)]), 3, iterations=10, seed=0)
-
-
 def test_divergence_guard_raises_at_the_first_iteration_over_the_limit(monkeypatch):
-    matches = _matches([(1, 0)] * 30 + [(0, 2)] * 30)
-    monkeypatch.setattr(ranking, "_DIVERGENCE_LIMIT", 0.0)  # every nonzero skill is over
+    monkeypatch.setattr(ranking, "DIVERGENCE_MEAN_LIMIT", 0.0)  # every nonzero skill is over
     with pytest.raises(DivergenceError, match="iteration 0") as info:
-        trueskill_gibbs(*matches, 3, iterations=50, seed=0)
+        trueskill_gibbs([30, 0], [0, 30], iterations=50, seed=0)
     assert info.value.sweep == 0
 
 
 def test_validates_inputs():
-    with pytest.raises(DomainError):
-        trueskill_gibbs(*_matches([]), 2, iterations=10, seed=0)
-    with pytest.raises(DomainError):
-        trueskill_gibbs(*_matches([(0, 5)]), 2, iterations=10, seed=0)
-    with pytest.raises(DomainError):
-        trueskill_gibbs(*_matches([(0, 1)]), 2, iterations=0, seed=0)
-    with pytest.raises(DomainError):
-        trueskill_gibbs([0, 1], [1], 2, iterations=10, seed=0)
+    for wins, losses in (
+        ([3, -1], [2, 2]),  # a negative tally
+        ([3, 1], [2, -2]),
+        ([3, 1], [2]),  # unequal lengths
+        ([3.0, 1.0], [2, 2]),  # not integers
+        ([3, 1], [2.5, 2]),
+        ([[3, 1]], [[2, 2]]),  # 2-D
+        ([0, 0], [0, 0]),  # no matches
+        ([], []),
+    ):
+        with pytest.raises(DomainError):
+            trueskill_gibbs(wins, losses, iterations=10, seed=0)
+    with pytest.raises(DomainError, match="iterations"):
+        trueskill_gibbs([1], [0], iterations=0, seed=0)
 
 
 def test_skill_target_maps_the_scalar_log_ndtr_bit_for_bit():
@@ -201,10 +179,7 @@ def test_chain_replays_its_draws_one_step_at_a_time(anchor_common):
     # from many matches to few and one-sided; every accept decision and so
     # every recorded skill must match, bit for bit
     losses, wins = (300, 6, 0, 40), (150, 3, 5, 0)
-    pairs = [(0, p) for p, n in enumerate(losses, start=1) for _ in range(n)]
-    pairs += [(p, 0) for p, n in enumerate(wins, start=1) for _ in range(n)]
-    got = trueskill_gibbs(*_matches(pairs), 5, iterations=150, seed=23,
-                          anchor_common=anchor_common)
+    got = trueskill_gibbs(wins, losses, iterations=150, seed=23, anchor_common=anchor_common)
     want = _replayed_star_chain(losses, wins, 150, 23, anchor_common)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
@@ -227,8 +202,7 @@ def test_rank_singleton():
 
 
 def test_ranking_csv_format():
-    matches = _matches([(1, 0)] * 30)
-    means, variances = trueskill_gibbs(*matches, 2, iterations=100, seed=1)
+    means, variances = trueskill_gibbs([30], [0], iterations=100, seed=1)
     buf = io.StringIO()
     write_ranking_csv([COMMON_LABEL, "GroupA"], means, variances, buf)
     lines = buf.getvalue().splitlines()
