@@ -129,8 +129,6 @@ def _load_fit_dataset(args) -> Dataset:
     """Dataset for ``fit``, honouring ``--preset``."""
     if args.preset is None:
         return _read_dataset(args.input)
-    if args.preset not in PRESETS:
-        raise DomainError(f"unknown preset {args.preset!r} (choose from {', '.join(PRESETS)})")
     mapping = _load_mapping(args.mapping)
     kind = SchemeKind.LENIENT_SEVERE if args.preset == "charges" else SchemeKind.GUILTY_NOT_GUILTY
     dataset, _report = _read_input(args.input, parse_records, mapping, kind)

@@ -34,21 +34,11 @@ the line on which the rejected record began, whatever the field's length:
 for a quote left open, the line of the quote, not the end of the input.
 Ingest only drops and counts rows with too few fields.
 
-The canonical dataset CSV has one line per stop, fixed by its (group,
-outcome, force) cell, so a file has at most 2·K·F distinct lines for K
-groups and F forces. :func:`read_dataset_csv` streams the file and
-interns each line as it is read; a file opened in binary is interned as
-raw bytes, and each distinct line is decoded once, as strict UTF-8. When
-each distinct line, parsed alone, is blank or one whole good record, the
-read costs one pass over the lines with one dict lookup per line, plus at
-most 2·K·F parses, and holds only the distinct lines and one integer per
-row. Otherwise (a record that spans lines, a bad row) it parses the whole
-file again in order, a row at a time from the distinct lines. Binary
-lines read as the text lines of the same file do: where text mode would
-split a line (a CR not followed by LF) or the header spans lines, the
-decoded lines are split as text mode splits them and read in order. Its
-errors name the physical line, and :func:`write_dataset_csv` formats each
-cell present once.
+The canonical dataset CSV has one line per stop, so a file has at most
+2·K·F distinct lines for K groups and F forces. :func:`read_dataset_csv`
+interns every line as it reads it and has two paths, one parse per
+distinct line or one parse in file order; its docstring has the
+details. :func:`write_dataset_csv` formats each cell present once.
 """
 
 from __future__ import annotations
@@ -60,7 +50,7 @@ import math
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, count, repeat
+from itertools import count, repeat
 from operator import add, itemgetter
 from typing import BinaryIO, Iterable, Iterator, Sequence, TextIO
 
@@ -664,32 +654,32 @@ def write_dataset_csv(dataset: Dataset, stream: TextIO) -> None:
     stream.write("".join(map(table.__getitem__, slot[cells].tolist())))
 
 
-def _csv_rows(lines: Iterable[str], first: int = 1):
+def _csv_rows(lines: Iterable[str]):
     """``(line, row)`` for each row that the strict ``csv.reader`` reads from
-    ``lines``, where ``line`` is the line on which the row began and the
-    first of ``lines`` is line ``first``. A parser error raises
+    ``lines``, where ``line`` is the line on which the row began, the first
+    of ``lines`` being line 1. A parser error raises
     :class:`~latentbias.errors.DataError` naming the line on which the
     rejected record began."""
     reader = csv.reader(lines, strict=True)
-    begins = first
+    begins = 1
     try:
         for row in reader:
             yield begins, row
-            begins = first + reader.line_num
+            begins = 1 + reader.line_num
     except csv.Error as exc:
         raise DataError(f"line {begins}: {exc}") from None
 
 
-def _stops(lines: Iterable[str], first: int, columns: itemgetter, width: int):
-    """``(group, positive, force)`` for each canonical row read from ``lines``
-    (see :func:`_csv_rows`), ``None`` for a blank one.
+def _stops(rows, columns: itemgetter, width: int):
+    """``(group, positive, force)`` for each canonical row of ``rows``, the
+    ``(line, row)`` pairs of :func:`_csv_rows`, ``None`` for a blank one.
 
     Raises:
-        DataError: naming the line of the first row that the parser rejects,
-            that has fewer than ``width`` fields, or that is not a stop
-            (``stopped`` 1) with a ``0``/``1`` outcome.
+        DataError: naming the line of the first row that has fewer than
+            ``width`` fields, or that is not a stop (``stopped`` 1) with a
+            ``0``/``1`` outcome.
     """
-    for line, row in _csv_rows(lines, first):
+    for line, row in rows:
         if not row:
             yield None
             continue
@@ -724,49 +714,6 @@ def _header_columns(header: list | None) -> tuple[itemgetter, int]:
     return itemgetter(*cols), max(cols) + 1
 
 
-def _dataset_from_lines(keys: np.ndarray, distinct: list, columns: itemgetter, width: int,
-                        first: int) -> Dataset:
-    """The dataset of the canonical rows whose lines are
-    ``distinct[keys]``, the first of them line ``first`` of the file.
-
-    Fast path: parsed alone, each distinct line is blank or one whole good
-    record, so the ids index the stops as they do the lines. Row path:
-    otherwise the lines are parsed again in file order, a row at a time.
-    """
-    try:
-        stops = [stop for line in distinct for stop in _stops((line,), 1, columns, width)]
-    except DataError:
-        # row path: a record spans lines or a row is bad, so the lines are
-        # parsed in file order, and the stops interned as the lines were
-        index = defaultdict(count().__next__)
-        lines = map(distinct.__getitem__, keys.tolist())
-        keys = np.fromiter(map(index.__getitem__, _stops(lines, first, columns, width)),
-                           dtype=np.intp)
-        stops = list(index)
-    labels = sorted({stop[0] for stop in stops if stop})
-    label_ids = {label: i for i, label in enumerate(labels)}
-    force_ids: dict[str, int] = {}
-    cells = np.array([(label_ids[stop[0]], stop[1], force_ids.setdefault(stop[2], len(force_ids)))
-                      if stop else (-1, 0, 0) for stop in stops], dtype=np.intp).reshape(-1, 3)
-    group, positive, force = cells.T
-    records = keys[group[keys] >= 0]
-    return Dataset(group[records], positive[records].astype(bool), labels, force[records],
-                   tuple(force_ids))
-
-
-def _read_text(lines: Iterator[str]) -> Dataset:
-    """:func:`read_dataset_csv` of the text lines ``lines``."""
-    reader = csv.reader(lines, strict=True)
-    try:
-        header = next(reader, None)
-    except csv.Error as exc:
-        raise DataError(f"line 1: {exc}") from None
-    columns, width = _header_columns(header)
-    index = defaultdict(count().__next__)
-    keys = np.fromiter(map(index.__getitem__, lines), dtype=np.intp)
-    return _dataset_from_lines(keys, list(index), columns, width, reader.line_num + 1)
-
-
 # a CR that ends no line read in binary: text mode ends a line there
 _BARE_CR = re.compile(r"\r(?!\n|\Z)")
 # one line as text mode (``newline=""``) reads it: up to and including a
@@ -781,24 +728,20 @@ def _text_lines(lines: Iterable[str]) -> Iterator[str]:
         yield from map(re.Match.group, _TEXT_LINE.finditer(line))
 
 
-def _read_bytes(first: bytes, lines: Iterator[bytes]) -> Dataset:
-    """:func:`read_dataset_csv` of the binary line ``first`` and the binary
-    lines ``lines`` after it, decoded as strict UTF-8."""
-    header = first.decode()
+def _distinct_stops(distinct: list, keys: np.ndarray) -> list | None:
+    """The stop of each of the ``distinct`` lines parsed alone, ``None`` for
+    the header (key 0) and for a blank line; ``None`` in place of the list
+    when the fast path does not hold: the header must occur once, no line
+    may hold a bare CR, the header must name the canonical columns, and
+    every other line must be blank or one good record."""
+    if np.count_nonzero(keys == 0) != 1 or any(map(_BARE_CR.search, distinct)):
+        return None
     try:
-        rows = list(csv.reader((header,), strict=True))
-    except csv.Error:
-        rows = []
-    if len(rows) != 1 or _BARE_CR.search(header):
-        # text mode would read other lines, or the header spans lines
-        return _read_text(_text_lines(chain((header,), map(bytes.decode, lines))))
-    columns, width = _header_columns(rows[0])
-    index = defaultdict(count().__next__)
-    keys = np.fromiter(map(index.__getitem__, lines), dtype=np.intp)
-    distinct = [line.decode() for line in index]
-    if any(map(_BARE_CR.search, distinct)):
-        return _read_text(_text_lines(chain((header,), map(distinct.__getitem__, keys.tolist()))))
-    return _dataset_from_lines(keys, distinct, columns, width, 2)
+        # each line parsed alone is one row or a parser error
+        (_line, header), *rows = [pair for line in distinct for pair in _csv_rows((line,))]
+        return [None, *_stops(rows, *_header_columns(header))]
+    except DataError:
+        return None
 
 
 def read_dataset_csv(stream: Iterable[str] | Iterable[bytes] | TextIO | BinaryIO) -> Dataset:
@@ -806,25 +749,24 @@ def read_dataset_csv(stream: Iterable[str] | Iterable[bytes] | TextIO | BinaryIO
     force codes the order in which forces first appear.
 
     The stream yields text lines (a file opened with ``newline=""``) or
-    binary lines (a file opened with ``"rb"``, which must be UTF-8), and is
-    read once: a list of lines or a one-shot iterator works as well as a
-    file. Each line is interned as it arrives, to the id of its first
-    appearance; binary lines are interned raw and each distinct line is
-    decoded once. Fast path: when each distinct line, parsed alone, is
-    blank or one whole good record, the columns are built by indexing with
-    the ids, so a file of N stops costs N line reads and dict lookups plus
-    one parse per distinct line (at most 2·K·F for K groups and F forces),
-    and the read holds the distinct lines and N integers, not the lines
-    themselves. Row path: otherwise (a label or force holding CR or LF, so
-    that a record spans lines, or a bad row), the lines are parsed again in
-    file order, a row at a time, from the table of distinct lines. Blank
-    lines are skipped.
-
-    Binary lines give what the same file read as text gives, line numbers
-    included. Where text mode would end a line that binary mode does not
-    (a CR not followed by LF, as in a file with CR line endings), or where
-    the header spans lines, the decoded lines are split as text mode splits
-    them and read in file order as text.
+    binary lines (a file opened with ``"rb"``, which must be UTF-8), as the
+    first line shows, and is read once: a list of lines or a one-shot
+    iterator works as well as a file. Every line, the header included, is
+    interned as it arrives, to the id of its first appearance, so the header
+    is key 0; binary lines are interned raw and each distinct line is
+    decoded once. Fast path: when the header occurs once, no distinct line
+    holds a bare CR, the header parsed alone names the canonical columns,
+    and every other distinct line parsed alone is blank or one good record,
+    the columns are built by indexing with the ids. A file of N stops then
+    costs N line reads and dict lookups plus one parse per distinct line
+    (the header and at most 2·K·F others, for K groups and F forces), and
+    the read holds the distinct lines and N integers, not the lines
+    themselves. Row path: otherwise (a record that spans lines, a bad row,
+    a header that spans lines or recurs, a CR-only file), every line is
+    parsed in file order, a row at a time, from the table of distinct
+    lines, the header being the first row; binary lines are first split
+    where text mode splits them, so they read as the same file read as
+    text, line numbers included. Blank lines are skipped.
 
     Raises:
         DataError: if a column is missing or named twice, a row has fewer
@@ -837,8 +779,27 @@ def read_dataset_csv(stream: Iterable[str] | Iterable[bytes] | TextIO | BinaryIO
             inside a quoted field included.
         UnicodeDecodeError: if a binary line is not valid UTF-8.
     """
-    lines = iter(stream)  # a list of lines must not give its header twice
-    first = next(lines, None)
-    if isinstance(first, bytes):
-        return _read_bytes(first, lines)
-    return _read_text(chain(() if first is None else (first,), lines))
+    index = defaultdict(count().__next__)
+    keys = np.fromiter(map(index.__getitem__, stream), dtype=np.intp)
+    distinct = list(index)
+    binary = bool(distinct) and isinstance(distinct[0], bytes)
+    if binary:
+        distinct = [line.decode() for line in distinct]
+    stops = _distinct_stops(distinct, keys)
+    if stops is None:
+        # row path: every line parsed in file order, the stops interned as the lines were
+        lines = map(distinct.__getitem__, keys.tolist())
+        rows = _csv_rows(_text_lines(lines) if binary else lines)
+        columns, width = _header_columns(next(rows, (1, None))[1])
+        index = defaultdict(count().__next__)
+        keys = np.fromiter(map(index.__getitem__, _stops(rows, columns, width)), dtype=np.intp)
+        stops = list(index)
+    labels = sorted({stop[0] for stop in stops if stop})
+    label_ids = {label: i for i, label in enumerate(labels)}
+    force_ids: dict[str, int] = {}
+    cells = np.array([(label_ids[stop[0]], stop[1], force_ids.setdefault(stop[2], len(force_ids)))
+                      if stop else (-1, 0, 0) for stop in stops], dtype=np.intp).reshape(-1, 3)
+    group, positive, force = cells.T
+    records = keys[group[keys] >= 0]
+    return Dataset(group[records], positive[records].astype(bool), labels, force[records],
+                   tuple(force_ids))

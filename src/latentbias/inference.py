@@ -75,11 +75,14 @@ class GibbsTrace:
     variances: np.ndarray
     cross_cov: np.ndarray
     wall_times: np.ndarray
-    group_count: int
 
     @property
     def sweeps(self) -> int:
         return self.means.shape[0]
+
+    @property
+    def group_count(self) -> int:
+        return self.means.shape[1] - 1
 
 
 def write_trace_csv(trace: GibbsTrace, stream: TextIO) -> None:
@@ -128,7 +131,6 @@ def read_trace_csv(stream: TextIO) -> GibbsTrace:
         variances=data[:, k + 1 : 2 * k + 2],
         cross_cov=data[:, 2 * k + 2 :],
         wall_times=np.zeros(data.shape[0]),
-        group_count=k,
     )
 
 
@@ -377,7 +379,7 @@ def run_gibbs(
         # the recorded variances and cross-covariances are fixed rows
         return GibbsTrace(
             means=trace_means[:n].copy(), variances=np.tile(rec_var_row, (n, 1)),
-            cross_cov=np.tile(rec_cross_row, (n, 1)), wall_times=wall[:n].copy(), group_count=k,
+            cross_cov=np.tile(rec_cross_row, (n, 1)), wall_times=wall[:n].copy(),
         )
 
     def diverged(sweep: int, message: str) -> DivergenceError:

@@ -591,3 +591,23 @@ def test_dataset_csv_binary_lines_decode_as_strict_utf8():
     for raw in (b"group,stopped,outcome,force\na,1,0,\xff\n", b"group,stopped,\xffoutcome\n"):
         with pytest.raises(UnicodeDecodeError):
             read_dataset_csv(io.BytesIO(raw))
+
+
+def _text_and_binary_streams(text):
+    raw = text.encode()
+    return (io.StringIO(text, newline=""), io.StringIO(text, newline="").readlines(),
+            io.BytesIO(raw), raw.splitlines(keepends=True))
+
+
+def test_dataset_csv_without_rows_reads_alike_as_text_and_bytes():
+    # the first line read decides text or bytes: an empty input has no header,
+    # and a header alone, with or without its newline, is an empty dataset
+    for stream in _text_and_binary_streams(""):
+        with pytest.raises(DataError, match="^canonical dataset CSV needs columns"):
+            read_dataset_csv(stream)
+    for text in ("group,stopped,outcome,force\n", "group,stopped,outcome,force"):
+        for stream in _text_and_binary_streams(text):
+            back = read_dataset_csv(stream)
+            assert (back.labels, back.forces, len(back)) == ((), (), 0)
+            assert back.group.dtype == back.force.dtype == np.intp
+            assert back.outcome.dtype == bool

@@ -1,7 +1,8 @@
 """The package's modules reach each other only through public names: no
 module of ``src/latentbias`` imports a name that starts with ``_`` from
 another, so each private helper has one owner. Dunder names such as
-``__version__`` are public and allowed."""
+``__version__`` are public and allowed. No module but ``__init__.py``,
+whose imports are re-exports, imports a name that it never reads."""
 
 import ast
 from pathlib import Path
@@ -19,3 +20,18 @@ def test_no_module_imports_a_private_name_of_another(path):
                for alias in node.names
                if alias.name.startswith("_") and not alias.name.endswith("__")]
     assert not private, private
+
+
+@pytest.mark.parametrize("path", [path for path in SOURCES if path.name != "__init__.py"],
+                         ids=lambda path: path.name)
+def test_no_module_imports_a_name_it_never_reads(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = {(alias.asname or alias.name).split(".")[0]: node.lineno
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unused = [f"line {line}: {name}" for name, line in imported.items() if name not in read]
+    assert not unused, unused

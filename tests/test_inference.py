@@ -598,7 +598,6 @@ def test_trace_csv_has_9_significant_digits():
         variances=np.array([[1.000000001234, 1.0, 1.0]]),
         cross_cov=np.array([[-0.987654321987]]),
         wall_times=np.zeros(1),
-        group_count=2,
     )
     buf = io.StringIO()
     write_trace_csv(trace, buf)

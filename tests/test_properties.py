@@ -145,16 +145,20 @@ def _read_result(read, stream):
 @example('group,stopped,outcome,force\r\n"b\r\n\r\nc",1,0,"f,\r"\r\n\r\na,1,1,f\r\n', "")
 def test_dataset_csv_reader_matches_row_oracle(text, newline):
     # the same Dataset, or the same DataError with the same line, as a
-    # reader that parses every record in file order; read as bytes, the
-    # text reads as a file opened with newline="" does
+    # reader that parses every record in file order; read as bytes, or as a
+    # list of text or bytes lines, the text reads as a file opened with
+    # newline="" does
     assert _read_result(read_dataset_csv, io.StringIO(text, newline=newline)) == \
         _read_result(read_dataset_csv_oracle, io.StringIO(text, newline=newline))
     try:
         raw = text.encode()
     except UnicodeEncodeError:  # a lone surrogate has no UTF-8 form
         return
-    assert _read_result(read_dataset_csv, io.BytesIO(raw)) == \
-        _read_result(read_dataset_csv_oracle, io.StringIO(text, newline=""))
+    want = _read_result(read_dataset_csv_oracle, io.StringIO(text, newline=""))
+    assert _read_result(read_dataset_csv, io.BytesIO(raw)) == want
+    # lists of lines: the reader tells text from bytes by the first line it reads
+    assert _read_result(read_dataset_csv, io.StringIO(text, newline="").readlines()) == want
+    assert _read_result(read_dataset_csv, raw.splitlines(keepends=True)) == want
 
 
 # mapped, unmapped and blank ethnicities; guilty (severe), guilty (lenient),
@@ -349,7 +353,7 @@ def traces(draw):
     return GibbsTrace(means=draw(arrays(np.float64, (n, k + 1), elements=values)),
                       variances=draw(arrays(np.float64, (n, k + 1), elements=values)),
                       cross_cov=draw(arrays(np.float64, (n, k), elements=values)),
-                      wall_times=draw(arrays(np.float64, n, elements=values)), group_count=k)
+                      wall_times=draw(arrays(np.float64, n, elements=values)))
 
 
 @settings(max_examples=300, deadline=None)
