@@ -63,12 +63,12 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 class GibbsTrace:
     """Per-sweep record of the chain for convergence inspection.
 
-    ``means`` and ``variances`` have one row per sweep and K+1 columns
-    (bias coordinates then criminality); ``cross_cov`` holds the
-    covariance between criminality and each bias coordinate. Wall times
-    are kept for reporting but never written to the CSV export, which must
-    be byte-deterministic. An anchored chain's wall times are equal shares
-    of its time, so their percentiles are all equal.
+    ``means`` has one row per sweep and K+1 columns (bias coordinates then
+    criminality). ``variances`` (K+1) and ``cross_cov`` (K, the covariance
+    between criminality and each bias coordinate) are the fixed report,
+    held once. Wall times are kept for reporting but never written to the
+    CSV export, which must be byte-deterministic. An anchored chain's wall
+    times are equal shares of its time, so their percentiles are all equal.
     """
 
     means: np.ndarray
@@ -86,7 +86,8 @@ class GibbsTrace:
 
 
 def write_trace_csv(trace: GibbsTrace, stream: TextIO) -> None:
-    """Trace CSV: ``sweep,beta_*_mean,C_mean,beta_*_var,C_var,cov_C_beta_*``."""
+    """Trace CSV: ``sweep,beta_*_mean,C_mean,beta_*_var,C_var,cov_C_beta_*``,
+    the report repeated on every row."""
     k = trace.group_count
     header = (
         ["sweep"]
@@ -97,12 +98,9 @@ def write_trace_csv(trace: GibbsTrace, stream: TextIO) -> None:
         + [f"cov_C_beta_{i}" for i in range(k)]
     )
     stream.write(",".join(header) + "\n")
-    for i in range(trace.sweeps):
-        row = [str(i)]
-        row += [f"{v:.12g}" for v in trace.means[i]]
-        row += [f"{v:.12g}" for v in trace.variances[i]]
-        row += [f"{v:.12g}" for v in trace.cross_cov[i]]
-        stream.write(",".join(row) + "\n")
+    report = ",".join(f"{v:.12g}" for v in trace.variances.tolist() + trace.cross_cov.tolist())
+    for i, means in enumerate(trace.means.tolist()):
+        stream.write(f"{i},{','.join(f'{v:.12g}' for v in means)},{report}\n")
 
 
 def read_trace_csv(stream: TextIO) -> GibbsTrace:
@@ -110,6 +108,8 @@ def read_trace_csv(stream: TextIO) -> GibbsTrace:
     if not header or header[0] != "sweep" or "C_mean" not in header:
         raise DomainError("not a trace CSV: bad header")
     k = header.index("C_mean") - 1
+    if k < 1:
+        raise DomainError("not a trace CSV: no bias column before C_mean")
     expected = 1 + (k + 1) * 2 + k
     rows = []
     for line in stream:
@@ -126,12 +126,13 @@ def read_trace_csv(stream: TextIO) -> GibbsTrace:
     if not rows:
         raise DomainError("trace CSV has no rows")
     data = np.asarray(rows)
-    return GibbsTrace(
-        means=data[:, : k + 1],
-        variances=data[:, k + 1 : 2 * k + 2],
-        cross_cov=data[:, 2 * k + 2 :],
-        wall_times=np.zeros(data.shape[0]),
-    )
+    if not np.isfinite(data).all():
+        raise DomainError("trace CSV holds a non-finite value")
+    report = data[0, k + 1 :]
+    if (data[:, k + 1 :] != report).any():
+        raise DomainError("trace rows disagree on the variance report")
+    return GibbsTrace(means=data[:, : k + 1], variances=report[: k + 1],
+                      cross_cov=report[k + 1 :], wall_times=np.zeros(data.shape[0]))
 
 
 @dataclass
@@ -197,7 +198,7 @@ class PosteriorSummary:
                 criminality_mean=float(d["criminality_mean"]),
                 criminality_variance=float(d["criminality_variance"]),
                 prior_kind=PriorKind.from_string(d["prior_kind"]),
-                sweeps=int(d["sweeps"]),
+                sweeps=float(d["sweeps"]),
                 **{name: None if d.get(name) is None else float(d[name])
                    for name in ("alpha", "gamma")},
             )
@@ -212,14 +213,19 @@ class PosteriorSummary:
             if values.shape != (k,):
                 raise DomainError(f"not a posterior summary: {name!r} needs {k} entries, "
                                   f"one per label, got {values.size}")
-        if not np.isfinite(summary.bias_mean).all():
-            raise DomainError("not a posterior summary: 'bias_mean' must be finite")
-        if not ((summary.bias_variance > 0) & np.isfinite(summary.bias_variance)).all():
-            raise DomainError(
-                "not a posterior summary: 'bias_variance' must be positive and finite")
+        for name in ("bias_mean", "criminality_mean"):
+            if not np.isfinite(getattr(summary, name)).all():
+                raise DomainError(f"not a posterior summary: {name!r} must be finite")
+        for name in ("bias_variance", "criminality_variance", "alpha", "gamma"):
+            values = getattr(summary, name)
+            # NaN fails every comparison, so test the positive case
+            if values is not None and not ((values > 0) & np.isfinite(values)).all():
+                raise DomainError(f"not a posterior summary: {name!r} must be positive and finite")
+        if not (summary.sweeps.is_integer() and summary.sweeps >= 1):
+            raise DomainError("not a posterior summary: 'sweeps' must be an integer >= 1")
         if sorted(summary.rank.tolist()) != list(range(1, k + 1)):
             raise DomainError(f"not a posterior summary: 'rank' must be a permutation of 1..{k}")
-        summary.rank = summary.rank.astype(int)
+        summary.rank, summary.sweeps = summary.rank.astype(int), int(summary.sweeps)
         return summary
 
 
@@ -372,23 +378,19 @@ def run_gibbs(
     wall = np.empty(sweeps)
 
     rec_cov = cov_rep / cov_rep[k, k] if anchored else cov_rep
-    rec_var_row = np.diag(rec_cov).copy()
-    rec_cross_row = rec_cov[k, :k].copy()
+    rec_var = np.diag(rec_cov).copy()
 
     def trace_upto(n: int) -> GibbsTrace:
-        # the recorded variances and cross-covariances are fixed rows
-        return GibbsTrace(
-            means=trace_means[:n].copy(), variances=np.tile(rec_var_row, (n, 1)),
-            cross_cov=np.tile(rec_cross_row, (n, 1)), wall_times=wall[:n].copy(),
-        )
+        return GibbsTrace(means=trace_means[:n].copy(), variances=rec_var,
+                          cross_cov=rec_cov[k, :k].copy(), wall_times=wall[:n].copy())
 
     def diverged(sweep: int, message: str) -> DivergenceError:
         return DivergenceError(f"chain diverged at sweep {sweep} ({message})",
                                sweep=sweep, trace=trace_upto(sweep))
 
     # the recorded variances are fixed before sweep 0, so they are checked once
-    if np.any(rec_var_row > DIVERGENCE_VARIANCE_LIMIT):
-        raise diverged(0, f"max variance {rec_var_row.max():.3g} exceeds "
+    if np.any(rec_var > DIVERGENCE_VARIANCE_LIMIT):
+        raise diverged(0, f"max variance {rec_var.max():.3g} exceeds "
                           f"{DIVERGENCE_VARIANCE_LIMIT:.3g}")
 
     if anchored:
@@ -433,16 +435,14 @@ def run_gibbs(
             wall[sweep] = time.perf_counter() - t0
 
     trace = trace_upto(sweeps)
-    post = slice(config.burn_in, None)
-    mean_avg = trace.means[post].mean(axis=0)
-    var_avg = trace.variances[post].mean(axis=0)
+    mean_avg = trace.means[config.burn_in :].mean(axis=0)
     summary = PosteriorSummary(
         labels=labels,
         bias_mean=mean_avg[:k],
-        bias_variance=var_avg[:k],
+        bias_variance=rec_var[:k].copy(),
         rank=_ranks_desc(mean_avg[:k]),
         criminality_mean=float(mean_avg[k]),
-        criminality_variance=float(var_avg[k]),
+        criminality_variance=float(rec_var[k]),
         prior_kind=config.prior,
         sweeps=sweeps,
         alpha=alpha,

@@ -26,7 +26,7 @@ def _fmt(x: float) -> str:
 def render_trace_svg(trace: GibbsTrace) -> str:
     k = trace.group_count
     means = trace.means[:, :k]
-    sds = np.sqrt(np.maximum(trace.variances[:, :k], 0.0))
+    sds = np.sqrt(np.maximum(trace.variances[:k], 0.0))
     n = trace.sweeps
     lo = float(np.min(means - sds))
     hi = float(np.max(means + sds))
@@ -62,8 +62,8 @@ def render_trace_svg(trace: GibbsTrace) -> str:
     ]
     for g in range(k):
         colour = _PALETTE[g % len(_PALETTE)]
-        upper = [(sx(i), sy(means[i, g] + sds[i, g])) for i in range(n)]
-        lower = [(sx(i), sy(means[i, g] - sds[i, g])) for i in range(n - 1, -1, -1)]
+        upper = [(sx(i), sy(means[i, g] + sds[g])) for i in range(n)]
+        lower = [(sx(i), sy(means[i, g] - sds[g])) for i in range(n - 1, -1, -1)]
         band = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in upper + lower)
         parts.append(f'<polygon points="{band}" fill="{colour}" opacity="0.12"/>')
         if n == 1:

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -9,7 +10,9 @@ import numpy as np
 import pytest
 
 import latentbias
-from latentbias import Dataset, TrueParams, default_mapping, synthesize, write_dataset_csv
+from latentbias import (Dataset, TrueParams, default_mapping, read_trace_csv, synthesize,
+                        write_dataset_csv, write_trace_csv)
+from latentbias import ranking
 from latentbias.cli import main
 
 HEADER = "force,officer_defined_ethnicity,self_defined_ethnicity,outcome,date\n"
@@ -510,6 +513,15 @@ def test_score_inconsistent_summary_exit_2(canonical_csv, tmp_path, capsys, meth
         ({"rank": [2, 3]}, "'rank' must be a permutation of 1..2"),
         ({"rank": [1.9, 2.2]}, "'rank' must be a permutation of 1..2"),
         ({"labels": ["a", "a"]}, "label 'a' is repeated"),
+        ({"criminality_mean": math.nan}, "'criminality_mean' must be finite"),
+        ({"criminality_mean": math.inf}, "'criminality_mean' must be finite"),
+        *(({"criminality_variance": v}, "'criminality_variance' must be positive and finite")
+          for v in (-1.0, 0.0, math.inf)),
+        ({"sweeps": 2.7}, "'sweeps' must be an integer >= 1"),
+        ({"sweeps": 0}, "'sweeps' must be an integer >= 1"),
+        *(({name: v}, f"{name!r} must be positive and finite")
+          for name, v in (("alpha", math.nan), ("alpha", -1.0), ("gamma", math.inf),
+                          ("gamma", 0.0))),
     ]):
         bad = tmp_path / f"bad{i}.json"
         bad.write_text(json.dumps({**doc, **changes}), encoding="utf-8")
@@ -517,7 +529,7 @@ def test_score_inconsistent_summary_exit_2(canonical_csv, tmp_path, capsys, meth
         assert main(["score", "--summary", str(bad), "--test", str(canonical_csv),
                      "--method", method, "--out-dir", str(out)]) == 2
         assert capsys.readouterr() == ("", f"error: not a posterior summary: {message}\n")
-        assert not (out / "manifest.json").exists()
+        assert not (out / "score.txt").exists() and not (out / "manifest.json").exists()
 
 
 def test_score_unknown_group_label_exit_2(canonical_csv, tmp_path):
@@ -577,6 +589,46 @@ def test_plot_malformed_trace_exit_2(tmp_path):
         "sweep,beta_0_mean,C_mean,beta_0_var,C_var,cov_C_beta_0\n0,a,b,c,d,e\n"
     )
     assert main(["plot", "--trace", str(nonnumeric), "--out-dir", str(tmp_path / "p2")]) == 2
+
+
+_TRACE_HEADER = "sweep,beta_0_mean,C_mean,beta_0_var,C_var,cov_C_beta_0\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("sweep,C_mean,C_var\n0,0,1\n", "no bias column before C_mean"),
+    (_TRACE_HEADER + "0,nan,0,1,1,0\n", "non-finite value"),
+    (_TRACE_HEADER + "0,0.5,0,inf,1,0\n", "non-finite value"),
+    (_TRACE_HEADER + "0,0.5,0,1,1,0\n1,0.5,0,1,1,-inf\n", "non-finite value"),
+    (_TRACE_HEADER + "0,0.5,0,1,1,0\n1,0.5,0,2,1,0\n", "disagree on the variance report"),
+], ids=["no-bias-column", "nan-mean", "inf-variance", "minus-inf-cov", "report-disagrees"])
+def test_plot_undrawable_trace_exit_2(tmp_path, capsys, text, message):
+    trace = tmp_path / "trace.csv"
+    trace.write_text(text, encoding="utf-8")
+    out = tmp_path / "p"
+    assert main(["plot", "--trace", str(trace), "--out-dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "plot.svg").exists()
+
+
+@pytest.mark.parametrize("flags", [[], ["--prior", "independent", "--anchoring", "off"]],
+                         ids=["anchored", "unanchored"])
+def test_trace_csv_round_trips_byte_for_byte(canonical_csv, tmp_path, flags):
+    out = tmp_path / "f"
+    assert main(["fit", "--input", str(canonical_csv), "--sweeps", "25", "--burn-in", "5",
+                 "--seed", "7", *flags, "--out-dir", str(out)]) == 0
+    written = (out / "trace.csv").read_text(encoding="utf-8")
+    again = io.StringIO()
+    write_trace_csv(read_trace_csv(io.StringIO(written)), again)
+    assert again.getvalue() == written
+
+
+def test_rank_divergence_exit_3(canonical_csv, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(ranking, "DIVERGENCE_MEAN_LIMIT", 0.0)
+    out = tmp_path / "r"
+    assert main(["rank", "--input", str(canonical_csv), "--iterations", "20", "--seed", "1",
+                 "--out-dir", str(out)]) == 3
+    assert capsys.readouterr() == ("", "error: ranking chain diverged at iteration 0\n")
+    assert list(out.iterdir()) == []
 
 
 def test_preset_augmented(raw_csv, tmp_path):

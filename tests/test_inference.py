@@ -127,8 +127,8 @@ def test_conjugacy_against_closed_form():
         for anchoring, scale in ((False, 1.0), (True, var_c)):
             cfg = _cfg(prior=kind, alpha=2.0, gamma=0.5, anchoring=anchoring, sweeps=3, burn_in=1)
             _summary, trace = run_gibbs(records, cfg, prior=prior)
-            assert trace.variances[0] == pytest.approx([var_b / scale, var_c / scale], abs=1e-12)
-            assert trace.cross_cov[0] == pytest.approx([cov / scale], abs=1e-12)
+            assert trace.variances == pytest.approx([var_b / scale, var_c / scale], abs=1e-12)
+            assert trace.cross_cov == pytest.approx([cov / scale], abs=1e-12)
 
 
 # --- first unanchored sweep against a record-at-a-time reference ----------------------
@@ -225,9 +225,9 @@ def test_sweep_independent_keeps_cross_zero_and_anchored_c_standard():
     records = Dataset(group, np.arange(60) % 3 == 0, ("a", "b"))
     cfg = _cfg(prior=PriorKind.INDEPENDENT, sweeps=1, burn_in=0)
     _summary, trace = run_gibbs(records, cfg)
-    assert np.all(trace.cross_cov[0] == 0.0)
+    assert np.all(trace.cross_cov == 0.0)
     assert trace.means[0, 2] == 0.0
-    assert trace.variances[0, 2] == 1.0
+    assert trace.variances[2] == 1.0
 
 
 # --- count-level bias conditional ------------------------------------------------------
@@ -327,6 +327,37 @@ def test_bias_mode_solve_raises_when_capped(monkeypatch):
     monkeypatch.setattr(kernel, "_NEWTON_STEPS", 1)
     with pytest.raises(NumericalError):
         kernel.mode_and_scale(_target(80, 120))
+
+
+class _ScoreTarget:
+    """A 1-D target given by its score and Hessian, recording where the mode
+    solve evaluates them."""
+
+    m0 = 0.0
+
+    def __init__(self, score_hessian):
+        self._score_hessian, self.visited = score_hessian, []
+
+    def score_hessian(self, x):
+        self.visited.append(x)
+        return self._score_hessian(x)
+
+
+def test_bias_mode_solve_bisects_an_overshoot():
+    # score -atan(x - 5): the Newton step from 0 lands at 35.7 and the next at
+    # -1416, outside the sign bracket (0, 35.7), so the solve halves the
+    # bracket three times before Newton converges on the mode 5
+    target = _ScoreTarget(lambda x: (-math.atan(x - 5.0), -1.0 / (1.0 + (x - 5.0) ** 2)))
+    mode, scale = kernel.mode_and_scale(target)
+    assert mode == pytest.approx(5.0, abs=1e-9) and scale == pytest.approx(1.0, abs=1e-12)
+    first = target.visited[1]
+    assert first == pytest.approx(35.7, abs=0.01)
+    assert target.visited[2:5] == [first / 2, first / 4, first / 8]
+
+
+def test_bias_mode_solve_raises_on_a_non_finite_score():
+    with pytest.raises(NumericalError, match="non-finite score at 0"):
+        kernel.mode_and_scale(_ScoreTarget(lambda x: (math.nan, -1.0)))
 
 
 def test_count_target_at_tiny_noise_matches_the_noiseless_limit():
@@ -434,12 +465,33 @@ def test_anchored_guard_raises_at_first_offending_sweep(monkeypatch):
     assert np.array_equal(exc.value.trace.means, full.means[:first])
 
 
+@pytest.mark.parametrize("prior, anchoring", [(PriorKind.DEPENDENT, True),
+                                              (PriorKind.INDEPENDENT, False)])
+def test_summary_variances_are_the_trace_report(monkeypatch, prior, anchoring):
+    # the trace holds the fixed report once; the summary carries it as is,
+    # and a diverged chain's partial trace holds the same report
+    records = _asym_records((300, 200, 100), positive_rate=3)
+    cfg = _cfg(seed=6, sweeps=15, burn_in=3, prior=prior, anchoring=anchoring)
+    summary, trace = run_gibbs(records, cfg)
+    k = trace.group_count
+    assert trace.variances.shape == (k + 1,) and trace.cross_cov.shape == (k,)
+    assert summary.bias_variance.tobytes() == trace.variances[:k].tobytes()
+    assert summary.criminality_variance == trace.variances[k]
+    monkeypatch.setattr(inference, "DIVERGENCE_MEAN_LIMIT", np.abs(trace.means[4]).max() * 0.999)
+    with pytest.raises(DivergenceError) as exc:
+        run_gibbs(records, cfg)
+    partial = exc.value.trace
+    assert partial.sweeps <= 4
+    assert np.array_equal(partial.variances, trace.variances)
+    assert np.array_equal(partial.cross_cov, trace.cross_cov)
+
+
 def test_run_gibbs_anchored_criminality_rows():
     records = _asym_records((300, 200), positive_rate=3)
     summary, trace = run_gibbs(records, _cfg(seed=7, sweeps=25, burn_in=5))
     k = trace.group_count
     assert np.all(trace.means[:, k] == 0.0)
-    assert np.all(trace.variances[:, k] == 1.0)
+    assert trace.variances[k] == 1.0
     assert summary.criminality_mean == 0.0
 
 
@@ -450,10 +502,10 @@ def test_anchor_rescales_covariance():
     raw = run_gibbs(records, _cfg(seed=5, sweeps=4, burn_in=1, anchoring=False))[1]
     anchored = run_gibbs(records, _cfg(seed=5, sweeps=4, burn_in=1, anchoring=True))[1]
     k = raw.group_count
-    assert not np.all(raw.variances[:, k] == 1.0)
-    assert np.array_equal(anchored.variances, raw.variances / raw.variances[:, k:])
-    assert np.array_equal(anchored.cross_cov, raw.cross_cov / raw.variances[:, k:])
-    assert np.all(anchored.variances[:, k] == 1.0)
+    assert raw.variances[k] != 1.0
+    assert np.array_equal(anchored.variances, raw.variances / raw.variances[k])
+    assert np.array_equal(anchored.cross_cov, raw.cross_cov / raw.variances[k])
+    assert anchored.variances[k] == 1.0
 
 
 def test_run_gibbs_independent_conservation():
@@ -462,7 +514,7 @@ def test_run_gibbs_independent_conservation():
     _summary, trace = run_gibbs(records, cfg)
     k = trace.group_count
     assert np.all(trace.means[:, k] == 0.0)
-    assert np.all(trace.variances[:, k] == 1.0)
+    assert trace.variances[k] == 1.0
     assert np.all(trace.cross_cov == 0.0)
 
 
@@ -595,8 +647,8 @@ def test_trace_csv_roundtrip():
 def test_trace_csv_has_9_significant_digits():
     trace = GibbsTrace(
         means=np.array([[0.123456789123456, 0.1, 0.0]]),
-        variances=np.array([[1.000000001234, 1.0, 1.0]]),
-        cross_cov=np.array([[-0.987654321987]]),
+        variances=np.array([1.000000001234, 1.0, 1.0]),
+        cross_cov=np.array([-0.987654321987]),
         wall_times=np.zeros(1),
     )
     buf = io.StringIO()
@@ -604,6 +656,19 @@ def test_trace_csv_has_9_significant_digits():
     row = buf.getvalue().splitlines()[1]
     assert "0.123456789123" in row
     assert "-0.987654321987" in row
+
+
+@pytest.mark.parametrize("body, message", [
+    ("", "trace CSV has no rows"),
+    ("\n\n", "trace CSV has no rows"),
+    ("0,0.1,0,2,1\n", "trace row has 5 fields, expected 6"),
+    ("0,0.1,0,2,1,0.5,7\n", "trace row has 7 fields, expected 6"),
+    ("0,0.1,0,2,1,0.5\n1,0.2,0,2,1,0.25\n", "trace rows disagree on the variance report"),
+], ids=["empty", "blank-lines", "short-row", "long-row", "report-disagrees"])
+def test_read_trace_csv_rejects(body, message):
+    text = "sweep,beta_0_mean,C_mean,beta_0_var,C_var,cov_C_beta_0\n" + body
+    with pytest.raises(DomainError, match=message):
+        read_trace_csv(io.StringIO(text))
 
 
 def test_summary_json_roundtrip():

@@ -11,7 +11,9 @@ empty. On each it runs ``ingest`` under both schemes, ``fit`` three ways
 unanchored chain may stop with exit 3 and a partial trace), ``rank`` with
 and without ``--anchor-common``, and ``score`` by both methods on the
 ``dependent`` and the ``--anchoring off`` summaries, all through ``python -m
-latentbias.cli`` on the sources next to this script. It then derives
+latentbias.cli`` on the sources next to this script, and then ``plot`` on
+every trace a ``fit`` step wrote (a chain that diverges at sweep 0 writes
+none). It then derives
 ``export-200k-variety``, the ``export-200k`` rows with every line made
 distinct as in a real export, and ingests it under both schemes; its
 ingest outputs must equal ``export-200k``'s, and its exit codes go in a
@@ -20,7 +22,8 @@ file of its own. Last,
 mapping's group labels renamed to hold a comma, a quote and a line break,
 so its canonical CSV takes the reader's row path; it runs ``fit``
 (``dependent``), ``rank`` and ``score`` by both methods on its own
-``dataset.csv``, and its exit codes also go in a file of its own. It prints
+``dataset.csv`` and ``plot`` on its trace, and its exit codes also go in a
+file of its own. It prints
 ``sha256  relpath`` for every file the commands write, for each command's
 stdout and stderr, and for the files of exit codes. Commands run with
 ``OUT_DIR`` as working directory and relative paths, and each manifest is
@@ -93,6 +96,13 @@ def commands(name: str) -> list[tuple[str, list[str]]]:
         for fit, suffix in (("fit", ""), ("fit-indep-off", "-indep-off"))
         for method in ("likelihood", "accuracy")
     ]
+
+
+def plot_steps(name: str, out: Path) -> list[tuple[str, list[str]]]:
+    """``(step, argv)`` pairs plotting each ``name/fit*/trace.csv`` under
+    ``out``, run after the fits that write them."""
+    return [(f"plot-{path.parent.name}", ["plot", "--trace", path.relative_to(out).as_posix()])
+            for path in sorted((out / name).glob("fit*/trace.csv"))]
 
 
 def write_variety(source: Path, target: Path) -> None:
@@ -186,6 +196,7 @@ def main(argv: list[str]) -> int:
         generate, _commands = workloads.WORKLOADS[name]
         generate(SEED, out / name)
         exit_codes.append(run_steps(name, commands(name), out, env))
+        exit_codes.append(run_steps(name, plot_steps(name, out), out, env))
     (out / "exit_codes.txt").write_text("".join(exit_codes), encoding="utf-8")
     (out / VARIETY).mkdir()
     write_variety(out / "export-200k" / "raw.csv", out / VARIETY / "raw.csv")
@@ -193,8 +204,10 @@ def main(argv: list[str]) -> int:
         run_steps(VARIETY, ingest_steps(VARIETY), out, env), encoding="utf-8")
     (out / QUOTED).mkdir()
     write_quoted_mapping(out / QUOTED / "mapping.json")
+    quoted_exit_codes = run_steps(QUOTED, quoted_steps(), out, env)
     (out / QUOTED / "exit_codes.txt").write_text(
-        run_steps(QUOTED, quoted_steps(), out, env), encoding="utf-8")
+        quoted_exit_codes + run_steps(QUOTED, plot_steps(QUOTED, out), out, env),
+        encoding="utf-8")
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         print(f"{digest(path)}  {path.relative_to(out).as_posix()}")
     return 0
