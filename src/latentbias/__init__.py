@@ -8,8 +8,7 @@ imports scipy, at its first draw. The pieces:
 * :mod:`latentbias.model`      - configuration, the three prior regimes
   and the ``(means, variances)`` bias prior.
 * :mod:`latentbias.inference`  - the Gibbs sampler, anchoring, traces.
-* :mod:`latentbias.likelihood` - closed-form record likelihood, its
-  quadrature oracle, held-out scoring.
+* :mod:`latentbias.likelihood` - held-out scoring of a fitted summary.
 * :mod:`latentbias.ranking`    - the skill-ranking baseline.
 * :mod:`latentbias.data`       - the columnar :class:`Dataset`, CSV
   ingestion, dataset operations, the synthetic generator.
@@ -54,10 +53,8 @@ from .inference import (
     write_trace_csv,
 )
 from .likelihood import (
-    likelihood_oracle,
     outcome_probability_given_stop,
     predictive_score,
-    stop_search_likelihood,
 )
 from .model import (
     ModelConfig,

@@ -35,16 +35,20 @@ for a quote left open, the line of the quote, not the end of the input.
 Ingest only drops and counts rows with too few fields.
 
 The canonical dataset CSV has one line per stop, so a file has at most
-2·K·F distinct lines for K groups and F forces. :func:`read_dataset_csv`
-interns every line as it reads it and has two paths, one parse per
-distinct line or one parse in file order; its docstring has the
-details. :func:`write_dataset_csv` formats each cell present once.
+2·K·F distinct lines for K groups and F forces. :func:`write_dataset_csv`
+writes the stops in cell order, so each cell present is one run of its
+line. :func:`read_dataset_csv` interns every line to the id of its first
+appearance; read from a binary stream, it keys each run of one line with
+a few comparisons, up to the first line that recurs after a different
+line. It then has two paths, one parse per distinct line or one parse in
+file order; its docstring has the details.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
+import io
 import json
 import math
 import re
@@ -637,21 +641,21 @@ def write_dataset_csv(dataset: Dataset, stream: TextIO) -> None:
     """Canonical dataset CSV: ``group,stopped,outcome,force``, one row per
     stop, so ``stopped`` is always ``1`` and ``outcome`` is ``0`` or ``1``.
 
-    A row is fixed by its (group, outcome, force) cell, so each cell present
-    is formatted once and the rows are joined by indexing that table. The
-    cells present are counted, not sorted, and only their forces are
-    formatted, however many forces the table holds.
+    The rows come in cell order, ascending ``(2·group + outcome)·F + force``
+    for F forces. A row is fixed by its cell, so each cell present is
+    formatted once and written as one run, its line repeated by the cell's
+    tally; only the forces of cells present are formatted, however many
+    forces the table holds.
     """
     stream.write(",".join(_CANONICAL_COLUMNS) + "\n")
     n_forces = len(dataset.forces)
-    cells = (2 * dataset.group + dataset.outcome) * n_forces + dataset.force
-    present = np.bincount(cells) > 0
-    slot = np.cumsum(present) - 1  # each present cell's place in the table
-    group_outcome, force = np.divmod(np.flatnonzero(present), n_forces)
+    tally = np.bincount((2 * dataset.group + dataset.outcome) * n_forces + dataset.force)
+    present = np.flatnonzero(tally)
+    group_outcome, force = np.divmod(present, n_forces)
     starts = [csv_field(label) + end for label in dataset.labels for end in (",1,0,", ",1,1,")]
-    table = [starts[go] + csv_field(dataset.forces[f]) + "\n"
-             for go, f in zip(group_outcome.tolist(), force.tolist())]
-    stream.write("".join(map(table.__getitem__, slot[cells].tolist())))
+    stream.write("".join((starts[go] + csv_field(dataset.forces[f]) + "\n") * n
+                         for go, f, n in zip(group_outcome.tolist(), force.tolist(),
+                                             tally[present].tolist())))
 
 
 def _csv_rows(lines: Iterable[str]):
@@ -744,6 +748,52 @@ def _distinct_stops(distinct: list, keys: np.ndarray) -> list | None:
         return None
 
 
+def _line_runs(data: bytes, index: defaultdict) -> tuple[list, list, int]:
+    """The runs of one line repeated that ``data`` begins with, its lines
+    ending at LF (the last may lack its LF): each run's line id in
+    ``index``, which interns each new line to the next id, its number of
+    copies, and the offset where the runs stop, at the first line that
+    recurs after a different line or at the end of ``data``.
+
+    A run of n copies costs O(log n) steps: its length is found by
+    ``bytes.startswith`` checks of twice as many copies past the run while
+    they match, then of half as many.
+    """
+    ids, lengths = [], []
+    pos = 0
+    while pos < len(data):
+        line = data[pos:data.find(b"\n", pos) + 1 or len(data)]
+        if line in index:
+            break
+        run, step, width = 1, 1, len(line)
+        while data.startswith(line * step, pos + run * width):
+            run += step
+            step *= 2
+        while step > 1:
+            step //= 2
+            if data.startswith(line * step, pos + run * width):
+                run += step
+        ids.append(index[line])
+        lengths.append(run)
+        pos += run * width
+    return ids, lengths, pos
+
+
+def _intern_lines(data: bytes) -> tuple[np.ndarray, list]:
+    """The id of each LF-ended line of ``data``, ids following first
+    appearance, and the distinct lines in id order: what interning the
+    lines one by one gives. :func:`_line_runs` keys the runs ``data``
+    begins with; the lines left after them are interned one by one, read
+    from a ``BytesIO`` that shares ``data``."""
+    index = defaultdict(count().__next__)
+    ids, lengths, pos = _line_runs(data, index)
+    rest = io.BytesIO(data)
+    rest.seek(pos)
+    keys = np.concatenate([np.repeat(np.array(ids, dtype=np.intp), lengths),
+                           np.fromiter(map(index.__getitem__, rest), dtype=np.intp)])
+    return keys, list(index)
+
+
 def read_dataset_csv(stream: Iterable[str] | Iterable[bytes] | TextIO | BinaryIO) -> Dataset:
     """Load a canonical dataset CSV; group codes follow sorted label order and
     force codes the order in which forces first appear.
@@ -752,21 +802,30 @@ def read_dataset_csv(stream: Iterable[str] | Iterable[bytes] | TextIO | BinaryIO
     binary lines (a file opened with ``"rb"``, which must be UTF-8), as the
     first line shows, and is read once: a list of lines or a one-shot
     iterator works as well as a file. Every line, the header included, is
-    interned as it arrives, to the id of its first appearance, so the header
-    is key 0; binary lines are interned raw and each distinct line is
-    decoded once. Fast path: when the header occurs once, no distinct line
-    holds a bare CR, the header parsed alone names the canonical columns,
-    and every other distinct line parsed alone is blank or one good record,
-    the columns are built by indexing with the ids. A file of N stops then
-    costs N line reads and dict lookups plus one parse per distinct line
-    (the header and at most 2·K·F others, for K groups and F forces), and
-    the read holds the distinct lines and N integers, not the lines
-    themselves. Row path: otherwise (a record that spans lines, a bad row,
-    a header that spans lines or recurs, a CR-only file), every line is
-    parsed in file order, a row at a time, from the table of distinct
-    lines, the header being the first row; binary lines are first split
-    where text mode splits them, so they read as the same file read as
-    text, line numbers included. Blank lines are skipped.
+    interned to the id of its first appearance, so the header is key 0;
+    binary lines are interned raw, split at LF, and each distinct line is
+    decoded once.
+
+    Run walk: a binary stream (``io.RawIOBase`` or ``io.BufferedIOBase``)
+    is read whole, so the read holds the file's bytes. A run of n copies of
+    one line, as :func:`write_dataset_csv` writes each cell, is keyed with
+    O(log n) comparisons. From the first line that recurs after a
+    different line, the rest is interned a line at a time, as the lines of
+    any other stream are; the ids are the same either way.
+
+    Fast path: when the header occurs once, no distinct line holds a bare
+    CR, the header parsed alone names the canonical columns, and every
+    other distinct line parsed alone is blank or one good record, the
+    columns are built by indexing with the ids. A file of N stops then
+    costs one parse per distinct line (the header and at most 2·K·F
+    others, for K groups and F forces) plus N line reads and dict lookups,
+    or a few comparisons per run for a binary stream in cell order, and the
+    read holds no list of lines. Row path: otherwise (a record that spans
+    lines, a bad row, a header that spans lines or recurs, a CR-only file),
+    every line is parsed in file order, a row at a time, from the table of
+    distinct lines, the header being the first row; binary lines are first
+    split where text mode splits them, so they read as the same file read
+    as text, line numbers included. Blank lines are skipped.
 
     Raises:
         DataError: if a column is missing or named twice, a row has fewer
@@ -779,9 +838,12 @@ def read_dataset_csv(stream: Iterable[str] | Iterable[bytes] | TextIO | BinaryIO
             inside a quoted field included.
         UnicodeDecodeError: if a binary line is not valid UTF-8.
     """
-    index = defaultdict(count().__next__)
-    keys = np.fromiter(map(index.__getitem__, stream), dtype=np.intp)
-    distinct = list(index)
+    if isinstance(stream, (io.RawIOBase, io.BufferedIOBase)):
+        keys, distinct = _intern_lines(stream.read())
+    else:
+        index = defaultdict(count().__next__)
+        keys = np.fromiter(map(index.__getitem__, stream), dtype=np.intp)
+        distinct = list(index)
     binary = bool(distinct) and isinstance(distinct[0], bytes)
     if binary:
         distinct = [line.decode() for line in distinct]

@@ -85,31 +85,41 @@ class GibbsTrace:
         return self.means.shape[1] - 1
 
 
+def _trace_header(k: int) -> str:
+    """The trace CSV header for ``k`` groups, without its newline."""
+    return ",".join(["sweep", *(f"beta_{i}_mean" for i in range(k)), "C_mean",
+                     *(f"beta_{i}_var" for i in range(k)), "C_var",
+                     *(f"cov_C_beta_{i}" for i in range(k))])
+
+
 def write_trace_csv(trace: GibbsTrace, stream: TextIO) -> None:
     """Trace CSV: ``sweep,beta_*_mean,C_mean,beta_*_var,C_var,cov_C_beta_*``,
     the report repeated on every row."""
-    k = trace.group_count
-    header = (
-        ["sweep"]
-        + [f"beta_{i}_mean" for i in range(k)]
-        + ["C_mean"]
-        + [f"beta_{i}_var" for i in range(k)]
-        + ["C_var"]
-        + [f"cov_C_beta_{i}" for i in range(k)]
-    )
-    stream.write(",".join(header) + "\n")
+    stream.write(_trace_header(trace.group_count) + "\n")
     report = ",".join(f"{v:.12g}" for v in trace.variances.tolist() + trace.cross_cov.tolist())
     for i, means in enumerate(trace.means.tolist()):
         stream.write(f"{i},{','.join(f'{v:.12g}' for v in means)},{report}\n")
 
 
 def read_trace_csv(stream: TextIO) -> GibbsTrace:
-    header = stream.readline().strip().split(",")
-    if not header or header[0] != "sweep" or "C_mean" not in header:
+    """The trace :func:`write_trace_csv` wrote; the group count K is read
+    from the place of ``C_mean`` in the header.
+
+    Raises:
+        DomainError: if the header is not the one written for K >= 1
+            groups, a row has the wrong field count or a non-numeric or
+            non-finite field, there are no rows, or the rows disagree on the
+            variance report.
+    """
+    header = stream.readline().strip()
+    names = header.split(",")
+    if "C_mean" not in names:
         raise DomainError("not a trace CSV: bad header")
-    k = header.index("C_mean") - 1
+    k = names.index("C_mean") - 1
     if k < 1:
         raise DomainError("not a trace CSV: no bias column before C_mean")
+    if header != _trace_header(k):
+        raise DomainError(f"not a trace CSV: bad header for K = {k}, want {_trace_header(k)}")
     expected = 1 + (k + 1) * 2 + k
     rows = []
     for line in stream:
@@ -191,7 +201,7 @@ class PosteriorSummary:
         try:
             d = json.loads(text)
             summary = cls(
-                labels=list(d["labels"]),
+                labels=d["labels"],
                 bias_mean=np.asarray(d["bias_mean"], dtype=float),
                 bias_variance=np.asarray(d["bias_variance"], dtype=float),
                 rank=np.asarray(d["rank"], dtype=float),
@@ -204,6 +214,9 @@ class PosteriorSummary:
             )
         except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
             raise DomainError(f"not a posterior summary: {exc}") from None
+        if not (isinstance(summary.labels, list)
+                and all(isinstance(label, str) for label in summary.labels)):
+            raise DomainError("not a posterior summary: 'labels' must be a list of strings")
         k = len(summary.labels)
         for i, label in enumerate(summary.labels):
             if label in summary.labels[:i]:

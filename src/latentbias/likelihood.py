@@ -1,18 +1,13 @@
-"""Analytic record likelihood, its numerical-integration oracle, and
-held-out predictive scoring.
+"""Held-out predictive scoring, as the ``score`` command runs it.
 
-For a single record with criminality ``c`` and group bias ``beta`` (unit
-noise on both equations) the probability of observing a stop together with
-outcome ``x`` factorises into two normal CDFs:
-
-    x = 1:  Phi(c)  * Phi(c + beta)
-    x = 0:  Phi(-c) * Phi(c + beta)
-
-The two branches sum to the total stop probability ``Phi(c + beta)``, not
-to one. :func:`likelihood_oracle` checks the same quantity by brute-force
-2-D integration of the latent densities with the stop gate, sharing no
-code with the closed form. Held-out scoring takes each group's P(positive
-outcome | stopped) from the orthant masses the anchored fit uses.
+:func:`predictive_score` scores a test set against a fitted posterior
+summary and reads only the test set's per-group outcome tally. By
+accuracy it predicts one outcome for every stop, from the population
+rule ``guilt_probability(criminality mean, gamma) >= 0.5``; by likelihood
+it takes the mean probability the fit gives each observed outcome, from
+each group's P(positive outcome | stopped)
+(:func:`outcome_probability_given_stop`), the orthant masses of the
+bivariate normal (stop, outcome) latents that the anchored fit uses.
 """
 
 from __future__ import annotations
@@ -22,54 +17,15 @@ import math
 import numpy as np
 
 from .data import Dataset
-from .errors import DomainError, NumericalError
-from .gaussians import ndtr, orthant_masses
+from .errors import DomainError
+from .gaussians import orthant_masses
 from .inference import PosteriorSummary
 from .model import guilt_probability, require_positive_finite
 
 __all__ = [
-    "stop_search_likelihood",
-    "likelihood_oracle",
     "predictive_score",
     "outcome_probability_given_stop",
 ]
-
-def stop_search_likelihood(c: float, beta: float, x: int) -> float:
-    """Closed-form probability of (stop, outcome ``x``) for unit noise."""
-    if x not in (0, 1):
-        raise DomainError(f"x must be 0 or 1, got {x!r}")
-    stop = ndtr(c + beta)
-    return float(ndtr(c) * stop) if x == 1 else float(ndtr(-c) * stop)
-
-
-def likelihood_oracle(c: float, beta: float, x: int, abs_tol: float = 1e-6) -> float:
-    """Brute-force oracle for :func:`stop_search_likelihood`.
-
-    Integrates ``N(s; c + beta, 1) N(t; c, 1)`` over the region selected
-    by the stop gate (``s > 0``) and the outcome's half-line for ``t``,
-    using adaptive 2-D quadrature on the raw densities. Normalisation
-    constant is taken as one, matching the closed form's convention.
-
-    Raises:
-        NumericalError: if the quadrature error estimate exceeds ``abs_tol``.
-    """
-    # imported here: scipy.integrate (with scipy.optimize) is a test oracle's
-    # dependency, and the CLI would otherwise load it on every start
-    from scipy import integrate
-
-    if x not in (0, 1):
-        raise DomainError(f"x must be 0 or 1, got {x!r}")
-
-    def integrand(t: float, s: float) -> float:
-        ds = s - c - beta
-        dt = t - c
-        return math.exp(-0.5 * (ds * ds + dt * dt)) / (2.0 * math.pi)
-
-    t_lo, t_hi = (0.0, np.inf) if x == 1 else (-np.inf, 0.0)
-    value, err = integrate.dblquad(integrand, 0.0, np.inf, t_lo, t_hi, epsabs=1e-10)
-    if err > abs_tol:
-        raise NumericalError(f"oracle quadrature error {err:.3g} exceeds {abs_tol:.3g}")
-    return float(value)
 
 
 def outcome_probability_given_stop(

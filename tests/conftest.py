@@ -1,8 +1,11 @@
-"""Shared fixtures: quadrature oracles and raw CSV fixture generators.
+"""Shared fixtures: quadrature oracles, the closed-form record likelihood
+they check, and raw CSV fixture generators.
 
 The oracle helpers deliberately avoid the package's own CDF path: they
 integrate the normal density with adaptive quadrature, so closed-form
-results in the package are checked against an independent method.
+results in the package are checked against an independent method. The
+one closed form kept here, the likelihood of a record's stop and outcome,
+reads the package's ``ndtr`` and is checked against such an oracle.
 
 The CSV oracles are the row-at-a-time raw-export parser and canonical
 reader and writer that the package's keyed and line-table versions must
@@ -25,7 +28,8 @@ from scipy import integrate, special
 from scipy.stats import multivariate_normal, norm
 
 from latentbias.data import RAW_COLUMNS, Dataset, IngestReport, SchemeKind, coarsen_outcome
-from latentbias.errors import DataError, DomainError
+from latentbias.errors import DataError, DomainError, NumericalError
+from latentbias.gaussians import ndtr
 
 # --- reference tables -------------------------------------------------------
 # (label, national total, national guilty, london total, london guilty)
@@ -174,6 +178,44 @@ def outcome_probability_oracle(bias_mean, criminality_mean, alpha, gamma):
     return mass / norm.cdf(stop_mean / math.sqrt(1.0 + alpha))
 
 
+def stop_search_likelihood(c: float, beta: float, x: int) -> float:
+    """Closed-form probability of (stop, outcome ``x``) for one record with
+    criminality ``c`` and group bias ``beta``, unit noise on both equations:
+    ``Phi(c) Phi(c + beta)`` for ``x = 1`` and ``Phi(-c) Phi(c + beta)``
+    for ``x = 0``. The two branches sum to the stop probability, not to one."""
+    if x not in (0, 1):
+        raise DomainError(f"x must be 0 or 1, got {x!r}")
+    stop = ndtr(c + beta)
+    return float(ndtr(c) * stop) if x == 1 else float(ndtr(-c) * stop)
+
+
+def likelihood_oracle(c: float, beta: float, x: int, abs_tol: float = 1e-6) -> float:
+    """Brute-force oracle for :func:`stop_search_likelihood`, sharing no code
+    with it.
+
+    Integrates ``N(s; c + beta, 1) N(t; c, 1)`` over the region selected
+    by the stop gate (``s > 0``) and the outcome's half-line for ``t``,
+    using adaptive 2-D quadrature on the raw densities. Normalisation
+    constant is taken as one, matching the closed form's convention.
+
+    Raises:
+        NumericalError: if the quadrature error estimate exceeds ``abs_tol``.
+    """
+    if x not in (0, 1):
+        raise DomainError(f"x must be 0 or 1, got {x!r}")
+
+    def integrand(t: float, s: float) -> float:
+        ds = s - c - beta
+        dt = t - c
+        return math.exp(-0.5 * (ds * ds + dt * dt)) / (2.0 * math.pi)
+
+    t_lo, t_hi = (0.0, np.inf) if x == 1 else (-np.inf, 0.0)
+    value, err = integrate.dblquad(integrand, 0.0, np.inf, t_lo, t_hi, epsabs=1e-10)
+    if err > abs_tol:
+        raise NumericalError(f"oracle quadrature error {err:.3g} exceeds {abs_tol:.3g}")
+    return float(value)
+
+
 def posterior_oracle(logd, center, scale, points=2001):
     """``(mean, sd, cdf)`` of the 1-D density ``exp(logd(x))``, known up to a
     constant, by trapezoidal quadrature on a dense grid.
@@ -231,6 +273,13 @@ def _csv_field(text: str) -> str:
     if any(c in text for c in ',"\r\n'):
         return '"' + text.replace('"', '""') + '"'
     return text
+
+
+def in_cell_order(dataset):
+    """``dataset``'s rows in the order the canonical writer puts them:
+    ascending cell ``(2·group + outcome)·F + force`` for F forces, stable."""
+    cell = (2 * dataset.group + dataset.outcome) * len(dataset.forces) + dataset.force
+    return dataset.take(np.argsort(cell, kind="stable"))
 
 
 def write_dataset_csv_oracle(dataset, stream) -> None:

@@ -22,12 +22,10 @@ from latentbias import (
     TrueParams,
     balance,
     drift_slope,
-    likelihood_oracle,
     matches_from_dataset,
     run_gibbs,
     sample_truncated_normal,
     std_normal_cdf,
-    stop_search_likelihood,
     synthesize,
     trueskill_gibbs,
 )
@@ -40,6 +38,8 @@ from conftest import (
     LONDON_GUILTY_PCT,
     NATIONAL_GUILTY_PCT,
     NATIONAL_TABLE,
+    likelihood_oracle,
+    stop_search_likelihood,
     truncated_moment_oracle,
 )
 

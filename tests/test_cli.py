@@ -513,6 +513,9 @@ def test_score_inconsistent_summary_exit_2(canonical_csv, tmp_path, capsys, meth
         ({"rank": [2, 3]}, "'rank' must be a permutation of 1..2"),
         ({"rank": [1.9, 2.2]}, "'rank' must be a permutation of 1..2"),
         ({"labels": ["a", "a"]}, "label 'a' is repeated"),
+        # a string is not read as a list of its characters
+        ({"labels": "ab"}, "'labels' must be a list of strings"),
+        ({"labels": [1, 2]}, "'labels' must be a list of strings"),
         ({"criminality_mean": math.nan}, "'criminality_mean' must be finite"),
         ({"criminality_mean": math.inf}, "'criminality_mean' must be finite"),
         *(({"criminality_variance": v}, "'criminality_variance' must be positive and finite")
@@ -600,7 +603,11 @@ _TRACE_HEADER = "sweep,beta_0_mean,C_mean,beta_0_var,C_var,cov_C_beta_0\n"
     (_TRACE_HEADER + "0,0.5,0,inf,1,0\n", "non-finite value"),
     (_TRACE_HEADER + "0,0.5,0,1,1,0\n1,0.5,0,1,1,-inf\n", "non-finite value"),
     (_TRACE_HEADER + "0,0.5,0,1,1,0\n1,0.5,0,2,1,0\n", "disagree on the variance report"),
-], ids=["no-bias-column", "nan-mean", "inf-variance", "minus-inf-cov", "report-disagrees"])
+    ("sweep,foo,C_mean,bar,baz,qux\n0,1,0,1,1,0\n", "bad header for K = 1, want " + _TRACE_HEADER),
+    ("sweep,beta_1_mean,beta_0_mean,C_mean,beta_0_var,beta_1_var,C_var,cov_C_beta_0,"
+     "cov_C_beta_1\n0,1,2,0,1,1,1,0,0\n", "bad header for K = 2"),
+], ids=["no-bias-column", "nan-mean", "inf-variance", "minus-inf-cov", "report-disagrees",
+        "foreign-header", "columns-out-of-order"])
 def test_plot_undrawable_trace_exit_2(tmp_path, capsys, text, message):
     trace = tmp_path / "trace.csv"
     trace.write_text(text, encoding="utf-8")

@@ -28,6 +28,7 @@ from conftest import (
     NATIONAL_TABLE,
     LONDON_FORCE,
     NOT_GUILTY,
+    in_cell_order,
 )
 
 
@@ -412,9 +413,11 @@ def test_dataset_csv_roundtrip():
     back = read_dataset_csv(io.StringIO(buf.getvalue()))
     assert back.labels == ("group0", "group1")
     assert back.forces == ("synthetic",)
-    assert np.array_equal(back.group, records.group)
-    assert np.array_equal(back.outcome, records.outcome)
-    assert np.array_equal(back.force, records.force)
+    # the rows come back in cell order
+    want = in_cell_order(records)
+    assert np.array_equal(back.group, want.group)
+    assert np.array_equal(back.outcome, want.outcome)
+    assert np.array_equal(back.force, want.force)
 
 
 def test_dataset_csv_quotes_force_names():
@@ -422,11 +425,12 @@ def test_dataset_csv_quotes_force_names():
                       np.array([0, 1]), ("Police Service, PSNI", ""))
     buf = io.StringIO()
     write_dataset_csv(records, buf)
-    assert buf.getvalue() == 'group,stopped,outcome,force\na,1,1,"Police Service, PSNI"\nb,1,0,\n'
+    # cell (2·group + outcome)·2 + force: 1 for the second row, 6 for the first
+    assert buf.getvalue() == 'group,stopped,outcome,force\nb,1,0,\na,1,1,"Police Service, PSNI"\n'
     back = read_dataset_csv(io.StringIO(buf.getvalue()))
     assert back.labels == ("a", "b")  # codes follow sorted label order
-    assert back.group.tolist() == [0, 1]
-    assert [back.forces[f] for f in back.force] == ["Police Service, PSNI", ""]
+    assert back.group.tolist() == [1, 0]
+    assert [back.forces[f] for f in back.force] == ["", "Police Service, PSNI"]
 
 
 @pytest.mark.parametrize(
@@ -469,9 +473,15 @@ def test_dataset_csv_unparseable_row_is_data_error_with_line_number():
 
 
 def _same_dataset(a, b):
-    return (a.labels == b.labels and a.forces == b.forces
-            and np.array_equal(a.group, b.group) and np.array_equal(a.outcome, b.outcome)
-            and np.array_equal(a.force, b.force))
+    """``a`` is what reading ``b``'s rows gives: the same label, outcome and
+    force name on every row, labels sorted and forces in order of first
+    appearance."""
+    groups = [b.labels[g] for g in b.group.tolist()]
+    forces = [b.forces[f] for f in b.force.tolist()]
+    return (a.labels == tuple(sorted(set(groups))) and a.forces == tuple(dict.fromkeys(forces))
+            and [a.labels[g] for g in a.group.tolist()] == groups
+            and a.outcome.tolist() == b.outcome.tolist()
+            and [a.forces[f] for f in a.force.tolist()] == forces)
 
 
 def test_dataset_csv_reads_a_list_and_a_one_shot_iterator_alike():
@@ -482,9 +492,10 @@ def test_dataset_csv_reads_a_list_and_a_one_shot_iterator_alike():
     header, rows = buf.getvalue().split("\n", 1)
     text = header + "\n\n" + rows + "\n"  # with blank lines, and a record over two lines
     lines = text.splitlines(keepends=True)
-    assert _same_dataset(read_dataset_csv(io.StringIO(text)), records)
+    want = in_cell_order(records)
+    assert _same_dataset(read_dataset_csv(io.StringIO(text)), want)
     for stream in (lines, iter(lines), (line for line in lines)):
-        assert _same_dataset(read_dataset_csv(stream), records)
+        assert _same_dataset(read_dataset_csv(stream), want)
 
 
 def test_dataset_csv_roundtrips_many_records_that_span_lines():
@@ -497,28 +508,50 @@ def test_dataset_csv_roundtrips_many_records_that_span_lines():
     buf = io.StringIO()
     write_dataset_csv(records, buf)
     back = read_dataset_csv(io.StringIO(buf.getvalue()))
+    want = in_cell_order(records)
     assert back.labels == ("a\nb", "c\nd", "e\n")
-    assert [back.forces[f] for f in back.force] == [records.forces[f] for f in records.force]
-    assert np.array_equal(back.group, records.group)
-    assert np.array_equal(back.outcome, records.outcome)
+    assert [back.forces[f] for f in back.force] == [want.forces[f] for f in want.force]
+    assert np.array_equal(back.group, want.group)
+    assert np.array_equal(back.outcome, want.outcome)
 
 
-def test_dataset_csv_read_holds_no_list_of_lines():
-    # about 214k stops on 8 distinct lines: the read holds the distinct
-    # lines and one integer per row (a peak of about 7 MB here), not every
-    # line of the file (about 24 MB)
-    params = TrueParams(beta=(0.4, 0.0, -0.4, -0.8), population=(112_000,) * 4)
-    records, _report = synthesize(params, np.random.default_rng(15))
-    buf = io.StringIO()
-    write_dataset_csv(records, buf)
-    stream = io.StringIO(buf.getvalue())
-    assert len(records) > 200_000
+def _read_peak(stream):
+    """The dataset read from ``stream`` and the peak of memory the read allocated."""
     tracemalloc.start()
     try:
         back = read_dataset_csv(stream)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return back, peak
+
+
+def _many_stops():
+    params = TrueParams(beta=(0.4, 0.0, -0.4, -0.8), population=(112_000,) * 4)
+    records, _report = synthesize(params, np.random.default_rng(15))
+    buf = io.StringIO()
+    write_dataset_csv(records, buf)
+    assert len(records) > 200_000
+    return records, buf.getvalue()
+
+
+def test_dataset_csv_read_holds_no_list_of_lines():
+    # about 214k stops on 8 distinct lines: the read holds the distinct
+    # lines and one integer per row (a peak of about 7 MB here), not every
+    # line of the file (about 24 MB)
+    records, text = _many_stops()
+    back, peak = _read_peak(io.StringIO(text))
+    assert np.array_equal(back.group, records.group)
+    assert peak < 14e6, f"read peaked at {peak / 1e6:.1f} MB"
+
+
+def test_dataset_csv_binary_read_holds_no_list_of_lines():
+    # the same file read as bytes walks its 8 runs: the read holds the
+    # file's bytes (about 4.2 MB), copies of a run's line up to half the
+    # run and one integer per row (a peak of about 7 MB here), not every
+    # line of the file
+    records, text = _many_stops()
+    back, peak = _read_peak(io.BytesIO(text.encode()))
     assert np.array_equal(back.group, records.group)
     assert peak < 14e6, f"read peaked at {peak / 1e6:.1f} MB"
 
@@ -560,8 +593,9 @@ def test_dataset_csv_reads_binary_lines_as_text_lines(ending):
     buf = io.StringIO()
     write_dataset_csv(records, buf)
     raw = _with_endings(buf.getvalue(), ending)
-    assert _same_dataset(read_dataset_csv(io.BytesIO(raw)), records)
-    assert _same_dataset(read_dataset_csv(raw.splitlines(keepends=True)), records)
+    want = in_cell_order(records)
+    assert _same_dataset(read_dataset_csv(io.BytesIO(raw)), want)
+    assert _same_dataset(read_dataset_csv(raw.splitlines(keepends=True)), want)
     bad = _with_endings("group,stopped,outcome,force\na,1,1,f\n\na,1,x,f\n", ending)
     with pytest.raises(DataError, match="^line 4: every row must be a stop"):
         read_dataset_csv(io.BytesIO(bad))

@@ -694,6 +694,16 @@ def test_summary_json_rejects_fractional_rank_and_repeated_labels():
         PosteriorSummary.from_json(json.dumps({**doc, "labels": ["a", "a"]}))
 
 
+@pytest.mark.parametrize("labels", ["ab", [1, 2], ["a", None], {"a": 1, "b": 2}])
+def test_summary_json_rejects_labels_that_are_not_a_list_of_strings(labels):
+    records = _asym_records((150, 100), positive_rate=3)
+    summary, _ = run_gibbs(records, _cfg(seed=4, sweeps=12, burn_in=2))
+    doc = {**json.loads(summary.to_json()), "labels": labels}
+    with pytest.raises(DomainError, match="^not a posterior summary: 'labels' must be a list "
+                                          "of strings$"):
+        PosteriorSummary.from_json(json.dumps(doc))
+
+
 def test_summary_csv_schema():
     records = _asym_records((150, 100), positive_rate=3)
     summary, _ = run_gibbs(records, _cfg(seed=4, sweeps=12, burn_in=2))

@@ -8,15 +8,14 @@ from latentbias import (
     DomainError,
     PosteriorSummary,
     PriorKind,
-    likelihood_oracle,
     outcome_probability_given_stop,
     predictive_score,
-    stop_search_likelihood,
 )
 from latentbias.gaussians import orthant_masses
 from latentbias.inference import _CountTarget
 
-from conftest import cdf_oracle, outcome_probability_oracle
+from conftest import (cdf_oracle, likelihood_oracle, outcome_probability_oracle,
+                      stop_search_likelihood)
 
 
 def _summary(bias_mean, c_mean=0.0):

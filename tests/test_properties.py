@@ -8,6 +8,8 @@ truncated-normal sampler."""
 import csv
 import io
 import math
+from collections import defaultdict
+from itertools import count
 
 import numpy as np
 import pytest
@@ -41,9 +43,11 @@ from latentbias import (
     write_ranking_csv,
     write_trace_csv,
 )
+from latentbias.data import _intern_lines, _line_runs
 from latentbias.inference import _ranks_desc
 
-from conftest import parse_records_oracle, read_dataset_csv_oracle, write_dataset_csv_oracle
+from conftest import (in_cell_order, parse_records_oracle, read_dataset_csv_oracle,
+                      write_dataset_csv_oracle)
 
 # table entries with the characters CSV must quote or carry through
 _TEXT = st.text(st.sampled_from('ab ,"\'\r\n\t;é€中 ') | st.characters(), max_size=8)
@@ -67,22 +71,24 @@ def test_dataset_csv_roundtrip(dataset):
     buf = io.StringIO()
     write_dataset_csv(dataset, buf)
     back = read_dataset_csv(io.StringIO(buf.getvalue()))
-    # codes are remapped onto the sorted labels present; every row keeps
-    # its label, outcome and force name
+    # the rows come back in cell order and codes are remapped onto the
+    # sorted labels present; every row keeps its label, outcome and force name
+    want = in_cell_order(dataset)
     assert list(back.labels) == sorted({dataset.labels[g] for g in dataset.group})
-    assert [back.labels[g] for g in back.group] == [dataset.labels[g] for g in dataset.group]
-    assert back.outcome.tolist() == dataset.outcome.tolist()
-    assert [back.forces[f] for f in back.force] == [dataset.forces[f] for f in dataset.force]
+    assert [back.labels[g] for g in back.group] == [want.labels[g] for g in want.group]
+    assert back.outcome.tolist() == want.outcome.tolist()
+    assert [back.forces[f] for f in back.force] == [want.forces[f] for f in want.force]
 
 
 @settings(max_examples=300, deadline=None)
 @given(datasets())
 def test_dataset_csv_writer_matches_row_oracle(dataset):
-    # one formatted line per (group, outcome, force) cell gives the bytes
-    # the row-at-a-time writer gives, empty datasets (n = 0) included
+    # one run per (group, outcome, force) cell gives the bytes the
+    # row-at-a-time writer gives for the rows in cell order, empty datasets
+    # (n = 0) included
     buf, oracle = io.StringIO(), io.StringIO()
     write_dataset_csv(dataset, buf)
-    write_dataset_csv_oracle(dataset, oracle)
+    write_dataset_csv_oracle(in_cell_order(dataset), oracle)
     assert buf.getvalue() == oracle.getvalue()
 
 
@@ -159,6 +165,51 @@ def test_dataset_csv_reader_matches_row_oracle(text, newline):
     # lists of lines: the reader tells text from bytes by the first line it reads
     assert _read_result(read_dataset_csv, io.StringIO(text, newline="").readlines()) == want
     assert _read_result(read_dataset_csv, raw.splitlines(keepends=True)) == want
+
+
+@st.composite
+def canonical_run_texts(draw):
+    """Canonical CSV texts as runs of one line repeated, long enough for the
+    binary reader's run walk to double and halve the copies it checks: the
+    header repeated as a run, a line that recurs after a different one, and
+    a run that ends the file without its last LF."""
+    header = draw(st.sampled_from(_HEADERS))
+    first = header + draw(_ENDING)
+    pool = [first] + draw(st.lists(_canonical_lines(header) | st.sampled_from(["\n", "\r\n"]),
+                                   min_size=1, max_size=4))
+    runs = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), st.integers(1, 300)),
+                         max_size=6))
+    text = first * draw(st.integers(1, 3)) + "".join(pool[i] * n for i, n in runs)
+    return text[:-1] if draw(st.booleans()) else text
+
+
+@settings(max_examples=200, deadline=None)
+@given(canonical_run_texts())
+@example("group,stopped,outcome,force\n" + "a,1,1,f\n" * 100 + "b,1,0,g\n" * 37
+         + "a,1,1,f\n" * 5 + "b,1,0,g")
+@example("group,stopped,outcome,force\n" * 3 + "a,1,1,f\n" * 10)
+@example("group,stopped,outcome,force\n" + "a,1,1,f\n" * 64 + "a,1,1,f")
+def test_dataset_csv_run_walk_matches_row_oracle(text):
+    # read as bytes, runs of one line key every line as interning them one
+    # by one does, and give the Dataset, or the DataError, of the reader
+    # that parses every record in file order
+    try:
+        raw = text.encode()
+    except UnicodeEncodeError:  # a lone surrogate has no UTF-8 form
+        return
+    lines = list(io.BytesIO(raw))
+    interned = {}
+    want = [interned.setdefault(line, len(interned)) for line in lines]
+    keys, distinct = _intern_lines(raw)
+    assert (keys.tolist(), distinct) == (want, list(interned))
+    # the runs reach the first line that recurs after a different line
+    recurs = next((i for i in range(1, len(want))
+                   if want[i] != want[i - 1] and want[i] in want[:i]), len(want))
+    ids, lengths, end = _line_runs(raw, defaultdict(count().__next__))
+    assert end == sum(map(len, lines[:recurs]))
+    assert np.repeat(np.array(ids, dtype=int), lengths).tolist() == want[:recurs]
+    assert _read_result(read_dataset_csv, io.BytesIO(raw)) == \
+        _read_result(read_dataset_csv_oracle, io.StringIO(text, newline=""))
 
 
 # mapped, unmapped and blank ethnicities; guilty (severe), guilty (lenient),

@@ -23,7 +23,13 @@ mapping's group labels renamed to hold a comma, a quote and a line break,
 so its canonical CSV takes the reader's row path; it runs ``fit``
 (``dependent``), ``rank`` and ``score`` by both methods on its own
 ``dataset.csv`` and ``plot`` on its trace, and its exit codes also go in a
-file of its own. It prints
+file of its own. Then ``export-200k-shuffled`` holds ``export-200k``'s
+ingested ``dataset.csv`` with its stop lines in a seeded random order, the
+header kept first, so the reader interns its lines one by one where it
+walks the written file's runs; it runs ``fit`` (``dependent``) and
+``rank``, whose outputs must equal ``export-200k``'s apart from the
+manifests, which name and hash the input, and its exit codes go in a file
+of its own. It prints
 ``sha256  relpath`` for every file the commands write, for each command's
 stdout and stderr, and for the files of exit codes. Commands run with
 ``OUT_DIR`` as working directory and relative paths, and each manifest is
@@ -38,6 +44,7 @@ import csv
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -64,6 +71,7 @@ VARIETY_OBJECTS = ("Controlled drugs", "Offensive weapons", "Stolen goods",
 QUOTED = "national-cli-quoted"
 # default group label -> the label national-cli-quoted gives it
 QUOTED_LABELS = {"Black": "Black, African", "Asian": 'Asian "South"', "Other/Mixed": "Other\nMixed"}
+SHUFFLED = "export-200k-shuffled"
 # one BLAS thread, so a matrix product sums in one order on every host
 ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
@@ -155,6 +163,23 @@ def quoted_steps() -> list[tuple[str, list[str]]]:
     ]
 
 
+def write_shuffled(source: Path, target: Path) -> None:
+    """``source``'s header line, then its other lines in a random order
+    seeded by :data:`SEED`; lines end at LF, as the reader splits them."""
+    with open(source, "rb") as fh:
+        header, *rows = fh.readlines()
+    random.Random(SEED).shuffle(rows)
+    target.write_bytes(header + b"".join(rows))
+
+
+def shuffled_steps() -> list[tuple[str, list[str]]]:
+    """``(step, argv)`` pairs for ``export-200k-shuffled``: ``export-200k``'s
+    ``fit`` (``dependent``) and ``rank`` on the shuffled dataset."""
+    source, shuffled = "export-200k/ingest/dataset.csv", f"{SHUFFLED}/dataset.csv"
+    return [(step, [shuffled if arg == source else arg for arg in argv])
+            for step, argv in commands("export-200k") if step in ("fit", "rank")]
+
+
 def run_steps(name: str, steps, out: Path, env: dict) -> str:
     """Run each ``(step, argv)`` of workload ``name`` with outputs in
     ``name/step``, keep its stdout and stderr under ``name/logs``, and
@@ -208,6 +233,10 @@ def main(argv: list[str]) -> int:
     (out / QUOTED / "exit_codes.txt").write_text(
         quoted_exit_codes + run_steps(QUOTED, plot_steps(QUOTED, out), out, env),
         encoding="utf-8")
+    (out / SHUFFLED).mkdir()
+    write_shuffled(out / "export-200k" / "ingest" / "dataset.csv", out / SHUFFLED / "dataset.csv")
+    (out / SHUFFLED / "exit_codes.txt").write_text(
+        run_steps(SHUFFLED, shuffled_steps(), out, env), encoding="utf-8")
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         print(f"{digest(path)}  {path.relative_to(out).as_posix()}")
     return 0
