@@ -37,11 +37,12 @@ Ingest only drops and counts rows with too few fields.
 The canonical dataset CSV has one line per stop, so a file has at most
 2·K·F distinct lines for K groups and F forces. :func:`write_dataset_csv`
 writes the stops in cell order, so each cell present is one run of its
-line. :func:`read_dataset_csv` interns every line to the id of its first
-appearance; read from a binary stream, it keys each run of one line with
-a few comparisons, up to the first line that recurs after a different
-line. It then has two paths, one parse per distinct line or one parse in
-file order; its docstring has the details.
+line. :func:`read_dataset_csv` reads one input form, a binary stream, and
+interns every line to the id of its first appearance, keying each run of
+one line with a few comparisons, up to the first line that recurs after a
+different line. It then has two paths, one parse per distinct line or one
+parse in file order of the decoded bytes, split into lines as text mode
+splits them; its docstring has the details.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import count, repeat
 from operator import add, itemgetter
-from typing import BinaryIO, Iterable, Iterator, Sequence, TextIO
+from typing import BinaryIO, Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -410,9 +411,9 @@ def parse_records(
     are those of the returned dataset.
 
     A parser error names the line on which the rejected record began. The
-    row pipeline does not track lines, so after an error a seekable stream,
-    or a sequence of lines, is read again up to that record; a one-shot
-    iterator names the line the parser stopped on instead.
+    row pipeline does not track lines, so after an error a seekable stream
+    is read again up to that record; any other input names the line the
+    parser stopped on instead.
 
     Cost: the rows are tokenised once, and C-level iterators intern each
     row's four :data:`RAW_COLUMNS` fields to a key id, with no Python per
@@ -451,10 +452,9 @@ def parse_records(
                                   map(add, filter(None, reader), repeat(pad)))),
                           dtype=np.intp)
     except csv.Error as exc:
-        # read again up to the rejected record, which names the line it began on
+        # read a seekable stream again up to the rejected record, named by its first line
         if origin is not None:
             stream.seek(origin)
-        if origin is not None or iter(stream) is not stream:
             for _row in _csv_rows(stream):
                 pass
         raise DataError(f"line {reader.line_num}: {exc}") from None
@@ -494,15 +494,21 @@ def parse_records(
     unmapped = np.zeros(len(keys), dtype=bool)
     unmapped[list(warning_of)] = True
     report.warnings = [warning_of[k] for k in ids[unmapped[ids]][:_WARNINGS_KEPT].tolist()]
-    group_of, positive_of, force_of = np.array(cells, dtype=np.intp).reshape(-1, 3).T
-    kept = ids[group_of[ids] >= 0]
-    dataset = Dataset(group_of[kept], positive_of[kept].astype(bool), mapping.group_labels,
-                      force_of[kept], tuple(force_ids))
+    dataset = _keyed_dataset(cells, ids, mapping.group_labels, tuple(force_ids))
     counts = dataset.outcome_counts()
     report.rows_kept = len(dataset)
     report.group_counts = dict(zip(dataset.labels, counts.sum(axis=1).tolist()))
     report.group_positive = dict(zip(dataset.labels, counts[:, 1].tolist()))
     return dataset, report
+
+
+def _keyed_dataset(cells: list, keys: np.ndarray, labels, forces: tuple) -> Dataset:
+    """The stops of the rows whose key ids are ``keys``, where ``cells``
+    holds each key's ``(group code, positive, force code)``, group -1 for a
+    key whose rows are dropped."""
+    group, positive, force = np.array(cells, dtype=np.intp).reshape(-1, 3).T
+    kept = keys[group[keys] >= 0]
+    return Dataset(group[kept], positive[kept].astype(bool), labels, force[kept], forces)
 
 
 def _rows_by_group(dataset: Dataset):
@@ -519,7 +525,7 @@ def balance(dataset: Dataset, n_per_group: int, rng: np.random.Generator) -> Dat
     for group, idx in _rows_by_group(dataset):
         if len(idx) < n_per_group:
             raise DomainError(
-                f"group {group} has {len(idx)} records, need {n_per_group}"
+                f"group {dataset.labels[group]!r} has {len(idx)} records, need {n_per_group}"
             )
         chosen.append(idx[rng.choice(len(idx), size=n_per_group, replace=False)])
     return dataset.take(np.sort(np.concatenate(chosen)) if chosen else [])
@@ -720,16 +726,6 @@ def _header_columns(header: list | None) -> tuple[itemgetter, int]:
 
 # a CR that ends no line read in binary: text mode ends a line there
 _BARE_CR = re.compile(r"\r(?!\n|\Z)")
-# one line as text mode (``newline=""``) reads it: up to and including a
-# CR, LF or CRLF, or to the end of the input
-_TEXT_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
-
-
-def _text_lines(lines: Iterable[str]) -> Iterator[str]:
-    """The lines that text mode with ``newline=""`` reads from the decoded
-    binary ``lines``, which end only at LF."""
-    for line in lines:
-        yield from map(re.Match.group, _TEXT_LINE.finditer(line))
 
 
 def _distinct_stops(distinct: list, keys: np.ndarray) -> list | None:
@@ -794,38 +790,31 @@ def _intern_lines(data: bytes) -> tuple[np.ndarray, list]:
     return keys, list(index)
 
 
-def read_dataset_csv(stream: Iterable[str] | Iterable[bytes] | TextIO | BinaryIO) -> Dataset:
-    """Load a canonical dataset CSV; group codes follow sorted label order and
-    force codes the order in which forces first appear.
+def read_dataset_csv(stream: BinaryIO) -> Dataset:
+    """Load a canonical dataset CSV from a binary stream of UTF-8 (a file
+    or pipe opened with ``"rb"``), read whole; group codes follow sorted
+    label order and force codes the order in which forces first appear.
 
-    The stream yields text lines (a file opened with ``newline=""``) or
-    binary lines (a file opened with ``"rb"``, which must be UTF-8), as the
-    first line shows, and is read once: a list of lines or a one-shot
-    iterator works as well as a file. Every line, the header included, is
-    interned to the id of its first appearance, so the header is key 0;
-    binary lines are interned raw, split at LF, and each distinct line is
-    decoded once.
-
-    Run walk: a binary stream (``io.RawIOBase`` or ``io.BufferedIOBase``)
-    is read whole, so the read holds the file's bytes. A run of n copies of
-    one line, as :func:`write_dataset_csv` writes each cell, is keyed with
-    O(log n) comparisons. From the first line that recurs after a
-    different line, the rest is interned a line at a time, as the lines of
-    any other stream are; the ids are the same either way.
+    Every line, split at LF, the header included, is interned raw to the
+    id of its first appearance, so the header is key 0, and each distinct
+    line is decoded once. A run of n copies of one line, as
+    :func:`write_dataset_csv` writes each cell, is keyed with O(log n)
+    comparisons; from the first line that recurs after a different line,
+    the rest is interned a line at a time, with the same ids.
 
     Fast path: when the header occurs once, no distinct line holds a bare
     CR, the header parsed alone names the canonical columns, and every
     other distinct line parsed alone is blank or one good record, the
     columns are built by indexing with the ids. A file of N stops then
     costs one parse per distinct line (the header and at most 2·K·F
-    others, for K groups and F forces) plus N line reads and dict lookups,
-    or a few comparisons per run for a binary stream in cell order, and the
-    read holds no list of lines. Row path: otherwise (a record that spans
-    lines, a bad row, a header that spans lines or recurs, a CR-only file),
-    every line is parsed in file order, a row at a time, from the table of
-    distinct lines, the header being the first row; binary lines are first
-    split where text mode splits them, so they read as the same file read
-    as text, line numbers included. Blank lines are skipped.
+    others, for K groups and F forces) plus a few comparisons per run, or
+    one dict lookup per line after the runs, and the read holds no list of
+    lines. Row path: otherwise (a record that spans lines, a bad row, a
+    header that spans lines or recurs, a CR-only file), the decoded bytes
+    are parsed in file order, a row at a time, the header being the first
+    row, split into lines as text mode (``newline=""``) splits them, at CR,
+    LF and CRLF; line numbers are those of the file read as text. Blank
+    lines are skipped.
 
     Raises:
         DataError: if a column is missing or named twice, a row has fewer
@@ -836,22 +825,15 @@ def read_dataset_csv(stream: Iterable[str] | Iterable[bytes] | TextIO | BinaryIO
             and the message names the physical line on which it began:
             every line of the file counts, blank lines and the lines
             inside a quoted field included.
-        UnicodeDecodeError: if a binary line is not valid UTF-8.
+        UnicodeDecodeError: if the bytes are not valid UTF-8.
     """
-    if isinstance(stream, (io.RawIOBase, io.BufferedIOBase)):
-        keys, distinct = _intern_lines(stream.read())
-    else:
-        index = defaultdict(count().__next__)
-        keys = np.fromiter(map(index.__getitem__, stream), dtype=np.intp)
-        distinct = list(index)
-    binary = bool(distinct) and isinstance(distinct[0], bytes)
-    if binary:
-        distinct = [line.decode() for line in distinct]
+    data = stream.read()
+    keys, distinct = _intern_lines(data)
+    distinct = [line.decode() for line in distinct]
     stops = _distinct_stops(distinct, keys)
     if stops is None:
         # row path: every line parsed in file order, the stops interned as the lines were
-        lines = map(distinct.__getitem__, keys.tolist())
-        rows = _csv_rows(_text_lines(lines) if binary else lines)
+        rows = _csv_rows(io.StringIO(data.decode(), newline=""))
         columns, width = _header_columns(next(rows, (1, None))[1])
         index = defaultdict(count().__next__)
         keys = np.fromiter(map(index.__getitem__, _stops(rows, columns, width)), dtype=np.intp)
@@ -859,9 +841,6 @@ def read_dataset_csv(stream: Iterable[str] | Iterable[bytes] | TextIO | BinaryIO
     labels = sorted({stop[0] for stop in stops if stop})
     label_ids = {label: i for i, label in enumerate(labels)}
     force_ids: dict[str, int] = {}
-    cells = np.array([(label_ids[stop[0]], stop[1], force_ids.setdefault(stop[2], len(force_ids)))
-                      if stop else (-1, 0, 0) for stop in stops], dtype=np.intp).reshape(-1, 3)
-    group, positive, force = cells.T
-    records = keys[group[keys] >= 0]
-    return Dataset(group[records], positive[records].astype(bool), labels, force[records],
-                   tuple(force_ids))
+    cells = [(label_ids[stop[0]], stop[1], force_ids.setdefault(stop[2], len(force_ids)))
+             if stop else (-1, 0, 0) for stop in stops]
+    return _keyed_dataset(cells, keys, labels, tuple(force_ids))

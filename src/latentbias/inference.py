@@ -197,19 +197,20 @@ class PosteriorSummary:
     @classmethod
     def from_json(cls, text: str) -> "PosteriorSummary":
         """The summary :meth:`to_json` wrote, ``alpha`` and ``gamma`` optional.
-        Raises DomainError on a missing, mistyped or inconsistent field."""
+        Raises DomainError on a missing, mistyped or inconsistent field: the
+        numeric fields hold JSON numbers, ``rank`` and ``sweeps`` integers."""
         try:
             d = json.loads(text)
             summary = cls(
                 labels=d["labels"],
-                bias_mean=np.asarray(d["bias_mean"], dtype=float),
-                bias_variance=np.asarray(d["bias_variance"], dtype=float),
-                rank=np.asarray(d["rank"], dtype=float),
-                criminality_mean=float(d["criminality_mean"]),
-                criminality_variance=float(d["criminality_variance"]),
+                bias_mean=_json_numbers(d, "bias_mean", listed=True),
+                bias_variance=_json_numbers(d, "bias_variance", listed=True),
+                rank=_json_numbers(d, "rank", listed=True),
+                criminality_mean=_json_numbers(d, "criminality_mean"),
+                criminality_variance=_json_numbers(d, "criminality_variance"),
                 prior_kind=PriorKind.from_string(d["prior_kind"]),
-                sweeps=float(d["sweeps"]),
-                **{name: None if d.get(name) is None else float(d[name])
+                sweeps=_json_numbers(d, "sweeps"),
+                **{name: None if d.get(name) is None else _json_numbers(d, name)
                    for name in ("alpha", "gamma")},
             )
         except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
@@ -240,6 +241,16 @@ class PosteriorSummary:
             raise DomainError(f"not a posterior summary: 'rank' must be a permutation of 1..{k}")
         summary.rank, summary.sweeps = summary.rank.astype(int), int(summary.sweeps)
         return summary
+
+
+def _json_numbers(d: dict, name: str, listed: bool = False):
+    """``d[name]`` as floats: a JSON number, or a list of them when ``listed``;
+    anything else, a bool or a numeric string included, raises DomainError."""
+    value = d[name]
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               for v in (value if listed and isinstance(value, list) else [value])):
+        raise DomainError(f"{name!r} must be {'a list of numbers' if listed else 'a number'}")
+    return np.asarray(value, dtype=float) if listed else float(value)
 
 
 def _ranks_desc(values: np.ndarray) -> np.ndarray:

@@ -10,7 +10,8 @@ positive when ``C + N(0, gamma) > 0``. The belief over
 * ``INDEPENDENT`` - bias and criminality never correlate; no cross terms
   are ever written.
 * ``DEPENDENT``  - cross-precision between each bias and criminality
-  accumulates with the data, tying the coordinates together.
+  accumulates with the data. Under the drift correction its bias draws
+  share INDEPENDENT's exact target; only the reported variance differs.
 * ``FREE``       - same joint structure as DEPENDENT but run without the
   drift correction; see :mod:`latentbias.inference` for why this regime is
   numerically unstable.

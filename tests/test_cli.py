@@ -525,6 +525,13 @@ def test_score_inconsistent_summary_exit_2(canonical_csv, tmp_path, capsys, meth
         *(({name: v}, f"{name!r} must be positive and finite")
           for name, v in (("alpha", math.nan), ("alpha", -1.0), ("gamma", math.inf),
                           ("gamma", 0.0))),
+        # a bool or a numeric string is not read as a number
+        *(({name: v}, f"{name!r} must be a number")
+          for name, v in (("sweeps", "10"), ("sweeps", True), ("alpha", "1.0"), ("alpha", True),
+                          ("criminality_mean", False))),
+        *(({name: v}, f"{name!r} must be a list of numbers")
+          for name, v in (("bias_mean", ["0.1", "0.2"]), ("rank", ["2", "1"]),
+                          ("rank", [True, 2]), ("bias_variance", [True, True]))),
     ]):
         bad = tmp_path / f"bad{i}.json"
         bad.write_text(json.dumps({**doc, **changes}), encoding="utf-8")
@@ -638,13 +645,14 @@ def test_rank_divergence_exit_3(canonical_csv, tmp_path, capsys, monkeypatch):
     assert list(out.iterdir()) == []
 
 
-def test_preset_augmented(raw_csv, tmp_path):
+def test_preset_augmented(raw_csv, tmp_path, capsys):
     out = tmp_path / "aug"
     # 600 rows -> 150 per group; augmented preset wants 1000 each, so this
-    # must fail loudly; build a bigger file for the success path
+    # must fail loudly, naming the first short group by its label
     assert main(["fit", "--input", str(raw_csv), "--preset", "augmented",
                  "--sweeps", "10", "--burn-in", "2", "--seed", "1",
                  "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == "error: group 'White' has 150 records, need 1000\n"
 
 
 def test_preset_london_met(raw_csv, tmp_path):

@@ -1,5 +1,6 @@
 import io
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -174,13 +175,18 @@ def test_parse_unparseable_row_is_data_error_with_line_number():
 def test_parse_error_names_the_line_the_record_began():
     # a record from line 4 (after a blank line 3) breaks its quoted field onto
     # line 5 and has text after the closing quote there; a stream that can
-    # seek and a list of lines are read again, a one-shot iterator cannot be
+    # seek is read again, while a pipe or a list of lines names the line the
+    # parser stopped on
     text = (HEADER + "ForceA,White,,Arrest\n\n" + 'ForceA,"Wh\nite"x,,Arrest\n'
             + "ForceB,Black,,Arrest\n")
-    lines = io.StringIO(text).readlines()
-    for stream, line in ((io.StringIO(text), 4), (lines, 4), (iter(lines), 5)):
-        with pytest.raises(DataError, match=f"^line {line}: "):
-            parse_records(stream, default_mapping(), SchemeKind.GUILTY_NOT_GUILTY)
+    read_end, write_end = os.pipe()
+    os.write(write_end, text.encode())
+    os.close(write_end)
+    with open(read_end, encoding="utf-8", newline="") as pipe:
+        for stream, line in ((io.StringIO(text), 4), (pipe, 5),
+                             (io.StringIO(text).readlines(), 5)):
+            with pytest.raises(DataError, match=f"^line {line}: "):
+                parse_records(stream, default_mapping(), SchemeKind.GUILTY_NOT_GUILTY)
 
 
 def test_parse_blank_lines_short_rows_and_duplicate_columns():
@@ -293,9 +299,8 @@ def test_balance_minimum():
 
 def test_balance_insufficient_names_group():
     records = _ds([0] * 3 + [1] * 10, [True] * 13)
-    with pytest.raises(DomainError) as exc:
+    with pytest.raises(DomainError, match="^group 'g0' has 3 records, need 5$"):
         balance(records, 5, np.random.default_rng(0))
-    assert "group 0" in str(exc.value)
 
 
 def test_balance_deterministic():
@@ -410,7 +415,7 @@ def test_dataset_csv_roundtrip():
     buf = io.StringIO()
     write_dataset_csv(records, buf)
     assert buf.getvalue().splitlines()[0] == "group,stopped,outcome,force"
-    back = read_dataset_csv(io.StringIO(buf.getvalue()))
+    back = read_dataset_csv(io.BytesIO(buf.getvalue().encode()))
     assert back.labels == ("group0", "group1")
     assert back.forces == ("synthetic",)
     # the rows come back in cell order
@@ -427,7 +432,7 @@ def test_dataset_csv_quotes_force_names():
     write_dataset_csv(records, buf)
     # cell (2·group + outcome)·2 + force: 1 for the second row, 6 for the first
     assert buf.getvalue() == 'group,stopped,outcome,force\nb,1,0,\na,1,1,"Police Service, PSNI"\n'
-    back = read_dataset_csv(io.StringIO(buf.getvalue()))
+    back = read_dataset_csv(io.BytesIO(buf.getvalue().encode()))
     assert back.labels == ("a", "b")  # codes follow sorted label order
     assert back.group.tolist() == [1, 0]
     assert [back.forces[f] for f in back.force] == ["", "Police Service, PSNI"]
@@ -441,7 +446,7 @@ def test_dataset_csv_quotes_force_names():
 def test_dataset_csv_rejects_bad_flags_with_line_number(bad_row):
     text = "group,stopped,outcome,force\na,1,1,f\nb,1,0,f\n" + bad_row + "\n"
     with pytest.raises(DataError, match="^line 4: "):
-        read_dataset_csv(io.StringIO(text))
+        read_dataset_csv(io.BytesIO(text.encode()))
 
 
 def test_dataset_csv_error_names_the_physical_line():
@@ -454,7 +459,7 @@ def test_dataset_csv_error_names_the_physical_line():
                        ('group,stopped,outcome,force\n"a\nb",1,1,f\n"a\nb",1,0,"g\nh"\n'
                         '"a\nb",1,x,f\n', 7)):
         with pytest.raises(DataError, match=f"^line {line}: "):
-            read_dataset_csv(io.StringIO(text))
+            read_dataset_csv(io.BytesIO(text.encode()))
 
 
 def test_dataset_csv_parse_error_names_the_line_the_record_began():
@@ -463,13 +468,13 @@ def test_dataset_csv_parse_error_names_the_line_the_record_began():
     for text in ('group,stopped,outcome,force\na,1,1,f\na,1,1,"f\na,1,1,f\n\n',
                  'group,stopped,outcome,force\na,1,1,f\n"a\nb"x,1,1,f\na,1,1,f\n'):
         with pytest.raises(DataError, match="^line 3: "):
-            read_dataset_csv(io.StringIO(text))
+            read_dataset_csv(io.BytesIO(text.encode()))
 
 
 def test_dataset_csv_unparseable_row_is_data_error_with_line_number():
     text = "group,stopped,outcome,force\na,1,1,f\n" + f"a,1,1,{'x' * 200_000}\n"
     with pytest.raises(DataError, match="^line 3: field larger than field limit"):
-        read_dataset_csv(io.StringIO(text))
+        read_dataset_csv(io.BytesIO(text.encode()))
 
 
 def _same_dataset(a, b):
@@ -484,30 +489,26 @@ def _same_dataset(a, b):
             and [a.forces[f] for f in a.force.tolist()] == forces)
 
 
-def test_dataset_csv_reads_a_list_and_a_one_shot_iterator_alike():
+def test_dataset_csv_reads_blank_lines_and_a_record_over_two_lines():
     records = Dataset(np.array([1, 0, 2, 1, 0]), np.array([True, False, True, True, False]),
                       ("a", "b", "c\nd"), np.array([0, 1, 1, 0, 1]), ("Police, PSNI", "f"))
     buf = io.StringIO()
     write_dataset_csv(records, buf)
     header, rows = buf.getvalue().split("\n", 1)
     text = header + "\n\n" + rows + "\n"  # with blank lines, and a record over two lines
-    lines = text.splitlines(keepends=True)
-    want = in_cell_order(records)
-    assert _same_dataset(read_dataset_csv(io.StringIO(text)), want)
-    for stream in (lines, iter(lines), (line for line in lines)):
-        assert _same_dataset(read_dataset_csv(stream), want)
+    assert _same_dataset(read_dataset_csv(io.BytesIO(text.encode())), in_cell_order(records))
 
 
 def test_dataset_csv_roundtrips_many_records_that_span_lines():
     # every record spans two lines, so the file takes the row path: one
-    # parse in file order, a row at a time from the distinct-line table
+    # parse in file order, a row at a time from the decoded bytes
     rng = np.random.default_rng(15)
     n = 20_000
     records = Dataset(rng.integers(0, 3, n), rng.random(n) < 0.5, ("a\nb", "c\nd", "e\n"),
                       rng.integers(0, 2, n), ("f", "g\nh"))
     buf = io.StringIO()
     write_dataset_csv(records, buf)
-    back = read_dataset_csv(io.StringIO(buf.getvalue()))
+    back = read_dataset_csv(io.BytesIO(buf.getvalue().encode()))
     want = in_cell_order(records)
     assert back.labels == ("a\nb", "c\nd", "e\n")
     assert [back.forces[f] for f in back.force] == [want.forces[f] for f in want.force]
@@ -535,21 +536,11 @@ def _many_stops():
     return records, buf.getvalue()
 
 
-def test_dataset_csv_read_holds_no_list_of_lines():
-    # about 214k stops on 8 distinct lines: the read holds the distinct
-    # lines and one integer per row (a peak of about 7 MB here), not every
-    # line of the file (about 24 MB)
-    records, text = _many_stops()
-    back, peak = _read_peak(io.StringIO(text))
-    assert np.array_equal(back.group, records.group)
-    assert peak < 14e6, f"read peaked at {peak / 1e6:.1f} MB"
-
-
 def test_dataset_csv_binary_read_holds_no_list_of_lines():
-    # the same file read as bytes walks its 8 runs: the read holds the
-    # file's bytes (about 4.2 MB), copies of a run's line up to half the
-    # run and one integer per row (a peak of about 7 MB here), not every
-    # line of the file
+    # about 214k stops on 8 distinct lines: the read walks the 8 runs and
+    # holds the file's bytes (about 4.2 MB), copies of a run's line up to
+    # half the run and one integer per row (a peak of about 7 MB here), not
+    # every line of the file (about 24 MB)
     records, text = _many_stops()
     back, peak = _read_peak(io.BytesIO(text.encode()))
     assert np.array_equal(back.group, records.group)
@@ -558,16 +549,15 @@ def test_dataset_csv_binary_read_holds_no_list_of_lines():
 
 def test_dataset_csv_rejects_wrong_schema():
     with pytest.raises(DataError):
-        read_dataset_csv(io.StringIO("a,b\n1,2\n"))
+        read_dataset_csv(io.BytesIO(b"a,b\n1,2\n"))
 
 
 @pytest.mark.parametrize("header, named", [("group,stopped,outcome,force,group", "'group'"),
                                            ("force,group,stopped,force,outcome", "'force'")])
 def test_dataset_csv_rejects_a_column_named_twice(header, named):
     text = header + "\na,1,1,f,b\n"
-    for stream in (io.StringIO(text), io.BytesIO(text.encode())):
-        with pytest.raises(DataError, match=f"^line 1: the header names {named} more than once"):
-            read_dataset_csv(stream)
+    with pytest.raises(DataError, match=f"^line 1: the header names {named} more than once"):
+        read_dataset_csv(io.BytesIO(text.encode()))
 
 
 @pytest.mark.parametrize("text, message", [
@@ -576,7 +566,7 @@ def test_dataset_csv_rejects_a_column_named_twice(header, named):
     ("stopped,group,note,outcome,force\n1,a,n\n", "line 2: row has 3 fields, need 5")])
 def test_dataset_csv_short_row_names_its_field_count(text, message):
     with pytest.raises(DataError, match=f"^{message}$"):
-        read_dataset_csv(io.StringIO(text))
+        read_dataset_csv(io.BytesIO(text.encode()))
 
 
 def _with_endings(text, ending):
@@ -595,7 +585,6 @@ def test_dataset_csv_reads_binary_lines_as_text_lines(ending):
     raw = _with_endings(buf.getvalue(), ending)
     want = in_cell_order(records)
     assert _same_dataset(read_dataset_csv(io.BytesIO(raw)), want)
-    assert _same_dataset(read_dataset_csv(raw.splitlines(keepends=True)), want)
     bad = _with_endings("group,stopped,outcome,force\na,1,1,f\n\na,1,x,f\n", ending)
     with pytest.raises(DataError, match="^line 4: every row must be a stop"):
         read_dataset_csv(io.BytesIO(bad))
@@ -609,8 +598,6 @@ def test_dataset_csv_binary_error_names_the_text_line():
                         3),
                        ('group,stopped,outcome,"x\ry",force\na,1,1,n,f\na,1,x,n,f\n', 4),
                        ('group,stopped,outcome,force\na,1,1,"f\rg"\na,1,x,f\n', 4)):
-        with pytest.raises(DataError, match=f"^line {line}: every row must be a stop"):
-            read_dataset_csv(io.StringIO(text, newline=""))
         with pytest.raises(DataError, match=f"^line {line}: every row must be a stop"):
             read_dataset_csv(io.BytesIO(text.encode()))
     text = 'group,stopped,outcome,force,"no\nte"\na,1,1,f,n\nb,1,0,g,n\n'
@@ -627,21 +614,13 @@ def test_dataset_csv_binary_lines_decode_as_strict_utf8():
             read_dataset_csv(io.BytesIO(raw))
 
 
-def _text_and_binary_streams(text):
-    raw = text.encode()
-    return (io.StringIO(text, newline=""), io.StringIO(text, newline="").readlines(),
-            io.BytesIO(raw), raw.splitlines(keepends=True))
-
-
-def test_dataset_csv_without_rows_reads_alike_as_text_and_bytes():
-    # the first line read decides text or bytes: an empty input has no header,
-    # and a header alone, with or without its newline, is an empty dataset
-    for stream in _text_and_binary_streams(""):
-        with pytest.raises(DataError, match="^canonical dataset CSV needs columns"):
-            read_dataset_csv(stream)
-    for text in ("group,stopped,outcome,force\n", "group,stopped,outcome,force"):
-        for stream in _text_and_binary_streams(text):
-            back = read_dataset_csv(stream)
-            assert (back.labels, back.forces, len(back)) == ((), (), 0)
-            assert back.group.dtype == back.force.dtype == np.intp
-            assert back.outcome.dtype == bool
+def test_dataset_csv_without_rows():
+    # an empty input has no header, and a header alone, with or without its
+    # newline, is an empty dataset
+    with pytest.raises(DataError, match="^canonical dataset CSV needs columns"):
+        read_dataset_csv(io.BytesIO(b""))
+    for raw in (b"group,stopped,outcome,force\n", b"group,stopped,outcome,force"):
+        back = read_dataset_csv(io.BytesIO(raw))
+        assert (back.labels, back.forces, len(back)) == ((), (), 0)
+        assert back.group.dtype == back.force.dtype == np.intp
+        assert back.outcome.dtype == bool

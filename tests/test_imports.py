@@ -2,7 +2,9 @@
 module of ``src/latentbias`` imports a name that starts with ``_`` from
 another, so each private helper has one owner. Dunder names such as
 ``__version__`` are public and allowed. No module but ``__init__.py``,
-whose imports are re-exports, imports a name that it never reads."""
+whose imports are re-exports, imports a name that it never reads. Every
+private module-level name (a function, class or constant) is read in its
+own module, so no helper outlives its callers."""
 
 import ast
 from pathlib import Path
@@ -10,6 +12,11 @@ from pathlib import Path
 import pytest
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "latentbias").glob("*.py"))
+
+# private names read only from outside their module: the tests take the
+# bias-conditional sampler as their reference, and the benchmark's tracer
+# wraps it by name
+READ_ELSEWHERE = {("inference.py", "_sample_bias_conditional")}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
@@ -35,3 +42,25 @@ def test_no_module_imports_a_name_it_never_reads(path):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     unused = [f"line {line}: {name}" for name, line in imported.items() if name not in read]
     assert not unused, unused
+
+
+def _defined_names(node):
+    """The names a module-level statement binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else (
+        [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [name.id for target in targets for name in ast.walk(target)
+            if isinstance(name, ast.Name)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_private_module_name_is_read_in_its_module(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    defined = {name: node.lineno for node in tree.body for name in _defined_names(node)
+               if name.startswith("_") and not name.endswith("__")}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unread = [f"line {line}: {name}" for name, line in defined.items()
+              if name not in read and (path.name, name) not in READ_ELSEWHERE]
+    assert not unread, unread

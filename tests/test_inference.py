@@ -599,7 +599,7 @@ def test_rejects_unstopped_and_empty():
         run_gibbs(Dataset(np.array([0]), np.array([True]), ("a", "b")), _cfg())
     # rows that are not stops never reach a dataset
     with pytest.raises(DataError, match="^line 2: "):
-        read_dataset_csv(io.StringIO("group,stopped,outcome,force\na,0,0,f\n"))
+        read_dataset_csv(io.BytesIO(b"group,stopped,outcome,force\na,0,0,f\n"))
 
 
 def test_run_gibbs_custom_prior_and_groups():

@@ -112,10 +112,10 @@ def test_probability_domain_errors():
 # --- records and config ----------------------------------------------------------
 
 def test_record_outcome_requires_stop():
-    header = "group,stopped,outcome,force\n"
-    read_dataset_csv(io.StringIO(header + "a,1,1,\n"))
+    header = b"group,stopped,outcome,force\n"
+    read_dataset_csv(io.BytesIO(header + b"a,1,1,\n"))
     with pytest.raises(DataError, match="^line 2: "):
-        read_dataset_csv(io.StringIO(header + "a,0,1,\n"))
+        read_dataset_csv(io.BytesIO(header + b"a,0,1,\n"))
     with pytest.raises(DomainError):
         Dataset(np.array([-1]), np.array([True]), ("a",))
 

@@ -70,7 +70,11 @@ def datasets(draw):
 def test_dataset_csv_roundtrip(dataset):
     buf = io.StringIO()
     write_dataset_csv(dataset, buf)
-    back = read_dataset_csv(io.StringIO(buf.getvalue()))
+    try:
+        raw = buf.getvalue().encode()
+    except UnicodeEncodeError:  # a lone surrogate has no UTF-8 form
+        return
+    back = read_dataset_csv(io.BytesIO(raw))
     # the rows come back in cell order and codes are remapped onto the
     # sorted labels present; every row keeps its label, outcome and force name
     want = in_cell_order(dataset)
@@ -144,27 +148,21 @@ def _read_result(read, stream):
 
 
 @settings(max_examples=500, deadline=None)
-@given(canonical_texts(), st.sampled_from(["", "\n"]))
+@given(canonical_texts())
 @example('group,stopped,outcome,force\na,1,1,f\n"x\ny",1,1,f\na,1,1,f\n'
-         'a,1,x,f\n"x\ny",1,1,f\na,1,x,f\n', "")
-@example('group,stopped,outcome,force\n"b\na,1,x,f\n",1,1,f\na,1,x,f\n', "")
-@example('group,stopped,outcome,force\r\n"b\r\n\r\nc",1,0,"f,\r"\r\n\r\na,1,1,f\r\n', "")
-def test_dataset_csv_reader_matches_row_oracle(text, newline):
-    # the same Dataset, or the same DataError with the same line, as a
-    # reader that parses every record in file order; read as bytes, or as a
-    # list of text or bytes lines, the text reads as a file opened with
-    # newline="" does
-    assert _read_result(read_dataset_csv, io.StringIO(text, newline=newline)) == \
-        _read_result(read_dataset_csv_oracle, io.StringIO(text, newline=newline))
+         'a,1,x,f\n"x\ny",1,1,f\na,1,x,f\n')
+@example('group,stopped,outcome,force\n"b\na,1,x,f\n",1,1,f\na,1,x,f\n')
+@example('group,stopped,outcome,force\r\n"b\r\n\r\nc",1,0,"f,\r"\r\n\r\na,1,1,f\r\n')
+def test_dataset_csv_reader_matches_row_oracle(text):
+    # read as bytes, the text gives the same Dataset, or the same DataError
+    # with the same line, as a reader that parses every record of the text
+    # opened with newline="" in file order
     try:
         raw = text.encode()
     except UnicodeEncodeError:  # a lone surrogate has no UTF-8 form
         return
-    want = _read_result(read_dataset_csv_oracle, io.StringIO(text, newline=""))
-    assert _read_result(read_dataset_csv, io.BytesIO(raw)) == want
-    # lists of lines: the reader tells text from bytes by the first line it reads
-    assert _read_result(read_dataset_csv, io.StringIO(text, newline="").readlines()) == want
-    assert _read_result(read_dataset_csv, raw.splitlines(keepends=True)) == want
+    assert _read_result(read_dataset_csv, io.BytesIO(raw)) == \
+        _read_result(read_dataset_csv_oracle, io.StringIO(text, newline=""))
 
 
 @st.composite
