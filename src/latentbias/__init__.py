@@ -10,8 +10,9 @@ imports scipy, at its first draw. The pieces:
 * :mod:`latentbias.inference`  - the Gibbs sampler, anchoring, traces.
 * :mod:`latentbias.likelihood` - held-out scoring of a fitted summary.
 * :mod:`latentbias.ranking`    - the skill-ranking baseline.
-* :mod:`latentbias.data`       - the columnar :class:`Dataset`, CSV
-  ingestion, dataset operations, the synthetic generator.
+* :mod:`latentbias.data`       - the :class:`Dataset` tally of stops per
+  (group, outcome, force) cell, CSV ingestion, dataset operations, the
+  synthetic generator.
 """
 
 from .data import (

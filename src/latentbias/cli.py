@@ -57,15 +57,21 @@ def _read_input(path: str, read, *args, binary: bool = False):
 
     Raises:
         DataError: if the file is not valid UTF-8; the message names the
-            file and the physical line of the first undecodable byte.
+            file and, when it can be read again (not a pipe), the physical
+            line of the first undecodable byte.
     """
-    try:
-        with open(path, "rb") if binary else open(path, newline="", encoding="utf-8") as fh:
+    with open(path, "rb") if binary else open(path, newline="", encoding="utf-8") as fh:
+        try:
             return read(fh, *args)
-    except UnicodeDecodeError as exc:
+        except UnicodeDecodeError as exc:
+            reason, rereadable = exc.reason, fh.seekable()
+    line = None
+    if rereadable:  # a pipe cannot be read again
         with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-            line = next(n for n, text in enumerate(fh, start=1) if _UNDECODED.search(text))
-        raise DataError(f"{path}: line {line}: not valid UTF-8 ({exc.reason})") from None
+            line = next((n for n, text in enumerate(fh, start=1) if _UNDECODED.search(text)),
+                        None)
+    where = "" if line is None else f"line {line}: "
+    raise DataError(f"{path}: {where}not valid UTF-8 ({reason})")
 
 
 def _load_mapping(path: str | None) -> EthnicityMapping:
@@ -272,15 +278,16 @@ def cmd_score(args) -> int:
     summary = PosteriorSummary.from_json(_read_input(args.summary, lambda fh: fh.read()))
     noise = _score_noise(args, summary)
     test = _read_dataset(args.test)
-    # point the test file's group codes at the summary's label order
+    # place the test tally on the summary's labels
     unknown = [label for label in test.labels if label not in summary.labels]
     if unknown:
         raise DomainError(
             f"test dataset group {unknown[0]!r} is unknown to the summary "
             f"(labels: {summary.labels})"
         )
-    remap = np.array([summary.labels.index(label) for label in test.labels], dtype=np.intp)
-    test = Dataset(remap[test.group], test.outcome, summary.labels, test.force, test.forces)
+    counts = np.zeros((len(summary.labels), *test.counts.shape[1:]), dtype=np.intp)
+    counts[[summary.labels.index(label) for label in test.labels]] = test.counts
+    test = Dataset(counts, summary.labels, test.forces)
     score = predictive_score(summary, test, noise["alpha"], noise["gamma"], method=args.method)
     line = f"{100.0 * score:.1f}\n"
     (run.path / "score.txt").write_text(line, encoding="utf-8")

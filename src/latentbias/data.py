@@ -18,8 +18,12 @@ together in one :class:`EthnicityMapping`, read from one JSON
 configuration file, so an ingest run is fully specified by its inputs and
 the scheme.
 
-Every layer holds its stops as one columnar :class:`Dataset`: group codes,
-outcomes and force codes in numpy arrays, plus the label tables.
+Every layer holds its stops as one :class:`Dataset`, a tally: the number
+of stops in each (group, outcome, force) cell, in one ``(K, 2, F)``
+integer array, plus the label and force tables. Nothing reads a stop's
+place in a file: :func:`balance` and :func:`split` draw each group's cells
+as a uniform subsample of its stops would, and :func:`filter_force` keeps
+one force's column.
 
 :func:`parse_records` tokenises a raw export once. C-level iterators
 intern each row's four :data:`RAW_COLUMNS` fields to a key id, so no
@@ -38,8 +42,8 @@ The canonical dataset CSV has one line per stop, so a file has at most
 2·K·F distinct lines for K groups and F forces. :func:`write_dataset_csv`
 writes the stops in cell order, so each cell present is one run of its
 line. :func:`read_dataset_csv` reads one input form, a binary stream, and
-interns every line to the id of its first appearance, keying each run of
-one line with a few comparisons, up to the first line that recurs after a
+counts the copies of every distinct line, counting each run of one line
+with a few comparisons, up to the first line that recurs after a
 different line. It then has two paths, one parse per distinct line or one
 parse in file order of the decoded bytes, split into lines as text mode
 splits them; its docstring has the details.
@@ -53,7 +57,7 @@ import io
 import json
 import math
 import re
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import count, repeat
 from operator import add, itemgetter
@@ -159,33 +163,23 @@ _DEFAULT_ETHNICITY_MAP = {
 }
 
 
-def _codes(values, table_size: int, name: str) -> np.ndarray:
-    arr = np.asarray(values)
-    if arr.size == 0:
-        return arr.astype(np.intp).reshape(0)
-    if arr.ndim != 1 or arr.dtype.kind not in "iu":
-        raise DomainError(f"{name} must be a 1-D integer code column")
-    if arr.min() < 0 or arr.max() >= table_size:
-        raise DomainError(f"{name} codes must lie in 0..{table_size - 1}")
-    return arr.astype(np.intp, copy=False)
-
-
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Stop-and-search events as columns, one row per stop.
+    """Stop-and-search events as a tally, one count per (group, outcome,
+    force) cell.
 
-    ``group`` holds codes into ``labels`` and ``force`` codes into
-    ``forces`` (all zero, into ``("",)``, when omitted); ``outcome`` is the
-    coarsened binary outcome. Every row is a stop: the model never observes
-    anyone who was not stopped. The constructor checks equal column
-    lengths, code ranges and unique table entries once, so every layer can
-    trust them.
+    ``counts[g, o, f]`` is the number of stops of group ``labels[g]`` at
+    force ``forces[f]`` with outcome ``o`` (1 is positive), an integer array
+    of shape ``(K, 2, F)``; its C-order ravel is the canonical writer's cell
+    order, ``(2·group + outcome)·F + force``. Every stop counted is a stop:
+    the model never observes anyone who was not stopped. The constructor
+    checks the shape, that the counts are non-negative integers and that
+    the label and force tables are unique, once, so every layer can trust
+    them; it keeps a read-only copy of the counts.
     """
 
-    group: np.ndarray
-    outcome: np.ndarray
+    counts: np.ndarray
     labels: tuple
-    force: np.ndarray | None = None
     forces: tuple = ("",)
 
     def __post_init__(self):
@@ -193,38 +187,35 @@ class Dataset:
         for name, table in (("labels", labels), ("forces", forces)):
             if len(set(table)) != len(table):
                 raise DomainError(f"{name} must be unique, got {list(table)}")
-        group = _codes(self.group, len(labels), "group")
-        outcome = np.asarray(self.outcome)
-        if outcome.size == 0:
-            outcome = outcome.astype(bool).reshape(0)
-        if outcome.ndim != 1 or outcome.dtype != bool:
-            raise DomainError("outcome must be a 1-D bool column")
-        if self.force is None:
-            force = np.zeros(group.size, dtype=np.intp)
-        else:
-            force = _codes(self.force, len(forces), "force")
-        if not group.size == outcome.size == force.size:
-            raise DomainError(
-                f"columns must have equal lengths, got group {group.size}, "
-                f"outcome {outcome.size}, force {force.size}"
-            )
-        for name, value in (("group", group), ("outcome", outcome), ("labels", labels),
-                            ("force", force), ("forces", forces)):
+        counts = np.asarray(self.counts)
+        if counts.dtype.kind not in "iu":
+            raise DomainError(f"counts must be integers, got dtype {counts.dtype}")
+        if counts.shape != (len(labels), 2, len(forces)):
+            raise DomainError(f"counts must have shape (K, 2, F) = "
+                              f"{(len(labels), 2, len(forces))}, got {counts.shape}")
+        counts = counts.astype(np.intp)
+        if counts.size and counts.min() < 0:
+            raise DomainError("counts must be non-negative")
+        counts.flags.writeable = False
+        for name, value in (("counts", counts), ("labels", labels), ("forces", forces)):
             object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
-        return self.group.size
+        return int(self.counts.sum())
 
     def outcome_counts(self) -> np.ndarray:
         """``(K, 2)`` integer table of stops per group code: negative
         outcomes in column 0, positive in column 1."""
-        k = len(self.labels)
-        return np.bincount(2 * self.group + self.outcome, minlength=2 * k).reshape(k, 2)
+        return self.counts.sum(axis=2)
 
-    def take(self, index) -> "Dataset":
-        """The rows at ``index`` (integer positions or a bool mask), tables kept."""
-        return Dataset(self.group[index], self.outcome[index], self.labels,
-                       self.force[index], self.forces)
+
+def _tallied(cells: dict, labels, forces) -> Dataset:
+    """The dataset over ``labels`` and ``forces`` whose ``(group code,
+    outcome, force code)`` cells hold the stop counts of ``cells``."""
+    counts = np.zeros((len(labels), 2, len(forces)), dtype=np.intp)
+    for cell, n in cells.items():
+        counts[cell] = n
+    return Dataset(counts, labels, forces)
 
 
 class SchemeKind(enum.Enum):
@@ -417,9 +408,10 @@ def parse_records(
 
     Cost: the rows are tokenised once, and C-level iterators intern each
     row's four :data:`RAW_COLUMNS` fields to a key id, with no Python per
-    row. Each distinct key is then resolved once in Python, and the
-    columns and tallies are built by indexing with the ids. The key holds
-    no other column, so dates and other unused fields do not multiply it.
+    row. Each distinct key is then resolved once in Python, and its row
+    count is added into its cell; the key ids of the rows serve only to put
+    the warnings in row order. The key holds no other column, so dates and
+    other unused fields do not multiply it.
     """
     if kind is SchemeKind.LENIENT_SEVERE and not mapping.lenient_set:
         raise DomainError("LenientSevere scheme needs a nonempty lenient set")
@@ -460,8 +452,8 @@ def parse_records(
         raise DataError(f"line {reader.line_num}: {exc}") from None
     label_to_id = {label: i for i, label in enumerate(mapping.group_labels)}
     report = IngestReport(rows_total=ids.size)
-    # per key: (group code, positive, force code), group -1 when its rows are dropped
-    cells = [(-1, 0, 0)] * len(keys)
+    # (group code, positive, force code) -> rows
+    cells: dict[tuple, int] = defaultdict(int)
     warning_of: dict[int, str] = {}
     force_ids: dict[str, int] = {}
     # keys in id order, so the first kept key of a force is its first kept row
@@ -489,12 +481,13 @@ def parse_records(
                 continue
         elif outcome_text not in mapping.guilty_set and outcome_text not in mapping.negative_set:
             report.unknown_outcomes += rows
-        cells[k] = (label_to_id[label], coarsen_outcome(outcome_text, kind, mapping),
-                    force_ids.setdefault(force.strip(), len(force_ids)))
+        cells[label_to_id[label], int(coarsen_outcome(outcome_text, kind, mapping)),
+              force_ids.setdefault(force.strip(), len(force_ids))] += rows
+    # the key ids of the rows order the warnings
     unmapped = np.zeros(len(keys), dtype=bool)
     unmapped[list(warning_of)] = True
     report.warnings = [warning_of[k] for k in ids[unmapped[ids]][:_WARNINGS_KEPT].tolist()]
-    dataset = _keyed_dataset(cells, ids, mapping.group_labels, tuple(force_ids))
+    dataset = _tallied(cells, mapping.group_labels, tuple(force_ids))
     counts = dataset.outcome_counts()
     report.rows_kept = len(dataset)
     report.group_counts = dict(zip(dataset.labels, counts.sum(axis=1).tolist()))
@@ -502,40 +495,37 @@ def parse_records(
     return dataset, report
 
 
-def _keyed_dataset(cells: list, keys: np.ndarray, labels, forces: tuple) -> Dataset:
-    """The stops of the rows whose key ids are ``keys``, where ``cells``
-    holds each key's ``(group code, positive, force code)``, group -1 for a
-    key whose rows are dropped."""
-    group, positive, force = np.array(cells, dtype=np.intp).reshape(-1, 3).T
-    kept = keys[group[keys] >= 0]
-    return Dataset(group[kept], positive[kept].astype(bool), labels, force[kept], forces)
-
-
-def _rows_by_group(dataset: Dataset):
-    """``(group code, row positions)`` for each group present, in code order."""
-    for g in np.unique(dataset.group):
-        yield int(g), np.flatnonzero(dataset.group == g)
+def _draw_stops(dataset: Dataset, size, rng: np.random.Generator) -> np.ndarray:
+    """The cells of ``size(n)`` stops of each group present, of its n, drawn
+    as a uniform without-replacement subsample of its stops: a multivariate
+    hypergeometric draw over its cells, group by group in code order."""
+    drawn = np.zeros_like(dataset.counts)
+    for group, cells in enumerate(dataset.counts):
+        if cells.any():
+            drawn[group] = rng.multivariate_hypergeometric(
+                cells.ravel(), size(int(cells.sum()))).reshape(cells.shape)
+    return drawn
 
 
 def balance(dataset: Dataset, n_per_group: int, rng: np.random.Generator) -> Dataset:
-    """Uniform without-replacement subsample to exactly n per group."""
+    """Exactly n stops of each group present, a uniform without-replacement
+    subsample of its stops."""
     if n_per_group < 1:
         raise DomainError("n_per_group must be >= 1")
-    chosen = []
-    for group, idx in _rows_by_group(dataset):
-        if len(idx) < n_per_group:
-            raise DomainError(
-                f"group {dataset.labels[group]!r} has {len(idx)} records, need {n_per_group}"
-            )
-        chosen.append(idx[rng.choice(len(idx), size=n_per_group, replace=False)])
-    return dataset.take(np.sort(np.concatenate(chosen)) if chosen else [])
+    for label, n in zip(dataset.labels, dataset.outcome_counts().sum(axis=1).tolist()):
+        if 0 < n < n_per_group:
+            raise DomainError(f"group {label!r} has {n} records, need {n_per_group}")
+    counts = _draw_stops(dataset, lambda n: n_per_group, rng)
+    return Dataset(counts, dataset.labels, dataset.forces)
 
 
 def filter_force(dataset: Dataset, force: str) -> Dataset:
-    """Rows whose force equals ``force`` exactly."""
+    """The stops whose force equals ``force`` exactly, with that force alone
+    in the force table (an empty table when no stop has it)."""
     if force not in dataset.forces:
-        return dataset.take([])
-    return dataset.take(dataset.force == dataset.forces.index(force))
+        return Dataset(dataset.counts[:, :, :0], dataset.labels, ())
+    f = dataset.forces.index(force)
+    return Dataset(dataset.counts[:, :, f : f + 1], dataset.labels, (force,))
 
 
 def split(
@@ -543,20 +533,18 @@ def split(
 ) -> tuple[Dataset, Dataset]:
     """Disjoint, exhaustive train/test split, stratified by group.
 
-    Each group contributes ``round(fraction * n)`` records to the test
-    side, so every group's test share is within one record of the target.
-    Both sides keep the original row order. Deterministic given the
-    generator state.
+    Each group contributes ``round(fraction * n)`` stops to the test side,
+    a uniform without-replacement subsample of its n stops, so every
+    group's test share is within one stop of the target; the train side
+    holds the rest, cell for cell. Deterministic given the generator state.
     """
     if not (0.0 < test_fraction < 1.0):
         raise DomainError(f"test_fraction must be in (0,1), got {test_fraction}")
     if len(dataset) < 2:
         raise DomainError("dataset must have at least 2 records")
-    is_test = np.zeros(len(dataset), dtype=bool)
-    for _group, idx in _rows_by_group(dataset):
-        n_test = int(math.floor(test_fraction * len(idx) + 0.5))
-        is_test[idx[rng.permutation(len(idx))[:n_test]]] = True
-    return dataset.take(~is_test), dataset.take(is_test)
+    test = _draw_stops(dataset, lambda n: int(math.floor(test_fraction * n + 0.5)), rng)
+    return (Dataset(dataset.counts - test, dataset.labels, dataset.forces),
+            Dataset(test, dataset.labels, dataset.forces))
 
 
 @dataclass(frozen=True)
@@ -599,8 +587,8 @@ def synthesize(
     Per individual: criminality ``C ~ N(0,1)``; stopped when
     ``C + beta_k + N(0, alpha) > 0``; a record is emitted only for stopped
     individuals, with a positive outcome when ``C + N(0, gamma) > 0``.
-    Records come out in group blocks, labelled ``labels`` (default
-    ``group0``, ``group1``, ...) with force ``synthetic``; expected stop
+    The stops are tallied per group, labelled ``labels`` (default
+    ``group0``, ``group1``, ...), at the one force ``synthetic``; expected stop
     rate per group is ``Phi(beta_k / sqrt(1 + alpha))``.
     """
     k = len(params.beta)
@@ -608,7 +596,6 @@ def synthesize(
         labels = [f"group{g}" for g in range(k)]
     elif len(labels) != k:
         raise DomainError("labels must have one entry per group")
-    outcomes = []
     stopped = []
     positive = []
     sqrt_a = math.sqrt(params.alpha)
@@ -621,11 +608,8 @@ def synthesize(
         outcome = crim_stopped + sqrt_g * rng.standard_normal(crim_stopped.size) > 0
         stopped.append(int(is_stopped.sum()))
         positive.append(int(outcome.sum()))
-        outcomes.append(outcome)
-    dataset = Dataset(
-        np.repeat(np.arange(k), stopped), np.concatenate(outcomes), labels,
-        forces=("synthetic",),
-    )
+    counts = np.array([[n - p, p] for n, p in zip(stopped, positive)], dtype=np.intp)
+    dataset = Dataset(counts.reshape(k, 2, 1), labels, ("synthetic",))
     return dataset, SynthReport(
         population=params.population, stopped=tuple(stopped), positive=tuple(positive)
     )
@@ -648,14 +632,14 @@ def write_dataset_csv(dataset: Dataset, stream: TextIO) -> None:
     stop, so ``stopped`` is always ``1`` and ``outcome`` is ``0`` or ``1``.
 
     The rows come in cell order, ascending ``(2·group + outcome)·F + force``
-    for F forces. A row is fixed by its cell, so each cell present is
-    formatted once and written as one run, its line repeated by the cell's
-    tally; only the forces of cells present are formatted, however many
-    forces the table holds.
+    for F forces, the C-order ravel of ``dataset.counts``. A row is fixed by
+    its cell, so each cell present is formatted once and written as one
+    run, its line repeated by the cell's count; only the forces of cells
+    present are formatted, however many forces the table holds.
     """
     stream.write(",".join(_CANONICAL_COLUMNS) + "\n")
     n_forces = len(dataset.forces)
-    tally = np.bincount((2 * dataset.group + dataset.outcome) * n_forces + dataset.force)
+    tally = dataset.counts.ravel()
     present = np.flatnonzero(tally)
     group_outcome, force = np.divmod(present, n_forces)
     starts = [csv_field(label) + end for label in dataset.labels for end in (",1,0,", ",1,1,")]
@@ -728,13 +712,15 @@ def _header_columns(header: list | None) -> tuple[itemgetter, int]:
 _BARE_CR = re.compile(r"\r(?!\n|\Z)")
 
 
-def _distinct_stops(distinct: list, keys: np.ndarray) -> list | None:
-    """The stop of each of the ``distinct`` lines parsed alone, ``None`` for
-    the header (key 0) and for a blank line; ``None`` in place of the list
-    when the fast path does not hold: the header must occur once, no line
-    may hold a bare CR, the header must name the canonical columns, and
-    every other line must be blank or one good record."""
-    if np.count_nonzero(keys == 0) != 1 or any(map(_BARE_CR.search, distinct)):
+def _distinct_stops(lines: dict) -> list | None:
+    """The stop of each distinct line of ``lines`` (raw line to copies, the
+    header first) parsed alone, ``None`` for the header and for a blank
+    line; ``None`` in place of the list when the fast path does not hold:
+    the header must occur once, no line may hold a bare CR, the header must
+    name the canonical columns, and every other line must be blank or one
+    good record."""
+    distinct = [line.decode() for line in lines]
+    if next(iter(lines.values()), 0) != 1 or any(map(_BARE_CR.search, distinct)):
         return None
     try:
         # each line parsed alone is one row or a parser error
@@ -744,22 +730,22 @@ def _distinct_stops(distinct: list, keys: np.ndarray) -> list | None:
         return None
 
 
-def _line_runs(data: bytes, index: defaultdict) -> tuple[list, list, int]:
+def _line_runs(data: bytes) -> tuple[dict, int]:
     """The runs of one line repeated that ``data`` begins with, its lines
-    ending at LF (the last may lack its LF): each run's line id in
-    ``index``, which interns each new line to the next id, its number of
-    copies, and the offset where the runs stop, at the first line that
-    recurs after a different line or at the end of ``data``.
+    ending at LF (the last may lack its LF): each run's line mapped to its
+    number of copies, in file order, and the offset where the runs stop, at
+    the first line that recurs after a different line or at the end of
+    ``data``.
 
     A run of n copies costs O(log n) steps: its length is found by
     ``bytes.startswith`` checks of twice as many copies past the run while
     they match, then of half as many.
     """
-    ids, lengths = [], []
+    runs = {}
     pos = 0
     while pos < len(data):
         line = data[pos:data.find(b"\n", pos) + 1 or len(data)]
-        if line in index:
+        if line in runs:
             break
         run, step, width = 1, 1, len(line)
         while data.startswith(line * step, pos + run * width):
@@ -769,52 +755,37 @@ def _line_runs(data: bytes, index: defaultdict) -> tuple[list, list, int]:
             step //= 2
             if data.startswith(line * step, pos + run * width):
                 run += step
-        ids.append(index[line])
-        lengths.append(run)
+        runs[line] = run
         pos += run * width
-    return ids, lengths, pos
-
-
-def _intern_lines(data: bytes) -> tuple[np.ndarray, list]:
-    """The id of each LF-ended line of ``data``, ids following first
-    appearance, and the distinct lines in id order: what interning the
-    lines one by one gives. :func:`_line_runs` keys the runs ``data``
-    begins with; the lines left after them are interned one by one, read
-    from a ``BytesIO`` that shares ``data``."""
-    index = defaultdict(count().__next__)
-    ids, lengths, pos = _line_runs(data, index)
-    rest = io.BytesIO(data)
-    rest.seek(pos)
-    keys = np.concatenate([np.repeat(np.array(ids, dtype=np.intp), lengths),
-                           np.fromiter(map(index.__getitem__, rest), dtype=np.intp)])
-    return keys, list(index)
+    return runs, pos
 
 
 def read_dataset_csv(stream: BinaryIO) -> Dataset:
     """Load a canonical dataset CSV from a binary stream of UTF-8 (a file
-    or pipe opened with ``"rb"``), read whole; group codes follow sorted
-    label order and force codes the order in which forces first appear.
+    or pipe opened with ``"rb"``), read whole, as the tally of its stops;
+    group codes follow sorted label order and force codes the order in
+    which forces first appear.
 
-    Every line, split at LF, the header included, is interned raw to the
-    id of its first appearance, so the header is key 0, and each distinct
-    line is decoded once. A run of n copies of one line, as
-    :func:`write_dataset_csv` writes each cell, is keyed with O(log n)
-    comparisons; from the first line that recurs after a different line,
-    the rest is interned a line at a time, with the same ids.
+    Every line, split at LF, the header included, is counted raw, the
+    distinct lines in order of first appearance, so the header comes
+    first, and each distinct line is decoded once. A run of n copies of one
+    line, as :func:`write_dataset_csv` writes each cell, is counted with
+    O(log n) comparisons; from the first line that recurs after a
+    different line, the rest is counted a line at a time.
 
     Fast path: when the header occurs once, no distinct line holds a bare
     CR, the header parsed alone names the canonical columns, and every
-    other distinct line parsed alone is blank or one good record, the
-    columns are built by indexing with the ids. A file of N stops then
-    costs one parse per distinct line (the header and at most 2·K·F
+    other distinct line parsed alone is blank or one good record, each
+    distinct line's copies are added to its stop's cell. A file of N stops
+    then costs one parse per distinct line (the header and at most 2·K·F
     others, for K groups and F forces) plus a few comparisons per run, or
-    one dict lookup per line after the runs, and the read holds no list of
+    one dict update per line after the runs, and the read holds no list of
     lines. Row path: otherwise (a record that spans lines, a bad row, a
     header that spans lines or recurs, a CR-only file), the decoded bytes
     are parsed in file order, a row at a time, the header being the first
     row, split into lines as text mode (``newline=""``) splits them, at CR,
-    LF and CRLF; line numbers are those of the file read as text. Blank
-    lines are skipped.
+    LF and CRLF, and the stops are counted; line numbers are those of the
+    file read as text. Blank lines are skipped.
 
     Raises:
         DataError: if a column is missing or named twice, a row has fewer
@@ -828,19 +799,23 @@ def read_dataset_csv(stream: BinaryIO) -> Dataset:
         UnicodeDecodeError: if the bytes are not valid UTF-8.
     """
     data = stream.read()
-    keys, distinct = _intern_lines(data)
-    distinct = [line.decode() for line in distinct]
-    stops = _distinct_stops(distinct, keys)
+    runs, pos = _line_runs(data)
+    lines = Counter(runs)
+    rest = io.BytesIO(data)
+    rest.seek(pos)
+    lines.update(rest)
+    stops = _distinct_stops(lines)
     if stops is None:
-        # row path: every line parsed in file order, the stops interned as the lines were
+        # row path: every line parsed in file order, the stops counted
         rows = _csv_rows(io.StringIO(data.decode(), newline=""))
         columns, width = _header_columns(next(rows, (1, None))[1])
-        index = defaultdict(count().__next__)
-        keys = np.fromiter(map(index.__getitem__, _stops(rows, columns, width)), dtype=np.intp)
-        stops = list(index)
-    labels = sorted({stop[0] for stop in stops if stop})
-    label_ids = {label: i for i, label in enumerate(labels)}
+        counted = Counter(_stops(rows, columns, width)).items()
+    else:
+        counted = zip(stops, lines.values())
+    counted = [(stop, n) for stop, n in counted if stop]
+    label_ids = {label: i for i, label in enumerate(sorted({stop[0] for stop, _n in counted}))}
     force_ids: dict[str, int] = {}
-    cells = [(label_ids[stop[0]], stop[1], force_ids.setdefault(stop[2], len(force_ids)))
-             if stop else (-1, 0, 0) for stop in stops]
-    return _keyed_dataset(cells, keys, labels, tuple(force_ids))
+    cells: dict[tuple, int] = defaultdict(int)
+    for (label, positive, force), n in counted:
+        cells[label_ids[label], int(positive), force_ids.setdefault(force, len(force_ids))] += n
+    return _tallied(cells, tuple(label_ids), tuple(force_ids))

@@ -64,6 +64,10 @@ _LOG_NDTR_SERIES_SWITCH, _LOG_NDTR_SERIES_TERMS = -20.0, 12
 # is below exp(-_CUTOFF) of its peak
 _CUTOFF = 40.0
 _CUTOFF_X = math.sqrt(2.0 * _CUTOFF)
+# orthant_masses takes |k| or |h| up to this as 0 off the zero threshold: the
+# masses move by less than that absolute, below the sum's own accuracy, and
+# its quotients by k and h would overflow or divide by zero
+_NEAR_ZERO = 1e-17
 
 
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -232,7 +236,8 @@ def orthant_masses(h, k: float, r: float):
 
         Phi(h)/2 + Phi(q)/2 - T(h, (q - p h)/(h s)) - T(q, (h - p q)/(q s)) - [h > 0]/2
 
-    (the ``h`` terms are 0 at ``h = 0``); the other mass is ``Phi(h)`` less
+    (the ``h`` terms are 0 at ``h = 0``, and ``|h|`` or ``|k|`` up to 1e-17
+    counts as 0); the other mass is ``Phi(h)`` less
     the same pieces. Far out, rounding can take either below 0, so both are
     floored at 0. The pieces cancel, so a single mass is accurate only to
     about 1e-16 absolute, and in the stop tail it can be off by up to 100 %
@@ -240,11 +245,11 @@ def orthant_masses(h, k: float, r: float):
     accuracy: for ``h`` from about -6 to -10 it is off by up to about 1e-4
     (against mpmath), and above ``h = -4`` it agrees to about 1e-12.
     """
-    if k != 0.0:
+    if abs(k) > _NEAR_ZERO:
         s = 1.0 / math.sqrt(1.0 + r * r)
         q, p = -abs(k), math.copysign(r * s, -k)
         parts = [0.5 * ndtr(q), -owens_t(q, (h - p * q) / (q * s))]
-        if h != 0.0:
+        if abs(h) > _NEAR_ZERO:
             parts += [0.5 * ndtr(h), -owens_t(h, (q - p * h) / (h * s)), -0.5 * (h > 0.0)]
         near, far = (max(0.0, math.fsum(v)) for v in (parts, [ndtr(h), *(-x for x in parts)]))
         return (near, far) if k < 0.0 else (far, near)

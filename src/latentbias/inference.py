@@ -10,10 +10,12 @@ every bias by the independence Metropolis-Hastings steps of
 :mod:`~latentbias.kernel`, O(K) work with no per-record draws; the targets
 do not move, so the kernel draws a fit's proposals and uniforms in one batch
 and evaluates each target once, on all its proposals.
-With it off the chain keeps one criminality per record, redraws the
-latents, and applies the coupled natural-parameter combination literally;
-each sweep is one array pass over every record (two truncated-normal
-calls, the per-group sums by ``np.bincount``);
+With it off the chain expands the outcome tally into one record per stop,
+in one fixed order (group code, then outcome), so its output depends only
+on the counts and the seed; it keeps one criminality per record, redraws
+the latents, and applies the coupled natural-parameter combination
+literally; each sweep is one array pass over every record (two
+truncated-normal calls, the per-group sums by ``np.bincount``);
 the cross terms amplify any mismatch between bias-side and outcome-side
 evidence by roughly ``N / (K + 1)`` per sweep, so unanchored FREE runs
 diverge within a few sweeps on asymmetric data - the documented
@@ -352,7 +354,8 @@ def run_gibbs(
     conditional, starting at its mode, and records the draws with
     ``C_mean == 0`` and ``C_var == 1`` exactly, so ``bias_mean`` is the
     post-burn-in mean of the draws. With anchoring off the per-record
-    latent chain runs and the coupled means are recorded raw. Either way
+    latent chain runs on the tally's records, by group code then outcome,
+    and the coupled means are recorded raw. Either way
     ``bias_variance`` is the fixed report (see the module docstring).
 
     Entirely deterministic given ``config.seed``: two runs with equal
@@ -375,7 +378,8 @@ def run_gibbs(
         raise DomainError("dataset must be nonempty")
     k = len(dataset.labels)
     labels = list(dataset.labels)
-    negatives, positives = dataset.outcome_counts().T
+    tally = dataset.outcome_counts()
+    negatives, positives = tally.T
     counts = negatives + positives
     if np.any(counts == 0):
         empty = [labels[i] for i in np.nonzero(counts == 0)[0]]
@@ -432,9 +436,10 @@ def run_gibbs(
             sweep = int(np.argmax(over))
             raise diverged(sweep, f"max |mean| {np.abs(trace_means[sweep]).max():.3g}")
     else:
-        # one array pass per sweep over every record, in row order
-        group = dataset.group
-        tau = np.where(dataset.outcome, 1.0, -1.0)  # outcome sign of each record
+        # one array pass per sweep over the tally's records, in one fixed
+        # order: by group code, then outcome, negatives first
+        group, positive = np.divmod(np.repeat(np.arange(2 * k), tally.ravel()), 2)
+        tau = np.where(positive, 1.0, -1.0)  # outcome sign of each record
         eta0 = np.append(m0 / v0, 0.0)
         # per-record bias draws around the coupled mean with the marginal sd
         draw_sd = np.sqrt(np.diag(cov_rep)[:k])[group]

@@ -59,7 +59,7 @@ def predictive_score(
 ) -> float:
     """Score held-out stops against the fitted posterior.
 
-    ``test``'s group codes index ``posterior.labels``.
+    ``test``'s tally rows (its group codes) index ``posterior.labels``.
 
     ``method="accuracy"`` (the default) predicts a positive outcome for
     every record iff ``guilt_probability(criminality mean, gamma) >= 0.5``

@@ -8,8 +8,9 @@ one closed form kept here, the likelihood of a record's stop and outcome,
 reads the package's ``ndtr`` and is checked against such an oracle.
 
 The CSV oracles are the row-at-a-time raw-export parser and canonical
-reader and writer that the package's keyed and line-table versions must
-match exactly.
+reader and writer that the package's keyed and line-counting versions
+must match exactly; :func:`dataset_from_rows` tallies stops given one
+row each, for the tests that think in rows.
 
 The raw CSV fixtures reconstruct the reference tables exactly at the
 record level: per-group totals and positive counts are hit exactly, and
@@ -275,21 +276,31 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def in_cell_order(dataset):
-    """``dataset``'s rows in the order the canonical writer puts them:
-    ascending cell ``(2·group + outcome)·F + force`` for F forces, stable."""
-    cell = (2 * dataset.group + dataset.outcome) * len(dataset.forces) + dataset.force
-    return dataset.take(np.argsort(cell, kind="stable"))
+def dataset_from_rows(group, outcome, labels, force=None, forces=("",)) -> Dataset:
+    """The :class:`Dataset` tally of stops given one row each: group codes
+    into ``labels``, bool outcomes, and force codes into ``forces`` (all 0
+    when omitted)."""
+    group = np.asarray(group, dtype=np.intp)
+    force = np.zeros_like(group) if force is None else np.asarray(force, dtype=np.intp)
+    counts = np.zeros((len(labels), 2, len(forces)), dtype=np.intp)
+    np.add.at(counts, (group, np.asarray(outcome, dtype=bool).astype(np.intp), force), 1)
+    return Dataset(counts, labels, forces)
+
+
+def named_cells(dataset) -> dict:
+    """Each nonzero cell's count, keyed by label, outcome and force name, in cell order."""
+    return {(dataset.labels[g], o, dataset.forces[f]): n
+            for (g, o, f), n in np.ndenumerate(dataset.counts) if n}
 
 
 def write_dataset_csv_oracle(dataset, stream) -> None:
-    """Canonical dataset CSV written one row at a time."""
+    """Canonical dataset CSV written one row at a time, the cells in
+    ascending ``(2·group + outcome)·F + force`` order."""
     stream.write(",".join(_CANONICAL_COLUMNS) + "\n")
-    labels = [_csv_field(label) + ",1," for label in dataset.labels]
-    forces = [_csv_field(force) + "\n" for force in dataset.forces]
-    for g, positive, f in zip(dataset.group.tolist(), dataset.outcome.tolist(),
-                              dataset.force.tolist()):
-        stream.write(labels[g] + ("1," if positive else "0,") + forces[f])
+    for (g, positive, f), n in np.ndenumerate(dataset.counts):
+        for _ in range(n):
+            stream.write(f"{_csv_field(dataset.labels[g])},1,{positive},"
+                         f"{_csv_field(dataset.forces[f])}\n")
 
 
 def read_dataset_csv_oracle(stream) -> Dataset:
@@ -336,12 +347,9 @@ def read_dataset_csv_oracle(stream) -> Dataset:
     labels = sorted(set(groups))
     label_to_id = {label: i for i, label in enumerate(labels)}
     force_ids: dict[str, int] = {}
-    return Dataset(
-        np.array([label_to_id[g] for g in groups], dtype=np.intp),
-        np.array(outcomes, dtype=bool),
-        labels,
-        np.array([force_ids.setdefault(f, len(force_ids)) for f in forces], dtype=np.intp),
-        tuple(force_ids),
+    return dataset_from_rows(
+        [label_to_id[g] for g in groups], outcomes, labels,
+        [force_ids.setdefault(f, len(force_ids)) for f in forces], tuple(force_ids),
     )
 
 
@@ -418,13 +426,11 @@ def parse_records_oracle(stream, mapping, kind):
             forces.append(force_ids.setdefault(row[i_force].strip(), len(force_ids)))
     except csv.Error as exc:
         raise DataError(f"line {begins}: {exc}") from None
-    dataset = Dataset(np.array(groups, dtype=np.intp), np.array(outcomes, dtype=bool),
-                      mapping.group_labels, np.array(forces, dtype=np.intp), tuple(force_ids))
-    positive = np.bincount(dataset.group, weights=dataset.outcome, minlength=len(dataset.labels))
-    rows = np.bincount(dataset.group, minlength=len(dataset.labels))
-    report.rows_kept = len(dataset)
-    report.group_counts = dict(zip(dataset.labels, rows.tolist()))
-    report.group_positive = dict(zip(dataset.labels, positive.astype(int).tolist()))
+    dataset = dataset_from_rows(groups, outcomes, mapping.group_labels, forces, tuple(force_ids))
+    tally = dataset.counts.sum(axis=2)
+    report.rows_kept = len(groups)
+    report.group_counts = dict(zip(dataset.labels, tally.sum(axis=1).tolist()))
+    report.group_positive = dict(zip(dataset.labels, tally[:, 1].tolist()))
     return dataset, report
 
 

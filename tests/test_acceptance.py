@@ -58,17 +58,10 @@ def _recovery_dataset(seed: int, beta=(0.0, 0.5, 1.0, 1.5), pop=1453):
     return records
 
 
-def _table_dataset(rng):
-    """The national table's per-group totals and positives, outcomes shuffled per group."""
-    labels, groups, outcomes = [], [], []
-    for gid, (label, total, guilty, _lt, _lg) in enumerate(NATIONAL_TABLE):
-        group_outcomes = np.zeros(total, dtype=bool)
-        group_outcomes[:guilty] = True
-        rng.shuffle(group_outcomes)
-        labels.append(label)
-        groups.append(np.full(total, gid))
-        outcomes.append(group_outcomes)
-    return Dataset(np.concatenate(groups), np.concatenate(outcomes), labels)
+def _table_dataset():
+    """The national table's per-group totals and positives, as a tally at one force."""
+    counts = [[[total - guilty], [guilty]] for _label, total, guilty, _lt, _lg in NATIONAL_TABLE]
+    return Dataset(np.array(counts), [label for label, *_rest in NATIONAL_TABLE])
 
 
 def test_01_truncated_normal_moments():
@@ -164,11 +157,11 @@ def test_06_sample_size_drives_variance():
     params = TrueParams(beta=(0.5, 0.5, 0.5, 0.5), population=(2600,) * 4)
     records, _ = synthesize(params, rng)
     counts = (1000, 1000, 1000, 100)
-    # the first counts[g] records of each group, in row order
-    rank_in_group = np.zeros(len(records), dtype=int)
-    for g in range(len(counts)):
-        rank_in_group[records.group == g] = np.arange(records.outcome_counts().sum(axis=1)[g])
-    subset = records.take(rank_in_group < np.asarray(counts)[records.group])
+    # counts[g] of each group's records, drawn without replacement
+    pick = np.random.default_rng(9)
+    subset = Dataset(np.array([pick.multivariate_hypergeometric(cells.ravel(), n).reshape(2, -1)
+                               for cells, n in zip(records.counts, counts)]),
+                     records.labels, records.forces)
     cfg = ModelConfig(seed=2, prior=PriorKind.INDEPENDENT, sweeps=200, burn_in=50)
     summary, _ = run_gibbs(subset, cfg)
     small = summary.bias_variance[3]
@@ -208,8 +201,7 @@ def test_08_ranking_baseline_national_order():
     hits = 0
     smallest_dominates = 0
     for seed in range(10):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 88)))
-        labels, *matches = matches_from_dataset(_table_dataset(rng))
+        labels, *matches = matches_from_dataset(_table_dataset())
         means, _variances = trueskill_gibbs(*matches, iterations=500, seed=seed)
         order = [labels[i] for i in np.argsort(-means, kind="stable")]
         if order == want_order:
@@ -247,12 +239,11 @@ def test_09_ingestion_fixture_tables(national_records, charges_raw_csv):
         reachable = label == "White"  # 4208/9374 is the one integer-exact entry
         check(f"national {label}", total, report.positive_percent(label), want, reachable)
 
-    in_london = records.force == records.forces.index(LONDON_FORCE)
+    in_london = records.counts[:, :, records.forces.index(LONDON_FORCE)]
     for gid, ((label, _t, _g, lon_total, _lg), want) in enumerate(
         zip(NATIONAL_TABLE, LONDON_GUILTY_PCT)
     ):
-        rows = in_london & (records.group == gid)
-        n, pos = int(rows.sum()), int(records.outcome[rows].sum())
+        n, pos = int(in_london[gid].sum()), int(in_london[gid, 1])
         ok &= n == lon_total
         reachable = label in ("White", "Black")
         check(f"london {label}", n, 100.0 * pos / n, want, reachable)
@@ -275,7 +266,7 @@ def test_09_ingestion_fixture_tables(national_records, charges_raw_csv):
 
 
 def test_10_throughput_full_dataset():
-    records = _table_dataset(np.random.default_rng(55))
+    records = _table_dataset()
     assert len(records) == 16224
     cfg = ModelConfig(seed=3, prior=PriorKind.DEPENDENT, sweeps=200, burn_in=50)
     t0 = time.perf_counter()

@@ -191,6 +191,54 @@ def test_fit_non_utf8_dataset_exit_2(tmp_path, capsys):
     assert f"{bad}: line 4: not valid UTF-8" in err
 
 
+def _pipe_holding(data: bytes) -> int:
+    """The read end of a pipe whose write end has written ``data`` and closed."""
+    read_end, write_end = os.pipe()
+    os.write(write_end, data)
+    os.close(write_end)
+    return read_end
+
+
+@pytest.mark.parametrize("argv, data", [
+    (["ingest"], HEADER.encode() + b"ForceA,White,,Arrest\nForceA,Bl\xffck,,Arrest\n"),
+    (["fit", "--seed", "1"], b"group,stopped,outcome,force\na,1,1,f\n\na,1,0,\xff\n"),
+], ids=["ingest", "fit"])
+def test_non_utf8_input_on_a_pipe_exit_2(tmp_path, capsys, argv, data):
+    # a pipe cannot be read again to find the line, so the message names the
+    # input alone
+    read_end = _pipe_holding(data)
+    try:
+        path = f"/dev/fd/{read_end}"
+        assert main([*argv, "--input", path, "--out-dir", str(tmp_path / "o")]) == 2
+    finally:
+        os.close(read_end)
+    assert capsys.readouterr() == ("", f"error: {path}: not valid UTF-8 (invalid start byte)\n")
+
+
+def test_unanchored_fits_ignore_the_row_order_of_the_file(canonical_csv, tmp_path, capsys):
+    # the same stops with their lines shuffled, the header first: the
+    # unanchored chain reads the tally, so every output but the manifest is
+    # the same byte for byte
+    header, *rows = canonical_csv.read_bytes().splitlines(keepends=True)
+    np.random.default_rng(5).shuffle(rows)
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_bytes(header + b"".join(rows))
+    assert shuffled.read_bytes() != canonical_csv.read_bytes()
+    for flags in (["--prior", "independent", "--anchoring", "off"], ["--prior", "free"]):
+        results = []
+        for path in (canonical_csv, shuffled):
+            out = tmp_path / f"{flags[1]}-{path.stem}"
+            code = main(["fit", "--input", str(path), *flags, "--sweeps", "40", "--burn-in", "5",
+                         "--seed", "7", "--out-dir", str(out)])
+            files = {f.name: f.read_bytes() for f in out.iterdir() if f.name != "manifest.json"}
+            results.append((code, capsys.readouterr(), files))
+        assert results[0] == results[1], flags
+        code, _output, files = results[0]
+        assert "trace.csv" in files
+        if code == 0:
+            assert {"summary.csv", "summary.json"} <= set(files)
+
+
 @pytest.mark.parametrize("ending", [b"\r\n", b"\r"])
 def test_crlf_and_cr_datasets_give_the_lf_outputs(canonical_csv, tmp_path, ending):
     # the canonical file is read as bytes; other line endings change nothing
@@ -402,7 +450,7 @@ def test_rank_outputs(canonical_csv, tmp_path, capsys):
 
 
 def test_rank_single_group_two_rows(tmp_path):
-    dataset = Dataset(np.zeros(50, dtype=int), np.arange(50) % 2 == 1, ("only",))
+    dataset = Dataset(np.array([[[25], [25]]]), ("only",))
     path = tmp_path / "one.csv"
     with open(path, "w", encoding="utf-8") as fh:
         write_dataset_csv(dataset, fh)

@@ -29,7 +29,8 @@ from conftest import (
     NATIONAL_TABLE,
     LONDON_FORCE,
     NOT_GUILTY,
-    in_cell_order,
+    dataset_from_rows,
+    named_cells,
 )
 
 
@@ -42,31 +43,36 @@ HEADER = "force,officer_defined_ethnicity,self_defined_ethnicity,outcome\n"
 
 
 def _ds(groups, outcomes, forces=None):
-    """Dataset over labels g0..gK; ``forces`` (one name per row) become the force table."""
+    """Dataset over labels g0..gK; ``forces`` (one name per row) become the
+    force table, so each row is a cell of its own."""
     labels = [f"g{i}" for i in range(max(groups, default=-1) + 1)]
     if forces is None:
-        return Dataset(np.array(groups, dtype=int), np.array(outcomes, dtype=bool), labels)
-    return Dataset(np.array(groups, dtype=int), np.array(outcomes, dtype=bool), labels,
-                   np.arange(len(forces)), tuple(forces))
+        return dataset_from_rows(groups, outcomes, labels)
+    return dataset_from_rows(groups, outcomes, labels, np.arange(len(forces)), tuple(forces))
 
 
 # --- the dataset type --------------------------------------------------------------
 
-def test_dataset_rejects_out_of_range_codes():
-    ds = Dataset(np.array([0, 1]), np.array([True, False]), ("a", "b"))
-    assert len(ds) == 2 and ds.forces == ("",) and ds.force.tolist() == [0, 0]
-    with pytest.raises(DomainError):
-        Dataset(np.array([-1]), np.array([True]), ("a",))
-    with pytest.raises(DomainError):
-        Dataset(np.array([2]), np.array([True]), ("a", "b"))
-    with pytest.raises(DomainError):
-        Dataset(np.array([0]), np.array([True]), ("a",), np.array([1]), ("f",))
-    with pytest.raises(DomainError):
-        Dataset(np.array([0.0]), np.array([True]), ("a",))
-    with pytest.raises(DomainError):
-        Dataset(np.array([0]), np.array([1]), ("a",))  # outcome must be bool
-    with pytest.raises(DomainError):
-        Dataset(np.array([0, 0]), np.array([True]), ("a",))  # unequal lengths
+def test_dataset_checks_shape_sign_integers_and_tables():
+    ds = Dataset(np.array([[[1], [2]], [[0], [3]]]), ("a", "b"))
+    assert len(ds) == 6 and ds.forces == ("",) and ds.counts.dtype == np.intp
+    assert ds.outcome_counts().tolist() == [[1, 2], [0, 3]]
+    assert not ds.counts.flags.writeable
+    two_forces = Dataset(np.arange(8, dtype=np.uint8).reshape(2, 2, 2), ("a", "b"), ("f", "g"))
+    assert two_forces.counts.ravel().tolist() == list(range(8))
+    assert two_forces.outcome_counts().tolist() == [[1, 5], [9, 13]]
+    for counts, labels, forces, message in (
+            (np.zeros((2, 2, 1), dtype=int), ("a",), ("",), "shape"),      # one label too few
+            (np.zeros((1, 3, 1), dtype=int), ("a",), ("",), "shape"),      # three outcomes
+            (np.zeros((1, 2), dtype=int), ("a",), ("",), "shape"),         # no force axis
+            (np.zeros((1, 2, 1), dtype=int), ("a",), ("f", "g"), "shape"),  # one force too few
+            (np.array([[[1], [-1]]]), ("a",), ("",), "non-negative"),
+            (np.zeros((1, 2, 1)), ("a",), ("",), "integers"),             # floats
+            (np.zeros((1, 2, 1), dtype=bool), ("a",), ("",), "integers"),
+            (np.zeros((2, 2, 1), dtype=int), ("a", "a"), ("",), "labels must be unique"),
+            (np.zeros((1, 2, 2), dtype=int), ("a",), ("f", "f"), "forces must be unique")):
+        with pytest.raises(DomainError, match=message):
+            Dataset(counts, labels, forces)
 
 
 # --- outcome coarsening -----------------------------------------------------------
@@ -129,10 +135,9 @@ def test_parse_basic_row_and_precedence():
         "ForceA,Asian,,Nothing found - no further action\n"
     )
     records, report = _parse(text)
-    assert records.group.tolist() == [0, 1, 2]
-    assert records.outcome.tolist() == [True, True, False]
+    assert records.outcome_counts().tolist() == [[0, 1], [0, 1], [1, 0], [0, 0]]
     assert records.labels == default_mapping().group_labels
-    assert [records.forces[f] for f in records.force] == ["ForceA"] * 3
+    assert records.forces == ("ForceA",)
     assert report.rows_kept == 3
 
 
@@ -140,7 +145,7 @@ def test_parse_self_precedence_mode():
     mapping = EthnicityMapping(precedence="self")
     text = HEADER + "ForceA,White,Black,Arrest\n"
     records, _report = parse_records(io.StringIO(text), mapping, SchemeKind.GUILTY_NOT_GUILTY)
-    assert records.group.tolist() == [1]
+    assert records.outcome_counts().tolist() == [[0, 0], [0, 1], [0, 0], [0, 0]]
 
 
 def test_parse_drops_and_counts_bad_rows():
@@ -206,14 +211,14 @@ def test_parse_blank_lines_short_rows_and_duplicate_columns():
     records, report = _parse(text)
     assert report.rows_total == 2
     assert report.dropped == {"malformed row": 1}
-    assert records.outcome.tolist() == [True]
+    assert records.outcome_counts().sum(axis=0).tolist() == [0, 1]
     assert report.unknown_outcomes == 0
 
 
 def test_parse_unmapped_ethnicity_goes_to_fallback_with_warning():
     text = HEADER + "ForceA,Martian,,Arrest\n"
     records, report = _parse(text)
-    assert records.group.tolist() == [3]  # Other/Mixed
+    assert records.outcome_counts()[:, 1].tolist() == [0, 0, 0, 1]  # Other/Mixed
     assert report.unmapped_ethnicities == 1
     assert any("Martian" in w for w in report.warnings)
     # the report shows the first 20 warnings and counts the rest from the tally
@@ -232,7 +237,7 @@ def test_parse_charges_excludes_not_guilty():
     )
     records, report = _parse(text, SchemeKind.LENIENT_SEVERE)
     assert len(records) == 2
-    assert records.outcome.tolist() == [False, True]  # lenient, severe
+    assert records.outcome_counts()[0].tolist() == [1, 1]  # lenient, severe
     assert report.dropped["not guilty (excluded from severity dataset)"] == 1
 
 
@@ -261,16 +266,17 @@ def test_national_fixture_counts(national_records):
 def test_london_filter_matches_table(national_records):
     records, _report, _mapping = national_records
     london = filter_force(records, LONDON_FORCE)
-    assert set(london.force.tolist()) == {records.forces.index(LONDON_FORCE)}
+    assert london.labels == records.labels and london.forces == (LONDON_FORCE,)
+    assert np.array_equal(london.counts[:, :, 0],
+                          records.counts[:, :, records.forces.index(LONDON_FORCE)])
     for gid, (label, _t, _g, lon_total, lon_guilty) in enumerate(NATIONAL_TABLE):
-        in_group = london.group == gid
-        assert int(in_group.sum()) == lon_total
-        assert int(london.outcome[in_group].sum()) == lon_guilty
+        assert london.outcome_counts()[gid].tolist() == [lon_total - lon_guilty, lon_guilty]
 
 
 def test_filter_force_absent_is_empty(national_records):
     records, _report, _mapping = national_records
-    assert len(filter_force(records, "No Such Force")) == 0
+    none = filter_force(records, "No Such Force")
+    assert len(none) == 0 and none.labels == records.labels and none.forces == ()
 
 
 # --- balancing -----------------------------------------------------------------------
@@ -288,7 +294,7 @@ def test_balance_passthrough_at_group_size():
     rng = np.random.default_rng(2)
     balanced = balance(records, 5, rng)
     assert balanced.outcome_counts().sum(axis=1).tolist() == [5, 5]
-    assert balanced.group[:5].tolist() == [0] * 5  # row order kept
+    assert balanced.outcome_counts()[0].tolist() == [0, 5]  # the whole group kept
 
 
 def test_balance_minimum():
@@ -308,8 +314,10 @@ def test_balance_deterministic():
                   [str(i) for i in range(600)])
     a = balance(records, 50, np.random.default_rng(9))
     b = balance(records, 50, np.random.default_rng(9))
-    assert np.array_equal(a.force, b.force)
-    assert np.array_equal(a.group, b.group) and np.array_equal(a.outcome, b.outcome)
+    assert (a.labels, a.forces) == (records.labels, records.forces)
+    assert np.array_equal(a.counts, b.counts)
+    assert a.outcome_counts().sum(axis=1).tolist() == [50] * 3
+    assert np.all(a.counts <= records.counts)
 
 
 def test_balance_inclusion_frequencies_uniform():
@@ -320,8 +328,8 @@ def test_balance_inclusion_frequencies_uniform():
     counts = np.zeros(40)
     for s in range(runs):
         chosen = balance(records, keep, np.random.default_rng(s))
-        # each row's force code is its position in ``records``
-        counts[chosen.force] += 1
+        # each row is the one stop of the force its position names
+        counts += chosen.counts[0].sum(axis=0)
     p = keep / 40
     se = math.sqrt(p * (1 - p) / runs)
     freq = counts / runs
@@ -347,13 +355,27 @@ def test_split_disjoint_exhaustive_deterministic():
                   [str(i) for i in range(97)])
     train, test = split(records, 0.25, np.random.default_rng(5))
     train2, test2 = split(records, 0.25, np.random.default_rng(5))
-    assert np.array_equal(train.force, train2.force) and np.array_equal(test.force, test2.force)
+    assert np.array_equal(train.counts, train2.counts) and np.array_equal(test.counts, test2.counts)
     assert len(train) + len(test) == 97
-    # each row's force code is its position: together the sides hold every
-    # row once, each side in the original order
-    assert sorted(train.force.tolist() + test.force.tolist()) == list(range(97))
-    assert np.all(np.diff(train.force) > 0) and np.all(np.diff(test.force) > 0)
-    assert np.array_equal(test.group, records.group[test.force])
+    # each row is a cell of its own: together the sides hold every row once
+    assert np.array_equal(train.counts + test.counts, records.counts)
+    assert test.outcome_counts().sum(axis=1).tolist() == [8, 8, 8]  # round(0.25 * 33 or 32)
+    for side in (train, test):
+        assert (side.labels, side.forces) == (records.labels, records.forces)
+
+
+def test_split_inclusion_frequencies_uniform():
+    # every record's frequency on the test side stays within the tolerance
+    # of test_balance_inclusion_frequencies_uniform of the test fraction
+    records = _ds([0] * 40, [bool(i % 2) for i in range(40)], [str(i) for i in range(40)])
+    runs, fraction = 600, 0.25
+    counts = np.zeros(40)
+    for s in range(runs):
+        _train, test = split(records, fraction, np.random.default_rng(s))
+        # each row is the one stop of the force its position names
+        counts += test.counts[0].sum(axis=0)
+    se = math.sqrt(fraction * (1 - fraction) / runs)
+    assert np.all(np.abs(counts / runs - fraction) < 3.5 * se + 1e-9)
 
 
 def test_split_validates_fraction():
@@ -362,7 +384,7 @@ def test_split_validates_fraction():
         with pytest.raises(DomainError):
             split(records, frac, np.random.default_rng(0))
     with pytest.raises(DomainError):
-        split(records.take([0]), 0.5, np.random.default_rng(0))
+        split(_ds([0], [True]), 0.5, np.random.default_rng(0))
 
 
 # --- synthetic generator ----------------------------------------------------------------
@@ -373,7 +395,7 @@ def test_synthesize_saturated_stop():
     assert len(records) == 10000
     assert records.outcome_counts().sum(axis=1).tolist() == [5000, 5000]
     assert records.labels == ("group0", "group1")
-    positive = int(records.outcome.sum())
+    positive = int(records.outcome_counts()[:, 1].sum())
     assert positive / len(records) == pytest.approx(0.5, abs=0.02)
 
 
@@ -418,24 +440,20 @@ def test_dataset_csv_roundtrip():
     back = read_dataset_csv(io.BytesIO(buf.getvalue().encode()))
     assert back.labels == ("group0", "group1")
     assert back.forces == ("synthetic",)
-    # the rows come back in cell order
-    want = in_cell_order(records)
-    assert np.array_equal(back.group, want.group)
-    assert np.array_equal(back.outcome, want.outcome)
-    assert np.array_equal(back.force, want.force)
+    assert np.array_equal(back.counts, records.counts)
 
 
 def test_dataset_csv_quotes_force_names():
-    records = Dataset(np.array([1, 0]), np.array([True, False]), ("b", "a"),
-                      np.array([0, 1]), ("Police Service, PSNI", ""))
+    records = dataset_from_rows([1, 0], [True, False], ("b", "a"), [0, 1],
+                                ("Police Service, PSNI", ""))
     buf = io.StringIO()
     write_dataset_csv(records, buf)
     # cell (2·group + outcome)·2 + force: 1 for the second row, 6 for the first
     assert buf.getvalue() == 'group,stopped,outcome,force\nb,1,0,\na,1,1,"Police Service, PSNI"\n'
     back = read_dataset_csv(io.BytesIO(buf.getvalue().encode()))
     assert back.labels == ("a", "b")  # codes follow sorted label order
-    assert back.group.tolist() == [1, 0]
-    assert [back.forces[f] for f in back.force] == ["", "Police Service, PSNI"]
+    assert back.forces == ("", "Police Service, PSNI")  # forces in order of first appearance
+    assert back.counts.tolist() == [[[0, 0], [0, 1]], [[1, 0], [0, 0]]]
 
 
 @pytest.mark.parametrize(
@@ -478,25 +496,23 @@ def test_dataset_csv_unparseable_row_is_data_error_with_line_number():
 
 
 def _same_dataset(a, b):
-    """``a`` is what reading ``b``'s rows gives: the same label, outcome and
-    force name on every row, labels sorted and forces in order of first
-    appearance."""
-    groups = [b.labels[g] for g in b.group.tolist()]
-    forces = [b.forces[f] for f in b.force.tolist()]
-    return (a.labels == tuple(sorted(set(groups))) and a.forces == tuple(dict.fromkeys(forces))
-            and [a.labels[g] for g in a.group.tolist()] == groups
-            and a.outcome.tolist() == b.outcome.tolist()
-            and [a.forces[f] for f in a.force.tolist()] == forces)
+    """``a`` is what reading ``b`` as written gives: the same count in every
+    cell named by label and force, the labels present sorted and the forces
+    present in order of first appearance, which is cell order."""
+    cells = named_cells(b)
+    return (a.labels == tuple(sorted({label for label, _o, _f in cells}))
+            and a.forces == tuple(dict.fromkeys(force for _l, _o, force in cells))
+            and named_cells(a) == cells)
 
 
 def test_dataset_csv_reads_blank_lines_and_a_record_over_two_lines():
-    records = Dataset(np.array([1, 0, 2, 1, 0]), np.array([True, False, True, True, False]),
-                      ("a", "b", "c\nd"), np.array([0, 1, 1, 0, 1]), ("Police, PSNI", "f"))
+    records = dataset_from_rows([1, 0, 2, 1, 0], [True, False, True, True, False],
+                                ("a", "b", "c\nd"), [0, 1, 1, 0, 1], ("Police, PSNI", "f"))
     buf = io.StringIO()
     write_dataset_csv(records, buf)
     header, rows = buf.getvalue().split("\n", 1)
     text = header + "\n\n" + rows + "\n"  # with blank lines, and a record over two lines
-    assert _same_dataset(read_dataset_csv(io.BytesIO(text.encode())), in_cell_order(records))
+    assert _same_dataset(read_dataset_csv(io.BytesIO(text.encode())), records)
 
 
 def test_dataset_csv_roundtrips_many_records_that_span_lines():
@@ -504,16 +520,13 @@ def test_dataset_csv_roundtrips_many_records_that_span_lines():
     # parse in file order, a row at a time from the decoded bytes
     rng = np.random.default_rng(15)
     n = 20_000
-    records = Dataset(rng.integers(0, 3, n), rng.random(n) < 0.5, ("a\nb", "c\nd", "e\n"),
-                      rng.integers(0, 2, n), ("f", "g\nh"))
+    records = dataset_from_rows(rng.integers(0, 3, n), rng.random(n) < 0.5,
+                                ("a\nb", "c\nd", "e\n"), rng.integers(0, 2, n), ("f", "g\nh"))
     buf = io.StringIO()
     write_dataset_csv(records, buf)
     back = read_dataset_csv(io.BytesIO(buf.getvalue().encode()))
-    want = in_cell_order(records)
-    assert back.labels == ("a\nb", "c\nd", "e\n")
-    assert [back.forces[f] for f in back.force] == [want.forces[f] for f in want.force]
-    assert np.array_equal(back.group, want.group)
-    assert np.array_equal(back.outcome, want.outcome)
+    assert back.labels == ("a\nb", "c\nd", "e\n") and back.forces == ("f", "g\nh")
+    assert np.array_equal(back.counts, records.counts)
 
 
 def _read_peak(stream):
@@ -538,12 +551,11 @@ def _many_stops():
 
 def test_dataset_csv_binary_read_holds_no_list_of_lines():
     # about 214k stops on 8 distinct lines: the read walks the 8 runs and
-    # holds the file's bytes (about 4.2 MB), copies of a run's line up to
-    # half the run and one integer per row (a peak of about 7 MB here), not
-    # every line of the file (about 24 MB)
+    # holds the file's bytes (about 4.2 MB) and copies of a run's line up to
+    # half the run, not every line of the file (about 24 MB)
     records, text = _many_stops()
     back, peak = _read_peak(io.BytesIO(text.encode()))
-    assert np.array_equal(back.group, records.group)
+    assert np.array_equal(back.counts, records.counts)
     assert peak < 14e6, f"read peaked at {peak / 1e6:.1f} MB"
 
 
@@ -578,13 +590,12 @@ def test_dataset_csv_reads_binary_lines_as_text_lines(ending):
     # a binary read ends lines at LF only, so a CR-only file is one binary
     # line, which a csv reader fed those lines rejects as a line break in an
     # unquoted field; it must read as the text does
-    records = Dataset(np.array([1, 0, 2, 1, 0]), np.array([True, False, True, True, False]),
-                      ("a", "b", "c"), np.array([0, 1, 1, 0, 1]), ("Police, PSNI", "f"))
+    records = dataset_from_rows([1, 0, 2, 1, 0], [True, False, True, True, False],
+                                ("a", "b", "c"), [0, 1, 1, 0, 1], ("Police, PSNI", "f"))
     buf = io.StringIO()
     write_dataset_csv(records, buf)
     raw = _with_endings(buf.getvalue(), ending)
-    want = in_cell_order(records)
-    assert _same_dataset(read_dataset_csv(io.BytesIO(raw)), want)
+    assert _same_dataset(read_dataset_csv(io.BytesIO(raw)), records)
     bad = _with_endings("group,stopped,outcome,force\na,1,1,f\n\na,1,x,f\n", ending)
     with pytest.raises(DataError, match="^line 4: every row must be a stop"):
         read_dataset_csv(io.BytesIO(bad))
@@ -603,7 +614,7 @@ def test_dataset_csv_binary_error_names_the_text_line():
     text = 'group,stopped,outcome,force,"no\nte"\na,1,1,f,n\nb,1,0,g,n\n'
     back = read_dataset_csv(io.BytesIO(text.encode()))
     assert back.labels == ("a", "b") and back.forces == ("f", "g")
-    assert back.outcome.tolist() == [True, False]
+    assert back.counts.tolist() == [[[0, 0], [1, 0]], [[0, 1], [0, 0]]]
 
 
 def test_dataset_csv_binary_lines_decode_as_strict_utf8():
@@ -622,5 +633,4 @@ def test_dataset_csv_without_rows():
     for raw in (b"group,stopped,outcome,force\n", b"group,stopped,outcome,force"):
         back = read_dataset_csv(io.BytesIO(raw))
         assert (back.labels, back.forces, len(back)) == ((), (), 0)
-        assert back.group.dtype == back.force.dtype == np.intp
-        assert back.outcome.dtype == bool
+        assert back.counts.shape == (0, 2, 0) and back.counts.dtype == np.intp

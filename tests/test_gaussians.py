@@ -184,6 +184,23 @@ def test_orthant_masses_off_the_zero_threshold_keep_the_stated_relative_accuracy
                                                       rel=rel), h
 
 
+@pytest.mark.parametrize("r", [1.0, 3.0, 30.0])
+@pytest.mark.parametrize("tiny", [5e-324, 1e-310, 1e-300, 1e-17])
+def test_orthant_masses_near_a_zero_threshold_or_stop_mean_take_the_limit(r, tiny):
+    # a subnormal or tiny k or h once divided by zero or overflowed to a NaN
+    # floored to 0; within 1e-17 of 0 the masses are their value at 0, off by
+    # less than the sum's own absolute accuracy
+    for h in (-2.0, 0.0, 0.5):
+        for k in (tiny, -tiny):
+            assert orthant_masses(h, k, r) == pytest.approx(orthant_masses(h, 0.0, r),
+                                                            rel=0, abs=1e-16)
+    for k in (-0.5, 0.5):
+        for h in (tiny, -tiny):
+            got = orthant_masses(h, k, r)
+            assert all(math.isfinite(mass) for mass in got)
+            assert got == pytest.approx(orthant_masses(0.0, k, r), rel=0, abs=1e-16)
+
+
 # --- truncated normal sampling ----------------------------------------------
 
 def test_truncated_support_positive():

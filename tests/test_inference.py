@@ -19,6 +19,7 @@ from latentbias import (
     PosteriorSummary,
     PriorKind,
     TrueParams,
+    balance,
     build_prior,
     drift_slope,
     read_dataset_csv,
@@ -32,7 +33,8 @@ from latentbias import (
 from latentbias import inference, kernel
 from latentbias.gaussians import orthant_masses
 
-from conftest import count_log_density_oracle, count_posterior_oracle, mills_lambda_oracle
+from conftest import (count_log_density_oracle, count_posterior_oracle, dataset_from_rows,
+                      mills_lambda_oracle)
 
 
 def _cfg(**kw):
@@ -45,7 +47,7 @@ def _asym_records(counts=(1500, 900, 600), positive_rate=32, labels=None):
     """Deterministic outcome-skewed dataset (1 negative per `positive_rate`)."""
     labels = labels or [f"group{g}" for g in range(len(counts))]
     outcome = np.concatenate([np.arange(n) % positive_rate != 0 for n in counts])
-    return Dataset(np.repeat(np.arange(len(counts)), counts), outcome, labels)
+    return dataset_from_rows(np.repeat(np.arange(len(counts)), counts), outcome, labels)
 
 
 # --- latent sampling -------------------------------------------------------------
@@ -118,7 +120,7 @@ def test_conjugacy_against_closed_form():
     # one group, one record: the recorded variances must be the
     # hand-computed conjugate covariance, with anchoring off and on
     prior = build_prior(1, group_means=(0.3,), group_variances=(4.0,))
-    records = Dataset(np.array([0]), np.array([False]), ("only",))
+    records = dataset_from_rows([0], [False], ("only",))
     lam_b = 1 / 4.0 + 1 / 2.0
     lam_c = 1.0 + 1 / 0.5
     for kind, cross in ((PriorKind.INDEPENDENT, 0.0), (PriorKind.DEPENDENT, 1 / 2.0)):
@@ -136,11 +138,18 @@ def test_conjugacy_against_closed_form():
 def _reference_covariance(dataset, alpha, gamma, kind):
     """Inverse of the regime's posterior precision for a unit prior."""
     k = len(dataset.labels)
-    counts = np.bincount(dataset.group, minlength=k)
+    counts = dataset.outcome_counts().sum(axis=1)
     lam = np.diag(np.append(1.0 + counts / alpha, 1.0 + len(dataset) / gamma))
     if kind is not PriorKind.INDEPENDENT:
         lam[k, :k] = lam[:k, k] = counts / alpha
     return np.linalg.inv(lam)
+
+
+def _chain_records(dataset):
+    """``(group code, positive)`` of each stop, in the order the unanchored
+    chain takes them: by group code, then outcome, negatives first."""
+    return [(g, positive) for g, cells in enumerate(dataset.outcome_counts().tolist())
+            for positive, n in enumerate(cells) for _ in range(n)]
 
 
 def _reference_first_sweep(dataset, alpha, gamma, kind, rng):
@@ -160,7 +169,7 @@ def _reference_first_sweep(dataset, alpha, gamma, kind, rng):
     bias_sd = np.sqrt(np.diag(cov))
     v_refresh = 1.0 / (1.0 + 1.0 / alpha + 1.0 / gamma)
     eta = np.zeros(k + 1)
-    for g, positive in zip(dataset.group.tolist(), dataset.outcome.tolist()):
+    for g, positive in _chain_records(dataset):
         c = rng.standard_normal()
         b = bias_sd[g] * rng.standard_normal()
         s = sample_truncated_normal(c + b, alpha, rng)
@@ -173,11 +182,11 @@ def _reference_first_sweep(dataset, alpha, gamma, kind, rng):
 
 
 def test_first_sweep_matches_record_reference():
-    # unequal group sizes and positive rates, rows interleaved across groups
+    # unequal group sizes and positive rates
     rng = np.random.default_rng(41)
     group = rng.permutation(np.repeat([0, 1, 2], [40, 25, 12]))
     rate = np.array([0.9, 0.3, 0.6])[group]
-    records = Dataset(group, rng.random(group.size) < rate, ("a", "b", "c"))
+    records = dataset_from_rows(group, rng.random(group.size) < rate, ("a", "b", "c"))
     alpha, gamma, seeds = 1.3, 0.8, 200
     for kind in (PriorKind.DEPENDENT, PriorKind.INDEPENDENT):
         want = np.array([
@@ -199,7 +208,8 @@ def test_unanchored_bias_draws_spread_with_their_own_groups_sd(monkeypatch):
     # criminality, read off the sweep's two truncated-normal calls
     rng = np.random.default_rng(43)
     group = rng.permutation(np.repeat([0, 1], [2000, 20]))
-    records = Dataset(group, rng.random(group.size) < 0.6, ("big", "small"))
+    records = dataset_from_rows(group, rng.random(group.size) < 0.6, ("big", "small"))
+    group, positive = np.array(_chain_records(records)).T  # each record the chain draws
     means = []
 
     def spy(mean, variance, rng):
@@ -207,7 +217,7 @@ def test_unanchored_bias_draws_spread_with_their_own_groups_sd(monkeypatch):
         return sample_truncated_normal(mean, variance, rng)
 
     monkeypatch.setattr(inference, "sample_truncated_normal", spy)
-    tau = np.where(records.outcome, 1.0, -1.0)
+    tau = np.where(positive, 1.0, -1.0)
     for kind in (PriorKind.DEPENDENT, PriorKind.INDEPENDENT):
         means.clear()
         run_gibbs(records, ModelConfig(seed=3, alpha=1.3, gamma=0.8, prior=kind,
@@ -222,7 +232,7 @@ def test_unanchored_bias_draws_spread_with_their_own_groups_sd(monkeypatch):
 
 def test_sweep_independent_keeps_cross_zero_and_anchored_c_standard():
     group = np.arange(60) % 2
-    records = Dataset(group, np.arange(60) % 3 == 0, ("a", "b"))
+    records = dataset_from_rows(group, np.arange(60) % 3 == 0, ("a", "b"))
     cfg = _cfg(prior=PriorKind.INDEPENDENT, sweeps=1, burn_in=0)
     _summary, trace = run_gibbs(records, cfg)
     assert np.all(trace.cross_cov == 0.0)
@@ -429,9 +439,8 @@ def test_anchored_chain_matches_per_sweep_kernel(kind):
     cfg = _cfg(seed=21, sweeps=40, burn_in=5, prior=kind, alpha=0.3, gamma=0.3)
     _summary, trace = run_gibbs(records, cfg)
     m0, v0 = build_prior(3)
-    positives = np.bincount(records.group, weights=records.outcome, minlength=3)
-    targets = [inference._CountTarget(p, n - p, m, v, cfg.alpha, cfg.gamma)
-               for p, n, m, v in zip(positives, records.outcome_counts().sum(axis=1), m0, v0)]
+    targets = [inference._CountTarget(p, n, m, v, cfg.alpha, cfg.gamma)
+               for (n, p), m, v in zip(records.outcome_counts(), m0, v0)]
     assert targets[0].r > 1
     laplace = [kernel.mode_and_scale(target) for target in targets]
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
@@ -532,8 +541,7 @@ def test_balanced_variances_agree():
     params = TrueParams(beta=(0.0, 0.0, 0.0), population=(900, 900, 900))
     records, _rep = synthesize(params, rng)
     n = records.outcome_counts().sum(axis=1).min()
-    # synthesize emits group blocks: keep the first n rows of each
-    trimmed = records.take(np.concatenate([np.flatnonzero(records.group == g)[:n] for g in range(3)]))
+    trimmed = balance(records, n, np.random.default_rng(0))  # n stops of each group
     cfg = _cfg(seed=5, sweeps=60, burn_in=20, prior=PriorKind.INDEPENDENT)
     summary, _ = run_gibbs(trimmed, cfg)
     rel = summary.bias_variance.max() / summary.bias_variance.min() - 1.0
@@ -594,9 +602,9 @@ def test_drift_slope_positive_for_unanchored_free_chain(monkeypatch):
 
 def test_rejects_unstopped_and_empty():
     with pytest.raises(DomainError):
-        run_gibbs(_asym_records((3,)).take([]), _cfg())
+        run_gibbs(Dataset(np.zeros((1, 2, 1), dtype=int), ("group0",)), _cfg())
     with pytest.raises(DomainError, match="no records"):
-        run_gibbs(Dataset(np.array([0]), np.array([True]), ("a", "b")), _cfg())
+        run_gibbs(dataset_from_rows([0], [True], ("a", "b")), _cfg())
     # rows that are not stops never reach a dataset
     with pytest.raises(DataError, match="^line 2: "):
         read_dataset_csv(io.BytesIO(b"group,stopped,outcome,force\na,0,0,f\n"))

@@ -14,8 +14,8 @@ from latentbias import (
 from latentbias.gaussians import orthant_masses
 from latentbias.inference import _CountTarget
 
-from conftest import (cdf_oracle, likelihood_oracle, outcome_probability_oracle,
-                      stop_search_likelihood)
+from conftest import (cdf_oracle, dataset_from_rows, likelihood_oracle,
+                      outcome_probability_oracle, stop_search_likelihood)
 
 
 def _summary(bias_mean, c_mean=0.0):
@@ -33,8 +33,7 @@ def _summary(bias_mean, c_mean=0.0):
 
 
 def _test_set(groups, outcomes):
-    return Dataset(np.array(groups), np.array(outcomes, dtype=bool),
-                   [f"g{i}" for i in range(max(groups) + 1)])
+    return dataset_from_rows(groups, outcomes, [f"g{i}" for i in range(max(groups) + 1)])
 
 
 # --- closed form ----------------------------------------------------------------
@@ -108,7 +107,7 @@ def test_zero_mean_breaks_tie_to_positive():
     # equals the positive fraction
     summary = _summary([0.3, -0.3], c_mean=0.0)
     test = _test_set([i % 2 for i in range(100)], [i % 5 < 2 for i in range(100)])
-    positive_fraction = test.outcome.sum() / len(test)
+    positive_fraction = test.outcome_counts()[:, 1].sum() / len(test)
     assert predictive_score(summary, test, 1.0, 1.0) == pytest.approx(positive_fraction)
 
 
@@ -200,7 +199,7 @@ def test_outcome_probability_at_tiny_noise(bias_mean, criminality_mean):
 def test_score_validates_input():
     summary = _summary([0.0])
     with pytest.raises(DomainError):
-        predictive_score(summary, _test_set([0], [True]).take([]), 1.0, 1.0)
+        predictive_score(summary, Dataset(np.zeros((1, 2, 1), dtype=int), ("g0",)), 1.0, 1.0)
     with pytest.raises(DomainError):  # group 1 is unknown to a one-group posterior
         predictive_score(summary, _test_set([1], [True]), 1.0, 1.0, method="likelihood")
     with pytest.raises(DomainError):

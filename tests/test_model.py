@@ -18,7 +18,7 @@ from latentbias import (
 )
 from latentbias import inference
 
-from conftest import cdf_oracle
+from conftest import cdf_oracle, dataset_from_rows
 
 
 # --- prior construction --------------------------------------------------------
@@ -32,7 +32,7 @@ def test_independent_prior_default():
 def test_dependent_prior_same_numbers():
     # every regime starts from build_prior's default: passing it explicitly
     # reproduces the run that builds it itself, bit for bit
-    records = Dataset(np.repeat([0, 1], [30, 20]), np.arange(50) % 3 == 0, ("a", "b"))
+    records = dataset_from_rows(np.repeat([0, 1], [30, 20]), np.arange(50) % 3 == 0, ("a", "b"))
 
     def trace(cfg, **kw):
         try:
@@ -117,18 +117,19 @@ def test_record_outcome_requires_stop():
     with pytest.raises(DataError, match="^line 2: "):
         read_dataset_csv(io.BytesIO(header + b"a,0,1,\n"))
     with pytest.raises(DomainError):
-        Dataset(np.array([-1]), np.array([True]), ("a",))
+        Dataset(np.array([[[-1], [1]]]), ("a",))  # a negative count of stops
 
 
 def test_group_validation():
-    # group and force codes index tables of unique entries
-    Dataset(np.array([0, 1]), np.array([True, True]), ("a", "b"))
+    # the tally has one row per label and one column per force, over tables
+    # of unique entries
+    Dataset(np.ones((2, 2, 1), dtype=int), ("a", "b"))
     with pytest.raises(DomainError):
-        Dataset(np.array([0, 2]), np.array([True, True]), ("a", "b"))
+        Dataset(np.ones((3, 2, 1), dtype=int), ("a", "b"))  # a group with no label
     with pytest.raises(DomainError):
-        Dataset(np.array([0, 1]), np.array([True, True]), ("a", "a"))
+        Dataset(np.ones((2, 2, 1), dtype=int), ("a", "a"))
     with pytest.raises(DomainError):
-        Dataset(np.array([0]), np.array([True]), ("a",), np.array([0]), ("f", "f"))
+        Dataset(np.ones((1, 2, 2), dtype=int), ("a",), ("f", "f"))
 
 
 def test_config_validation():

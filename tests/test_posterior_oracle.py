@@ -21,12 +21,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from latentbias import Dataset, ModelConfig, PriorKind, run_gibbs, trueskill_gibbs
+from latentbias import ModelConfig, PriorKind, run_gibbs, trueskill_gibbs
 from latentbias.inference import _sample_bias_conditional
 from latentbias.kernel import mode_and_scale
 from latentbias.ranking import _SkillTarget
 
-from conftest import count_posterior_oracle, skill_posterior_oracle
+from conftest import count_posterior_oracle, dataset_from_rows, skill_posterior_oracle
 
 # (stops, positives) per group: a large, a mid-sized and a small group,
 # positive rates of 1/3, 0.7 and 3/8
@@ -37,7 +37,7 @@ SWEEPS, BURN_IN, BATCHES, THIN = 4200, 200, 40, 5
 def _dataset():
     group = np.repeat(np.arange(len(COUNTS)), [n for n, _ in COUNTS])
     outcome = np.concatenate([np.arange(n) < positives for n, positives in COUNTS])
-    return Dataset(group, outcome, ("a", "b", "c"))
+    return dataset_from_rows(group, outcome, ("a", "b", "c"))
 
 
 def _batch_means(x):

@@ -8,8 +8,7 @@ truncated-normal sampler."""
 import csv
 import io
 import math
-from collections import defaultdict
-from itertools import count
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -43,11 +42,11 @@ from latentbias import (
     write_ranking_csv,
     write_trace_csv,
 )
-from latentbias.data import _intern_lines, _line_runs
+from latentbias.data import _line_runs
 from latentbias.inference import _ranks_desc
 
-from conftest import (in_cell_order, parse_records_oracle, read_dataset_csv_oracle,
-                      write_dataset_csv_oracle)
+from conftest import (dataset_from_rows, named_cells, parse_records_oracle,
+                      read_dataset_csv_oracle, write_dataset_csv_oracle)
 
 # table entries with the characters CSV must quote or carry through
 _TEXT = st.text(st.sampled_from('ab ,"\'\r\n\t;é€中 ') | st.characters(), max_size=8)
@@ -61,8 +60,7 @@ def datasets(draw):
     group = draw(st.lists(st.integers(0, len(labels) - 1), min_size=n, max_size=n))
     outcome = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     force = draw(st.lists(st.integers(0, len(forces) - 1), min_size=n, max_size=n))
-    return Dataset(np.array(group, dtype=int), np.array(outcome, dtype=bool), labels,
-                   np.array(force, dtype=int), forces)
+    return dataset_from_rows(group, outcome, labels, force, forces)
 
 
 @settings(max_examples=300, deadline=None)
@@ -75,24 +73,22 @@ def test_dataset_csv_roundtrip(dataset):
     except UnicodeEncodeError:  # a lone surrogate has no UTF-8 form
         return
     back = read_dataset_csv(io.BytesIO(raw))
-    # the rows come back in cell order and codes are remapped onto the
-    # sorted labels present; every row keeps its label, outcome and force name
-    want = in_cell_order(dataset)
-    assert list(back.labels) == sorted({dataset.labels[g] for g in dataset.group})
-    assert [back.labels[g] for g in back.group] == [want.labels[g] for g in want.group]
-    assert back.outcome.tolist() == want.outcome.tolist()
-    assert [back.forces[f] for f in back.force] == [want.forces[f] for f in want.force]
+    # codes are remapped onto the sorted labels present and the forces present
+    # in cell order; every cell keeps its count under its label and force name
+    cells = named_cells(dataset)
+    assert list(back.labels) == sorted({label for label, _o, _f in cells})
+    assert list(back.forces) == list(dict.fromkeys(force for _l, _o, force in cells))
+    assert named_cells(back) == cells
 
 
 @settings(max_examples=300, deadline=None)
 @given(datasets())
 def test_dataset_csv_writer_matches_row_oracle(dataset):
     # one run per (group, outcome, force) cell gives the bytes the
-    # row-at-a-time writer gives for the rows in cell order, empty datasets
-    # (n = 0) included
+    # row-at-a-time writer gives, empty datasets (n = 0) included
     buf, oracle = io.StringIO(), io.StringIO()
     write_dataset_csv(dataset, buf)
-    write_dataset_csv_oracle(in_cell_order(dataset), oracle)
+    write_dataset_csv_oracle(dataset, oracle)
     assert buf.getvalue() == oracle.getvalue()
 
 
@@ -142,9 +138,7 @@ def _read_result(read, stream):
         dataset = read(stream)
     except DataError as exc:
         return str(exc)
-    return (dataset.labels, dataset.forces, dataset.group.dtype, dataset.group.tolist(),
-            dataset.outcome.dtype, dataset.outcome.tolist(), dataset.force.dtype,
-            dataset.force.tolist())
+    return dataset.labels, dataset.forces, dataset.counts.dtype, dataset.counts.tolist()
 
 
 @settings(max_examples=500, deadline=None)
@@ -188,24 +182,21 @@ def canonical_run_texts(draw):
 @example("group,stopped,outcome,force\n" * 3 + "a,1,1,f\n" * 10)
 @example("group,stopped,outcome,force\n" + "a,1,1,f\n" * 64 + "a,1,1,f")
 def test_dataset_csv_run_walk_matches_row_oracle(text):
-    # read as bytes, runs of one line key every line as interning them one
-    # by one does, and give the Dataset, or the DataError, of the reader
-    # that parses every record in file order
+    # read as bytes, runs of one line count the lines before the first line
+    # that recurs after a different line as counting them one by one does,
+    # and give the Dataset, or the DataError, of the reader that parses
+    # every record in file order
     try:
         raw = text.encode()
     except UnicodeEncodeError:  # a lone surrogate has no UTF-8 form
         return
     lines = list(io.BytesIO(raw))
-    interned = {}
-    want = [interned.setdefault(line, len(interned)) for line in lines]
-    keys, distinct = _intern_lines(raw)
-    assert (keys.tolist(), distinct) == (want, list(interned))
-    # the runs reach the first line that recurs after a different line
-    recurs = next((i for i in range(1, len(want))
-                   if want[i] != want[i - 1] and want[i] in want[:i]), len(want))
-    ids, lengths, end = _line_runs(raw, defaultdict(count().__next__))
+    recurs = next((i for i in range(1, len(lines))
+                   if lines[i] != lines[i - 1] and lines[i] in lines[:i]), len(lines))
+    runs, end = _line_runs(raw)
     assert end == sum(map(len, lines[:recurs]))
-    assert np.repeat(np.array(ids, dtype=int), lengths).tolist() == want[:recurs]
+    # the lines it counts, in order of first appearance
+    assert list(runs.items()) == list(Counter(lines[:recurs]).items())
     assert _read_result(read_dataset_csv, io.BytesIO(raw)) == \
         _read_result(read_dataset_csv_oracle, io.StringIO(text, newline=""))
 
@@ -230,12 +221,10 @@ def test_parse_records_report_matches_dataset(rows, kind):
     writer.writerows(rows)
     dataset, report = parse_records(io.StringIO(buf.getvalue()), default_mapping(), kind)
     labels = dataset.labels
-    positive = np.bincount(dataset.group, weights=dataset.outcome, minlength=len(labels))
     assert report.rows_total == len(rows)
-    assert report.rows_kept == len(dataset)
-    per_group = np.bincount(dataset.group, minlength=len(labels))
-    assert report.group_counts == dict(zip(labels, per_group.tolist()))
-    assert report.group_positive == dict(zip(labels, positive.tolist()))
+    assert report.rows_kept == len(dataset) == int(dataset.counts.sum())
+    assert report.group_counts == dict(zip(labels, dataset.counts.sum(axis=(1, 2)).tolist()))
+    assert report.group_positive == dict(zip(labels, dataset.counts[:, 1].sum(axis=1).tolist()))
     assert report.rows_kept + report.rows_dropped == report.rows_total
 
 
@@ -299,9 +288,8 @@ def _parse_result(parse, text, newline, mapping, kind):
         dataset, report = parse(io.StringIO(text, newline=newline), mapping, kind)
     except DataError as exc:
         return str(exc)
-    return (dataset.labels, dataset.forces, dataset.group.dtype, dataset.group.tolist(),
-            dataset.outcome.dtype, dataset.outcome.tolist(), dataset.force.dtype,
-            dataset.force.tolist(), vars(report), list(report.dropped.items()))
+    return (dataset.labels, dataset.forces, dataset.counts.dtype, dataset.counts.tolist(),
+            vars(report), list(report.dropped.items()))
 
 
 @settings(max_examples=300, deadline=None)
@@ -322,40 +310,33 @@ def test_parse_records_matches_row_oracle(text, newline, precedence, kind):
 
 
 @st.composite
-def _numbered_rows(draw, min_size):
-    """A dataset whose force column numbers its rows, so every row of a
-    subset can be traced back."""
-    k = draw(st.integers(1, 4))
-    group = draw(st.lists(st.integers(0, k - 1), min_size=min_size, max_size=40))
-    outcome = draw(st.lists(st.booleans(), min_size=len(group), max_size=len(group)))
-    return Dataset(np.array(group, dtype=int), np.array(outcome, dtype=bool),
-                   [f"g{i}" for i in range(k)], np.arange(len(group)),
-                   [str(i) for i in range(len(group))])
-
-
-def _kept_rows(dataset, subset):
-    # the subset's rows, each the row of ``dataset`` its force code names
-    rows = subset.force
-    assert subset.labels == dataset.labels
-    assert np.array_equal(subset.group, dataset.group[rows])
-    assert np.array_equal(subset.outcome, dataset.outcome[rows])
-    return rows
+def _tallies(draw, min_size):
+    """A dataset of 1-4 groups and 1-3 forces, each cell holding 0-12 stops,
+    at least ``min_size`` in all."""
+    k, f = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    counts = draw(arrays(np.intp, (k, 2, f), elements=st.integers(0, 12))
+                  .filter(lambda c: c.sum() >= min_size))
+    return Dataset(counts, [f"g{i}" for i in range(k)], [f"f{i}" for i in range(f)])
 
 
 @settings(max_examples=300, deadline=None)
-@given(_numbered_rows(min_size=2), st.floats(0.01, 0.99), st.integers(0, 2**32 - 1))
-def test_split_is_stratified_disjoint_exhaustive_and_ordered(dataset, fraction, seed):
+@given(_tallies(min_size=2), st.floats(0.01, 0.99), st.integers(0, 2**32 - 1))
+def test_split_is_stratified_disjoint_and_exhaustive(dataset, fraction, seed):
     train, test = split(dataset, fraction, np.random.default_rng(seed))
-    train_rows, test_rows = _kept_rows(dataset, train), _kept_rows(dataset, test)
-    assert np.all(np.diff(train_rows) > 0) and np.all(np.diff(test_rows) > 0)
-    assert sorted(train_rows.tolist() + test_rows.tolist()) == list(range(len(dataset)))
+    again = split(dataset, fraction, np.random.default_rng(seed))
+    for side, same in zip((train, test), again):
+        assert (side.labels, side.forces) == (dataset.labels, dataset.forces)
+        assert np.array_equal(side.counts, same.counts)
+    # together the sides hold every stop once, cell for cell
+    assert np.array_equal(train.counts + test.counts, dataset.counts)
     n = dataset.outcome_counts().sum(axis=1)
-    assert np.all(np.abs(test.outcome_counts().sum(axis=1) - fraction * n) <= 1.0)
+    assert np.array_equal(test.outcome_counts().sum(axis=1), np.floor(fraction * n + 0.5))
+    assert np.all(np.abs(test.outcome_counts().sum(axis=1) - fraction * n) <= 0.5)
 
 
 @settings(max_examples=300, deadline=None)
-@given(_numbered_rows(min_size=1), st.integers(1, 12), st.integers(0, 2**32 - 1))
-def test_balance_gives_n_per_group_as_a_sorted_subset(dataset, n, seed):
+@given(_tallies(min_size=1), st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_balance_gives_n_per_group_as_a_subset(dataset, n, seed):
     per_group = dataset.outcome_counts().sum(axis=1)
     present = per_group > 0
     if n > per_group[present].min():
@@ -363,9 +344,11 @@ def test_balance_gives_n_per_group_as_a_sorted_subset(dataset, n, seed):
             balance(dataset, n, np.random.default_rng(seed))
         return
     balanced = balance(dataset, n, np.random.default_rng(seed))
-    rows = _kept_rows(dataset, balanced)
-    assert np.all(np.diff(rows) > 0)
+    assert (balanced.labels, balanced.forces) == (dataset.labels, dataset.forces)
+    assert np.all(balanced.counts <= dataset.counts)
     assert np.array_equal(balanced.outcome_counts().sum(axis=1), np.where(present, n, 0))
+    assert np.array_equal(balance(dataset, n, np.random.default_rng(seed)).counts,
+                          balanced.counts)
 
 
 @settings(max_examples=300, deadline=None)
@@ -440,36 +423,39 @@ def test_trace_csv_roundtrip(trace):
 def test_outcome_counts_match_a_per_row_tally(dataset):
     # labels without rows tally (0, 0)
     want = np.zeros((len(dataset.labels), 2), dtype=int)
-    for g, positive in zip(dataset.group.tolist(), dataset.outcome.tolist()):
-        want[g, int(positive)] += 1
+    for (g, positive, _f), n in np.ndenumerate(dataset.counts):
+        want[g, positive] += n
     got = dataset.outcome_counts()
     assert got.dtype.kind == "i" and np.array_equal(got, want)
 
 
 @st.composite
 def same_tally_datasets(draw):
-    """Two datasets with one outcome tally: the first in group and outcome
-    order, the second its rows shuffled and given other force codes."""
+    """Two datasets with one outcome tally: the first at one force, the
+    second with its stops spread over three forces."""
     tally = draw(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)),
                           min_size=1, max_size=4).filter(lambda t: sum(map(sum, t)) > 0))
     cells = [(g, positive) for g, (negatives, positives) in enumerate(tally)
              for positive, n in ((False, negatives), (True, positives)) for _ in range(n)]
-    group = np.array([g for g, _positive in cells])
-    outcome = np.array([positive for _g, positive in cells])
-    order = np.array(draw(st.permutations(range(len(cells)))), dtype=int)
-    force = np.array(draw(st.lists(st.integers(0, 2), min_size=len(cells), max_size=len(cells))))
+    group = [g for g, _positive in cells]
+    outcome = [positive for _g, positive in cells]
+    force = draw(st.lists(st.integers(0, 2), min_size=len(cells), max_size=len(cells)))
     labels = [f"g{k}" for k in range(len(tally))]
-    return (Dataset(group, outcome, labels),
-            Dataset(group[order], outcome[order], labels, force, ("f0", "f1", "f2")))
+    return (dataset_from_rows(group, outcome, labels),
+            dataset_from_rows(group, outcome, labels, force, ("f0", "f1", "f2")))
 
 
 @settings(max_examples=100, deadline=None)
 @given(same_tally_datasets(), st.integers(1, 12), st.integers(0, 2**32 - 1), st.booleans(),
        st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4), st.floats(-2.0, 2.0),
        st.floats(0.1, 5.0), st.floats(0.1, 5.0))
+@example(pair=(Dataset(np.array([[[0], [1]]]), ("g0",)),
+               Dataset(np.array([[[0, 0, 0], [1, 0, 0]]]), ("g0",), ("f0", "f1", "f2"))),
+         iterations=1, seed=0, anchor=False, bias=[0.0] * 4, criminality=5e-324,
+         alpha=0.125, gamma=0.125)
 def test_ranking_and_scores_read_only_the_outcome_tally(pair, iterations, seed, anchor,
                                                        bias, criminality, alpha, gamma):
-    # neither row order nor force codes reach the ranking chain or the score
+    # force codes reach neither the ranking chain nor the score
     ordered, shuffled = pair
     k = len(ordered.labels)
     want_labels, *want_matches = matches_from_dataset(ordered)
@@ -496,15 +482,19 @@ def test_ranking_and_scores_read_only_the_outcome_tally(pair, iterations, seed, 
        st.integers(0, 2**32 - 1))
 def test_anchored_run_gibbs_ignores_row_order(outcomes, shuffler, prior, seed):
     # the anchored chain sees only each group's counts of positive and
-    # negative rows, so any order of the rows gives the same trace and summary
+    # negative stops, so the canonical file's rows in any order give the
+    # same trace and summary as the rows in cell order
     group = np.repeat(np.arange(len(outcomes)), [len(o) for o in outcomes])
-    outcome = np.array([o for rows in outcomes for o in rows], dtype=bool)
-    labels = [f"g{k}" for k in range(len(outcomes))]
-    order = list(range(group.size))
-    shuffler.shuffle(order)
+    outcome = [o for rows in outcomes for o in rows]
+    buf = io.StringIO()
+    write_dataset_csv(dataset_from_rows(group, outcome, [f"g{k}" for k in range(len(outcomes))]),
+                      buf)
+    header, *rows = buf.getvalue().splitlines(keepends=True)
+    shuffler.shuffle(rows)
     config = ModelConfig(seed=seed, prior=prior, sweeps=6, burn_in=2)
-    want_summary, want = run_gibbs(Dataset(group, outcome, labels), config)
-    got_summary, got = run_gibbs(Dataset(group[order], outcome[order], labels), config)
+    want_summary, want = run_gibbs(read_dataset_csv(io.BytesIO(buf.getvalue().encode())), config)
+    shuffled = read_dataset_csv(io.BytesIO("".join([header, *rows]).encode()))
+    got_summary, got = run_gibbs(shuffled, config)
     for name in ("means", "variances", "cross_cov"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert got_summary.to_json() == want_summary.to_json()

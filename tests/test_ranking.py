@@ -6,7 +6,6 @@ import pytest
 
 from latentbias import (
     COMMON_LABEL,
-    Dataset,
     DivergenceError,
     DomainError,
     matches_from_dataset,
@@ -16,11 +15,11 @@ from latentbias import (
 from latentbias import kernel, ranking
 from latentbias.gaussians import log_ndtr
 
-from conftest import EXACT_GRID
+from conftest import EXACT_GRID, dataset_from_rows
 
 
 def _dataset(groups, outcomes, labels):
-    return Dataset(np.array(groups, dtype=int), np.array(outcomes, dtype=bool), labels)
+    return dataset_from_rows(groups, outcomes, labels)
 
 
 # --- match tallies ------------------------------------------------------------------

@@ -25,11 +25,12 @@ so its canonical CSV takes the reader's row path; it runs ``fit``
 ``dataset.csv`` and ``plot`` on its trace, and its exit codes also go in a
 file of its own. Then ``export-200k-shuffled`` holds ``export-200k``'s
 ingested ``dataset.csv`` with its stop lines in a seeded random order, the
-header kept first, so the reader interns its lines one by one where it
-walks the written file's runs; it runs ``fit`` (``dependent``) and
-``rank``, whose outputs must equal ``export-200k``'s apart from the
-manifests, which name and hash the input, and its exit codes go in a file
-of its own. It prints
+header kept first, so the reader counts its lines one by one where it
+walks the written file's runs; it runs ``fit`` (``dependent``, and
+``independent --anchoring off``, whose chain must not depend on the row
+order either) and ``rank``, whose outputs must equal ``export-200k``'s
+apart from the manifests, which name and hash the input, and its exit
+codes go in a file of its own. It prints
 ``sha256  relpath`` for every file the commands write, for each command's
 stdout and stderr, and for the files of exit codes. Commands run with
 ``OUT_DIR`` as working directory and relative paths, and each manifest is
@@ -174,10 +175,11 @@ def write_shuffled(source: Path, target: Path) -> None:
 
 def shuffled_steps() -> list[tuple[str, list[str]]]:
     """``(step, argv)`` pairs for ``export-200k-shuffled``: ``export-200k``'s
-    ``fit`` (``dependent``) and ``rank`` on the shuffled dataset."""
+    ``fit`` (``dependent`` and ``independent --anchoring off``) and ``rank``
+    on the shuffled dataset."""
     source, shuffled = "export-200k/ingest/dataset.csv", f"{SHUFFLED}/dataset.csv"
     return [(step, [shuffled if arg == source else arg for arg in argv])
-            for step, argv in commands("export-200k") if step in ("fit", "rank")]
+            for step, argv in commands("export-200k") if step in ("fit", "fit-indep-off", "rank")]
 
 
 def run_steps(name: str, steps, out: Path, env: dict) -> str:
