@@ -22,9 +22,9 @@ rng = np.random.default_rng(99)
 params = TrueParams(beta=(0.0, 0.6, 1.2), population=(1200,) * 3)
 dataset, _report = synthesize(params, rng)
 train, test = split(dataset, 0.1, np.random.default_rng(100))
-with open(OUT / "train.csv", "w", encoding="utf-8") as fh:
+with open(OUT / "train.csv", "wb") as fh:
     write_dataset_csv(train, fh)
-with open(OUT / "test.csv", "w", encoding="utf-8") as fh:
+with open(OUT / "test.csv", "wb") as fh:
     write_dataset_csv(test, fh)
 print(f"train {len(train)} records, test {len(test)} records")
 

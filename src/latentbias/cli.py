@@ -12,6 +12,7 @@ divergence of a chain.
 from __future__ import annotations
 
 import argparse
+import io
 import re
 import sys
 import time
@@ -53,23 +54,25 @@ _UNDECODED = re.compile("[\udc80-\udcff]")
 
 def _read_input(path: str, read, *args, binary: bool = False):
     """``read(stream, *args)`` on the UTF-8 text of the file at ``path``, or
-    with ``binary`` on its bytes, which ``read`` decodes as UTF-8.
+    with ``binary`` on its bytes, which ``read`` decodes as UTF-8. An input
+    that cannot seek (a pipe) is read whole first, so that it can be read
+    again as a file is.
 
     Raises:
-        DataError: if the file is not valid UTF-8; the message names the
-            file and, when it can be read again (not a pipe), the physical
-            line of the first undecodable byte.
+        DataError: if the input is not valid UTF-8; the message names the
+            input and the physical line of the first undecodable byte.
     """
-    with open(path, "rb") if binary else open(path, newline="", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
+        stream = fh if fh.seekable() else io.BytesIO(fh.read())
+        # held until the stream is read again: a wrapper closes its stream when collected
+        text = None if binary else io.TextIOWrapper(stream, encoding="utf-8", newline="")
         try:
-            return read(fh, *args)
+            return read(stream if binary else text, *args)
         except UnicodeDecodeError as exc:
-            reason, rereadable = exc.reason, fh.seekable()
-    line = None
-    if rereadable:  # a pipe cannot be read again
-        with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-            line = next((n for n, text in enumerate(fh, start=1) if _UNDECODED.search(text)),
-                        None)
+            reason = exc.reason
+        stream.seek(0)
+        lines = io.StringIO(stream.read().decode("utf-8", "surrogateescape"), newline="")
+    line = next((n for n, raw in enumerate(lines, start=1) if _UNDECODED.search(raw)), None)
     where = "" if line is None else f"line {line}: "
     raise DataError(f"{path}: {where}not valid UTF-8 ({reason})")
 
@@ -110,7 +113,7 @@ def cmd_ingest(args) -> int:
     kind = SchemeKind.from_string(args.scheme)
     dataset, report = _read_input(args.input, parse_records, mapping, kind)
     dataset_path = run.path / "dataset.csv"
-    with open(dataset_path, "w", encoding="utf-8") as fh:
+    with open(dataset_path, "wb") as fh:
         write_dataset_csv(dataset, fh)
     report_path = run.path / "report.txt"
     report_path.write_text(report.to_text(), encoding="utf-8")

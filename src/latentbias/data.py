@@ -40,8 +40,11 @@ Ingest only drops and counts rows with too few fields.
 
 The canonical dataset CSV has one line per stop, so a file has at most
 2·K·F distinct lines for K groups and F forces. :func:`write_dataset_csv`
-writes the stops in cell order, so each cell present is one run of its
-line. :func:`read_dataset_csv` reads one input form, a binary stream, and
+writes the stops in cell order to a binary stream, each cell present as
+one run of its line's bytes in one write. :func:`read_dataset_csv` reads
+one input form, a binary stream, through a read-only mapping of its file
+where it has one (:func:`stream_bytes`, which the manifest's hash shares),
+so the file's bytes are read in the page cache and never copied. It
 counts the copies of every distinct line, counting each run of one line
 with a few comparisons, up to the first line that recurs after a
 different line. It then has two paths, one parse per distinct line or one
@@ -56,8 +59,10 @@ import enum
 import io
 import json
 import math
+import mmap
 import re
 from collections import Counter, defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import count, repeat
 from operator import add, itemgetter
@@ -84,6 +89,7 @@ __all__ = [
     "synthesize",
     "write_dataset_csv",
     "read_dataset_csv",
+    "stream_bytes",
 ]
 
 DEFAULT_GROUP_LABELS = ("White", "Black", "Asian", "Other/Mixed")
@@ -404,7 +410,8 @@ def parse_records(
     A parser error names the line on which the rejected record began. The
     row pipeline does not track lines, so after an error a seekable stream
     is read again up to that record; any other input names the line the
-    parser stopped on instead.
+    parser stopped on instead. The CLI reads a pipe whole into memory
+    first, so every input it parses can be read again.
 
     Cost: the rows are tokenised once, and C-level iterators intern each
     row's four :data:`RAW_COLUMNS` fields to a key id, with no Python per
@@ -627,25 +634,26 @@ def csv_field(text: str) -> str:
     return text
 
 
-def write_dataset_csv(dataset: Dataset, stream: TextIO) -> None:
-    """Canonical dataset CSV: ``group,stopped,outcome,force``, one row per
+def write_dataset_csv(dataset: Dataset, stream: BinaryIO) -> None:
+    """Canonical dataset CSV, as UTF-8 bytes to a binary stream (a file
+    opened with ``"wb"``): ``group,stopped,outcome,force``, one row per
     stop, so ``stopped`` is always ``1`` and ``outcome`` is ``0`` or ``1``.
 
     The rows come in cell order, ascending ``(2·group + outcome)·F + force``
     for F forces, the C-order ravel of ``dataset.counts``. A row is fixed by
-    its cell, so each cell present is formatted once and written as one
-    run, its line repeated by the cell's count; only the forces of cells
-    present are formatted, however many forces the table holds.
+    its cell, so each cell present is formatted and encoded once and written
+    as one run, its line's bytes repeated by the cell's count: one write
+    per cell, and no text of the whole file is built. Only the forces of
+    cells present are formatted, however many forces the table holds.
     """
-    stream.write(",".join(_CANONICAL_COLUMNS) + "\n")
+    stream.write((",".join(_CANONICAL_COLUMNS) + "\n").encode())
     n_forces = len(dataset.forces)
     tally = dataset.counts.ravel()
     present = np.flatnonzero(tally)
     group_outcome, force = np.divmod(present, n_forces)
     starts = [csv_field(label) + end for label in dataset.labels for end in (",1,0,", ",1,1,")]
-    stream.write("".join((starts[go] + csv_field(dataset.forces[f]) + "\n") * n
-                         for go, f, n in zip(group_outcome.tolist(), force.tolist(),
-                                             tally[present].tolist())))
+    for go, f, n in zip(group_outcome.tolist(), force.tolist(), tally[present].tolist()):
+        stream.write((starts[go] + csv_field(dataset.forces[f]) + "\n").encode() * n)
 
 
 def _csv_rows(lines: Iterable[str]):
@@ -730,16 +738,17 @@ def _distinct_stops(lines: dict) -> list | None:
         return None
 
 
-def _line_runs(data: bytes) -> tuple[dict, int]:
-    """The runs of one line repeated that ``data`` begins with, its lines
-    ending at LF (the last may lack its LF): each run's line mapped to its
-    number of copies, in file order, and the offset where the runs stop, at
-    the first line that recurs after a different line or at the end of
-    ``data``.
+def _line_runs(data) -> tuple[dict, int]:
+    """The runs of one line repeated that ``data`` (``bytes`` or a mapping)
+    begins with, its lines ending at LF (the last may lack its LF): each
+    run's line mapped to its number of copies, in file order, and the
+    offset where the runs stop, at the first line that recurs after a
+    different line or at the end of ``data``.
 
-    A run of n copies costs O(log n) steps: its length is found by
-    ``bytes.startswith`` checks of twice as many copies past the run while
-    they match, then of half as many.
+    A run of n copies costs O(log n) steps: its length is found by checking
+    that twice as many copies follow the run while they match, then half as
+    many. A check is a ``find`` confined to the copies' span, which a
+    mapping has and ``startswith`` it lacks.
     """
     runs = {}
     pos = 0
@@ -748,23 +757,55 @@ def _line_runs(data: bytes) -> tuple[dict, int]:
         if line in runs:
             break
         run, step, width = 1, 1, len(line)
-        while data.startswith(line * step, pos + run * width):
+        while _holds(data, line * step, pos + run * width):
             run += step
             step *= 2
         while step > 1:
             step //= 2
-            if data.startswith(line * step, pos + run * width):
+            if _holds(data, line * step, pos + run * width):
                 run += step
         runs[line] = run
         pos += run * width
     return runs, pos
 
 
+def _holds(data, pattern: bytes, at: int) -> bool:
+    """Whether ``data`` holds ``pattern`` at offset ``at``."""
+    return data.find(pattern, at, at + len(pattern)) == at
+
+
+@contextmanager
+def stream_bytes(stream: BinaryIO):
+    """The bytes of a binary ``stream`` from its position to its end, to be
+    read and not kept: a read-only mapping of its file when the stream is a
+    file at its start, so the bytes come from the page cache with no copy,
+    and otherwise its bytes read whole (a pipe, an empty file, which cannot
+    be mapped, or a stream with no file such as :class:`io.BytesIO`). The
+    mapping holds a duplicate of the file's descriptor and is closed on
+    exit, so nothing taken from it may hold its buffer past then."""
+    try:
+        mapping = None if stream.tell() else mmap.mmap(stream.fileno(), 0,
+                                                        access=mmap.ACCESS_READ)
+    except (OSError, ValueError):
+        mapping = None
+    if mapping is None:
+        yield stream.read()
+        return
+    with mapping:
+        yield mapping
+
+
 def read_dataset_csv(stream: BinaryIO) -> Dataset:
     """Load a canonical dataset CSV from a binary stream of UTF-8 (a file
-    or pipe opened with ``"rb"``), read whole, as the tally of its stops;
-    group codes follow sorted label order and force codes the order in
-    which forces first appear.
+    or pipe opened with ``"rb"``) as the tally of its stops; group codes
+    follow sorted label order and force codes the order in which forces
+    first appear.
+
+    A file is read through a read-only mapping of it, which the read walks
+    and counts in the page cache without copying it; anything that cannot
+    be mapped (a pipe, an empty file, an :class:`io.BytesIO`) is read whole
+    (:func:`stream_bytes`). The counts are the same either way, and the
+    mapping is closed before the read returns.
 
     Every line, split at LF, the header included, is counted raw, the
     distinct lines in order of first appearance, so the header comes
@@ -798,20 +839,18 @@ def read_dataset_csv(stream: BinaryIO) -> Dataset:
             inside a quoted field included.
         UnicodeDecodeError: if the bytes are not valid UTF-8.
     """
-    data = stream.read()
-    runs, pos = _line_runs(data)
-    lines = Counter(runs)
-    rest = io.BytesIO(data)
-    rest.seek(pos)
-    lines.update(rest)
-    stops = _distinct_stops(lines)
-    if stops is None:
-        # row path: every line parsed in file order, the stops counted
-        rows = _csv_rows(io.StringIO(data.decode(), newline=""))
-        columns, width = _header_columns(next(rows, (1, None))[1])
-        counted = Counter(_stops(rows, columns, width)).items()
-    else:
-        counted = zip(stops, lines.values())
+    with stream_bytes(stream) as data:
+        runs, pos = _line_runs(data)
+        lines = Counter(runs)
+        lines.update(io.BytesIO(data[pos:]))
+        stops = _distinct_stops(lines)
+        if stops is None:
+            # row path: every line parsed in file order, the stops counted
+            rows = _csv_rows(io.StringIO(str(data, "utf-8"), newline=""))
+            columns, width = _header_columns(next(rows, (1, None))[1])
+            counted = Counter(_stops(rows, columns, width)).items()
+        else:
+            counted = zip(stops, lines.values())
     counted = [(stop, n) for stop, n in counted if stop]
     label_ids = {label: i for i, label in enumerate(sorted({stop[0] for stop, _n in counted}))}
     force_ids: dict[str, int] = {}

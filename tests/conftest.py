@@ -294,13 +294,14 @@ def named_cells(dataset) -> dict:
 
 
 def write_dataset_csv_oracle(dataset, stream) -> None:
-    """Canonical dataset CSV written one row at a time, the cells in
-    ascending ``(2·group + outcome)·F + force`` order."""
-    stream.write(",".join(_CANONICAL_COLUMNS) + "\n")
+    """Canonical dataset CSV written to a binary stream one row at a time,
+    each row's text encoded as UTF-8, the cells in ascending
+    ``(2·group + outcome)·F + force`` order."""
+    stream.write((",".join(_CANONICAL_COLUMNS) + "\n").encode("utf-8"))
     for (g, positive, f), n in np.ndenumerate(dataset.counts):
         for _ in range(n):
             stream.write(f"{_csv_field(dataset.labels[g])},1,{positive},"
-                         f"{_csv_field(dataset.forces[f])}\n")
+                         f"{_csv_field(dataset.forces[f])}\n".encode("utf-8"))
 
 
 def read_dataset_csv_oracle(stream) -> Dataset:

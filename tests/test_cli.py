@@ -39,7 +39,7 @@ def canonical_csv(tmp_path):
     params = TrueParams(beta=(0.0, 0.8), population=(400, 400))
     dataset, _ = synthesize(params, np.random.default_rng(3), labels=("alpha", "beta"))
     path = tmp_path / "dataset.csv"
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "wb") as fh:
         write_dataset_csv(dataset, fh)
     return path
 
@@ -199,20 +199,53 @@ def _pipe_holding(data: bytes) -> int:
     return read_end
 
 
-@pytest.mark.parametrize("argv, data", [
-    (["ingest"], HEADER.encode() + b"ForceA,White,,Arrest\nForceA,Bl\xffck,,Arrest\n"),
-    (["fit", "--seed", "1"], b"group,stopped,outcome,force\na,1,1,f\n\na,1,0,\xff\n"),
+@pytest.mark.parametrize("argv, data, line", [
+    (["ingest"], HEADER.encode() + b"ForceA,White,,Arrest\nForceA,Bl\xffck,,Arrest\n", 3),
+    (["fit", "--seed", "1"], b"group,stopped,outcome,force\na,1,1,f\n\na,1,0,\xff\n", 4),
 ], ids=["ingest", "fit"])
-def test_non_utf8_input_on_a_pipe_exit_2(tmp_path, capsys, argv, data):
-    # a pipe cannot be read again to find the line, so the message names the
-    # input alone
+def test_non_utf8_input_on_a_pipe_exit_2(tmp_path, capsys, argv, data, line):
+    # a pipe is read whole before it is parsed, so it is read again to find
+    # the line of the first bad byte, as a file is
     read_end = _pipe_holding(data)
     try:
         path = f"/dev/fd/{read_end}"
         assert main([*argv, "--input", path, "--out-dir", str(tmp_path / "o")]) == 2
     finally:
         os.close(read_end)
-    assert capsys.readouterr() == ("", f"error: {path}: not valid UTF-8 (invalid start byte)\n")
+    assert capsys.readouterr() == (
+        "", f"error: {path}: line {line}: not valid UTF-8 (invalid start byte)\n")
+
+
+def test_piped_ingest_names_the_line_the_bad_record_began(tmp_path, capsys):
+    # a record that opens on line 4 and breaks its quoted field onto line 5
+    # is named by line 4, from a pipe as from a file
+    data = (HEADER + "ForceA,White,,Arrest,d\nForceA,Black,,Arrest,d\n"
+            'ForceA,"Whi\nte"x,,Arrest,d\n').encode()
+    raw = tmp_path / "raw.csv"
+    raw.write_bytes(data)
+    read_end = _pipe_holding(data)
+    try:
+        for path in (str(raw), f"/dev/fd/{read_end}"):
+            assert main(["ingest", "--input", path, "--out-dir", str(tmp_path / "o")]) == 2
+            assert capsys.readouterr().err == "error: line 4: ',' expected after '\"'\n"
+    finally:
+        os.close(read_end)
+
+
+def test_piped_input_is_recorded_without_a_digest(raw_csv, tmp_path):
+    # a pipe has been read when the manifest is written, so its digest is
+    # null, not the digest of no bytes; the outputs are those of the file
+    read_end = _pipe_holding(raw_csv.read_bytes())
+    try:
+        path = f"/dev/fd/{read_end}"
+        assert main(["ingest", "--input", path, "--out-dir", str(tmp_path / "pipe")]) == 0
+    finally:
+        os.close(read_end)
+    assert main(["ingest", "--input", str(raw_csv), "--out-dir", str(tmp_path / "file")]) == 0
+    piped = json.loads((tmp_path / "pipe" / "manifest.json").read_text())
+    assert piped["inputs"]["raw"] == {"path": path, "sha256": None}
+    for name in ("dataset.csv", "report.txt"):
+        assert (tmp_path / "pipe" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
 
 
 def test_unanchored_fits_ignore_the_row_order_of_the_file(canonical_csv, tmp_path, capsys):
@@ -452,7 +485,7 @@ def test_rank_outputs(canonical_csv, tmp_path, capsys):
 def test_rank_single_group_two_rows(tmp_path):
     dataset = Dataset(np.array([[[25], [25]]]), ("only",))
     path = tmp_path / "one.csv"
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "wb") as fh:
         write_dataset_csv(dataset, fh)
     out = tmp_path / "r1"
     assert main(["rank", "--input", str(path), "--iterations", "50",

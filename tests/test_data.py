@@ -1,5 +1,7 @@
+import hashlib
 import io
 import math
+import mmap
 import os
 import tracemalloc
 
@@ -24,6 +26,8 @@ from latentbias import (
     synthesize,
     write_dataset_csv,
 )
+from latentbias.data import stream_bytes
+from latentbias.manifest import sha256_file
 from conftest import (
     GUILTY_LENIENT,
     NATIONAL_TABLE,
@@ -434,10 +438,10 @@ def test_true_params_rejects_bad_noise(field, value):
 def test_dataset_csv_roundtrip():
     params = TrueParams(beta=(0.0, 1.0), population=(300, 300))
     records, _report = synthesize(params, np.random.default_rng(4))
-    buf = io.StringIO()
+    buf = io.BytesIO()
     write_dataset_csv(records, buf)
-    assert buf.getvalue().splitlines()[0] == "group,stopped,outcome,force"
-    back = read_dataset_csv(io.BytesIO(buf.getvalue().encode()))
+    assert buf.getvalue().splitlines()[0] == b"group,stopped,outcome,force"
+    back = read_dataset_csv(io.BytesIO(buf.getvalue()))
     assert back.labels == ("group0", "group1")
     assert back.forces == ("synthetic",)
     assert np.array_equal(back.counts, records.counts)
@@ -446,11 +450,11 @@ def test_dataset_csv_roundtrip():
 def test_dataset_csv_quotes_force_names():
     records = dataset_from_rows([1, 0], [True, False], ("b", "a"), [0, 1],
                                 ("Police Service, PSNI", ""))
-    buf = io.StringIO()
+    buf = io.BytesIO()
     write_dataset_csv(records, buf)
     # cell (2·group + outcome)·2 + force: 1 for the second row, 6 for the first
-    assert buf.getvalue() == 'group,stopped,outcome,force\nb,1,0,\na,1,1,"Police Service, PSNI"\n'
-    back = read_dataset_csv(io.BytesIO(buf.getvalue().encode()))
+    assert buf.getvalue() == b'group,stopped,outcome,force\nb,1,0,\na,1,1,"Police Service, PSNI"\n'
+    back = read_dataset_csv(io.BytesIO(buf.getvalue()))
     assert back.labels == ("a", "b")  # codes follow sorted label order
     assert back.forces == ("", "Police Service, PSNI")  # forces in order of first appearance
     assert back.counts.tolist() == [[[0, 0], [0, 1]], [[1, 0], [0, 0]]]
@@ -508,11 +512,11 @@ def _same_dataset(a, b):
 def test_dataset_csv_reads_blank_lines_and_a_record_over_two_lines():
     records = dataset_from_rows([1, 0, 2, 1, 0], [True, False, True, True, False],
                                 ("a", "b", "c\nd"), [0, 1, 1, 0, 1], ("Police, PSNI", "f"))
-    buf = io.StringIO()
+    buf = io.BytesIO()
     write_dataset_csv(records, buf)
-    header, rows = buf.getvalue().split("\n", 1)
-    text = header + "\n\n" + rows + "\n"  # with blank lines, and a record over two lines
-    assert _same_dataset(read_dataset_csv(io.BytesIO(text.encode())), records)
+    header, rows = buf.getvalue().split(b"\n", 1)
+    raw = header + b"\n\n" + rows + b"\n"  # with blank lines, and a record over two lines
+    assert _same_dataset(read_dataset_csv(io.BytesIO(raw)), records)
 
 
 def test_dataset_csv_roundtrips_many_records_that_span_lines():
@@ -522,9 +526,9 @@ def test_dataset_csv_roundtrips_many_records_that_span_lines():
     n = 20_000
     records = dataset_from_rows(rng.integers(0, 3, n), rng.random(n) < 0.5,
                                 ("a\nb", "c\nd", "e\n"), rng.integers(0, 2, n), ("f", "g\nh"))
-    buf = io.StringIO()
+    buf = io.BytesIO()
     write_dataset_csv(records, buf)
-    back = read_dataset_csv(io.BytesIO(buf.getvalue().encode()))
+    back = read_dataset_csv(io.BytesIO(buf.getvalue()))
     assert back.labels == ("a\nb", "c\nd", "e\n") and back.forces == ("f", "g\nh")
     assert np.array_equal(back.counts, records.counts)
 
@@ -543,7 +547,7 @@ def _read_peak(stream):
 def _many_stops():
     params = TrueParams(beta=(0.4, 0.0, -0.4, -0.8), population=(112_000,) * 4)
     records, _report = synthesize(params, np.random.default_rng(15))
-    buf = io.StringIO()
+    buf = io.BytesIO()
     write_dataset_csv(records, buf)
     assert len(records) > 200_000
     return records, buf.getvalue()
@@ -553,8 +557,8 @@ def test_dataset_csv_binary_read_holds_no_list_of_lines():
     # about 214k stops on 8 distinct lines: the read walks the 8 runs and
     # holds the file's bytes (about 4.2 MB) and copies of a run's line up to
     # half the run, not every line of the file (about 24 MB)
-    records, text = _many_stops()
-    back, peak = _read_peak(io.BytesIO(text.encode()))
+    records, raw = _many_stops()
+    back, peak = _read_peak(io.BytesIO(raw))
     assert np.array_equal(back.counts, records.counts)
     assert peak < 14e6, f"read peaked at {peak / 1e6:.1f} MB"
 
@@ -592,9 +596,9 @@ def test_dataset_csv_reads_binary_lines_as_text_lines(ending):
     # unquoted field; it must read as the text does
     records = dataset_from_rows([1, 0, 2, 1, 0], [True, False, True, True, False],
                                 ("a", "b", "c"), [0, 1, 1, 0, 1], ("Police, PSNI", "f"))
-    buf = io.StringIO()
+    buf = io.BytesIO()
     write_dataset_csv(records, buf)
-    raw = _with_endings(buf.getvalue(), ending)
+    raw = _with_endings(buf.getvalue().decode(), ending)
     assert _same_dataset(read_dataset_csv(io.BytesIO(raw)), records)
     bad = _with_endings("group,stopped,outcome,force\na,1,1,f\n\na,1,x,f\n", ending)
     with pytest.raises(DataError, match="^line 4: every row must be a stop"):
@@ -634,3 +638,92 @@ def test_dataset_csv_without_rows():
         back = read_dataset_csv(io.BytesIO(raw))
         assert (back.labels, back.forces, len(back)) == ((), (), 0)
         assert back.counts.shape == (0, 2, 0) and back.counts.dtype == np.intp
+
+
+def _canonical_bytes(labels=("a", "b"), forces=("f", "Police, PSNI")) -> bytes:
+    records = dataset_from_rows([0, 1, 1, 0, 1, 0], [True, False, True, True, False, False],
+                                labels, [0, 1, 1, 0, 0, 1], forces)
+    buf = io.BytesIO()
+    write_dataset_csv(records, buf)
+    return buf.getvalue()
+
+
+def _shuffled(raw: bytes) -> bytes:
+    header, *rows = raw.splitlines(keepends=True)
+    np.random.default_rng(2).shuffle(rows)
+    return header + b"".join(rows)
+
+
+# files the reader maps, one per path through it: runs in cell order, lines
+# counted one by one, a last line without LF, the row path (a quoted line
+# break, CR line endings), an undecodable byte, and a file too empty to map
+_MAPPED_FILES = {
+    "cell order": _canonical_bytes(),
+    "shuffled": _shuffled(_canonical_bytes()),
+    "no final LF": _canonical_bytes()[:-1],
+    "quoted line break": _canonical_bytes(labels=("a\nb", "c")),
+    "CR endings": _canonical_bytes().replace(b"\n", b"\r"),
+    "non-UTF-8": _canonical_bytes().replace(b"a,1,1,f", b"a,1,1,\xff", 1),
+    "empty": b"",
+}
+
+
+def _fd_count() -> int | None:
+    """The number of this process's open file descriptors, ``None`` where
+    ``/proc/self/fd`` does not list them."""
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+def _read_result(stream):
+    """The tally ``read_dataset_csv`` reads from ``stream``, or the type and
+    text of the error it raises."""
+    try:
+        back = read_dataset_csv(stream)
+    except (DataError, UnicodeDecodeError) as exc:
+        return type(exc), str(exc)
+    return back.labels, back.forces, back.counts.tolist()
+
+
+@pytest.mark.parametrize("raw", _MAPPED_FILES.values(), ids=_MAPPED_FILES)
+def test_mapped_file_reads_as_its_bytes_do(tmp_path, raw):
+    # the file is read through a mapping of it; the bytes in memory are read
+    # as they are: the same tally or the same error, and no descriptor is
+    # left open by the mapping
+    path = tmp_path / "dataset.csv"
+    path.write_bytes(raw)
+    with open(path, "rb") as fh:
+        before = _fd_count()
+        mapped = _read_result(fh)
+        assert _fd_count() == before
+    assert mapped == _read_result(io.BytesIO(raw))
+
+
+@pytest.mark.parametrize("raw", [b"", _canonical_bytes()], ids=["empty", "nonempty"])
+def test_sha256_file_hashes_the_file_and_leaves_no_descriptor(tmp_path, raw):
+    path = tmp_path / "input.csv"
+    path.write_bytes(raw)
+    before = _fd_count()
+    assert sha256_file(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert _fd_count() == before
+
+
+def test_stream_bytes_maps_a_file_at_its_start_and_reads_anything_else(tmp_path):
+    path = tmp_path / "input.csv"
+    path.write_bytes(b"group\n")
+    with open(path, "rb") as fh, stream_bytes(fh) as data:
+        assert isinstance(data, mmap.mmap) and data[:] == b"group\n"
+    assert data.closed
+    with open(path, "rb") as fh:
+        fh.seek(2)
+        with stream_bytes(fh) as data:
+            assert data == b"oup\n"
+    read_end, write_end = os.pipe()
+    os.write(write_end, b"group\n")
+    os.close(write_end)
+    with open(read_end, "rb") as pipe, stream_bytes(pipe) as data:
+        assert data == b"group\n"
+    with stream_bytes(io.BytesIO(b"group\n")) as data:
+        assert data == b"group\n"
+    path.write_bytes(b"")
+    with open(path, "rb") as fh, stream_bytes(fh) as data:
+        assert data == b""

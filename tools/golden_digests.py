@@ -30,7 +30,14 @@ walks the written file's runs; it runs ``fit`` (``dependent``, and
 ``independent --anchoring off``, whose chain must not depend on the row
 order either) and ``rank``, whose outputs must equal ``export-200k``'s
 apart from the manifests, which name and hash the input, and its exit
-codes go in a file of its own. It prints
+codes go in a file of its own. Then ``national-cli-piped`` runs
+``national-cli``'s ``ingest``, ``fit`` (``dependent``) and ``rank`` with
+``--input /dev/stdin``, each fed its input's bytes through a real pipe,
+which the CLI cannot map and reads whole; their outputs and logs must
+equal ``national-cli``'s apart from the manifests, which record the pipe
+with a null digest, and the script checks that they do: it names each
+file that differs on stderr and exits 1 after printing. Its exit codes go
+in a file of its own. It prints
 ``sha256  relpath`` for every file the commands write, for each command's
 stdout and stderr, and for the files of exit codes. Commands run with
 ``OUT_DIR`` as working directory and relative paths, and each manifest is
@@ -73,6 +80,9 @@ QUOTED = "national-cli-quoted"
 # default group label -> the label national-cli-quoted gives it
 QUOTED_LABELS = {"Black": "Black, African", "Asian": 'Asian "South"', "Other/Mixed": "Other\nMixed"}
 SHUFFLED = "export-200k-shuffled"
+PIPED = "national-cli-piped"
+# the national-cli steps national-cli-piped runs on a pipe
+PIPED_STEPS = ("ingest", "fit", "rank")
 # one BLAS thread, so a matrix product sums in one order on every host
 ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
@@ -182,16 +192,49 @@ def shuffled_steps() -> list[tuple[str, list[str]]]:
             for step, argv in commands("export-200k") if step in ("fit", "fit-indep-off", "rank")]
 
 
-def run_steps(name: str, steps, out: Path, env: dict) -> str:
+def piped_steps() -> tuple[list[tuple[str, list[str]]], dict[str, str]]:
+    """``(step, argv)`` pairs for ``national-cli-piped``: the
+    :data:`PIPED_STEPS` of ``national-cli`` with ``--input /dev/stdin``, and
+    each step's input path, whose bytes go to it through a pipe."""
+    steps, stdin = [], {}
+    for step, argv in commands("national-cli"):
+        if step in PIPED_STEPS:
+            i = argv.index("--input") + 1
+            steps.append((step, [*argv[:i], "/dev/stdin", *argv[i + 1:]]))
+            stdin[step] = argv[i]
+    return steps, stdin
+
+
+def piped_mismatches(out: Path) -> list[str]:
+    """The outputs and logs of ``national-cli-piped``'s steps that differ
+    from ``national-cli``'s, or that only one of them has, manifests aside."""
+    def files(name: str, step: str) -> dict[str, bytes]:
+        paths = {f"{step}/{p.name}": p for p in (out / name / step).iterdir()
+                 if p.name != "manifest.json"}
+        paths.update((f"logs/{step}.{log}", out / name / "logs" / f"{step}.{log}")
+                     for log in ("stdout", "stderr"))
+        return {rel: path.read_bytes() for rel, path in paths.items()}
+
+    differ = []
+    for step in PIPED_STEPS:
+        piped, source = files(PIPED, step), files("national-cli", step)
+        differ += [f"{PIPED}/{rel}" for rel in sorted(piped.keys() | source.keys())
+                   if piped.get(rel) != source.get(rel)]
+    return differ
+
+
+def run_steps(name: str, steps, out: Path, env: dict, stdin: dict | None = None) -> str:
     """Run each ``(step, argv)`` of workload ``name`` with outputs in
     ``name/step``, keep its stdout and stderr under ``name/logs``, and
-    return the lines of its exit codes."""
+    return the lines of its exit codes. A step named in ``stdin`` is fed
+    the bytes of the file at its path through a pipe."""
     (out / name / "logs").mkdir(parents=True, exist_ok=True)
     exit_codes = []
     for step, cli_argv in steps:
+        fed = (out / stdin[step]).read_bytes() if stdin and step in stdin else None
         proc = subprocess.run([sys.executable, "-m", "latentbias.cli", *cli_argv,
                                "--out-dir", f"{name}/{step}"],
-                              cwd=out, env=env, capture_output=True)
+                              cwd=out, env=env, input=fed, capture_output=True)
         (out / name / "logs" / f"{step}.stdout").write_bytes(proc.stdout)
         (out / name / "logs" / f"{step}.stderr").write_bytes(proc.stderr)
         exit_codes.append(f"{name}/{step} {proc.returncode}\n")
@@ -239,9 +282,16 @@ def main(argv: list[str]) -> int:
     write_shuffled(out / "export-200k" / "ingest" / "dataset.csv", out / SHUFFLED / "dataset.csv")
     (out / SHUFFLED / "exit_codes.txt").write_text(
         run_steps(SHUFFLED, shuffled_steps(), out, env), encoding="utf-8")
+    (out / PIPED).mkdir()
+    steps, stdin = piped_steps()
+    (out / PIPED / "exit_codes.txt").write_text(
+        run_steps(PIPED, steps, out, env, stdin), encoding="utf-8")
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         print(f"{digest(path)}  {path.relative_to(out).as_posix()}")
-    return 0
+    differ = piped_mismatches(out)
+    for name in differ:
+        sys.stderr.write(f"error: {name} differs from the file-input run's\n")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
