@@ -18,8 +18,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .data import (
     Dataset,
@@ -40,14 +38,16 @@ from .inference import (
     write_trace_csv,
 )
 from .likelihood import predictive_score
-from .manifest import build_manifest, write_manifest
-from .model import ModelConfig, PriorKind, require_positive_finite
+from .manifest import sha256_file, write_manifest
+from .model import ModelConfig, PriorKind
 from .plotting import render_trace_svg
 from .ranking import matches_from_dataset, trueskill_gibbs, write_ranking_csv
 from .seeds import DOMAIN_BALANCE, DOMAIN_FIT, DOMAIN_RANK, derive_rng, derive_seed
 
 LONDON_MET_FORCE = "Metropolitan Police"
 PRESETS = ("national", "augmented", "charges", "london-met")
+# the options that name an input file, which the manifest hashes
+FILE_OPTIONS = ("input", "mapping", "summary", "test", "trace")
 # the lone surrogates an undecodable byte reads as under "surrogateescape"
 _UNDECODED = re.compile("[\udc80-\udcff]")
 
@@ -90,20 +90,30 @@ class _RunDir:
     """
 
     def __init__(self, args):
-        self.command = args.command
+        self.args = args
         self.path = Path(args.out_dir)
         self.path.mkdir(parents=True, exist_ok=True)
         self._t0 = time.perf_counter()
 
-    def finish(self, config: dict, inputs: dict, outputs: dict, extra: dict | None = None) -> None:
-        doc = build_manifest(
-            command=self.command,
-            config=config,
-            inputs=inputs,
-            outputs=outputs,
-            wall_time_s=time.perf_counter() - self._t0,
-            extra=extra,
-        )
+    def finish(self, outputs: dict, **extra) -> None:
+        """Write the manifest from the parsed options: each input file given
+        by its path and digest under ``inputs``, every other option but
+        ``--out-dir`` under ``config``; then the outputs, the wall time, the
+        library version and each ``extra`` key whose value is not ``None``."""
+        options = {name: value for name, value in vars(self.args).items()
+                   if name not in ("command", "func", "out_dir")}
+        doc = {
+            "command": self.args.command,
+            "config": {name: value for name, value in options.items()
+                       if name not in FILE_OPTIONS},
+            "inputs": {name: {"path": path, "sha256": sha256_file(path)}
+                       for name, path in options.items()
+                       if name in FILE_OPTIONS and path is not None},
+            "outputs": {name: str(path) for name, path in outputs.items()},
+            "wall_time_s": round(time.perf_counter() - self._t0, 6),
+            "library_version": __version__,
+            **{name: value for name, value in extra.items() if value is not None},
+        }
         write_manifest(doc, self.path / "manifest.json")
 
 
@@ -117,15 +127,8 @@ def cmd_ingest(args) -> int:
         write_dataset_csv(dataset, fh)
     report_path = run.path / "report.txt"
     report_path.write_text(report.to_text(), encoding="utf-8")
-    inputs = {"raw": args.input}
-    if args.mapping:
-        inputs["mapping"] = args.mapping
-    run.finish(
-        config={"scheme": args.scheme, "mapping": args.mapping or "default"},
-        inputs=inputs,
-        outputs={"dataset": dataset_path, "report": report_path},
-        extra={"rows_kept": report.rows_kept, "rows_dropped": report.rows_dropped},
-    )
+    run.finish({"dataset": dataset_path, "report": report_path},
+               rows_kept=report.rows_kept, rows_dropped=report.rows_dropped)
     sys.stdout.write(report.to_text())
     return 0
 
@@ -151,6 +154,8 @@ def _load_fit_dataset(args) -> Dataset:
 def cmd_fit(args) -> int:
     if args.chains < 1:
         raise DomainError(f"--chains must be >= 1, got {args.chains}")
+    if args.mapping is not None and args.preset is None:
+        raise DomainError("--mapping needs --preset: a canonical dataset is already mapped")
     run = _RunDir(args)
     dataset = _load_fit_dataset(args)
     prior = PriorKind.from_string(args.prior)
@@ -158,7 +163,6 @@ def cmd_fit(args) -> int:
     outputs = {}
     summary = None
     divergence = None
-    trace_names = []
     for chain in range(args.chains):
         config = ModelConfig(
             seed=derive_seed(args.seed, DOMAIN_FIT, chain),
@@ -171,7 +175,6 @@ def cmd_fit(args) -> int:
         )
         name = "trace.csv" if args.chains == 1 else f"trace_chain{chain}.csv"
         trace_path = run.path / name
-        trace_names.append(name)
         try:
             chain_summary, trace = run_gibbs(dataset, config)
         except DivergenceError as exc:
@@ -194,27 +197,7 @@ def cmd_fit(args) -> int:
         (run.path / "summary.json").write_text(summary.to_json() + "\n", encoding="utf-8")
         outputs["summary_csv"] = summary_csv
         outputs["summary_json"] = run.path / "summary.json"
-    config_snapshot = {
-        "prior": args.prior,
-        "sweeps": args.sweeps,
-        "burn_in": args.burn_in,
-        "seed": args.seed,
-        "alpha": args.alpha,
-        "gamma": args.gamma,
-        "anchoring": args.anchoring or "default",
-        "chains": args.chains,
-        "preset": args.preset,
-        "traces": trace_names,
-    }
-    inputs = {"dataset": args.input}
-    if args.preset is not None and args.mapping:
-        inputs["mapping"] = args.mapping
-    run.finish(
-        config=config_snapshot,
-        inputs=inputs,
-        outputs=outputs,
-        extra={"divergence": divergence} if divergence else None,
-    )
+    run.finish(outputs, divergence=divergence)
     if divergence is not None:
         return 3
     for idx in summary.ranked_indices():
@@ -241,65 +224,18 @@ def cmd_rank(args) -> int:
     ranking_path = run.path / "ranking.csv"
     with open(ranking_path, "w", encoding="utf-8") as fh:
         write_ranking_csv(labels, means, variances, fh)
-    run.finish(
-        config={
-            "iterations": args.iterations,
-            "seed": args.seed,
-            "anchor_common": args.anchor_common,
-        },
-        inputs={"dataset": args.input},
-        outputs={"ranking": ranking_path},
-    )
+    run.finish({"ranking": ranking_path})
     sys.stdout.write(ranking_path.read_text(encoding="utf-8"))
     return 0
-
-
-def _score_noise(args, summary: PosteriorSummary) -> dict[str, float]:
-    """``alpha`` and ``gamma`` for ``score``: the flag where given, else the
-    value the fit recorded in its summary, else 1.
-
-    Raises:
-        DomainError: if a given value is not positive and finite, or
-            differs from the recorded one.
-    """
-    given = {name: getattr(args, name) for name in ("alpha", "gamma")
-             if getattr(args, name) is not None}
-    require_positive_finite(**given)
-    noise = {}
-    for name in ("alpha", "gamma"):
-        recorded = getattr(summary, name)
-        value = given.get(name, recorded)
-        if recorded is not None and value != recorded:
-            raise DomainError(f"--{name} {value} differs from the fit's {name} {recorded} "
-                              f"recorded in {args.summary}")
-        noise[name] = 1.0 if value is None else value
-    return noise
 
 
 def cmd_score(args) -> int:
     run = _RunDir(args)
     summary = PosteriorSummary.from_json(_read_input(args.summary, lambda fh: fh.read()))
-    noise = _score_noise(args, summary)
-    test = _read_dataset(args.test)
-    # place the test tally on the summary's labels
-    unknown = [label for label in test.labels if label not in summary.labels]
-    if unknown:
-        raise DomainError(
-            f"test dataset group {unknown[0]!r} is unknown to the summary "
-            f"(labels: {summary.labels})"
-        )
-    counts = np.zeros((len(summary.labels), *test.counts.shape[1:]), dtype=np.intp)
-    counts[[summary.labels.index(label) for label in test.labels]] = test.counts
-    test = Dataset(counts, summary.labels, test.forces)
-    score = predictive_score(summary, test, noise["alpha"], noise["gamma"], method=args.method)
+    score = predictive_score(summary, _read_dataset(args.test), args.method)
     line = f"{100.0 * score:.1f}\n"
     (run.path / "score.txt").write_text(line, encoding="utf-8")
-    run.finish(
-        config={**noise, "method": args.method},
-        inputs={"summary": args.summary, "test": args.test},
-        outputs={"score": run.path / "score.txt"},
-        extra={"score_percent": round(100.0 * score, 4)},
-    )
+    run.finish({"score": run.path / "score.txt"}, score_percent=round(100.0 * score, 4))
     sys.stdout.write(line)
     return 0
 
@@ -310,7 +246,7 @@ def cmd_plot(args) -> int:
     svg = render_trace_svg(trace)
     plot_path = run.path / "plot.svg"
     plot_path.write_text(svg, encoding="utf-8")
-    run.finish(config={}, inputs={"trace": args.trace}, outputs={"plot": plot_path})
+    run.finish({"plot": plot_path})
     return 0
 
 
@@ -331,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="run the Gibbs sampler")
     p.add_argument("--input", required=True, help="canonical dataset CSV (raw CSV with --preset)")
-    p.add_argument("--mapping", default=None)
+    p.add_argument("--mapping", default=None, help="mapping JSON for --preset's raw CSV")
     p.add_argument("--preset", default=None, choices=list(PRESETS))
     p.add_argument("--prior", default="dependent", choices=[k.value for k in PriorKind])
     p.add_argument("--sweeps", type=int, default=500)
@@ -355,8 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="score a fitted summary on held-out records")
     p.add_argument("--summary", required=True, help="summary.json from fit")
     p.add_argument("--test", required=True, help="canonical test dataset CSV")
-    p.add_argument("--alpha", type=float, default=None, help="default: the fit's")
-    p.add_argument("--gamma", type=float, default=None, help="default: the fit's")
     p.add_argument("--method", default="accuracy", choices=["accuracy", "likelihood"])
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_score)

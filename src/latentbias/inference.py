@@ -152,8 +152,8 @@ class PosteriorSummary:
     """Post-burn-in summary: per-group bias belief and rank, plus the
     criminality marginal and the run metadata needed to reuse it.
 
-    ``alpha`` and ``gamma`` are the fit's noise variances; ``None`` when
-    read from a summary written before they were recorded."""
+    ``alpha`` and ``gamma`` are the fit's noise variances; a summary written
+    before they were recorded reads them as 1, the fit's default."""
 
     labels: list[str]
     bias_mean: np.ndarray
@@ -163,8 +163,8 @@ class PosteriorSummary:
     criminality_variance: float
     prior_kind: PriorKind
     sweeps: int
-    alpha: float | None = None
-    gamma: float | None = None
+    alpha: float = 1.0
+    gamma: float = 1.0
 
     def ranked_indices(self) -> np.ndarray:
         """Group indices ordered best rank first."""
@@ -198,9 +198,10 @@ class PosteriorSummary:
 
     @classmethod
     def from_json(cls, text: str) -> "PosteriorSummary":
-        """The summary :meth:`to_json` wrote, ``alpha`` and ``gamma`` optional.
-        Raises DomainError on a missing, mistyped or inconsistent field: the
-        numeric fields hold JSON numbers, ``rank`` and ``sweeps`` integers."""
+        """The summary :meth:`to_json` wrote, ``alpha`` and ``gamma`` optional
+        (1 where absent or null). Raises DomainError on a missing, mistyped or
+        inconsistent field: the numeric fields hold JSON numbers, ``rank`` and
+        ``sweeps`` integers, and ``prior_kind`` a string."""
         try:
             d = json.loads(text)
             summary = cls(
@@ -210,9 +211,9 @@ class PosteriorSummary:
                 rank=_json_numbers(d, "rank", listed=True),
                 criminality_mean=_json_numbers(d, "criminality_mean"),
                 criminality_variance=_json_numbers(d, "criminality_variance"),
-                prior_kind=PriorKind.from_string(d["prior_kind"]),
+                prior_kind=PriorKind.from_string(_json_string(d, "prior_kind")),
                 sweeps=_json_numbers(d, "sweeps"),
-                **{name: None if d.get(name) is None else _json_numbers(d, name)
+                **{name: 1.0 if d.get(name) is None else _json_numbers(d, name)
                    for name in ("alpha", "gamma")},
             )
         except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
@@ -235,7 +236,7 @@ class PosteriorSummary:
         for name in ("bias_variance", "criminality_variance", "alpha", "gamma"):
             values = getattr(summary, name)
             # NaN fails every comparison, so test the positive case
-            if values is not None and not ((values > 0) & np.isfinite(values)).all():
+            if not ((values > 0) & np.isfinite(values)).all():
                 raise DomainError(f"not a posterior summary: {name!r} must be positive and finite")
         if not (summary.sweeps.is_integer() and summary.sweeps >= 1):
             raise DomainError("not a posterior summary: 'sweeps' must be an integer >= 1")
@@ -253,6 +254,13 @@ def _json_numbers(d: dict, name: str, listed: bool = False):
                for v in (value if listed and isinstance(value, list) else [value])):
         raise DomainError(f"{name!r} must be {'a list of numbers' if listed else 'a number'}")
     return np.asarray(value, dtype=float) if listed else float(value)
+
+
+def _json_string(d: dict, name: str) -> str:
+    """``d[name]``, which must be a JSON string; anything else raises DomainError."""
+    if not isinstance(d[name], str):
+        raise DomainError(f"{name!r} must be a string")
+    return d[name]
 
 
 def _ranks_desc(values: np.ndarray) -> np.ndarray:

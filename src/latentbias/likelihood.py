@@ -1,7 +1,8 @@
 """Held-out predictive scoring, as the ``score`` command runs it.
 
 :func:`predictive_score` scores a test set against a fitted posterior
-summary and reads only the test set's per-group outcome tally. By
+summary, at the noise variances the summary records, and reads only the
+test set's per-group outcome tally, placed on the summary's labels. By
 accuracy it predicts one outcome for every stop, from the population
 rule ``guilt_probability(criminality mean, gamma) >= 0.5``; by likelihood
 it takes the mean probability the fit gives each observed outcome, from
@@ -50,16 +51,13 @@ def outcome_probability_given_stop(
     return pos / (pos + neg) if pos + neg > 0 else 0.5
 
 
-def predictive_score(
-    posterior: PosteriorSummary,
-    test: Dataset,
-    alpha: float,
-    gamma: float,
-    method: str = "accuracy",
-) -> float:
-    """Score held-out stops against the fitted posterior.
+def predictive_score(posterior: PosteriorSummary, test: Dataset, method: str = "accuracy") -> float:
+    """Score held-out stops against the fitted posterior, at the noise
+    variances ``posterior.alpha`` and ``posterior.gamma`` the fit recorded.
 
-    ``test``'s tally rows (its group codes) index ``posterior.labels``.
+    ``test``'s groups are placed on ``posterior.labels`` by label, so the
+    two may list them in different orders; a test group the posterior does
+    not know raises DomainError.
 
     ``method="accuracy"`` (the default) predicts a positive outcome for
     every record iff ``guilt_probability(criminality mean, gamma) >= 0.5``
@@ -74,24 +72,25 @@ def predictive_score(
     (:meth:`~latentbias.data.Dataset.outcome_counts`); the likelihood sum is
     taken exactly (``math.fsum``) over its products.
     """
+    unknown = [label for label in test.labels if label not in posterior.labels]
+    if unknown:
+        raise DomainError(f"test dataset group {unknown[0]!r} is unknown to the summary "
+                          f"(labels: {posterior.labels})")
     if len(test) == 0:
         raise DomainError("test set must be nonempty")
-    counts = test.outcome_counts()
+    counts = np.zeros((len(posterior.labels), 2), dtype=np.intp)
+    counts[[posterior.labels.index(label) for label in test.labels]] = test.outcome_counts()
     if method == "accuracy":
-        p = guilt_probability(posterior.criminality_mean, gamma)
+        p = guilt_probability(posterior.criminality_mean, posterior.gamma)
         return int(counts[:, int(p >= 0.5)].sum()) / len(test)
     if method == "likelihood":
-        k = len(posterior.labels)
-        unknown = np.flatnonzero(counts[k:].any(axis=1))
-        if unknown.size:
-            raise DomainError(f"test group code {k + unknown[-1]} unknown to the posterior")
         p = np.array([
             outcome_probability_given_stop(
-                float(posterior.bias_mean[g]), posterior.criminality_mean, alpha, gamma
+                bias_mean, posterior.criminality_mean, posterior.alpha, posterior.gamma
             )
-            for g in range(k)
+            for bias_mean in posterior.bias_mean.tolist()
         ])
         # each group's negative stops score 1 - p and its positive stops p
-        per_group = counts[:k] * np.column_stack((1.0 - p, p))
+        per_group = counts * np.column_stack((1.0 - p, p))
         return math.fsum(per_group.ravel().tolist()) / len(test)
     raise DomainError(f"unknown scoring method {method!r}")

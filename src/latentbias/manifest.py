@@ -1,9 +1,11 @@
 """Run manifests: one JSON file per CLI invocation.
 
-A manifest pins the command, the configuration snapshot, SHA-256 digests
-of every input file, and the paths of every output, so a rerun can be
-checked for reproducibility. The wall-time field is informational and is
-the one field excluded from byte-identity comparisons.
+A manifest pins the command, its parsed options (each input file by its
+path and SHA-256 digest, every other option as the ``config``), and the
+paths of every output, so a rerun can be checked for reproducibility; the
+CLI builds it (``cli._RunDir.finish``), and this module hashes the inputs
+and writes it. The wall-time field is informational and is the one field
+excluded from byte-identity comparisons.
 
 An input is hashed from a read-only mapping of its file, by
 :func:`~latentbias.data.stream_bytes`, the helper the canonical reader maps
@@ -30,29 +32,6 @@ def sha256_file(path: str | Path) -> str | None:
         return None
     with open(path, "rb") as fh, stream_bytes(fh) as data:
         return hashlib.sha256(data).hexdigest()
-
-
-def build_manifest(
-    command: str,
-    config: dict,
-    inputs: dict[str, str | Path],
-    outputs: dict[str, str | Path],
-    wall_time_s: float,
-    extra: dict | None = None,
-) -> dict:
-    from . import __version__
-
-    doc = {
-        "command": command,
-        "config": config,
-        "inputs": {name: {"path": str(p), "sha256": sha256_file(p)} for name, p in inputs.items()},
-        "outputs": {name: str(p) for name, p in outputs.items()},
-        "wall_time_s": round(wall_time_s, 6),
-        "library_version": __version__,
-    }
-    if extra:
-        doc.update(extra)
-    return doc
 
 
 def write_manifest(doc: dict, path: str | Path) -> None:

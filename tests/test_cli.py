@@ -1,19 +1,23 @@
+import argparse
+import hashlib
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import latentbias
-from latentbias import (Dataset, TrueParams, default_mapping, read_trace_csv, synthesize,
+from latentbias import (Dataset, PosteriorSummary, TrueParams, default_mapping,
+                        predictive_score, read_dataset_csv, read_trace_csv, synthesize,
                         write_dataset_csv, write_trace_csv)
 from latentbias import ranking
-from latentbias.cli import main
+from latentbias.cli import build_parser, main
 
 HEADER = "force,officer_defined_ethnicity,self_defined_ethnicity,outcome,date\n"
 
@@ -86,7 +90,7 @@ def test_ingest_writes_dataset_report_manifest(raw_csv, tmp_path, capsys):
     doc = _manifest(out)
     assert doc["command"] == "ingest"
     assert doc["rows_kept"] == 600
-    assert "sha256" in doc["inputs"]["raw"]
+    assert "sha256" in doc["inputs"]["input"]
     assert "rows kept" in capsys.readouterr().out
 
 
@@ -243,7 +247,7 @@ def test_piped_input_is_recorded_without_a_digest(raw_csv, tmp_path):
         os.close(read_end)
     assert main(["ingest", "--input", str(raw_csv), "--out-dir", str(tmp_path / "file")]) == 0
     piped = json.loads((tmp_path / "pipe" / "manifest.json").read_text())
-    assert piped["inputs"]["raw"] == {"path": path, "sha256": None}
+    assert piped["inputs"]["input"] == {"path": path, "sha256": None}
     for name in ("dataset.csv", "report.txt"):
         assert (tmp_path / "pipe" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
 
@@ -384,16 +388,20 @@ def test_fit_invalid_config_exit_2(canonical_csv, tmp_path):
     for flag in ("--alpha", "--gamma")
 ])
 def test_fit_non_finite_noise_exit_2(canonical_csv, tmp_path, capsys, flag, value, method):
-    # method None runs fit with the bad value; otherwise score does, on a good fit
+    # method None runs fit with the bad value; otherwise score does, on a
+    # good fit's summary.json edited to record it (JSON's NaN and Infinity)
     if method is None:
-        argv = ["fit", "--input", str(canonical_csv), "--seed", "1"]
+        argv = ["fit", "--input", str(canonical_csv), "--seed", "1", flag, value]
     else:
         fit_dir = tmp_path / "f"
         assert main(["fit", "--input", str(canonical_csv), "--sweeps", "8", "--burn-in", "2",
                      "--seed", "1", "--out-dir", str(fit_dir)]) == 0
-        argv = ["score", "--summary", str(fit_dir / "summary.json"),
-                "--test", str(canonical_csv), "--method", method]
-    assert main(argv + [flag, value, "--out-dir", str(tmp_path / "x")]) == 2
+        summary = fit_dir / "summary.json"
+        doc = json.loads(summary.read_text(encoding="utf-8"))
+        summary.write_text(json.dumps({**doc, flag[2:]: float(value)}), encoding="utf-8")
+        argv = ["score", "--summary", str(summary), "--test", str(canonical_csv),
+                "--method", method]
+    assert main(argv + ["--out-dir", str(tmp_path / "x")]) == 2
     assert "positive and finite" in capsys.readouterr().err
     assert not (tmp_path / "x" / "manifest.json").exists()
 
@@ -407,11 +415,12 @@ def test_tiny_noise_fits_and_scores(canonical_csv, tmp_path, capsys):
                  "--out-dir", str(fit_dir)] + tiny) == 0
     doc = json.loads((fit_dir / "summary.json").read_text(encoding="utf-8"))
     assert np.isfinite(doc["bias_mean"] + doc["bias_variance"]).all()
+    assert (doc["alpha"], doc["gamma"]) == (1e-17, 1e-17)
     for method in ("accuracy", "likelihood"):
         capsys.readouterr()
         assert main(["score", "--summary", str(fit_dir / "summary.json"),
                      "--test", str(canonical_csv), "--method", method,
-                     "--out-dir", str(tmp_path / method)] + tiny) == 0
+                     "--out-dir", str(tmp_path / method)]) == 0
         out = capsys.readouterr()
         assert np.isfinite(float(out.out)) and out.err == ""
 
@@ -526,6 +535,7 @@ def test_score_command(canonical_csv, tmp_path, capsys):
 
 def test_score_defaults_to_the_recorded_noise_and_rejects_a_mismatch(
         canonical_csv, tmp_path, capsys):
+    # score takes alpha and gamma from summary.json, and has no flag to restate them
     fit_dir = tmp_path / "f"
     assert main(["fit", "--input", str(canonical_csv), "--sweeps", "20", "--burn-in", "4",
                  "--seed", "2", "--alpha", "2", "--gamma", "0.5",
@@ -533,41 +543,50 @@ def test_score_defaults_to_the_recorded_noise_and_rejects_a_mismatch(
     summary = fit_dir / "summary.json"
     doc = json.loads(summary.read_text())
     assert (doc["alpha"], doc["gamma"]) == (2.0, 0.5)
-    base = ["score", "--summary", str(summary), "--test", str(canonical_csv)]
-    for flags in ([], ["--alpha", "2"], ["--gamma", "0.5"], ["--alpha", "2", "--gamma", "0.5"]):
-        out = tmp_path / f"s{len(flags)}{''.join(flags)}"
-        assert main(base + flags + ["--out-dir", str(out)]) == 0
-        config = _manifest(out)["config"]
-        assert (config["alpha"], config["gamma"]) == (2.0, 0.5)
+    unit = tmp_path / "unit.json"
+    unit.write_text(json.dumps({**doc, "alpha": 1.0, "gamma": 1.0}))
+    with open(canonical_csv, "rb") as fh:
+        test = read_dataset_csv(fh)
+    percents = []
+    for path in (summary, unit):
+        out = tmp_path / f"s-{path.stem}"
+        assert main(["score", "--summary", str(path), "--test", str(canonical_csv),
+                     "--method", "likelihood", "--out-dir", str(out)]) == 0
+        want = predictive_score(PosteriorSummary.from_json(path.read_text()), test, "likelihood")
+        percents.append(_manifest(out)["score_percent"])
+        assert percents[-1] == round(100.0 * want, 4)
+    assert percents[0] != percents[1]
     capsys.readouterr()
-    for flag, value, recorded in (("--alpha", "4", "2.0"), ("--gamma", "1", "0.5")):
+    for flag in ("--alpha", "--gamma"):
         out = tmp_path / f"bad{flag}"
-        assert main(base + [flag, value, "--out-dir", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert f"{flag} {float(value)} differs from the fit's {flag[2:]} {recorded}" in err
-        assert not (out / "score.txt").exists()
+        with pytest.raises(SystemExit) as exc:
+            main(["score", "--summary", str(summary), "--test", str(canonical_csv),
+                  flag, "1", "--out-dir", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_score_reads_a_summary_without_recorded_noise(canonical_csv, tmp_path, capsys):
-    # a summary.json written before alpha and gamma were recorded
+    # a summary.json written before alpha and gamma were recorded, or with
+    # them null, scores at the fit's default of 1
     fit_dir = tmp_path / "f"
     assert main(["fit", "--input", str(canonical_csv), "--sweeps", "20", "--burn-in", "4",
                  "--seed", "2", "--out-dir", str(fit_dir)]) == 0
     summary = fit_dir / "summary.json"
     doc = json.loads(summary.read_text())
-    old = tmp_path / "old.json"
+    assert (doc["alpha"], doc["gamma"]) == (1.0, 1.0)
+    old, null = tmp_path / "old.json", tmp_path / "null.json"
     old.write_text(json.dumps({k: v for k, v in doc.items() if k not in ("alpha", "gamma")}))
+    null.write_text(json.dumps({**doc, "alpha": None, "gamma": None}))
     base = ["score", "--test", str(canonical_csv), "--method", "likelihood"]
     capsys.readouterr()
     scores = []
-    for path, flags in ((summary, []), (old, []), (old, ["--alpha", "1", "--gamma", "1"])):
-        assert main(base + ["--summary", str(path), *flags,
+    for path in (summary, old, null):
+        assert main(base + ["--summary", str(path),
                             "--out-dir", str(tmp_path / f"s{len(scores)}")]) == 0
         scores.append(capsys.readouterr().out)
     assert scores[0] == scores[1] == scores[2]
-    assert main(base + ["--summary", str(old), "--alpha", "3",
-                        "--out-dir", str(tmp_path / "s3")]) == 0
-    assert _manifest(tmp_path / "s3")["config"]["alpha"] == 3.0
 
 
 def test_score_schema_mismatch_exit_2(canonical_csv, tmp_path):
@@ -606,6 +625,8 @@ def test_score_inconsistent_summary_exit_2(canonical_csv, tmp_path, capsys, meth
         *(({name: v}, f"{name!r} must be positive and finite")
           for name, v in (("alpha", math.nan), ("alpha", -1.0), ("gamma", math.inf),
                           ("gamma", 0.0))),
+        *(({"prior_kind": v}, "'prior_kind' must be a string")
+          for v in (5, None, ["dependent"], True)),
         # a bool or a numeric string is not read as a number
         *(({name: v}, f"{name!r} must be a number")
           for name, v in (("sweeps", "10"), ("sweeps", True), ("alpha", "1.0"), ("alpha", True),
@@ -753,3 +774,67 @@ def test_preset_charges(raw_csv, tmp_path):
                  "--out-dir", str(out)]) == 0
     doc = _manifest(out)
     assert doc["config"]["preset"] == "charges"
+
+
+def test_fit_mapping_without_preset_exit_2(canonical_csv, tmp_path, capsys):
+    # only a preset's raw CSV is mapped: a mapping given with a canonical
+    # dataset is an error before anything is written, not ignored
+    out = tmp_path / "f"
+    assert main(["fit", "--input", str(canonical_csv), "--mapping", str(tmp_path / "none.json"),
+                 "--seed", "1", "--out-dir", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: --mapping needs --preset: a canonical dataset is already mapped\n")
+    assert not out.exists()
+
+
+def _options(command: str) -> set[str]:
+    """The names of ``command``'s parsed options, ``--out-dir`` aside."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions if a.dest not in ("help", "out_dir")}
+
+
+def test_each_manifest_records_exactly_the_parsed_options(raw_csv, tmp_path):
+    # every option but --out-dir is in config or, naming an input file, in
+    # inputs with the file's digest; each run gives every file option
+    mapping = tmp_path / "mapping.json"
+    mapping.write_text(default_mapping().to_json(), encoding="utf-8")
+    dataset = tmp_path / "ingest" / "dataset.csv"
+    runs = [
+        ["ingest", "--input", raw_csv, "--mapping", mapping, "--scheme", "charges"],
+        ["fit", "--input", raw_csv, "--mapping", mapping, "--preset", "national",
+         "--prior", "independent", "--sweeps", "12", "--burn-in", "2", "--seed", "3",
+         "--alpha", "1.5", "--gamma", "0.5", "--anchoring", "on", "--chains", "1"],
+        ["rank", "--input", dataset, "--iterations", "10", "--seed", "3", "--anchor-common"],
+        ["score", "--summary", tmp_path / "fit" / "summary.json", "--test", dataset,
+         "--method", "likelihood"],
+        ["plot", "--trace", tmp_path / "fit" / "trace.csv"],
+    ]
+    for argv in runs:
+        argv = [str(arg) for arg in argv] + ["--out-dir", str(tmp_path / argv[0])]
+        assert main(argv) == 0, argv[0]
+        parsed = vars(build_parser().parse_args(argv))
+        doc = _manifest(tmp_path / argv[0])
+        config, inputs = doc["config"], doc["inputs"]
+        assert doc["command"] == argv[0]
+        assert set(config) | set(inputs) == _options(argv[0]) and not set(config) & set(inputs)
+        for name, value in config.items():
+            assert value == parsed[name], name
+            assert not (isinstance(value, str) and Path(value).is_file()), name
+        for name, entry in inputs.items():
+            digest = hashlib.sha256(Path(parsed[name]).read_bytes()).hexdigest()
+            assert entry == {"path": parsed[name], "sha256": digest}, name
+
+
+def test_project_version_is_the_package_version(capsys):
+    # pyproject.toml reads its version from latentbias.__version__, which
+    # --version prints and every manifest records
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # setuptools calls [tool.setuptools] beta
+        project = pyprojecttoml.read_configuration(
+            Path(__file__).resolve().parents[1] / "pyproject.toml", expand=True)["project"]
+    assert project["version"] == latentbias.__version__
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"latentbias {latentbias.__version__}\n"

@@ -99,7 +99,7 @@ def test_oracle_matches_closed_form_subgrid():
 def test_saturated_positive_posterior_scores_one():
     summary = _summary([0.0, 0.0], c_mean=5.0)
     test = _test_set([i % 2 for i in range(40)], [True] * 40)
-    assert predictive_score(summary, test, 1.0, 1.0) == 1.0
+    assert predictive_score(summary, test) == 1.0
 
 
 def test_zero_mean_breaks_tie_to_positive():
@@ -108,13 +108,13 @@ def test_zero_mean_breaks_tie_to_positive():
     summary = _summary([0.3, -0.3], c_mean=0.0)
     test = _test_set([i % 2 for i in range(100)], [i % 5 < 2 for i in range(100)])
     positive_fraction = test.outcome_counts()[:, 1].sum() / len(test)
-    assert predictive_score(summary, test, 1.0, 1.0) == pytest.approx(positive_fraction)
+    assert predictive_score(summary, test) == pytest.approx(positive_fraction)
 
 
 def test_strongly_negative_posterior_predicts_negative():
     summary = _summary([0.0], c_mean=-4.0)
     test = _test_set([0] * 10, [False] * 10)
-    assert predictive_score(summary, test, 1.0, 1.0) == 1.0
+    assert predictive_score(summary, test) == 1.0
 
 
 def test_likelihood_method_uses_group_specific_probabilities():
@@ -127,7 +127,7 @@ def test_likelihood_method_uses_group_specific_probabilities():
     assert 0.5 < p_hi < p_lo
     test = _test_set([0, 1], [True, True])
     want = (p_hi + p_lo) / 2
-    assert predictive_score(summary, test, 1.0, 1.0, method="likelihood") == pytest.approx(want)
+    assert predictive_score(summary, test, method="likelihood") == pytest.approx(want)
 
 
 def test_likelihood_score_is_the_exact_mean_of_the_row_probabilities():
@@ -139,7 +139,7 @@ def test_likelihood_score_is_the_exact_mean_of_the_row_probabilities():
     p = np.array([outcome_probability_given_stop(b, 0.25, 1.0, 1.0)
                   for b in summary.bias_mean.tolist()])[groups]
     want = math.fsum(np.where(outcomes, p, 1.0 - p).tolist()) / groups.size
-    got = predictive_score(summary, _test_set(groups, outcomes), 1.0, 1.0, method="likelihood")
+    got = predictive_score(summary, _test_set(groups, outcomes), method="likelihood")
     assert got == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
@@ -196,14 +196,26 @@ def test_outcome_probability_at_tiny_noise(bias_mean, criminality_mean):
     assert got == pytest.approx(want, rel=1e-9)
 
 
+def test_score_places_the_test_tally_on_the_posterior_labels_at_its_noise():
+    # the test set lists the groups in the other order, and the score takes
+    # alpha and gamma from the posterior summary
+    summary = _summary([2.0, -2.0])
+    summary.alpha, summary.gamma = 2.0, 0.5
+    test = dataset_from_rows([0, 0, 1], [True, False, True], ["g1", "g0"])
+    p0, p1 = (outcome_probability_given_stop(b, 0.0, 2.0, 0.5) for b in (2.0, -2.0))
+    want = math.fsum([p1, 1.0 - p1, p0]) / 3
+    assert predictive_score(summary, test, method="likelihood") == pytest.approx(want, rel=1e-15)
+    assert predictive_score(summary, test) == 2 / 3
+
+
 def test_score_validates_input():
     summary = _summary([0.0])
     with pytest.raises(DomainError):
-        predictive_score(summary, Dataset(np.zeros((1, 2, 1), dtype=int), ("g0",)), 1.0, 1.0)
+        predictive_score(summary, Dataset(np.zeros((1, 2, 1), dtype=int), ("g0",)))
     with pytest.raises(DomainError):  # group 1 is unknown to a one-group posterior
-        predictive_score(summary, _test_set([1], [True]), 1.0, 1.0, method="likelihood")
+        predictive_score(summary, _test_set([1], [True]), method="likelihood")
     with pytest.raises(DomainError):
-        predictive_score(summary, _test_set([0], [True]), 1.0, 1.0, method="bogus")
+        predictive_score(summary, _test_set([0], [True]), method="bogus")
     for bad in (float("nan"), float("inf")):
         with pytest.raises(DomainError, match="positive and finite"):
             outcome_probability_given_stop(0.0, 0.0, bad, 1.0)

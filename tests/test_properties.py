@@ -477,11 +477,11 @@ def test_ranking_and_scores_read_only_the_outcome_tally(pair, iterations, seed, 
     summary = PosteriorSummary(
         labels=list(ordered.labels), bias_mean=means, bias_variance=np.ones(k),
         rank=_ranks_desc(means), criminality_mean=criminality, criminality_variance=1.0,
-        prior_kind=PriorKind.DEPENDENT, sweeps=1,
+        prior_kind=PriorKind.DEPENDENT, sweeps=1, alpha=alpha, gamma=gamma,
     )
     for method in ("accuracy", "likelihood"):
-        assert (predictive_score(summary, shuffled, alpha, gamma, method)
-                == predictive_score(summary, ordered, alpha, gamma, method)), method
+        assert (predictive_score(summary, shuffled, method)
+                == predictive_score(summary, ordered, method)), method
 
 
 @settings(max_examples=100, deadline=None)
