@@ -1,7 +1,6 @@
 """Bayesian latent-bias inference for stop-and-search records.
 
-A numpy library with a thin CLI; only the unanchored per-record sampler
-imports scipy, at its first draw. The pieces:
+A numpy library with a thin CLI; numpy is its only dependency. The pieces:
 
 * :mod:`latentbias.gaussians`  - the normal CDF and its log, Owen's T, and
   truncated-normal moments and sampling.

@@ -53,10 +53,10 @@ _UNDECODED = re.compile("[\udc80-\udcff]")
 
 
 def _read_input(path: str, read, *args, binary: bool = False):
-    """``read(stream, *args)`` on the UTF-8 text of the file at ``path``, or
-    with ``binary`` on its bytes, which ``read`` decodes as UTF-8. An input
-    that cannot seek (a pipe) is read whole first, so that it can be read
-    again as a file is.
+    """``read(stream, *args)`` on the UTF-8 text of the file at ``path``, a
+    leading byte-order mark dropped, or with ``binary`` on its bytes, which
+    ``read`` decodes as UTF-8. An input that cannot seek (a pipe) is read
+    whole first, so that it can be read again as a file is.
 
     Raises:
         DataError: if the input is not valid UTF-8; the message names the
@@ -65,7 +65,7 @@ def _read_input(path: str, read, *args, binary: bool = False):
     with open(path, "rb") as fh:
         stream = fh if fh.seekable() else io.BytesIO(fh.read())
         # held until the stream is read again: a wrapper closes its stream when collected
-        text = None if binary else io.TextIOWrapper(stream, encoding="utf-8", newline="")
+        text = None if binary else io.TextIOWrapper(stream, encoding="utf-8-sig", newline="")
         try:
             return read(stream if binary else text, *args)
         except UnicodeDecodeError as exc:

@@ -822,11 +822,11 @@ def read_dataset_csv(stream: BinaryIO) -> Dataset:
     others, for K groups and F forces) plus a few comparisons per run, or
     one dict update per line after the runs, and the read holds no list of
     lines. Row path: otherwise (a record that spans lines, a bad row, a
-    header that spans lines or recurs, a CR-only file), the decoded bytes
-    are parsed in file order, a row at a time, the header being the first
-    row, split into lines as text mode (``newline=""``) splits them, at CR,
-    LF and CRLF, and the stops are counted; line numbers are those of the
-    file read as text. Blank lines are skipped.
+    header that spans lines, recurs or follows a byte-order mark, a CR-only
+    file), the bytes, decoded past a leading BOM, are parsed in file order,
+    a row at a time, the header first, split into lines at CR, LF and CRLF
+    as text mode (``newline=""``) splits them, blank lines skipped, and the
+    stops counted; line numbers are those of the file read as text.
 
     Raises:
         DataError: if a column is missing or named twice, a row has fewer
@@ -846,7 +846,7 @@ def read_dataset_csv(stream: BinaryIO) -> Dataset:
         stops = _distinct_stops(lines)
         if stops is None:
             # row path: every line parsed in file order, the stops counted
-            rows = _csv_rows(io.StringIO(str(data, "utf-8"), newline=""))
+            rows = _csv_rows(io.StringIO(str(data, "utf-8-sig"), newline=""))
             columns, width = _header_columns(next(rows, (1, None))[1])
             counted = Counter(_stops(rows, columns, width)).items()
         else:

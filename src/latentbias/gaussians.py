@@ -4,13 +4,10 @@ The standard-normal CDF and its logarithm, Owen's T function, the model's
 stop/outcome orthant masses, the moments of a one-sided truncated normal,
 and a vectorised one-sided truncated-normal sampler exact in the far tails.
 
-:func:`ndtr`, :func:`log_ndtr`, Owen's T and :func:`orthant_masses` use
-only the standard library and numpy, so the anchored sampler, the ranking
-chain and held-out scoring never import scipy. The first three stay within
-about 1e-13 relative error of scipy's reference wherever the value is a
-normal float (checked on dense grids by the tests). Only the unanchored
-per-record sampler imports ``scipy.special``, at its first call, for the
-inverse CDF.
+Everything here uses only the standard library and numpy. :func:`ndtr`,
+:func:`log_ndtr` and Owen's T stay within about 1e-13 relative error of
+scipy's reference wherever the value is a normal float (checked on dense
+grids by the tests, which keep scipy as their oracle).
 
 Owen's T and its tail take a float ``h``, which returns a float and runs
 on stdlib ``math`` alone, or a 1-D array ``h``, which returns an array;
@@ -52,9 +49,8 @@ _LOG_SQRT_2PI = math.log(_SQRT_2PI)
 _SQRT1_2 = math.sqrt(0.5)
 _TWO_PI = 2.0 * math.pi
 
-# below this kept tail mass the sampler inverts the CDF in log space
-_TAIL_MASS_SWITCH = 1e-6
-_BELOW_ONE = np.nextafter(1.0, 0.0)
+# the sampler's proposals are exponential above this standardized bound
+_TAIL_START = 0.0
 # continued-fraction moments from this truncation point on, to full precision
 _FAR_TAIL_SWITCH, _FAR_TAIL_TERMS = 5.0, 40
 # log Phi by its asymptotic series below this point, where erfc nears underflow;
@@ -320,40 +316,44 @@ def sample_truncated_normal(mean, variance, rng: np.random.Generator):
     """Sample N(mean, variance) restricted to the half-line ``x > 0``.
 
     ``mean`` is a 1-D ndarray, or a scalar, which returns a float;
-    ``variance`` is a positive, finite scalar. Each draw inverts the CDF of
-    the standardized ``Z > a = -mean/sd`` at one uniform ``u``,
-    ``P(Z > z) = (1 - u) Phi(-a)``, with no loop. Where the kept mass
-    ``Phi(-a)`` is below 1e-6 the inversion runs in log space,
-    ``z = -ndtri_exp(log1p(-u) + log_ndtr(-a))``, so far tails stay exact
-    and in support after ``Phi(-a)`` underflows near ``a = 38``. Draw the
-    negative half-line as ``-sample_truncated_normal(-mean, variance, rng)``.
+    ``variance`` is a positive, finite scalar. Draw the negative half-line
+    as ``-sample_truncated_normal(-mean, variance, rng)``.
 
-    The package's only scipy user: the inverse CDF has no stdlib
-    counterpart, so ``scipy.special`` is imported at the first draw, never
-    when the CLI starts.
+    Exact rejection sampling with no inverse CDF (Robert 1995), in two
+    regimes of the standardized bound ``a = -mean/sd``. At ``a <= 0``,
+    ``mean + sd z`` for ``z ~ N(0, 1)`` is kept when above 0, as half or
+    more are. At ``a > 0``, the excess ``e = z - a`` is drawn from the
+    exponential of rate ``lam = (a + sqrt(a^2 + 4))/2`` and kept with
+    probability ``exp(-(e - g)^2/2)``, ``g = lam - a``; the draw ``sd e``
+    never cancels. Both are exact at any finite bound. A rejected draw is
+    drawn again: the variates a call takes vary, fixed by the generator.
 
     Raises:
-        DomainError: non-finite mean, or variance not positive and finite.
+        DomainError: non-finite mean, variance not positive and finite, or
+            a bound so far out that its draws underflow.
     """
     m = np.asarray(mean, dtype=float)
     if not np.isfinite(m).all():
         raise DomainError("mean must be finite")
     sd = math.sqrt(_require_variance(variance))
-    from scipy import special
-
-    a = np.atleast_1d(m / -sd)
-    u = rng.random(a.shape)
-    q = special.ndtr(-a)  # kept tail mass
-    far = q < _TAIL_MASS_SWITCH
-    if far.any():
-        log_kept = np.log1p(-u[far]) + special.log_ndtr(-a[far])
-    # (1-u)*q stays in (0, q]; the clip keeps ndtri away from an exact 1.0
-    np.subtract(1.0, u, out=u)
-    u *= q
-    np.minimum(u, _BELOW_ONE, out=u)
-    x = np.negative(special.ndtri(u, out=u), out=u)
-    if far.any():
-        x[far] = -special.ndtri_exp(log_kept)
-    x *= sd
-    x += m
+    a = np.atleast_1d(m) / -sd
+    x = np.empty_like(a)
+    # each round writes every pending draw and keeps pending the rejected ones
+    todo = np.flatnonzero(a <= _TAIL_START)
+    while todo.size:
+        x[todo] = draw = sd * (rng.standard_normal(todo.size) - a[todo])
+        todo = todo[np.flatnonzero(draw <= 0.0)]
+    todo = np.flatnonzero(a > _TAIL_START)
+    # any g >= 0 keeps the law exact; g = 2/(a + sqrt(a^2 + 4)), about 1/a far
+    # out, maximises acceptance (a is capped at 1e150 so its square is finite)
+    g = 2.0 / (a[todo] + np.sqrt(np.square(np.minimum(a[todo], 1e150)) + 4.0))
+    lam = a[todo] + g
+    if np.any(sd / lam < np.finfo(float).tiny):  # the draws' scale
+        raise DomainError("truncated-normal draws underflow: variance too small for its mean")
+    while todo.size:
+        e = rng.standard_exponential(todo.size) / lam
+        x[todo] = draw = sd * e
+        again = np.flatnonzero((rng.standard_exponential(todo.size) <= 0.5 * np.square(e - g))
+                               | (draw <= 0.0))
+        todo, lam, g = todo[again], lam[again], g[again]
     return float(x[0]) if m.ndim == 0 else x

@@ -50,31 +50,39 @@ def canonical_csv(tmp_path):
 
 def test_cli_pipeline_runs_without_scipy(raw_csv, tmp_path):
     # a fresh interpreter where importing scipy fails (this process has it
-    # from the test oracles): every anchored step, both scores and the plot
+    # from the test oracles): every step, both scores and the plot, and the
+    # unanchored chains, the free one to its divergence and partial trace
     src = str(Path(latentbias.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     out = tmp_path / "run"
     dataset, summary = out / "ingest" / "dataset.csv", out / "fit" / "summary.json"
+    fit = ["fit", "--input", str(dataset), "--sweeps", "30", "--burn-in", "5", "--seed", "3"]
     steps = [
-        ["ingest", "--input", str(raw_csv), "--out-dir", str(out / "ingest")],
-        ["fit", "--input", str(dataset), "--sweeps", "30", "--burn-in", "5", "--seed", "3",
-         "--out-dir", str(out / "fit")],
-        ["rank", "--input", str(dataset), "--iterations", "20", "--seed", "3",
-         "--out-dir", str(out / "rank")],
-        *(["score", "--summary", str(summary), "--test", str(dataset), "--method", method,
-           "--out-dir", str(out / f"score-{method}")] for method in ("accuracy", "likelihood")),
-        ["plot", "--trace", str(out / "fit" / "trace.csv"), "--out-dir", str(out / "plot")],
+        (["ingest", "--input", str(raw_csv), "--out-dir", str(out / "ingest")], 0),
+        ([*fit, "--out-dir", str(out / "fit")], 0),
+        ([*fit, "--prior", "independent", "--anchoring", "off",
+          "--out-dir", str(out / "fit-indep-off")], 0),
+        ([*fit, "--prior", "free", "--out-dir", str(out / "fit-free")], 3),
+        (["rank", "--input", str(dataset), "--iterations", "20", "--seed", "3",
+          "--out-dir", str(out / "rank")], 0),
+        *((["score", "--summary", str(summary), "--test", str(dataset), "--method", method,
+            "--out-dir", str(out / f"score-{method}")], 0) for method in ("accuracy", "likelihood")),
+        (["plot", "--trace", str(out / "fit" / "trace.csv"), "--out-dir", str(out / "plot")], 0),
     ]
     code = ("import json, sys\n"
             "sys.modules['scipy'] = None\n"
             "from latentbias.cli import main\n"
-            "for argv in json.loads(sys.argv[1]):\n"
-            "    if main(argv):\n"
-            "        sys.exit(1)\n")
+            "for argv, want in json.loads(sys.argv[1]):\n"
+            "    if main(argv) != want:\n"
+            "        sys.exit(f'{argv[0]} did not exit {want}')\n")
     done = subprocess.run([sys.executable, "-c", code, json.dumps(steps)], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+    assert (out / "fit-indep-off" / "summary.json").exists()
+    assert (out / "fit-free" / "trace.csv").exists()
+    assert not (out / "fit-free" / "summary.json").exists()
     assert (out / "plot" / "plot.svg").exists()
 
 
@@ -92,6 +100,16 @@ def test_ingest_writes_dataset_report_manifest(raw_csv, tmp_path, capsys):
     assert doc["rows_kept"] == 600
     assert "sha256" in doc["inputs"]["input"]
     assert "rows kept" in capsys.readouterr().out
+
+
+def test_ingest_reads_a_raw_export_with_a_byte_order_mark(raw_csv, tmp_path):
+    # as spreadsheet software saves UTF-8: the first column is still "force"
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + raw_csv.read_bytes())
+    for path, out in ((raw_csv, tmp_path / "plain"), (bom, tmp_path / "bom")):
+        assert main(["ingest", "--input", str(path), "--out-dir", str(out)]) == 0
+    for name in ("dataset.csv", "report.txt"):
+        assert (tmp_path / "bom" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
 def test_ingest_missing_column_exit_2(tmp_path, capsys):

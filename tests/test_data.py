@@ -460,6 +460,22 @@ def test_dataset_csv_quotes_force_names():
     assert back.counts.tolist() == [[[0, 0], [0, 1]], [[1, 0], [0, 0]]]
 
 
+def test_dataset_csv_reads_past_a_byte_order_mark(tmp_path):
+    # spreadsheet software saves UTF-8 with a leading BOM; the header is
+    # still the header, from a mapped file and from a stream read whole
+    records = dataset_from_rows([1, 0, 0], [True, False, True], ("b", "a"), [0, 1, 0], ("f", "g"))
+    buf = io.BytesIO()
+    write_dataset_csv(records, buf)
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + buf.getvalue())
+    plain = read_dataset_csv(io.BytesIO(buf.getvalue()))
+    with open(path, "rb") as fh:
+        mapped = read_dataset_csv(fh)
+    for back in (mapped, read_dataset_csv(io.BytesIO(path.read_bytes()))):
+        assert (back.labels, back.forces) == (plain.labels, plain.forces) == (("a", "b"), ("g", "f"))
+        assert np.array_equal(back.counts, plain.counts)
+
+
 @pytest.mark.parametrize(
     "bad_row",
     ["a,yes,1,f", "a,2,1,f", "a,true,0,f", "a,1,yes,f", "a,1,2,f", "a,1,true,f", "a,1",

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, special
+from scipy import integrate, special, stats
 
 from latentbias import (
     DomainError,
@@ -236,7 +236,7 @@ def test_negative_sign_mirror():
 
 
 def test_extreme_tail_does_not_hang_or_leak():
-    # kept mass ~6e-16: must use the log-space path, finish fast, stay in support
+    # kept mass ~6e-16: the exponential proposals finish fast, stay in support
     rng = np.random.default_rng(4)
     xs = sample_truncated_normal(np.full(100_000, -8.0), 1.0, rng)
     assert np.all(xs > 0)
@@ -244,21 +244,50 @@ def test_extreme_tail_does_not_hang_or_leak():
     assert xs.mean() == pytest.approx(m, abs=0.02)
 
 
-@pytest.mark.parametrize("a", [20.0, 38.0, 100.0])
-def test_log_space_tail_matches_moments(a):
-    # Phi(-a) is 3e-89 at 20, subnormal at 38 and 0 at 100: only the
-    # log-space inversion keeps these draws; each takes one uniform
-    n = 100_000
+@pytest.mark.parametrize("a", [20.0, 38.0, 100.0, 1e8, 1e12])
+def test_far_tail_draws_match_moments(a):
+    # Phi(-a) is 3e-89 at 20, subnormal at 38 and 0 at 100; from 1e8 on,
+    # mean + sd*z would cancel: the draws are sd times the excess z - a
+    n = 1_000_000  # 5 standard errors of the mean are about 0.5 %
     for variance in (1.0, 4.0):
-        rng, spent = np.random.default_rng(int(a)), np.random.default_rng(int(a))
+        rng = np.random.default_rng(int(a))
         xs = sample_truncated_normal(np.full(n, -a * math.sqrt(variance)), variance, rng)
-        spent.random(n)
-        assert rng.random() == spent.random()
         assert np.all(np.isfinite(xs)) and np.all(xs > 0)
         m, v = truncated_moments(-a * math.sqrt(variance), variance)
         fourth = np.mean((xs - xs.mean()) ** 4)
         assert abs(xs.mean() - m) < 5 * math.sqrt(v / n)
         assert abs(xs.var() - v) < 5 * math.sqrt((fourth - v * v) / n)
+
+
+_KS_BOUNDS = (-3.0, -1e-9, 0.0, 1e-9, 0.7, 5.0, 40.0)
+
+
+def _ks_pvalue(xs, a, sd):
+    """KS p-value of the draws ``xs`` of N(-a sd, sd^2) on x > 0 against the
+    exact law of ``Z = a + x/sd`` on ``Z > a``: ``1 - Phi(-z)/Phi(-a)``,
+    taken in log space so it holds where Phi(-a) is far below 1."""
+    log_kept = special.log_ndtr(-a)
+    return stats.kstest(a + np.asarray(xs) / sd,
+                        lambda z: -np.expm1(special.log_ndtr(-z) - log_kept)).pvalue
+
+
+def test_draws_follow_the_truncated_normal_law_array_path():
+    # every bound interleaved in one call, so each regime's rejection
+    # rounds run beside the other's
+    n, sd = 20_000, math.sqrt(2.0)
+    bounds = np.tile(_KS_BOUNDS, n)
+    xs = sample_truncated_normal(-bounds * sd, sd * sd, np.random.default_rng(31))
+    assert np.all(xs > 0)
+    for a in _KS_BOUNDS:
+        assert _ks_pvalue(xs[bounds == a], a, sd) > 1e-3, a
+
+
+@pytest.mark.parametrize("a", _KS_BOUNDS)
+def test_draws_follow_the_truncated_normal_law_scalar_path(a):
+    rng, sd = np.random.default_rng(32), math.sqrt(2.0)
+    xs = [sample_truncated_normal(-a * sd, sd * sd, rng) for _ in range(3000)]
+    assert all(isinstance(x, float) and x > 0 for x in xs)
+    assert _ks_pvalue(xs, a, sd) > 1e-3
 
 
 def test_truncation_support_fuzz():
@@ -311,7 +340,7 @@ def test_truncated_moments_far_tail(mean):
 
 
 def test_sample_deterministic_given_seed():
-    means = np.linspace(-9.0, 3.0, 50)  # both the inverse-CDF and the log-space branch
+    means = np.linspace(-9.0, 3.0, 50)  # both the normal and the exponential proposals
     a = sample_truncated_normal(means, 1.0, np.random.default_rng(42))
     b = sample_truncated_normal(means, 1.0, np.random.default_rng(42))
     assert np.array_equal(a, b)
@@ -343,3 +372,8 @@ def test_truncated_rejects_bad_variance():
             sample_truncated_normal(np.array([0.5, mean]), 1.0, rng)
         with pytest.raises(DomainError, match="mean must be finite"):
             truncated_moments(mean, 1.0)
+    # a bound of 1e160, whose square overflows, still draws near sd/a = 1e-260;
+    # at a variance of 1e-300 that scale is below the least normal float
+    assert 0.0 < sample_truncated_normal(-1e60, 1e-200, rng) < 1e-259
+    with pytest.raises(DomainError, match="draws underflow"):
+        sample_truncated_normal(np.array([0.5, -1e10]), 1e-300, rng)

@@ -230,6 +230,29 @@ def test_unanchored_bias_draws_spread_with_their_own_groups_sd(monkeypatch):
             assert stats.kstest(z, "norm").pvalue > 1e-3, (kind, g)
 
 
+@pytest.mark.parametrize("alpha, gamma", [(1e-17, 1.0), (1.0, 1e-17), (1e-17, 1e-17)])
+def test_unanchored_latents_stay_on_their_half_lines_at_tiny_noise(monkeypatch, alpha, gamma):
+    # a noise variance of 1e-17 puts most bounds |mean|/sd at 1e8 or beyond,
+    # where mean + sd*z cancels; every stop latent must stay > 0 and every
+    # outcome latent on its record's side
+    rng = np.random.default_rng(7)
+    records = dataset_from_rows(np.arange(900) % 2, rng.random(900) < 0.5, ("a", "b"))
+    tau = np.where(np.array(_chain_records(records))[:, 1], 1.0, -1.0)
+    draws = []
+
+    def spy(mean, variance, rng):
+        draws.append(sample_truncated_normal(mean, variance, rng))
+        return draws[-1]
+
+    monkeypatch.setattr(inference, "sample_truncated_normal", spy)
+    run_gibbs(records, ModelConfig(seed=1, alpha=alpha, gamma=gamma, prior=PriorKind.INDEPENDENT,
+                                   sweeps=20, burn_in=0, anchoring=False))
+    assert len(draws) == 40
+    for stop, mirrored in zip(draws[0::2], draws[1::2]):
+        assert np.all(stop > 0)
+        assert np.all(np.sign(tau * mirrored) == tau)  # the chain's outcome latents
+
+
 def test_sweep_independent_keeps_cross_zero_and_anchored_c_standard():
     group = np.arange(60) % 2
     records = dataset_from_rows(group, np.arange(60) % 3 == 0, ("a", "b"))

@@ -516,7 +516,7 @@ def test_anchored_run_gibbs_ignores_row_order(outcomes, shuffler, prior, seed):
 @example(ratios=[-12.0, 0.0, 12.0], sd=1.0, sign=1.0, seed=0)
 @example(ratios=[-12.0, 0.0, 12.0], sd=3.0, sign=-1.0, seed=0)
 def test_truncated_normal_support_moments_and_scalar_path(ratios, sd, sign, seed):
-    # |mean|/sd up to 12: the inverse-CDF and the far-tail branch, alone and
+    # |mean|/sd up to 12: the normal and the exponential proposals, alone and
     # mixed in one call; sign -1 draws x < 0 through the caller-side mirror
     n = 2000
     variance = sd * sd
