@@ -130,19 +130,23 @@ def _owens_t_integral(h: np.ndarray, a: float) -> np.ndarray:
     that, ``exp(-h^2 x^2/2)`` is below ``exp(-40)``. ``exp(-h^2/2)`` is
     factored out, so the summands stay normal floats wherever T is one.
 
-    Works in place on one ``(N, 40)`` grid of ``x^2`` and one of summands.
+    Rows on the whole range share the nodes ``x_j = a t_j``: one ``(N, 40)``
+    grid of ``-h^2 x_j^2/2``, exponentiated in place and reduced by one
+    matrix-vector product with ``w_j/(1 + x_j^2)``. Rows past the cutoff,
+    each on a range of its own, take a grid of their own.
     """
-    # h a > sqrt(80) needs h > sqrt(80) > 1, so the division is safe
-    top = np.where(h * a > _CUTOFF_X, _CUTOFF_X / np.maximum(h, 1.0), a)
     half_h2 = -0.5 * np.square(h)
-    x2 = np.multiply.outer(top, _GL_NODES)
-    np.square(x2, out=x2)
-    terms = np.multiply(half_h2[..., None], x2)
+    far = h * a > _CUTOFF_X
+    x2 = np.square(a * _GL_NODES)
+    terms = np.multiply.outer(half_h2, x2)
     np.exp(terms, out=terms)
-    x2 += 1.0
-    terms /= x2
-    terms *= _GL_WEIGHTS
-    return np.exp(half_h2) * top * terms.sum(axis=-1) / _TWO_PI
+    top, total = a, np.einsum("ij,j->i", terms, _GL_WEIGHTS / (1.0 + x2))
+    if far.any():
+        # h a > sqrt(80) needs h > sqrt(80) > 1, so the division is safe
+        top = np.where(far, _CUTOFF_X / np.maximum(h, 1.0), a)
+        x2 = np.square(np.multiply.outer(top[far], _GL_NODES))
+        total[far] = np.einsum("ij,j->i", np.exp(half_h2[far, None] * x2) / (1.0 + x2), _GL_WEIGHTS)
+    return np.exp(half_h2) * top * total / _TWO_PI
 
 
 def _owens_t_integral_float(h: float, a: float) -> float:

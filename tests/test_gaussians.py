@@ -100,11 +100,15 @@ def _max_ulps(got, want):
 
 
 @pytest.mark.parametrize("function, a, ulps", [
-    (owens_t, 0.5, 8), (owens_t, -3.0, 8), (owens_t_tail, 0.58, 16)])
+    (owens_t, 0.5, 8), (owens_t, 1.0 / math.sqrt(3.0), 8), (owens_t, 1.0, 8),
+    (owens_t, -3.0, 8), (owens_t_tail, 0.58, 16)])
 def test_owens_t_float_path_matches_array_path(function, a, ulps):
     # one rule, two evaluations: the float path returns floats, and differs
-    # from the array path only by rounding (exp and the summation order);
-    # the tail's summands span more magnitudes, so its sums round further apart
+    # from the array path only by rounding (exp, the summation order, and the
+    # array path's weights folded with 1/(1 + x^2) on the shared nodes); the
+    # grid crosses h a = sqrt(80) at each a, so rows on the whole range and
+    # rows past the cutoff are both checked; the tail's summands span more
+    # magnitudes, so its sums round further apart
     got = [function(h, a) for h in EXACT_GRID.tolist()]
     assert all(type(v) is float for v in got)
     assert _max_ulps(got, function(EXACT_GRID, a)) <= ulps
