@@ -18,6 +18,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy
+
 from . import __version__
 from .data import (
     Dataset,
@@ -99,7 +101,8 @@ class _RunDir:
         """Write the manifest from the parsed options: each input file given
         by its path and digest under ``inputs``, every other option but
         ``--out-dir`` under ``config``; then the outputs, the wall time, the
-        library version and each ``extra`` key whose value is not ``None``."""
+        library, Python and numpy versions (a run's bytes are reproducible on
+        one environment) and each ``extra`` key whose value is not ``None``."""
         options = {name: value for name, value in vars(self.args).items()
                    if name not in ("command", "func", "out_dir")}
         doc = {
@@ -112,6 +115,8 @@ class _RunDir:
             "outputs": {name: str(path) for name, path in outputs.items()},
             "wall_time_s": round(time.perf_counter() - self._t0, 6),
             "library_version": __version__,
+            "python_version": "{}.{}.{}".format(*sys.version_info),
+            "numpy_version": numpy.__version__,
             **{name: value for name, value in extra.items() if value is not None},
         }
         write_manifest(doc, self.path / "manifest.json")

@@ -813,7 +813,8 @@ def _options(command: str) -> set[str]:
 
 def test_each_manifest_records_exactly_the_parsed_options(raw_csv, tmp_path):
     # every option but --out-dir is in config or, naming an input file, in
-    # inputs with the file's digest; each run gives every file option
+    # inputs with the file's digest, next to the versions of the library,
+    # Python and numpy; each run gives every file option
     mapping = tmp_path / "mapping.json"
     mapping.write_text(default_mapping().to_json(), encoding="utf-8")
     dataset = tmp_path / "ingest" / "dataset.csv"
@@ -834,6 +835,9 @@ def test_each_manifest_records_exactly_the_parsed_options(raw_csv, tmp_path):
         doc = _manifest(tmp_path / argv[0])
         config, inputs = doc["config"], doc["inputs"]
         assert doc["command"] == argv[0]
+        assert doc["library_version"] == latentbias.__version__
+        assert doc["python_version"] == "{}.{}.{}".format(*sys.version_info)
+        assert doc["numpy_version"] == np.__version__
         assert set(config) | set(inputs) == _options(argv[0]) and not set(config) & set(inputs)
         for name, value in config.items():
             assert value == parsed[name], name
