@@ -16,7 +16,9 @@ the type of ``h`` picks the path, as it picks :func:`ndtr` or
 Gauss-Legendre table and agree within a few units in the last place. The
 float path serves scalar callers, such as the anchored fit's Newton steps
 and held-out scoring; the array path serves a target evaluated on all its
-proposals at once.
+proposals at once, its rows on one shared node grid that one ``exp`` pass
+and one ``einsum`` reduce (bit for bit the same per row whatever the
+array's length).
 
 Both truncated-normal helpers take one half-line, ``x > 0``, and a
 positive finite scalar variance; draw the negative half-line as
