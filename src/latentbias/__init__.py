@@ -39,11 +39,7 @@ from .errors import (
     LatentBiasError,
     NumericalError,
 )
-from .gaussians import (
-    sample_truncated_normal,
-    std_normal_cdf,
-    truncated_moments,
-)
+from .gaussians import sample_truncated_normal, truncated_moments
 from .inference import (
     GibbsTrace,
     PosteriorSummary,
@@ -60,7 +56,6 @@ from .model import (
     ModelConfig,
     PriorKind,
     build_prior,
-    guilt_probability,
 )
 from .ranking import (
     COMMON_LABEL,

@@ -215,10 +215,7 @@ def cmd_fit(args) -> int:
 
 def cmd_rank(args) -> int:
     run = _RunDir(args)
-    dataset = _read_dataset(args.input)
-    if len(dataset) == 0:
-        raise DomainError("dataset is empty")
-    labels, wins, losses = matches_from_dataset(dataset)
+    labels, wins, losses = matches_from_dataset(_read_dataset(args.input))
     means, variances = trueskill_gibbs(
         wins,
         losses,

@@ -1,4 +1,4 @@
-"""Scalar Gaussian primitives.
+"""Gaussian primitives.
 
 The standard-normal CDF and its logarithm, Owen's T function, the model's
 stop/outcome orthant masses, the moments of a one-sided truncated normal,
@@ -9,16 +9,17 @@ Everything here uses only the standard library and numpy. :func:`ndtr`,
 scipy's reference wherever the value is a normal float (checked on dense
 grids by the tests, which keep scipy as their oracle).
 
-Owen's T and its tail take a float ``h``, which returns a float and runs
-on stdlib ``math`` alone, or a 1-D array ``h``, which returns an array;
-the type of ``h`` picks the path, as it picks :func:`ndtr` or
-``_ndtr_array`` in :func:`std_normal_cdf`. Both paths walk one 40-point
-Gauss-Legendre table and agree within a few units in the last place. The
-float path serves scalar callers, such as the anchored fit's Newton steps
-and held-out scoring; the array path serves a target evaluated on all its
-proposals at once, its rows on one shared node grid that one ``exp`` pass
-and one ``einsum`` reduce (bit for bit the same per row whatever the
-array's length).
+:func:`ndtr`, :func:`log_ndtr`, :func:`owens_t`, :func:`owens_t_tail` and
+:func:`orthant_masses` at ``k = 0`` follow one rule: a float in gives a
+float out, and a 1-D array in gives an array out. From :func:`ndtr`,
+:func:`log_ndtr` and :func:`owens_t_tail` each element has the float's
+exact bits. Owen's T keeps a float-only twin on stdlib ``math``, for the
+anchored fit's Newton steps; its array path reduces its rows on one shared
+node grid, by one ``exp`` pass and one ``einsum`` (the same bits per row
+whatever the array's length), and agrees with the float path within a few
+units in the last place. Held-out accuracy needs no CDF: ``Phi(c/sqrt(gamma))
+>= 1/2`` exactly when ``c >= 0``, so it predicts "positive" when the
+criminality mean is ``>= 0``, and ``gamma`` plays no part.
 
 Both truncated-normal helpers take one half-line, ``x > 0``, and a
 positive finite scalar variance; draw the negative half-line as
@@ -36,7 +37,6 @@ import numpy as np
 from .errors import DomainError
 
 __all__ = [
-    "std_normal_cdf",
     "ndtr",
     "log_ndtr",
     "owens_t",
@@ -93,21 +93,31 @@ _GL_NODES, _GL_WEIGHTS = _gauss_legendre(40)
 _GL_RULE = tuple(zip(_GL_NODES.tolist(), _GL_WEIGHTS.tolist()))
 
 
-def ndtr(x: float) -> float:
-    """Standard-normal CDF of a float, ``0.5 * erfc(-x / sqrt(2))``.
+def ndtr(x):
+    """Standard-normal CDF, ``0.5 * erfc(-x / sqrt(2))``, of a float (which
+    returns a float) or of each element of a 1-D array, bit for bit.
 
     Exactly 0.5 at 0; the lower tail keeps about 1e-13 relative precision
     down to the underflow of Phi near -37.5.
     """
+    if isinstance(x, np.ndarray):
+        return 0.5 * np.fromiter(map(math.erfc, (-x * _SQRT1_2).tolist()), float, x.size)
     return 0.5 * math.erfc(-x * _SQRT1_2)
 
 
-def log_ndtr(x: float) -> float:
-    """``log Phi(x)`` of a float, finite on the whole real line.
+def log_ndtr(x):
+    """``log Phi(x)`` of a float (which returns a float) or of each element
+    of a 1-D array, bit for bit; finite on the whole real line.
+    """
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(_log_ndtr, x.tolist()), float, x.size)
+    return _log_ndtr(x)
 
-    ``log1p(-Phi(-x))`` above 0, ``log(Phi(x))`` down to -20, and below
-    that the asymptotic series of Mills' ratio, so the far lower tail
-    never underflows.
+
+def _log_ndtr(x: float) -> float:
+    """:func:`log_ndtr` of a float: ``log1p(-Phi(-x))`` above 0,
+    ``log(Phi(x))`` down to -20, and below that the asymptotic series of
+    Mills' ratio, so the far lower tail never underflows.
     """
     if x > 0.0:
         return math.log1p(-0.5 * math.erfc(x * _SQRT1_2))
@@ -119,11 +129,6 @@ def log_ndtr(x: float) -> float:
         term *= -(2 * n - 1) * z
         total += term
     return -0.5 * x * x - math.log(-x) - _LOG_SQRT_2PI + math.log(total)
-
-
-def _ndtr_array(x: np.ndarray) -> np.ndarray:
-    """:func:`ndtr` of each element of a 1-D array, bit for bit."""
-    return 0.5 * np.fromiter(map(math.erfc, (-x * _SQRT1_2).tolist()), float, x.size)
 
 
 def _owens_t_integral(h: np.ndarray, a: float) -> np.ndarray:
@@ -172,16 +177,13 @@ def owens_t(h, a: float):
     ``|a| > 1`` the reflection ``T(h, a) = (Phi(h) Phi(-ah) + Phi(-h) Phi(ah))/2
     - T(ah, 1/a)`` (``h >= 0``, ``a > 0``). T is even in ``h`` and odd in ``a``.
     """
-    if isinstance(h, np.ndarray):
-        integral, cdf = _owens_t_integral, _ndtr_array
-    else:
-        integral, cdf = _owens_t_integral_float, ndtr
+    integral = _owens_t_integral if isinstance(h, np.ndarray) else _owens_t_integral_float
     h = abs(h)
     sign, a = math.copysign(1.0, a), abs(a)
     if a <= 1.0:
         return sign * integral(h, a)
     ah = a * h
-    cross = (cdf(h) * cdf(-ah) + cdf(-h) * cdf(ah)) * 0.5
+    cross = (ndtr(h) * ndtr(-ah) + ndtr(-h) * ndtr(ah)) * 0.5
     return sign * (cross - integral(ah, 1.0 / a))
 
 
@@ -199,24 +201,15 @@ def owens_t_tail(h, a: float):
     within ``v ~ sqrt(q)`` of 0 and the rule loses precision (5e-12 at
     ``q = 0.1``), where ``Phi(-|h|)/2 - T(h, a)`` does not cancel.
     """
-    if not isinstance(h, np.ndarray):
-        ah = a * h
-        q = ah * ah
-        lo = math.sqrt(q / (q + 2.0 * _CUTOFF))
-        total = 0.0
-        for node, weight in _GL_RULE:
-            v = lo + (1.0 - lo) * node
-            v2 = v * v
-            total += math.exp(-0.5 * q * (1.0 / v2 - 1.0)) / (a * a + v2) * weight
-        peak = math.exp(-0.5 * h * h * (1.0 + a * a))
-        return peak * (1.0 - lo) * total * (a / _TWO_PI)
-    q = np.square(a * h)
+    hs = np.atleast_1d(h)
+    q = np.square(a * hs)
     lo = np.sqrt(q / (q + 2.0 * _CUTOFF))
-    v = lo[..., None] + np.multiply.outer(1.0 - lo, _GL_NODES)
+    v = lo[:, None] + np.multiply.outer(1.0 - lo, _GL_NODES)
     v2 = np.square(v)
-    terms = np.exp(-0.5 * q[..., None] * (1.0 / v2 - 1.0)) / (a * a + v2)
-    peak = np.exp(-0.5 * np.square(h) * (1.0 + a * a))
-    return peak * (1.0 - lo) * (terms * _GL_WEIGHTS).sum(axis=-1) * (a / _TWO_PI)
+    terms = np.exp(-0.5 * q[:, None] * (1.0 / v2 - 1.0)) / (a * a + v2)
+    peak = np.exp(-0.5 * np.square(hs) * (1.0 + a * a))
+    tail = peak * (1.0 - lo) * (terms * _GL_WEIGHTS).sum(axis=-1) * (a / _TWO_PI)
+    return tail if isinstance(h, np.ndarray) else float(tail[0])
 
 
 def orthant_masses(h, k: float, r: float):
@@ -255,32 +248,15 @@ def orthant_masses(h, k: float, r: float):
             parts += [0.5 * ndtr(h), -owens_t(h, (q - p * h) / (h * s)), -0.5 * (h > 0.0)]
         near, far = (max(0.0, math.fsum(v)) for v in (parts, [ndtr(h), *(-x for x in parts)]))
         return (near, far) if k < 0.0 else (far, near)
-    t = owens_t(h, r)
+    t, half = owens_t(h, r), 0.5 * ndtr(h)
     if isinstance(h, np.ndarray):
-        half = 0.5 * _ndtr_array(h)
         neg = half - t
         rare = h * r < -1.0
         if rare.any():
             neg[rare] = owens_t_tail(h[rare], r)
     else:
-        half = 0.5 * ndtr(h)
         neg = owens_t_tail(h, r) if h * r < -1.0 else half - t
     return half + t, neg
-
-
-def std_normal_cdf(x):
-    """Standard-normal CDF of a float or each element of an ndarray, by
-    :func:`ndtr`.
-
-    Raises:
-        DomainError: if any input is NaN or infinite.
-    """
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("std_normal_cdf requires finite input")
-    if np.isscalar(x) or arr.ndim == 0:
-        return ndtr(float(arr))
-    return _ndtr_array(arr.ravel()).reshape(arr.shape)
 
 
 def _require_variance(variance) -> float:

@@ -3,8 +3,9 @@
 :func:`predictive_score` scores a test set against a fitted posterior
 summary, at the noise variances the summary records, and reads only the
 test set's per-group outcome tally, placed on the summary's labels. By
-accuracy it predicts one outcome for every stop, from the population
-rule ``guilt_probability(criminality mean, gamma) >= 0.5``; by likelihood
+accuracy it predicts one outcome for every stop, "positive" when the
+criminality mean is ``>= 0`` (``Phi(c/sqrt(gamma)) >= 1/2`` exactly when
+``c >= 0``, so ``gamma`` plays no part); by likelihood
 it takes the mean probability the fit gives each observed outcome, from
 each group's P(positive outcome | stopped)
 (:func:`outcome_probability_given_stop`), the orthant masses of the
@@ -21,7 +22,7 @@ from .data import Dataset
 from .errors import DomainError
 from .gaussians import orthant_masses
 from .inference import PosteriorSummary
-from .model import guilt_probability, require_positive_finite
+from .model import require_positive_finite
 
 __all__ = [
     "predictive_score",
@@ -60,10 +61,10 @@ def predictive_score(posterior: PosteriorSummary, test: Dataset, method: str = "
     not know raises DomainError.
 
     ``method="accuracy"`` (the default) predicts a positive outcome for
-    every record iff ``guilt_probability(criminality mean, gamma) >= 0.5``
-    - the population-level rule; after anchoring the criminality mean is 0,
-    the predicted probability is exactly 0.5, and the tie breaks to
-    "positive" (documented). Returns the fraction of correct predictions.
+    every record iff the criminality mean is ``>= 0`` - the population-level
+    rule ``Phi(c/sqrt(gamma)) >= 1/2``, in which ``gamma`` plays no part; a
+    criminality mean of exactly 0, as after anchoring, breaks the tie to
+    "positive". Returns the fraction of correct predictions.
 
     ``method="likelihood"`` returns the mean predictive probability
     assigned to the observed outcomes using each record's group-specific
@@ -81,8 +82,7 @@ def predictive_score(posterior: PosteriorSummary, test: Dataset, method: str = "
     counts = np.zeros((len(posterior.labels), 2), dtype=np.intp)
     counts[[posterior.labels.index(label) for label in test.labels]] = test.outcome_counts()
     if method == "accuracy":
-        p = guilt_probability(posterior.criminality_mean, posterior.gamma)
-        return int(counts[:, int(p >= 0.5)].sum()) / len(test)
+        return int(counts[:, int(posterior.criminality_mean >= 0.0)].sum()) / len(test)
     if method == "likelihood":
         p = np.array([
             outcome_probability_given_stop(

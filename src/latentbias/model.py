@@ -27,7 +27,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .gaussians import std_normal_cdf
 
 __all__ = [
     "DIVERGENCE_MEAN_LIMIT",
@@ -36,7 +35,6 @@ __all__ = [
     "ModelConfig",
     "build_prior",
     "descending_order",
-    "guilt_probability",
     "require_positive_finite",
 ]
 
@@ -137,8 +135,3 @@ def descending_order(values: np.ndarray) -> np.ndarray:
     """Indices of ``values`` from largest to smallest; ties keep index order."""
     return np.argsort(-np.asarray(values), kind="stable")
 
-
-def guilt_probability(c: float, gamma: float) -> float:
-    """P(positive outcome once stopped) = Phi(c / sqrt(gamma))."""
-    require_positive_finite(gamma=gamma)
-    return std_normal_cdf(c / math.sqrt(gamma))

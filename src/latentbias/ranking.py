@@ -82,7 +82,7 @@ class _SkillTarget:
         out = -0.5 * (d - self.m0) ** 2
         for n, sign in ((self.b, 1.0), (self.a, -1.0)):
             if n:
-                out += n * np.fromiter(map(log_ndtr, (sign * d).tolist()), float, d.size)
+                out += n * log_ndtr(sign * d)
         return out
 
     def score_hessian(self, d: float) -> tuple[float, float]:

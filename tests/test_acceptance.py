@@ -25,11 +25,11 @@ from latentbias import (
     matches_from_dataset,
     run_gibbs,
     sample_truncated_normal,
-    std_normal_cdf,
     synthesize,
     trueskill_gibbs,
 )
 from latentbias.cli import main
+from latentbias.gaussians import ndtr
 
 from conftest import (
     CHARGES_TABLE,
@@ -98,7 +98,7 @@ def test_02_likelihood_oracle_equivalence():
                 oracle = likelihood_oracle(c, beta, x)
                 worst_pair = max(worst_pair, abs(analytic - oracle))
                 total += analytic
-            worst_sum = max(worst_sum, abs(total - std_normal_cdf(c + beta)))
+            worst_sum = max(worst_sum, abs(total - ndtr(c + beta)))
     elapsed = time.perf_counter() - t0
     ok = worst_pair <= 1e-4 and worst_sum <= 1e-12 and elapsed <= 60.0
     _report(2, "analytic likelihood equals 2-D quadrature oracle",

@@ -520,11 +520,15 @@ def test_rank_single_group_two_rows(tmp_path):
     assert len((out / "ranking.csv").read_text().splitlines()) == 3
 
 
-def test_rank_empty_dataset_exit_2(tmp_path):
+def test_rank_empty_dataset_exit_2(tmp_path, capsys):
+    # the ranking itself rejects a dataset with no stops, before any output
     path = tmp_path / "empty.csv"
     path.write_text("group,stopped,outcome,force\n")
     assert main(["rank", "--input", str(path), "--seed", "1",
                  "--out-dir", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().err == "error: matches must be nonempty\n"
+    assert not (tmp_path / "r" / "ranking.csv").exists()
+    assert not (tmp_path / "r" / "manifest.json").exists()
 
 
 def test_rank_deterministic(canonical_csv, tmp_path):

@@ -22,11 +22,11 @@ from latentbias import (
     parse_records,
     read_dataset_csv,
     split,
-    std_normal_cdf,
     synthesize,
     write_dataset_csv,
 )
 from latentbias.data import stream_bytes
+from latentbias.gaussians import ndtr
 from latentbias.manifest import sha256_file
 from conftest import (
     GUILTY_LENIENT,
@@ -415,14 +415,14 @@ def test_synthesize_stop_rates_match_closed_form():
     params = TrueParams(beta=beta, population=(100_000,) * 4)
     _records, report = synthesize(params, np.random.default_rng(2))
     for k, b in enumerate(beta):
-        want = std_normal_cdf(b / math.sqrt(2.0))
+        want = ndtr(b / math.sqrt(2.0))
         assert report.stop_rate(k) == pytest.approx(want, abs=0.01)
 
 
 def test_synthesize_respects_alpha():
     params = TrueParams(beta=(1.0,), alpha=3.0, population=(200_000,))
     _records, report = synthesize(params, np.random.default_rng(3))
-    want = std_normal_cdf(1.0 / math.sqrt(4.0))
+    want = ndtr(1.0 / math.sqrt(4.0))
     assert report.stop_rate(0) == pytest.approx(want, abs=0.01)
 
 

@@ -7,10 +7,8 @@ from scipy import integrate, special, stats
 from latentbias import (
     DomainError,
     sample_truncated_normal,
-    std_normal_cdf,
     truncated_moments,
 )
-from latentbias import gaussians
 from latentbias.gaussians import log_ndtr, ndtr, orthant_masses, owens_t, owens_t_tail
 
 from conftest import (
@@ -26,33 +24,26 @@ from conftest import (
 # --- standard normal CDF -----------------------------------------------------
 
 def test_cdf_at_zero():
-    assert std_normal_cdf(0.0) == 0.5
+    assert ndtr(0.0) == 0.5
 
 
 def test_cdf_symmetry():
-    assert std_normal_cdf(0.7) + std_normal_cdf(-0.7) == pytest.approx(1.0, abs=1e-15)
+    assert ndtr(0.7) + ndtr(-0.7) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_cdf_against_quadrature_oracle():
     for x in (-3.0, -1.0, 0.3, 1.96, 2.5):
-        assert std_normal_cdf(x) == pytest.approx(cdf_oracle(x), abs=1e-12)
+        assert ndtr(x) == pytest.approx(cdf_oracle(x), abs=1e-12)
 
 
 def test_cdf_1p96_value():
-    assert std_normal_cdf(1.96) == pytest.approx(0.9750021048517796, abs=1e-12)
+    assert ndtr(1.96) == pytest.approx(0.9750021048517796, abs=1e-12)
 
 
 def test_cdf_monotone():
     xs = np.linspace(-9, 9, 400)
-    vals = std_normal_cdf(xs)
+    vals = ndtr(xs)
     assert np.all(np.diff(vals) >= 0)
-
-
-def test_cdf_rejects_non_finite():
-    with pytest.raises(DomainError):
-        std_normal_cdf(float("nan"))
-    with pytest.raises(DomainError):
-        std_normal_cdf(float("inf"))
 
 
 # --- Phi, log Phi and Owen's T against scipy ------------------------------------
@@ -79,7 +70,30 @@ def test_ndtr_and_log_ndtr_match_scipy():
 
 def test_ndtr_array_is_the_scalar_ndtr_bit_for_bit():
     want = np.array([ndtr(x) for x in EXACT_GRID.tolist()])
-    assert gaussians._ndtr_array(EXACT_GRID).tobytes() == want.tobytes()
+    assert ndtr(EXACT_GRID).tobytes() == want.tobytes()
+
+
+def test_log_ndtr_array_is_the_scalar_log_ndtr_bit_for_bit():
+    # past the -20 series switch out to -1e5, where Phi itself underflows and
+    # log(ndtr(x)) is -inf: the array form stays finite, as the float one does
+    xs = np.concatenate([EXACT_GRID, -np.geomspace(60.0, 1e5, 301)])
+    got = log_ndtr(xs)
+    assert got.tobytes() == np.array([log_ndtr(x) for x in xs.tolist()]).tobytes()
+    far = np.array([-40.0, -1e3])
+    with np.errstate(divide="ignore"):
+        assert np.log(ndtr(far)).tolist() == [-np.inf, -np.inf]
+    assert np.isfinite(log_ndtr(far)).all() and np.isfinite(got).all()
+
+
+@pytest.mark.parametrize("a", [0.1, 0.58, 1.0, 4.98, 1000.0])
+def test_owens_t_tail_float_is_its_one_row_array(a):
+    # one numpy body: a float h is a one-row array, and each row of a longer
+    # array has the same bits
+    hs = EXACT_GRID[::401]
+    got = [owens_t_tail(h, a) for h in hs.tolist()]
+    assert all(type(v) is float for v in got)
+    assert got == [owens_t_tail(np.array([h]), a)[0] for h in hs.tolist()]
+    assert np.array(got).tobytes() == owens_t_tail(hs, a).tobytes()
 
 
 def test_owens_t_matches_scipy():
@@ -107,8 +121,8 @@ def test_owens_t_float_path_matches_array_path(function, a, ulps):
     # from the array path only by rounding (exp, the summation order, and the
     # array path's weights folded with 1/(1 + x^2) on the shared nodes); the
     # grid crosses h a = sqrt(80) at each a, so rows on the whole range and
-    # rows past the cutoff are both checked; the tail's summands span more
-    # magnitudes, so its sums round further apart
+    # rows past the cutoff are both checked; the tail has one body for both,
+    # so it agrees exactly (see test_owens_t_tail_float_is_its_one_row_array)
     got = [function(h, a) for h in EXACT_GRID.tolist()]
     assert all(type(v) is float for v in got)
     assert _max_ulps(got, function(EXACT_GRID, a)) <= ulps

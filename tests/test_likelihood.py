@@ -11,7 +11,7 @@ from latentbias import (
     outcome_probability_given_stop,
     predictive_score,
 )
-from latentbias.gaussians import orthant_masses
+from latentbias.gaussians import ndtr, orthant_masses
 from latentbias.inference import _CountTarget
 
 from conftest import (cdf_oracle, dataset_from_rows, likelihood_oracle,
@@ -54,9 +54,7 @@ def test_branch_sum_is_stop_probability():
     for c in grid:
         for beta in grid:
             total = stop_search_likelihood(c, beta, 1) + stop_search_likelihood(c, beta, 0)
-            from latentbias import std_normal_cdf
-
-            assert total == pytest.approx(std_normal_cdf(c + beta), abs=1e-12)
+            assert total == pytest.approx(ndtr(c + beta), abs=1e-12)
 
 
 def test_monotone_in_c_for_positive_branch():
@@ -115,6 +113,26 @@ def test_strongly_negative_posterior_predicts_negative():
     summary = _summary([0.0], c_mean=-4.0)
     test = _test_set([0] * 10, [False] * 10)
     assert predictive_score(summary, test) == 1.0
+
+
+def test_tiny_negative_mean_predicts_negative():
+    # Phi(-1e-300) rounds to exactly 0.5, but the mean is below 0, so the
+    # rule predicts "negative" for every stop
+    summary = _summary([0.3, -0.3], c_mean=-1e-300)
+    test = _test_set([i % 2 for i in range(100)], [i % 5 < 2 for i in range(100)])
+    negative_fraction = test.outcome_counts()[:, 0].sum() / len(test)
+    assert predictive_score(summary, test) == negative_fraction
+
+
+@pytest.mark.parametrize("c_mean", [-0.3, 0.0, 0.3])
+def test_accuracy_does_not_depend_on_gamma(c_mean):
+    test = _test_set([i % 2 for i in range(100)], [i % 5 < 2 for i in range(100)])
+    scores = []
+    for gamma in (0.01, 100.0):
+        summary = _summary([0.3, -0.3], c_mean=c_mean)
+        summary.gamma = gamma
+        scores.append(predictive_score(summary, test))
+    assert scores[0] == scores[1]
 
 
 def test_likelihood_method_uses_group_specific_probabilities():

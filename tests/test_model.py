@@ -12,13 +12,12 @@ from latentbias import (
     ModelConfig,
     PriorKind,
     build_prior,
-    guilt_probability,
     read_dataset_csv,
     run_gibbs,
 )
 from latentbias import inference
 
-from conftest import cdf_oracle, dataset_from_rows
+from conftest import dataset_from_rows
 
 
 # --- prior construction --------------------------------------------------------
@@ -80,33 +79,6 @@ def test_prior_validation():
 def test_prior_needs_a_group():
     with pytest.raises(DomainError):
         build_prior(0)
-
-
-# --- event probabilities ---------------------------------------------------------
-
-def test_guilt_probability_values():
-    assert guilt_probability(0.0, 1.0) == 0.5
-    assert guilt_probability(1.0, 1.0) == pytest.approx(cdf_oracle(1.0), abs=1e-12)
-
-
-def test_guilt_probability_antisymmetry():
-    c, g = 0.8, 1.7
-    assert guilt_probability(-c, g) == pytest.approx(1.0 - guilt_probability(c, g), abs=1e-14)
-
-
-def test_probabilities_increase_in_c():
-    cs = np.linspace(-3, 3, 50)
-    guilts = [guilt_probability(c, 1.0) for c in cs]
-    assert np.all(np.diff(guilts) > 0)
-    assert all(0 < p < 1 for p in guilts)
-
-
-def test_probability_domain_errors():
-    with pytest.raises(DomainError):
-        guilt_probability(0.0, -1.0)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(DomainError, match="positive and finite"):
-            guilt_probability(0.0, bad)
 
 
 # --- records and config ----------------------------------------------------------
