@@ -2,9 +2,11 @@
 
 A numpy library with a thin CLI; numpy is its only dependency. The pieces:
 
-* :mod:`latentbias.gaussians`  - the normal CDF and its log, Owen's T, and
-  truncated-normal moments and sampling.
-* :mod:`latentbias.model`      - configuration, the three prior regimes
+* :mod:`latentbias.gaussians`  - the normal CDF and its log, Owen's T, the
+  log orthant masses of a bivariate normal, and truncated-normal moments
+  and sampling; model-free math.
+* :mod:`latentbias.model`      - the cell model (the stop and outcome
+  equations and their cell masses), configuration, the three prior regimes
   and the ``(means, variances)`` bias prior.
 * :mod:`latentbias.inference`  - the Gibbs sampler, anchoring, traces.
 * :mod:`latentbias.likelihood` - held-out scoring of a fitted summary.
@@ -48,11 +50,9 @@ from .inference import (
     run_gibbs,
     write_trace_csv,
 )
-from .likelihood import (
-    outcome_probability_given_stop,
-    predictive_score,
-)
+from .likelihood import predictive_score
 from .model import (
+    CellModel,
     ModelConfig,
     PriorKind,
     build_prior,

@@ -71,7 +71,7 @@ from typing import BinaryIO, Iterable, Sequence, TextIO
 import numpy as np
 
 from .errors import DataError, DomainError
-from .model import require_positive_finite
+from .model import CellModel, require_positive_finite
 
 __all__ = [
     "Dataset",
@@ -591,34 +591,27 @@ def synthesize(
 ) -> tuple[Dataset, SynthReport]:
     """Draw a dataset from the generative process.
 
-    Per individual: criminality ``C ~ N(0,1)``; stopped when
-    ``C + beta_k + N(0, alpha) > 0``; a record is emitted only for stopped
-    individuals, with a positive outcome when ``C + N(0, gamma) > 0``.
-    The stops are tallied per group, labelled ``labels`` (default
-    ``group0``, ``group1``, ...), at the one force ``synthetic``; expected stop
-    rate per group is ``Phi(beta_k / sqrt(1 + alpha))``.
+    Each group's population is drawn by
+    :meth:`~latentbias.model.CellModel.draw_counts` at ``params``' noise
+    variances, with criminality N(0, 1), group by group; a record is emitted
+    only for a stopped individual. The stops are tallied per group, labelled
+    ``labels`` (default ``group0``, ``group1``, ...), at the one force
+    ``synthetic``.
     """
     k = len(params.beta)
     if labels is None:
         labels = [f"group{g}" for g in range(k)]
     elif len(labels) != k:
         raise DomainError("labels must have one entry per group")
-    stopped = []
-    positive = []
-    sqrt_a = math.sqrt(params.alpha)
-    sqrt_g = math.sqrt(params.gamma)
-    for g in range(k):
-        pop = params.population[g]
-        crim = rng.standard_normal(pop)
-        is_stopped = crim + params.beta[g] + sqrt_a * rng.standard_normal(pop) > 0
-        crim_stopped = crim[is_stopped]
-        outcome = crim_stopped + sqrt_g * rng.standard_normal(crim_stopped.size) > 0
-        stopped.append(int(is_stopped.sum()))
-        positive.append(int(outcome.sum()))
-    counts = np.array([[n - p, p] for n, p in zip(stopped, positive)], dtype=np.intp)
+    model = CellModel(params.alpha, params.gamma)
+    draws = [model.draw_counts(beta, pop, rng)
+             for beta, pop in zip(params.beta, params.population)]
+    counts = np.array([[n - p, p] for n, p in draws], dtype=np.intp)
     dataset = Dataset(counts.reshape(k, 2, 1), labels, ("synthetic",))
     return dataset, SynthReport(
-        population=params.population, stopped=tuple(stopped), positive=tuple(positive)
+        population=params.population,
+        stopped=tuple(n for n, _ in draws),
+        positive=tuple(p for _, p in draws),
     )
 
 

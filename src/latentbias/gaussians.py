@@ -1,25 +1,26 @@
 """Gaussian primitives.
 
-The standard-normal CDF and its logarithm, Owen's T function, the model's
-stop/outcome orthant masses, the moments of a one-sided truncated normal,
-and a vectorised one-sided truncated-normal sampler exact in the far tails.
+The standard-normal CDF and its logarithm, Owen's T function, the log
+orthant masses of a standard bivariate normal, the moments of a one-sided
+truncated normal, and a vectorised one-sided truncated-normal sampler exact
+in the far tails. Nothing here knows the stop-and-search model:
+:mod:`latentbias.model` maps its parameters onto these functions.
 
 Everything here uses only the standard library and numpy. :func:`ndtr`,
 :func:`log_ndtr` and Owen's T stay within about 1e-13 relative error of
 scipy's reference wherever the value is a normal float (checked on dense
 grids by the tests, which keep scipy as their oracle).
 
-:func:`ndtr`, :func:`log_ndtr`, :func:`owens_t`, :func:`owens_t_tail` and
-:func:`orthant_masses` at ``k = 0`` follow one rule: a float in gives a
-float out, and a 1-D array in gives an array out. From :func:`ndtr`,
-:func:`log_ndtr` and :func:`owens_t_tail` each element has the float's
-exact bits. Owen's T keeps a float-only twin on stdlib ``math``, for the
-anchored fit's Newton steps; its array path reduces its rows on one shared
-node grid, by one ``exp`` pass and one ``einsum`` (the same bits per row
-whatever the array's length), and agrees with the float path within a few
-units in the last place. Held-out accuracy needs no CDF: ``Phi(c/sqrt(gamma))
->= 1/2`` exactly when ``c >= 0``, so it predicts "positive" when the
-criminality mean is ``>= 0``, and ``gamma`` plays no part.
+:func:`ndtr`, :func:`log_ndtr`, :func:`owens_t`, :func:`owens_t_tail`,
+:func:`zero_threshold_masses` and :func:`log_orthant_masses` follow one
+rule: a float in gives a float out, and a 1-D array in gives an array out.
+From :func:`ndtr`, :func:`log_ndtr`, :func:`owens_t_tail` and
+:func:`log_orthant_masses` each element has the float's exact bits. Owen's
+T keeps a float-only twin on stdlib ``math``, for the anchored fit's Newton
+steps; its array path reduces its rows on one shared node grid, by one
+``exp`` pass and one ``einsum`` (the same bits per row whatever the array's
+length), and agrees with the float path within a few units in the last
+place.
 
 Both truncated-normal helpers take one half-line, ``x > 0``, and a
 positive finite scalar variance; draw the negative half-line as
@@ -41,7 +42,8 @@ __all__ = [
     "log_ndtr",
     "owens_t",
     "owens_t_tail",
-    "orthant_masses",
+    "zero_threshold_masses",
+    "log_orthant_masses",
     "sample_truncated_normal",
     "truncated_moments",
 ]
@@ -62,10 +64,16 @@ _LOG_NDTR_SERIES_SWITCH, _LOG_NDTR_SERIES_TERMS = -20.0, 12
 # is below exp(-_CUTOFF) of its peak
 _CUTOFF = 40.0
 _CUTOFF_X = math.sqrt(2.0 * _CUTOFF)
-# orthant_masses takes |k| or |h| up to this as 0 off the zero threshold: the
-# masses move by less than that absolute, below the sum's own accuracy, and
-# its quotients by k and h would overflow or divide by zero
-_NEAR_ZERO = 1e-17
+# off the zero threshold the orthant masses' panels end where their integrand
+# is exp(-_FALL) below its peak, at most _FALL_X from it (the log integrand's
+# curvature is <= -1); the Phi factor's step gets panels of its own, out to
+# _STEP of its widths on each side, where that factor is below Phi(-10)
+_FALL = 45.0
+_FALL_X = math.sqrt(2.0 * _FALL)
+_STEP = 10.0
+# Newton step cap, for the integrand's peak and each of its ends, and the
+# peak's relative tolerance
+_PEAK_STEPS, _PEAK_TOL = 100, 1e-12
 
 
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -123,12 +131,29 @@ def _log_ndtr(x: float) -> float:
         return math.log1p(-0.5 * math.erfc(x * _SQRT1_2))
     if x > _LOG_NDTR_SERIES_SWITCH:
         return math.log(0.5 * math.erfc(-x * _SQRT1_2))
-    # Phi(x) = phi(x)/|x| * (1 - 1/x^2 + 3/x^4 - 15/x^6 + ...)
+    return -0.5 * x * x - math.log(-x) - _LOG_SQRT_2PI + math.log(_mills_series(x))
+
+
+def _mills_series(x):
+    """``-x Phi(x)/phi(x) = 1 - 1/x^2 + 3/x^4 - 15/x^6 + ...``, the asymptotic
+    series of Mills' ratio, at a float or at each element of an array below
+    ``-20``."""
     z, term, total = 1.0 / (x * x), 1.0, 1.0
     for n in range(1, _LOG_NDTR_SERIES_TERMS + 1):
-        term *= -(2 * n - 1) * z
-        total += term
-    return -0.5 * x * x - math.log(-x) - _LOG_SQRT_2PI + math.log(total)
+        term = term * (-(2 * n - 1) * z)
+        total = total + term
+    return total
+
+
+def _normal_hazard(z: np.ndarray) -> np.ndarray:
+    """``phi(z)/Phi(z)`` at each element of ``z``; by Mills' series below
+    ``-20``, where the quotient of the logs would cancel."""
+    out = np.empty_like(z)
+    far = z < _LOG_NDTR_SERIES_SWITCH
+    near = z[~far]
+    out[~far] = np.exp(-0.5 * near * near - _LOG_SQRT_2PI - log_ndtr(near))
+    out[far] = -z[far] / _mills_series(z[far])
+    return out
 
 
 def _owens_t_integral(h: np.ndarray, a: float) -> np.ndarray:
@@ -212,42 +237,13 @@ def owens_t_tail(h, a: float):
     return tail if isinstance(h, np.ndarray) else float(tail[0])
 
 
-def orthant_masses(h, k: float, r: float):
-    """``(P(S > 0, T > 0), P(S > 0, T <= 0))`` for a stop latent ``S ~ N(m_s,
-    1 + alpha)`` and an outcome latent ``T ~ N(m_t, 1 + gamma)`` with one
-    shared N(0, 1) criminality, at ``h = m_s/sqrt(1 + alpha)``, ``k =
-    m_t/sqrt(1 + gamma)`` and ``r = 1/sqrt(alpha + gamma + alpha gamma)``
-    (``rho/sqrt(1 - rho^2)`` for their correlation ``rho``, without its
-    cancellation). The anchored fit and held-out scoring both take them here.
-
-    At ``k = 0``, ``h`` is a float or a 1-D array (floats or arrays out):
-    ``P+- = Phi(h)/2 +- T(h, r)``, with ``P-`` by :func:`owens_t_tail` where
-    ``h r < -1``, so both keep their relative precision until they underflow.
-
-    At ``k != 0``, ``h`` is a float. On the side of ``T`` whose threshold is
-    ``q = -|k|``, where the sum stays exact farther into the stop tail, the
-    mass is Owen's (1956) bivariate-normal CDF with correlation ``p =
-    -sign(k) rho`` and ``s = 1/sqrt(1 + r^2)``, summed exactly (``math.fsum``):
-
-        Phi(h)/2 + Phi(q)/2 - T(h, (q - p h)/(h s)) - T(q, (h - p q)/(q s)) - [h > 0]/2
-
-    (the ``h`` terms are 0 at ``h = 0``, and ``|h|`` or ``|k|`` up to 1e-17
-    counts as 0); the other mass is ``Phi(h)`` less
-    the same pieces. Far out, rounding can take either below 0, so both are
-    floored at 0. The pieces cancel, so a single mass is accurate only to
-    about 1e-16 absolute, and in the stop tail it can be off by up to 100 %
-    relative. Only the ratio ``P+/(P+ + P-)`` keeps a stated relative
-    accuracy: for ``h`` from about -6 to -10 it is off by up to about 1e-4
-    (against mpmath), and above ``h = -4`` it agrees to about 1e-12.
+def zero_threshold_masses(h, r: float):
+    """``(P+, P-) = (Phi(h)/2 + T(h, r), Phi(h)/2 - T(h, r))``, the masses of
+    :func:`log_orthant_masses` at ``k = 0``, at a float ``h`` (floats out, on
+    Owen's T's float twin) or at each element of a 1-D array ``h``, for
+    ``r > 0``. ``P-`` is :func:`owens_t_tail` where ``h r < -1``, so both keep
+    their relative precision until they underflow, past ``h`` of about -37.5.
     """
-    if abs(k) > _NEAR_ZERO:
-        s = 1.0 / math.sqrt(1.0 + r * r)
-        q, p = -abs(k), math.copysign(r * s, -k)
-        parts = [0.5 * ndtr(q), -owens_t(q, (h - p * q) / (q * s))]
-        if abs(h) > _NEAR_ZERO:
-            parts += [0.5 * ndtr(h), -owens_t(h, (q - p * h) / (h * s)), -0.5 * (h > 0.0)]
-        near, far = (max(0.0, math.fsum(v)) for v in (parts, [ndtr(h), *(-x for x in parts)]))
-        return (near, far) if k < 0.0 else (far, near)
     t, half = owens_t(h, r), 0.5 * ndtr(h)
     if isinstance(h, np.ndarray):
         neg = half - t
@@ -257,6 +253,127 @@ def orthant_masses(h, k: float, r: float):
     else:
         neg = owens_t_tail(h, r) if h * r < -1.0 else half - t
     return half + t, neg
+
+
+def log_orthant_masses(h, k: float, r: float):
+    """``(log P+, log P-)`` for the masses
+
+        P+- = int_{-h}^inf phi(x) Phi(+-(k sqrt(1 + r^2) + r x)) dx
+
+    of a standard bivariate normal ``(X, Y)`` with correlation ``r/sqrt(1 +
+    r^2)`` on ``X > -h`` and ``+-(Y + k) > 0``, for ``r > 0``, at a float
+    ``h`` (floats out) or at each element of a 1-D array ``h``; a float is
+    its one-row array, bit for bit.
+
+    At ``k = 0`` they are the logs of the array path of
+    :func:`zero_threshold_masses`, ``-inf`` where that underflows. Elsewhere
+    the integral is taken in log space and never underflows: Newton's
+    method finds the peak of the concave log integrand on ``[-h, inf)`` and
+    the points on each side where it falls ``exp(-45)`` below it, and each
+    side gets one 40-point Gauss-Legendre panel, split at the step of the
+    ``Phi`` factor, at ``x = -k sqrt(1 + r^2)/r``, and ten of its widths
+    ``1/r`` to each side of it. Both stay within about 1e-12 relative of an
+    adaptive-quadrature oracle wherever it is a normal float.
+    """
+    hs = np.atleast_1d(np.asarray(h, dtype=float))
+    if k == 0.0:
+        pos, neg = zero_threshold_masses(hs, r)
+        with np.errstate(divide="ignore"):
+            masses = np.log(pos), np.log(neg)
+    else:
+        b, n = k * math.hypot(1.0, r), hs.size
+        masses = np.split(_log_mass_integral(np.concatenate((hs, hs)), np.repeat([b, -b], n),
+                                             np.repeat([r, -r], n)), 2)
+    return tuple(masses) if isinstance(h, np.ndarray) else tuple(float(m[0]) for m in masses)
+
+
+def _log_mass_integral(h: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``log int_{-h}^inf phi(x) Phi(b + s x) dx`` at each row, ``s != 0``.
+
+    The log integrand ``g(x) = -x^2/2 + log Phi(b + s x)`` (less ``log
+    sqrt(2 pi)``) is concave with ``g'' <= -1``. Its peak ``p`` is ``-h``
+    where ``g'(-h) <= 0``, and otherwise Newton's root of ``g'`` inside the
+    sign bracket ``(-h, max(-b/s, 0) + 1)`` for ``s > 0`` or ``(-h, 0)`` for
+    ``s < 0``, bisecting on an overshoot. The rest works in offsets ``d``
+    from ``p`` and in ``g(p + d) - g(p)``, which stay exact where the
+    integrand is narrower than a unit in the last place of ``p``: from ``d
+    = +-sqrt(90)``, past where ``g`` falls 45 below ``g(p)``, Newton's steps
+    move inward monotonically (``g`` is concave) until within 1 of that
+    fall, and the panels' empty rows take no evaluation.
+    """
+    n = h.size
+    lo, edge = -h, -b / s  # edge: the middle of the Phi factor's step
+    peak = lo.copy()
+    z = b + s * lo
+    rows = np.flatnonzero(-lo + s * _normal_hazard(z) > 0.0)  # the peak is inside
+    below, above = lo[rows], np.where(s[rows] > 0.0, np.maximum(edge[rows], 0.0) + 1.0, 0.0)
+    x = np.clip(np.where(s[rows] > 0.0, np.maximum(edge[rows], 0.0), np.minimum(edge[rows], 0.0)),
+                below, above)
+    for _ in range(_PEAK_STEPS):
+        if not rows.size:
+            break
+        z = b[rows] + s[rows] * x
+        hazard = _normal_hazard(z)
+        d1 = -x + s[rows] * hazard
+        # g'' = -1 - s^2 hazard (z + hazard), the product in [0, 1]
+        d2 = -1.0 - np.square(s[rows]) * np.clip(hazard * (z + hazard), 0.0, 1.0)
+        below, above = np.where(d1 > 0.0, x, below), np.where(d1 > 0.0, above, x)
+        move = -d1 / d2
+        done = (np.abs(move) <= _PEAK_TOL * (1.0 + np.abs(x))) | (above - below <= _PEAK_TOL)
+        peak[rows[done]] = x[done]
+        x = x + move
+        bisect = ~((below < x) & (x < above))
+        x[bisect] = 0.5 * (below[bisect] + above[bisect])
+        rows, x, below, above = rows[~done], x[~done], below[~done], above[~done]
+    peak[rows] = x  # within the bracket, if any row is left: it only splits panels
+    z_peak = b + s * peak
+    log_peak = log_ndtr(z_peak)
+
+    def rise(d, rows):
+        """``g(p + d) - g(p)`` at offsets ``d`` of ``rows``."""
+        dz = s[rows] * d
+        return -d * (peak[rows] + 0.5 * d) + _log_ndtr_rise(z_peak[rows] + dz, z_peak[rows],
+                                                              log_peak[rows], dz)
+
+    def fall(start, rows):
+        """Newton's steps on ``g(p + d) - g(p) = -45`` from ``start``, beyond the root."""
+        out, d = start.copy(), start[rows]
+        for _ in range(_PEAK_STEPS):
+            g = rise(d, rows)
+            far = g < -_FALL - 1.0
+            rows, d, g = rows[far], d[far], g[far]
+            if not rows.size:
+                break
+            slope = -(peak[rows] + d) + s[rows] * _normal_hazard(z_peak[rows] + s[rows] * d)
+            out[rows] = d = d - (g + _FALL) / slope
+        return out
+
+    right = fall(np.full(n, _FALL_X), np.arange(n))
+    left = fall(np.maximum(lo - peak, -_FALL_X), np.flatnonzero(peak > lo))
+    width, step = _STEP / np.abs(s), edge - peak
+    breaks = np.sort(np.column_stack([left, np.zeros(n), right] + [
+        np.clip(step + d, left, right) for d in (-width, 0.0, width)]), axis=1)
+    spans = np.diff(breaks, axis=1)
+    live = spans > 0.0
+    row = np.repeat(np.nonzero(live)[0], _GL_NODES.size)
+    nodes = (breaks[:, :-1][live][:, None] + spans[live][:, None] * _GL_NODES).ravel()
+    terms = np.zeros(spans.shape + _GL_NODES.shape)
+    terms[live] = (np.exp(rise(nodes, row)).reshape(-1, _GL_NODES.size)
+                   * (spans[live][:, None] * _GL_WEIGHTS))
+    return (-0.5 * peak * peak + log_peak - _LOG_SQRT_2PI
+            + np.log(terms.reshape(n, -1).sum(axis=-1)))
+
+
+def _log_ndtr_rise(z: np.ndarray, z0: np.ndarray, log0: np.ndarray, dz: np.ndarray) -> np.ndarray:
+    """``log Phi(z) - log Phi(z0)`` given ``log0 = log Phi(z0)`` and ``dz = z - z0``;
+    where both are below -20, by Mills' series, so two large logs do not cancel."""
+    out = np.empty_like(z)
+    far = (z < _LOG_NDTR_SERIES_SWITCH) & (z0 < _LOG_NDTR_SERIES_SWITCH)
+    out[~far] = log_ndtr(z[~far]) - log0[~far]
+    z, z0, dz = z[far], z0[far], dz[far]
+    out[far] = (-0.5 * dz * (z + z0) - np.log1p(dz / z0)
+                + np.log(_mills_series(z) / _mills_series(z0)))
+    return out
 
 
 def _require_variance(variance) -> float:

@@ -5,7 +5,8 @@ Every stopped record has two latents: a stopping susceptibility ``S``
 outcome). The anchoring flag is the drift correction. With it on (the
 default except under FREE), each person's criminality is N(0,1) with no
 shared term, so the latents integrate out and a group's bias conditional
-depends only on its counts (:class:`_CountTarget`). Each sweep advances
+depends only on its counts (:class:`_CountTarget`, whose cell masses come
+from :class:`~latentbias.model.CellModel`). Each sweep advances
 every bias by the independence Metropolis-Hastings steps of
 :mod:`~latentbias.kernel`, O(K) work with no per-record draws; the targets
 do not move, so the kernel draws a fit's proposals and uniforms in one batch
@@ -44,10 +45,10 @@ import numpy as np
 
 from .data import Dataset, csv_field
 from .errors import ConditioningError, DivergenceError, DomainError
-from .gaussians import ndtr, orthant_masses, sample_truncated_normal
+from .gaussians import ndtr, sample_truncated_normal, zero_threshold_masses
 from .kernel import MH_STEPS, T_DOF, log_weights, mh_states, proposals
-from .model import (DIVERGENCE_MEAN_LIMIT, DIVERGENCE_VARIANCE_LIMIT, ModelConfig, PriorKind,
-                    build_prior, descending_order)
+from .model import (DIVERGENCE_MEAN_LIMIT, DIVERGENCE_VARIANCE_LIMIT, CellModel, ModelConfig,
+                    PriorKind, build_prior, descending_order)
 
 __all__ = [
     "GibbsTrace",
@@ -274,42 +275,42 @@ class _CountTarget:
 
         log N(beta; m0, v0) + n_pos log P+(beta) + n_neg log P-(beta),
 
-    up to a constant, where ``P+-`` are the orthant masses of (S, T) = (C +
-    beta + N(0, alpha), C + N(0, gamma)), C ~ N(0,1), on S > 0 and +-T > 0:
-    :func:`~latentbias.gaussians.orthant_masses` at ``h = beta/sqrt(1+alpha)``
-    and ``k = 0``, precise until they underflow. The density is log-concave.
+    up to a constant, where ``P+-`` are the masses of the group's positive
+    and negative stops at criminality mean 0, from ``model``
+    (:meth:`~latentbias.model.CellModel.log_masses`), precise until they
+    underflow. The density is log-concave.
     """
 
-    def __init__(self, n_pos, n_neg, m0, v0, alpha: float, gamma: float):
+    def __init__(self, n_pos, n_neg, m0, v0, model: CellModel):
         # Python floats: the mode solve's float arithmetic runs on them
         self.n_pos, self.n_neg, self.m0, self.v0 = (float(v) for v in (n_pos, n_neg, m0, v0))
-        self.sa, self.r = math.sqrt(1.0 + alpha), math.sqrt(1.0 / (alpha + gamma + alpha * gamma))
+        self.model = model
 
     def log_density(self, beta: np.ndarray) -> np.ndarray:
         """The log density at each ``beta``; ``-inf`` where a needed mass underflows."""
-        pos, neg = orthant_masses(beta / self.sa, 0.0, self.r)
+        log_pos, log_neg = self.model.log_masses(beta)
         out = -((beta - self.m0) ** 2) / (2.0 * self.v0)
-        with np.errstate(divide="ignore"):
-            if self.n_pos:
-                out = out + self.n_pos * np.log(pos)
-            if self.n_neg:
-                out = out + self.n_neg * np.log(neg)
+        if self.n_pos:
+            out = out + self.n_pos * log_pos
+        if self.n_neg:
+            out = out + self.n_neg * log_neg
         return out
 
     def score_hessian(self, beta: float) -> tuple[float, float]:
         """First and second derivatives of the log density at a float ``beta``,
         from ``dP+-/dh = phi(h) Phi(-+r h)``, ``d2P+-/dh2 = -h dP+-/dh -+ r phi(h) phi(r h)``.
 
-        Float arithmetic only (the float paths of ``ndtr`` and the orthant), as
-        the mode solve calls it once per Newton step; NaN where a needed
-        orthant mass underflows."""
-        sa, r = self.sa, self.r
+        Float arithmetic only (the float paths of ``ndtr`` and
+        :func:`~latentbias.gaussians.zero_threshold_masses`), as the mode
+        solve calls it once per Newton step; NaN where a needed mass
+        underflows."""
+        sa, r = self.model.sa, self.model.r
         h = beta / sa
-        pos, neg = orthant_masses(h, 0.0, r)
+        pos, neg = zero_threshold_masses(h, r)
         phi, phi_r = math.exp(-0.5 * h * h) / _SQRT_2PI, math.exp(-0.5 * r * r * h * h) / _SQRT_2PI
         score, hess = -(beta - self.m0) / self.v0, -1.0 / self.v0
         for n, sign, p in ((self.n_pos, -1.0, pos), (self.n_neg, 1.0, neg)):
-            if n and not p > 0:  # the orthant mass underflowed
+            if n and not p > 0:  # the mass underflowed
                 return math.nan, math.nan
             if n:
                 ratio = phi * ndtr(sign * r * h) / p
@@ -432,8 +433,8 @@ def run_gibbs(
     if anchored:
         # the latents integrate out: each group's target is fixed by its counts,
         # so its chain is one accept loop over its proposals, read once a sweep
-        targets = [_CountTarget(*group, alpha, gamma)
-                   for group in zip(positives, negatives, m0, v0)]
+        model = CellModel(alpha, gamma)
+        targets = [_CountTarget(*group, model) for group in zip(positives, negatives, m0, v0)]
         t0 = time.perf_counter()
         for g, (pts, lw, u) in enumerate(proposals(targets, sweeps, rng)):
             trace_means[:, g] = pts[mh_states(lw, u)[MH_STEPS - 1 :: MH_STEPS]]

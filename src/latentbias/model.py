@@ -1,11 +1,24 @@
 """Domain types for the stop-and-search generative model.
 
-An individual carries a latent criminality ``C ~ N(0, 1)`` and belongs to
+An individual carries a latent criminality ``C ~ N(c, 1)`` and belongs to
 group ``k`` with latent bias ``beta_k``. They are stopped when
-``C + beta_k + N(0, alpha) > 0`` and, once stopped, the recorded outcome is
-positive when ``C + N(0, gamma) > 0``. The belief over
-``(beta_0..beta_{K-1}, C)`` starts from independent Gaussians (see
-:func:`build_prior`) and its update rules depend on the prior regime:
+``S = C + beta_k + N(0, alpha) > 0`` and, once stopped, the recorded
+outcome is positive when ``T = C + N(0, gamma) > 0``. :class:`CellModel`
+holds those equations: ``(S, T)`` is bivariate normal with covariance
+``[[1 + alpha, 1], [1, 1 + gamma]]``, so a group's stop/outcome cells have
+the masses of :func:`~latentbias.gaussians.log_orthant_masses` at
+
+    h = (c + beta)/sqrt(1 + alpha),  k = c/sqrt(1 + gamma),
+    r = 1/sqrt(alpha + gamma + alpha gamma),
+
+``r = rho/sqrt(1 - rho^2)`` for the correlation ``rho`` of S and T, taken
+without that subtraction so it stays exact at tiny noise. The anchored fit
+reads them at ``c = 0``, held-out scoring at the summary's criminality
+mean, and the synthetic generator draws from the same equations.
+
+The belief over ``(beta_0..beta_{K-1}, C)`` starts from independent
+Gaussians (see :func:`build_prior`) and its update rules depend on the
+prior regime:
 
 * ``INDEPENDENT`` - bias and criminality never correlate; no cross terms
   are ever written.
@@ -21,17 +34,19 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError
+from .gaussians import log_orthant_masses
 
 __all__ = [
     "DIVERGENCE_MEAN_LIMIT",
     "DIVERGENCE_VARIANCE_LIMIT",
     "PriorKind",
+    "CellModel",
     "ModelConfig",
     "build_prior",
     "descending_order",
@@ -65,6 +80,63 @@ def require_positive_finite(**values: float) -> None:
     if bad:
         got = ", ".join(f"{name}={values[name]}" for name in values)
         raise DomainError(f"{' and '.join(bad)} must be positive and finite, got {got}")
+
+
+@dataclass(frozen=True)
+class CellModel:
+    """The stop and outcome equations at noise variances ``alpha`` and
+    ``gamma``, checked positive and finite once, here.
+
+    ``sa = sqrt(1 + alpha)`` and ``r`` (see the module docstring) are the
+    scale and the correlation parameter of the cell masses; the mass
+    methods take a float ``beta`` (floats out) or a 1-D array of them, and a
+    float criminality mean ``c``.
+    """
+
+    alpha: float
+    gamma: float
+    sa: float = field(init=False, repr=False)
+    r: float = field(init=False, repr=False)
+
+    def __post_init__(self):
+        require_positive_finite(alpha=self.alpha, gamma=self.gamma)
+        object.__setattr__(self, "sa", math.sqrt(1.0 + self.alpha))
+        object.__setattr__(self, "r", math.sqrt(1.0 / (self.alpha + self.gamma
+                                                       + self.alpha * self.gamma)))
+
+    def thresholds(self, beta, c: float = 0.0):
+        """The standardised stop and outcome thresholds ``(h, k)`` of a group
+        with bias ``beta`` and criminality mean ``c``."""
+        return (c + beta) / self.sa, c / math.sqrt(1.0 + self.gamma)
+
+    def log_masses(self, beta, c: float = 0.0):
+        """``(log P(S > 0, T > 0), log P(S > 0, T <= 0))`` for a group with
+        bias ``beta`` and criminality mean ``c``: logs of the mass of its
+        positive and negative stops, whose sum is ``Phi(h)``."""
+        return log_orthant_masses(*self.thresholds(beta, c), self.r)
+
+    def outcome_probability(self, beta, c: float):
+        """P(positive outcome | stopped), ``P+/(P+ + P-)``, as ``1/(1 + exp(log
+        P- - log P+))``. Stopping selects individuals upward, so it stays
+        above one half whenever ``c >= 0``, and it never rises with ``beta``:
+        a group stopped on weaker grounds has a lower hit rate. NaN where
+        both masses underflow, which only ``c = 0`` reaches, past a stop
+        threshold ``h`` of about -37.5."""
+        pos, neg = self.log_masses(beta, c)
+        with np.errstate(over="ignore"):
+            p = 1.0 / (1.0 + np.exp(neg - pos))
+        return p if isinstance(beta, np.ndarray) else float(p)
+
+    def draw_counts(self, beta: float, population: int, rng: np.random.Generator):
+        """``(stopped, positive)`` among ``population`` individuals of a group
+        with bias ``beta``, criminality N(0, 1): one ``standard_normal`` call
+        each for the criminalities, the stop noise and the stopped
+        individuals' outcome noise, in that order."""
+        crim = rng.standard_normal(population)
+        stopped = crim + beta + math.sqrt(self.alpha) * rng.standard_normal(population) > 0
+        crim = crim[stopped]
+        positive = crim + math.sqrt(self.gamma) * rng.standard_normal(crim.size) > 0
+        return int(stopped.sum()), int(positive.sum())
 
 
 @dataclass(frozen=True)

@@ -410,6 +410,12 @@ def test_synthesize_never_stopped():
     assert report.stopped == (0,)
 
 
+def test_synthesize_no_groups():
+    records, report = synthesize(TrueParams(beta=()), np.random.default_rng(0))
+    assert len(records) == 0 and records.labels == ()
+    assert report.stopped == () and report.positive == ()
+
+
 def test_synthesize_stop_rates_match_closed_form():
     beta = (0.0, 0.5, 1.0, 1.5)
     params = TrueParams(beta=beta, population=(100_000,) * 4)

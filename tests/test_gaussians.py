@@ -9,7 +9,8 @@ from latentbias import (
     sample_truncated_normal,
     truncated_moments,
 )
-from latentbias.gaussians import log_ndtr, ndtr, orthant_masses, owens_t, owens_t_tail
+from latentbias.gaussians import (log_ndtr, log_orthant_masses, ndtr, owens_t, owens_t_tail,
+                                  zero_threshold_masses)
 
 from conftest import (
     EXACT_GRID,
@@ -160,73 +161,97 @@ def test_owens_t_tail_matches_quadrature(a):
     assert _max_rel_error(owens_t_tail(hs, a), want) <= 1e-12
 
 
-# --- stop/outcome orthant masses ----------------------------------------------
+# --- orthant masses --------------------------------------------------------------
 
 @pytest.mark.parametrize("r", [0.58, 1.0, 4.98])
 def test_orthant_masses_float_path_matches_array_path(r):
-    # at outcome threshold 0, across h r = -1, where P- switches from
-    # Phi(h)/2 - T(h, r) to Owen's T's tail
+    # across h r = -1, where P- switches from Phi(h)/2 - T(h, r) to Owen's
+    # T's tail: zero_threshold_masses' float path, on Owen's T's float twin,
+    # is within a few ulps of its array path, and a float given to
+    # log_orthant_masses is its one-row array, bit for bit, on and off k = 0
     switch = -1.0 / r
     hs = np.concatenate([np.linspace(-8.0 / r, 2.0 / r, 10001),
                          [switch, np.nextafter(switch, 0.0), np.nextafter(switch, -np.inf)]])
-    got = [orthant_masses(h, 0.0, r) for h in hs.tolist()]
+    got = [zero_threshold_masses(h, r) for h in hs.tolist()]
     assert all(type(v) is float for pair in got for v in pair)
-    for want, floats in zip(orthant_masses(hs, 0.0, r), zip(*got)):
+    for want, floats in zip(zero_threshold_masses(hs, r), zip(*got)):
         assert _max_rel_error(floats, want) <= 1e-14
+    for k, grid in ((0.0, hs), (-0.4, hs[::100]), (0.7, hs[::100])):
+        floats = [log_orthant_masses(h, k, r) for h in grid.tolist()]
+        assert all(type(v) is float for pair in floats for v in pair)
+        assert np.array_equal(np.array(floats).T, np.array(log_orthant_masses(grid, k, r))), k
 
 
 @pytest.mark.parametrize("alpha, gamma", [(1.0, 1.0), (2.0, 0.5), (0.02, 0.02)])
 @pytest.mark.parametrize("outcome_mean", [-1.5, -0.187, 0.512, 2.0])
 def test_orthant_masses_off_the_zero_threshold_match_scipy(alpha, gamma, outcome_mean):
-    # both masses, h = 0 included; the pieces of Owen's T sum are of order
-    # 1/2, and both it and scipy's integrator carry absolute errors of about
-    # 1e-17 (against mpmath), so small masses also get one ulp of 1
+    # both masses, h = 0 included, against scipy's bivariate-normal
+    # integrator, which carries absolute errors of about 1e-17 (against
+    # mpmath), so small masses also get one ulp of 1
     r = 1.0 / math.sqrt(alpha + gamma + alpha * gamma)
     stop_means = np.append(np.linspace(-6.0, 6.0, 25), 0.0)
-    got = np.array([orthant_masses(m / math.sqrt(1.0 + alpha),
-                                   outcome_mean / math.sqrt(1.0 + gamma), r)
-                    for m in stop_means.tolist()])
+    got = np.exp(log_orthant_masses(stop_means / math.sqrt(1.0 + alpha),
+                                    outcome_mean / math.sqrt(1.0 + gamma), r))
     for column, sign in enumerate((1.0, -1.0)):
         want = stop_outcome_mass_oracle(stop_means, outcome_mean, alpha, gamma, sign)
         keep = want > 1e-10
-        assert got[keep, column] == pytest.approx(want[keep], rel=1e-12,
+        assert got[column, keep] == pytest.approx(want[keep], rel=1e-12,
                                                   abs=np.finfo(float).eps), sign
 
 
-@pytest.mark.parametrize("alpha, gamma", [(1.0, 1.0), (0.1, 2.0)])
-@pytest.mark.parametrize("outcome_mean", [-0.187, 0.512, 1.5])
+@pytest.mark.parametrize("alpha, gamma", [(1.0, 1.0), (0.1, 2.0), (0.02, 0.02)])
+@pytest.mark.parametrize("outcome_mean", [-0.187, 0.512, 1.5, 0.0])
 def test_orthant_masses_off_the_zero_threshold_keep_the_stated_relative_accuracy(
         alpha, gamma, outcome_mean):
-    # the docstring's limits on P+/(P+ + P-), against a relative oracle: about
-    # 1e-12 from h = -4 to 0 (at most 1.2e-12 here, at h = -4), and within
-    # 1e-4 from h = -10 to -6, where the Owen's T pieces cancel
+    # each mass within 1e-12 relative of a relative oracle from the stop
+    # threshold h = 2 down to -37, wherever the oracle is a normal float (at
+    # most 2.4e-13 here), and together they make up Phi(h): the log of their
+    # sum less log Phi(h) is within 1e-12 of 0
     r = 1.0 / math.sqrt(alpha + gamma + alpha * gamma)
-    k = outcome_mean / math.sqrt(1.0 + gamma)
-    for lo, hi, rel in ((-4.0, 0.0, 2e-12), (-10.0, -6.0, 1e-4)):
-        for h in np.linspace(lo, hi, 41).tolist():
-            pos, neg = orthant_masses(h, k, r)
-            want_pos, want_neg = (
-                stop_outcome_mass_relative_oracle(h * math.sqrt(1.0 + alpha), outcome_mean,
-                                                  alpha, gamma, sign) for sign in (1.0, -1.0))
-            assert pos / (pos + neg) == pytest.approx(want_pos / (want_pos + want_neg),
-                                                      rel=rel), h
+    hs = np.linspace(-37.0, 2.0, 79)
+    got = log_orthant_masses(hs, outcome_mean / math.sqrt(1.0 + gamma), r)
+    for masses, sign in zip(got, (1.0, -1.0)):
+        want = np.array([stop_outcome_mass_relative_oracle(h * math.sqrt(1.0 + alpha),
+                                                           outcome_mean, alpha, gamma, sign)
+                         for h in hs.tolist()])
+        normal = want >= np.finfo(float).tiny
+        assert np.exp(masses[normal]) == pytest.approx(want[normal], rel=1e-12, abs=0.0), sign
+    assert np.abs(np.expm1(np.logaddexp(*got) - log_ndtr(hs))).max() <= 1e-12
+
+
+@pytest.mark.parametrize("k", [0.3, -0.7, 1e-9])
+def test_orthant_masses_at_tiny_noise_make_up_the_stop_mass(k):
+    # at alpha = gamma = 1e-17 the Phi factor steps within 5e-9 of its
+    # edge, and in the stop tail one mass is near exp(-3e19): its log
+    # integrand, taken relative to its peak, must neither overflow nor
+    # vanish, and the two masses still make up Phi(h)
+    r = 1.0 / math.sqrt(2e-17 + 1e-34)
+    hs = np.linspace(-37.0, 2.0, 79)
+    pos, neg = log_orthant_masses(hs, k, r)
+    assert np.isfinite(pos).all() and np.isfinite(neg).all()
+    assert np.abs(np.expm1(np.logaddexp(pos, neg) - log_ndtr(hs))).max() <= 1e-12
 
 
 @pytest.mark.parametrize("r", [1.0, 3.0, 30.0])
 @pytest.mark.parametrize("tiny", [5e-324, 1e-310, 1e-300, 1e-17])
 def test_orthant_masses_near_a_zero_threshold_or_stop_mean_take_the_limit(r, tiny):
-    # a subnormal or tiny k or h once divided by zero or overflowed to a NaN
-    # floored to 0; within 1e-17 of 0 the masses are their value at 0, off by
-    # less than the sum's own absolute accuracy
+    # a subnormal or tiny k or h once divided by zero or overflowed; now the
+    # integral off k = 0 meets Owen's T sum at k = 0 within 1e-14 relative
+    # (two ulps near 1/2), and stays finite where that sum underflows (P- at
+    # h = -2, r = 30); a tiny h gives the masses at h = 0
     for h in (-2.0, 0.0, 0.5):
+        at_zero = log_orthant_masses(h, 0.0, r)
         for k in (tiny, -tiny):
-            assert orthant_masses(h, k, r) == pytest.approx(orthant_masses(h, 0.0, r),
-                                                            rel=0, abs=1e-16)
+            got = log_orthant_masses(h, k, r)
+            assert all(math.isfinite(mass) for mass in got)
+            for mass, limit in zip(got, at_zero):
+                if math.isfinite(limit):
+                    assert math.exp(mass) == pytest.approx(math.exp(limit), rel=1e-14, abs=0.0)
     for k in (-0.5, 0.5):
         for h in (tiny, -tiny):
-            got = orthant_masses(h, k, r)
-            assert all(math.isfinite(mass) for mass in got)
-            assert got == pytest.approx(orthant_masses(0.0, k, r), rel=0, abs=1e-16)
+            got = np.exp(log_orthant_masses(h, k, r))
+            assert np.isfinite(got).all()
+            assert got == pytest.approx(np.exp(log_orthant_masses(0.0, k, r)), rel=0, abs=1e-16)
 
 
 # --- truncated normal sampling ----------------------------------------------

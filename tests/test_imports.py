@@ -4,9 +4,12 @@ another, so each private helper has one owner. Dunder names such as
 ``__version__`` are public and allowed. No module but ``__init__.py``,
 whose imports are re-exports, imports a name that it never reads. Every
 private module-level name (a function, class or constant) is read in its
-own module, so no helper outlives its callers."""
+own module, so no helper outlives its callers. The model's equations have
+one owner: only ``model.py`` reaches the cell masses, and ``gaussians.py``
+is model-free math that names neither noise variance."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -64,3 +67,20 @@ def test_every_private_module_name_is_read_in_its_module(path):
     unread = [f"line {line}: {name}" for name, line in defined.items()
               if name not in read and (path.name, name) not in READ_ELSEWHERE]
     assert not unread, unread
+
+
+def test_only_the_model_reaches_the_cell_masses():
+    # by import or by attribute, so later work cannot spread the model's
+    # (alpha, gamma) -> (h, k, r) map back over the package
+    reach = sorted({path.name for path in SOURCES
+                    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                    if (isinstance(node, ast.ImportFrom)
+                        and any(alias.name == "log_orthant_masses" for alias in node.names))
+                    or (isinstance(node, ast.Attribute) and node.attr == "log_orthant_masses")})
+    assert reach == ["model.py"]
+
+
+def test_gaussians_names_no_noise_variance():
+    # in its code, its comments or its docstrings
+    text = (SOURCES[0].parent / "gaussians.py").read_text(encoding="utf-8")
+    assert not re.findall(r"\b(?:alpha|gamma)\b", text)

@@ -8,6 +8,7 @@ from scipy import optimize, stats
 from scipy.special import erfcx
 
 from latentbias import (
+    CellModel,
     ConditioningError,
     DataError,
     Dataset,
@@ -31,7 +32,6 @@ from latentbias import (
 )
 
 from latentbias import inference, kernel
-from latentbias.gaussians import orthant_masses
 
 from conftest import (count_log_density_oracle, count_posterior_oracle, dataset_from_rows,
                       mills_lambda_oracle)
@@ -266,7 +266,7 @@ def test_sweep_independent_keeps_cross_zero_and_anchored_c_standard():
 # --- count-level bias conditional ------------------------------------------------------
 
 def _target(n_pos, n_neg, m0=0.0, v0=1.0, alpha=1.0, gamma=1.0):
-    return inference._CountTarget(float(n_pos), float(n_neg), m0, v0, alpha, gamma)
+    return inference._CountTarget(float(n_pos), float(n_neg), m0, v0, CellModel(alpha, gamma))
 
 
 def _bias_chain(target, seed, draws, thin=5, burn=50):
@@ -414,8 +414,8 @@ def test_negative_mass_keeps_precision_where_the_difference_cancels():
     # quadrature) while Phi(h)/2 - T(h, r) rounds to -8.7e-18; the mode solve
     # must converge there
     target = _target(3, 1, -2.0, 1e-4, 0.02, 0.02)
-    _pos, neg = orthant_masses(np.array([-2.0 / target.sa]), 0.0, target.r)
-    assert neg[0] == pytest.approx(3.6171569044211e-26, rel=1e-12)
+    _pos, neg = target.model.log_masses(np.array([-2.0]))
+    assert math.exp(neg[0]) == pytest.approx(3.6171569044211e-26, rel=1e-12)
     assert math.isfinite(target.log_density(np.array([-2.0]))[0])
     mode, scale = kernel.mode_and_scale(target)
     score, hess = target.score_hessian(mode)
@@ -462,9 +462,10 @@ def test_anchored_chain_matches_per_sweep_kernel(kind):
     cfg = _cfg(seed=21, sweeps=40, burn_in=5, prior=kind, alpha=0.3, gamma=0.3)
     _summary, trace = run_gibbs(records, cfg)
     m0, v0 = build_prior(3)
-    targets = [inference._CountTarget(p, n, m, v, cfg.alpha, cfg.gamma)
+    model = CellModel(cfg.alpha, cfg.gamma)
+    targets = [inference._CountTarget(p, n, m, v, model)
                for (n, p), m, v in zip(records.outcome_counts(), m0, v0)]
-    assert targets[0].r > 1
+    assert model.r > 1
     laplace = [kernel.mode_and_scale(target) for target in targets]
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     steps = kernel.MH_STEPS

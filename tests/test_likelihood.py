@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from latentbias import (
+    CellModel,
     Dataset,
     DomainError,
     PosteriorSummary,
     PriorKind,
-    outcome_probability_given_stop,
     predictive_score,
 )
-from latentbias.gaussians import ndtr, orthant_masses
+from latentbias.gaussians import ndtr
 from latentbias.inference import _CountTarget
 
 from conftest import (cdf_oracle, dataset_from_rows, likelihood_oracle,
@@ -137,8 +137,7 @@ def test_accuracy_does_not_depend_on_gamma(c_mean):
 
 def test_likelihood_method_uses_group_specific_probabilities():
     summary = _summary([2.0, -2.0], c_mean=0.0)
-    p_hi = outcome_probability_given_stop(2.0, 0.0, 1.0, 1.0)
-    p_lo = outcome_probability_given_stop(-2.0, 0.0, 1.0, 1.0)
+    p_hi, p_lo = (CellModel(1.0, 1.0).outcome_probability(b, 0.0) for b in (2.0, -2.0))
     assert p_hi != pytest.approx(p_lo, abs=1e-3)
     # stop selection biases criminality upward: both conditionals above 1/2,
     # and a larger bias means weaker selection, so a smaller probability
@@ -154,11 +153,33 @@ def test_likelihood_score_is_the_exact_mean_of_the_row_probabilities():
     summary = _summary([0.3, -0.7, 1.1, -0.2], c_mean=0.25)
     rng = np.random.default_rng(20)
     groups, outcomes = rng.integers(0, 4, 20_000), rng.random(20_000) < 0.4
-    p = np.array([outcome_probability_given_stop(b, 0.25, 1.0, 1.0)
+    p = np.array([CellModel(1.0, 1.0).outcome_probability(b, 0.25)
                   for b in summary.bias_mean.tolist()])[groups]
     want = math.fsum(np.where(outcomes, p, 1.0 - p).tolist()) / groups.size
     got = predictive_score(summary, _test_set(groups, outcomes), method="likelihood")
     assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+def test_likelihood_is_not_a_proper_score():
+    # the mean probability of the observed outcomes is linear in each
+    # probability: on a test set whose positive fraction f = 0.3 is below
+    # one half, a summary that predicts almost no positive outcome scores
+    # about 1 - f = 0.7, above the f^2 + (1 - f)^2 = 0.58 of one that
+    # predicts f itself. Both are unanchored-style summaries, criminality
+    # mean below 0, so they take the masses off the outcome threshold 0
+    test = _test_set([0] * 10, [i < 3 for i in range(10)])
+    model = CellModel(1.0, 1.0)
+    lo, hi = -20.0, 0.0  # bisect the criminality mean at which p = f
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if model.outcome_probability(0.0, mid) < 0.3 else (lo, mid)
+    assert model.outcome_probability(0.0, hi) == pytest.approx(0.3, abs=1e-12)
+    assert model.outcome_probability(0.0, -20.0) < 1e-12
+    calibrated = predictive_score(_summary([0.0], c_mean=hi), test, method="likelihood")
+    none = predictive_score(_summary([0.0], c_mean=-20.0), test, method="likelihood")
+    assert calibrated == pytest.approx(0.58, abs=1e-11)
+    assert none == pytest.approx(0.7, abs=1e-11)
+    assert none > calibrated
 
 
 @pytest.mark.parametrize("alpha, gamma", [(1.0, 1.0), (2.0, 0.5), (0.02, 0.02)])
@@ -167,7 +188,7 @@ def test_outcome_probability_matches_bivariate_oracle(alpha, gamma, criminality_
     # the bias mean -criminality_mean puts the stop threshold at 0, and with
     # a zero criminality mean both arguments of the orthant are 0
     for bias_mean in (-2.0, -criminality_mean, 0.7, 3.0):
-        got = outcome_probability_given_stop(bias_mean, criminality_mean, alpha, gamma)
+        got = CellModel(alpha, gamma).outcome_probability(bias_mean, criminality_mean)
         want = outcome_probability_oracle(bias_mean, criminality_mean, alpha, gamma)
         assert got == pytest.approx(want, rel=1e-12), bias_mean
 
@@ -175,40 +196,42 @@ def test_outcome_probability_matches_bivariate_oracle(alpha, gamma, criminality_
 @pytest.mark.parametrize("alpha, gamma", [(1.0, 1.0), (2.0, 0.5), (0.02, 0.02)])
 def test_outcome_probability_at_zero_criminality_is_the_fits_orthant(alpha, gamma):
     # the anchored fit's bias conditional and held-out scoring share one
-    # orthant: at a zero criminality mean they agree bit for bit
-    target = _CountTarget(1, 1, 0.0, 1.0, alpha, gamma)
-    for beta in np.linspace(-9.0, 9.0, 73).tolist():
-        pos, neg = orthant_masses(beta / target.sa, 0.0, target.r)
-        assert outcome_probability_given_stop(beta, 0.0, alpha, gamma) == pos / (pos + neg)
+    # model: at a zero criminality mean the fit's log density with one
+    # positive stop and the probability agree bit for bit on its log masses
+    model = CellModel(alpha, gamma)
+    betas = np.linspace(-9.0, 9.0, 73)
+    pos, neg = model.log_masses(betas)
+    assert np.array_equal(_CountTarget(1, 0, 0.0, 1.0, model).log_density(betas),
+                          -(betas ** 2) / 2.0 + pos)
+    assert np.array_equal(model.outcome_probability(betas, 0.0), 1.0 / (1.0 + np.exp(neg - pos)))
 
 
 @pytest.mark.parametrize("criminality_mean", [-0.187, 0.512, 1.5])
 def test_outcome_probability_far_in_the_stop_tail_stays_near_one(criminality_mean):
     # at alpha = gamma = 1 and a standardised stop threshold h from -14 to -6,
     # a stop selects so high a criminality that 1 - P(positive | stopped) is
-    # 3.5e-4 or less (mpmath); the Owen's T sum on the outcome threshold's
-    # positive side cancels to nothing there once the criminality mean is > 0
-    for h in np.linspace(-14.0, -6.0, 33).tolist():
-        bias_mean = h * math.sqrt(2.0) - criminality_mean
-        p = outcome_probability_given_stop(bias_mean, criminality_mean, 1.0, 1.0)
-        assert 1.0 - 1e-3 < p < 1.0 + 1e-13, h
+    # 3.5e-4 or less (mpmath); an Owen's T sum on the outcome threshold's
+    # positive side once cancelled to nothing there
+    model = CellModel(1.0, 1.0)
+    hs = np.linspace(-14.0, -6.0, 33)
+    p = model.outcome_probability(hs * math.sqrt(2.0) - criminality_mean, criminality_mean)
+    assert ((1.0 - 1e-3 < p) & (p <= 1.0)).all()
 
 
 def test_outcome_probability_stays_a_probability_to_the_end_of_the_stop_tail():
-    # at criminality mean 0.512, P- is the exact sum of the Owen's T pieces,
-    # which rounds below 0 far out (to -5.6e-72 at h = -16), and P+, Phi(h)
-    # less that sum, then exceeds Phi(h); past about h = -38.5 the stop
-    # probability underflows and the result is 0.5
-    for h in np.linspace(-40.0, 0.0, 801).tolist():
-        p = outcome_probability_given_stop(h * math.sqrt(2.0) - 0.512, 0.512, 1.0, 1.0)
-        assert 0.0 <= p <= 1.0, h
+    # at criminality mean 0.512 the masses are taken in log space, so they
+    # neither round below 0 nor underflow, even past h = -38.5, where the
+    # stop probability Phi(h) does
+    hs = np.linspace(-40.0, 0.0, 801)
+    p = CellModel(1.0, 1.0).outcome_probability(hs * math.sqrt(2.0) - 0.512, 0.512)
+    assert ((0.0 <= p) & (p <= 1.0)).all()
 
 
 @pytest.mark.parametrize("bias_mean, criminality_mean", [(0.5, 0.0), (-0.5, 0.3), (2.0, -1.0)])
 def test_outcome_probability_at_tiny_noise(bias_mean, criminality_mean):
     # (1 + alpha)(1 + gamma) rounds to 1 here, so 1 - rho^2 must not come
     # from a subtraction; the noiseless limit is P(C > max(0, -b)) / P(C > -b)
-    got = outcome_probability_given_stop(bias_mean, criminality_mean, 1e-17, 1e-17)
+    got = CellModel(1e-17, 1e-17).outcome_probability(bias_mean, criminality_mean)
     want = (cdf_oracle(criminality_mean - max(0.0, -bias_mean))
             / cdf_oracle(criminality_mean + bias_mean))
     assert got == pytest.approx(want, rel=1e-9)
@@ -220,7 +243,7 @@ def test_score_places_the_test_tally_on_the_posterior_labels_at_its_noise():
     summary = _summary([2.0, -2.0])
     summary.alpha, summary.gamma = 2.0, 0.5
     test = dataset_from_rows([0, 0, 1], [True, False, True], ["g1", "g0"])
-    p0, p1 = (outcome_probability_given_stop(b, 0.0, 2.0, 0.5) for b in (2.0, -2.0))
+    p0, p1 = (CellModel(2.0, 0.5).outcome_probability(b, 0.0) for b in (2.0, -2.0))
     want = math.fsum([p1, 1.0 - p1, p0]) / 3
     assert predictive_score(summary, test, method="likelihood") == pytest.approx(want, rel=1e-15)
     assert predictive_score(summary, test) == 2 / 3
@@ -236,6 +259,6 @@ def test_score_validates_input():
         predictive_score(summary, _test_set([0], [True]), method="bogus")
     for bad in (float("nan"), float("inf")):
         with pytest.raises(DomainError, match="positive and finite"):
-            outcome_probability_given_stop(0.0, 0.0, bad, 1.0)
+            CellModel(bad, 1.0)
         with pytest.raises(DomainError, match="positive and finite"):
-            outcome_probability_given_stop(0.0, 0.0, 1.0, bad)
+            CellModel(1.0, bad)

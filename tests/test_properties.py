@@ -2,8 +2,8 @@
 row-at-a-time oracles,
 the keyed raw-export parser against its row-at-a-time oracle, ingest
 accounting, split and balance, the shared rank order, the per-group
-outcome tally that the ranking chain and held-out scoring read, and the
-truncated-normal sampler."""
+outcome tally that the ranking chain and held-out scoring read, the
+truncated-normal sampler, and the cell model's P(positive | stop)."""
 
 import csv
 import io
@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from latentbias import (
+    CellModel,
     DataError,
     Dataset,
     DomainError,
@@ -530,3 +531,20 @@ def test_truncated_normal_support_moments_and_scalar_path(ratios, sd, sign, seed
     one = sign * sample_truncated_normal(sign * float(means[0]), variance,
                                          np.random.default_rng(seed))
     assert isinstance(one, float) and sign * one > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.02, 2.0), st.floats(0.02, 2.0), st.floats(-2.0, 2.0),
+       st.lists(st.floats(-37.0, 2.0), min_size=2, max_size=30))
+@example(1.0, 1.0, 0.512, np.linspace(-14.0, -5.8, 200).tolist())
+def test_outcome_probability_never_rises_with_the_bias(alpha, gamma, c, hs):
+    # a group stopped on weaker grounds has no higher a hit rate: at each
+    # stop threshold h the probability lies in [0, 1], and it does not rise
+    # with beta by more than 8 ulps (on the outcome threshold 0, P- steps by
+    # up to 5 where Owen's T sum hands over to its tail, at h r = -1); the
+    # example is where a bivariate Owen's T sum once rose by up to 1.3e-4
+    model = CellModel(alpha, gamma)
+    h = np.unique(hs)
+    p = model.outcome_probability(h * model.sa - c, c)
+    assert ((0.0 <= p) & (p <= 1.0)).all()
+    assert (np.diff(p) <= 8 * np.spacing(p[:-1])).all()

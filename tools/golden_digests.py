@@ -37,7 +37,14 @@ which the CLI cannot map and reads whole; their outputs and logs must
 equal ``national-cli``'s apart from the manifests, which record the pipe
 with a null digest, and the script checks that they do: it names each
 file that differs on stderr and exits 1 after printing. Its exit codes go
-in a file of its own. It prints
+in a file of its own. Last, ``national-cli-low-noise`` and
+``export-200k-low-noise`` fit each workload's ingested dataset at
+``--alpha 0.3 --gamma 0.3``, where the cell model's correlation parameter
+``r`` is about 1.2, ``dependent`` and ``independent --anchoring off``, and
+score each summary by likelihood on the workload's test set: the anchored
+target takes Owen's T through its reflection, and the unanchored score the
+log-space integral off the outcome threshold 0. Their exit codes go in a
+file of their own. It prints
 ``sha256  relpath`` for every file the commands write, for each command's
 stdout and stderr, and for the files of exit codes. Commands run with
 ``OUT_DIR`` as working directory and relative paths, and each manifest is
@@ -79,6 +86,8 @@ VARIETY_OBJECTS = ("Controlled drugs", "Offensive weapons", "Stolen goods",
 QUOTED = "national-cli-quoted"
 # default group label -> the label national-cli-quoted gives it
 QUOTED_LABELS = {"Black": "Black, African", "Asian": 'Asian "South"', "Other/Mixed": "Other\nMixed"}
+# workload -> its fits and likelihood scores at low noise, r > 1
+LOW_NOISE = {name: f"{name}-low-noise" for name in RUN_LENGTHS}
 SHUFFLED = "export-200k-shuffled"
 PIPED = "national-cli-piped"
 # the national-cli steps national-cli-piped runs on a pipe
@@ -171,6 +180,20 @@ def quoted_steps() -> list[tuple[str, list[str]]]:
         (f"score-{method}", ["score", "--summary", f"{QUOTED}/fit/summary.json", "--test",
                              dataset, "--method", method])
         for method in ("likelihood", "accuracy")
+    ]
+
+
+def low_noise_steps(name: str) -> list[tuple[str, list[str]]]:
+    """``(step, argv)`` pairs for ``LOW_NOISE[name]``: ``name``'s ``fit``
+    and ``fit-indep-off`` at ``--alpha 0.3 --gamma 0.3``, each scored by
+    likelihood on ``name``'s test set."""
+    low = LOW_NOISE[name]
+    fits = [(step, [*argv, "--alpha", "0.3", "--gamma", "0.3"]) for step, argv in commands(name)
+            if step in ("fit", "fit-indep-off")]
+    return fits + [
+        (f"score-likelihood{suffix}", ["score", "--summary", f"{low}/{fit}/summary.json",
+                                       "--test", f"{name}/test.csv", "--method", "likelihood"])
+        for fit, suffix in (("fit", ""), ("fit-indep-off", "-indep-off"))
     ]
 
 
@@ -286,6 +309,10 @@ def main(argv: list[str]) -> int:
     steps, stdin = piped_steps()
     (out / PIPED / "exit_codes.txt").write_text(
         run_steps(PIPED, steps, out, env, stdin), encoding="utf-8")
+    for name, low in LOW_NOISE.items():
+        (out / low).mkdir()
+        (out / low / "exit_codes.txt").write_text(
+            run_steps(low, low_noise_steps(name), out, env), encoding="utf-8")
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         print(f"{digest(path)}  {path.relative_to(out).as_posix()}")
     differ = piped_mismatches(out)
