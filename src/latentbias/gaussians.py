@@ -50,8 +50,11 @@ __all__ = [
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LOG_SQRT_2PI = math.log(_SQRT_2PI)
+# log sqrt(2 pi) - _LOG_SQRT_2PI: the double above is 0.65 ulp low
+_LOG_SQRT_2PI_LO = 7.223936088184323e-17
 _SQRT1_2 = math.sqrt(0.5)
 _TWO_PI = 2.0 * math.pi
+_TINY = np.finfo(float).tiny
 
 # the sampler's proposals are exponential above this standardized bound
 _TAIL_START = 0.0
@@ -266,8 +269,10 @@ def log_orthant_masses(h, k: float, r: float):
     its one-row array, bit for bit.
 
     At ``k = 0`` they are the logs of the array path of
-    :func:`zero_threshold_masses`, ``-inf`` where that underflows. Elsewhere
-    the integral is taken in log space and never underflows: Newton's
+    :func:`zero_threshold_masses`, and the integral below where that is not
+    a normal float (past ``h`` of about -37.5, or sooner for ``P-`` where
+    ``h r`` is far below -1). Elsewhere the integral is taken in log space
+    and never underflows: Newton's
     method finds the peak of the concave log integrand on ``[-h, inf)`` and
     the points on each side where it falls ``exp(-45)`` below it, and each
     side gets one 40-point Gauss-Legendre panel, split at the step of the
@@ -277,9 +282,15 @@ def log_orthant_masses(h, k: float, r: float):
     """
     hs = np.atleast_1d(np.asarray(h, dtype=float))
     if k == 0.0:
-        pos, neg = zero_threshold_masses(hs, r)
+        sums = zero_threshold_masses(hs, r)
         with np.errstate(divide="ignore"):
-            masses = np.log(pos), np.log(neg)
+            masses = [np.log(mass) for mass in sums]
+        if np.minimum(*sums).min(initial=_TINY) < _TINY:  # underflowed, in whole or in part
+            for mass, raw, s in zip(masses, sums, (r, -r)):
+                rows = np.flatnonzero(raw < _TINY)
+                if rows.size:
+                    mass[rows] = _log_mass_integral(hs[rows], np.zeros(rows.size),
+                                                    np.full(rows.size, s))
     else:
         b, n = k * math.hypot(1.0, r), hs.size
         masses = np.split(_log_mass_integral(np.concatenate((hs, hs)), np.repeat([b, -b], n),
@@ -360,8 +371,21 @@ def _log_mass_integral(h: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarra
     terms = np.zeros(spans.shape + _GL_NODES.shape)
     terms[live] = (np.exp(rise(nodes, row)).reshape(-1, _GL_NODES.size)
                    * (spans[live][:, None] * _GL_WEIGHTS))
-    return (-0.5 * peak * peak + log_peak - _LOG_SQRT_2PI
-            + np.log(terms.reshape(n, -1).sum(axis=-1)))
+    # g(p) + log(sum) with the rounding error of each addition carried to the
+    # end, so a mass near 1/2 keeps its last bit or two
+    head, err1 = _two_sum(-0.5 * peak * peak, log_peak)
+    head, err2 = _two_sum(head, -_LOG_SQRT_2PI)
+    head, err3 = _two_sum(head, np.log(terms.reshape(n, spans.shape[1] * _GL_NODES.size)
+                                       .sum(axis=-1)))
+    return head + (err1 + err2 + err3 - _LOG_SQRT_2PI_LO)
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(s, e)`` with ``s = a + b`` rounded and ``s + e = a + b`` exactly
+    (Knuth's two-sum)."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
 
 
 def _log_ndtr_rise(z: np.ndarray, z0: np.ndarray, log0: np.ndarray, dz: np.ndarray) -> np.ndarray:

@@ -45,7 +45,7 @@ import numpy as np
 
 from .data import Dataset, csv_field
 from .errors import ConditioningError, DivergenceError, DomainError
-from .gaussians import ndtr, sample_truncated_normal, zero_threshold_masses
+from .gaussians import ndtr, sample_truncated_normal
 from .kernel import MH_STEPS, T_DOF, log_weights, mh_states, proposals
 from .model import (DIVERGENCE_MEAN_LIMIT, DIVERGENCE_VARIANCE_LIMIT, CellModel, ModelConfig,
                     PriorKind, build_prior, descending_order)
@@ -277,8 +277,8 @@ class _CountTarget:
 
     up to a constant, where ``P+-`` are the masses of the group's positive
     and negative stops at criminality mean 0, from ``model``
-    (:meth:`~latentbias.model.CellModel.log_masses`), precise until they
-    underflow. The density is log-concave.
+    (:meth:`~latentbias.model.CellModel.log_masses`), taken in log space,
+    so finite at every finite ``beta``. The density is log-concave.
     """
 
     def __init__(self, n_pos, n_neg, m0, v0, model: CellModel):
@@ -287,7 +287,7 @@ class _CountTarget:
         self.model = model
 
     def log_density(self, beta: np.ndarray) -> np.ndarray:
-        """The log density at each ``beta``; ``-inf`` where a needed mass underflows."""
+        """The log density at each ``beta``."""
         log_pos, log_neg = self.model.log_masses(beta)
         out = -((beta - self.m0) ** 2) / (2.0 * self.v0)
         if self.n_pos:
@@ -301,12 +301,11 @@ class _CountTarget:
         from ``dP+-/dh = phi(h) Phi(-+r h)``, ``d2P+-/dh2 = -h dP+-/dh -+ r phi(h) phi(r h)``.
 
         Float arithmetic only (the float paths of ``ndtr`` and
-        :func:`~latentbias.gaussians.zero_threshold_masses`), as the mode
+        :meth:`~latentbias.model.CellModel.masses_at_zero`), as the mode
         solve calls it once per Newton step; NaN where a needed mass
         underflows."""
+        h, pos, neg = self.model.masses_at_zero(beta)
         sa, r = self.model.sa, self.model.r
-        h = beta / sa
-        pos, neg = zero_threshold_masses(h, r)
         phi, phi_r = math.exp(-0.5 * h * h) / _SQRT_2PI, math.exp(-0.5 * r * r * h * h) / _SQRT_2PI
         score, hess = -(beta - self.m0) / self.v0, -1.0 / self.v0
         for n, sign, p in ((self.n_pos, -1.0, pos), (self.n_neg, 1.0, neg)):

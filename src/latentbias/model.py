@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .gaussians import log_orthant_masses
+from .gaussians import log_orthant_masses, zero_threshold_masses
 
 __all__ = [
     "DIVERGENCE_MEAN_LIMIT",
@@ -115,13 +115,19 @@ class CellModel:
         positive and negative stops, whose sum is ``Phi(h)``."""
         return log_orthant_masses(*self.thresholds(beta, c), self.r)
 
+    def masses_at_zero(self, beta: float) -> tuple[float, float, float]:
+        """``(h, P+, P-)`` for a group with a float bias ``beta`` at
+        criminality mean 0: its stop threshold and the masses themselves, on
+        the float path of :func:`~latentbias.gaussians.zero_threshold_masses`,
+        for the anchored fit's Newton steps. 0 where a mass underflows."""
+        h = beta / self.sa
+        return (h, *zero_threshold_masses(h, self.r))
+
     def outcome_probability(self, beta, c: float):
         """P(positive outcome | stopped), ``P+/(P+ + P-)``, as ``1/(1 + exp(log
         P- - log P+))``. Stopping selects individuals upward, so it stays
         above one half whenever ``c >= 0``, and it never rises with ``beta``:
-        a group stopped on weaker grounds has a lower hit rate. NaN where
-        both masses underflow, which only ``c = 0`` reaches, past a stop
-        threshold ``h`` of about -37.5."""
+        a group stopped on weaker grounds has a lower hit rate."""
         pos, neg = self.log_masses(beta, c)
         with np.errstate(over="ignore"):
             p = 1.0 / (1.0 + np.exp(neg - pos))

@@ -205,7 +205,7 @@ def test_orthant_masses_off_the_zero_threshold_keep_the_stated_relative_accuracy
         alpha, gamma, outcome_mean):
     # each mass within 1e-12 relative of a relative oracle from the stop
     # threshold h = 2 down to -37, wherever the oracle is a normal float (at
-    # most 2.4e-13 here), and together they make up Phi(h): the log of their
+    # most 3.0e-13 here), and together they make up Phi(h): the log of their
     # sum less log Phi(h) is within 1e-12 of 0
     r = 1.0 / math.sqrt(alpha + gamma + alpha * gamma)
     hs = np.linspace(-37.0, 2.0, 79)
@@ -219,14 +219,16 @@ def test_orthant_masses_off_the_zero_threshold_keep_the_stated_relative_accuracy
     assert np.abs(np.expm1(np.logaddexp(*got) - log_ndtr(hs))).max() <= 1e-12
 
 
-@pytest.mark.parametrize("k", [0.3, -0.7, 1e-9])
+@pytest.mark.parametrize("k", [0.3, -0.7, 1e-9, 0.0])
 def test_orthant_masses_at_tiny_noise_make_up_the_stop_mass(k):
     # at alpha = gamma = 1e-17 the Phi factor steps within 5e-9 of its
     # edge, and in the stop tail one mass is near exp(-3e19): its log
     # integrand, taken relative to its peak, must neither overflow nor
-    # vanish, and the two masses still make up Phi(h)
+    # vanish, and the two masses still make up Phi(h). At k = 0 Owen's T
+    # sum underflows, P- below h of about -2e-7 and P+ past -37.5, and the
+    # integral takes over
     r = 1.0 / math.sqrt(2e-17 + 1e-34)
-    hs = np.linspace(-37.0, 2.0, 79)
+    hs = np.linspace(-60.0, 2.0, 125)
     pos, neg = log_orthant_masses(hs, k, r)
     assert np.isfinite(pos).all() and np.isfinite(neg).all()
     assert np.abs(np.expm1(np.logaddexp(pos, neg) - log_ndtr(hs))).max() <= 1e-12
@@ -236,17 +238,17 @@ def test_orthant_masses_at_tiny_noise_make_up_the_stop_mass(k):
 @pytest.mark.parametrize("tiny", [5e-324, 1e-310, 1e-300, 1e-17])
 def test_orthant_masses_near_a_zero_threshold_or_stop_mean_take_the_limit(r, tiny):
     # a subnormal or tiny k or h once divided by zero or overflowed; now the
-    # integral off k = 0 meets Owen's T sum at k = 0 within 1e-14 relative
-    # (two ulps near 1/2), and stays finite where that sum underflows (P- at
-    # h = -2, r = 30); a tiny h gives the masses at h = 0
+    # integral off k = 0 meets the masses at k = 0 within 1e-14 relative, and
+    # within 1e-16 of Owen's T sum itself, and both stay finite where that
+    # sum underflows (P- at h = -2, r = 30); a tiny h gives the masses at h = 0
     for h in (-2.0, 0.0, 0.5):
         at_zero = log_orthant_masses(h, 0.0, r)
         for k in (tiny, -tiny):
             got = log_orthant_masses(h, k, r)
-            assert all(math.isfinite(mass) for mass in got)
-            for mass, limit in zip(got, at_zero):
-                if math.isfinite(limit):
-                    assert math.exp(mass) == pytest.approx(math.exp(limit), rel=1e-14, abs=0.0)
+            assert all(math.isfinite(mass) for mass in got + at_zero)
+            for mass, limit, owens in zip(got, at_zero, zero_threshold_masses(h, r)):
+                assert math.exp(mass) == pytest.approx(math.exp(limit), rel=1e-14, abs=0.0)
+                assert math.exp(mass) == pytest.approx(owens, rel=0, abs=1e-16)
     for k in (-0.5, 0.5):
         for h in (tiny, -tiny):
             got = np.exp(log_orthant_masses(h, k, r))

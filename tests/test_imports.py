@@ -69,14 +69,15 @@ def test_every_private_module_name_is_read_in_its_module(path):
     assert not unread, unread
 
 
-def test_only_the_model_reaches_the_cell_masses():
+@pytest.mark.parametrize("name", ["log_orthant_masses", "zero_threshold_masses"])
+def test_only_the_model_reaches_the_cell_masses(name):
     # by import or by attribute, so later work cannot spread the model's
     # (alpha, gamma) -> (h, k, r) map back over the package
     reach = sorted({path.name for path in SOURCES
                     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                     if (isinstance(node, ast.ImportFrom)
-                        and any(alias.name == "log_orthant_masses" for alias in node.names))
-                    or (isinstance(node, ast.Attribute) and node.attr == "log_orthant_masses")})
+                        and any(alias.name == name for alias in node.names))
+                    or (isinstance(node, ast.Attribute) and node.attr == name)})
     assert reach == ["model.py"]
 
 

@@ -182,6 +182,22 @@ def test_likelihood_is_not_a_proper_score():
     assert none > calibrated
 
 
+def test_likelihood_score_stays_finite_where_a_groups_masses_underflow():
+    # at criminality mean 0 and bias mean -60 (h about -42) both of the
+    # group's masses underflow in Owen's T sum; they come from the log-space
+    # integral instead, so P(positive | stop) is its limit 1, as just above
+    # criminality mean 0, and the score stays finite whether or not the
+    # group has test stops
+    model = CellModel(1.0, 1.0)
+    assert model.outcome_probability(-60.0, 0.0) == model.outcome_probability(-60.0, 1e-9) == 1.0
+    summary = _summary([0.0, -60.0])
+    p0 = model.outcome_probability(0.0, 0.0)
+    without = predictive_score(summary, _test_set([0, 0, 0], [True, True, False]), "likelihood")
+    assert without == pytest.approx((2.0 * p0 + 1.0 - p0) / 3.0, rel=1e-15)
+    with_stops = predictive_score(summary, _test_set([0, 1], [True, True]), "likelihood")
+    assert with_stops == pytest.approx((p0 + 1.0) / 2.0, rel=1e-15)
+
+
 @pytest.mark.parametrize("alpha, gamma", [(1.0, 1.0), (2.0, 0.5), (0.02, 0.02)])
 @pytest.mark.parametrize("criminality_mean", [-1.0, 0.0, 1.0])
 def test_outcome_probability_matches_bivariate_oracle(alpha, gamma, criminality_mean):
