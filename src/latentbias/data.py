@@ -556,7 +556,8 @@ def split(
 
 @dataclass(frozen=True)
 class TrueParams:
-    """Ground-truth parameters for the synthetic generator."""
+    """Ground-truth parameters for the synthetic generator: finite biases and
+    positive integer populations, 10,000 a group by default."""
 
     beta: tuple
     alpha: float = 1.0
@@ -565,12 +566,17 @@ class TrueParams:
 
     def __post_init__(self):
         require_positive_finite(alpha=self.alpha, gamma=self.gamma)
-        pop = self.population if self.population else tuple([10_000] * len(self.beta))
-        if len(pop) != len(self.beta):
+        beta = tuple(float(b) for b in self.beta)
+        if not all(map(math.isfinite, beta)):
+            raise DomainError(f"beta entries must be finite, got {beta}")
+        pop = self.population if self.population else (10_000,) * len(beta)
+        if len(pop) != len(beta):
             raise DomainError("population must have one entry per group")
-        if any(p < 1 for p in pop):
-            raise DomainError("population entries must be positive")
-        object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
+        # int() would floor a float, and a bool is an int to Python
+        if not all(isinstance(p, (int, np.integer)) and not isinstance(p, bool) and p >= 1
+                   for p in pop):
+            raise DomainError(f"population entries must be positive integers, got {pop}")
+        object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "population", tuple(int(p) for p in pop))
 
 

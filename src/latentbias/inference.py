@@ -5,12 +5,14 @@ Every stopped record has two latents: a stopping susceptibility ``S``
 outcome). The anchoring flag is the drift correction. With it on (the
 default except under FREE), each person's criminality is N(0,1) with no
 shared term, so the latents integrate out and a group's bias conditional
-depends only on its counts (:class:`_CountTarget`, whose cell masses come
-from :class:`~latentbias.model.CellModel`). Each sweep advances
-every bias by the independence Metropolis-Hastings steps of
-:mod:`~latentbias.kernel`, O(K) work with no per-record draws; the targets
-do not move, so the kernel draws a fit's proposals and uniforms in one batch
-and evaluates each target once, on all its proposals.
+depends only on its counts: a :class:`~latentbias.kernel.CountTarget`, the
+bias prior times the positive and negative stop cells of
+:class:`~latentbias.model.CellModel`, which gives their log masses and
+their derivatives. Each sweep advances every bias by the independence
+Metropolis-Hastings steps of :mod:`~latentbias.kernel`, O(K) work with no
+per-record draws; the targets do not move, so the kernel draws a fit's
+proposals and uniforms in one batch and evaluates each target once, on all
+its proposals.
 With it off the chain expands the outcome tally into one record per stop,
 in one fixed order (group code, then outcome), so its output depends only
 on the counts and the seed; it keeps one criminality per record, redraws
@@ -45,8 +47,8 @@ import numpy as np
 
 from .data import Dataset, csv_field
 from .errors import ConditioningError, DivergenceError, DomainError
-from .gaussians import ndtr, sample_truncated_normal
-from .kernel import MH_STEPS, T_DOF, log_weights, mh_states, proposals
+from .gaussians import sample_truncated_normal
+from .kernel import MH_STEPS, T_DOF, CountTarget, log_weights, mh_states, proposals
 from .model import (DIVERGENCE_MEAN_LIMIT, DIVERGENCE_VARIANCE_LIMIT, CellModel, ModelConfig,
                     PriorKind, build_prior, descending_order)
 
@@ -58,9 +60,6 @@ __all__ = [
     "write_trace_csv",
     "read_trace_csv",
 ]
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
 
 @dataclass
 class GibbsTrace:
@@ -270,56 +269,8 @@ def _ranks_desc(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-class _CountTarget:
-    """One group's bias conditional with every latent integrated out,
-
-        log N(beta; m0, v0) + n_pos log P+(beta) + n_neg log P-(beta),
-
-    up to a constant, where ``P+-`` are the masses of the group's positive
-    and negative stops at criminality mean 0, from ``model``
-    (:meth:`~latentbias.model.CellModel.log_masses`), taken in log space,
-    so finite at every finite ``beta``. The density is log-concave.
-    """
-
-    def __init__(self, n_pos, n_neg, m0, v0, model: CellModel):
-        # Python floats: the mode solve's float arithmetic runs on them
-        self.n_pos, self.n_neg, self.m0, self.v0 = (float(v) for v in (n_pos, n_neg, m0, v0))
-        self.model = model
-
-    def log_density(self, beta: np.ndarray) -> np.ndarray:
-        """The log density at each ``beta``."""
-        log_pos, log_neg = self.model.log_masses(beta)
-        out = -((beta - self.m0) ** 2) / (2.0 * self.v0)
-        if self.n_pos:
-            out = out + self.n_pos * log_pos
-        if self.n_neg:
-            out = out + self.n_neg * log_neg
-        return out
-
-    def score_hessian(self, beta: float) -> tuple[float, float]:
-        """First and second derivatives of the log density at a float ``beta``,
-        from ``dP+-/dh = phi(h) Phi(-+r h)``, ``d2P+-/dh2 = -h dP+-/dh -+ r phi(h) phi(r h)``.
-
-        Float arithmetic only (the float paths of ``ndtr`` and
-        :meth:`~latentbias.model.CellModel.masses_at_zero`), as the mode
-        solve calls it once per Newton step; NaN where a needed mass
-        underflows."""
-        h, pos, neg = self.model.masses_at_zero(beta)
-        sa, r = self.model.sa, self.model.r
-        phi, phi_r = math.exp(-0.5 * h * h) / _SQRT_2PI, math.exp(-0.5 * r * r * h * h) / _SQRT_2PI
-        score, hess = -(beta - self.m0) / self.v0, -1.0 / self.v0
-        for n, sign, p in ((self.n_pos, -1.0, pos), (self.n_neg, 1.0, neg)):
-            if n and not p > 0:  # the mass underflowed
-                return math.nan, math.nan
-            if n:
-                ratio = phi * ndtr(sign * r * h) / p
-                score += n * ratio / sa
-                hess += n * (sign * r * phi * phi_r / p - h * ratio - ratio * ratio) / (sa * sa)
-        return float(score), float(hess)
-
-
 def _sample_bias_conditional(
-    target: _CountTarget, mode: float, scale: float, current: float, rng: np.random.Generator
+    target: CountTarget, mode: float, scale: float, current: float, rng: np.random.Generator
 ) -> float:
     """The kernel's ``MH_STEPS`` steps from ``current`` on ``target``, at its
     mode and scale (:func:`~latentbias.kernel.mode_and_scale`). No caller in
@@ -433,7 +384,8 @@ def run_gibbs(
         # the latents integrate out: each group's target is fixed by its counts,
         # so its chain is one accept loop over its proposals, read once a sweep
         model = CellModel(alpha, gamma)
-        targets = [_CountTarget(*group, model) for group in zip(positives, negatives, m0, v0)]
+        targets = [CountTarget((p, n), m, v, model)
+                   for p, n, m, v in zip(positives, negatives, m0, v0)]
         t0 = time.perf_counter()
         for g, (pts, lw, u) in enumerate(proposals(targets, sweeps, rng)):
             trace_means[:, g] = pts[mh_states(lw, u)[MH_STEPS - 1 :: MH_STEPS]]

@@ -1,11 +1,12 @@
-"""The independence Metropolis-Hastings kernel of the anchored fit and the
-ranking chain. A target is a fixed log-concave 1-D density with ``m0``,
-``log_density`` (arrays) and ``score_hessian`` (floats), proposed from a
-Student-t at its mode and Laplace scale. That proposal depends only on the
-data, so :func:`proposals` draws a run's proposals and uniforms before the
-chain runs and evaluates each target once, on all of them; the chain stays
-exact (Tierney 1994, *Ann. Statist.* 22(4)). Each chain keeps its own accept
-loop: the fit's is :func:`mh_states`; the ranking's adds a moving prior tilt.
+"""The count target and the independence Metropolis-Hastings kernel of the
+anchored fit and the ranking chain. A :class:`CountTarget` is a fixed
+log-concave 1-D density, a Gaussian prior times the masses of a model's
+cells, proposed from a Student-t at its mode and Laplace scale. That
+proposal depends only on the data, so :func:`proposals` draws a run's
+proposals and uniforms before the chain runs and evaluates each target
+once, on all of them; the chain stays exact (Tierney 1994, *Ann. Statist.*
+22(4)). Each chain keeps its own accept loop: the fit's is
+:func:`mh_states`; the ranking's adds a moving prior tilt.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import numpy as np
 
 from .errors import NumericalError
 
-__all__ = ["T_DOF", "MH_STEPS", "mode_and_scale", "log_weights", "mh_states", "proposals"]
+__all__ = ["T_DOF", "MH_STEPS", "CountTarget", "mode_and_scale", "log_weights", "mh_states",
+           "proposals"]
 
 # proposal dof; steps per sweep (with one step the rejections cluster and cut
 # the bias chain's ESS by about a third)
@@ -25,6 +27,31 @@ MH_STEPS = 3
 # the mode solve's Newton step cap and relative tolerance
 _NEWTON_STEPS = 60
 _MODE_TOL = 1e-10
+
+
+class CountTarget:
+    """``log N(x; m0, v0) + sum_i n_i log m_i(x)`` up to a constant, with
+    counts ``n_i`` and the cell masses ``m_i`` of ``cells``: their
+    ``log_masses(x)`` gives one array per cell at an array ``x``, and their
+    ``score_hessian(x, counts, score, hess)`` adds the cells' derivatives at
+    a float ``x`` to the prior's. A cell whose count is 0 adds nothing."""
+
+    def __init__(self, counts, m0, v0, cells):
+        # Python floats: the mode solve's float arithmetic runs on them
+        self.counts = tuple(float(n) for n in counts)
+        self.m0, self.v0, self.cells = float(m0), float(v0), cells
+
+    def log_density(self, x: np.ndarray) -> np.ndarray:
+        """The log density at each ``x``."""
+        out = -((x - self.m0) ** 2) / (2.0 * self.v0)
+        for n, log_mass in zip(self.counts, self.cells.log_masses(x)):
+            if n:
+                out = out + n * log_mass
+        return out
+
+    def score_hessian(self, x: float) -> tuple[float, float]:
+        """First and second derivatives of the log density at a float ``x``."""
+        return self.cells.score_hessian(x, self.counts, -(x - self.m0) / self.v0, -1.0 / self.v0)
 
 
 def mode_and_scale(target) -> tuple[float, float]:

@@ -13,8 +13,9 @@ the masses of :func:`~latentbias.gaussians.log_orthant_masses` at
 
 ``r = rho/sqrt(1 - rho^2)`` for the correlation ``rho`` of S and T, taken
 without that subtraction so it stays exact at tiny noise. The anchored fit
-reads them at ``c = 0``, held-out scoring at the summary's criminality
-mean, and the synthetic generator draws from the same equations.
+reads them and their derivatives in ``beta`` at ``c = 0``, held-out scoring
+at the summary's criminality mean, and the synthetic generator draws from
+the same equations.
 
 The belief over ``(beta_0..beta_{K-1}, C)`` starts from independent
 Gaussians (see :func:`build_prior`) and its update rules depend on the
@@ -40,7 +41,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .gaussians import log_orthant_masses, zero_threshold_masses
+from .gaussians import log_orthant_masses, ndtr, zero_threshold_masses
 
 __all__ = [
     "DIVERGENCE_MEAN_LIMIT",
@@ -57,6 +58,8 @@ __all__ = [
 # passes these has diverged
 DIVERGENCE_MEAN_LIMIT = 1e6
 DIVERGENCE_VARIANCE_LIMIT = 1e12
+
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 class PriorKind(enum.Enum):
@@ -85,11 +88,13 @@ def require_positive_finite(**values: float) -> None:
 @dataclass(frozen=True)
 class CellModel:
     """The stop and outcome equations at noise variances ``alpha`` and
-    ``gamma``, checked positive and finite once, here.
+    ``gamma``, checked positive and finite once, here. They are also the
+    anchored fit's cells, a group's positive and negative stops, of
+    :class:`~latentbias.kernel.CountTarget`.
 
     ``sa = sqrt(1 + alpha)`` and ``r`` (see the module docstring) are the
-    scale and the correlation parameter of the cell masses; the mass
-    methods take a float ``beta`` (floats out) or a 1-D array of them, and a
+    scale and the correlation parameter of the cell masses, read by no
+    other module; the mass methods take a float ``beta`` (floats out) or a 1-D array of them, and a
     float criminality mean ``c``.
     """
 
@@ -115,13 +120,24 @@ class CellModel:
         positive and negative stops, whose sum is ``Phi(h)``."""
         return log_orthant_masses(*self.thresholds(beta, c), self.r)
 
-    def masses_at_zero(self, beta: float) -> tuple[float, float, float]:
-        """``(h, P+, P-)`` for a group with a float bias ``beta`` at
-        criminality mean 0: its stop threshold and the masses themselves, on
-        the float path of :func:`~latentbias.gaussians.zero_threshold_masses`,
-        for the anchored fit's Newton steps. 0 where a mass underflows."""
-        h = beta / self.sa
-        return (h, *zero_threshold_masses(h, self.r))
+    def score_hessian(self, beta: float, counts, score: float, hess: float):
+        """``score`` and ``hess`` plus the derivatives in a float ``beta`` of
+        ``n_pos log P+ + n_neg log P-`` at criminality mean 0, ``counts =
+        (n_pos, n_neg)``, from ``dP+-/dh = phi(h) Phi(-+r h)`` and ``d2P+-/dh2
+        = -h dP+-/dh -+ r phi(h) phi(r h)``; float arithmetic only, for the
+        mode solve's Newton steps. NaN where a needed mass underflows."""
+        sa, r = self.sa, self.r
+        h = beta / sa
+        pos, neg = zero_threshold_masses(h, r)
+        phi, phi_r = math.exp(-0.5 * h * h) / _SQRT_2PI, math.exp(-0.5 * r * r * h * h) / _SQRT_2PI
+        for n, sign, p in zip(counts, (-1.0, 1.0), (pos, neg)):
+            if n and not p > 0:  # the mass underflowed
+                return math.nan, math.nan
+            if n:
+                ratio = phi * ndtr(sign * r * h) / p
+                score += n * ratio / sa
+                hess += n * (sign * r * phi * phi_r / p - h * ratio - ratio * ratio) / (sa * sa)
+        return float(score), float(hess)
 
     def outcome_probability(self, beta, c: float):
         """P(positive outcome | stopped), ``P+/(P+ + P-)``, as ``1/(1 + exp(log

@@ -12,9 +12,9 @@ get N(0,1) priors and a match is won with probability
 :func:`trueskill_gibbs` samples from those counts with no per-match
 latent. Given the common level, the groups' skills relative to it are
 independent, and only the prior factor of each conditional moves with that
-level. So each group gets one fixed Student-t proposal from
-:mod:`~latentbias.kernel`, computed from its counts once per run, and its
-target is evaluated once on all of its proposals; the Metropolis-Hastings
+level. So each group's target, a :class:`~latentbias.kernel.CountTarget`
+of its matches, gets one fixed Student-t proposal, computed once per run,
+and is evaluated once on all of its proposals; the Metropolis-Hastings
 steps then need one scalar ratio each, and stay exact because the proposal
 depends only on the data.
 
@@ -36,7 +36,7 @@ import numpy as np
 from .data import Dataset, csv_field
 from .errors import DivergenceError, DomainError
 from .gaussians import log_ndtr
-from .kernel import MH_STEPS, proposals
+from .kernel import MH_STEPS, CountTarget, proposals
 from .model import DIVERGENCE_MEAN_LIMIT, descending_order
 
 __all__ = [
@@ -62,34 +62,21 @@ def matches_from_dataset(dataset: Dataset) -> tuple[list[str], np.ndarray, np.nd
     return [COMMON_LABEL, *dataset.labels], negatives, positives
 
 
-class _SkillTarget:
-    """One player's relative skill ``d`` given the common level ``w_0``,
+class _Match:
+    """The cells of a player's matches against the common player at relative
+    skill ``d``, counts ``(wins, losses)``: a win has mass ``Phi(d)`` and a
+    loss ``Phi(-d)``. ``log_ndtr`` and a log-space Mills ratio keep both
+    finite in the far tails."""
 
-        log N(d; m0, 1) + b log Phi(d) + a log Phi(-d),
+    def log_masses(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(log Phi(d), log Phi(-d))`` at each ``d``."""
+        return log_ndtr(d), log_ndtr(-d)
 
-    up to a constant, with ``m0 = -w_0``: the player won ``b`` and lost ``a``
-    matches against the common player. The density is log-concave;
-    ``log_ndtr`` and a log-space Mills ratio keep it and its derivatives
-    finite in the far tails. A target of :mod:`~latentbias.kernel`, as
-    :class:`~latentbias.inference._CountTarget` is.
-    """
-
-    def __init__(self, m0: float, a: int, b: int):
-        self.m0, self.a, self.b = m0, a, b
-
-    def log_density(self, d: np.ndarray) -> np.ndarray:
-        """The log density at each ``d``."""
-        out = -0.5 * (d - self.m0) ** 2
-        for n, sign in ((self.b, 1.0), (self.a, -1.0)):
-            if n:
-                out += n * log_ndtr(sign * d)
-        return out
-
-    def score_hessian(self, d: float) -> tuple[float, float]:
-        """First and second derivatives of the log density at ``d``, from
-        ``d log Phi(y)/dy = lam(y) = phi(y)/Phi(y)`` and ``dlam/dy = -lam (y + lam)``."""
-        score, hess = self.m0 - d, -1.0
-        for n, sign in ((self.b, 1.0), (self.a, -1.0)):
+    def score_hessian(self, d: float, counts, score: float, hess: float):
+        """``score`` and ``hess`` plus the first and second derivatives in a
+        float ``d`` of ``wins log Phi(d) + losses log Phi(-d)``, from ``d log
+        Phi(y)/dy = lam(y) = phi(y)/Phi(y)`` and ``dlam/dy = -lam (y + lam)``."""
+        for n, sign in zip(counts, (1.0, -1.0)):
             if n:
                 y = sign * d
                 lam = math.exp(-0.5 * y * y - _LOG_SQRT_2PI - log_ndtr(y))
@@ -159,10 +146,11 @@ def trueskill_gibbs(
     player_count = wins.size + 1
     burn, steps = iterations // 5, MH_STEPS
     rng = np.random.default_rng(np.random.SeedSequence(seed))
+    cells = _Match()
     # per player: its proposal mode (point 0, the start) then its proposals,
     # the fixed target's log weight at each, and its uniforms
     chains = [(pts.tolist(), lw, u) for pts, lw, u in proposals(
-        [_SkillTarget(0.0, a, b) for a, b in zip(losses.tolist(), wins.tolist())],
+        [CountTarget(matches, 0.0, 1.0, cells) for matches in zip(wins.tolist(), losses.tolist())],
         iterations, rng)]
     level_noise = (rng.standard_normal(iterations) / math.sqrt(player_count)).tolist()
 

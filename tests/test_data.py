@@ -439,6 +439,27 @@ def test_true_params_rejects_bad_noise(field, value):
         TrueParams(beta=(0.0,), **{field: value})
 
 
+@pytest.mark.parametrize("beta", [(math.nan, 0.0), (math.inf, 0.0), (0.0, -math.inf)])
+def test_true_params_rejects_a_non_finite_beta(beta):
+    # NaN once drew no stops for its group and inf stopped everyone
+    with pytest.raises(DomainError, match="beta entries must be finite"):
+        TrueParams(beta=beta)
+
+
+@pytest.mark.parametrize("population", [(2.7,), (3.0,), (True,), (np.bool_(True),), (0,),
+                                        (np.int64(-4),), ("5",)])
+def test_true_params_rejects_a_population_that_is_not_a_positive_integer(population):
+    # 2.7 was once floored to 2 and True read as 1
+    with pytest.raises(DomainError, match="positive integers"):
+        TrueParams(beta=(0.0,), population=population)
+
+
+def test_true_params_accepts_numpy_integer_populations():
+    params = TrueParams(beta=(np.float64(0.5),), population=(np.int32(7),))
+    assert params.population == (7,) and type(params.population[0]) is int
+    assert params.beta == (0.5,)
+
+
 # --- canonical CSV ------------------------------------------------------------------------
 
 def test_dataset_csv_roundtrip():

@@ -5,8 +5,10 @@ another, so each private helper has one owner. Dunder names such as
 whose imports are re-exports, imports a name that it never reads. Every
 private module-level name (a function, class or constant) is read in its
 own module, so no helper outlives its callers. The model's equations have
-one owner: only ``model.py`` reaches the cell masses, and ``gaussians.py``
-is model-free math that names neither noise variance."""
+one owner: only ``model.py`` reaches the cell masses or reads their scale
+``sa`` and correlation parameter ``r``, only ``kernel.py`` defines a target's
+``log_density``, and ``gaussians.py`` is model-free math that names neither
+noise variance."""
 
 import ast
 import re
@@ -69,16 +71,32 @@ def test_every_private_module_name_is_read_in_its_module(path):
     assert not unread, unread
 
 
+def _modules_where(predicate):
+    """The names of the package's modules in which some AST node satisfies ``predicate``."""
+    return sorted({path.name for path in SOURCES
+                   if any(map(predicate, ast.walk(ast.parse(path.read_text(encoding="utf-8")))))})
+
+
 @pytest.mark.parametrize("name", ["log_orthant_masses", "zero_threshold_masses"])
 def test_only_the_model_reaches_the_cell_masses(name):
     # by import or by attribute, so later work cannot spread the model's
     # (alpha, gamma) -> (h, k, r) map back over the package
-    reach = sorted({path.name for path in SOURCES
-                    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-                    if (isinstance(node, ast.ImportFrom)
-                        and any(alias.name == name for alias in node.names))
-                    or (isinstance(node, ast.Attribute) and node.attr == name)})
-    assert reach == ["model.py"]
+    assert _modules_where(lambda node: (isinstance(node, ast.ImportFrom)
+                                        and any(alias.name == name for alias in node.names))
+                          or (isinstance(node, ast.Attribute) and node.attr == name)) == ["model.py"]
+
+
+def test_only_the_kernel_defines_a_log_density():
+    # one target class: a model adds cells, not a second target
+    assert _modules_where(lambda node: isinstance(node, ast.FunctionDef)
+                          and node.name == "log_density") == ["kernel.py"]
+
+
+def test_only_the_model_reads_the_cell_scale_and_correlation():
+    # the chain rule through h = beta/sa and the masses' r stay with the model
+    assert _modules_where(lambda node: isinstance(node, ast.Attribute)
+                          and isinstance(node.ctx, ast.Load)
+                          and node.attr in ("sa", "r")) == ["model.py"]
 
 
 def test_gaussians_names_no_noise_variance():

@@ -31,7 +31,7 @@ from latentbias import (
     write_trace_csv,
 )
 
-from latentbias import inference, kernel
+from latentbias import inference, kernel, ranking
 
 from conftest import (count_log_density_oracle, count_posterior_oracle, dataset_from_rows,
                       mills_lambda_oracle)
@@ -266,7 +266,7 @@ def test_sweep_independent_keeps_cross_zero_and_anchored_c_standard():
 # --- count-level bias conditional ------------------------------------------------------
 
 def _target(n_pos, n_neg, m0=0.0, v0=1.0, alpha=1.0, gamma=1.0):
-    return inference._CountTarget(float(n_pos), float(n_neg), m0, v0, CellModel(alpha, gamma))
+    return kernel.CountTarget((n_pos, n_neg), m0, v0, CellModel(alpha, gamma))
 
 
 def _bias_chain(target, seed, draws, thin=5, burn=50):
@@ -299,14 +299,21 @@ def test_count_target_matches_oracle_density(alpha, gamma, n_pos, n_neg):
     assert np.allclose(got - got[0], want - want[0], rtol=1e-9, atol=1e-9)
 
 
-# (0.3, 0.3) puts r above 1, where Owen's T takes its reflection
-@pytest.mark.parametrize("alpha, gamma", [(1.0, 1.0), (2.0, 0.5), (1.0, 0.05), (0.3, 0.3)])
-def test_count_target_derivatives_match_finite_differences(alpha, gamma):
-    target = _target(420, 180, 0.2, 2.0, alpha, gamma)
+# the fit's stop cells at (alpha, gamma), where (0.3, 0.3) puts r above 1 and
+# Owen's T takes its reflection; then the ranking's match cells at (wins,
+# losses) and prior mean -w_0, a player with no win and one with no loss among them
+@pytest.mark.parametrize("target", [
+    *(pytest.param(_target(420, 180, 0.2, 2.0, alpha, gamma), id=f"{alpha}-{gamma}")
+      for alpha, gamma in [(1.0, 1.0), (2.0, 0.5), (1.0, 0.05), (0.3, 0.3)]),
+    *(pytest.param(kernel.CountTarget(matches, m0, 1.0, ranking._Match()),
+                   id=f"match-{matches[0]}-{matches[1]}")
+      for matches, m0 in [((3, 2), 0.0), ((0, 7), -0.4), ((12, 0), 0.9), ((250, 40), 0.0)]),
+])
+def test_count_target_derivatives_match_finite_differences(target):
     step = 1e-4
-    for beta in (-1.5, 0.0, 1.0, 3.5, 6.0):
-        logp = target.log_density(np.array([beta - step, beta, beta + step]))
-        score, hess = target.score_hessian(beta)
+    for x in (-1.5, 0.0, 1.0, 3.5, 6.0):
+        logp = target.log_density(np.array([x - step, x, x + step]))
+        score, hess = target.score_hessian(x)
         assert score == pytest.approx((logp[2] - logp[0]) / (2 * step), rel=1e-6, abs=1e-6)
         assert hess == pytest.approx((logp[2] - 2 * logp[1] + logp[0]) / step**2,
                                      rel=1e-4, abs=1e-4)
@@ -414,7 +421,7 @@ def test_negative_mass_keeps_precision_where_the_difference_cancels():
     # quadrature) while Phi(h)/2 - T(h, r) rounds to -8.7e-18; the mode solve
     # must converge there
     target = _target(3, 1, -2.0, 1e-4, 0.02, 0.02)
-    _pos, neg = target.model.log_masses(np.array([-2.0]))
+    _pos, neg = target.cells.log_masses(np.array([-2.0]))
     assert math.exp(neg[0]) == pytest.approx(3.6171569044211e-26, rel=1e-12)
     assert math.isfinite(target.log_density(np.array([-2.0]))[0])
     mode, scale = kernel.mode_and_scale(target)
@@ -463,7 +470,7 @@ def test_anchored_chain_matches_per_sweep_kernel(kind):
     _summary, trace = run_gibbs(records, cfg)
     m0, v0 = build_prior(3)
     model = CellModel(cfg.alpha, cfg.gamma)
-    targets = [inference._CountTarget(p, n, m, v, model)
+    targets = [kernel.CountTarget((p, n), m, v, model)
                for (n, p), m, v in zip(records.outcome_counts(), m0, v0)]
     assert model.r > 1
     laplace = [kernel.mode_and_scale(target) for target in targets]

@@ -12,7 +12,7 @@ from latentbias import (
     predictive_score,
 )
 from latentbias.gaussians import ndtr
-from latentbias.inference import _CountTarget
+from latentbias.kernel import CountTarget
 
 from conftest import (cdf_oracle, dataset_from_rows, likelihood_oracle,
                       outcome_probability_oracle, stop_search_likelihood)
@@ -217,7 +217,7 @@ def test_outcome_probability_at_zero_criminality_is_the_fits_orthant(alpha, gamm
     model = CellModel(alpha, gamma)
     betas = np.linspace(-9.0, 9.0, 73)
     pos, neg = model.log_masses(betas)
-    assert np.array_equal(_CountTarget(1, 0, 0.0, 1.0, model).log_density(betas),
+    assert np.array_equal(CountTarget((1, 0), 0.0, 1.0, model).log_density(betas),
                           -(betas ** 2) / 2.0 + pos)
     assert np.array_equal(model.outcome_probability(betas, 0.0), 1.0 / (1.0 + np.exp(neg - pos)))
 

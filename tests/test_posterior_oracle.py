@@ -23,8 +23,8 @@ from scipy import stats
 
 from latentbias import ModelConfig, PriorKind, run_gibbs, trueskill_gibbs
 from latentbias.inference import _sample_bias_conditional
-from latentbias.kernel import mode_and_scale
-from latentbias.ranking import _SkillTarget
+from latentbias.kernel import CountTarget, mode_and_scale
+from latentbias.ranking import _Match
 
 from conftest import count_posterior_oracle, dataset_from_rows, skill_posterior_oracle
 
@@ -100,7 +100,7 @@ def _reference_star_chain(losses, wins, iterations, seed):
     rels, levels = [], []
     for _ in range(iterations):
         for p in range(1, players):
-            target = _SkillTarget(-common, losses[p - 1], wins[p - 1])
+            target = CountTarget((wins[p - 1], losses[p - 1]), -common, 1.0, _Match())
             rel[p] = _sample_bias_conditional(target, *mode_and_scale(target), float(rel[p]), rng)
         common = -rel.sum() / players + rng.standard_normal() / math.sqrt(players)
         rels.append(rel.copy())

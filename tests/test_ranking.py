@@ -133,7 +133,7 @@ def test_skill_target_maps_the_scalar_log_ndtr_bit_for_bit():
     want = -0.5 * (EXACT_GRID - 0.0) ** 2
     want += 3 * np.array([log_ndtr(x) for x in EXACT_GRID.tolist()])
     want += 2 * np.array([log_ndtr(-x) for x in EXACT_GRID.tolist()])
-    got = ranking._SkillTarget(0.0, 2, 3).log_density(EXACT_GRID)
+    got = kernel.CountTarget((3, 2), 0.0, 1.0, ranking._Match()).log_density(EXACT_GRID)
     assert got.tobytes() == want.tobytes()
 
 
@@ -148,13 +148,13 @@ def _replayed_star_chain(losses, wins, iterations, seed, anchor_common):
     t_draws = rng.standard_t(kernel.T_DOF, size=(players - 1, iterations * steps))
     uniforms = rng.random((players - 1, iterations * steps))
     level_noise = rng.standard_normal(iterations)
-    laplace = [kernel.mode_and_scale(ranking._SkillTarget(0.0, a, b))
+    laplace = [kernel.mode_and_scale(kernel.CountTarget((b, a), 0.0, 1.0, ranking._Match()))
                for a, b in zip(losses, wins)]
     current = [mode for mode, _scale in laplace]
     rel, levels, common = np.zeros((iterations, players)), np.empty(iterations), 0.0
     for it in range(iterations):
         for p, (mode, scale) in enumerate(laplace):
-            target = ranking._SkillTarget(-common, losses[p], wins[p])
+            target = kernel.CountTarget((wins[p], losses[p]), -common, 1.0, ranking._Match())
 
             def log_ratio_term(x):  # log target minus log proposal, up to constants
                 log_proposal = -0.5 * (kernel.T_DOF + 1) * math.log1p(
